@@ -4,7 +4,7 @@
 # without the tool), the race-detector pass over the concurrent packages
 # (plus the pinned stream-driver tests), the full test suite — which
 # includes the daemon's httptest smoke, the 50-client concurrent-
-# admission soak and the serial-vs-sharded equivalence suite — the
+# admission soak and the wheel-vs-per-cycle equivalence suite — the
 # race-enabled distributed-sweep chaos suite (`make chaos`), the
 # stream-replay determinism gate (`make stream-replay`: the committed
 # golden arrival trace must yield byte-identical qosd decision journals
@@ -43,18 +43,11 @@ RACE_TMPL = {{$$p := .ImportPath}}\
 {{range .XTestImports}}{{if or (eq . "sync") (eq . "sync/atomic")}}{{$$p}}{{"\n"}}{{end}}{{end}}
 RACE_PKGS = $(shell $(GO) list -f '$(RACE_TMPL)' ./internal/... | sort -u)
 
-# Race-detector pass: the derived concurrent packages, plus the root
-# package's sharded-stepping equivalence tests (the full root integration
-# suite is too slow to race wholesale; TestShard* is the part that spins
-# up the worker pool). The event-wheel home package (internal/gpu) is in
-# the derived list via its sync import, but its wheel-vs-legacy
-# equivalence tests are pinned by name too: they exercise the sharded
-# drain/wake hand-off, and pinning keeps them raced even if a refactor
-# ever drops the sync import that puts gpu on the derived list.
+# Race-detector pass: the derived concurrent packages. The simulator core
+# (internal/gpu, internal/sm) steps on one goroutine and is not on the
+# list; concurrency starts one level up, in exp.Runner and distsweep.
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=1 -run 'TestWheel' ./internal/gpu
-	$(GO) test -race -count=1 -run 'TestShard' .
 	$(GO) test -race -short -count=1 ./internal/stream
 
 # Deterministic chaos suite for the distributed sweep: scripted worker
@@ -78,8 +71,8 @@ staticcheck:
 bench-trace:
 	$(GO) test -bench=BenchmarkEmit -benchtime=100x -run='^$$' ./internal/trace
 
-# Simulator-core benchmarks: throughput (serial and sharded stepping),
-# the admission and fleet-placement fast-path latency benchmarks
+# Simulator-core benchmarks: simulator throughput (cycles/s), the
+# admission and fleet-placement fast-path latency benchmarks
 # (p50-ns / speedup-x), the distributed-sweep coordination-tax benchmark
 # (overhead-pct), and the sustained stream-admission throughput
 # benchmark (decisions/s; the iteration count is pinned because a

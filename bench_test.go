@@ -214,25 +214,12 @@ func BenchmarkAblateNonQoSInit(b *testing.B) {
 
 // BenchmarkSimulatorCycles measures raw simulator throughput: cycles
 // simulated per second for a representative co-run, independent of the
-// figure harness. Together with the sharded variant below it feeds the
-// committed BENCH_core.json baseline that `make bench-gate` enforces
-// (see internal/benchgate); the cycles/s metric and -benchmem allocs/op
-// are the gated quantities.
+// figure harness. It feeds the committed BENCH_core.json baseline that
+// `make bench-gate` enforces (see internal/benchgate); the cycles/s
+// metric and -benchmem allocs/op are the gated quantities.
 func BenchmarkSimulatorCycles(b *testing.B) {
-	benchSimulatorCycles(b, 1)
-}
-
-// BenchmarkSimulatorCyclesSharded is the same co-run stepped at
-// -shards=4. Results are bit-identical to serial; only wall clock
-// differs, so the benchmark doubles as a throughput check on the sharded
-// stepper.
-func BenchmarkSimulatorCyclesSharded(b *testing.B) {
-	benchSimulatorCycles(b, 4)
-}
-
-func benchSimulatorCycles(b *testing.B, shards int) {
 	ctx := context.Background()
-	s, err := core.NewSession(core.WithWindow(50_000), core.WithShards(shards))
+	s, err := core.NewSession(core.WithWindow(50_000))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -40,7 +40,6 @@ func main() {
 		window  = flag.Int64("window", 200_000, "measurement window in cycles")
 		tlp     = flag.Bool("tlp", false, "include the TLP-sensitivity sweep")
 		timeout = flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none)")
-		shards  = flag.Int("shards", 1, "step the SMs in this many parallel shards (bit-identical to -shards=1)")
 		fit     = flag.String("fit", "", "write an isolated-IPC qosd model fit to this path")
 	)
 	flag.Parse()
@@ -53,7 +52,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *list, *window, *tlp, *shards, *fit); err != nil {
+	if err := run(ctx, *list, *window, *tlp, *fit); err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
@@ -76,7 +75,7 @@ func selected(list string) ([]string, error) {
 
 // measure runs the named workload isolated, optionally with a uniform
 // per-SM TB cap, and returns the GPU for stat extraction.
-func measure(ctx context.Context, name string, window int64, cap, shards int) (*gpu.GPU, error) {
+func measure(ctx context.Context, name string, window int64, cap int) (*gpu.GPU, error) {
 	k, err := workloads.Kernel(name, 0)
 	if err != nil {
 		return nil, err
@@ -85,7 +84,6 @@ func measure(ctx context.Context, name string, window int64, cap, shards int) (*
 	if err != nil {
 		return nil, err
 	}
-	g.SetShards(shards)
 	if cap > 0 {
 		for _, s := range g.SMs {
 			s.SetTBCap(0, cap)
@@ -130,7 +128,7 @@ func writeFit(ctx context.Context, names []string, window int64, path string) er
 	return nil
 }
 
-func run(ctx context.Context, list string, window int64, tlp bool, shards int, fit string) error {
+func run(ctx context.Context, list string, window int64, tlp bool, fit string) error {
 	names, err := selected(list)
 	if err != nil {
 		return err
@@ -143,7 +141,7 @@ func run(ctx context.Context, list string, window int64, tlp bool, shards int, f
 	fmt.Printf("%-14s %-3s %9s %10s %8s %8s %9s %8s\n",
 		"workload", "cls", "IPC", "lines/cyc", "L1hit", "L2hit", "TBs", "launches")
 	for _, name := range names {
-		g, err := measure(ctx, name, window, 0, shards)
+		g, err := measure(ctx, name, window, 0)
 		if err != nil {
 			return err
 		}
@@ -163,14 +161,14 @@ func run(ctx context.Context, list string, window int64, tlp bool, shards int, f
 	fmt.Printf("\nTLP sensitivity (IPC at a per-SM TB cap, normalized to uncapped):\n")
 	fmt.Printf("%-14s %8s %8s %8s %8s\n", "workload", "cap=2", "cap=4", "cap=8", "full")
 	for _, name := range names {
-		full, err := measure(ctx, name, window, 0, shards)
+		full, err := measure(ctx, name, window, 0)
 		if err != nil {
 			return err
 		}
 		base := full.IPC(0)
 		fmt.Printf("%-14s", name)
 		for _, cap := range []int{2, 4, 8} {
-			g, err := measure(ctx, name, window, cap, shards)
+			g, err := measure(ctx, name, window, cap)
 			if err != nil {
 				return err
 			}

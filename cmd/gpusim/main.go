@@ -38,7 +38,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none)")
 		tracePth = flag.String("trace", "", "write an event trace of the co-run to this file")
 		traceFmt = flag.String("trace-format", "jsonl", "trace encoding: jsonl|chrome")
-		shards   = flag.Int("shards", 1, "step the SMs in this many parallel shards (results are bit-identical to -shards=1)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *kernels, *scheme, *window, *scale, *tracePth, *traceFmt, *shards); err != nil {
+	if err := run(ctx, *kernels, *scheme, *window, *scale, *tracePth, *traceFmt); err != nil {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
 		os.Exit(1)
 	}
@@ -86,7 +85,7 @@ func parseSpecs(s string) ([]core.KernelSpec, error) {
 	return specs, nil
 }
 
-func run(ctx context.Context, kernels, schemeName string, window int64, scale bool, tracePath, traceFormat string, shards int) error {
+func run(ctx context.Context, kernels, schemeName string, window int64, scale bool, tracePath, traceFormat string) error {
 	specs, err := parseSpecs(kernels)
 	if err != nil {
 		return err
@@ -103,7 +102,7 @@ func run(ctx context.Context, kernels, schemeName string, window int64, scale bo
 	if scale {
 		cfg = config.Scale56()
 	}
-	session, err := core.NewSession(core.WithGPU(cfg), core.WithWindow(window), core.WithShards(shards))
+	session, err := core.NewSession(core.WithGPU(cfg), core.WithWindow(window))
 	if err != nil {
 		return err
 	}

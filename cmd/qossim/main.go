@@ -60,7 +60,6 @@ type options struct {
 	retries     int
 	traceDir    string
 	traceFmt    string
-	shards      int
 }
 
 func main() {
@@ -79,7 +78,6 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 0, "extra attempts per failing case")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
-	flag.IntVar(&o.shards, "shards", 1, "step the SMs in this many parallel shards per run (bit-identical to -shards=1)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -124,7 +122,7 @@ func openJournal(o options) (*journal.Journal, error) {
 // baselines) are reused by every figure that needs them.
 func newStudy(cfg config.GPU, o options, jnl *journal.Journal) (exp.Study, error) {
 	ropts := []exp.Option{
-		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window), core.WithShards(o.shards)),
+		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window)),
 		exp.WithFaultPolicy(exp.FaultPolicy{
 			FailFast:    o.failFast,
 			CaseTimeout: o.caseTimeout,

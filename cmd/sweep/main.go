@@ -36,7 +36,7 @@
 // fetches the sweep spec from a sweepd coordinator, executes leased
 // case ranges on the local pool, and streams results back. The grid,
 // scheme and output then belong to the coordinator; local grid flags
-// are ignored, while -workers, -shards, -case-timeout, -retries and
+// are ignored, while -workers, -case-timeout, -retries and
 // -retry-backoff still shape local execution.
 package main
 
@@ -87,7 +87,6 @@ type options struct {
 	traceDir    string
 	traceFmt    string
 	pprofAddr   string
-	shards      int
 	fitPath     string
 	workerAddr  string
 	workerName  string
@@ -117,7 +116,6 @@ func main() {
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.IntVar(&o.shards, "shards", 1, "step the SMs in this many parallel shards per run (bit-identical to -shards=1)")
 	flag.StringVar(&o.fitPath, "fit", "", "distill the pair sweep into a qosd performance-model fit at this path (pairs mode, exactly one scheme)")
 	flag.StringVar(&o.workerAddr, "worker", "", "run as a distributed worker against this sweepd coordinator URL")
 	flag.StringVar(&o.workerName, "worker-name", "", "worker name reported to the coordinator (default sweep-<pid>)")
@@ -245,9 +243,8 @@ func runWorker(ctx context.Context, o options) error {
 	}
 	fmt.Fprintf(os.Stderr, "sweep: worker %s joining %s: %s stage %s, %d cases\n",
 		name, o.workerAddr, spec.Mode, stage, spec.Total())
-	sessOpts := append(spec.SessionOptions(), core.WithShards(o.shards))
 	runner, err := exp.NewRunner(o.workers,
-		exp.WithSessionOptions(sessOpts...),
+		exp.WithSessionOptions(spec.SessionOptions()...),
 		exp.WithFaultPolicy(exp.FaultPolicy{
 			FailFast:    o.failFast,
 			CaseTimeout: o.caseTimeout,
@@ -332,7 +329,7 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 	runner, err := exp.NewRunner(o.workers,
-		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window), core.WithShards(o.shards)),
+		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window)),
 		exp.WithFaultPolicy(faultPolicy(o, jnl, workloads.Seed)),
 		exp.WithTraceDir(o.traceDir, traceFmtVal))
 	if err != nil {

@@ -12,7 +12,6 @@ goarch: amd64
 pkg: repro
 BenchmarkTable01Parameters-4         	     100	    120000 ns/op
 BenchmarkSimulatorCycles-4           	       5	 160000000 ns/op	    312500 cycles/s	  606844 B/op	    2024 allocs/op
-BenchmarkSimulatorCyclesSharded-4    	       5	 170000000 ns/op	    294117 cycles/s	  655360 B/op	    2200 allocs/op
 BenchmarkAdmission-4                 	    1000	      8000 ns/op	      5200 p50-ns	      9800 speedup-x	    4402 B/op	      43 allocs/op
 BenchmarkStreamAdmission-4           	   20000	     61000 ns/op	     16300 decisions/s	   10240 B/op	      98 allocs/op
 BenchmarkDistSweepOverhead-4         	       5	 510000000 ns/op	        23.04 cases/s	         4.2 overhead-pct	 7712544 B/op	   12202 allocs/op
@@ -29,7 +28,6 @@ func TestParse(t *testing.T) {
 		{Name: "Admission", Kind: KindLatency, P50Ns: 5200, SpeedupX: 9800, AllocsPerOp: 43, NsPerOp: 8000},
 		{Name: "DistSweepOverhead", Kind: KindOverhead, OverheadPct: 4.2, AllocsPerOp: 12202, NsPerOp: 510000000},
 		{Name: "SimulatorCycles", Kind: KindThroughput, CyclesPerSec: 312500, AllocsPerOp: 2024, NsPerOp: 160000000},
-		{Name: "SimulatorCyclesSharded", Kind: KindThroughput, CyclesPerSec: 294117, AllocsPerOp: 2200, NsPerOp: 170000000},
 		{Name: "StreamAdmission", Kind: KindThroughput, OpsPerSec: 16300, AllocsPerOp: 98, NsPerOp: 61000},
 	}
 	if !reflect.DeepEqual(got, want) {

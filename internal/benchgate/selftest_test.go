@@ -17,8 +17,7 @@ const (
 // through PR 7). The self-test below freezes them so reverting either
 // the wheel or the ratchet is caught even if the revert is "clean".
 var preWheelCyclesPerSec = map[string]float64{
-	"SimulatorCycles":        220_000,
-	"SimulatorCyclesSharded": 200_000,
+	"SimulatorCycles": 220_000,
 }
 
 // loadCommittedBaseline loads the repo's real BENCH_core.json, not a

@@ -201,21 +201,11 @@ type Config struct {
 	QoSOptions qos.Options
 	// PowerCosts overrides the energy table; nil means defaults.
 	PowerCosts *power.Costs
-	// Shards selects the simulator stepping mode: <=1 steps the SMs
-	// serially; larger values step them in that many shards on a worker
-	// pool with a deterministic barrier (gpu.SetShards). Results are
-	// bit-identical either way, so the fields are excluded from journal
-	// hashes — a checkpointed sweep may resume under different shard
-	// settings.
-	Shards int `json:"-"`
-	// ShardWorkers overrides the sharded-mode worker count (0 = derive
-	// from GOMAXPROCS). Mainly a test hook.
-	ShardWorkers int `json:"-"`
 	// DisableEventWheel pins the stepper to per-cycle ticking instead of
 	// event-wheel skipping (gpu.SetEventWheel). Wheel runs are
-	// bit-identical to per-cycle runs, so — like the shard fields — the
-	// switch is excluded from journal hashes; it exists as a debugging
-	// escape hatch and for the equivalence tests.
+	// bit-identical to per-cycle runs, so the switch is excluded from
+	// journal hashes; per-cycle ticking is the reference oracle the
+	// wheel-equivalence tests compare against, not a production mode.
 	DisableEventWheel bool `json:"-"`
 }
 
@@ -446,11 +436,9 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 	return res, nil
 }
 
-// applyStepping configures the session's stepping mode (serial or
-// sharded) on a freshly built device.
+// applyStepping selects the stepper on a freshly built device: the event
+// wheel, or the per-cycle reference loop when a test asked for it.
 func (s *Session) applyStepping(g *gpu.GPU) {
-	g.SetShardWorkers(s.cfg.ShardWorkers)
-	g.SetShards(s.cfg.Shards)
 	g.SetEventWheel(!s.cfg.DisableEventWheel)
 }
 

@@ -44,29 +44,12 @@ func WithPowerCosts(costs power.Costs) Option {
 	return func(s *settings) { s.cfg.PowerCosts = &costs }
 }
 
-// WithShards selects the simulator stepping mode for every run of the
-// session: n <= 1 (the default) steps the SMs serially; n > 1 steps them
-// in n shards on a small worker pool with a deterministic two-phase
-// barrier. Sharded runs are bit-identical to serial ones — the option
-// only trades goroutines for wall-clock time on multi-core hosts.
-func WithShards(n int) Option {
-	return func(s *settings) { s.cfg.Shards = n }
-}
-
-// WithShardWorkers overrides the sharded-mode worker-pool size (the
-// default derives it from GOMAXPROCS). Tests force a value above the
-// machine's CPU count so the race detector sees real goroutine
-// interleavings; 0 restores the default.
-func WithShardWorkers(w int) Option {
-	return func(s *settings) { s.cfg.ShardWorkers = w }
-}
-
 // WithEventWheel turns event-wheel stepping on or off for every run of
 // the session (the default is on). The wheel jumps the main loop between
 // the next scheduled events — SM wake-ups, quota events, sample
 // boundaries, epoch rolls — instead of ticking every cycle; runs are
-// bit-identical either way, so the switch is purely a debugging escape
-// hatch and the lever the wheel-equivalence tests pull.
+// bit-identical either way. Off selects the per-cycle reference loop the
+// wheel-equivalence tests compare against; nothing in production sets it.
 func WithEventWheel(on bool) Option {
 	return func(s *settings) { s.cfg.DisableEventWheel = !on }
 }

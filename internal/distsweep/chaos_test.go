@@ -4,9 +4,11 @@ package distsweep
 // real HTTP (httptest), with scripted failures at every seam —
 // worker kills (context cancel at the Nth case), dropped / duplicated /
 // delayed result deliveries (a chaos RoundTripper), blackholed
-// heartbeats forcing lease-expiry races, and injected simulation faults
-// (exp.ScriptedFaults on core.WithFaultInjector). Every scenario ends
-// with the same two assertions:
+// heartbeats and lease expiries, and injected simulation faults
+// (core.WithFaultInjector). Lease time belongs to the test: the
+// coordinator reads a fakeClock through Config.Now, so a lease expires
+// exactly when a scenario steps the clock past the TTL and never because
+// the machine was slow. Every scenario ends with the same two assertions:
 //
 //  1. the merged results are byte-identical to a serial in-process run
 //     of the same grid (the headline robustness guarantee), and
@@ -244,7 +246,7 @@ func (r *execRecorder) snapshot() map[int]int {
 type chaosWorkerOpts struct {
 	name      string
 	transport *chaosTransport
-	faults    *exp.ScriptedFaults
+	faults    core.FaultInjector
 	onCase    func(w *Worker, ev WorkerEvent)
 	flush     int
 	retries   retry.Policy
@@ -306,11 +308,13 @@ func startWorker(t *testing.T, ctx context.Context, addr string, o chaosWorkerOp
 }
 
 // chaosCoordinator builds a journaled coordinator + HTTP server for the
-// chaos grid.
-func chaosCoordinator(t *testing.T, sp Spec, leaseCases int, ttl time.Duration) (*Coordinator, *httptest.Server, string) {
+// chaos grid. Lease deadlines run on clk: the TTL still sets the workers'
+// real heartbeat cadence (TTL/3), but nothing expires until the test
+// advances the clock.
+func chaosCoordinator(t *testing.T, sp Spec, leaseCases int, ttl time.Duration, clk *fakeClock) (*Coordinator, *httptest.Server, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "chaos.ckpt")
-	c, err := New(Config{Spec: sp, Journal: path, LeaseCases: leaseCases, LeaseTTL: ttl})
+	c, err := New(Config{Spec: sp, Journal: path, LeaseCases: leaseCases, LeaseTTL: ttl, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +341,7 @@ func TestChaosDeliveryFaults(t *testing.T) {
 	}
 	sp := chaosSpec()
 	want := serialOracle(t, sp)
-	coord, ts, jpath := chaosCoordinator(t, sp, 2, 5*time.Second)
+	coord, ts, jpath := chaosCoordinator(t, sp, 2, 5*time.Second, newFakeClock())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -387,11 +391,42 @@ func TestChaosDeliveryFaults(t *testing.T) {
 	}
 }
 
-// TestChaosLeaseExpiryRace blackholes one worker's heartbeats while an
-// injected delay stretches its first case past the lease TTL: the lease
-// expires mid-execution, the range is re-issued to a second worker, and
-// both end up reporting overlapping cases. Dedupe must keep the journal
-// single-lined and the merge byte-identical.
+// stallFirstCase is a core.FaultInjector that parks the first sweep case
+// it sees — whichever index the worker was leased — until the test
+// releases it: the hung worker of the lease-expiry scenario, without a
+// sleep to size.
+type stallFirstCase struct {
+	once    sync.Once
+	stalled chan struct{} // closed once the worker is parked inside its case
+	release chan struct{} // closed by the test to let the case run
+}
+
+func newStallFirstCase() *stallFirstCase {
+	return &stallFirstCase{stalled: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *stallFirstCase) Inject(ctx context.Context) error {
+	if _, ok := core.CaseIndexFromContext(ctx); !ok {
+		return nil // an isolated baseline, not a sweep case
+	}
+	var err error
+	s.once.Do(func() {
+		close(s.stalled)
+		select {
+		case <-s.release:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	})
+	return err
+}
+
+// TestChaosLeaseExpiryRace blackholes one worker's heartbeats and hangs
+// its first case; the test then steps the lease clock past the TTL, so
+// the lease expires mid-execution, the range is re-issued to a second
+// worker, and — the hung case being released once the second worker has
+// run one — both end up reporting overlapping cases. Dedupe must keep the
+// journal single-lined and the merge byte-identical.
 func TestChaosLeaseExpiryRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -399,26 +434,39 @@ func TestChaosLeaseExpiryRace(t *testing.T) {
 	sp := chaosSpec()
 	want := serialOracle(t, sp)
 	ttl := 300 * time.Millisecond
-	coord, ts, jpath := chaosCoordinator(t, sp, 2, ttl)
+	clk := newFakeClock()
+	coord, ts, jpath := chaosCoordinator(t, sp, 2, ttl, clk)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	rec := newExecRecorder()
 
-	// Worker A: heartbeats never arrive, and case 0 stalls well past the
-	// TTL inside the simulator.
-	faults := exp.NewScriptedFaults(map[int][]exp.FaultSpec{
-		0: {{Delay: 3 * ttl}},
-	})
+	// Worker A: heartbeats never arrive, and its first case hangs inside
+	// the simulator.
+	stall := newStallFirstCase()
 	_, errA := startWorker(t, ctx, ts.URL, chaosWorkerOpts{
 		name:      "chaos-slow",
 		transport: newChaosTransport(chaosRule{kind: "heartbeat", action: "drop"}),
-		faults:    faults,
+		faults:    stall,
 		flush:     1,
 	}, rec)
+	select {
+	case <-stall.stalled:
+	case <-ctx.Done():
+		t.Fatal("worker A never started a case")
+	}
+	// A holds the only lease and cannot finish; time passes it by.
+	clk.Advance(2 * ttl)
+	if st := coord.State(); st.Expired != 1 {
+		t.Fatalf("stepping the clock past the TTL expired %d leases, want A's one: %+v", st.Expired, st)
+	}
+	// Worker B picks up the re-issued range; A wakes once B has executed
+	// a case, so the two overlap.
+	var releaseA sync.Once
 	_, errB := startWorker(t, ctx, ts.URL, chaosWorkerOpts{
-		name:  "chaos-fast",
-		flush: 1,
+		name:   "chaos-fast",
+		flush:  1,
+		onCase: func(*Worker, WorkerEvent) { releaseA.Do(func() { close(stall.release) }) },
 	}, rec)
 
 	waitDone(t, coord, 55*time.Second)
@@ -431,15 +479,21 @@ func TestChaosLeaseExpiryRace(t *testing.T) {
 
 	assertMergedIdentical(t, coord, want)
 	assertJournalSingleLines(t, jpath, sp.Total())
-	st := coord.State()
-	if st.Expired == 0 {
-		t.Fatal("scenario did not force a lease expiry — TTL race never happened")
+	// A ran its hung case after B had already run one from the same
+	// re-issued range: at least one case was executed by both.
+	overlap := false
+	for _, n := range rec.snapshot() {
+		overlap = overlap || n > 1
+	}
+	if !overlap {
+		t.Fatal("no case was executed twice — the expired and the re-issued lease never overlapped")
 	}
 }
 
 // TestSoakKillOne is the acceptance soak: three workers, one killed
-// mid-lease before it delivers anything. Its lease expires, the range
-// is re-issued, the survivors finish — and the merged report must be
+// mid-lease before it delivers anything. The test steps the lease clock
+// past the TTL once it is dead, the range is re-issued, the survivors
+// finish — and the merged report must be
 // byte-identical to the serial run, with no journal-committed case
 // re-executed afterwards (asserted by snapshotting execution counts at
 // the kill and comparing against the committed set).
@@ -449,7 +503,9 @@ func TestSoakKillOne(t *testing.T) {
 	}
 	sp := chaosSpec()
 	want := serialOracle(t, sp)
-	coord, ts, jpath := chaosCoordinator(t, sp, 2, 400*time.Millisecond)
+	ttl := 400 * time.Millisecond
+	clk := newFakeClock()
+	coord, ts, jpath := chaosCoordinator(t, sp, 2, ttl, clk)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -493,6 +549,14 @@ func TestSoakKillOne(t *testing.T) {
 	if victim.Stats().CasesDelivered != 0 {
 		t.Fatalf("victim delivered %d cases before dying; kill schedule broken", victim.Stats().CasesDelivered)
 	}
+	// The dead worker's lease runs out. Leases the survivors hold at this
+	// instant expire with it; only uncommitted cases return to the pool,
+	// so that costs duplicate executions the dedupe layer absorbs, never
+	// a re-run of a committed case.
+	clk.Advance(2 * ttl)
+	if st := coord.State(); st.Expired == 0 {
+		t.Fatalf("victim's lease did not expire with the clock past the TTL: %+v", st)
+	}
 	waitDone(t, coord, 55*time.Second)
 	if err := <-err1; err != nil {
 		t.Fatalf("survivor 1: %v", err)
@@ -518,9 +582,6 @@ func TestSoakKillOne(t *testing.T) {
 	// re-executed by a survivor.
 	if final[ks.victimIndex] < 2 {
 		t.Fatalf("victim's case %d executed %d times; lease re-issue never re-ran it", ks.victimIndex, final[ks.victimIndex])
-	}
-	if st := coord.State(); st.Expired == 0 {
-		t.Fatalf("victim's lease never expired: %+v", st)
 	}
 
 	// The merged CSV equals one built straight from the serial cases.

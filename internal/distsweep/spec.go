@@ -135,9 +135,7 @@ func (sp Spec) Total() int {
 func (sp Spec) SchemeValue() (core.Scheme, error) { return core.ParseScheme(sp.Scheme) }
 
 // SessionOptions returns the core options a session must be built with
-// to reproduce this sweep's results. Shard settings are deliberately
-// absent: they are bit-identical by construction and stay a local
-// worker choice.
+// to reproduce this sweep's results.
 func (sp Spec) SessionOptions() []core.Option {
 	opts := []core.Option{}
 	if sp.GPU.NumSMs != 0 {

@@ -80,7 +80,7 @@ type WorkerConfig struct {
 	// Name identifies the worker in leases and logs.
 	Name string
 	// Runner executes cases. Required; built from the fetched Spec's
-	// SessionOptions plus local choices (pool size, shards, injectors).
+	// SessionOptions plus local choices (pool size, injectors).
 	Runner *exp.Runner
 	// Spec is the sweep being executed (fetched via FetchSpec).
 	Spec Spec

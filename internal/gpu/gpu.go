@@ -32,25 +32,19 @@ type Controller interface {
 	// OnEpoch runs at fixed epoch boundaries (cfg.EpochLength), after
 	// per-kernel epoch counters have been rolled.
 	OnEpoch(now int64)
+	// NextControlEvent lets the event-wheel stepper skip cycles: it
+	// returns the earliest cycle >= now at which OnCycle could do
+	// anything other than return immediately (NoEvent when no such cycle
+	// is scheduled), under the promise that the GPU state the answer
+	// depends on does not change during a skipped stretch — every SM is
+	// idle, so no instruction issues and no counter moves.
+	NextControlEvent(now int64) int64
 }
 
 // NoEvent is the sentinel an event source returns when it has nothing
 // scheduled: no cycle at or after the queried one needs its attention.
 // It is far beyond any reachable cycle count.
 const NoEvent = int64(1) << 62
-
-// CycleScheduler is the optional Controller extension that lets the
-// event-wheel stepper skip cycles. NextControlEvent(now) returns the
-// earliest cycle >= now at which the controller's OnCycle hook could do
-// anything other than return immediately (NoEvent when no such cycle is
-// scheduled), under the promise that the GPU state the answer depends on
-// does not change during a skipped stretch — every SM is idle, so no
-// instruction issues and no counter moves. A Controller that does not
-// implement CycleScheduler disables the event wheel: the loop falls back
-// to ticking every cycle so the hook keeps firing per cycle.
-type CycleScheduler interface {
-	NextControlEvent(now int64) int64
-}
 
 // GPU is one simulated device executing a fixed co-run of kernels.
 type GPU struct {
@@ -89,11 +83,12 @@ type GPU struct {
 	Now          int64
 	epochIdx     int
 
-	// Event-wheel stepping (see run.go). wheelOff disables the
-	// whole-machine cycle skipping (escape hatch; the per-SM idle fast
-	// path inside sm.Cycle stays on). lastDispatchAt records the cycle
-	// of the last TB-scheduler invocation, so the wheel knows whether a
-	// pending kernel-relaunch gate crossing has been serviced yet.
+	// Event-wheel stepping (see run.go). wheelOff selects the per-cycle
+	// reference loop the equivalence tests compare against (the per-SM
+	// idle fast path inside sm.Cycle stays on). lastDispatchAt records
+	// the cycle of the last TB-scheduler invocation, so the wheel knows
+	// whether a pending kernel-relaunch gate crossing has been serviced
+	// yet.
 	wheelOff       bool
 	lastDispatchAt int64
 	// WheelJumps / WheelSkipped count the wheel's forward jumps and the
@@ -102,13 +97,6 @@ type GPU struct {
 	// skipping, and experiment reports quote them).
 	WheelJumps   int64
 	WheelSkipped int64
-
-	// Sharded stepping (see shard.go). shards <= 1 is the serial
-	// stepper; shardStats holds each SM's private stats shard while
-	// sharding is on.
-	shards       int
-	shardWorkers int
-	shardStats   [][]*metrics.KernelStats
 
 	// nextEpochAt is the cycle of the next scheduled epoch roll. Epochs
 	// are tracked as a moving deadline rather than `now % EpochLength`:
@@ -178,9 +166,8 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 func (g *GPU) SetController(c Controller) { g.controller = c }
 
 // SetEventWheel enables or disables event-wheel stepping (the default is
-// on). Wheel runs are bit-identical to per-cycle runs; the switch exists
-// as a debugging escape hatch and for the equivalence tests that prove
-// that claim.
+// on). Wheel runs are bit-identical to per-cycle runs; off is the
+// reference oracle the equivalence tests prove that claim against.
 func (g *GPU) SetEventWheel(on bool) { g.wheelOff = !on }
 
 // EventWheel reports whether event-wheel stepping is enabled.

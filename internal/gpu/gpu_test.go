@@ -212,6 +212,9 @@ type countingController struct {
 func (c *countingController) OnCycle(now int64) { c.cycles++ }
 func (c *countingController) OnEpoch(now int64) { c.epochs++ }
 
+// NextControlEvent claims every cycle, so the wheel never skips one.
+func (c *countingController) NextControlEvent(now int64) int64 { return now }
+
 func TestEpochRecorder(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
 	g.Run(35_000)

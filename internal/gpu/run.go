@@ -29,20 +29,12 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 		return err
 	}
 	// SMs batch ThrottledCycles attribution while idle-skipping; settle
-	// before control returns so results read a consistent snapshot. In
-	// sharded mode the per-SM stats shards are drained afterwards (the
-	// settle writes throttle counts into the shards).
+	// before control returns so results read a consistent snapshot.
 	defer func() {
 		for _, s := range g.SMs {
 			s.SettleIdle()
 		}
-		g.drainStatShards()
 	}()
-	var pool *shardPool
-	if g.shards > 1 {
-		pool = newShardPool(g)
-		defer pool.stop()
-	}
 	_, deadlined := ctx.Deadline()
 	end := g.Now + cycles
 	sampleEvery := g.Cfg.EpochLength / int64(g.Cfg.IdleWarpSamples)
@@ -51,18 +43,8 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 	}
 	// Event-wheel stepping: after each processed cycle the loop asks
 	// every event source for its next interesting cycle and jumps
-	// straight there when that is in the future. A controller that does
-	// not publish its next control event (CycleScheduler) pins the loop
-	// to per-cycle stepping so its OnCycle hook keeps firing every cycle.
+	// straight there when that is in the future.
 	wheel := !g.wheelOff
-	var sched CycleScheduler
-	if g.controller != nil {
-		cs, ok := g.controller.(CycleScheduler)
-		if !ok {
-			wheel = false
-		}
-		sched = cs
-	}
 	for g.Now < end {
 		now := g.Now
 		// The TB scheduler runs when work completed or controllers
@@ -79,29 +61,14 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 		// ints, turning the rotation index into a panic-grade offset.
 		n := len(g.SMs)
 		start := int(now % int64(n))
-		if pool != nil {
-			// Phase A: every SM advances in parallel, capturing its
-			// shared-state effects. Phase B: replay the captures in the
-			// same rotated order the serial stepper visits SMs in, so
-			// the shared memory system, tracer and launch bookkeeping
-			// observe the identical global sequence.
-			pool.step(now)
-			for _, s := range g.SMs[start:] {
-				s.FlushDeferred(now)
-			}
-			for _, s := range g.SMs[:start] {
-				s.FlushDeferred(now)
-			}
-		} else {
-			// Two bounds-check-free sweeps replace the per-SM modulo of
-			// the rotated index walk; this loop runs once per simulated
-			// cycle per SM and the division was visible in profiles.
-			for _, s := range g.SMs[start:] {
-				s.Cycle(now)
-			}
-			for _, s := range g.SMs[:start] {
-				s.Cycle(now)
-			}
+		// Two bounds-check-free sweeps replace the per-SM modulo of the
+		// rotated index walk; this loop runs once per simulated cycle per
+		// SM and the division was visible in profiles.
+		for _, s := range g.SMs[start:] {
+			s.Cycle(now)
+		}
+		for _, s := range g.SMs[:start] {
+			s.Cycle(now)
 		}
 		if g.controller != nil {
 			g.controller.OnCycle(now)
@@ -130,7 +97,7 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 		}
 		g.Now++
 		if wheel {
-			if next := g.nextEventAt(g.Now, end, sampleEvery, sched); next > g.Now {
+			if next := g.nextEventAt(g.Now, end, sampleEvery); next > g.Now {
 				// Every cycle in [g.Now, next) is provably a no-op for
 				// every source; the only legacy effect — per-SM idle
 				// skip counting — is credited in bulk.
@@ -153,7 +120,7 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 //   - the TB scheduler must run (needDispatch, or a kernel-relaunch gate
 //     crossing that the periodic now%64 fallback would pick up);
 //   - an SM leaves its blocked/idle window (sm.NextEventAt);
-//   - the controller's OnCycle hook could act (CycleScheduler);
+//   - the controller's OnCycle hook could act (NextControlEvent);
 //   - the memory system requires attention (mem.System.NextEventAt);
 //   - an idle-warp sample boundary (now % sampleEvery == 0) — sampling,
 //     idleSamples and the deadline poll must observe every boundary;
@@ -161,7 +128,7 @@ func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 //
 // Every skipped cycle in between is a no-op in the legacy loop apart from
 // per-SM idle-skip counting, which CreditIdle reproduces exactly.
-func (g *GPU) nextEventAt(a, end int64, sampleEvery int64, sched CycleScheduler) int64 {
+func (g *GPU) nextEventAt(a, end int64, sampleEvery int64) int64 {
 	if g.needDispatch {
 		return a
 	}
@@ -188,8 +155,8 @@ func (g *GPU) nextEventAt(a, end int64, sampleEvery int64, sched CycleScheduler)
 			return a
 		}
 	}
-	if sched != nil {
-		if t := sched.NextControlEvent(a); t < next {
+	if g.controller != nil {
+		if t := g.controller.NextControlEvent(a); t < next {
 			next = t
 		}
 	}
@@ -229,9 +196,6 @@ func (g *GPU) nextEventAt(a, end int64, sampleEvery int64, sched CycleScheduler)
 // rollEpoch snapshots per-kernel epoch counters, records them, and fires
 // the controller's epoch hook.
 func (g *GPU) rollEpoch(now int64) {
-	// The epoch counters and the controller's epoch hook read the master
-	// stats; fold in whatever the SMs accumulated privately first.
-	g.drainStatShards()
 	g.epochIdx++
 	g.tracer.SetEpoch(g.epochIdx)
 	for slot, st := range g.Stats {

@@ -19,6 +19,17 @@ func wheelPair(t *testing.T, cycles int64, build func() *GPU, chunk func(*GPU, i
 	return on, off
 }
 
+// memProfile is a memory-heavy profile so the co-run exercises the
+// memory system, MSHR/credit pressure and TB churn.
+func memProfile(name string) kern.Profile {
+	p := smallProfile(name)
+	p.Class = kern.ClassMemory
+	p.FracGlobalMem = 0.5
+	p.ReuseFrac = 0.1
+	p.Iterations = 30
+	return p
+}
+
 func coRun(t *testing.T) *GPU {
 	t.Helper()
 	ks := make([]*kern.Kernel, 2)
@@ -82,7 +93,7 @@ func TestWheelIdleAccountingEquivalence(t *testing.T) {
 }
 
 // scriptedController fires a state-mutating action at scripted cycles and
-// publishes them through the CycleScheduler contract, so the wheel is
+// publishes them through NextControlEvent, so the wheel is
 // allowed to skip everything in between. It records the cycles at which
 // its actions actually ran.
 type scriptedController struct {
@@ -224,9 +235,7 @@ func TestWheelCurrentCycleEventNotLost(t *testing.T) {
 // TestWheelWakeAllDuringDrain drains an SM mid-run (its warps context
 // save and the SM blocks) and fires WakeAll while the drain's restore is
 // still pending. The wake must re-arm sleeping schedulers without
-// disturbing cycle-exactness, in serial and sharded stepping alike; the
-// sharded runs force the worker pool wider than the machine so `go test
-// -race` observes real goroutine interleavings across the wake.
+// disturbing cycle-exactness.
 func TestWheelWakeAllDuringDrain(t *testing.T) {
 	const cycles = 25_000
 	events := []int64{5_000, 5_050}
@@ -239,36 +248,25 @@ func TestWheelWakeAllDuringDrain(t *testing.T) {
 			g.RequestDispatch()
 		}
 	}
-	run := func(shards, workers int, wheel bool) *GPU {
+	run := func(wheel bool) *GPU {
 		g := coRun(t)
 		g.SetController(&scriptedController{g: g, events: events, act: act})
-		g.SetShardWorkers(workers)
-		g.SetShards(shards)
 		g.SetEventWheel(wheel)
 		g.Run(cycles)
 		return g
 	}
-	ref := run(1, 0, false)
+	ref, g := run(false), run(true)
 	if ref.Stats[0].ThreadInstrs == 0 || ref.Stats[1].ThreadInstrs == 0 {
 		t.Fatal("no progress after drain + WakeAll")
 	}
-	for _, tc := range []struct {
-		name            string
-		shards, workers int
-		wheel           bool
-	}{
-		{"serial-wheel", 1, 0, true},
-		{"sharded-legacy", 4, 4, false},
-		{"sharded-wheel", 4, 4, true},
-	} {
-		g := run(tc.shards, tc.workers, tc.wheel)
-		for slot := range ref.Stats {
-			if !reflect.DeepEqual(*ref.Stats[slot], *g.Stats[slot]) {
-				t.Errorf("%s: stats[%d] diverged\ngot:  %+v\nwant: %+v", tc.name, slot, *g.Stats[slot], *ref.Stats[slot])
-			}
+	for slot := range ref.Stats {
+		if !reflect.DeepEqual(*ref.Stats[slot], *g.Stats[slot]) {
+			t.Errorf("stats[%d] diverged\nwheel:  %+v\nlegacy: %+v", slot, *g.Stats[slot], *ref.Stats[slot])
 		}
+	}
+	for _, g := range []*GPU{ref, g} {
 		if msg := g.CheckInvariants(); msg != "" {
-			t.Errorf("%s: %s", tc.name, msg)
+			t.Error(msg)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (f *Fair) OnIssue(smID, slot, threadInstrs int) { f.m.OnIssue(smID, slot, t
 func (f *Fair) OnCycle(now int64) { f.m.OnCycle(now) }
 
 // NextControlEvent delegates the event-wheel schedule to the quota
-// machinery (gpu.CycleScheduler).
+// machinery (gpu.Controller).
 func (f *Fair) NextControlEvent(now int64) int64 { return f.m.NextControlEvent(now) }
 
 // OnEpoch retargets every kernel at the slowest kernel's normalized

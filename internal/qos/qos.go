@@ -328,7 +328,7 @@ func (m *Manager) OnCycle(now int64) {
 	}
 }
 
-// NextControlEvent implements gpu.CycleScheduler for the event wheel.
+// NextControlEvent implements gpu.Controller for the event wheel.
 // OnCycle acts only once every QoS kernel has exhausted its quota
 // GPU-wide; until then it returns on its first check, and the exhaustion
 // state cannot change across a skipped stretch — it is a function of the

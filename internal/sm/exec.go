@@ -6,11 +6,9 @@ import (
 	"repro/internal/rng"
 )
 
-// deferredReadyAt is the placeholder wake time of a warp whose memory
-// completion is not yet known (sharded stepping defers the shared
-// memory-system access to the flush phase, which fills in the real
-// time). It doubles as the "no wake pending" sentinel in scan results.
-const deferredReadyAt = int64(1) << 62
+// noWake is the "no wake pending" sentinel in scan results: later than
+// any reachable cycle, so any real wake time replaces it under min.
+const noWake = int64(1) << 62
 
 // Cycle advances the SM by one cycle: retire completed load misses, then
 // let each warp scheduler issue at most one warp instruction under GTO
@@ -29,9 +27,6 @@ func (s *SM) Cycle(now int64) {
 		return
 	}
 	s.settleIdle()
-	// Capture applies only within Cycle: TB retires reached from a
-	// dispatch context (already in the serial phase) stay immediate.
-	s.capturing = s.deferMode
 	// Release MSHRs whose misses completed and transaction credits
 	// whose requests drained.
 	popped := false
@@ -95,9 +90,7 @@ func (s *SM) Cycle(now int64) {
 					// ready cache — cheaper to skip in the scan than
 					// to churn the heap every couple of cycles.
 					removeReadyAt(sch, idx)
-					if w.readyAt < deferredReadyAt {
-						pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
-					}
+					pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
 				default:
 					// Refresh both mirrors: the issue advanced the warp
 					// past its instruction, so its scan class may have
@@ -125,9 +118,7 @@ func (s *SM) Cycle(now int64) {
 		}
 		// Completion-heap events must still fire on time: a pop releases
 		// an MSHR or credit (rousing structural sleepers) and keeps the
-		// occupancy counters current. Length guards rather than counter
-		// guards: in capture mode a push can be pending flush while the
-		// counter already moved.
+		// occupancy counters current.
 		if len(s.missHeap) > 0 && s.missHeap[0] < idle {
 			idle = s.missHeap[0]
 		}
@@ -138,7 +129,6 @@ func (s *SM) Cycle(now int64) {
 		}
 		s.idleUntil = idle
 	}
-	s.capturing = false
 }
 
 // refreshGate recomputes the cached per-slot gate results. Called only
@@ -158,13 +148,7 @@ func (s *SM) refreshGate(now int64) {
 			if s.gateOK[slot] {
 				// Transition into quota-denied: trace the edge, not
 				// every throttled cycle.
-				if s.capturing {
-					if s.tracer != nil {
-						s.pendStalls = append(s.pendStalls, slot)
-					}
-				} else {
-					s.tracer.GateStall(now, s.ID, slot, -1)
-				}
+				s.tracer.GateStall(now, s.ID, slot, -1)
 			}
 		}
 		if ok && !s.gateOK[slot] {
@@ -255,7 +239,7 @@ func (s *SM) pick(now int64, sch *scheduler) (*Warp, int) {
 	}
 	var best *Warp
 	bestIdx := -1
-	next := deferredReadyAt
+	next := noWake
 	sawGated := false
 	s.sawPort, s.sawMSHR, s.sawCredit = false, false, false
 	longSleep := s.cfg.L1HitLatency
@@ -267,7 +251,7 @@ func (s *SM) pick(now int64, sch *scheduler) (*Warp, int) {
 	// earliest wake still feed the stall classification below.
 	start := 0
 	preMSHR, preCredit := false, false
-	preUntil := deferredReadyAt
+	preUntil := noWake
 	if sch.prefixLen > 0 {
 		// The epoch guard only protects MSHR/credit-blocked members; a
 		// prefix of pure future-waiters survives completion-heap pops.
@@ -353,7 +337,7 @@ func (s *SM) pick(now int64, sch *scheduler) (*Warp, int) {
 			live := !w.done && !w.atBarrier
 			removeReadyAt(sch, i)
 			a = sch.ready
-			if live && w.readyAt < deferredReadyAt {
+			if live {
 				pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
 			}
 			i--
@@ -436,16 +420,13 @@ func (s *SM) pick(now int64, sch *scheduler) (*Warp, int) {
 
 // enqueue files a live warp into its scheduler's ready cache or wake
 // heap according to its readyAt. Warps at a barrier are re-filed by the
-// barrier release; warps awaiting a deferred memory completion are
-// filed by FlushDeferred once the real completion time is known.
+// barrier release.
 func (s *SM) enqueue(sch *scheduler, w *Warp, now int64) {
 	if w.done || w.atBarrier || w.inReady {
 		return
 	}
 	if w.readyAt-now >= s.cfg.L1HitLatency {
-		if w.readyAt < deferredReadyAt {
-			pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
-		}
+		pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
 		return
 	}
 	s.insertReady(sch, w)
@@ -612,11 +593,6 @@ func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
 		done := s.globalAccess(now, w, in, lanes, mem.Read)
 		if s.nextDepends(w) {
 			w.readyAt = done
-			if done == deferredReadyAt {
-				// The completion time comes from the deferred replay;
-				// FlushDeferred files the warp back into the wake heap.
-				s.pendMems[len(s.pendMems)-1].warp = w
-			}
 		} else {
 			// Hit-under-miss: the warp keeps going; the MSHR is held
 			// until the data returns.
@@ -658,19 +634,13 @@ func (s *SM) nextDepends(w *Warp) bool {
 }
 
 // globalAccess performs the coalesced transactions of a global memory
-// instruction and returns the completion time of the slowest one. In
-// deferred (sharded) mode the shared memory system is not touched;
-// the transactions are recorded for FlushDeferred and the returned
-// completion time is the deferredReadyAt placeholder.
+// instruction and returns the completion time of the slowest one.
 func (s *SM) globalAccess(now int64, w *Warp, in *isa.Instr, lanes int, kind mem.AccessKind) int64 {
 	st := s.kernels[w.slot].stats
 	// Scale transaction count with the active lanes.
 	n := (int(in.Transactions)*lanes + s.cfg.WarpSize - 1) / s.cfg.WarpSize
 	if n < 1 {
 		n = 1
-	}
-	if s.capturing {
-		return s.globalAccessDeferred(now, w, in, n, kind)
 	}
 	done := now + s.cfg.L1HitLatency
 	missed := false
@@ -701,46 +671,6 @@ func (s *SM) globalAccess(now int64, w *Warp, in *isa.Instr, lanes int, kind mem
 		s.pushMiss(done)
 	}
 	return done
-}
-
-// globalAccessDeferred is globalAccess in sharded capture mode: per-SM
-// effects (L1 tags, per-kernel counters, credit counts, MSHR occupancy)
-// apply immediately, while accesses to the shared memory system are
-// recorded for replay in the canonical serial order by FlushDeferred.
-func (s *SM) globalAccessDeferred(now int64, w *Warp, in *isa.Instr, n int, kind mem.AccessKind) int64 {
-	st := s.kernels[w.slot].stats
-	off := len(s.pendTxns)
-	missed := false
-	for t := 0; t < n; t++ {
-		addr := w.kernel.GlobalAddr(w.gid, w.iter, w.pc, t, in.Reuse)
-		st.MemTxns++
-		if kind == mem.Write {
-			s.pendTxns = append(s.pendTxns, txnReq{addr: addr, kind: mem.Write})
-			s.countTxn(w.slot)
-			continue
-		}
-		st.L1Accesses++
-		if s.l1.Access(addr) {
-			continue // L1 hit at base latency
-		}
-		st.L1Misses++
-		missed = true
-		s.pendTxns = append(s.pendTxns, txnReq{addr: addr, kind: mem.Read})
-		s.countTxn(w.slot)
-	}
-	if kind == mem.Read && missed {
-		// The MSHR is held from issue; the completion-heap entry is
-		// added at flush once the completion time is known.
-		s.outstanding++
-	}
-	if len(s.pendTxns) == off {
-		// Pure L1 traffic: the completion time is exact already.
-		return now + s.cfg.L1HitLatency
-	}
-	s.pendMems = append(s.pendMems, memEv{
-		slot: w.slot, base: now, off: off, n: len(s.pendTxns) - off, misses: missed,
-	})
-	return deferredReadyAt
 }
 
 // advance moves the warp past its current instruction, handling the loop
@@ -799,15 +729,9 @@ func (s *SM) warpDone(now int64, w *Warp) {
 }
 
 // retireTB frees the TB's static resources and notifies the dispatcher.
-// In capture mode the notification is deferred to FlushDeferred so the
-// GPU's shared launch state is only touched in the serial phase.
 func (s *SM) retireTB(now int64, tb *TB) {
 	s.freeTB(now, tb)
 	s.kernels[tb.Slot].stats.TBsCompleted++
-	if s.capturing {
-		s.pendDones = append(s.pendDones, tb.Slot)
-		return
-	}
 	if s.OnTBComplete != nil {
 		s.OnTBComplete(s.ID, tb.Slot)
 	}
@@ -869,14 +793,6 @@ func (s *SM) refreshTxnCap() {
 	}
 	s.txnCapCache = c
 	s.structEpoch++
-}
-
-// countTxn charges one of the slot's in-flight transaction credits
-// without a completion time (capture mode; the heap entry is pushed by
-// FlushDeferred once the shared memory system has been consulted).
-func (s *SM) countTxn(slot int) {
-	s.txnFlight[slot]++
-	s.txnTotal++
 }
 
 // holdTxn charges one of the slot's in-flight transaction credits until
@@ -944,9 +860,9 @@ func popHeap(h *[]int64) {
 // warp context. The class describes the warp's *next* instruction; it is
 // refreshed wherever readyAt is (insert and post-issue).
 const (
-	clsCompute = uint8(iota) // no SM-wide structural constraint
-	clsLdGlobal              // port + MSHR + credit constrained
-	clsStGlobal              // port + credit constrained
+	clsCompute  = uint8(iota) // no SM-wide structural constraint
+	clsLdGlobal               // port + MSHR + credit constrained
+	clsStGlobal               // port + credit constrained
 )
 
 // opClass maps an opcode to its scan class.

@@ -99,8 +99,7 @@ type kernelState struct {
 // of rescanning every warp context each cycle: ready holds live warps
 // whose readyAt has passed in age order (oldest first), wakeQ holds
 // sleeping warps keyed by wake time. Both are invalidated lazily on warp
-// state changes; warps at a barrier or awaiting a deferred memory
-// completion are in neither until released.
+// state changes; warps at a barrier are in neither until released.
 type scheduler struct {
 	warps       []*Warp    // every assigned warp, age order (lazily compacted)
 	ready       []readyEnt // live ready/short-backoff warps, oldest first
@@ -211,18 +210,6 @@ type SM struct {
 	idleUntil int64
 	idleSkips int64
 
-	// Sharded-stepping capture state. When deferMode is on, Cycle runs
-	// with capturing set: per-SM effects apply immediately while effects
-	// on shared state (memory-system accesses, trace emits, TB-complete
-	// callbacks) are recorded and replayed by FlushDeferred in the
-	// serial phase, in the same order a serial run would produce them.
-	deferMode  bool
-	capturing  bool
-	pendStalls []int    // slots with a quota-denied trace edge this cycle
-	pendTxns   []txnReq // deferred memory-system transactions
-	pendMems   []memEv  // per-instruction groups over pendTxns
-	pendDones  []int    // slots of TBs retired this cycle
-
 	// Preallocated scratch for SampleIdleWarps.
 	sampleScratch []int
 
@@ -300,23 +287,6 @@ func (s *SM) Configure(kernels []*kern.Kernel, stats []*metrics.KernelStats, gat
 	s.gateDirty = true
 	s.refreshTxnCap()
 }
-
-// SetStats swaps the per-slot stats sinks without disturbing residency
-// or caps; the sharded stepping mode uses it to give each SM a private
-// shard that is drained into the GPU-wide stats at synchronization
-// points. Slot order must match Configure's.
-func (s *SM) SetStats(stats []*metrics.KernelStats) {
-	if len(stats) != len(s.kernels) {
-		panic("sm: SetStats length mismatch")
-	}
-	for i := range s.kernels {
-		s.kernels[i].stats = stats[i]
-	}
-}
-
-// SetDeferred switches the SM into (or out of) sharded capture mode: see
-// the capture-state fields and FlushDeferred.
-func (s *SM) SetDeferred(on bool) { s.deferMode = on }
 
 // SetGate replaces the quota gate, leaving caps and residency intact.
 // Scheduler sleep caches are cleared: a new gate can make previously

@@ -168,7 +168,7 @@ func (c *Controller) Owner(smID int) int { return c.owner[smID] }
 // OnCycle implements gpu.Controller; Spart has no per-cycle work.
 func (c *Controller) OnCycle(now int64) {}
 
-// NextControlEvent implements gpu.CycleScheduler: with no per-cycle
+// NextControlEvent implements gpu.Controller: with no per-cycle
 // work, Spart never schedules a control event — repartitioning decisions
 // all happen in OnEpoch, which the event wheel always processes.
 func (c *Controller) NextControlEvent(now int64) int64 { return gpu.NoEvent }
