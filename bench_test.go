@@ -211,35 +211,3 @@ func BenchmarkAblateNonQoSInit(b *testing.B) {
 		return exp.AblateNonQoSInit(ctx, s, []float64{1, 32})
 	}, "", nil)
 }
-
-// BenchmarkSimulatorCycles measures raw simulator throughput: cycles
-// simulated per second for a representative co-run, independent of the
-// figure harness. It feeds the committed BENCH_core.json baseline that
-// `make bench-gate` enforces (see internal/benchgate); the cycles/s
-// metric and -benchmem allocs/op are the gated quantities.
-func BenchmarkSimulatorCycles(b *testing.B) {
-	ctx := context.Background()
-	s, err := core.NewSession(core.WithWindow(50_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := []core.KernelSpec{
-		{Workload: "sgemm", GoalFrac: 0.7},
-		{Workload: "lbm"},
-	}
-	// Warm the isolated-IPC cache outside the timed region.
-	if _, err := s.IsolatedIPC(ctx, specs[0]); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.IsolatedIPC(ctx, specs[1]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(ctx, specs, core.SchemeRollover); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(50_000*b.N)/b.Elapsed().Seconds(), "cycles/s")
-}

@@ -332,6 +332,57 @@ func waitDone(t *testing.T, c *Coordinator, timeout time.Duration) {
 	}
 }
 
+// TestCoordinationCostPerCase is the harness's fault-free baseline and
+// the pin on what coordination costs: one worker sweeps the chaos grid
+// and the control plane may exchange exactly
+//
+//	leases  = ⌈total / LeaseCases⌉
+//	reports = Σ over leases ⌈lease size / FlushCases⌉
+//
+// messages, with nothing duplicated, expired or orphaned. Counts, not a
+// distributed-vs-local wall-clock ratio: simulation dominates both sides
+// of that ratio, so it reads the noise of two timings, and counts are
+// the same on any runner.
+func TestCoordinationCostPerCase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	sp := chaosSpec() // 6 cases
+	want := serialOracle(t, sp)
+	for _, tc := range []struct {
+		name              string
+		leaseCases, flush int // 0 = package default
+		leases, reports   int64
+	}{
+		{"defaults", 0, 0, 1, 2},      // one lease of 6, flushed as 4+2
+		{"lease2-flush1", 2, 1, 3, 6}, // three leases of 2, one report per case
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, ts, jpath := chaosCoordinator(t, sp, tc.leaseCases, 5*time.Second, newFakeClock())
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			_, errW := startWorker(t, ctx, ts.URL, chaosWorkerOpts{name: "solo", flush: tc.flush}, newExecRecorder())
+			waitDone(t, coord, 55*time.Second)
+			if err := <-errW; err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+
+			assertMergedIdentical(t, coord, want)
+			assertJournalSingleLines(t, jpath, sp.Total())
+			coord.mu.Lock()
+			granted, reports, dups := coord.granted, coord.reports, coord.duplicates
+			coord.mu.Unlock()
+			if granted != tc.leases || reports != tc.reports {
+				t.Errorf("control plane used %d leases and %d reports for %d cases, want %d and %d",
+					granted, reports, sp.Total(), tc.leases, tc.reports)
+			}
+			if st := coord.State(); dups != 0 || st.Expired != 0 || st.Orphans != 0 {
+				t.Errorf("fault-free sweep saw %d duplicates, state %+v", dups, st)
+			}
+		})
+	}
+}
+
 // TestChaosDeliveryFaults drives two workers through dropped,
 // duplicated and delayed result deliveries plus an injected transient
 // simulation fault — and requires a byte-identical merge anyway.
