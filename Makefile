@@ -1,24 +1,25 @@
 # Build, test and verification entry points. `make ci` is the gate run
-# before merging: vet plus staticcheck (hard-required when $CI is set,
-# soft-skipped with an explicit SKIPPED line on developer machines
-# without the tool), the race-detector pass over the concurrent packages
-# (plus the pinned stream-driver tests), the full test suite — which
-# includes the daemon's httptest smoke, the 50-client concurrent-
-# admission soak and the wheel-vs-per-cycle equivalence suite — the
-# race-enabled distributed-sweep chaos suite (`make chaos`), the
-# stream-replay determinism gate (`make stream-replay`: the committed
-# golden arrival trace must yield byte-identical qosd decision journals
-# across two fresh drives), a trace-emit benchmark smoke, short fuzz
-# runs over the checkpoint-journal and sweep-wire decoders, and
-# `make bench-check`: every benchmark workload's verification checks and
-# golden result digests. Nothing in `make ci` compares a speed: results
-# are checked here, on any runner; speed is judged by `benchmark/`
-# (`make bench`), parent against change on one machine, within the
-# bounds BENCHMARK.json fixes.
+# before merging: `make fmt-check` (`gofmt -l .` must print nothing), vet
+# plus staticcheck (hard-required when $CI is set, soft-skipped with an
+# explicit SKIPPED line on developer machines without the tool), the
+# race-detector pass over the concurrent packages (plus the pinned
+# stream-driver tests), the full test suite — which includes the daemon's
+# httptest smoke, the 50-client concurrent-admission soak and the
+# wheel-vs-per-cycle equivalence suite — the race-enabled
+# distributed-sweep chaos suite (`make chaos`), the stream-replay
+# determinism gate (`make stream-replay`: the committed golden arrival
+# trace must yield byte-identical qosd decision journals across two fresh
+# drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
+# the checkpoint-journal line decoder, journal recovery and the sweep-wire
+# decoders), and `make bench-check`: every benchmark workload's
+# verification checks and golden result digests. Nothing in `make ci`
+# compares a speed: results are checked here, on any runner; speed is
+# judged by `benchmark/` (`make bench`), parent against change on one
+# machine, within the bounds BENCHMARK.json fixes.
 
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-figures race chaos fuzz staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-check bench-figures race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -79,6 +80,11 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestSoakKillOne' ./internal/distsweep
 
+# Formatting gate: gofmt -l lists every file it would rewrite; any name
+# is a failure.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$out" >&2; exit 1; fi
+
 # Static analysis beyond vet. On developer machines without the tool the
 # target is skipped; in CI ($CI set) a missing binary is a hard failure so
 # the workflow cannot silently lose the check.
@@ -93,11 +99,13 @@ staticcheck:
 bench-trace:
 	$(GO) test -bench=BenchmarkEmit -benchtime=100x -run='^$$' ./internal/trace
 
-# Time-boxed fuzz passes over the decoders that parse bytes from disk or
-# the network: the checkpoint-journal line decoder (crash recovery) and
-# the distributed-sweep wire decoders (lease grants, result reports).
+# Time-boxed fuzz passes over the code that parses bytes from disk or
+# the network: the checkpoint-journal line decoder, journal recovery over
+# a damaged file (Open -> Append -> Open), and the distributed-sweep wire
+# decoders (lease grants, result reports).
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
+	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/distsweep -run='^$$' -fuzz=FuzzLeaseDecode -fuzztime=10s
 
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
@@ -117,6 +125,7 @@ stream-replay:
 	$(GO) test -count=1 -run 'TestStreamGoldenTrace|TestStreamReplayDeterminism' ./internal/stream
 
 ci:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(MAKE) race
@@ -126,8 +135,7 @@ ci:
 	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable' -count=1 ./internal/server
 	$(MAKE) stream-replay
 	$(MAKE) bench-trace
-	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
-	$(GO) test ./internal/distsweep -run='^$$' -fuzz=FuzzLeaseDecode -fuzztime=10s
+	$(MAKE) fuzz
 	$(MAKE) bench-check
 
 clean:

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/config"
@@ -132,17 +131,17 @@ type op struct {
 
 // Fleet is the node registry plus the placement scheduler.
 type Fleet struct {
-	scheme    core.Scheme
-	firstFit  bool
-	noRepart  bool
-	nodes     []*node
-	store     *jobStore
-	queue     chan op
-	baseCtx   context.Context
-	cancel    context.CancelFunc
-	loopDone  chan struct{}
-	nodeWG    sync.WaitGroup
-	pj        *journal.Journal // placement journal (nil when disabled)
+	scheme   core.Scheme
+	firstFit bool
+	noRepart bool
+	nodes    []*node
+	store    *jobStore
+	queue    chan op
+	baseCtx  context.Context
+	cancel   context.CancelFunc
+	loopDone chan struct{}
+	nodeWG   sync.WaitGroup
+	pj       *journal.Journal // placement journal (nil when disabled)
 
 	drainMu  sync.RWMutex
 	draining bool
@@ -209,7 +208,7 @@ func New(cfg Config) (*Fleet, error) {
 	for i, ns := range cfg.Nodes {
 		n, bind, err := f.buildNode(ctx, i, ns, cfg)
 		if err != nil {
-			f.closeNodes()
+			f.closeJournals()
 			cancel()
 			return nil, err
 		}
@@ -223,7 +222,7 @@ func New(cfg Config) (*Fleet, error) {
 	// because the journal header pins the node configurations.
 	for _, n := range f.nodes {
 		if err := n.recover(); err != nil {
-			f.closeNodes()
+			f.closeJournals()
 			cancel()
 			return nil, err
 		}
@@ -236,20 +235,18 @@ func New(cfg Config) (*Fleet, error) {
 			QueueDepth:    cfg.QueueDepth,
 		})
 		if err != nil {
-			f.closeNodes()
+			f.closeJournals()
 			cancel()
 			return nil, err
 		}
-		pj, err := openOrCreate(filepath.Join(cfg.JournalDir, "placements.jnl"), hash)
+		f.pj, err = journal.Open(filepath.Join(cfg.JournalDir, "placements.jnl"), hash)
 		if err != nil {
-			f.closeNodes()
+			f.closeJournals()
 			cancel()
 			return nil, err
 		}
-		f.pj = pj
 		if err := f.recoverPlacements(); err != nil {
-			pj.Close()
-			f.closeNodes()
+			f.closeJournals()
 			cancel()
 			return nil, err
 		}
@@ -319,11 +316,10 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		if err != nil {
 			return nil, nodeBinding{}, err
 		}
-		jnl, err := openOrCreate(filepath.Join(cfg.JournalDir, n.id+".jnl"), hash)
+		n.jnl, err = journal.Open(filepath.Join(cfg.JournalDir, n.id+".jnl"), hash)
 		if err != nil {
 			return nil, nodeBinding{}, fmt.Errorf("fleet: node %d journal: %w", idx, err)
 		}
-		n.jnl = jnl
 	}
 	return n, bind, nil
 }
@@ -331,15 +327,9 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 // recoverPlacements replays the placement journal in index order,
 // rebuilding jobs, node mixes and the id counter.
 func (f *Fleet) recoverPlacements() error {
-	done := f.pj.Completed(placementStage)
-	idxs := make([]int, 0, len(done))
-	for i := range done {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
+	return f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
 		var p Placement
-		if err := json.Unmarshal(done[i], &p); err != nil {
+		if err := json.Unmarshal(raw, &p); err != nil {
 			return fmt.Errorf("fleet: placement %d: %w", i, err)
 		}
 		switch p.Kind {
@@ -391,8 +381,8 @@ func (f *Fleet) recoverPlacements() error {
 		}
 		f.placements = append(f.placements, p)
 		f.nextPlace = i + 1
-	}
-	return nil
+		return nil
+	})
 }
 
 // Submit validates and enqueues one job for placement. It returns as
@@ -557,6 +547,8 @@ func (f *Fleet) closeNodeLoops() {
 	f.nodeWG.Wait()
 }
 
+// closeJournals releases every journal descriptor the fleet holds: at
+// shutdown, and when New fails partway (no loop has started yet).
 func (f *Fleet) closeJournals() error {
 	var first error
 	for _, n := range f.nodes {
@@ -574,16 +566,6 @@ func (f *Fleet) closeJournals() error {
 	return first
 }
 
-// closeNodes releases node journals during constructor error unwinding
-// (loops have not started yet).
-func (f *Fleet) closeNodes() {
-	for _, n := range f.nodes {
-		if n.jnl != nil {
-			n.jnl.Close()
-		}
-	}
-}
-
 func (f *Fleet) nodeByID(id string) *node {
 	for _, n := range f.nodes {
 		if n.id == id {
@@ -591,10 +573,4 @@ func (f *Fleet) nodeByID(id string) *node {
 		}
 	}
 	return nil
-}
-
-// openOrCreate opens an existing journal (recovering it) or creates a
-// fresh one bound to hash (journal.Open handles the missing-file case).
-func openOrCreate(path, hash string) (*journal.Journal, error) {
-	return journal.Open(path, hash)
 }

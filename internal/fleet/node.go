@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/config"
@@ -173,15 +172,9 @@ func (n *node) recover() error {
 	if n.jnl == nil {
 		return nil
 	}
-	done := n.jnl.Completed(decisionStage)
-	idxs := make([]int, 0, len(done))
-	for i := range done {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
+	return n.jnl.Each(decisionStage, func(i int, raw json.RawMessage) error {
 		var d NodeDecision
-		if err := json.Unmarshal(done[i], &d); err != nil {
+		if err := json.Unmarshal(raw, &d); err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
 		if d.Verdict == nil {
@@ -206,8 +199,8 @@ func (n *node) recover() error {
 			n.simEvals++
 		}
 		n.nextDec = i + 1
-	}
-	return nil
+		return nil
+	})
 }
 
 // fits reports whether shares (plus one more mix slot) are available.

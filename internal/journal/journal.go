@@ -3,18 +3,26 @@
 // sweep (crash, Ctrl-C, power loss) resumes where it stopped instead of
 // rerunning hundreds of simulations.
 //
-// Integrity model, outermost first:
+// The file is a log: every Append adds one line to its end and fsyncs
+// it; nothing already written is rewritten. Integrity model:
 //
-//   - Every write replaces the whole file atomically (tmp + fsync +
-//     rename), so a reader or a crash-recovery pass never observes a torn
-//     line from our own writer.
+//   - Create replaces the file atomically (tmp + fsync + rename), so a
+//     crash during Create leaves either no journal or one Open accepts.
 //   - The first line is a header carrying the schema Version and a
 //     configuration hash; Open refuses a journal whose hash differs from
 //     the resuming study's, so a stale journal cannot silently splice
 //     results from a different configuration into a new study.
 //   - Every line carries a CRC of its payload, catching external
-//     corruption (truncation, editor mangling, bit rot). Recovery stops
-//     at the first damaged line and keeps everything before it.
+//     corruption (truncation, editor mangling, bit rot) and the one thing
+//     a crash or a failed write can leave: a fragment of the last line,
+//     which no caller was told is durable. Recovery stops at the first
+//     damaged line — a last line without its newline counts — and keeps
+//     everything before it.
+//   - Only the writer removes damage, just before it writes: Open never
+//     modifies the file; the first Append through a handle, and the one
+//     after a failed Append, first truncate the file to the end of the
+//     intact prefix, so no record lands behind damage, out of recovery's
+//     reach. One handle appends to a file at a time; any number may read.
 //
 // Case payloads are opaque JSON produced by the sweep engine. Go's JSON
 // encoding of float64 is round-trip exact, so a case restored from the
@@ -32,6 +40,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/schema"
@@ -149,18 +158,23 @@ type entryKey struct {
 	index int
 }
 
+// maxLine bounds one line; a longer run of bytes is damage, not an allocation.
+const maxLine = 16 << 20
+
 // Journal is an open checkpoint journal. All methods are safe for
 // concurrent use; the sweep engine appends from every worker goroutine.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
-	lines   [][]byte // encoded records, header first
+	f       *os.File // O_APPEND descriptor; nil once closed
+	size    int64    // end of the intact prefix: every byte before it is a whole valid line
+	cut     bool     // the file may hold bytes past size (after Open, after a failed Append)
 	entries map[entryKey]json.RawMessage
-	closed  bool
 }
 
-// Create starts a fresh journal at path, truncating any existing file,
-// and durably writes the header.
+// Create starts a fresh journal at path, replacing any existing file,
+// and durably writes the header. The header-only file is written beside
+// path and renamed over it, so path never holds a partial header.
 func Create(path, configHash string) (*Journal, error) {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -171,19 +185,47 @@ func Create(path, configHash string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, lines: [][]byte{hl}, entries: make(map[entryKey]json.RawMessage)}
-	if err := j.flushLocked(); err != nil {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return nil, err
 	}
-	return j, nil
+	if _, err = f.Write(append(hl, '\n')); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return nil, err
+	}
+	return Open(path, configHash)
+}
+
+// scanLine is bufio.ScanLines that keeps the newline, so Open can count
+// the bytes of each line and tell a last line that never got its own.
+func scanLine(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // Open loads an existing journal for resume, verifying the schema version
 // and that its header hash matches configHash. A missing file starts a
 // fresh journal (resuming a study that never checkpointed is legal).
-// Recovery stops at the first damaged line — everything before it is
-// intact by construction — and the damaged tail is dropped on the next
-// Append's rewrite.
+// Recovery stops at the first damaged line — one that fails Decode, runs
+// past maxLine, or is last and lacks its newline; everything before it is
+// intact by construction. Open never writes: damage stays in the file
+// until the first Append cuts it, so a handle that is never appended to
+// leaves the file as it was. The handle holds a descriptor until Close.
 func Open(path, configHash string) (*Journal, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -194,13 +236,19 @@ func Open(path, configHash string) (*Journal, error) {
 	}
 	defer f.Close()
 
-	j := &Journal{path: path, entries: make(map[entryKey]json.RawMessage)}
+	j := &Journal{path: path, cut: true, entries: make(map[entryKey]json.RawMessage)}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
+	sc.Split(scanLine)
 	first := true
 	for sc.Scan() {
-		b := bytes.TrimSpace(sc.Bytes())
+		raw := sc.Bytes()
+		if raw[len(raw)-1] != '\n' {
+			break
+		}
+		b := bytes.TrimSpace(raw)
 		if len(b) == 0 {
+			j.size += int64(len(raw))
 			continue
 		}
 		rec, derr := Decode(b)
@@ -224,20 +272,27 @@ func Open(path, configHash string) (*Journal, error) {
 		} else if !rec.Header {
 			j.entries[entryKey{rec.Stage, rec.Index}] = rec.Data
 		}
-		j.lines = append(j.lines, append([]byte(nil), b...))
+		j.size += int64(len(raw))
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return nil, err
 	}
 	if first {
 		return nil, ErrNoHeader
 	}
+	if j.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
+		return nil, err
+	}
 	return j, nil
 }
 
-// Append durably records one completed case. v is marshaled to JSON; the
-// whole journal is rewritten to a temporary file and atomically renamed
-// over path so a crash mid-write can never leave a torn line.
+// Append durably records one completed case: v is marshaled to JSON and
+// added to the end of the file as one CRC'd line, by one write and one
+// fsync, before Append returns. Whatever lies past the intact prefix (the
+// damage Open stopped at, a failed Append's fragment) is truncated away
+// first. An Append that fails cuts its own fragment before returning the
+// error; while that cut cannot be made every later Append fails too
+// rather than write where recovery stops.
 func (j *Journal) Append(stage string, index int, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -249,42 +304,25 @@ func (j *Journal) Append(stage string, index int, v any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
+	if j.f == nil {
 		return ErrClosed
 	}
-	j.lines = append(j.lines, l)
-	j.entries[entryKey{stage, index}] = data
-	return j.flushLocked()
-}
-
-// flushLocked writes the journal via tmp+fsync+rename. Callers hold
-// j.mu (or own the journal exclusively, as Create does).
-func (j *Journal) flushLocked() error {
-	var buf bytes.Buffer
-	for _, l := range j.lines {
-		buf.Write(l)
-		buf.WriteByte('\n')
+	if j.cut {
+		if err := j.f.Truncate(j.size); err != nil {
+			return err
+		}
+		j.cut = false
 	}
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if _, err = j.f.Write(append(l, '\n')); err == nil {
+		err = j.f.Sync()
+	}
 	if err != nil {
+		j.cut = j.f.Truncate(j.size) != nil
 		return err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, j.path)
+	j.size += int64(len(l)) + 1
+	j.entries[entryKey{stage, index}] = data
+	return nil
 }
 
 // Lookup returns the journaled payload for one case.
@@ -308,6 +346,24 @@ func (j *Journal) Completed(stage string) map[int]json.RawMessage {
 	return out
 }
 
+// Each calls fn for every journaled case of a stage in ascending index
+// order — the order a client that numbers its records replays them in —
+// and stops at the first error fn returns.
+func (j *Journal) Each(stage string, fn func(index int, data json.RawMessage) error) error {
+	done := j.Completed(stage)
+	idxs := make([]int, 0, len(done))
+	for i := range done {
+		idxs = append(idxs, i)
+	}
+	sort.Ints(idxs)
+	for _, i := range idxs {
+		if err := fn(i, done[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Len reports the number of journaled cases across all stages.
 func (j *Journal) Len() int {
 	j.mu.Lock()
@@ -318,11 +374,16 @@ func (j *Journal) Len() int {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close marks the journal read-only. Every Append was already durable, so
-// Close performs no IO; it exists to surface accidental use-after-close.
+// Close releases the journal's descriptor; every Append was already
+// fsynced, so the close itself is all that can fail. It is idempotent,
+// Append after Close returns ErrClosed, and reads keep working.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.closed = true
-	return nil
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
 }

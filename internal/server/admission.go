@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -328,17 +327,11 @@ const jobStage = "jobs"
 // honoring the QoS contracts it already accepted. Queued-but-undecided
 // jobs are not recovered — they never received a verdict.
 func (s *Server) recoverJournal() error {
-	entries := s.jnl.Completed(jobStage)
-	idxs := make([]int, 0, len(entries))
-	for i := range entries {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	admitted := make(map[string]Decision)
 	var order []string
-	for _, i := range idxs {
+	err := s.jnl.Each(jobStage, func(i int, raw json.RawMessage) error {
 		var d Decision
-		if err := json.Unmarshal(entries[i], &d); err != nil {
+		if err := json.Unmarshal(raw, &d); err != nil {
 			return fmt.Errorf("server: job log entry %d: %w", i, err)
 		}
 		s.decisions = append(s.decisions, d)
@@ -352,6 +345,10 @@ func (s *Server) recoverJournal() error {
 		case "release":
 			delete(admitted, d.JobID)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, id := range order {
 		d, ok := admitted[id]

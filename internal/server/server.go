@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,19 +203,13 @@ func (s *Server) openJournal(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := os.Stat(path); err == nil {
-		j, err := journal.Open(path, hash)
-		if err != nil {
-			return err
-		}
-		s.jnl = j
-		return s.recoverJournal()
-	}
-	j, err := journal.Create(path, hash)
-	if err != nil {
+	if s.jnl, err = journal.Open(path, hash); err != nil {
 		return err
 	}
-	s.jnl = j
+	if err := s.recoverJournal(); err != nil {
+		s.jnl.Close()
+		return err
+	}
 	return nil
 }
 
