@@ -15,11 +15,13 @@
 # verification checks and golden result digests. Nothing in `make ci`
 # compares a speed: results are checked here, on any runner; speed is
 # judged by `benchmark/` (`make bench`), parent against change on one
-# machine, within the bounds BENCHMARK.json fixes.
+# machine, within the bounds BENCHMARK.json fixes. `make profile` is where
+# a hot-path change starts: a CPU profile of the pinned scheduler co-runs
+# (TestSchedResultsPinned), top 25 functions, nothing to patch.
 
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-figures race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-check bench-figures profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -49,6 +51,16 @@ bench-check:
 		printf '%s\n' "$$out" | tail -n 1 | grep -q '"core.stats_digest_changed":{"value":0,' \
 			|| { echo "bench-check: $$w results differ from benchmark/golden/$$w.digest" >&2; exit 1; }; \
 	done
+
+# Where simulator time goes: the pinned-results test (32 seeded co-runs,
+# every scheme, both configurations) under the CPU profiler. The profile
+# and the test binary pprof reads symbols from land in benchmark/out/
+# (git-ignored); `go tool pprof -list 'sm.*pick' benchmark/out/sim.test
+# benchmark/out/sim.prof` digs further.
+profile:
+	@mkdir -p benchmark/out
+	$(GO) test -count=1 -run '^TestSchedResultsPinned$$' -cpuprofile benchmark/out/sim.prof -o benchmark/out/sim.test .
+	$(GO) tool pprof -top -nodecount=25 benchmark/out/sim.test benchmark/out/sim.prof
 
 # The paper's figures and ablations, one iteration per driver: each
 # reports its reproduced headline quantity (QoSreach, normalised

@@ -165,6 +165,9 @@ func (g GPU) Validate() error {
 		return fmt.Errorf("config: WarpSize %d out of range", g.WarpSize)
 	case g.MaxThreadsPerSM%g.WarpSize != 0:
 		return fmt.Errorf("config: MaxThreadsPerSM %d not a multiple of warp size", g.MaxThreadsPerSM)
+	case g.MaxWarpsPerSM() > maxWarpContexts:
+		return fmt.Errorf("config: %d warp contexts per SM (MaxThreadsPerSM/WarpSize) exceed the limit of %d",
+			g.MaxWarpsPerSM(), maxWarpContexts)
 	case g.MaxTBsPerSM <= 0:
 		return errors.New("config: MaxTBsPerSM must be positive")
 	case g.NumMemControllers <= 0:
@@ -194,6 +197,11 @@ func (g GPU) Validate() error {
 	}
 	return nil
 }
+
+// maxWarpContexts bounds MaxWarpsPerSM: a warp scheduler (internal/sm)
+// keeps its scheduling state as 64-bit masks with one bit per warp
+// context, and in the worst case one scheduler holds every warp of its SM.
+const maxWarpContexts = 64
 
 // MaxWarpsPerSM returns the warp-context limit implied by the thread limit.
 func (g GPU) MaxWarpsPerSM() int { return g.MaxThreadsPerSM / g.WarpSize }

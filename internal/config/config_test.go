@@ -54,6 +54,7 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"warp size 0", func(g *GPU) { g.WarpSize = 0 }},
 		{"warp size 128", func(g *GPU) { g.WarpSize = 128 }},
 		{"threads not warp multiple", func(g *GPU) { g.MaxThreadsPerSM = 2047 }},
+		{"65 warp contexts", func(g *GPU) { g.MaxThreadsPerSM = 65 * g.WarpSize }},
 		{"zero TB slots", func(g *GPU) { g.MaxTBsPerSM = 0 }},
 		{"zero MCs", func(g *GPU) { g.NumMemControllers = 0 }},
 		{"zero epoch", func(g *GPU) { g.EpochLength = 0 }},

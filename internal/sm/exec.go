@@ -1,6 +1,8 @@
 package sm
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/rng"
@@ -47,10 +49,7 @@ func (s *SM) Cycle(now int64) {
 		// stalled scheduler; wake those sleepers for this cycle's scan.
 		// (Completion times are not monotonic in issue order, so a sleep
 		// time computed from heap tops at scan time could overshoot —
-		// waking at pop time is exact.) The structural-block memo is
-		// invalidated the same way: a pop is the only event that shrinks
-		// MSHR or credit occupancy.
-		s.structEpoch++
+		// waking at pop time is exact.)
 		for i := range s.scheds {
 			if s.scheds[i].structSleep && s.scheds[i].nextWake > now {
 				s.scheds[i].nextWake = now
@@ -71,34 +70,8 @@ func (s *SM) Cycle(now int64) {
 		if now < sch.nextWake {
 			continue
 		}
-		if w, idx := s.pick(now, sch); w != nil {
+		if w := s.pick(now, sch); w != nil {
 			s.issue(now, sch, w)
-			if w.inReady {
-				// The issue may have shifted the cache (a barrier
-				// release or TB retirement removes entries); validate
-				// the index before using it.
-				if idx >= len(sch.ready) || sch.ready[idx].w != w {
-					idx = findReady(sch, w)
-				}
-				switch {
-				case w.atBarrier:
-					// Parked: the barrier release re-files it.
-					removeReadyAt(sch, idx)
-				case w.readyAt-now >= s.cfg.L1HitLatency:
-					// Long sleep (memory wait): move to the wake heap
-					// so scans skip it. Short backoffs stay in the
-					// ready cache — cheaper to skip in the scan than
-					// to churn the heap every couple of cycles.
-					removeReadyAt(sch, idx)
-					pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
-				default:
-					// Refresh both mirrors: the issue advanced the warp
-					// past its instruction, so its scan class may have
-					// changed along with its wake time.
-					sch.ready[idx].readyAt = w.readyAt
-					sch.ready[idx].cls = opClass(w.body[w.pc].Op)
-				}
-			}
 			issued = true
 		}
 	}
@@ -135,9 +108,10 @@ func (s *SM) Cycle(now int64) {
 // when gateDirty (a quota event, gate swap or residency change since the
 // last refresh), never per cycle: every mutation that can change
 // CanIssue's answer for this SM wakes it, so a clean cache is exact.
-// Reopened slots release their parked warps back into the scan caches;
-// newly denied slots trace the stall edge exactly as the per-cycle
-// recomputation did.
+// Nothing is moved when a slot closes or reopens: pick masks a denied
+// slot's warps out of its candidates, and they stay filed where they
+// are. Newly denied slots trace the stall edge exactly as a per-cycle
+// recomputation would.
 func (s *SM) refreshGate(now int64) {
 	s.gateDirty = false
 	s.gatedResident = s.gatedResident[:0]
@@ -151,36 +125,7 @@ func (s *SM) refreshGate(now int64) {
 				s.tracer.GateStall(now, s.ID, slot, -1)
 			}
 		}
-		if ok && !s.gateOK[slot] {
-			s.unparkSlot(slot, now)
-		}
 		s.gateOK[slot] = ok
-	}
-}
-
-// unparkSlot re-files every parked warp of a reopened slot into its
-// scheduler's ready cache or wake heap. Parked entries are always live
-// (a gated warp cannot issue, so it cannot finish or reach a barrier;
-// preemption and retirement purge parked entries via removeReady).
-func (s *SM) unparkSlot(slot int, now int64) {
-	for i := range s.scheds {
-		sch := &s.scheds[i]
-		if len(sch.parked) == 0 {
-			continue
-		}
-		kept := sch.parked[:0]
-		for _, e := range sch.parked {
-			if int(e.slot) != slot {
-				kept = append(kept, e)
-				continue
-			}
-			e.w.inReady = false
-			s.enqueue(sch, e.w, now)
-		}
-		for j := len(kept); j < len(sch.parked); j++ {
-			sch.parked[j] = readyEnt{}
-		}
-		sch.parked = kept
 	}
 }
 
@@ -202,344 +147,183 @@ func (s *SM) settleIdle() {
 // calls it before reading final stats.
 func (s *SM) SettleIdle() { s.settleIdle() }
 
-// pick implements GTO: greedily reuse the last issued warp while it is
-// issuable, otherwise take the oldest issuable warp. The scheduler keeps
-// its GTO order cached instead of rescanning every warp context each
-// cycle: live warps that are ready (or on a short pipeline backoff) sit
-// in an age-ordered ready cache, while long sleepers — memory waits,
-// deferred restores — sit in a wake-time min-heap that scans never
-// touch. The split matters: short backoffs recur every few cycles, so
-// skipping them in the scan is far cheaper than churning the heap; long
-// sleeps are exactly the warps worth removing from the scan. Caches are
-// invalidated on warp state changes, not rebuilt per cycle. When nothing
-// is issuable, pick computes the earliest cycle worth rescanning.
-func (s *SM) pick(now int64, sch *scheduler) (*Warp, int) {
-	// Move sleepers whose wake time arrived into the ready cache.
-	for len(sch.wakeQ) > 0 && sch.wakeQ[0].at <= now {
-		w := sch.wakeQ[0].w
-		popWake(&sch.wakeQ)
-		if w.done || w.atBarrier || w.inReady {
-			continue // finished or preempted while asleep, or re-filed
+// pick implements GTO with the quota gate in front, as a priority
+// encoder over the scheduler's masks (bit order is age order): bring
+// ready up to date, mask out the warps of quota-denied slots, reuse the
+// last issued warp while it is still a candidate, otherwise strike the
+// structurally blocked instruction classes and take the lowest set bit —
+// the oldest issuable warp. No warp context is read before the winner's.
+//
+// Where a warp is filed and who moves it is the scheduler type's
+// invariant; pick's part in it is the drain it starts with, the only way
+// a waiting warp becomes ready. When nothing can issue, pick leaves the
+// earliest cycle worth another look in nextWake.
+func (s *SM) pick(now int64, sch *scheduler) *Warp {
+	sch.drain(now)
+	cand := sch.ready
+	for slot, ok := range s.gateOK {
+		if !ok {
+			cand &^= sch.slots[slot]
 		}
-		s.insertReady(sch, w)
 	}
+	memOps := sch.ld | sch.st
 	// Greedy reuse applies to compute instructions only: letting the
 	// last-issued warp snatch scarce memory-side resources (ports,
 	// MSHRs, transaction credits) ahead of older warps starves sparse
 	// memory requesters behind a streaming kernel indefinitely. Memory
 	// instructions always arbitrate age-ordered.
-	if w := sch.last; w != nil && w.inReady && !w.done && !w.atBarrier && w.readyAt <= now &&
-		!w.body[w.pc].Op.IsGlobalMem() && s.issuable(now, w) {
-		idx := sch.lastIdx
-		if idx >= len(sch.ready) || sch.ready[idx].w != w {
-			idx = findReady(sch, w)
-			sch.lastIdx = idx
-		}
-		return w, idx
+	if w := sch.last; w != nil && (cand&^memOps)>>w.pos&1 != 0 {
+		return w
 	}
-	var best *Warp
-	bestIdx := -1
-	next := noWake
-	sawGated := false
-	s.sawPort, s.sawMSHR, s.sawCredit = false, false, false
-	longSleep := s.cfg.L1HitLatency
-	a := sch.ready
-	// Resume past the cached non-issuable prefix when it is still valid:
-	// no structural epoch move (MSHR/credit blocks still hold), no waiter
-	// matured, and no cache mutation disturbed the region (tracked by
-	// insertReady/removeReadyAt). The skipped entries' block causes and
-	// earliest wake still feed the stall classification below.
-	start := 0
-	preMSHR, preCredit := false, false
-	preUntil := noWake
-	if sch.prefixLen > 0 {
-		// The epoch guard only protects MSHR/credit-blocked members; a
-		// prefix of pure future-waiters survives completion-heap pops.
-		if now < sch.prefixUntil && sch.prefixLen <= len(a) &&
-			(!(sch.prefixMSHR || sch.prefixCredit) || sch.prefixEpoch == s.structEpoch) {
-			start = sch.prefixLen
-			preMSHR, preCredit = sch.prefixMSHR, sch.prefixCredit
-			preUntil = sch.prefixUntil
-		} else {
-			sch.prefixLen = 0
-		}
-	}
-	for i := start; i < len(a); i++ {
-		e := &a[i]
-		// The entry mirrors the warp's slot, age and wake time so skip
-		// decisions stay inside this contiguous slice instead of
-		// dereferencing scattered warp contexts. The mirrored readyAt
-		// can lag the warp's (DeferTB raises it in place); a lagging
-		// value only costs one dereference to refresh — it never skips
-		// a warp that is actually ready.
-		if !s.gateOK[e.slot] {
-			// Quota throttling clears only on a quota event; every quota
-			// event wakes the SM and dirties the gate cache, and the
-			// refresh un-parks reopened slots before any scan. Parking
-			// the entry here removes the whole gated slot from every
-			// subsequent scan instead of re-skipping it each cycle. Its
-			// wake time needs no tracking: the gate is the binding
-			// constraint, and the gate event re-files the warp.
-			if e.readyAt <= now {
-				sawGated = true
-			}
-			sch.parked = append(sch.parked, *e)
-			copy(a[i:], a[i+1:])
-			a[len(a)-1] = readyEnt{}
-			sch.ready = a[:len(a)-1]
-			a = sch.ready
-			i--
-			continue
-		}
-		if e.readyAt > now {
-			if e.readyAt < next {
-				next = e.readyAt
-			}
-			continue
-		}
-		// Structural-block memo: skip a memory entry whose block was
-		// already established this cycle (ports) or since the last
-		// completion-heap pop / budget raise (MSHRs, credits) without
-		// dereferencing the warp — blockedness is monotone between those
-		// invalidation points, so the memo answer equals structuralOK's.
-		// The checks mirror structuralOK's order (port, MSHR, credit) so
-		// the recorded first-failing cause matches a direct check.
-		switch e.cls {
-		case clsLdGlobal:
-			if s.portBlockCycle == now {
-				s.sawPort = true
-				continue
-			}
-			if s.mshrEpoch == s.structEpoch {
-				s.sawMSHR = true
-				continue
-			}
-			if s.creditEpoch[e.slot] == s.structEpoch {
-				s.sawCredit = true
-				continue
-			}
-		case clsStGlobal:
-			if s.portBlockCycle == now {
-				s.sawPort = true
-				continue
-			}
-			if s.creditEpoch[e.slot] == s.structEpoch {
-				s.sawCredit = true
-				continue
-			}
-		}
-		w := e.w
-		if w.done || w.atBarrier || w.readyAt-now >= longSleep {
-			// Retired, preempted and barrier-parked warps are removed
-			// eagerly, so this normally catches only a readyAt raised
-			// while cached (a DeferTB'd restore): park it in the wake
-			// heap and drop the entry.
-			live := !w.done && !w.atBarrier
-			removeReadyAt(sch, i)
-			a = sch.ready
-			if live {
-				pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
-			}
-			i--
-			continue
-		}
-		if w.readyAt > now {
-			e.readyAt = w.readyAt // refresh the lagging mirror
-			if w.readyAt < next {
-				next = w.readyAt
-			}
-			continue
-		}
-		if !s.structuralOK(now, int(e.slot), &w.body[w.pc]) {
-			continue // cause recorded in sawPort/sawMSHR/sawCredit
-		}
-		best = w
-		bestIdx = i
-		break // the ready cache is age-ordered: oldest first
-	}
-	// Refresh the prefix cache: everything before bestIdx (or the whole
-	// cache when nothing issued) was just proven non-issuable. A scan
-	// that saw a port block cannot leave a prefix — ports free when the
-	// per-cycle issue counter resets, so those entries must be retried
-	// next cycle.
-	if s.sawPort {
-		sch.prefixLen = 0
-	} else {
-		if preUntil < next {
-			next = preUntil
-		}
-		if best != nil {
-			sch.prefixLen = bestIdx
-		} else {
-			sch.prefixLen = len(sch.ready)
-		}
-		sch.prefixUntil = next
-		sch.prefixEpoch = s.structEpoch
-		sch.prefixMSHR = s.sawMSHR || preMSHR
-		sch.prefixCredit = s.sawCredit || preCredit
-	}
-	s.sawMSHR = s.sawMSHR || preMSHR
-	s.sawCredit = s.sawCredit || preCredit
-	if best == nil {
-		if preUntil < next {
-			next = preUntil
-		}
-		if len(sch.wakeQ) > 0 && sch.wakeQ[0].at < next {
-			next = sch.wakeQ[0].at
-		}
-		switch {
-		case s.sawPort || s.sawMSHR || s.sawCredit:
-			s.StallStructural++
-			// Port conflicts clear when the per-cycle issue counter
-			// resets, so retry next cycle. MSHR and credit blocks clear
-			// only at a completion-heap pop (or a budget raise, which
-			// calls Wake): sleep on the ordinary wake estimate and let
-			// the pop loop rouse structural sleepers the cycle a slot
-			// actually frees.
-			if s.sawPort {
-				sch.nextWake = now + 1
-				sch.structSleep = false
-			} else {
-				sch.nextWake = next
-				sch.structSleep = true
-			}
-		case sawGated:
-			s.StallGate++
-			sch.nextWake = next
-			sch.structSleep = false
-		default:
-			s.StallWaiting++
-			sch.nextWake = next
-			sch.structSleep = false
-		}
-	} else {
-		sch.lastIdx = bestIdx
-	}
-	return best, bestIdx
-}
-
-// enqueue files a live warp into its scheduler's ready cache or wake
-// heap according to its readyAt. Warps at a barrier are re-filed by the
-// barrier release.
-func (s *SM) enqueue(sch *scheduler, w *Warp, now int64) {
-	if w.done || w.atBarrier || w.inReady {
-		return
-	}
-	if w.readyAt-now >= s.cfg.L1HitLatency {
-		pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
-		return
-	}
-	s.insertReady(sch, w)
-}
-
-// insertReady inserts w into the scheduler's ready cache at its age
-// position (the cache stays oldest-first, preserving GTO order).
-func (s *SM) insertReady(sch *scheduler, w *Warp) {
-	w.inReady = true
-	e := readyEnt{w: w, age: w.age, readyAt: w.readyAt, slot: int32(w.slot), cls: opClass(w.body[w.pc].Op)}
-	a := append(sch.ready, e)
-	i := len(a) - 1
-	for i > 0 && a[i-1].age > e.age {
-		a[i] = a[i-1]
-		i--
-	}
-	a[i] = e
-	sch.ready = a
-	if i < sch.prefixLen {
-		// A possibly-issuable entry landed inside the cached non-issuable
-		// prefix; rescan from the top.
-		sch.prefixLen = 0
-	}
-}
-
-// removeReady removes w from the scheduler's ready cache — or from the
-// parked list, where gated warps sit with inReady still set — if present.
-func (s *SM) removeReady(sch *scheduler, w *Warp) {
-	if !w.inReady {
-		return
-	}
-	w.inReady = false
-	if i := findReady(sch, w); i >= 0 {
-		removeReadyAt(sch, i)
-		return
-	}
-	for i := range sch.parked {
-		if sch.parked[i].w == w {
-			copy(sch.parked[i:], sch.parked[i+1:])
-			sch.parked[len(sch.parked)-1] = readyEnt{}
-			sch.parked = sch.parked[:len(sch.parked)-1]
-			return
-		}
-	}
-}
-
-// findReady returns the index of w's entry in the ready cache, or -1.
-func findReady(sch *scheduler, w *Warp) int {
-	for i := range sch.ready {
-		if sch.ready[i].w == w {
-			return i
-		}
-	}
-	return -1
-}
-
-// removeReadyAt deletes the ready-cache entry at index i, preserving
-// order.
-func removeReadyAt(sch *scheduler, i int) {
-	a := sch.ready
-	a[i].w.inReady = false
-	copy(a[i:], a[i+1:])
-	a[len(a)-1] = readyEnt{}
-	sch.ready = a[:len(a)-1]
-	if i < sch.prefixLen {
-		// Removing a non-issuable entry keeps the rest of the prefix
-		// non-issuable; prefixUntil and the block flags stay conservative
-		// (the removed entry can only have tightened them).
-		sch.prefixLen--
-	}
-}
-
-// issuable applies the quota gate and structural (LD/ST port, MSHR,
-// memory backpressure) constraints to a ready warp.
-func (s *SM) issuable(now int64, w *Warp) bool {
-	return s.gateOK[w.slot] && s.structuralOK(now, w.slot, &w.body[w.pc])
-}
-
-// structuralOK checks the per-cycle structural constraints for the warp's
-// next instruction, recording every block in the scan memo so later
-// entries of the same class skip the re-derivation (see pick).
-func (s *SM) structuralOK(now int64, slot int, in *isa.Instr) bool {
-	if in.Op.IsGlobalMem() {
+	// Structural blocks are read straight from SM state, first failing
+	// cause first (ports, then MSHRs, then credits), and strike a whole
+	// class at once: within a cycle occupancy only grows, so what blocks
+	// one warp of a class blocks every warp of it.
+	portBlocked, structBlocked := false, false
+	if blocked := cand & memOps; blocked != 0 {
 		if s.memIssues >= s.cfg.MemPortsPerSM {
-			s.BlockPort++
-			s.sawPort = true
-			s.portBlockCycle = now
-			return false
-		}
-		if in.Op == isa.OpLdGlobal && s.outstanding >= s.cfg.MSHRsPerSM {
-			s.BlockMSHR++
-			s.sawMSHR = true
-			s.mshrEpoch = s.structEpoch
-			return false
-		}
-		// Credit-based flow control with a guaranteed minimum per
-		// resident kernel: a kernel past its guaranteed share may
-		// still borrow while the SM's total budget has slack (work
-		// conserving), but under full contention every kernel keeps
-		// its share — a streaming kernel can neither starve a
-		// co-resident kernel nor strand credits it does not use.
-		if s.txnFlight[slot] >= s.txnCapCache && s.txnTotal >= s.cfg.TxnFlightCapPerSM {
-			s.BlockCredit++
-			s.sawCredit = true
-			s.creditEpoch[slot] = s.structEpoch
-			return false
+			cand &^= memOps
+			portBlocked = true
+		} else {
+			if s.outstanding >= s.cfg.MSHRsPerSM {
+				cand &^= sch.ld
+			}
+			// Credit-based flow control with a guaranteed minimum per
+			// resident kernel: a kernel past its guaranteed share may
+			// still borrow while the SM's total budget has slack (work
+			// conserving), but under full contention every kernel keeps
+			// its share — a streaming kernel can neither starve a
+			// co-resident kernel nor strand credits it does not use.
+			if s.txnTotal >= s.cfg.TxnFlightCapPerSM {
+				for slot, inFlight := range s.txnFlight {
+					if inFlight >= s.txnCapCache {
+						cand &^= memOps & sch.slots[slot]
+					}
+				}
+			}
+			structBlocked = blocked&^cand != 0
 		}
 	}
-	return true
+	if cand != 0 {
+		return sch.warps[bits.TrailingZeros64(cand)]
+	}
+	// Nothing can issue. Port conflicts clear when the per-cycle issue
+	// counter resets, so retry next cycle. Otherwise sleep until the next
+	// waiting warp matures — the next occupied bucket or the heap top
+	// (a stale top only costs an early look). MSHR and credit blocks
+	// clear only at a completion-heap pop (or a budget raise, which calls
+	// Wake): the pop loop in Cycle rouses structural sleepers the cycle a
+	// slot actually frees. A quota-denied slot reopens through Wake.
+	if portBlocked {
+		sch.nextWake = now + 1
+		sch.structSleep = false
+		return nil
+	}
+	next := noWake
+	if sch.occupied != 0 {
+		// Bucket (now+1+j)&31 lands on bit j after the rotation.
+		next = now + 1 + int64(bits.TrailingZeros32(bits.RotateLeft32(sch.occupied, -int(now+1)&(wheelSlots-1))))
+	}
+	if len(sch.wakeQ) > 0 && sch.wakeQ[0].at < next {
+		next = sch.wakeQ[0].at
+	}
+	sch.nextWake = next
+	sch.structSleep = structBlocked
+	return nil
 }
 
-// issue executes one warp instruction of w at time now.
+// drain brings the scheduler's masks up to cycle now: every warp whose
+// readyAt has arrived moves from its wheel bucket or the wake heap into
+// ready. Buckets are emptied one by one for the cycles since the last
+// drain, or all at once after a sleep as long as the wheel.
+func (sch *scheduler) drain(now int64) {
+	n := now - sch.drained
+	if n <= 0 {
+		return
+	}
+	if due := sch.occupied; due != 0 {
+		if n < wheelSlots {
+			// The n buckets after the one last drained.
+			due &= bits.RotateLeft32(uint32(1)<<n-1, int(sch.drained+1)&(wheelSlots-1))
+		}
+		sch.occupied &^= due
+		for ; due != 0; due &= due - 1 {
+			i := bits.TrailingZeros32(due)
+			sch.ready |= sch.wheel[i]
+			sch.wheel[i] = 0
+		}
+	}
+	sch.drained = now
+	for len(sch.wakeQ) > 0 && sch.wakeQ[0].at <= now {
+		e := sch.wakeQ[0]
+		popWake(&sch.wakeQ)
+		// An entry outlives its warp's retirement or preemption, and a
+		// deferred warp (DeferTB) was filed again under its later time:
+		// only the entry that still names the warp's readyAt counts.
+		if w := e.w; !w.done && !w.atBarrier && w.readyAt == e.at {
+			sch.ready |= 1 << w.pos
+		}
+	}
+}
+
+// file records a live warp that is not at a barrier in the place its
+// readyAt calls for — ready, a wheel bucket, or the wake heap — and the
+// class of its next instruction in ld / st.
+func (sch *scheduler) file(w *Warp) {
+	bit := uint64(1) << w.pos
+	switch w.body[w.pc].Op {
+	case isa.OpLdGlobal:
+		sch.ld |= bit
+	case isa.OpStGlobal:
+		sch.st |= bit
+	}
+	switch ahead := w.readyAt - sch.drained; {
+	case ahead <= 0:
+		sch.ready |= bit
+	case ahead < wheelSlots:
+		i := w.readyAt & (wheelSlots - 1)
+		sch.wheel[i] |= bit
+		sch.occupied |= 1 << i
+	default:
+		pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
+	}
+}
+
+// unfile clears w from ready, its bucket and the class masks. It must
+// run before readyAt changes (the bucket is found by it). A wake-heap
+// entry cannot be withdrawn; drain drops it when it surfaces.
+func (sch *scheduler) unfile(w *Warp) {
+	bit := uint64(1) << w.pos
+	sch.ready &^= bit
+	sch.ld &^= bit
+	sch.st &^= bit
+	i := w.readyAt & (wheelSlots - 1)
+	if sch.wheel[i] &^= bit; sch.wheel[i] == 0 {
+		sch.occupied &^= 1 << i
+	}
+}
+
+// drop removes a warp that just finished or was preempted from every
+// mask of its scheduler and compacts the list once it is mostly dead.
+func (s *SM) drop(w *Warp) {
+	sch := &s.scheds[w.schedIdx]
+	sch.unfile(w)
+	sch.slots[w.slot] &^= 1 << w.pos
+	if sch.last == w {
+		sch.last = nil
+	}
+	sch.deadCnt++
+	if sch.deadCnt > 16 && sch.deadCnt > len(sch.warps)/2 {
+		sch.compact()
+	}
+}
+
+// issue executes one warp instruction of w at time now. The warp leaves
+// the scheduler's masks up front and is filed again once, at the end,
+// under its new readyAt and next instruction — unless it finished or
+// stopped at a barrier on the way.
 func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
+	sch.unfile(w)
 	in := &w.body[w.pc]
 	lanes := w.activeLanes
 	st := s.kernels[w.slot].stats
@@ -587,6 +371,7 @@ func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
 			s.releaseBarrier(now, w.tb)
 		}
 		sch.last = nil
+		return // the barrier release files it
 	case isa.OpLdGlobal:
 		st.GlobalLoads++
 		s.memIssues++
@@ -605,6 +390,9 @@ func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
 		s.globalAccess(now, w, in, lanes, mem.Write)
 		w.readyAt = now + s.cfg.WriteLatency // posted
 		s.advance(now, w)
+	}
+	if !w.done {
+		sch.file(w)
 	}
 }
 
@@ -702,7 +490,9 @@ func (s *SM) releaseBarrier(now int64, tb *TB) {
 		w.atBarrier = false
 		w.readyAt = now + s.cfg.BarrierLat
 		s.advance(now, w)
-		s.enqueue(&s.scheds[w.schedIdx], w, now)
+		if !w.done {
+			s.scheds[w.schedIdx].file(w)
+		}
 	}
 	s.Wake(now + s.cfg.BarrierLat)
 }
@@ -711,12 +501,7 @@ func (s *SM) releaseBarrier(now int64, tb *TB) {
 // at, and retires the TB when the last warp finishes.
 func (s *SM) warpDone(now int64, w *Warp) {
 	w.done = true
-	sch := &s.scheds[w.schedIdx]
-	s.removeReady(sch, w)
-	sch.deadCnt++
-	if sch.deadCnt > 16 && sch.deadCnt > len(sch.warps)/2 {
-		s.compact(sch)
-	}
+	s.drop(w)
 	tb := w.tb
 	tb.LiveWarps--
 	if tb.LiveWarps == 0 {
@@ -761,11 +546,15 @@ func (s *SM) freeTB(now int64, tb *TB) {
 }
 
 // compact drops finished warps from a scheduler's list, preserving age
-// order. The ready cache and wake heap drop their references lazily.
-func (s *SM) compact(sch *scheduler) {
+// order. Survivors are renumbered, so every mask is squeezed the same
+// way. Wake-heap entries hold warps, not positions, and need nothing.
+func (sch *scheduler) compact() {
+	var live uint64
 	out := sch.warps[:0]
-	for _, w := range sch.warps {
+	for i, w := range sch.warps {
 		if !w.done {
+			live |= 1 << i
+			w.pos = uint8(len(out))
 			out = append(out, w)
 		}
 	}
@@ -774,14 +563,38 @@ func (s *SM) compact(sch *scheduler) {
 	}
 	sch.warps = out
 	sch.deadCnt = 0
+	sch.ready = squeeze(sch.ready, live)
+	sch.ld = squeeze(sch.ld, live)
+	sch.st = squeeze(sch.st, live)
+	for i := range sch.slots {
+		sch.slots[i] = squeeze(sch.slots[i], live)
+	}
+	for occ := sch.occupied; occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros32(occ)
+		sch.wheel[i] = squeeze(sch.wheel[i], live)
+	}
+}
+
+// squeeze gathers the bits of m at the positions set in keep into the low
+// bits of the result, in order: what compaction does to a warp list, done
+// to a mask over it.
+func squeeze(m, keep uint64) uint64 {
+	var out uint64
+	for n := 0; m != 0 && keep != 0; n++ {
+		low := keep & -keep
+		if m&low != 0 {
+			out |= 1 << n
+			m &^= low
+		}
+		keep &^= low
+	}
+	return out
 }
 
 // refreshTxnCap recomputes the cached per-kernel in-flight transaction
 // budget: the SM total split across resident kernels, floored so a
 // kernel is never locked out entirely. Called whenever the resident
 // kernel count changes instead of dividing on every structural check.
-// A budget change can turn a recorded credit block stale, so the
-// structural-block memo is invalidated here too.
 func (s *SM) refreshTxnCap() {
 	n := s.residentKernels
 	if n < 1 {
@@ -792,7 +605,6 @@ func (s *SM) refreshTxnCap() {
 		c = 8
 	}
 	s.txnCapCache = c
-	s.structEpoch++
 }
 
 // holdTxn charges one of the slot's in-flight transaction credits until
@@ -855,45 +667,11 @@ func popHeap(h *[]int64) {
 	*h = a
 }
 
-// Op classes mirrored into ready-cache entries, so the scan's
-// structural-block memo can classify an entry without dereferencing the
-// warp context. The class describes the warp's *next* instruction; it is
-// refreshed wherever readyAt is (insert and post-issue).
-const (
-	clsCompute  = uint8(iota) // no SM-wide structural constraint
-	clsLdGlobal               // port + MSHR + credit constrained
-	clsStGlobal               // port + credit constrained
-)
-
-// opClass maps an opcode to its scan class.
-func opClass(op isa.Op) uint8 {
-	switch op {
-	case isa.OpLdGlobal:
-		return clsLdGlobal
-	case isa.OpStGlobal:
-		return clsStGlobal
-	}
-	return clsCompute
-}
-
-// readyEnt is one ready-cache entry: the warp plus mirrored slot, age,
-// wake-time and op-class fields, so scan skip decisions read this
-// contiguous slice instead of dereferencing scattered warp contexts.
-// The mirrors are exact: every path that changes the warp's readyAt or
-// advances its pc while the entry is cached refreshes them.
-type readyEnt struct {
-	w       *Warp
-	age     int64
-	readyAt int64
-	slot    int32
-	cls     uint8
-}
-
 // ---- wake-time min-heap (warp pointer payload) ----
 
 // wakeEnt is one sleeping warp and the cycle its readyAt passes. Entries
-// can go stale (the warp finished or was preempted while asleep); the
-// pop loop in pick validates against the warp's live state.
+// can go stale (the warp finished, was preempted or was deferred while
+// asleep); drain validates each against the warp's live state.
 type wakeEnt struct {
 	at int64
 	w  *Warp

@@ -1,0 +1,276 @@
+package sm
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/kern"
+	"repro/internal/rng"
+)
+
+// checkMasks validates the scheduler representation (see scheduler): it
+// returns "" or a description of the first violated invariant.
+func checkMasks(s *SM) string {
+	for si := range s.scheds {
+		if msg := checkScheduler(si, &s.scheds[si]); msg != "" {
+			return fmt.Sprintf("scheduler %d: %s", si, msg)
+		}
+	}
+	return ""
+}
+
+func checkScheduler(si int, sch *scheduler) string {
+	n := len(sch.warps)
+	if n > maskBits {
+		return fmt.Sprintf("%d warps in the list, masks hold %d", n, maskBits)
+	}
+	// Where warps are filed: ready, the buckets (each warp in one at
+	// most), and the heap entries that still name their warp's readyAt.
+	var buckets, heaped, slotted uint64
+	for i, m := range sch.wheel {
+		if (m != 0) != (sch.occupied>>i&1 != 0) {
+			return fmt.Sprintf("occupied bit %d disagrees with wheel[%d]=%#x", i, i, m)
+		}
+		if buckets&m != 0 {
+			return fmt.Sprintf("warps %#x are in two buckets", buckets&m)
+		}
+		buckets |= m
+	}
+	for _, e := range sch.wakeQ {
+		w := e.w
+		if w.done || w.atBarrier || w.readyAt != e.at {
+			continue // stale: drain drops it
+		}
+		if w.schedIdx != si || int(w.pos) >= n || sch.warps[w.pos] != w {
+			return fmt.Sprintf("heap entry at %d names a warp that is not warps[%d]", e.at, w.pos)
+		}
+		if heaped>>w.pos&1 != 0 {
+			return fmt.Sprintf("warp %d has two live heap entries", w.pos)
+		}
+		heaped |= 1 << w.pos
+	}
+	for k, m := range sch.slots {
+		if slotted&m != 0 {
+			return fmt.Sprintf("warps %#x are in slot %d and another", slotted&m, k)
+		}
+		slotted |= m
+	}
+	every := sch.ready | sch.ld | sch.st | buckets | slotted
+	if n < maskBits && every>>n != 0 {
+		return fmt.Sprintf("bits %#x at or past len(warps)=%d", every>>n<<n, n)
+	}
+	for i, w := range sch.warps {
+		bit := uint64(1) << i
+		if int(w.pos) != i || w.schedIdx != si {
+			return fmt.Sprintf("warps[%d] believes it is scheduler %d position %d", i, w.schedIdx, w.pos)
+		}
+		if w.done {
+			if every&bit != 0 {
+				return fmt.Sprintf("done warp %d still has a bit set", i)
+			}
+			continue
+		}
+		if sch.slots[w.slot]&bit == 0 {
+			return fmt.Sprintf("live warp %d missing from slot mask %d", i, w.slot)
+		}
+		if w.atBarrier {
+			if (sch.ready|buckets|sch.ld|sch.st)&bit != 0 {
+				return fmt.Sprintf("warp %d is at a barrier and filed", i)
+			}
+			continue
+		}
+		filedReady, filedBucket, filedHeap := sch.ready&bit != 0, buckets&bit != 0, heaped&bit != 0
+		places := 0
+		for _, filed := range []bool{filedReady, filedBucket, filedHeap} {
+			if filed {
+				places++
+			}
+		}
+		if places != 1 {
+			return fmt.Sprintf("warp %d (readyAt %d, drained %d) filed in %d places (ready %v, bucket %v, heap %v)",
+				i, w.readyAt, sch.drained, places, filedReady, filedBucket, filedHeap)
+		}
+		ahead := w.readyAt - sch.drained
+		switch {
+		case filedReady && ahead > 0:
+			return fmt.Sprintf("warp %d is ready with readyAt %d > drained %d", i, w.readyAt, sch.drained)
+		case filedBucket && sch.wheel[w.readyAt&(wheelSlots-1)]&bit == 0:
+			return fmt.Sprintf("warp %d (readyAt %d) is in another time's bucket", i, w.readyAt)
+		case filedBucket && (ahead <= 0 || ahead >= wheelSlots):
+			return fmt.Sprintf("warp %d in a bucket with readyAt %d, drained %d", i, w.readyAt, sch.drained)
+		case filedHeap && ahead <= 0:
+			return fmt.Sprintf("warp %d matured at %d but sits in the heap (drained %d)", i, w.readyAt, sch.drained)
+		}
+		op := w.body[w.pc].Op
+		if (sch.ld&bit != 0) != (op == isa.OpLdGlobal) || (sch.st&bit != 0) != (op == isa.OpStGlobal) {
+			return fmt.Sprintf("warp %d next op %v, class bits ld=%v st=%v", i, op, sch.ld&bit != 0, sch.st&bit != 0)
+		}
+	}
+	if w := sch.last; w != nil && (w.done || w.schedIdx != si || int(w.pos) >= n || sch.warps[w.pos] != w) {
+		return "last names a warp that is finished or not in the list"
+	}
+	return ""
+}
+
+// flipGate is a QuotaGate whose per-slot answer the test flips.
+type flipGate struct{ deny []bool }
+
+func (g *flipGate) CanIssue(_, slot int) bool { return !g.deny[slot] }
+func (g *flipGate) OnIssue(int, int, int)     {}
+
+// maskProfiles are the four behaviours the scheduler masks must follow:
+// pure ALU work (short backoffs, wheel only), frequent barriers (warps
+// that are nowhere), divergence, and global memory (class masks, misses
+// beyond the wheel's horizon). 64-thread TBs fill the SM's 64 warp
+// contexts exactly at the 32-TB limit.
+func maskProfiles() []kern.Profile {
+	alu := computeProfile()
+	bar := barrierProfile()
+	bar.BarrierEvery = 4
+	div := computeProfile()
+	div.Name = "div"
+	div.DivergenceFrac = 0.4
+	div.DepDensity = 0.5
+	div.FracSFU = 0.1
+	mem := memProfile()
+	mem.Iterations = 8
+	return []kern.Profile{alu, bar, div, mem}
+}
+
+// TestSchedulerMaskInvariants drives single SMs through seeded random
+// histories — two or three kernels drawn from maskProfiles, a quota gate
+// that flips per slot, TB preemptions, whole-SM drains, resumed and
+// deferred dispatches, deferrals of running TBs — and validates every
+// scheduler mask after every cycle. One, two and four schedulers: with
+// one, the warp list holds all 64 contexts and Dispatch must compact it
+// to make room.
+func TestSchedulerMaskInvariants(t *testing.T) {
+	const cycles = 25_000
+	for _, scheds := range []int{1, 2, 4} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			scheds, seed := scheds, seed
+			t.Run(fmt.Sprintf("scheds%d/seed%d", scheds, seed), func(t *testing.T) {
+				src := rng.New(rng.Mix(seed, uint64(scheds)))
+				cfg := tinyCfg()
+				cfg.WarpSchedulers = scheds
+				if seed%2 == 0 {
+					cfg.MSHRsPerSM = 8 // few enough to fill: the MSHR strike
+				}
+				pool := maskProfiles()
+				for i := len(pool) - 1; i > 0; i-- {
+					j := src.Intn(i + 1)
+					pool[i], pool[j] = pool[j], pool[i]
+				}
+				nslots := 2 + src.Intn(2)
+				s, _, stats := newSM(t, cfg, pool[:nslots]...)
+				gate := &flipGate{deny: make([]bool, nslots)}
+				s.SetGate(gate)
+
+				// A stand-in for the GPU's TB scheduler: it runs when a TB
+				// retired and every 64 cycles, places saved contexts first
+				// (deferred by a seeded restore time) and fresh TBs after,
+				// one per slot per round.
+				var saved []*TBContext
+				nextGrid := make([]int, nslots)
+				place := true
+				s.OnTBComplete = func(int, int) { place = true }
+				fill := func(now int64) {
+					for progress := true; progress; {
+						progress = false
+						for slot := 0; slot < nslots; slot++ {
+							if !s.FreeFor(slot) {
+								continue
+							}
+							progress = true
+							resumed := false
+							for i, ctx := range saved {
+								if ctx.Slot == slot {
+									saved = append(saved[:i], saved[i+1:]...)
+									tb := s.Dispatch(now, slot, ctx.GridIdx, ctx)
+									s.DeferTB(tb, now+1+int64(src.Intn(300)))
+									resumed = true
+									break
+								}
+							}
+							if !resumed {
+								s.Dispatch(now, slot, nextGrid[slot], nil)
+								nextGrid[slot]++
+							}
+						}
+					}
+				}
+
+				sawFull, sawShrink := false, false
+				lens := make([]int, scheds)
+				for now := int64(0); now < cycles; now++ {
+					switch r := src.Intn(300); r {
+					case 0, 1:
+						slot := src.Intn(nslots)
+						gate.deny[slot] = !gate.deny[slot]
+						s.Wake(now)
+					case 2:
+						if ctx, _, ok := s.PreemptTB(now, src.Intn(nslots)); ok {
+							saved = append(saved, ctx)
+						}
+					case 3:
+						if src.Intn(4) == 0 {
+							ctxs, _ := s.DrainAll(now)
+							saved = append(saved, ctxs...)
+							s.BlockedUntil = now + int64(src.Intn(200))
+						}
+					case 4:
+						if len(s.tbs) > 0 {
+							s.DeferTB(s.tbs[src.Intn(len(s.tbs))], now+1+int64(src.Intn(100)))
+						}
+					}
+					if place || now%64 == 0 {
+						place = false
+						fill(now)
+					}
+					s.Cycle(now)
+					if msg := checkMasks(s); msg != "" {
+						t.Fatalf("cycle %d: %s", now, msg)
+					}
+					if msg := s.CheckInvariants(); msg != "" {
+						t.Fatalf("cycle %d: %s", now, msg)
+					}
+					for i := range s.scheds {
+						n := len(s.scheds[i].warps)
+						sawFull = sawFull || n == maskBits
+						sawShrink = sawShrink || n < lens[i]
+						lens[i] = n
+					}
+				}
+				var issued int64
+				for _, st := range stats {
+					issued += st.WarpInstrs
+				}
+				if issued == 0 {
+					t.Fatal("nothing issued: the history exercised no scheduling")
+				}
+				if !sawShrink {
+					t.Fatal("no warp list was ever compacted")
+				}
+				if scheds == 1 && !sawFull {
+					t.Fatal("the single scheduler's list never reached the mask width")
+				}
+			})
+		}
+	}
+}
+
+func TestSqueeze(t *testing.T) {
+	for _, c := range []struct{ m, keep, want uint64 }{
+		{0b1011, 0b1111, 0b1011},
+		{0b1010, 0b1010, 0b11},
+		{0b1010, 0b0110, 0b01},
+		{1 << 63, 1<<63 | 1, 0b10},
+		{^uint64(0), 0, 0},
+		{0, ^uint64(0), 0},
+	} {
+		if got := squeeze(c.m, c.keep); got != c.want {
+			t.Errorf("squeeze(%#b, %#b) = %#b, want %#b", c.m, c.keep, got, c.want)
+		}
+	}
+}

@@ -46,13 +46,11 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 			DivState:    w.divState,
 		}
 		if !w.done {
-			// Stop the warp. The age-ordered scheduler list compacts
-			// lazily; the ready cache is purged now so scans never see
-			// a dead warp, and any wake-heap entry drops at pop.
+			// Stop the warp: it leaves every scheduler mask now, so no
+			// pick sees a dead warp; its place in the list goes at the
+			// next compaction and any wake-heap entry when it surfaces.
 			w.done = true
-			sch := &s.scheds[w.schedIdx]
-			s.removeReady(sch, w)
-			sch.deadCnt++
+			s.drop(w)
 		}
 		w.atBarrier = false
 	}

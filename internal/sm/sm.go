@@ -49,10 +49,9 @@ type Warp struct {
 	activeLanes int
 	divState    uint64 // per-warp divergence stream
 
-	// Scheduler cache bookkeeping.
+	// Scheduler bookkeeping.
 	schedIdx int   // owning scheduler index
-	age      int64 // per-scheduler dispatch order (GTO seniority)
-	inReady  bool  // currently filed in the scheduler's ready cache
+	pos      uint8 // index in the scheduler's warp list = bit in its masks
 }
 
 // WarpState is the architectural state saved by a partial context switch.
@@ -95,38 +94,53 @@ type kernelState struct {
 	cap    int // max TBs of this kernel on this SM; <0 = unlimited
 }
 
-// scheduler is one GTO warp scheduler. The GTO order is cached instead
-// of rescanning every warp context each cycle: ready holds live warps
-// whose readyAt has passed in age order (oldest first), wakeQ holds
-// sleeping warps keyed by wake time. Both are invalidated lazily on warp
-// state changes; warps at a barrier are in neither until released.
-type scheduler struct {
-	warps       []*Warp    // every assigned warp, age order (lazily compacted)
-	ready       []readyEnt // live ready/short-backoff warps, oldest first
-	wakeQ       []wakeEnt  // long sleepers keyed by wake time
-	parked      []readyEnt // quota-gated warps pulled out of scans (see pick)
-	ageSeq      int64      // next dispatch-order stamp
-	last        *Warp      // greedy target
-	lastIdx     int        // position hint of last in ready
-	nextWake    int64      // earliest cycle a scan can possibly issue
-	structSleep bool       // sleeping on an MSHR/credit block; pops rouse it
-	deadCnt     int        // lazily compacted finished warps
+// maskBits is the width of a scheduler's masks, one bit per entry of its
+// warp list; config.GPU.Validate bounds MaxWarpsPerSM by the same number.
+const maskBits = 64
 
-	// Scan-prefix cache: the first prefixLen ready entries are known
-	// non-issuable — each is either waiting on a future readyAt (the
-	// earliest of which is prefixUntil) or blocked on an MSHR/credit
-	// recorded under prefixEpoch. The prefix holds no port-blocked
-	// entries (those clear every cycle), so it stays valid until the
-	// structural epoch moves, the earliest waiter matures, or an
-	// insertion/removal disturbs the region — and scans restart past it
-	// instead of re-proving the same blocks every cycle. prefixMSHR and
-	// prefixCredit carry the skipped entries' block causes into the
-	// scan's stall classification.
-	prefixLen    int
-	prefixUntil  int64
-	prefixEpoch  int64
-	prefixMSHR   bool
-	prefixCredit bool
+// wheelSlots is the maturity wheel's horizon in cycles. It covers every
+// fixed pipeline latency of the base configuration (the longest, an L1
+// hit, is 28), so only memory misses and deferred restores reach the
+// wake heap.
+const wheelSlots = 32
+
+// scheduler is one GTO warp scheduler, kept as bit masks over warps: the
+// list is append-only and in dispatch order, so a lower bit is an older
+// warp and "oldest issuable" is one TrailingZeros. The invariant to hold
+// on to is where a warp is filed. A live warp that is not at a barrier
+// is in exactly one of
+//
+//   - ready: readyAt <= drained, the cycle the masks were last brought
+//     up to date;
+//   - wheel[readyAt&31]: drained < readyAt < drained+32, with the
+//     bucket's bit set in occupied;
+//   - wakeQ: anything further out, as an entry whose time equals readyAt
+//     (other entries naming the warp are stale and dropped on arrival).
+//
+// A warp at a barrier or finished is in none. Who moves a warp: file and
+// unfile put it in and take it out (issue unfiles its winner and files it
+// again under its new readyAt; dispatch, barrier release, DeferTB,
+// retirement and preemption use the same two); drain moves matured warps
+// into ready; compact renumbers. ld, st and slots classify rather than
+// place: ld / st hold the filed warps whose next instruction is a global
+// load / store, slots[k] every live warp of kernel slot k, at a barrier
+// or not.
+type scheduler struct {
+	// What a cycle reads first sits together, ahead of the wheel.
+	nextWake    int64  // earliest cycle a pick can possibly issue
+	drained     int64  // cycle ready and wheel are exact for
+	ready       uint64 // can issue as far as latency goes
+	ld, st      uint64 // next instruction is a global load / store
+	occupied    uint32 // bit i set iff wheel[i] != 0
+	structSleep bool   // sleeping on an MSHR/credit block; pops rouse it
+	last        *Warp  // greedy target: nil or a live warp
+
+	warps   []*Warp   // every assigned warp, age order; bit i of a mask is warps[i]
+	slots   []uint64  // per kernel slot: its live warps
+	wakeQ   []wakeEnt // warps maturing beyond the horizon, min-heap by time
+	deadCnt int       // finished warps still in the list
+
+	wheel [wheelSlots]uint64 // warps maturing within the horizon, by readyAt&31
 }
 
 // SM is one streaming multiprocessor.
@@ -183,25 +197,6 @@ type SM struct {
 	gateDirty     bool
 	gatedResident []int32
 
-	// Structural-block causes seen by the current pick scan; pick resets
-	// them and uses them to compute an exact re-check time instead of
-	// polling every cycle.
-	sawPort   bool
-	sawMSHR   bool
-	sawCredit bool
-
-	// Structural-block memo. Between invalidation points, blockedness is
-	// monotone: within a cycle memIssues, outstanding, txnFlight and
-	// txnTotal only grow, and across cycles they shrink only at a
-	// completion-heap pop or a credit-budget raise (refreshTxnCap) — both
-	// bump structEpoch. A scan can therefore skip a memory entry whose
-	// block was already established (same epoch / same cycle for the
-	// per-cycle port limit) without re-deriving it from the warp context.
-	structEpoch    int64
-	mshrEpoch      int64   // epoch the MSHR pool was last found full
-	creditEpoch    []int64 // per slot: epoch its credit budget was found spent
-	portBlockCycle int64   // cycle the LD/ST ports were last found saturated
-
 	// Idle fast-path: when a Cycle issues nothing, every scheduler's
 	// nextWake is in the future and the SM can skip whole cycles until
 	// the earliest of them. Skipped cycles are counted and settled into
@@ -225,16 +220,6 @@ type SM struct {
 	// and power accounting.
 	IssuedWarpInstrs int64
 	ActiveCycles     int64 // cycles with at least one issue
-
-	// Scheduler stall breakdown (scans that issued nothing).
-	StallWaiting    int64 // every live warp waiting on a latency
-	StallGate       int64 // ready warps existed but all quota-denied
-	StallStructural int64 // ready warps existed but ports/MSHR/credits full
-
-	// Structural-block cause counters (per blocked check).
-	BlockPort   int64
-	BlockMSHR   int64
-	BlockCredit int64
 }
 
 // New builds an SM. Kernels are registered later via Configure.
@@ -245,11 +230,6 @@ func New(id int, cfg config.GPU, memSys *mem.System) *SM {
 		memSys: memSys,
 		l1:     cache.New(cfg.L1),
 		scheds: make([]scheduler, cfg.WarpSchedulers),
-		// Epoch 0 is the zero value of the per-slot memo entries; start at
-		// 1 so a fresh SM reads "nothing blocked". The port memo compares
-		// against the current cycle, which starts at 0.
-		structEpoch:    1,
-		portBlockCycle: -1,
 	}
 	return s
 }
@@ -269,19 +249,13 @@ func (s *SM) Configure(kernels []*kern.Kernel, stats []*metrics.KernelStats, gat
 	s.gateOK = make([]bool, len(kernels))
 	s.txnHeap = make([][]int64, len(kernels))
 	s.txnFlight = make([]int, len(kernels))
-	s.creditEpoch = make([]int64, len(kernels))
 	s.gatedResident = make([]int32, 0, len(kernels))
 	for i := range kernels {
 		s.kernels[i] = kernelState{kernel: kernels[i], stats: stats[i], cap: -1}
 	}
 	s.sampleScratch = make([]int, len(kernels))
-	// Seed the park buffers: a closing quota gate parks a whole slot's
-	// ready warps at once, and growing the slices from nil on that hot
-	// path costs a run of doubling allocations per scheduler.
 	for i := range s.scheds {
-		if cap(s.scheds[i].parked) == 0 {
-			s.scheds[i].parked = make([]readyEnt, 0, 16)
-		}
+		s.scheds[i].slots = make([]uint64, len(kernels))
 	}
 	s.gate = gate
 	s.gateDirty = true
@@ -354,58 +328,6 @@ func (s *SM) roomWithoutCap(slot int) bool {
 // RoomWithoutCap is the exported form of roomWithoutCap.
 func (s *SM) RoomWithoutCap(slot int) bool { return s.roomWithoutCap(slot) }
 
-// DebugWarpStates summarizes warp states per kernel slot for diagnostics:
-// counts of ready, waiting (future readyAt), at-barrier and done warps.
-func (s *SM) DebugWarpStates(now int64) string {
-	type agg struct{ ready, waiting, barrier, done int }
-	per := make([]agg, len(s.kernels))
-	minReady := make([]int64, len(s.kernels))
-	for i := range s.scheds {
-		for _, w := range s.scheds[i].warps {
-			a := &per[w.slot]
-			switch {
-			case w.done:
-				a.done++
-			case w.atBarrier:
-				a.barrier++
-			case w.readyAt <= now:
-				a.ready++
-			default:
-				a.waiting++
-				if minReady[w.slot] == 0 || w.readyAt < minReady[w.slot] {
-					minReady[w.slot] = w.readyAt
-				}
-			}
-		}
-	}
-	out := ""
-	for slot, a := range per {
-		out += fmt.Sprintf("slot%d{rdy:%d wait:%d bar:%d done:%d minReady:%d} ",
-			slot, a.ready, a.waiting, a.barrier, a.done, minReady[slot])
-	}
-	return out
-}
-
-// DebugSchedList renders scheduler i's warp list in age order: slot,
-// state and head opcode for each live warp.
-func (s *SM) DebugSchedList(now int64, i int) string {
-	out := ""
-	for _, w := range s.scheds[i].warps {
-		if w.done {
-			continue
-		}
-		state := "W"
-		switch {
-		case w.atBarrier:
-			state = "B"
-		case w.readyAt <= now:
-			state = "R"
-		}
-		out += fmt.Sprintf("[s%d %s %v]", w.slot, state, w.body[w.pc].Op)
-	}
-	return out
-}
-
 // FreeThreads returns unused thread contexts on this SM.
 func (s *SM) FreeThreads() int { return s.cfg.MaxThreadsPerSM - s.usedThreads }
 
@@ -455,8 +377,8 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	// One contiguous allocation for the TB's warp contexts: the issue
 	// path walks them constantly, and per-warp allocations cost dispatch
 	// time and scatter the contexts across the heap. The block is not
-	// recycled when the TB retires — scheduler caches may still hold
-	// references until lazy compaction drops them.
+	// recycled when the TB retires — scheduler lists and wake heaps may
+	// still hold references until compaction and draining drop them.
 	block := make([]Warp, warpsPerTB)
 	for i := 0; i < warpsPerTB; i++ {
 		w := &block[i]
@@ -479,23 +401,32 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 			}
 		}
 		w.body = k.BodyFor(w.iter)
-		if !w.done {
-			tb.LiveWarps++
-		}
 		tb.Warps[i] = w
 		w.schedIdx = s.nextSch
 		sch := &s.scheds[s.nextSch]
 		s.nextSch = (s.nextSch + 1) % len(s.scheds)
-		w.age = sch.ageSeq
-		sch.ageSeq++
-		sch.warps = append(sch.warps, w)
-		if w.done {
-			sch.deadCnt++
-		} else {
-			s.enqueue(sch, w, now)
-		}
 		if sch.nextWake > now {
 			sch.nextWake = now
+		}
+		if w.done {
+			// Finished before the TB was saved: it keeps its place in
+			// the placement rotation and never schedules.
+			continue
+		}
+		tb.LiveWarps++
+		if len(sch.warps) == maskBits {
+			sch.compact()
+			if len(sch.warps) == maskBits {
+				panic(fmt.Sprintf("sm%d: scheduler %d already holds %d live warps, one per mask bit "+
+					"(unreachable with 32-thread warps: config.GPU.Validate bounds MaxWarpsPerSM by %d)",
+					s.ID, w.schedIdx, maskBits, maskBits))
+			}
+		}
+		w.pos = uint8(len(sch.warps))
+		sch.warps = append(sch.warps, w)
+		sch.slots[slot] |= 1 << w.pos
+		if !w.atBarrier {
+			sch.file(w)
 		}
 	}
 	s.tbs = append(s.tbs, tb)
@@ -512,24 +443,19 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 }
 
 // DeferTB postpones the first issue of every warp in tb until the given
-// cycle; the dispatcher uses this to charge context-restore latency.
-// Ready-cache mirrors are refreshed in place: the scan's structural-block
-// memo trusts a mirrored readyAt <= now without dereferencing the warp,
-// so the mirror must never understate the warp's wake time. (Warps parked
-// behind the quota gate keep their stale mirror — unparking re-files them
-// from the warp's own readyAt.)
+// cycle; the dispatcher uses this to charge context-restore latency. A
+// filed warp is taken out under its old readyAt and filed again under the
+// new one: ready must never hold a warp whose time has not come.
 func (s *SM) DeferTB(tb *TB, until int64) {
 	for _, w := range tb.Warps {
 		if w.done || w.readyAt >= until {
 			continue
 		}
-		w.readyAt = until
-		if !w.inReady {
-			continue
-		}
 		sch := &s.scheds[w.schedIdx]
-		if i := findReady(sch, w); i >= 0 {
-			sch.ready[i].readyAt = until
+		sch.unfile(w)
+		w.readyAt = until
+		if !w.atBarrier {
+			sch.file(w)
 		}
 	}
 }

@@ -53,7 +53,14 @@ func TestGoldenRolloverTrace(t *testing.T) {
 	}
 	got := buf.Bytes()
 
-	path := filepath.Join("testdata", "rollover_trace.golden.jsonl")
+	checkGolden(t, filepath.Join("testdata", "rollover_trace.golden.jsonl"), got)
+}
+
+// checkGolden compares got with the golden file at path, line by line,
+// and fails on the first line that differs (with a count of the rest).
+// Under -update-golden it rewrites the file instead.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -61,25 +68,31 @@ func TestGoldenRolloverTrace(t *testing.T) {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes, %d events)", path, len(got), tr.Len())
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run TestGoldenRolloverTrace -update-golden` to create it)", err)
+		t.Fatalf("%v (run `go test -run '^%s$' -update-golden .` to create it)", err, t.Name())
 	}
 	if bytes.Equal(got, want) {
 		return
 	}
-	// Find the first differing line for a readable failure.
 	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	first, differing := -1, 0
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("trace diverges from golden at line %d:\n got: %s\nwant: %s",
-				i+1, gotLines[i], wantLines[i])
+			if first < 0 {
+				first = i
+			}
+			differing++
 		}
 	}
-	t.Fatalf("trace length changed: %d lines, golden has %d", len(gotLines), len(wantLines))
+	if first < 0 {
+		t.Fatalf("%s: %d lines, golden has %d", path, len(gotLines), len(wantLines))
+	}
+	t.Fatalf("%s diverges at line %d (%d lines differ; %d lines, golden has %d):\n got: %s\nwant: %s",
+		path, first+1, differing, len(gotLines), len(wantLines), gotLines[first], wantLines[first])
 }
 
 // TestGoldenTraceHasQuotaLifecycle asserts the acceptance property
