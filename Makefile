@@ -10,8 +10,9 @@
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
-# the checkpoint-journal line decoder, journal recovery and the sweep-wire
-# decoders), and `make bench-check`: every benchmark workload's
+# the checkpoint-journal line decoder, journal recovery, the sweep-wire
+# decoders, the goal-union decoder and the /v1 + /v2 submission bodies),
+# and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
 # compares a speed: results are checked here, on any runner; speed is
 # judged by `benchmark/` (`make bench`), parent against change on one
@@ -113,12 +114,16 @@ bench-trace:
 
 # Time-boxed fuzz passes over the code that parses bytes from disk or
 # the network: the checkpoint-journal line decoder, journal recovery over
-# a damaged file (Open -> Append -> Open), and the distributed-sweep wire
-# decoders (lease grants, result reports).
+# a damaged file (Open -> Append -> Open), the distributed-sweep wire
+# decoders (lease grants, result reports), the schema.Goal JSON union,
+# and the qosd submission path (body decoder + lowering to a kernel
+# spec, /v1 and /v2).
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/distsweep -run='^$$' -fuzz=FuzzLeaseDecode -fuzztime=10s
+	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous

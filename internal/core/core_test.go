@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/kern"
+	"repro/internal/schema"
 )
 
 // fastOpts is a small device + short window for facade tests.
@@ -404,6 +406,38 @@ func TestIPCGoalForDeadline(t *testing.T) {
 	}
 	if _, err := IPCGoalForDeadline(cfg, 100, 0); err == nil {
 		t.Fatal("accepted zero deadline")
+	}
+}
+
+// TestResolveGoalRejectsNonFiniteIPC: every time-based form validates
+// (both fields positive) yet divides to +Inf — or, for the latency form,
+// to a finite target the tail headroom then overflows. Each must be
+// ErrBadGoal, never a spec carrying an infinite quota.
+func TestResolveGoalRejectsNonFiniteIPC(t *testing.T) {
+	cfg := config.Base()
+	const instrs = 9_000_000_000_000_000_000
+	// A budget whose plain target is finite and within 1.225x of overflow.
+	edge := instrs / (float64(cfg.CoreClockMHz) * 1e6) / 1.6e308
+	if ipc, err := IPCGoalForDeadline(cfg, instrs, edge); err != nil || math.IsInf(ipc, 0) {
+		t.Fatalf("edge budget: ipc %v, err %v; want finite", ipc, err)
+	}
+	for name, g := range map[string]schema.Goal{
+		"deadline":          schema.DeadlineGoal(schema.Deadline{Instrs: instrs, Seconds: 1e-300}),
+		"latency":           schema.LatencyGoal(schema.Latency{Instrs: instrs, Seconds: 1e-300}),
+		"periodic":          schema.PeriodicGoal(schema.Periodic{Instrs: instrs, PeriodS: 1e-300}),
+		"latency-headroom":  schema.LatencyGoal(schema.Latency{Instrs: instrs, Seconds: edge, Percentile: 0.99}),
+		"periodic-deadline": schema.PeriodicGoal(schema.Periodic{Instrs: instrs, PeriodS: 1, DeadlineS: 1e-300}),
+	} {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: Validate = %v; the row must reach the division", name, err)
+		}
+		if gf, gi, err := ResolveGoal(cfg, g); !errors.Is(err, ErrBadGoal) {
+			t.Errorf("%s: ResolveGoal = (%v, %v, %v), want ErrBadGoal", name, gf, gi, err)
+		}
+	}
+	// The same shapes with a sane budget still resolve.
+	if _, gi, err := ResolveGoal(cfg, schema.DeadlineGoal(schema.Deadline{Instrs: instrs, Seconds: 1})); err != nil || gi <= 0 || math.IsInf(gi, 0) {
+		t.Fatalf("sane deadline: (%v, %v)", gi, err)
 	}
 }
 

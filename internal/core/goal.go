@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/config"
 	"repro/internal/schema"
@@ -24,10 +25,17 @@ import (
 //     paper's Section 3.4 schemes exist to absorb).
 //   - periodic: derive the IPC that retires one activation's Instrs
 //     within its relative deadline (the period when DeadlineS is 0).
+//
+// A time-based goal whose derived IPC is not finite (an instruction
+// count over a vanishing budget) is ErrBadGoal: no quota can express
+// it, and no JSON encoder can carry it to a response or a journal.
 func ResolveGoal(cfg config.GPU, g schema.Goal) (goalFrac, goalIPC float64, err error) {
 	if err := g.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadGoal, err)
 	}
+	var instrs int64
+	var budget float64
+	headroom := 1.0
 	switch g.Kind {
 	case schema.GoalNone:
 		return 0, 0, nil
@@ -37,42 +45,38 @@ func ResolveGoal(cfg config.GPU, g schema.Goal) (goalFrac, goalIPC float64, err 
 		return 0, g.IPC, nil
 	case schema.GoalLatency:
 		l := g.Latency
-		ipc, err := IPCGoalForDeadline(cfg, l.Instrs, l.Seconds)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: %v", ErrBadGoal, err)
-		}
-		return 0, ipc * LatencyTailHeadroom(l.Percentile), nil
+		instrs, budget, headroom = l.Instrs, l.Seconds, LatencyTailHeadroom(l.Percentile)
 	case schema.GoalPeriodic:
 		p := g.Periodic
-		budget := p.DeadlineS
+		instrs, budget = p.Instrs, p.DeadlineS
 		if budget == 0 {
 			budget = p.PeriodS
 		}
-		ipc, err := IPCGoalForDeadline(cfg, p.Instrs, budget)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: %v", ErrBadGoal, err)
+	default:
+		d := g.Deadline
+		instrs, budget = d.Instrs, d.Seconds
+		if d.TransferBytes > 0 {
+			gbps := d.PCIeGbps
+			if gbps == 0 {
+				gbps = 15.75 // PCIe 3.0 x16
+			}
+			lat := d.PCIeLatency
+			if lat == 0 {
+				lat = 10e-6
+			}
+			budget -= PCIeTransferSeconds(d.TransferBytes, gbps, lat)
 		}
-		return 0, ipc, nil
-	}
-	d := g.Deadline
-	budget := d.Seconds
-	if d.TransferBytes > 0 {
-		gbps := d.PCIeGbps
-		if gbps == 0 {
-			gbps = 15.75 // PCIe 3.0 x16
+		if budget <= 0 {
+			return 0, 0, fmt.Errorf("%w: deadline consumed by PCI-E transfer", ErrBadGoal)
 		}
-		lat := d.PCIeLatency
-		if lat == 0 {
-			lat = 10e-6
-		}
-		budget -= PCIeTransferSeconds(d.TransferBytes, gbps, lat)
 	}
-	if budget <= 0 {
-		return 0, 0, fmt.Errorf("%w: deadline consumed by PCI-E transfer", ErrBadGoal)
-	}
-	ipc, err := IPCGoalForDeadline(cfg, d.Instrs, budget)
+	ipc, err := IPCGoalForDeadline(cfg, instrs, budget)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadGoal, err)
+	}
+	// Checked on the final value, so the headroom's overflow counts too.
+	if ipc *= headroom; math.IsInf(ipc, 1) {
+		return 0, 0, fmt.Errorf("%w: %d instructions in %gs is not a finite IPC target", ErrBadGoal, instrs, budget)
 	}
 	return 0, ipc, nil
 }

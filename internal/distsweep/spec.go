@@ -226,17 +226,13 @@ func (sp Spec) CaseSpecs(i int) ([]core.KernelSpec, error) {
 	return exp.PairSpecs(sp.Pairs[i/len(sp.Goals)], g), nil
 }
 
-// RunCase executes one case on a session and returns the journal-ready
-// payload — the JSON encoding of the same exp.PairCase/exp.TrioCase
-// value a local sweep would checkpoint, so distributed and local
-// journals are interchangeable byte for byte.
-func (sp Spec) RunCase(ctx context.Context, s *core.Session, i int) (json.RawMessage, *core.Result, error) {
-	return sp.RunCaseTraced(ctx, s, i, nil)
-}
-
-// RunCaseTraced is RunCase with an observability tracer attached to the
-// simulation (nil behaves like RunCase). The tracer never influences
-// results — workers ship only its event counts as side evidence.
+// RunCaseTraced executes one case on a session and returns the
+// journal-ready payload — the JSON encoding of the same
+// exp.PairCase/exp.TrioCase value a local sweep would checkpoint, so
+// distributed and local journals are interchangeable byte for byte. An
+// observability tracer may be attached to the simulation (nil for
+// none); it never influences results — workers ship only its event
+// counts as side evidence.
 func (sp Spec) RunCaseTraced(ctx context.Context, s *core.Session, i int, tr *trace.Tracer) (json.RawMessage, *core.Result, error) {
 	specs, err := sp.CaseSpecs(i)
 	if err != nil {

@@ -334,11 +334,6 @@ func AvgReach(cases []PairCase) float64 {
 	return QoSReach(func(i int) bool { return cases[i].Res.AllReached }, len(cases))
 }
 
-// AvgTrioReach averages QoSreach over all trio cases.
-func AvgTrioReach(cases []TrioCase) float64 {
-	return QoSReach(func(i int) bool { return cases[i].Res.AllReached }, len(cases))
-}
-
 // InstrPerWattByGoal averages instructions/watt per goal over successful
 // cases (Figure 14 compares schemes on this).
 func InstrPerWattByGoal(cases []PairCase, goals []float64) map[float64]float64 {

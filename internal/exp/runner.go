@@ -260,9 +260,6 @@ func doShielded(ctx context.Context, s *core.Session, timeout time.Duration, fn 
 	return fn(ctx, s)
 }
 
-// FaultPolicyInEffect returns the installed fault policy.
-func (r *Runner) FaultPolicyInEffect() FaultPolicy { return r.fault }
-
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.workers }
 

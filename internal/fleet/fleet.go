@@ -8,10 +8,11 @@
 // fractional capacity left, where each capacity-feasible candidate is
 // proven by that node's tiered what-if admission check (exact verdict
 // cache → perf model → full simulation — the same evidence path the
-// single-GPU daemon uses, via verdict.Decider). Nodes evaluate
-// concurrently, each on its own decision-loop goroutine, while a single
-// placement goroutine owns all capacity state, so the placement
-// sequence for a given submission stream is deterministic.
+// single-GPU daemon uses, via verdict.Decider). A single placement
+// goroutine owns all capacity state and asks every question — fanning
+// one candidate out to the feasible nodes concurrently, one evaluation
+// per node at a time — so the placement sequence for a given submission
+// stream is deterministic.
 //
 // When no node can host a pending job outright, the scheduler runs a
 // bounded repartitioning search (in the spirit of nebuly's nos elastic
@@ -137,10 +138,8 @@ type Fleet struct {
 	nodes    []*node
 	store    *jobStore
 	queue    chan op
-	baseCtx  context.Context
 	cancel   context.CancelFunc
 	loopDone chan struct{}
-	nodeWG   sync.WaitGroup
 	pj       *journal.Journal // placement journal (nil when disabled)
 
 	drainMu  sync.RWMutex
@@ -173,9 +172,9 @@ type fleetBinding struct {
 	QueueDepth    int           `json:"queue_depth"`
 }
 
-// New builds the fleet: one session + tiered decider + decision loop
-// per node, recovers any existing journals in cfg.JournalDir, then
-// starts the placement loop.
+// New builds the fleet: one session + tiered decider per node, recovers
+// any existing journals in cfg.JournalDir, then starts the placement
+// loop.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("fleet: at least one node required")
@@ -193,7 +192,6 @@ func New(cfg Config) (*Fleet, error) {
 		noRepart: cfg.NoRepartition,
 		store:    newJobStore(),
 		queue:    make(chan op, cfg.QueueDepth),
-		baseCtx:  ctx,
 		cancel:   cancel,
 		loopDone: make(chan struct{}),
 	}
@@ -252,13 +250,6 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 
-	for _, n := range f.nodes {
-		f.nodeWG.Add(1)
-		go func(n *node) {
-			defer f.nodeWG.Done()
-			n.loop()
-		}(n)
-	}
 	go f.loop()
 	return f, nil
 }
@@ -281,7 +272,7 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		Model:           ns.Model,
 		UncertaintyBand: cfg.UncertaintyBand,
 		CacheSize:       cfg.VerdictCacheSize,
-		SchemeName:      cfg.Scheme.Name(),
+		Scheme:          cfg.Scheme,
 	})
 	if err != nil {
 		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
@@ -289,14 +280,11 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 	n := &node{
 		id:     fmt.Sprintf("node-%d", idx),
 		name:   ns.Name,
-		idx:    idx,
 		cfg:    ns.GPU,
 		sess:   sess,
 		dec:    dec,
-		scheme: cfg.Scheme,
 		maxMix: cfg.MaxMixPerNode,
 		ctx:    ctx,
-		evalCh: make(chan evalReq),
 		tiers:  make(map[string]int),
 	}
 	bind := nodeBinding{
@@ -520,7 +508,6 @@ func (f *Fleet) Shutdown(ctx context.Context) error {
 		f.cancel() // abort in-flight node simulations
 		<-f.loopDone
 	}
-	f.closeNodeLoops()
 	f.cancel()
 	return f.closeJournals()
 }
@@ -536,15 +523,7 @@ func (f *Fleet) Close() error {
 	f.drainMu.Unlock()
 	f.cancel()
 	<-f.loopDone
-	f.closeNodeLoops()
 	return f.closeJournals()
-}
-
-func (f *Fleet) closeNodeLoops() {
-	for _, n := range f.nodes {
-		close(n.evalCh)
-	}
-	f.nodeWG.Wait()
 }
 
 // closeJournals releases every journal descriptor the fleet holds: at

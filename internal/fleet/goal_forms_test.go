@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/config"
@@ -90,6 +91,22 @@ func TestRequestNewGoalForms(t *testing.T) {
 			t.Fatal("Validate accepted deadline > period")
 		} else if _, _, rerr := core.ResolveGoal(base, g); rerr == nil {
 			t.Fatal("ResolveGoal accepted what Validate rejects")
+		}
+	})
+
+	t.Run("non-finite-target-rejected", func(t *testing.T) {
+		// Both fields positive, so Validate passes; the division is +Inf.
+		body := `{"workload":"sgemm","gpu_fraction":0.5,
+			"goal":{"deadline":{"instrs":9000000000000000000,"seconds":1e-300}}}`
+		var req Request
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if err := req.Goal.Validate(); err != nil {
+			t.Fatalf("Validate = %v; the request must reach the lowering", err)
+		}
+		if spec, err := req.SpecFor(base); !errors.Is(err, core.ErrBadGoal) {
+			t.Fatalf("SpecFor = (%+v, %v), want core.ErrBadGoal", spec, err)
 		}
 	})
 }

@@ -167,16 +167,6 @@ func (s *jobStore) adopt(seq int, req Request, shares Shares) *Job {
 	return j
 }
 
-// reserve advances the id counter past seq without registering a job
-// (used when replaying reject records: the id was consumed).
-func (s *jobStore) reserve(seq int) {
-	s.mu.Lock()
-	if seq >= s.next {
-		s.next = seq + 1
-	}
-	s.mu.Unlock()
-}
-
 // get looks up a job by id.
 func (s *jobStore) get(id string) (*Job, bool) {
 	s.mu.Lock()

@@ -18,13 +18,8 @@ import (
 const capEps = 1e-9
 
 // MixEntry is one kernel of a node's resident mix as journaled with
-// every decision (enough to rebuild the what-if spec on replay).
-type MixEntry struct {
-	JobID    string  `json:"job_id"`
-	Workload string  `json:"workload"`
-	GoalFrac float64 `json:"goal_frac,omitempty"`
-	GoalIPC  float64 `json:"goal_ipc,omitempty"`
-}
+// every decision, shared with the /v1 decision log (verdict.MixEntry).
+type MixEntry = verdict.MixEntry
 
 // NodeDecision is one per-node admission decision journal entry: the
 // resident mix, the candidate, and the verdict the tiered decider
@@ -45,38 +40,21 @@ type placedEntry struct {
 	shares Shares
 }
 
-// evalReq asks a node's decision loop for a what-if verdict on the
-// given spec list (mix + candidate last). The spec snapshot is built
-// by the placement goroutine, so repartition searches can pose
-// counterfactual mixes ("A's mix without m, plus j") with the same
-// machinery as plain placement.
-type evalReq struct {
-	specs []core.KernelSpec
-	ids   []string
-	jobID string
-	reply chan evalResp
-}
-
-type evalResp struct {
-	v   *schema.Verdict
-	err error
-}
-
 // node is one simulated GPU in the fleet: its own simulator session,
-// tiered verdict decider, crash-safe decision journal, and a decision
-// loop goroutine so nodes evaluate placements concurrently.
+// tiered verdict decider and crash-safe decision journal. It needs no
+// goroutine of its own: the placement goroutine is the only caller of
+// evaluate and never has two questions out to one node (place fans out
+// one goroutine per node and waits; repartition asks serially), so a
+// node's evaluations are already serial and its journal order fixed.
 type node struct {
 	id     string
 	name   string
-	idx    int
 	cfg    config.GPU
 	sess   *core.Session
 	dec    *verdict.Decider
-	scheme core.Scheme
 	maxMix int
 	jnl    *journal.Journal // nil when journaling is disabled
 	ctx    context.Context
-	evalCh chan evalReq
 
 	mu       sync.Mutex
 	mix      []*placedEntry // admission order
@@ -105,59 +83,36 @@ type NodeView struct {
 
 const decisionStage = "decisions"
 
-// loop is the node's decision loop: it serializes what-if evaluations
-// on this device while other nodes evaluate in parallel.
-func (n *node) loop() {
-	for req := range n.evalCh {
-		v, err := n.evaluate(req)
-		req.reply <- evalResp{v: v, err: err}
-	}
-}
-
-// eval runs one synchronous what-if evaluation through the node loop.
-func (n *node) eval(specs []core.KernelSpec, ids []string, jobID string) (*schema.Verdict, error) {
-	reply := make(chan evalResp, 1)
-	n.evalCh <- evalReq{specs: specs, ids: ids, jobID: jobID, reply: reply}
-	r := <-reply
-	return r.v, r.err
-}
-
-// evaluate decides one what-if co-run through the tiered path: exact
+// evaluate decides one what-if co-run (mix + candidate last; jobID is
+// the job the question is asked for) through the tiered path: exact
 // cache, perf model inside its confidence band, then full simulation.
-// Every successful decision is journaled before the verdict is
-// returned, so a crash can never admit a job the journal forgot.
-func (n *node) evaluate(req evalReq) (*schema.Verdict, error) {
-	scheme := verdict.EffectiveScheme(n.scheme, req.specs)
-	sigs := verdict.KernelSigsOf(req.specs)
-	sig := n.dec.SignatureFor(sigs, scheme.Name())
-	fr := n.dec.TryFast(sig, sigs, req.ids, scheme.Name())
-	v := fr.V
-	if v == nil {
-		res, err := n.sess.Run(n.ctx, req.specs, scheme)
-		if err != nil {
-			return nil, err
-		}
-		v = verdict.SimVerdict(res, req.ids, sig)
-		n.dec.Store(sig, v, sigs)
-		n.mu.Lock()
-		n.simEvals++
-		n.mu.Unlock()
+// The spec snapshot is built by the placement goroutine, so repartition
+// searches can pose counterfactual mixes ("A's mix without m, plus j")
+// with the same machinery as plain placement. Every successful decision
+// is journaled before the verdict is returned, so a crash can never
+// admit a job the journal forgot.
+func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*schema.Verdict, error) {
+	v, _, err := n.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+		return n.sess.Run(n.ctx, specs, scheme)
+	})
+	if err != nil {
+		return nil, err
 	}
 	n.mu.Lock()
 	n.tiers[v.Tier]++
+	if v.Tier == schema.TierSim {
+		n.simEvals++
+	}
 	idx := n.nextDec
 	n.nextDec++
 	n.mu.Unlock()
 	if n.jnl != nil {
-		d := NodeDecision{JobID: req.jobID, Verdict: v}
-		for i, s := range req.specs {
-			me := MixEntry{JobID: req.ids[i], Workload: s.Workload, GoalFrac: s.GoalFrac, GoalIPC: s.GoalIPC}
-			if i == len(req.specs)-1 {
-				d.Candidate = me
-			} else {
-				d.Mix = append(d.Mix, me)
-			}
+		entries := make([]MixEntry, len(specs))
+		for i, s := range specs {
+			entries[i] = MixEntry{JobID: ids[i], Workload: s.Workload, GoalFrac: s.GoalFrac, GoalIPC: s.GoalIPC}
 		}
+		last := len(entries) - 1
+		d := NodeDecision{JobID: jobID, Mix: entries[:last], Candidate: entries[last], Verdict: v}
 		if err := n.jnl.Append(decisionStage, idx, d); err != nil {
 			return nil, fmt.Errorf("node %s: journal decision %d: %w", n.id, idx, err)
 		}
@@ -166,8 +121,8 @@ func (n *node) evaluate(req evalReq) (*schema.Verdict, error) {
 }
 
 // recover replays the node's decision journal in index order,
-// re-evolving the verdict cache: cache-tier hits refresh LRU recency,
-// model- and sim-tier verdicts are stored. No simulation runs.
+// re-evolving the verdict cache (verdict.Decider.Restore). No
+// simulation runs.
 func (n *node) recover() error {
 	if n.jnl == nil {
 		return nil
@@ -180,20 +135,8 @@ func (n *node) recover() error {
 		if d.Verdict == nil {
 			return fmt.Errorf("node %s: decision %d: missing verdict", n.id, i)
 		}
-		entries := append(append([]MixEntry(nil), d.Mix...), d.Candidate)
-		specs := make([]core.KernelSpec, len(entries))
-		for k, e := range entries {
-			specs[k] = core.KernelSpec{Workload: e.Workload, GoalFrac: e.GoalFrac, GoalIPC: e.GoalIPC}
-		}
-		scheme := verdict.EffectiveScheme(n.scheme, specs)
-		sigs := verdict.KernelSigsOf(specs)
-		sig := n.dec.SignatureFor(sigs, scheme.Name())
-		switch d.Verdict.Tier {
-		case schema.TierCache:
-			n.dec.Touch(sig)
-		default:
-			n.dec.Store(sig, d.Verdict, sigs)
-		}
+		specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
+		n.dec.Restore(specs, d.Verdict)
 		n.tiers[d.Verdict.Tier]++
 		if d.Verdict.Tier == schema.TierSim {
 			n.simEvals++

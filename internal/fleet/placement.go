@@ -11,9 +11,9 @@ import (
 // loop is the placement goroutine: the only writer of node capacity
 // ledgers, the job store and the placement journal, which is what
 // makes the placement sequence deterministic for a given submission
-// order. Nodes still evaluate what-if co-runs concurrently — the loop
-// fans one candidate evaluation out to every capacity-feasible node
-// and the per-node decision loops run them in parallel.
+// order. Nodes still evaluate what-if co-runs concurrently — place
+// fans one candidate evaluation out to every capacity-feasible node,
+// one goroutine each, and waits for all of them.
 func (f *Fleet) loop() {
 	defer close(f.loopDone)
 	for o := range f.queue {
@@ -62,9 +62,8 @@ func (f *Fleet) place(j *Job) {
 		return
 	}
 
-	// Concurrent what-if fan-out; each node's decision loop serializes
-	// its own evaluations, so per-node journal order stays
-	// deterministic.
+	// Concurrent what-if fan-out, one evaluation per node, so per-node
+	// journal order stays deterministic.
 	var wg sync.WaitGroup
 	for i := range cands {
 		c := &cands[i]
@@ -74,7 +73,7 @@ func (f *Fleet) place(j *Job) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.v, c.err = c.n.eval(specs, ids, j.id)
+			c.v, c.err = c.n.evaluate(specs, ids, j.id)
 		}()
 	}
 	wg.Wait()
@@ -167,13 +166,13 @@ func (f *Fleet) repartition(j *Job) bool {
 				}
 				// Would alt admit the migrated job?
 				specs, ids := alt.mixSnapshot("")
-				vm, err := alt.eval(append(specs, mSpec), append(ids, m.job.id), m.job.id)
+				vm, err := alt.evaluate(append(specs, mSpec), append(ids, m.job.id), m.job.id)
 				if err != nil || !vm.IsAdmitted() {
 					continue
 				}
 				// Would dst admit the pending job once m is gone?
 				specs, ids = dst.mixSnapshot(m.job.id)
-				vj, err := dst.eval(append(specs, dstSpec), append(ids, j.id), j.id)
+				vj, err := dst.evaluate(append(specs, dstSpec), append(ids, j.id), j.id)
 				if err != nil || !vj.IsAdmitted() {
 					continue
 				}

@@ -170,9 +170,6 @@ func (g *GPU) SetController(c Controller) { g.controller = c }
 // reference oracle the equivalence tests prove that claim against.
 func (g *GPU) SetEventWheel(on bool) { g.wheelOff = !on }
 
-// EventWheel reports whether event-wheel stepping is enabled.
-func (g *GPU) EventWheel() bool { return !g.wheelOff }
-
 // SetTracer attaches the observability tracer to the device and every SM
 // (nil detaches). Controllers read it back via Tracer.
 func (g *GPU) SetTracer(tr *trace.Tracer) {
@@ -203,13 +200,6 @@ func (g *GPU) SetMask(slot int, allowed []bool) {
 	}
 	copy(g.masks[slot], allowed)
 	g.needDispatch = true
-}
-
-// Mask returns (a copy of) the slot's SM mask.
-func (g *GPU) Mask(slot int) []bool {
-	out := make([]bool, g.Cfg.NumSMs)
-	copy(out, g.masks[slot])
-	return out
 }
 
 // Allowed reports whether slot may hold TBs on smID.

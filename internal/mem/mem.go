@@ -175,9 +175,6 @@ func (s *System) Stats() (agg PartitionStats) {
 	return agg
 }
 
-// PartitionStats returns the counters of one partition (for tests).
-func (s *System) PartitionStats(i int) PartitionStats { return s.parts[i].stats }
-
 // L2Stats returns combined L2 statistics for the power model.
 func (s *System) L2Stats() (agg cache.Stats) {
 	for _, p := range s.parts {

@@ -572,10 +572,3 @@ func (m *Manager) CounterFor(smID, slot int) float64 { return m.counters[smID][s
 
 // Quota exposes the slot's current GPU-wide per-epoch quota (tests).
 func (m *Manager) Quota(slot int) float64 { return m.quota[slot] }
-
-// NonQoSGoal exposes the artificial IPC goal of a non-QoS slot (tests,
-// debugging).
-func (m *Manager) NonQoSGoal(slot int) float64 { return m.nonQoSGoal[slot] }
-
-// LastEpochIPC exposes the previous epoch's measured IPC of a slot.
-func (m *Manager) LastEpochIPC(slot int) float64 { return m.lastEpoch[slot] }

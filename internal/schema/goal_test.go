@@ -144,3 +144,38 @@ func TestGoalFromForms(t *testing.T) {
 		t.Fatalf("two forms: err = %v, want ErrBadGoal", err)
 	}
 }
+
+// FuzzGoalJSON hardens the goal union's decoder, which faces the network
+// inside every /v1 and /v2 submission and sweep lease: arbitrary bytes
+// never panic it, and a goal that decodes and validates survives
+// marshal -> unmarshal unchanged (what a journal or a worker is handed
+// is what the client sent).
+func FuzzGoalJSON(f *testing.F) {
+	for _, seed := range []string{
+		`null`, `0.75`, `{"frac":0.5}`, `{"ipc":2.5}`,
+		`{"deadline":{"instrs":1000,"seconds":0.5,"transfer_bytes":4096,"pcie_gbps":8}}`,
+		`{"deadline":{"instrs":9000000000000000000,"seconds":1e-300}}`,
+		`{"latency":{"instrs":3000000,"seconds":0.0002,"percentile":0.99}}`,
+		`{"periodic":{"instrs":2000000,"period_s":0.0005,"deadline_s":0.0002}}`,
+		`{"ipc":1,"frac":0.5}`, `{"ipc":1}{"ipc":2}`, `{"bogus":1}`, `"0.5"`, `[0.5]`, `1e999`, `{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var g schema.Goal
+		if err := g.UnmarshalJSON(b); err != nil || g.Validate() != nil {
+			return // rejected input: fine, as long as we did not panic
+		}
+		enc, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("valid goal %+v does not marshal: %v", g, err)
+		}
+		var back schema.Goal
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("marshalled goal %s does not decode: %v", enc, err)
+		}
+		if back != g {
+			t.Fatalf("round trip changed the goal: %+v -> %s -> %+v", g, enc, back)
+		}
+	})
+}

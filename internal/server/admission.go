@@ -20,19 +20,9 @@ import (
 // through the same serial access sequence. The soak test exploits
 // exactly this.
 
-// MixEntry is one kernel of an admission snapshot — enough to rebuild
-// its core.KernelSpec for replay or journal recovery.
-type MixEntry struct {
-	JobID    string  `json:"job_id"`
-	Workload string  `json:"workload"`
-	GoalFrac float64 `json:"goal_frac,omitempty"`
-	GoalIPC  float64 `json:"goal_ipc,omitempty"`
-}
-
-// Spec rebuilds the kernel spec the entry was evaluated with.
-func (m MixEntry) Spec() core.KernelSpec {
-	return core.KernelSpec{Workload: m.Workload, GoalFrac: m.GoalFrac, GoalIPC: m.GoalIPC}
-}
+// MixEntry is the journaled form of one kernel of an admission snapshot,
+// shared with the fleet's node journals (verdict.MixEntry).
+type MixEntry = verdict.MixEntry
 
 func mixEntry(j *job) MixEntry {
 	return MixEntry{JobID: j.id, Workload: j.spec.Workload, GoalFrac: j.spec.GoalFrac, GoalIPC: j.spec.GoalIPC}
@@ -61,76 +51,29 @@ type Decision struct {
 func (s *Server) decisionLoop() {
 	defer close(s.loopDone)
 	for j := range s.queue {
-		if s.processBatch(j) {
-			return
-		}
-	}
-}
-
-// simShare is one batch-local memoized what-if run, shared between batch
-// members whose hypothetical mixes are identical (same ordered specs and
-// scheme): concurrent arrivals of the same request coalesce onto one
-// simulation instead of each paying for their own.
-type simShare struct {
-	res *core.Result
-	tr  *trace.Tracer
-}
-
-// maxBatch bounds how many queued arrivals one batch absorbs before the
-// memo is discarded and a fresh batch starts (bounds memo memory; the
-// remaining queue is simply the next batch).
-const maxBatch = 1024
-
-// processBatch decides first plus any submissions that arrive while the
-// batch is being worked. Returns true when the queue closed during the
-// batch (drain: every drained job is still decided before returning).
-func (s *Server) processBatch(first *job) (closed bool) {
-	batch := []*job{first}
-	memo := make(map[string]*simShare)
-	for bi := 0; bi < len(batch); bi++ {
-		j := batch[bi]
 		// Liveness: mark the decision in flight before anything that can
 		// block (the test gate, the slot wait, the evaluation) so the
 		// /healthz watchdog sees a wedged loop no matter where it wedged.
-		s.decidingSinceNs.Store(time.Now().UnixNano())
+		s.decidingSinceNs.Store(s.now().UnixNano())
 		if s.gate != nil {
 			// Test hook: hold the next decision until the test releases it,
 			// making queue-overflow (429) behavior deterministic.
 			<-s.gate
 		}
-		if !closed {
-			// Opportunistically absorb queued arrivals into the batch
-			// (after the gate, so tests can pin queue occupancy first).
-		drain:
-			for len(batch) < maxBatch {
-				select {
-				case k, ok := <-s.queue:
-					if !ok {
-						closed = true
-						break drain
-					}
-					batch = append(batch, k)
-				default:
-					break drain
-				}
-			}
-		}
 		if err := s.waitSlot(); err != nil {
 			j.finish(JobFailed, nil, err)
 			s.count("jobs_failed", 1)
-			s.markProgress()
-			continue
+		} else {
+			s.evaluate(j)
 		}
-		s.evaluate(j, memo)
 		s.markProgress()
 	}
-	return closed
 }
 
 // markProgress records a completed decision for the /healthz watchdog:
 // the loop is idle again and last progress is now.
 func (s *Server) markProgress() {
-	s.lastProgressNs.Store(time.Now().UnixNano())
+	s.lastProgressNs.Store(s.now().UnixNano())
 	s.decidingSinceNs.Store(0)
 }
 
@@ -152,84 +95,54 @@ func (s *Server) waitSlot() error {
 	}
 }
 
-// evaluate decides one job through the tiered path: exact verdict
-// cache, then the analytic model, then the what-if co-run (admitted mix
-// + candidate) on a pooled worker session — with identical co-runs
-// coalesced inside the batch via memo.
-func (s *Server) evaluate(j *job, memo map[string]*simShare) {
+// evaluate decides one job through the tiered path (verdict.Decider):
+// exact verdict cache, then the analytic model, then the what-if co-run
+// (admitted mix + candidate) on a pooled worker session.
+func (s *Server) evaluate(j *job) {
 	start := time.Now()
 	j.setState(JobEvaluating)
 	s.mixMu.Lock()
-	mix := append([]*job(nil), s.mix...)
-	s.mixMu.Unlock()
-
-	specs := make([]core.KernelSpec, 0, len(mix)+1)
-	entries := make([]MixEntry, 0, len(mix))
-	ids := make([]string, 0, len(mix)+1)
-	for _, m := range mix {
-		specs = append(specs, m.spec)
-		entries = append(entries, mixEntry(m))
-		ids = append(ids, m.id)
+	entries := make([]MixEntry, len(s.mix))
+	for i, m := range s.mix {
+		entries[i] = mixEntry(m)
 	}
-	specs = append(specs, j.spec)
-	ids = append(ids, j.id)
+	s.mixMu.Unlock()
+	d := Decision{Kind: "decision", JobID: j.id, JobSeq: j.seq, Name: j.name, Candidate: mixEntry(j), Mix: entries}
+	specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
 
-	// A hypothetical mix with no QoS kernel has no contract to protect;
-	// the QoS manager refuses goal-less co-runs, so the what-if runs
-	// under unmanaged sharing and admits vacuously (AllReached is true
-	// with zero QoS kernels) — still with real throughput evidence.
-	scheme := verdict.EffectiveScheme(s.scheme, specs)
-	sigs := verdict.KernelSigsOf(specs)
-	sig := s.dec.SignatureFor(sigs, scheme.Name())
-
-	fr := s.dec.TryFast(sig, sigs, ids, scheme.Name())
+	// Tier 3, run only when the fast tiers fall through: a traced co-run
+	// on a borrowed session, its counters absorbed and the candidate's
+	// epoch-level evidence forwarded to the job's SSE stream.
+	v, fr, err := s.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+		tr := trace.New(1 << 12)
+		var res *core.Result
+		err := s.runner.Do(s.baseCtx, j.seq, func(ctx context.Context, sess *core.Session) (rerr error) {
+			res, rerr = sess.RunTraced(ctx, specs, scheme, tr)
+			return rerr
+		})
+		s.count("evaluations", 1)
+		if err != nil {
+			return nil, err
+		}
+		s.absorbRun(tr, res)
+		s.forwardTrace(j, tr, len(specs)-1)
+		return res, nil
+	})
 	if fr.CacheMiss {
 		s.count("verdict_cache_misses", 1)
 	}
 	if fr.ModelEscape {
 		s.count("model_escapes", 1)
 	}
-	v := fr.V
-	if v == nil {
-		// Tier 3: full simulation. The memo key is the ORDERED spec list
-		// (not the canonical signature): slots are not interchangeable in
-		// the simulator, so only bit-identical what-ifs may share a run —
-		// which keeps coalesced verdicts reproducible by a serial replay
-		// that simulates each decision individually.
-		okey := orderedKey(specs, scheme)
-		sh := memo[okey]
-		if sh != nil {
-			s.count("verdicts_coalesced", 1)
-		} else {
-			tr := trace.New(1 << 12)
-			var res *core.Result
-			err := s.runner.Do(s.baseCtx, j.seq, func(ctx context.Context, sess *core.Session) error {
-				r, rerr := sess.RunTraced(ctx, specs, scheme, tr)
-				if rerr != nil {
-					return rerr
-				}
-				res = r
-				return nil
-			})
-			s.count("evaluations", 1)
-			if err != nil {
-				j.finish(JobFailed, nil, err)
-				s.count("jobs_failed", 1)
-				s.record(Decision{Kind: "decision", JobID: j.id, JobSeq: j.seq, Name: j.name,
-					Candidate: mixEntry(j), Mix: entries})
-				return
-			}
-			s.absorbRun(tr, res)
-			sh = &simShare{res: res, tr: tr}
-			memo[okey] = sh
-		}
-		s.forwardTrace(j, sh.tr, len(specs)-1)
-		v = verdict.SimVerdict(sh.res, ids, sig)
-		s.dec.Store(sig, v, sigs)
+	if err != nil {
+		j.finish(JobFailed, nil, err)
+		s.count("jobs_failed", 1)
+		s.record(d)
+		return
 	}
 	s.count("verdicts_tier_"+v.Tier, 1)
-	s.record(Decision{Kind: "decision", JobID: j.id, JobSeq: j.seq, Name: j.name,
-		Candidate: mixEntry(j), Mix: entries, Admitted: v.IsAdmitted(), Verdict: v})
+	d.Admitted, d.Verdict = v.IsAdmitted(), v
+	s.record(d)
 	s.observeLatency(v.Tier, time.Since(start))
 	if v.IsAdmitted() {
 		s.mixMu.Lock()
@@ -243,18 +156,6 @@ func (s *Server) evaluate(j *job, memo map[string]*simShare) {
 	}
 	s.count("jobs_rejected", 1)
 	j.finish(JobRejected, v, fmt.Errorf("%w: %s", ErrAdmissionRejected, v.Reason))
-}
-
-// orderedKey keys the batch memo by the exact ordered what-if input.
-func orderedKey(specs []core.KernelSpec, scheme core.Scheme) string {
-	b, err := json.Marshal(struct {
-		Specs  []core.KernelSpec
-		Scheme string
-	}{specs, scheme.Name()})
-	if err != nil {
-		return fmt.Sprintf("%v|%s", specs, scheme.Name())
-	}
-	return string(b)
 }
 
 // release frees an admitted job's mix slot (DELETE /v1/jobs/{id}). Only
@@ -321,11 +222,14 @@ func (s *Server) Decisions() []Decision {
 // jobStage keys the daemon's entries inside the checkpoint journal.
 const jobStage = "jobs"
 
-// recoverJournal rebuilds the admitted mix from a prior process's
-// decision log: decisions admitted and never released re-occupy their
-// slots (states, verdicts and ids included), so a restarted daemon keeps
-// honoring the QoS contracts it already accepted. Queued-but-undecided
-// jobs are not recovered — they never received a verdict.
+// recoverJournal rebuilds the admitted mix and the verdict cache from a
+// prior process's decision log: decisions admitted and never released
+// re-occupy their slots (states, verdicts and ids included), so a
+// restarted daemon keeps honoring the QoS contracts it already accepted;
+// every logged verdict is restored into the decider, so what comes next
+// is decided by the same tier, and journaled as the same bytes, as in a
+// daemon that never stopped. Queued-but-undecided jobs are not recovered
+// — they never received a verdict.
 func (s *Server) recoverJournal() error {
 	admitted := make(map[string]Decision)
 	var order []string
@@ -338,6 +242,10 @@ func (s *Server) recoverJournal() error {
 		s.store.reserve(d.JobSeq)
 		switch d.Kind {
 		case "decision":
+			if d.Verdict != nil {
+				specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
+				s.dec.Restore(specs, d.Verdict)
+			}
 			if d.Admitted {
 				admitted[d.JobID] = d
 				order = append(order, d.JobID)

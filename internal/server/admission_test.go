@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -200,5 +203,74 @@ func TestJournalRecovery(t *testing.T) {
 	}
 	if _, err := New(Config{Runner: r, MaxMix: 5, JournalPath: path}); err == nil {
 		t.Fatal("mismatched configuration accepted the job log")
+	}
+}
+
+// TestRestartContinuesByteIdentical: a daemon stopped and restarted on
+// its journal recovers the verdict cache along with the admitted mix, so
+// it decides what comes next from the same tiers as a daemon that never
+// stopped — and extends the journal with the same bytes. Every admitted
+// job is released at once, so the mixes repeat and the tail's first two
+// decisions are cache hits on verdicts decided before the restart.
+func TestRestartContinuesByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	head := []JobRequest{qos("sgemm", 0.5), be("lbm"), qos("sgemm", 0.5)}
+	tail := []JobRequest{be("lbm"), qos("sgemm", 0.5), be("histo")}
+	drive := func(s *Server, reqs []JobRequest) (tiers []string) {
+		for _, req := range reqs {
+			j := submitWait(t, s, req)
+			v := j.view()
+			if v.Verdict == nil {
+				t.Fatalf("%+v: no verdict: %+v", req, v)
+			}
+			tiers = append(tiers, v.Verdict.Tier)
+			if v.State == string(JobAdmitted) {
+				if _, err := s.release(j.id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return tiers
+	}
+	stop := func(s *Server) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	whole, split := filepath.Join(dir, "whole.journal"), filepath.Join(dir, "split.journal")
+
+	s := testServer(t, Config{FastPath: true, JournalPath: whole})
+	drive(s, head)
+	wantTiers := drive(s, tail)
+	stop(s)
+	if fmt.Sprint(wantTiers) != "[cache cache sim]" {
+		t.Fatalf("uninterrupted tail decided by %v, want [cache cache sim]: the fixture no longer revisits decided mixes", wantTiers)
+	}
+
+	s = testServer(t, Config{FastPath: true, JournalPath: split})
+	drive(s, head)
+	stop(s)
+	s = testServer(t, Config{FastPath: true, JournalPath: split})
+	gotTiers := drive(s, tail)
+	stop(s)
+	if fmt.Sprint(gotTiers) != fmt.Sprint(wantTiers) {
+		t.Errorf("restarted daemon decided the tail by %v, uninterrupted by %v", gotTiers, wantTiers)
+	}
+
+	want, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal across a restart (%d bytes) differs from the uninterrupted daemon's (%d bytes)", len(got), len(want))
 	}
 }

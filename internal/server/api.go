@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -179,12 +180,30 @@ type verdictStatsResponse struct {
 	CacheCapacity int   `json:"cache_capacity,omitempty"`
 	// ModelEscapes counts decisions the model declined (coverage hole or
 	// a prediction inside the uncertainty band).
-	ModelEscapes int64 `json:"model_escapes"`
-	// Coalesced counts batched decisions that shared another arrival's
-	// what-if co-run instead of running their own.
-	Coalesced       int64   `json:"coalesced"`
+	ModelEscapes    int64   `json:"model_escapes"`
 	ModelVersion    string  `json:"model_version,omitempty"`
 	UncertaintyBand float64 `json:"uncertainty_band,omitempty"`
+}
+
+// maxBodyBytes caps a submission body; the largest legitimate one (a
+// named job with a periodic goal and a scheme pin) is a few hundred
+// bytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody reads one submission body (POST /v1/jobs, POST /v2/jobs)
+// into v: at most maxBodyBytes, exactly one JSON value, no unknown
+// fields (schema.DecodeStrict). Every failure is an ErrBadRequest (400);
+// an oversize body also carries its *http.MaxBytesError, which
+// httpStatus answers 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = schema.DecodeStrict(b, v)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadRequest, err)
+	}
+	return nil
 }
 
 // writeJSON writes v with the given status.

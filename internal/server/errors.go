@@ -53,6 +53,9 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrFleetDisabled):
 		return http.StatusNotImplemented
+	case errors.As(err, new(*http.MaxBytesError)):
+		// Ahead of ErrBadRequest, which decodeBody also wraps it in.
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest),
 		errors.Is(err, fleet.ErrBadRequest),
 		errors.Is(err, core.ErrUnknownScheme),

@@ -85,6 +85,8 @@ func TestKernelRequestNewGoalForms(t *testing.T) {
 			`{"kernel":{"workload":"rtdet","goal":{"periodic":{"instrs":10,"period_s":0.01,"deadline_s":0.02}}}}`, // deadline > period
 			`{"kernel":{"workload":"infer","goal":{"latency":{"instrs":10,"seconds":0.01,"percentile":0.1}}}}`,    // percentile < 0.5
 			`{"kernel":{"workload":"infer","goal":{"latency":{"instrs":0,"seconds":0.01}}}}`,                      // no work
+			`{"kernel":{"workload":"sgemm","deadline":{"instrs":9000000000000000000,"seconds":1e-300}}}`,          // IPC target +Inf
+			`{"kernel":{"workload":"infer","goal":{"latency":{"instrs":9000000000000000000,"seconds":1e-300}}}}`,  // same, typed form
 		} {
 			var req JobRequest
 			if err := json.Unmarshal([]byte(body), &req); err != nil {

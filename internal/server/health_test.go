@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,12 +26,19 @@ func getHealth(t *testing.T, ts *httptest.Server) (int, healthResponse) {
 	return resp.StatusCode, hr
 }
 
+// fakeClock is a clock the test owns: the decision loop and /healthz
+// read it through Server.now while the test advances it.
+type fakeClock struct{ ns atomic.Int64 }
+
+func (c *fakeClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
+
 // TestHealthzStallWatchdog wedges the decision loop deterministically
 // (via the test gate) and checks /healthz flips from 200 to a 503 with
 // decision_loop_stalled once the in-flight decision exceeds StallAfter —
 // then recovers to 200 with an advanced last-progress timestamp when the
 // loop moves again. This is the liveness contract an orchestrator polls:
-// a wedged controller must not keep answering "ok".
+// a wedged controller must not keep answering "ok". Time is the test's:
+// the watchdog's clock is advanced, never slept on.
 func TestHealthzStallWatchdog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -38,6 +46,9 @@ func TestHealthzStallWatchdog(t *testing.T) {
 	const stallAfter = 50 * time.Millisecond
 	s := testServer(t, Config{StallAfter: stallAfter})
 	s.gate = make(chan struct{})
+	clock := &fakeClock{}
+	clock.ns.Store(time.Now().UnixNano()) // not before the startup stamp
+	s.now = clock.Now
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -59,20 +70,20 @@ func TestHealthzStallWatchdog(t *testing.T) {
 		t.Fatalf("POST = %d", code)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) != 0 {
+	for s.decidingSinceNs.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("decision loop never picked up the job")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(2 * stallAfter)
+	clock.ns.Add(int64(2 * stallAfter))
 
 	code, hr = getHealth(t, ts)
 	if code != http.StatusServiceUnavailable || hr.Status != "stalled" || !hr.Stalled {
 		t.Fatalf("wedged healthz = %d %+v, want 503 stalled", code, hr)
 	}
-	if hr.InFlightMs < stallAfter.Milliseconds() {
-		t.Fatalf("decision_in_flight_ms = %d, want >= %d", hr.InFlightMs, stallAfter.Milliseconds())
+	if want := (2 * stallAfter).Milliseconds(); hr.InFlightMs != want {
+		t.Fatalf("decision_in_flight_ms = %d, want exactly %d", hr.InFlightMs, want)
 	}
 	if hr.LastProgressMs != baseline {
 		t.Fatalf("last progress moved while wedged: %d -> %d", baseline, hr.LastProgressMs)

@@ -12,7 +12,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -99,6 +98,9 @@ type Server struct {
 	// gate, when non-nil (tests only), holds the decision loop before
 	// each decision so queue states can be arranged deterministically.
 	gate chan struct{}
+	// now is the watchdog's clock: time.Now, except in tests that drive
+	// the stall threshold from a clock they own.
+	now func() time.Time
 
 	mixMu sync.Mutex
 	mix   []*job
@@ -163,8 +165,9 @@ func New(cfg Config) (*Server, error) {
 		stop:       cancel,
 		loopDone:   make(chan struct{}),
 		stallAfter: cfg.StallAfter,
+		now:        time.Now,
 	}
-	s.lastProgressNs.Store(time.Now().UnixNano())
+	s.lastProgressNs.Store(s.now().UnixNano())
 	if cfg.JournalPath != "" {
 		if err := s.openJournal(cfg.JournalPath); err != nil {
 			cancel()
@@ -276,10 +279,8 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	j, err := s.submit(req)
@@ -380,8 +381,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVerdictStats reports the tiered decision path's behavior:
-// per-tier decision counts and latency EWMAs, cache occupancy, model
-// escapes and batch coalescing. The same counters appear on /metrics.
+// per-tier decision counts and latency EWMAs, cache occupancy and model
+// escapes. The same counters appear on /metrics.
 func (s *Server) handleVerdictStats(w http.ResponseWriter, _ *http.Request) {
 	resp := verdictStatsResponse{
 		Schema:   schema.Version,
@@ -397,7 +398,6 @@ func (s *Server) handleVerdictStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	resp.CacheMisses = s.reg.Counter("verdict_cache_misses").Value()
 	resp.ModelEscapes = s.reg.Counter("model_escapes").Value()
-	resp.Coalesced = s.reg.Counter("verdicts_coalesced").Value()
 	s.statsMu.Unlock()
 	resp.CacheSize = s.dec.CacheLen()
 	resp.CacheCapacity = s.dec.CacheCap()
@@ -448,7 +448,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	var inflightMs int64
 	stalled := false
 	if since != 0 {
-		inflight := time.Since(time.Unix(0, since))
+		inflight := s.now().Sub(time.Unix(0, since))
 		inflightMs = inflight.Milliseconds()
 		stalled = inflight > s.stallAfter
 	}

@@ -87,6 +87,7 @@ func TestHTTPStatusTaxonomy(t *testing.T) {
 		{ErrUnknownJob, 404},
 		{ErrDraining, 503},
 		{ErrBadRequest, 400},
+		{fmt.Errorf("%w: %w", ErrBadRequest, &http.MaxBytesError{Limit: maxBodyBytes}), 413},
 		{core.ErrUnknownScheme, 400},
 		{core.ErrUnknownWorkload, 400},
 		{core.ErrBadGoal, 400},
@@ -133,10 +134,31 @@ func TestEndpointsSmoke(t *testing.T) {
 		`{"kernel":{"workload":"sgemm","goal_frac":0.5,"goal_ipc":3}}`,
 		`{"kernel":{"workload":"sgemm"},"scheme":"bogus"}`,
 		`{"kernel":{"workload":"sgemm"},"scheme":"spart"}`,
+		`{"kernel":{"workload":"sgemm"}} {"kernel":{"workload":"lbm"}}`, // trailing data
 	} {
 		if code, _ := post(t, ts, body); code != 400 {
 			t.Errorf("POST %s = %d, want 400", body, code)
 		}
+	}
+	// A body past the cap is 413, whatever it holds.
+	if code, _ := post(t, ts, `{"name":"`+strings.Repeat("x", maxBodyBytes)+`","kernel":{"workload":"sgemm"}}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of an oversize body = %d, want 413", code)
+	}
+	// A deadline that validates field by field but divides to an infinite
+	// IPC target is refused with a well-formed error body — it used to be
+	// accepted with an empty one (encoding/json cannot carry +Inf).
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kernel":{"workload":"sgemm","deadline":{"instrs":9000000000000000000,"seconds":1e-300}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("non-finite deadline: error body does not decode: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 || er.Code != 400 || er.Schema != schema.Version || er.Error == "" {
+		t.Fatalf("non-finite deadline = %d %+v, want a 400 envelope", resp.StatusCode, er)
 	}
 
 	// An unknown workload passes validation but fails its evaluation.

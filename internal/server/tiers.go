@@ -33,7 +33,7 @@ func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 		Model:           cfg.Model,
 		UncertaintyBand: cfg.UncertaintyBand,
 		CacheSize:       cfg.VerdictCacheSize,
-		SchemeName:      cfg.Scheme.Name(),
+		Scheme:          cfg.Scheme,
 	})
 }
 
@@ -46,9 +46,8 @@ func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 // are read (FastPath, Model, UncertaintyBand, VerdictCacheSize, Scheme);
 // Runner may be nil.
 type Replayer struct {
-	sess   *core.Session
-	scheme core.Scheme
-	dec    *verdict.Decider
+	sess *core.Session
+	dec  *verdict.Decider
 }
 
 // NewReplayer builds a replayer for the given session, which must match
@@ -61,7 +60,7 @@ func NewReplayer(sess *core.Session, cfg Config) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Replayer{sess: sess, scheme: cfg.Scheme, dec: dec}, nil
+	return &Replayer{sess: sess, dec: dec}, nil
 }
 
 // Replay decides one log entry. Kind "release" entries return (nil,
@@ -71,25 +70,9 @@ func (r *Replayer) Replay(ctx context.Context, d Decision) (*Verdict, error) {
 	if d.Kind != "decision" {
 		return nil, nil
 	}
-	specs := make([]core.KernelSpec, 0, len(d.Mix)+1)
-	ids := make([]string, 0, len(d.Mix)+1)
-	for _, m := range d.Mix {
-		specs = append(specs, m.Spec())
-		ids = append(ids, m.JobID)
-	}
-	specs = append(specs, d.Candidate.Spec())
-	ids = append(ids, d.JobID)
-	scheme := verdict.EffectiveScheme(r.scheme, specs)
-	sigs := verdict.KernelSigsOf(specs)
-	sig := r.dec.SignatureFor(sigs, scheme.Name())
-	if fr := r.dec.TryFast(sig, sigs, ids, scheme.Name()); fr.V != nil {
-		return fr.V, nil
-	}
-	res, err := r.sess.Run(ctx, specs, scheme)
-	if err != nil {
-		return nil, err
-	}
-	v := verdict.SimVerdict(res, ids, sig)
-	r.dec.Store(sig, v, sigs)
-	return v, nil
+	specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
+	v, _, err := r.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+		return r.sess.Run(ctx, specs, scheme)
+	})
+	return v, err
 }

@@ -16,8 +16,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"repro/internal/fleet"
@@ -66,10 +64,8 @@ func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+	if err := decodeBody(w, r, &req); err != nil {
+		s.writeErr(w, err)
 		return
 	}
 	j, err := f.Submit(req)

@@ -145,10 +145,15 @@ func TestV2EndpointsSmoke(t *testing.T) {
 		`{"workload":"sgemm","gpu_fraction":0.5,"goal":2.0}`,
 		`{"workload":"sgemm","gpu_fraction":0.5,"goal":{"ipc":1,"deadline":{"instrs":1,"seconds":1}}}`,
 		`{"workload":"sgemm","gpu_fraction":0.5,"scheme":"none"}`,
+		`{"workload":"sgemm","gpu_fraction":0.5} trailing`,
 	} {
 		if code, _ := v2Post(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, code)
 		}
+	}
+	// A body past the cap is 413, whatever it holds.
+	if code, _ := v2Post(t, ts, `{"name":"`+strings.Repeat("x", maxBodyBytes)+`","workload":"sgemm","gpu_fraction":0.5}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of an oversize body = %d, want 413", code)
 	}
 
 	// A fractional QoS job places on some node.

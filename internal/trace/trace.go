@@ -195,24 +195,6 @@ func (t *Tracer) SetEpoch(epoch int) {
 	}
 }
 
-// Emit appends a raw event. Prefer the typed helpers below; Emit exists
-// for tests and external collectors. Nil-safe.
-func (t *Tracer) Emit(ev Event) {
-	if t == nil || !t.enabled {
-		return
-	}
-	ev.Epoch = t.epoch
-	if t.filled {
-		t.dropped++ // overwriting the oldest event
-	}
-	t.ring[t.next] = ev
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.filled = true
-	}
-}
-
 // emit is the internal fast path shared by the typed helpers.
 func (t *Tracer) emit(cycle int64, kind Kind, sm, slot int, a, b float64) {
 	if t == nil || !t.enabled {

@@ -11,19 +11,22 @@ import (
 )
 
 // The tiered decision path, shared by the qosd decision loop, the
-// serial Replayer and every node of a fleet. Tier 1 is the exact
-// verdict cache above: a canonical mix signature either hits a decided
-// verdict or misses. Tier 2 is the analytic performance model
-// (internal/perfmodel): an instant interpolated prediction, trusted
-// only when every QoS goal ratio lands clearly outside the uncertainty
-// band. Tier 3 is the full what-if simulation, owned by the caller —
-// the Decider scores its result (SimVerdict) and caches it (Store).
+// serial Replayer and every node of a fleet: one call, Decider.Decide.
+// Tier 1 is the exact verdict cache: a canonical mix signature either
+// hits a decided verdict or misses. Tier 2 is the analytic performance
+// model (internal/perfmodel): an instant interpolated prediction,
+// trusted only when every QoS goal ratio lands clearly outside the
+// uncertainty band. Tier 3 is the full what-if simulation, which the
+// caller supplies as a function — the Decider calls it only when the
+// fast tiers fall through, scores its result and caches the verdict.
 //
 // Determinism contract: all mutation happens on one goroutine per
-// Decider (a decision loop, a node loop, or a replayer), in decision
-// order, so a serial replay of a decision log evolves an identical
-// cache and reproduces every verdict — and its deciding tier — bit for
-// bit.
+// Decider (a decision loop, a node's placement evaluations, or a
+// replayer), in decision order, so a serial replay of a decision log
+// evolves an identical cache and reproduces every verdict — and its
+// deciding tier — bit for bit. Restore is the same evolution without
+// the deciding: recovery feeds it the logged verdicts, so a restarted
+// owner continues with the cache the stopped one had.
 
 // DefaultCacheSize bounds the exact-verdict cache when the fast path is
 // enabled and DeciderConfig.CacheSize is zero.
@@ -45,14 +48,20 @@ type DeciderConfig struct {
 	UncertaintyBand float64
 	// CacheSize overrides DefaultCacheSize when positive.
 	CacheSize int
-	// SchemeName is the (already defaulted) QoS scheme the owner
-	// evaluates under, checked against the model fit's scheme.
-	SchemeName string
+	// Scheme is the (already defaulted) QoS scheme the owner evaluates
+	// under: what Decide hands sim for any mix with a goal to protect,
+	// and what the model fit's scheme is checked against.
+	Scheme core.Scheme
 }
 
-// Decider holds the fast-path state for one simulator session.
+// Decider decides admissions for one simulator session: Decide for a
+// live or replayed decision, Restore for one read back from a journal.
+// The owner supplies the simulation (a pooled traced run in the /v1
+// loop, a plain Session.Run in a fleet node and the Replayer); the tier
+// protocol around it lives here and nowhere else.
 type Decider struct {
 	enabled bool
+	scheme  core.Scheme
 	cache   *Cache
 	model   *perfmodel.Model
 	band    float64
@@ -69,7 +78,7 @@ func NewDecider(sess *core.Session, dc DeciderConfig) (*Decider, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decider{enabled: dc.FastPath, band: dc.UncertaintyBand, cfgHash: cfgHash}
+	d := &Decider{enabled: dc.FastPath, scheme: dc.Scheme, band: dc.UncertaintyBand, cfgHash: cfgHash}
 	if d.band <= 0 {
 		d.band = DefaultUncertaintyBand
 	}
@@ -89,8 +98,8 @@ func NewDecider(sess *core.Session, dc DeciderConfig) (*Decider, error) {
 			return nil, fmt.Errorf("verdict: model fit bound to config %.12s…, session runs %.12s… (refit under this device/window/seed)",
 				got, cfgHash)
 		}
-		if sc := dc.Model.Scheme(); sc != "" && sc != dc.SchemeName {
-			return nil, fmt.Errorf("verdict: model fit swept under scheme %q, decisions evaluate %q", sc, dc.SchemeName)
+		if sc := dc.Model.Scheme(); sc != "" && sc != dc.Scheme.Name() {
+			return nil, fmt.Errorf("verdict: model fit swept under scheme %q, decisions evaluate %q", sc, dc.Scheme.Name())
 		}
 		d.model = dc.Model
 	}
@@ -125,21 +134,71 @@ func (d *Decider) CacheCap() int {
 	return d.cache.Cap()
 }
 
-// SignatureFor hashes the mix under this decider's config hash.
-func (d *Decider) SignatureFor(sigs []KernelSig, schemeName string) string {
-	return Signature(sigs, schemeName, d.cfgHash)
-}
-
-// EffectiveScheme applies the goal-less-mix rule shared by evaluation
-// and replay: a hypothetical mix with no QoS kernel has no contract to
-// protect, so it runs (and is cached) under unmanaged sharing.
-func EffectiveScheme(scheme core.Scheme, specs []core.KernelSpec) core.Scheme {
-	for _, sp := range specs {
-		if sp.GoalFrac > 0 || sp.GoalIPC > 0 {
-			return scheme
+// Decide returns the admission verdict for the hypothetical mix specs
+// (incumbents first, candidate last; ids names the jobs in the same
+// order): effective scheme, signature, exact cache, model, and only when
+// those fall through sim — called at most once, with the scheme the
+// what-if must run under — whose result is scored and cached. A sim
+// error is returned as is and caches nothing. The FastResult is set on
+// every return, error included, so owners can keep their counters.
+func (d *Decider) Decide(specs []core.KernelSpec, ids []string, sim func(core.Scheme) (*core.Result, error)) (*schema.Verdict, FastResult, error) {
+	scheme, sigs, sig := d.sign(specs)
+	var fr FastResult
+	if d.enabled {
+		if cv, ok := d.cache.Get(sig); ok {
+			return cachedVerdict(cv, sigs, ids, sig), fr, nil
+		}
+		fr.CacheMiss = true
+		if d.model != nil {
+			if v := d.modelVerdict(sig, sigs, ids, scheme.Name()); v != nil {
+				// Model verdicts are cached too: the next identical mix is
+				// a tier-1 hit instead of a re-prediction.
+				d.store(sig, v, sigs)
+				return v, fr, nil
+			}
+			fr.ModelEscape = true
 		}
 	}
-	return core.SchemeNone
+	res, err := sim(scheme)
+	if err != nil {
+		return nil, fr, err
+	}
+	v := simVerdict(res, ids, sig)
+	d.store(sig, v, sigs)
+	return v, fr, nil
+}
+
+// Restore replays one logged decision into the cache exactly as
+// deciding it did: a cache-tier verdict was a hit, so it refreshes the
+// entry's LRU recency; a model- or sim-tier verdict is stored. Nothing
+// simulates. Journal recovery calls it per decision, in log order.
+func (d *Decider) Restore(specs []core.KernelSpec, v *schema.Verdict) {
+	if !d.enabled {
+		return
+	}
+	_, sigs, sig := d.sign(specs)
+	if v.Tier == schema.TierCache {
+		d.cache.Get(sig)
+		return
+	}
+	d.store(sig, v, sigs)
+}
+
+// sign lowers a hypothetical mix to what keys it: the effective scheme,
+// the kernel signatures and their hash under this decider's config. A
+// mix with no QoS kernel has no contract to protect — the QoS manager
+// refuses goal-less co-runs — so it runs (and is cached) under unmanaged
+// sharing and admits vacuously, still with real throughput evidence.
+func (d *Decider) sign(specs []core.KernelSpec) (core.Scheme, []KernelSig, string) {
+	scheme := core.SchemeNone
+	for _, sp := range specs {
+		if sp.GoalFrac > 0 || sp.GoalIPC > 0 {
+			scheme = d.scheme
+			break
+		}
+	}
+	sigs := KernelSigsOf(specs)
+	return scheme, sigs, Signature(sigs, scheme.Name(), d.cfgHash)
 }
 
 // KernelSigsOf lowers ordered kernel specs to signature form.
@@ -151,6 +210,34 @@ func KernelSigsOf(specs []core.KernelSpec) []KernelSig {
 	return sigs
 }
 
+// MixEntry is one kernel of a journaled admission snapshot — the mix a
+// decision saw, or its candidate — with enough to rebuild the what-if
+// spec on replay or recovery. Both decision journals (/v1's and a fleet
+// node's) write it.
+type MixEntry struct {
+	JobID    string  `json:"job_id"`
+	Workload string  `json:"workload"`
+	GoalFrac float64 `json:"goal_frac,omitempty"`
+	GoalIPC  float64 `json:"goal_ipc,omitempty"`
+}
+
+// Spec rebuilds the kernel spec the entry was evaluated with.
+func (m MixEntry) Spec() core.KernelSpec {
+	return core.KernelSpec{Workload: m.Workload, GoalFrac: m.GoalFrac, GoalIPC: m.GoalIPC}
+}
+
+// MixSpecs lowers a journaled decision — the mix it saw, then its
+// candidate — to the ordered specs and ids Decide and Restore take.
+func MixSpecs(mix []MixEntry, candidate MixEntry) ([]core.KernelSpec, []string) {
+	specs := make([]core.KernelSpec, 0, len(mix)+1)
+	ids := make([]string, 0, len(mix)+1)
+	for _, m := range mix {
+		specs = append(specs, m.Spec())
+		ids = append(ids, m.JobID)
+	}
+	return append(specs, candidate.Spec()), append(ids, candidate.JobID)
+}
+
 // evidenceRef renders the signature reference carried on verdicts.
 func evidenceRef(sig string) string {
 	if len(sig) > 16 {
@@ -160,42 +247,13 @@ func evidenceRef(sig string) string {
 }
 
 // FastResult reports what the fast tiers did for one decision, so the
-// caller can maintain counters without the decider knowing about them.
+// owner can maintain counters without the decider knowing about them.
 type FastResult struct {
-	// V is the decided verdict; nil means the decision falls to
-	// simulation.
-	V *schema.Verdict
 	// CacheMiss: the fast path is enabled and the exact cache missed.
 	CacheMiss bool
 	// ModelEscape: the model was consulted but declined (coverage hole
 	// or a prediction inside the uncertainty band).
 	ModelEscape bool
-}
-
-// TryFast runs tiers 1 and 2. ids lists the job ids in spec order
-// (incumbents first, candidate last); schemeName is the effective
-// scheme.
-func (d *Decider) TryFast(sig string, sigs []KernelSig, ids []string, schemeName string) FastResult {
-	if !d.enabled {
-		return FastResult{}
-	}
-	if cv, ok := d.cache.Get(sig); ok {
-		return FastResult{V: cachedVerdict(cv, sigs, ids, sig)}
-	}
-	out := FastResult{CacheMiss: true}
-	if d.model == nil {
-		return out
-	}
-	v := d.modelVerdict(sig, sigs, ids, schemeName)
-	if v == nil {
-		out.ModelEscape = true
-		return out
-	}
-	// Model verdicts are cached too: the next identical mix is a tier-1
-	// hit instead of a re-prediction.
-	d.Store(sig, v, sigs)
-	out.V = v
-	return out
 }
 
 // cachedVerdict maps a stored verdict's canonical-order outcomes back to
@@ -254,10 +312,10 @@ func (d *Decider) modelVerdict(sig string, sigs []KernelSig, ids []string, schem
 	return v
 }
 
-// SimVerdict scores a what-if simulation result (tier 3). The decision
+// simVerdict scores a what-if simulation result (tier 3). The decision
 // rule is the paper's QoS contract applied transitively: admit if and
 // only if every QoS kernel of the hypothetical mix reaches its goal.
-func SimVerdict(res *core.Result, ids []string, sig string) *schema.Verdict {
+func simVerdict(res *core.Result, ids []string, sig string) *schema.Verdict {
 	outs := make([]schema.KernelOutcome, len(res.Kernels))
 	for i, kr := range res.Kernels {
 		outs[i] = schema.KernelOutcome{
@@ -326,9 +384,9 @@ func missedList(outs []schema.KernelOutcome) string {
 	return strings.Join(missed, ", ")
 }
 
-// Store caches a decided verdict under its signature with outcomes in
+// store caches a decided verdict under its signature with outcomes in
 // canonical order and job ids stripped. No-op when the fast path is off.
-func (d *Decider) Store(sig string, v *schema.Verdict, sigs []KernelSig) {
+func (d *Decider) store(sig string, v *schema.Verdict, sigs []KernelSig) {
 	if !d.enabled {
 		return
 	}
@@ -350,13 +408,4 @@ func (d *Decider) Store(sig string, v *schema.Verdict, sigs []KernelSig) {
 		ModelVersion: v.ModelVersion,
 		Outcomes:     canon,
 	})
-}
-
-// Touch refreshes sig's LRU recency without storing anything, exactly
-// as a live cache hit would. Journal recovery uses it to re-evolve the
-// cache through logged cache-tier decisions.
-func (d *Decider) Touch(sig string) {
-	if d.enabled {
-		d.cache.Get(sig)
-	}
 }

@@ -1,17 +1,28 @@
-// Package verdict implements the exact-match tier of the admission fast
-// path: a canonical mix signature (order- and identity-invariant hash of
-// the hypothetical mix, the effective scheme and the simulator
-// configuration) and a bounded LRU cache mapping signatures to decided
-// verdicts. Two submissions whose hypothetical mixes contain the same
-// kernels with the same goals — regardless of submission order, job ids
-// or client labels — share one signature, so the second decision is a
-// cache hit instead of a simulation.
+// Package verdict is the admission decision both serving planes share.
+// Its one entry point is Decider.Decide: given the hypothetical mix
+// (the admitted kernels plus the candidate) and a function that runs the
+// what-if simulation, it returns the verdict — from the exact-match
+// cache, from the analytic model, or by calling the simulation, scoring
+// its result against the paper's QoS contract (admit only if every goal
+// holds) and caching it. The owner supplies the simulation — the /v1
+// decision loop a traced run on a pooled session, a fleet node and the
+// Replayer a plain Session.Run — and nothing else of the protocol;
+// Decider.Restore replays a journaled decision into the cache so a
+// restarted owner continues where the stopped one left off.
 //
-// Determinism contract: the cache is driven only by the single-goroutine
-// decision loop (internal/server), in decision order. Eviction is plain
-// LRU over that serial access sequence, so a serial replay of the
-// decision log evolves an identical cache and reproduces every hit, miss
-// and eviction — and therefore every verdict's deciding tier.
+// This file is the cache tier: a canonical mix signature (order- and
+// identity-invariant hash of the hypothetical mix, the effective scheme
+// and the simulator configuration) and a bounded LRU cache mapping
+// signatures to decided verdicts. Two submissions whose hypothetical
+// mixes contain the same kernels with the same goals — regardless of
+// submission order, job ids or client labels — share one signature, so
+// the second decision is a cache hit instead of a simulation.
+//
+// Determinism contract: a cache is driven by one goroutine at a time
+// (its Decider's owner), in decision order. Eviction is plain LRU over
+// that serial access sequence, so a serial replay of the decision log
+// evolves an identical cache and reproduces every hit, miss and
+// eviction — and therefore every verdict's deciding tier.
 package verdict
 
 import (
@@ -96,8 +107,8 @@ type Cached struct {
 }
 
 // Cache is a bounded LRU of decided verdicts keyed by mix signature.
-// Get and Put are called only from the decision loop; the mutex exists
-// so Len can be read from HTTP handlers without a race.
+// Get and Put are called only by the Decider's owner; the mutex exists so
+// Len can be read from HTTP handlers without a race.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int

@@ -48,22 +48,6 @@ var openWorld = []kern.Profile{
 	},
 }
 
-// OpenWorld returns a copy of the open-world profiles.
-func OpenWorld() []kern.Profile {
-	out := make([]kern.Profile, len(openWorld))
-	copy(out, openWorld)
-	return out
-}
-
-// OpenWorldNames lists the open-world benchmark names.
-func OpenWorldNames() []string {
-	names := make([]string, len(openWorld))
-	for i, p := range openWorld {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // OpenWorldPairs enumerates the open-world pair grid: each open-world
 // kernel as the QoS kernel against every paper benchmark. It is the
 // sweep grid of the `sweep -suite openworld` study, deliberately
