@@ -22,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-check bench-figures profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-figures profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -36,6 +36,17 @@ test:
 # per-layer passes, as a table (see benchmark/README.md).
 bench:
 	$(GO) run ./benchmark
+
+# "Is it faster": the paired protocol a speed claim rests on. PARENT is a
+# checkout of the parent commit (git clone, outside this tree); both sides
+# run the same untraced pass of one workload, alternating which goes
+# first, then the seed nobody tuned against once a side. It drives
+# benchmark/ and reports the metric it already measures (METRIC, default
+# work_per_s), nothing of its own.
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<checkout> WORKLOAD=<name> [PAIRS=10] [METRIC=work_per_s]" >&2; exit 2; }
+	@bash scripts/bench-ab.sh "$(PARENT)" "$(WORKLOAD)" $(PAIRS) $(METRIC)
 
 # "Did results change": the traced pass of each workload, one second of
 # timed section. Fails when the program exits non-zero (a Replayer,

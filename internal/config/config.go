@@ -188,6 +188,11 @@ func (g GPU) Validate() error {
 		return errors.New("config: per-SM resources must be positive")
 	case g.CtxSaveBWBytes <= 0:
 		return errors.New("config: CtxSaveBWBytes must be positive")
+	case g.IssueBackoff < 1 || g.ALULatency < 1 || g.SFULatency < 1 || g.SharedMemLat < 1 ||
+		g.BarrierLat < 1 || g.WriteLatency < 1 || g.L1HitLatency < 1:
+		// Less would make a warp ready in its own past; internal/sm's
+		// decoder also reads a zero delay as "none".
+		return errors.New("config: issue backoff and execution, barrier, write and L1-hit latencies must be at least 1")
 	}
 	if err := g.L1.Validate(); err != nil {
 		return fmt.Errorf("L1: %w", err)

@@ -65,6 +65,13 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero txn credits", func(g *GPU) { g.TxnFlightCapPerSM = 0 }},
 		{"zero regfile", func(g *GPU) { g.RegFileBytes = 0 }},
 		{"zero ctx bandwidth", func(g *GPU) { g.CtxSaveBWBytes = 0 }},
+		{"zero issue backoff", func(g *GPU) { g.IssueBackoff = 0 }},
+		{"zero ALU latency", func(g *GPU) { g.ALULatency = 0 }},
+		{"negative SFU latency", func(g *GPU) { g.SFULatency = -20 }},
+		{"zero shared-memory latency", func(g *GPU) { g.SharedMemLat = 0 }},
+		{"zero barrier latency", func(g *GPU) { g.BarrierLat = 0 }},
+		{"negative write latency", func(g *GPU) { g.WriteLatency = -4 }},
+		{"zero L1 hit latency", func(g *GPU) { g.L1HitLatency = 0 }},
 		{"odd L1 line", func(g *GPU) { g.L1.LineBytes = 100 }},
 		{"L2 set count not pow2", func(g *GPU) { g.L2.SizeBytes = 3 * g.L2.LineBytes * g.L2.Assoc }},
 	}

@@ -129,10 +129,14 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	for i := range g.Stats {
 		g.Stats[i] = &metrics.KernelStats{}
 	}
+	progs, err := sm.Decode(cfg, kernels)
+	if err != nil {
+		return nil, err
+	}
 	g.SMs = make([]*sm.SM, cfg.NumSMs)
 	for i := range g.SMs {
 		s := sm.New(i, cfg, g.Mem)
-		s.Configure(kernels, g.Stats, nil)
+		s.Configure(progs, g.Stats, nil)
 		s.OnTBComplete = g.onTBComplete
 		g.SMs[i] = s
 	}

@@ -48,6 +48,18 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(bad, buildKernels(t, "a")); err == nil {
 		t.Fatal("New accepted invalid config")
 	}
+	// An SM tags each in-flight transaction with its kernel slot in 8 bits
+	// (tag 0 is a load miss): 255 slots fit, 256 do not.
+	many := make([]*kern.Kernel, 256)
+	for i, k := 0, buildKernels(t, "a")[0]; i < len(many); i++ {
+		many[i] = k
+	}
+	if _, err := New(smallCfg(), many[:255]); err != nil {
+		t.Fatalf("New rejected 255 kernels: %v", err)
+	}
+	if _, err := New(smallCfg(), many); err == nil {
+		t.Fatal("New accepted more kernels than a completion tag can name")
+	}
 }
 
 func TestIsolatedRunProgress(t *testing.T) {

@@ -253,15 +253,18 @@ func sampleTransactions(mean float64, src *rng.Source) uint8 {
 // WarpsPerTB returns the number of 32-thread warps per thread block.
 func (k *Kernel) WarpsPerTB() int { return (k.Profile.ThreadsPerTB + 31) / 32 }
 
+// Boosted reports whether the given loop iteration falls in a memory-
+// boosted phase: the kernel alternates base/boosted every PhasePeriod
+// iterations.
+func (k *Kernel) Boosted(iter int) bool {
+	p := &k.Profile
+	return p.PhasePeriod > 0 && (iter/p.PhasePeriod)%2 == 1
+}
+
 // BodyFor returns the instruction body a warp executes on the given loop
 // iteration, honouring the kernel's phase behaviour.
 func (k *Kernel) BodyFor(iter int) []isa.Instr {
-	p := k.Profile
-	if p.PhasePeriod <= 0 {
-		return k.Body
-	}
-	// Alternate base/boosted every PhasePeriod iterations.
-	if (iter/p.PhasePeriod)%2 == 1 {
+	if k.Boosted(iter) {
 		return k.BodyAlt
 	}
 	return k.Body
@@ -269,7 +272,7 @@ func (k *Kernel) BodyFor(iter int) []isa.Instr {
 
 // TBResources returns the static per-TB demand.
 func (k *Kernel) TBResources() Resources {
-	p := k.Profile
+	p := &k.Profile
 	return Resources{
 		Threads:  p.ThreadsPerTB,
 		RegBytes: p.ThreadsPerTB * p.RegsPerThread * 4,

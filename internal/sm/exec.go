@@ -29,22 +29,17 @@ func (s *SM) Cycle(now int64) {
 		return
 	}
 	s.settleIdle()
-	// Release MSHRs whose misses completed and transaction credits
-	// whose requests drained.
-	popped := false
-	for s.outstanding > 0 && s.missHeap[0] <= now {
-		s.popMiss()
-		popped = true
-	}
-	for slot := range s.txnHeap {
-		for s.txnFlight[slot] > 0 && s.txnHeap[slot][0] <= now {
-			popHeap(&s.txnHeap[slot])
-			s.txnFlight[slot]--
-			s.txnTotal--
-			popped = true
+	if now >= s.done.top {
+		// Release MSHRs whose misses completed and transaction credits
+		// whose requests drained.
+		for s.done.top <= now {
+			if tag := s.done.pop(); tag == 0 {
+				s.outstanding--
+			} else {
+				s.txnFlight[tag-1]--
+				s.txnTotal--
+			}
 		}
-	}
-	if popped {
 		// A freed MSHR or transaction credit can unblock a structurally
 		// stalled scheduler; wake those sleepers for this cycle's scan.
 		// (Completion times are not monotonic in issue order, so a sleep
@@ -82,23 +77,12 @@ func (s *SM) Cycle(now int64) {
 		// future: the SM can sleep until the earliest of them. Any
 		// asynchronous enabler (quota replenishment, dispatch, barrier
 		// release, TB retirement raising the credit budget) ends the
-		// window via Wake/Dispatch.
-		idle := s.scheds[0].nextWake
-		for i := 1; i < len(s.scheds); i++ {
-			if s.scheds[i].nextWake < idle {
-				idle = s.scheds[i].nextWake
-			}
-		}
-		// Completion-heap events must still fire on time: a pop releases
-		// an MSHR or credit (rousing structural sleepers) and keeps the
-		// occupancy counters current.
-		if len(s.missHeap) > 0 && s.missHeap[0] < idle {
-			idle = s.missHeap[0]
-		}
-		for slot := range s.txnHeap {
-			if h := s.txnHeap[slot]; len(h) > 0 && h[0] < idle {
-				idle = h[0]
-			}
+		// window via Wake/Dispatch. Completion-heap events must still
+		// fire on time: a pop releases an MSHR or credit (rousing
+		// structural sleepers) and keeps the occupancy counters current.
+		idle := s.done.top
+		for i := range s.scheds {
+			idle = min(idle, s.scheds[i].nextWake)
 		}
 		s.idleUntil = idle
 	}
@@ -161,10 +145,8 @@ func (s *SM) SettleIdle() { s.settleIdle() }
 func (s *SM) pick(now int64, sch *scheduler) *Warp {
 	sch.drain(now)
 	cand := sch.ready
-	for slot, ok := range s.gateOK {
-		if !ok {
-			cand &^= sch.slots[slot]
-		}
+	for _, slot := range s.gatedResident {
+		cand &^= sch.slots[slot]
 	}
 	memOps := sch.ld | sch.st
 	// Greedy reuse applies to compute instructions only: letting the
@@ -172,8 +154,8 @@ func (s *SM) pick(now int64, sch *scheduler) *Warp {
 	// MSHRs, transaction credits) ahead of older warps starves sparse
 	// memory requesters behind a streaming kernel indefinitely. Memory
 	// instructions always arbitrate age-ordered.
-	if w := sch.last; w != nil && (cand&^memOps)>>w.pos&1 != 0 {
-		return w
+	if greedy := sch.last & cand &^ memOps; greedy != 0 {
+		return sch.warps[bits.TrailingZeros64(greedy)]
 	}
 	// Structural blocks are read straight from SM state, first failing
 	// cause first (ports, then MSHRs, then credits), and strike a whole
@@ -224,10 +206,7 @@ func (s *SM) pick(now int64, sch *scheduler) *Warp {
 		// Bucket (now+1+j)&31 lands on bit j after the rotation.
 		next = now + 1 + int64(bits.TrailingZeros32(bits.RotateLeft32(sch.occupied, -int(now+1)&(wheelSlots-1))))
 	}
-	if len(sch.wakeQ) > 0 && sch.wakeQ[0].at < next {
-		next = sch.wakeQ[0].at
-	}
-	sch.nextWake = next
+	sch.nextWake = min(next, sch.wakeQ.top)
 	sch.structSleep = structBlocked
 	return nil
 }
@@ -254,13 +233,11 @@ func (sch *scheduler) drain(now int64) {
 		}
 	}
 	sch.drained = now
-	for len(sch.wakeQ) > 0 && sch.wakeQ[0].at <= now {
-		e := sch.wakeQ[0]
-		popWake(&sch.wakeQ)
+	for at := sch.wakeQ.top; at <= now; at = sch.wakeQ.top {
 		// An entry outlives its warp's retirement or preemption, and a
 		// deferred warp (DeferTB) was filed again under its later time:
 		// only the entry that still names the warp's readyAt counts.
-		if w := e.w; !w.done && !w.atBarrier && w.readyAt == e.at {
+		if w := sch.warps[sch.wakeQ.pop()]; !w.done && !w.atBarrier && w.readyAt == at {
 			sch.ready |= 1 << w.pos
 		}
 	}
@@ -271,12 +248,8 @@ func (sch *scheduler) drain(now int64) {
 // class of its next instruction in ld / st.
 func (sch *scheduler) file(w *Warp) {
 	bit := uint64(1) << w.pos
-	switch w.body[w.pc].Op {
-	case isa.OpLdGlobal:
-		sch.ld |= bit
-	case isa.OpStGlobal:
-		sch.st |= bit
-	}
+	sch.ld |= bit & w.body[w.pc].ld
+	sch.st |= bit & w.body[w.pc].st
 	switch ahead := w.readyAt - sch.drained; {
 	case ahead <= 0:
 		sch.ready |= bit
@@ -285,7 +258,7 @@ func (sch *scheduler) file(w *Warp) {
 		sch.wheel[i] |= bit
 		sch.occupied |= 1 << i
 	default:
-		pushWake(&sch.wakeQ, wakeEnt{w.readyAt, w})
+		sch.wakeQ.push(w.readyAt, int(w.pos))
 	}
 }
 
@@ -309,45 +282,72 @@ func (s *SM) drop(w *Warp) {
 	sch := &s.scheds[w.schedIdx]
 	sch.unfile(w)
 	sch.slots[w.slot] &^= 1 << w.pos
-	if sch.last == w {
-		sch.last = nil
-	}
+	sch.last &^= 1 << w.pos
 	sch.deadCnt++
 	if sch.deadCnt > 16 && sch.deadCnt > len(sch.warps)/2 {
 		sch.compact()
 	}
 }
 
-// issue executes one warp instruction of w at time now. The warp leaves
-// the scheduler's masks up front and is filed again once, at the end,
-// under its new readyAt and next instruction — unless it finished or
-// stopped at a barrier on the way.
+// issue executes one warp instruction of w at time now. The winner came
+// out of ready, so no bucket holds it: its mask bits are cleared in place,
+// and it is filed again once under its new readyAt and next instruction —
+// unless it finished or stopped at a barrier on the way. An instruction
+// decoded with a delay does that in straight-line code; global memory,
+// barriers, divergence and the loop back-edge take the general path.
 func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
-	sch.unfile(w)
+	bit := uint64(1) << w.pos
+	sch.ready &^= bit
+	sch.ld &^= bit
+	sch.st &^= bit
 	in := &w.body[w.pc]
 	lanes := w.activeLanes
-	st := s.kernels[w.slot].stats
+	ks := &s.kernels[w.slot]
+	st := ks.stats
 	st.WarpInstrs++
 	st.ThreadInstrs += int64(lanes)
 	st.NoteIssue(now)
+	*ks.byOp[in.Op]++
 	s.IssuedWarpInstrs++
 	if s.gate != nil {
 		s.gate.OnIssue(s.ID, w.slot, lanes)
 	}
-	sch.last = w
+	sch.last = bit
+	if in.delay != 0 {
+		// pick just drained to now and 1 <= delay < wheelSlots: the warp
+		// belongs in a bucket, and its successor is in the same body.
+		w.readyAt = now + in.delay
+		w.pc++
+		sch.ld |= bit & w.body[w.pc].ld
+		sch.st |= bit & w.body[w.pc].st
+		i := w.readyAt & (wheelSlots - 1)
+		sch.wheel[i] |= bit
+		sch.occupied |= 1 << i
+		return
+	}
 
 	switch in.Op {
-	case isa.OpIAlu, isa.OpFAlu:
-		st.ALUInstrs++
-		s.finishCompute(now, w, s.cfg.ALULatency)
-	case isa.OpSFU:
-		st.SFUInstrs++
-		s.finishCompute(now, w, s.cfg.SFULatency)
-	case isa.OpLdShared, isa.OpStShared:
-		st.SharedInstrs++
-		s.finishCompute(now, w, s.cfg.SharedMemLat)
-	case isa.OpBranch:
-		st.Branches++
+	case isa.OpBarrier:
+		w.atBarrier = true
+		w.tb.BarrierWait++
+		if w.tb.BarrierWait == w.tb.LiveWarps {
+			s.releaseBarrier(now, w.tb)
+		}
+		sch.last = 0
+		return // the barrier release files it
+	case isa.OpLdGlobal:
+		s.memIssues++
+		w.readyAt = s.globalAccess(now, w, in, lanes, mem.Read)
+		if !s.nextDepends(w) {
+			// Hit-under-miss: the warp keeps going; the MSHR is held
+			// until the data returns.
+			w.readyAt = now + s.cfg.IssueBackoff
+		}
+	case isa.OpStGlobal:
+		s.memIssues++
+		s.globalAccess(now, w, in, lanes, mem.Write)
+		w.readyAt = now + s.cfg.WriteLatency // posted
+	default:
 		if in.Divergent {
 			// Divergence idles a deterministic per-warp fraction of
 			// lanes until reconvergence at the loop back-edge.
@@ -362,50 +362,18 @@ func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
 				w.activeLanes -= drop
 			}
 		}
-		s.finishCompute(now, w, s.cfg.ALULatency)
-	case isa.OpBarrier:
-		st.Barriers++
-		w.atBarrier = true
-		w.tb.BarrierWait++
-		if w.tb.BarrierWait == w.tb.LiveWarps {
-			s.releaseBarrier(now, w.tb)
-		}
-		sch.last = nil
-		return // the barrier release files it
-	case isa.OpLdGlobal:
-		st.GlobalLoads++
-		s.memIssues++
-		done := s.globalAccess(now, w, in, lanes, mem.Read)
+		// Result latency: the warp stalls for all of it only if the next
+		// instruction consumes this result; otherwise it can re-issue
+		// after the pipeline backoff.
+		w.readyAt = now + s.cfg.IssueBackoff
 		if s.nextDepends(w) {
-			w.readyAt = done
-		} else {
-			// Hit-under-miss: the warp keeps going; the MSHR is held
-			// until the data returns.
-			w.readyAt = now + s.cfg.IssueBackoff
+			w.readyAt = now + latency(&s.cfg, in.Op)
 		}
-		s.advance(now, w)
-	case isa.OpStGlobal:
-		st.GlobalStores++
-		s.memIssues++
-		s.globalAccess(now, w, in, lanes, mem.Write)
-		w.readyAt = now + s.cfg.WriteLatency // posted
-		s.advance(now, w)
 	}
+	s.advance(now, w)
 	if !w.done {
 		sch.file(w)
 	}
-}
-
-// finishCompute applies result latency: the warp stalls for the full
-// latency only if the next instruction consumes this result; otherwise it
-// can re-issue after the pipeline backoff.
-func (s *SM) finishCompute(now int64, w *Warp, lat int64) {
-	if s.nextDepends(w) {
-		w.readyAt = now + lat
-	} else {
-		w.readyAt = now + s.cfg.IssueBackoff
-	}
-	s.advance(now, w)
 }
 
 // nextDepends reports whether the instruction after w.pc depends on the
@@ -414,16 +382,13 @@ func (s *SM) nextDepends(w *Warp) bool {
 	if w.pc+1 < len(w.body) {
 		return w.body[w.pc+1].DependsOnPrev
 	}
-	if w.iter+1 >= w.kernel.Profile.Iterations {
-		return false
-	}
-	nb := w.kernel.BodyFor(w.iter + 1)
-	return nb[0].DependsOnPrev
+	next := s.kernels[w.slot].bodyFor(w.iter + 1)
+	return w.iter+1 < w.kernel.Profile.Iterations && next[0].DependsOnPrev
 }
 
 // globalAccess performs the coalesced transactions of a global memory
 // instruction and returns the completion time of the slowest one.
-func (s *SM) globalAccess(now int64, w *Warp, in *isa.Instr, lanes int, kind mem.AccessKind) int64 {
+func (s *SM) globalAccess(now int64, w *Warp, in *decoded, lanes int, kind mem.AccessKind) int64 {
 	st := s.kernels[w.slot].stats
 	// Scale transaction count with the active lanes.
 	n := (int(in.Transactions)*lanes + s.cfg.WarpSize - 1) / s.cfg.WarpSize
@@ -456,7 +421,8 @@ func (s *SM) globalAccess(now int64, w *Warp, in *isa.Instr, lanes int, kind mem
 		}
 	}
 	if kind == mem.Read && missed {
-		s.pushMiss(done)
+		s.done.push(done, 0)
+		s.outstanding++
 	}
 	return done
 }
@@ -474,7 +440,7 @@ func (s *SM) advance(now int64, w *Warp) {
 		s.warpDone(now, w)
 		return
 	}
-	w.body = w.kernel.BodyFor(w.iter)
+	w.body = s.kernels[w.slot].bodyFor(w.iter)
 	w.activeLanes = s.cfg.WarpSize // reconverge at the back-edge
 }
 
@@ -547,7 +513,7 @@ func (s *SM) freeTB(now int64, tb *TB) {
 
 // compact drops finished warps from a scheduler's list, preserving age
 // order. Survivors are renumbered, so every mask is squeezed the same
-// way. Wake-heap entries hold warps, not positions, and need nothing.
+// way and the wake heap is rebuilt from the entries that name a survivor.
 func (sch *scheduler) compact() {
 	var live uint64
 	out := sch.warps[:0]
@@ -564,6 +530,7 @@ func (sch *scheduler) compact() {
 	sch.warps = out
 	sch.deadCnt = 0
 	sch.ready = squeeze(sch.ready, live)
+	sch.last = squeeze(sch.last, live)
 	sch.ld = squeeze(sch.ld, live)
 	sch.st = squeeze(sch.st, live)
 	for i := range sch.slots {
@@ -572,6 +539,13 @@ func (sch *scheduler) compact() {
 	for occ := sch.occupied; occ != 0; occ &= occ - 1 {
 		i := bits.TrailingZeros32(occ)
 		sch.wheel[i] = squeeze(sch.wheel[i], live)
+	}
+	q := sch.wakeQ.q
+	sch.wakeQ = timeHeap{top: noWake, q: q[:0]}
+	for _, e := range q {
+		if p := uint(e & tagMask); live>>p&1 != 0 {
+			sch.wakeQ.push(e>>tagBits, bits.OnesCount64(live&(1<<p-1)))
+		}
 	}
 }
 
@@ -610,21 +584,40 @@ func (s *SM) refreshTxnCap() {
 // holdTxn charges one of the slot's in-flight transaction credits until
 // time t.
 func (s *SM) holdTxn(slot int, t int64) {
-	pushHeap(&s.txnHeap[slot], t)
+	s.done.push(t, slot+1)
 	s.txnFlight[slot]++
 	s.txnTotal++
 }
 
-// ---- MSHR / credit min-heaps ----
+// ---- min-heaps of times ----
 
-func (s *SM) pushMiss(t int64) {
-	pushHeap(&s.missHeap, t)
-	s.outstanding++
+// tagBits is the width of the tag a timeHeap entry carries beside its time.
+const (
+	tagBits = 8
+	tagMask = 1<<tagBits - 1
+)
+
+// timeHeap is a min-heap of time<<tagBits | tag entries that keeps the
+// earliest time where checking it costs no more than a compare.
+type timeHeap struct {
+	top int64 // time of q[0]; noWake when empty
+	q   []int64
 }
 
-func (s *SM) popMiss() {
-	popHeap(&s.missHeap)
-	s.outstanding--
+func (h *timeHeap) push(t int64, tag int) {
+	pushHeap(&h.q, t<<tagBits|int64(tag))
+	h.top = min(h.top, t)
+}
+
+// pop removes the earliest entry and returns its tag.
+func (h *timeHeap) pop() int {
+	tag := int(h.q[0] & tagMask)
+	popHeap(&h.q)
+	h.top = noWake
+	if len(h.q) > 0 {
+		h.top = h.q[0] >> tagBits
+	}
+	return tag
 }
 
 // pushHeap inserts t into the min-heap h.
@@ -656,57 +649,6 @@ func popHeap(h *[]int64) {
 			small = l
 		}
 		if r < n && a[r] < a[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		a[i], a[small] = a[small], a[i]
-		i = small
-	}
-	*h = a
-}
-
-// ---- wake-time min-heap (warp pointer payload) ----
-
-// wakeEnt is one sleeping warp and the cycle its readyAt passes. Entries
-// can go stale (the warp finished, was preempted or was deferred while
-// asleep); drain validates each against the warp's live state.
-type wakeEnt struct {
-	at int64
-	w  *Warp
-}
-
-// pushWake inserts e into the min-heap h (ordered by wake time).
-func pushWake(h *[]wakeEnt, e wakeEnt) {
-	a := append(*h, e)
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].at <= a[i].at {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-	*h = a
-}
-
-// popWake removes the minimum of the min-heap h.
-func popWake(h *[]wakeEnt) {
-	a := *h
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = wakeEnt{}
-	a = a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && a[l].at < a[small].at {
-			small = l
-		}
-		if r < n && a[r].at < a[small].at {
 			small = r
 		}
 		if small == i {

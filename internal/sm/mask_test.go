@@ -9,21 +9,83 @@ import (
 	"repro/internal/rng"
 )
 
-// checkMasks validates the scheduler representation (see scheduler): it
-// returns "" or a description of the first violated invariant.
+// checkMasks validates the scheduler representation (see scheduler) and
+// the SM's completion heap with the counters and cached top that mirror
+// it: it returns "" or a description of the first violated invariant.
 func checkMasks(s *SM) string {
 	for si := range s.scheds {
 		if msg := checkScheduler(si, &s.scheds[si]); msg != "" {
 			return fmt.Sprintf("scheduler %d: %s", si, msg)
 		}
 	}
+	if msg := checkTop(&s.done); msg != "" {
+		return "completion heap: " + msg
+	}
+	misses, txns := 0, make([]int, len(s.txnFlight))
+	for _, e := range s.done.q {
+		if tag := int(e & tagMask); tag == 0 {
+			misses++
+		} else {
+			txns[tag-1]++
+		}
+	}
+	total := 0
+	for slot, n := range txns {
+		if n != s.txnFlight[slot] {
+			return fmt.Sprintf("txnFlight[%d] = %d, the heap holds %d entries tagged %d", slot, s.txnFlight[slot], n, slot+1)
+		}
+		total += n
+	}
+	if misses != s.outstanding || total != s.txnTotal {
+		return fmt.Sprintf("outstanding %d, txnTotal %d; the heap holds %d misses and %d transactions",
+			s.outstanding, s.txnTotal, misses, total)
+	}
 	return ""
+}
+
+// checkTop validates a timeHeap's cached top: the earliest time of any
+// entry, noWake when there is none.
+func checkTop(h *timeHeap) string {
+	want := noWake
+	for _, e := range h.q {
+		want = min(want, e>>tagBits)
+	}
+	if h.top != want || (len(h.q) > 0 && h.q[0]>>tagBits != want) {
+		return fmt.Sprintf("cached top %d, earliest of %d entries %d", h.top, len(h.q), want)
+	}
+	return ""
+}
+
+// walkIdleWarps is the sampler SampleIdleWarps replaced — a walk over
+// every warp list — kept as its oracle. It returns the per-slot ready
+// counts besides accumulating the attributed excess into out.
+func walkIdleWarps(s *SM, now int64, out []int64) []int {
+	ready := make([]int, len(s.kernels))
+	total := 0
+	for i := range s.scheds {
+		for _, w := range s.scheds[i].warps {
+			if w.done || w.atBarrier || w.readyAt > now || !s.gate.CanIssue(s.ID, w.slot) {
+				continue
+			}
+			ready[w.slot]++
+			total++
+		}
+	}
+	if excess := total - s.cfg.WarpSchedulers; excess > 0 {
+		for slot, r := range ready {
+			out[slot] += int64(excess * r / total)
+		}
+	}
+	return ready
 }
 
 func checkScheduler(si int, sch *scheduler) string {
 	n := len(sch.warps)
 	if n > maskBits {
 		return fmt.Sprintf("%d warps in the list, masks hold %d", n, maskBits)
+	}
+	if msg := checkTop(&sch.wakeQ); msg != "" {
+		return "wake heap: " + msg
 	}
 	// Where warps are filed: ready, the buckets (each warp in one at
 	// most), and the heap entries that still name their warp's readyAt.
@@ -37,13 +99,14 @@ func checkScheduler(si int, sch *scheduler) string {
 		}
 		buckets |= m
 	}
-	for _, e := range sch.wakeQ {
-		w := e.w
-		if w.done || w.atBarrier || w.readyAt != e.at {
-			continue // stale: drain drops it
+	for _, e := range sch.wakeQ.q {
+		at, pos := e>>tagBits, int(e&tagMask)
+		if pos >= n {
+			return fmt.Sprintf("heap entry at %d names position %d of %d", at, pos, n)
 		}
-		if w.schedIdx != si || int(w.pos) >= n || sch.warps[w.pos] != w {
-			return fmt.Sprintf("heap entry at %d names a warp that is not warps[%d]", e.at, w.pos)
+		w := sch.warps[pos]
+		if w.done || w.atBarrier || w.readyAt != at {
+			continue // stale: drain drops it
 		}
 		if heaped>>w.pos&1 != 0 {
 			return fmt.Sprintf("warp %d has two live heap entries", w.pos)
@@ -107,8 +170,8 @@ func checkScheduler(si int, sch *scheduler) string {
 			return fmt.Sprintf("warp %d next op %v, class bits ld=%v st=%v", i, op, sch.ld&bit != 0, sch.st&bit != 0)
 		}
 	}
-	if w := sch.last; w != nil && (w.done || w.schedIdx != si || int(w.pos) >= n || sch.warps[w.pos] != w) {
-		return "last names a warp that is finished or not in the list"
+	if l := sch.last; l&(l-1) != 0 || l&^slotted != 0 {
+		return fmt.Sprintf("last = %#x is not one bit of a live listed warp (live %#x)", l, slotted)
 	}
 	return ""
 }
@@ -142,13 +205,17 @@ func maskProfiles() []kern.Profile {
 // histories — two or three kernels drawn from maskProfiles, a quota gate
 // that flips per slot, TB preemptions, whole-SM drains, resumed and
 // deferred dispatches, deferrals of running TBs — and validates every
-// scheduler mask after every cycle. One, two and four schedulers: with
-// one, the warp list holds all 64 contexts and Dispatch must compact it
-// to make room.
+// scheduler mask after every cycle, and the popcount idle-warp sampler
+// against the list walk at every sample boundary. One, two and four
+// schedulers: with one, the warp list holds all 64 contexts and Dispatch
+// must compact it to make room. Seed 5 adds a shared-memory kernel under
+// SharedMemLat = 40: a result latency the wheel cannot hold, so dependent
+// shared-memory ops decode without a delay and file through the wake heap.
 func TestSchedulerMaskInvariants(t *testing.T) {
 	const cycles = 25_000
+	const sampleEvery = 100 // Base: EpochLength / IdleWarpSamples
 	for _, scheds := range []int{1, 2, 4} {
-		for seed := uint64(1); seed <= 4; seed++ {
+		for seed := uint64(1); seed <= 5; seed++ {
 			scheds, seed := scheds, seed
 			t.Run(fmt.Sprintf("scheds%d/seed%d", scheds, seed), func(t *testing.T) {
 				src := rng.New(rng.Mix(seed, uint64(scheds)))
@@ -161,6 +228,14 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 				for i := len(pool) - 1; i > 0; i-- {
 					j := src.Intn(i + 1)
 					pool[i], pool[j] = pool[j], pool[i]
+				}
+				if seed == 5 {
+					cfg.SharedMemLat = 40
+					shm := computeProfile()
+					shm.Name = "shm"
+					shm.FracShared = 0.4
+					shm.DepDensity = 0.6
+					pool[0] = shm
 				}
 				nslots := 2 + src.Intn(2)
 				s, _, stats := newSM(t, cfg, pool[:nslots]...)
@@ -201,7 +276,7 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 					}
 				}
 
-				sawFull, sawShrink := false, false
+				sawFull, sawShrink, sampled := false, false, false
 				lens := make([]int, scheds)
 				for now := int64(0); now < cycles; now++ {
 					switch r := src.Intn(300); r {
@@ -229,6 +304,16 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 						fill(now)
 					}
 					s.Cycle(now)
+					if now%sampleEvery == 0 && now >= s.BlockedUntil {
+						got, want := make([]int64, nslots), make([]int64, nslots)
+						ready := walkIdleWarps(s, now, want)
+						s.SampleIdleWarps(now, got)
+						if fmt.Sprint(s.sampleScratch, got) != fmt.Sprint(ready, want) {
+							t.Fatalf("cycle %d: SampleIdleWarps counted %v ready, %v idle; the list walk %v and %v",
+								now, s.sampleScratch, got, ready, want)
+						}
+						sampled = sampled || want[0] > 0
+					}
 					if msg := checkMasks(s); msg != "" {
 						t.Fatalf("cycle %d: %s", now, msg)
 					}
@@ -251,6 +336,18 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 				}
 				if !sawShrink {
 					t.Fatal("no warp list was ever compacted")
+				}
+				if !sampled {
+					t.Fatal("no sample ever found idle warps")
+				}
+				if seed == 5 {
+					slow := false
+					for _, d := range s.kernels[0].body[:len(s.kernels[0].body)-1] {
+						slow = slow || (d.Op.IsSharedMem() && d.delay == 0)
+					}
+					if !slow || stats[0].SharedInstrs == 0 {
+						t.Fatal("no shared-memory op took the general path")
+					}
 				}
 				if scheds == 1 && !sawFull {
 					t.Fatal("the single scheduler's list never reached the mask width")

@@ -1,5 +1,7 @@
 package sm
 
+import "math/bits"
+
 // PreemptTB performs a partial context switch: it selects one resident TB
 // of the given kernel slot, saves its architectural state and removes it
 // from the SM. It returns the saved context and the number of context
@@ -96,27 +98,27 @@ func (s *SM) DrainAll(now int64) (ctxs []*TBContext, bytes int) {
 // but exceed the SM's issue capacity this cycle — the paper's "idle
 // warps" (IWs), Section 3.6. Quota-throttled warps are excluded: they are
 // idle because of dynamic management, not because of excessive TLP.
-// Counts are accumulated into out (len >= number of slots).
+// Counts are accumulated into out (len >= number of slots). Drained to
+// now, a scheduler's ready mask is exactly its warps that latency lets
+// issue, so a slot's count is a popcount per scheduler.
 func (s *SM) SampleIdleWarps(now int64, out []int64) {
 	if now < s.BlockedUntil {
 		return
 	}
-	ready := s.sampleScratch
-	for i := range ready {
-		ready[i] = 0
-	}
-	total := 0
 	for i := range s.scheds {
-		for _, w := range s.scheds[i].warps {
-			if w.done || w.atBarrier || w.readyAt > now {
-				continue
-			}
-			if s.gate != nil && !s.gate.CanIssue(s.ID, w.slot) {
-				continue
-			}
-			ready[w.slot]++
-			total++
+		s.scheds[i].drain(now)
+	}
+	ready := s.sampleScratch
+	total := 0
+	for slot := range ready {
+		ready[slot] = 0
+		if s.gate != nil && !s.gate.CanIssue(s.ID, slot) {
+			continue
 		}
+		for i := range s.scheds {
+			ready[slot] += bits.OnesCount64(s.scheds[i].ready & s.scheds[i].slots[slot])
+		}
+		total += ready[slot]
 	}
 	excess := total - s.cfg.WarpSchedulers
 	if excess <= 0 {

@@ -40,7 +40,7 @@ type Warp struct {
 	tb     *TB
 	gid    uint64 // stable global warp id (grid TB index * warpsPerTB + lane)
 
-	body        []isa.Instr
+	body        []decoded
 	pc          int
 	iter        int
 	readyAt     int64
@@ -88,10 +88,11 @@ type TBContext struct {
 
 // kernelState tracks per-kernel residency on this SM.
 type kernelState struct {
-	kernel *kern.Kernel
-	stats  *metrics.KernelStats
-	tbs    int
-	cap    int // max TBs of this kernel on this SM; <0 = unlimited
+	*Program
+	stats *metrics.KernelStats
+	byOp  [isa.OpBranch + 1]*int64 // by isa.Op: the stats counter an issue bumps
+	tbs   int
+	cap   int // max TBs of this kernel on this SM; <0 = unlimited
 }
 
 // maskBits is the width of a scheduler's masks, one bit per entry of its
@@ -114,31 +115,38 @@ const wheelSlots = 32
 //     up to date;
 //   - wheel[readyAt&31]: drained < readyAt < drained+32, with the
 //     bucket's bit set in occupied;
-//   - wakeQ: anything further out, as an entry whose time equals readyAt
-//     (other entries naming the warp are stale and dropped on arrival).
+//   - wakeQ: anything further out, as an entry tagged with the warp's
+//     position whose time equals readyAt (other entries naming the warp
+//     are stale and dropped on arrival).
 //
 // A warp at a barrier or finished is in none. Who moves a warp: file and
-// unfile put it in and take it out (issue unfiles its winner and files it
-// again under its new readyAt; dispatch, barrier release, DeferTB,
-// retirement and preemption use the same two); drain moves matured warps
-// into ready; compact renumbers. ld, st and slots classify rather than
-// place: ld / st hold the filed warps whose next instruction is a global
-// load / store, slots[k] every live warp of kernel slot k, at a barrier
-// or not.
+// unfile put it in and take it out (dispatch, barrier release, DeferTB,
+// retirement and preemption); issue takes its winner out of ready, where
+// pick found it, and files it again under its new readyAt — through file,
+// or in place when the decoded instruction says which bucket; drain moves
+// matured warps into ready; compact renumbers. ld, st and slots classify
+// rather than place: ld / st hold the filed warps whose next instruction
+// is a global load / store, slots[k] every live warp of kernel slot k, at
+// a barrier or not.
+//
+// last is the greedy target as a mask bit, the last issuer's (0 = none):
+// issue sets it, a barrier and drop clear it, compact squeezes it with the
+// other masks. wakeQ's earliest time is cached in wakeQ.top, which
+// timeHeap's push and pop keep (as for the SM's completion heap, done).
 type scheduler struct {
 	// What a cycle reads first sits together, ahead of the wheel.
 	nextWake    int64  // earliest cycle a pick can possibly issue
 	drained     int64  // cycle ready and wheel are exact for
 	ready       uint64 // can issue as far as latency goes
 	ld, st      uint64 // next instruction is a global load / store
+	last        uint64 // greedy target: no bit, or a live warp's
 	occupied    uint32 // bit i set iff wheel[i] != 0
 	structSleep bool   // sleeping on an MSHR/credit block; pops rouse it
-	last        *Warp  // greedy target: nil or a live warp
 
-	warps   []*Warp   // every assigned warp, age order; bit i of a mask is warps[i]
-	slots   []uint64  // per kernel slot: its live warps
-	wakeQ   []wakeEnt // warps maturing beyond the horizon, min-heap by time
-	deadCnt int       // finished warps still in the list
+	wakeQ   timeHeap // warps maturing beyond the horizon, by position
+	warps   []*Warp  // every assigned warp, age order; bit i of a mask is warps[i]
+	slots   []uint64 // per kernel slot: its live warps
+	deadCnt int      // finished warps still in the list
 
 	wheel [wheelSlots]uint64 // warps maturing within the horizon, by readyAt&31
 }
@@ -165,19 +173,22 @@ type SM struct {
 	usedShm     int
 	usedTBSlots int
 
-	// MSHR accounting: completion times of outstanding load misses.
-	missHeap    []int64
-	outstanding int
+	// Completion times of everything in flight: tag 0 is an outstanding
+	// load miss (it holds an MSHR), tag slot+1 one of that kernel slot's
+	// 128B transactions. Every entry due in a cycle is popped before any
+	// scheduler runs and a pop only decrements its counter, so the order
+	// among equal times does not matter.
+	done        timeHeap
+	outstanding int // load misses in flight (MSHR occupancy)
 
-	// Credit-based memory flow control: completion times of every
-	// in-flight 128B transaction this SM has injected (loads and
-	// posted stores), tracked per kernel slot. When a kernel's budget
-	// is spent, its new global-memory instructions stall at issue —
-	// heavy requesters self-limit instead of freezing the whole chip,
-	// and the budget is partitioned per resident kernel (as SMK
-	// partitions other within-SM resources) so a streaming kernel
-	// cannot starve a co-resident kernel's occasional requests.
-	txnHeap         [][]int64
+	// Credit-based memory flow control: every in-flight 128B transaction
+	// this SM has injected (loads and posted stores) is counted per
+	// kernel slot. When a kernel's budget is spent, its new global-memory
+	// instructions stall at issue — heavy requesters self-limit instead
+	// of freezing the whole chip, and the budget is partitioned per
+	// resident kernel (as SMK partitions other within-SM resources) so a
+	// streaming kernel cannot starve a co-resident kernel's occasional
+	// requests.
 	txnFlight       []int
 	txnTotal        int // in-flight transactions across all kernels
 	residentKernels int // slots with at least one resident TB
@@ -224,21 +235,22 @@ type SM struct {
 
 // New builds an SM. Kernels are registered later via Configure.
 func New(id int, cfg config.GPU, memSys *mem.System) *SM {
-	s := &SM{
+	return &SM{
 		ID:     id,
 		cfg:    cfg,
 		memSys: memSys,
 		l1:     cache.New(cfg.L1),
 		scheds: make([]scheduler, cfg.WarpSchedulers),
+		done:   timeHeap{top: noWake},
 	}
-	return s
 }
 
-// Configure registers the co-running kernels and their (GPU-wide) stats
-// sinks. Slot order must match across all SMs of the GPU. Configure must
-// run before any TB is dispatched; use SetGate to change the quota gate
-// later without disturbing caps and residency accounting.
-func (s *SM) Configure(kernels []*kern.Kernel, stats []*metrics.KernelStats, gate QuotaGate) {
+// Configure registers the co-running kernels, decoded for this SM's
+// configuration (Decode), and their (GPU-wide) stats sinks. Slot order
+// must match across all SMs of the GPU. Configure must run before any TB
+// is dispatched; use SetGate to change the quota gate later without
+// disturbing caps and residency accounting.
+func (s *SM) Configure(kernels []*Program, stats []*metrics.KernelStats, gate QuotaGate) {
 	if len(kernels) != len(stats) {
 		panic("sm: kernels and stats length mismatch")
 	}
@@ -247,15 +259,20 @@ func (s *SM) Configure(kernels []*kern.Kernel, stats []*metrics.KernelStats, gat
 	}
 	s.kernels = make([]kernelState, len(kernels))
 	s.gateOK = make([]bool, len(kernels))
-	s.txnHeap = make([][]int64, len(kernels))
 	s.txnFlight = make([]int, len(kernels))
 	s.gatedResident = make([]int32, 0, len(kernels))
-	for i := range kernels {
-		s.kernels[i] = kernelState{kernel: kernels[i], stats: stats[i], cap: -1}
+	for i, st := range stats {
+		s.kernels[i] = kernelState{Program: kernels[i], stats: st, cap: -1, byOp: [...]*int64{
+			isa.OpIAlu: &st.ALUInstrs, isa.OpFAlu: &st.ALUInstrs, isa.OpSFU: &st.SFUInstrs,
+			isa.OpLdGlobal: &st.GlobalLoads, isa.OpStGlobal: &st.GlobalStores,
+			isa.OpLdShared: &st.SharedInstrs, isa.OpStShared: &st.SharedInstrs,
+			isa.OpBarrier: &st.Barriers, isa.OpBranch: &st.Branches,
+		}}
 	}
 	s.sampleScratch = make([]int, len(kernels))
 	for i := range s.scheds {
 		s.scheds[i].slots = make([]uint64, len(kernels))
+		s.scheds[i].wakeQ.top = noWake
 	}
 	s.gate = gate
 	s.gateDirty = true
@@ -278,9 +295,6 @@ func (s *SM) SetGate(gate QuotaGate) {
 // SetTracer attaches the observability tracer (nil turns tracing off).
 func (s *SM) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 
-// Tracer returns the attached tracer (possibly nil).
-func (s *SM) Tracer() *trace.Tracer { return s.tracer }
-
 // SetTBCap sets the per-SM thread-block cap for a kernel slot (<0 removes
 // the cap). The static resource manager drives this.
 func (s *SM) SetTBCap(slot, cap int) { s.kernels[slot].cap = cap }
@@ -290,9 +304,6 @@ func (s *SM) TBCap(slot int) int { return s.kernels[slot].cap }
 
 // ResidentTBs returns how many TBs of the slot this SM currently hosts.
 func (s *SM) ResidentTBs(slot int) int { return s.kernels[slot].tbs }
-
-// L1 exposes the L1 cache (stats for the power model and tests).
-func (s *SM) L1() *cache.Cache { return s.l1 }
 
 // Outstanding returns the in-flight global load misses (MSHR occupancy).
 func (s *SM) Outstanding() int { return s.outstanding }
@@ -304,29 +315,19 @@ func (s *SM) UsedThreads() int { return s.usedThreads }
 // more TB of the slot's kernel, honouring the per-kernel cap.
 func (s *SM) FreeFor(slot int) bool {
 	ks := &s.kernels[slot]
-	if ks.cap >= 0 && ks.tbs >= ks.cap {
-		return false
-	}
-	r := ks.kernel.TBResources()
-	return s.usedThreads+r.Threads <= s.cfg.MaxThreadsPerSM &&
-		s.usedRegs+r.RegBytes <= s.cfg.RegFileBytes &&
-		s.usedShm+r.ShmBytes <= s.cfg.SharedMemBytes &&
-		s.usedTBSlots+1 <= s.cfg.MaxTBsPerSM
+	return (ks.cap < 0 || ks.tbs < ks.cap) && s.RoomWithoutCap(slot)
 }
 
-// roomWithoutCap reports whether raw resources (ignoring the cap) can host
+// RoomWithoutCap reports whether raw resources (ignoring the cap) can host
 // one more TB of the kernel. The static adjuster uses it to decide whether
 // raising a cap needs a victim.
-func (s *SM) roomWithoutCap(slot int) bool {
+func (s *SM) RoomWithoutCap(slot int) bool {
 	r := s.kernels[slot].kernel.TBResources()
 	return s.usedThreads+r.Threads <= s.cfg.MaxThreadsPerSM &&
 		s.usedRegs+r.RegBytes <= s.cfg.RegFileBytes &&
 		s.usedShm+r.ShmBytes <= s.cfg.SharedMemBytes &&
 		s.usedTBSlots+1 <= s.cfg.MaxTBsPerSM
 }
-
-// RoomWithoutCap is the exported form of roomWithoutCap.
-func (s *SM) RoomWithoutCap(slot int) bool { return s.roomWithoutCap(slot) }
 
 // FreeThreads returns unused thread contexts on this SM.
 func (s *SM) FreeThreads() int { return s.cfg.MaxThreadsPerSM - s.usedThreads }
@@ -377,8 +378,8 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	// One contiguous allocation for the TB's warp contexts: the issue
 	// path walks them constantly, and per-warp allocations cost dispatch
 	// time and scatter the contexts across the heap. The block is not
-	// recycled when the TB retires — scheduler lists and wake heaps may
-	// still hold references until compaction and draining drop them.
+	// recycled when the TB retires — scheduler lists may still hold
+	// references until compaction drops them.
 	block := make([]Warp, warpsPerTB)
 	for i := 0; i < warpsPerTB; i++ {
 		w := &block[i]
@@ -400,7 +401,7 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 				tb.BarrierWait++
 			}
 		}
-		w.body = k.BodyFor(w.iter)
+		w.body = ks.bodyFor(w.iter)
 		tb.Warps[i] = w
 		w.schedIdx = s.nextSch
 		sch := &s.scheds[s.nextSch]

@@ -59,7 +59,11 @@ func newSM(t *testing.T, cfg config.GPU, profiles ...kern.Profile) (*SM, []*kern
 		kernels[i] = k
 		stats[i] = &metrics.KernelStats{}
 	}
-	s.Configure(kernels, stats, nil)
+	progs, err := Decode(cfg, kernels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Configure(progs, stats, nil)
 	return s, kernels, stats
 }
 
@@ -362,14 +366,14 @@ func TestBlockedSMDoesNothing(t *testing.T) {
 }
 
 func TestConfigureAfterDispatchPanics(t *testing.T) {
-	s, ks, stats := newSM(t, tinyCfg(), computeProfile())
+	s, _, stats := newSM(t, tinyCfg(), computeProfile())
 	s.Dispatch(0, 0, 0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Configure after dispatch did not panic")
 		}
 	}()
-	s.Configure(ks, stats, nil)
+	s.Configure([]*Program{s.kernels[0].Program}, stats, nil)
 }
 
 func TestHeapOrdering(t *testing.T) {
