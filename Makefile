@@ -12,7 +12,8 @@
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
 # the checkpoint-journal line decoder, journal recovery, the sweep-wire
 # decoders, the goal-union decoder and the /v1 + /v2 submission bodies),
-# and `make bench-check`: every benchmark workload's
+# `make inline-check` (the two inlinings the simulator's hot loop rests on
+# still happen), and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
 # compares a speed: results are checked here, on any runner; speed is
 # judged by `benchmark/` (`make bench`), parent against change on one
@@ -22,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-figures profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-figures inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -42,7 +43,9 @@ bench:
 # run the same untraced pass of one workload, alternating which goes
 # first, then the seed nobody tuned against once a side. It drives
 # benchmark/ and reports the metric it already measures (METRIC, default
-# work_per_s), nothing of its own.
+# work_per_s), nothing of its own. Its last line says whether the pairs
+# carry a claim (wins >= 0.9 of them, medians further apart than the
+# parent's quartiles), and it fails when they do not.
 PAIRS ?= 10
 bench-ab:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab PARENT=<checkout> WORKLOAD=<name> [PAIRS=10] [METRIC=work_per_s]" >&2; exit 2; }
@@ -64,10 +67,22 @@ bench-check:
 			|| { echo "bench-check: $$w results differ from benchmark/golden/$$w.digest" >&2; exit 1; }; \
 	done
 
+# Two inlinings are load-bearing and nothing else would notice them go:
+# sm.(*SM).Cycle into gpu.RunCtx's sweeps (an idle SM-cycle is a compare
+# and a counter, not a call — a quarter to a half of all SM-cycles) and
+# (*timeHeap).push into the memory path. The compiler says what it
+# inlined (-gcflags=-m); one more statement in either body can put it
+# over the budget, silently.
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/gpu 2>&1 | grep -q 'inlining call to sm.(\*SM).Cycle' \
+		|| { echo "inline-check: sm.(*SM).Cycle no longer inlines into gpu.RunCtx; every idle SM-cycle pays a call again (keep the wrapper to the idle test and the call to cycle)" >&2; exit 1; }
+	@$(GO) build -gcflags=-m ./internal/sm 2>&1 | grep -q 'inlining call to (\*timeHeap).push' \
+		|| { echo "inline-check: sm.(*timeHeap).push no longer inlines; every completion filed pays a call" >&2; exit 1; }
+
 # Where simulator time goes: the pinned-results test (32 seeded co-runs,
 # every scheme, both configurations) under the CPU profiler. The profile
 # and the test binary pprof reads symbols from land in benchmark/out/
-# (git-ignored); `go tool pprof -list 'sm.*pick' benchmark/out/sim.test
+# (git-ignored); `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
 # benchmark/out/sim.prof` digs further.
 profile:
 	@mkdir -p benchmark/out
@@ -164,6 +179,7 @@ ci:
 	$(MAKE) stream-replay
 	$(MAKE) bench-trace
 	$(MAKE) fuzz
+	$(MAKE) inline-check
 	$(MAKE) bench-check
 
 clean:

@@ -32,27 +32,24 @@ func (s Stats) HitRate() float64 {
 // replacement. It is not safe for concurrent use; the simulator is
 // single-threaded by design (deterministic cycle loop).
 type Cache struct {
-	cfg       config.Cache
 	sets      int
 	assoc     int
 	lineShift uint
 	setMask   uint64
 
-	// tags[set*assoc+way]; valid bit is folded into tags via tag|1<<63
-	// being impossible for our 50-bit address space, so we use tag==0 as
-	// invalid only if never filled; an explicit valid slice is clearer
-	// and costs one byte per line.
-	tags  []uint64
-	valid []bool
-	// lruTick[idx] is the last-touch timestamp; the way with the lowest
-	// tick in a set is the LRU victim. A uint32 wrap after 4G accesses
-	// per cache would only perturb replacement, not correctness, but we
-	// use uint64 to keep the invariant exact.
-	lruTick []uint64
-	tick    uint64
+	// ways[set*assoc+way], set-major: a probe reads one set's ways side by
+	// side. The full line number doubles as the tag. tick is the last-touch
+	// timestamp; 0 marks a way never filled or flushed, which no access
+	// hits and which, being lower than any real tick, is also the first
+	// choice of victim. A uint32 tick would wrap after 4G accesses per
+	// cache; uint64 keeps replacement exact.
+	ways []way
+	tick uint64
 
 	Stats Stats
 }
+
+type way struct{ tag, tick uint64 }
 
 // New builds a cache from its geometry. It panics on invalid geometry;
 // config.Validate should have been called first.
@@ -65,21 +62,20 @@ func New(cfg config.Cache) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	n := sets * cfg.Assoc
 	return &Cache{
-		cfg:       cfg,
 		sets:      sets,
 		assoc:     cfg.Assoc,
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
-		lruTick:   make([]uint64, n),
+		ways:      make([]way, sets*cfg.Assoc),
 	}
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() config.Cache { return c.cfg }
+// set returns the ways line maps to.
+func (c *Cache) set(line uint64) []way {
+	base := int(line&c.setMask) * c.assoc
+	return c.ways[base : base+c.assoc]
+}
 
 // Access probes the cache for addr, filling the line on a miss. It
 // returns true on a hit.
@@ -87,33 +83,25 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Stats.Accesses++
 	c.tick++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line >> 0 // full line number doubles as the tag
-	base := set * c.assoc
-
-	victim := base
-	victimTick := ^uint64(0)
-	for i := base; i < base+c.assoc; i++ {
-		if c.valid[i] && c.tags[i] == tag {
-			c.lruTick[i] = c.tick
+	set := c.set(line)
+	// The victim is the first invalid way, else the least recently used:
+	// the lowest tick, first on ties.
+	victim := &set[0]
+	for i := range set {
+		w := &set[i]
+		if w.tag == line && w.tick != 0 {
+			w.tick = c.tick
 			return true
 		}
-		if !c.valid[i] {
-			// Prefer an invalid way as the fill target.
-			if victimTick != 0 {
-				victim, victimTick = i, 0
-			}
-		} else if c.lruTick[i] < victimTick {
-			victim, victimTick = i, c.lruTick[i]
+		if w.tick < victim.tick {
+			victim = w
 		}
 	}
 	c.Stats.Misses++
-	if c.valid[victim] {
+	if victim.tick != 0 {
 		c.Stats.Evicts++
 	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.lruTick[victim] = c.tick
+	*victim = way{tag: line, tick: c.tick}
 	return false
 }
 
@@ -121,10 +109,8 @@ func (c *Cache) Access(addr uint64) bool {
 // filling. Used by tests and invariant checks.
 func (c *Cache) Probe(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.assoc
-	for i := base; i < base+c.assoc; i++ {
-		if c.valid[i] && c.tags[i] == line {
+	for _, w := range c.set(line) {
+		if w.tag == line && w.tick != 0 {
 			return true
 		}
 	}
@@ -133,16 +119,16 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // Flush invalidates every line. Statistics are preserved.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
+	for i := range c.ways {
+		c.ways[i].tick = 0
 	}
 }
 
 // Resident returns the number of valid lines (for tests/invariants).
 func (c *Cache) Resident() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for _, w := range c.ways {
+		if w.tick != 0 {
 			n++
 		}
 	}
@@ -150,22 +136,21 @@ func (c *Cache) Resident() int {
 }
 
 // CheckInvariants verifies structural invariants: no duplicate tags within
-// a set and victim bookkeeping in range. It returns an error description
-// or "" when healthy. Exposed for property-based tests.
+// a set and every resident tag in the set it maps to. It returns an error
+// description or "" when healthy. Exposed for property-based tests.
 func (c *Cache) CheckInvariants() string {
 	for s := 0; s < c.sets; s++ {
-		base := s * c.assoc
 		seen := make(map[uint64]bool, c.assoc)
-		for i := base; i < base+c.assoc; i++ {
-			if !c.valid[i] {
+		for _, w := range c.set(uint64(s)) {
+			if w.tick == 0 {
 				continue
 			}
-			if seen[c.tags[i]] {
-				return fmt.Sprintf("duplicate tag %#x in set %d", c.tags[i], s)
+			if seen[w.tag] {
+				return fmt.Sprintf("duplicate tag %#x in set %d", w.tag, s)
 			}
-			seen[c.tags[i]] = true
-			if int(c.tags[i]&c.setMask) != s {
-				return fmt.Sprintf("tag %#x resident in wrong set %d", c.tags[i], s)
+			seen[w.tag] = true
+			if int(w.tag&c.setMask) != s {
+				return fmt.Sprintf("tag %#x resident in wrong set %d", w.tag, s)
 			}
 		}
 	}

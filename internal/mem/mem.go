@@ -50,11 +50,9 @@ type partition struct {
 
 // System is the complete memory system shared by all SMs.
 type System struct {
-	cfg        config.GPU
-	parts      []*partition
-	lineShift  uint
-	totalTxns  int64
-	totalReads int64
+	cfg       config.GPU
+	parts     []*partition
+	lineShift uint
 }
 
 // New builds the memory system for a GPU configuration.
@@ -86,10 +84,6 @@ func (s *System) PartitionOf(addr uint64) int {
 // caller should not block the warp on it beyond the configured
 // WriteLatency.
 func (s *System) Access(now int64, addr uint64, kind AccessKind) int64 {
-	s.totalTxns++
-	if kind == Read {
-		s.totalReads++
-	}
 	p := s.parts[s.PartitionOf(addr)]
 	p.stats.Requests++
 
@@ -148,20 +142,6 @@ const noEvent = int64(1) << 62
 // SM's heaps, which the SM's own NextEventAt already bounds. The memory
 // system therefore never schedules an independent event.
 func (s *System) NextEventAt(a int64) int64 { return noEvent }
-
-// Backlog returns the worst per-partition queueing backlog, in cycles, at
-// time now. The SMs use it as backpressure: when the memory system is
-// this congested, new memory instructions stall at issue (a bounded-queue
-// model — real parts bound in-flight requests the same way).
-func (s *System) Backlog(now int64) int64 {
-	worst := int64(0)
-	for _, p := range s.parts {
-		if d := p.nextFree - now; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
 
 // Stats returns aggregate statistics across partitions.
 func (s *System) Stats() (agg PartitionStats) {

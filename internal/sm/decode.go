@@ -8,7 +8,7 @@ import (
 	"repro/internal/kern"
 )
 
-// decoded is one instruction of a kernel body with what issue would
+// decoded is one instruction of a kernel body with what issuing it would
 // otherwise re-derive from the program text every time it runs.
 type decoded struct {
 	isa.Instr

@@ -12,23 +12,26 @@ import (
 // any reachable cycle, so any real wake time replaces it under min.
 const noWake = int64(1) << 62
 
-// Cycle advances the SM by one cycle: retire completed load misses, then
-// let each warp scheduler issue at most one warp instruction under GTO
-// with the quota gate applied.
+// Cycle advances the SM by one cycle. It is kept small enough to inline
+// into the GPU's sweeps (make inline-check): a cycle inside the idle window
+// — every scheduler asleep past it, no tracked event due — costs a compare
+// and a counter, not a call. SettleIdle accounts for the skipped cycles.
 func (s *SM) Cycle(now int64) {
-	if now < s.BlockedUntil {
-		return
-	}
-	if now < s.idleUntil {
-		// Every scheduler sleeps past this cycle and no tracked event
-		// is due: skip the cycle. Quota-throttle accounting for the
-		// skipped cycles is settled in bulk (the gate result is frozen
-		// while idle — any quota event calls Wake, which settles and
-		// ends the idle window).
+	if now < s.idleUntil && now >= s.BlockedUntil {
 		s.idleSkips++
 		return
 	}
-	s.settleIdle()
+	s.cycle(now)
+}
+
+// cycle retires completed load misses, then lets each awake warp scheduler
+// issue at most one warp instruction: GTO with the quota gate in front, as
+// a priority encoder over the scheduler's masks (bit order is age order)
+// that reads no warp context before the winner's.
+func (s *SM) cycle(now int64) {
+	if now < s.BlockedUntil {
+		return
+	}
 	if now >= s.done.top {
 		// Release MSHRs whose misses completed and transaction credits
 		// whose requests drained.
@@ -55,9 +58,7 @@ func (s *SM) Cycle(now int64) {
 	if s.gateDirty {
 		s.refreshGate(now)
 	}
-	for _, slot := range s.gatedResident {
-		s.kernels[slot].stats.ThrottledCycles++
-	}
+	s.idleSkips++ // this cycle's ThrottledCycles, charged like an idle skip's
 
 	issued := false
 	for i := range s.scheds {
@@ -65,44 +66,108 @@ func (s *SM) Cycle(now int64) {
 		if now < sch.nextWake {
 			continue
 		}
-		if w := s.pick(now, sch); w != nil {
-			s.issue(now, sch, w)
-			issued = true
+		// Bring ready up to date; the usual case is one cycle on with
+		// nothing due in the heap, which is this cycle's bucket.
+		if now-sch.drained == 1 && sch.wakeQ.top > now {
+			b := now & (wheelSlots - 1)
+			sch.ready |= sch.wheel[b]
+			sch.wheel[b] = 0
+			sch.occupied &^= 1 << b
+			sch.drained = now
+		} else {
+			sch.drain(now)
 		}
+		cand := sch.ready &^ sch.gated
+		// Greedy reuse applies to compute instructions only: letting the
+		// last-issued warp snatch scarce memory-side resources (ports,
+		// MSHRs, transaction credits) ahead of older warps starves sparse
+		// memory requesters behind a streaming kernel indefinitely. Memory
+		// instructions always arbitrate age-ordered.
+		compute := cand &^ (sch.ld | sch.st)
+		win := sch.last & compute
+		if win == 0 {
+			// Else the oldest candidate, outright if it is a compute
+			// instruction: structural blocks only ever strike memory warps.
+			if win = cand & -cand & compute; win == 0 {
+				if win = s.arbitrate(now, sch, cand); win == 0 {
+					continue
+				}
+			}
+		}
+		// The winner came out of ready, so no bucket holds it: its mask bits
+		// are cleared in place, and it is filed again once under its new
+		// readyAt and next instruction.
+		w := sch.warps[bits.TrailingZeros64(win)]
+		sch.ready &^= win
+		sch.ld &^= win
+		sch.st &^= win
+		in := &w.body[w.pc]
+		lanes := w.activeLanes
+		ks := &s.kernels[w.slot]
+		st := ks.stats
+		st.WarpInstrs++
+		st.ThreadInstrs += int64(lanes)
+		st.NoteIssue(now)
+		*ks.byOp[in.Op]++
+		s.IssuedWarpInstrs++
+		if s.gate != nil {
+			s.gate.OnIssue(s.ID, w.slot, lanes)
+		}
+		sch.last = win
+		issued = true
+		if in.delay == 0 {
+			s.execute(now, sch, w, in, lanes)
+			continue
+		}
+		// The masks are drained to now and 1 <= delay < wheelSlots: the warp
+		// belongs in a bucket, and its successor is in the same body.
+		w.readyAt = now + in.delay
+		w.pc++
+		sch.ld |= win & w.body[w.pc].ld
+		sch.st |= win & w.body[w.pc].st
+		b := w.readyAt & (wheelSlots - 1)
+		sch.wheel[b] |= win
+		sch.occupied |= 1 << b
 	}
 	if issued {
 		s.ActiveCycles++
-	} else {
-		// Nothing issued and every scheduler set a wake time in the
-		// future: the SM can sleep until the earliest of them. Any
-		// asynchronous enabler (quota replenishment, dispatch, barrier
-		// release, TB retirement raising the credit budget) ends the
-		// window via Wake/Dispatch. Completion-heap events must still
-		// fire on time: a pop releases an MSHR or credit (rousing
-		// structural sleepers) and keeps the occupancy counters current.
-		idle := s.done.top
-		for i := range s.scheds {
-			idle = min(idle, s.scheds[i].nextWake)
-		}
-		s.idleUntil = idle
+		return
 	}
+	// Nothing issued and every scheduler set a wake time in the future: the
+	// SM can sleep until the earliest of them. Any asynchronous enabler
+	// (quota replenishment, dispatch, barrier release, TB retirement raising
+	// the credit budget) ends the window via Wake/Dispatch. Completion-heap
+	// events must still fire on time: a pop releases an MSHR or credit
+	// (rousing structural sleepers) and keeps the occupancy counters current.
+	idle := s.done.top
+	for i := range s.scheds {
+		idle = min(idle, s.scheds[i].nextWake)
+	}
+	s.idleUntil = idle
 }
 
-// refreshGate recomputes the cached per-slot gate results. Called only
-// when gateDirty (a quota event, gate swap or residency change since the
-// last refresh), never per cycle: every mutation that can change
-// CanIssue's answer for this SM wakes it, so a clean cache is exact.
-// Nothing is moved when a slot closes or reopens: pick masks a denied
-// slot's warps out of its candidates, and they stay filed where they
-// are. Newly denied slots trace the stall edge exactly as a per-cycle
-// recomputation would.
+// refreshGate recomputes the cached gate results: gateOK per slot and each
+// scheduler's gated, the warps of the denied slots. Called only when
+// gateDirty (a quota event, gate swap or residency change since the last
+// refresh), never per cycle: every mutation that can change CanIssue's
+// answer for this SM wakes it, so a clean cache is exact. Nothing is moved
+// when a slot closes or reopens; its warps stay filed where they are.
+// Cycles not yet charged are settled first, against the set they ran under.
+// Newly denied slots trace the stall edge as a per-cycle recomputation would.
 func (s *SM) refreshGate(now int64) {
+	s.SettleIdle()
 	s.gateDirty = false
 	s.gatedResident = s.gatedResident[:0]
+	for i := range s.scheds {
+		s.scheds[i].gated = 0
+	}
 	for slot := range s.kernels {
 		ok := s.gate == nil || s.gate.CanIssue(s.ID, slot)
 		if !ok && s.kernels[slot].tbs > 0 {
 			s.gatedResident = append(s.gatedResident, int32(slot))
+			for i := range s.scheds {
+				s.scheds[i].gated |= s.scheds[i].slots[slot]
+			}
 			if s.gateOK[slot] {
 				// Transition into quota-denied: trace the edge, not
 				// every throttled cycle.
@@ -113,50 +178,24 @@ func (s *SM) refreshGate(now int64) {
 	}
 }
 
-// settleIdle folds idle-skipped cycles into the per-kernel quota
-// throttle counters. The gated set is frozen across an idle window, so
-// one bulk add per slot is exact.
-func (s *SM) settleIdle() {
-	n := s.idleSkips
-	if n == 0 {
-		return
+// SettleIdle folds the cycles since the last settlement, stepped and
+// skipped alike, into the per-kernel quota throttle counters. The gated set
+// changes only in refreshGate, which settles first, so one bulk add per
+// slot is exact. The GPU settles before a run returns, and so must whatever
+// reads ThrottledCycles in between.
+func (s *SM) SettleIdle() {
+	for _, slot := range s.gatedResident {
+		s.kernels[slot].stats.ThrottledCycles += s.idleSkips
 	}
 	s.idleSkips = 0
-	for _, slot := range s.gatedResident {
-		s.kernels[slot].stats.ThrottledCycles += n
-	}
 }
 
-// SettleIdle flushes pending idle-cycle throttle accounting; the GPU
-// calls it before reading final stats.
-func (s *SM) SettleIdle() { s.settleIdle() }
-
-// pick implements GTO with the quota gate in front, as a priority
-// encoder over the scheduler's masks (bit order is age order): bring
-// ready up to date, mask out the warps of quota-denied slots, reuse the
-// last issued warp while it is still a candidate, otherwise strike the
-// structurally blocked instruction classes and take the lowest set bit —
-// the oldest issuable warp. No warp context is read before the winner's.
-//
-// Where a warp is filed and who moves it is the scheduler type's
-// invariant; pick's part in it is the drain it starts with, the only way
-// a waiting warp becomes ready. When nothing can issue, pick leaves the
-// earliest cycle worth another look in nextWake.
-func (s *SM) pick(now int64, sch *scheduler) *Warp {
-	sch.drain(now)
-	cand := sch.ready
-	for _, slot := range s.gatedResident {
-		cand &^= sch.slots[slot]
-	}
+// arbitrate finishes the step when the oldest candidate is a global load or
+// store, or there is none: it strikes the structurally blocked instruction
+// classes and returns the oldest survivor's bit. When nothing can issue it
+// returns 0 and leaves the earliest cycle worth another look in nextWake.
+func (s *SM) arbitrate(now int64, sch *scheduler, cand uint64) uint64 {
 	memOps := sch.ld | sch.st
-	// Greedy reuse applies to compute instructions only: letting the
-	// last-issued warp snatch scarce memory-side resources (ports,
-	// MSHRs, transaction credits) ahead of older warps starves sparse
-	// memory requesters behind a streaming kernel indefinitely. Memory
-	// instructions always arbitrate age-ordered.
-	if greedy := sch.last & cand &^ memOps; greedy != 0 {
-		return sch.warps[bits.TrailingZeros64(greedy)]
-	}
 	// Structural blocks are read straight from SM state, first failing
 	// cause first (ports, then MSHRs, then credits), and strike a whole
 	// class at once: within a cycle occupancy only grows, so what blocks
@@ -187,19 +226,19 @@ func (s *SM) pick(now int64, sch *scheduler) *Warp {
 		}
 	}
 	if cand != 0 {
-		return sch.warps[bits.TrailingZeros64(cand)]
+		return cand & -cand
 	}
 	// Nothing can issue. Port conflicts clear when the per-cycle issue
 	// counter resets, so retry next cycle. Otherwise sleep until the next
 	// waiting warp matures — the next occupied bucket or the heap top
 	// (a stale top only costs an early look). MSHR and credit blocks
 	// clear only at a completion-heap pop (or a budget raise, which calls
-	// Wake): the pop loop in Cycle rouses structural sleepers the cycle a
+	// Wake): the pop loop in cycle rouses structural sleepers the cycle a
 	// slot actually frees. A quota-denied slot reopens through Wake.
 	if portBlocked {
 		sch.nextWake = now + 1
 		sch.structSleep = false
-		return nil
+		return 0
 	}
 	next := noWake
 	if sch.occupied != 0 {
@@ -208,7 +247,7 @@ func (s *SM) pick(now int64, sch *scheduler) *Warp {
 	}
 	sch.nextWake = min(next, sch.wakeQ.top)
 	sch.structSleep = structBlocked
-	return nil
+	return 0
 }
 
 // drain brings the scheduler's masks up to cycle now: every warp whose
@@ -289,43 +328,11 @@ func (s *SM) drop(w *Warp) {
 	}
 }
 
-// issue executes one warp instruction of w at time now. The winner came
-// out of ready, so no bucket holds it: its mask bits are cleared in place,
-// and it is filed again once under its new readyAt and next instruction —
-// unless it finished or stopped at a barrier on the way. An instruction
-// decoded with a delay does that in straight-line code; global memory,
-// barriers, divergence and the loop back-edge take the general path.
-func (s *SM) issue(now int64, sch *scheduler, w *Warp) {
-	bit := uint64(1) << w.pos
-	sch.ready &^= bit
-	sch.ld &^= bit
-	sch.st &^= bit
-	in := &w.body[w.pc]
-	lanes := w.activeLanes
-	ks := &s.kernels[w.slot]
-	st := ks.stats
-	st.WarpInstrs++
-	st.ThreadInstrs += int64(lanes)
-	st.NoteIssue(now)
-	*ks.byOp[in.Op]++
-	s.IssuedWarpInstrs++
-	if s.gate != nil {
-		s.gate.OnIssue(s.ID, w.slot, lanes)
-	}
-	sch.last = bit
-	if in.delay != 0 {
-		// pick just drained to now and 1 <= delay < wheelSlots: the warp
-		// belongs in a bucket, and its successor is in the same body.
-		w.readyAt = now + in.delay
-		w.pc++
-		sch.ld |= bit & w.body[w.pc].ld
-		sch.st |= bit & w.body[w.pc].st
-		i := w.readyAt & (wheelSlots - 1)
-		sch.wheel[i] |= bit
-		sch.occupied |= 1 << i
-		return
-	}
-
+// execute is what issuing does to a warp when the instruction has no decoded
+// delay: global memory, barriers, divergence, the loop back-edge. The step
+// cleared the warp's mask bits; execute files it again, unless it finished
+// or stopped at a barrier on the way.
+func (s *SM) execute(now int64, sch *scheduler, w *Warp, in *decoded, lanes int) {
 	switch in.Op {
 	case isa.OpBarrier:
 		w.atBarrier = true
@@ -533,6 +540,7 @@ func (sch *scheduler) compact() {
 	sch.last = squeeze(sch.last, live)
 	sch.ld = squeeze(sch.ld, live)
 	sch.st = squeeze(sch.st, live)
+	sch.gated = squeeze(sch.gated, live)
 	for i := range sch.slots {
 		sch.slots[i] = squeeze(sch.slots[i], live)
 	}

@@ -14,7 +14,7 @@ import (
 // it: it returns "" or a description of the first violated invariant.
 func checkMasks(s *SM) string {
 	for si := range s.scheds {
-		if msg := checkScheduler(si, &s.scheds[si]); msg != "" {
+		if msg := checkScheduler(s, si, &s.scheds[si]); msg != "" {
 			return fmt.Sprintf("scheduler %d: %s", si, msg)
 		}
 	}
@@ -79,7 +79,7 @@ func walkIdleWarps(s *SM, now int64, out []int64) []int {
 	return ready
 }
 
-func checkScheduler(si int, sch *scheduler) string {
+func checkScheduler(s *SM, si int, sch *scheduler) string {
 	n := len(sch.warps)
 	if n > maskBits {
 		return fmt.Sprintf("%d warps in the list, masks hold %d", n, maskBits)
@@ -173,7 +173,105 @@ func checkScheduler(si int, sch *scheduler) string {
 	if l := sch.last; l&(l-1) != 0 || l&^slotted != 0 {
 		return fmt.Sprintf("last = %#x is not one bit of a live listed warp (live %#x)", l, slotted)
 	}
+	// gated is refreshGate's: exact over live warps until something sets
+	// gateDirty (a dead warp's bit may linger until compaction).
+	if !s.gateDirty {
+		var denied uint64
+		for k, ok := range s.gateOK {
+			if !ok {
+				denied |= sch.slots[k]
+			}
+		}
+		if sch.gated&slotted != denied {
+			return fmt.Sprintf("gated = %#x over live warps %#x, denied slots hold %#x", sch.gated, slotted, denied)
+		}
+	}
 	return ""
+}
+
+// refScheduler is GTO with the quota gate in front, written against raw
+// warp and SM state: it knows nothing of the scheduler's masks, wheel or
+// sleep times. With one scheduler per SM the state before a cycle is the
+// step's whole input, so expect can name the warp Cycle must issue and
+// issued, afterwards, the warp it did.
+type refScheduler struct {
+	last   *Warp // greedy target: the last issuer, unless it issued a barrier
+	before []warpMark
+}
+
+// warpMark is where a listed warp stood before the cycle.
+type warpMark struct {
+	w         *Warp
+	pc, iter  int
+	atBarrier bool
+	op        isa.Op
+}
+
+// expect returns the warp Cycle(now) must issue, nil for none: the last
+// issuer again if its next instruction is not global memory, else the
+// oldest warp that latency, barriers and the gate (denied, as the SM will
+// have it cached when it steps) let issue and no structural block strikes.
+func (r *refScheduler) expect(s *SM, now int64, denied []bool) *Warp {
+	r.before = r.before[:0]
+	for _, w := range s.scheds[0].warps {
+		r.before = append(r.before, warpMark{w, w.pc, w.iter, w.atBarrier, w.body[w.pc].Op})
+	}
+	if now < s.BlockedUntil {
+		return nil
+	}
+	// What the completions due by now leave in flight.
+	misses, total, flight := s.outstanding, s.txnTotal, append([]int(nil), s.txnFlight...)
+	for _, e := range s.done.q {
+		if e>>tagBits > now {
+			continue
+		}
+		if tag := int(e & tagMask); tag == 0 {
+			misses--
+		} else {
+			flight[tag-1]--
+			total--
+		}
+	}
+	eligible := func(w *Warp) bool {
+		return !w.done && !w.atBarrier && w.readyAt <= now && !denied[w.slot]
+	}
+	if w := r.last; w != nil && eligible(w) && !w.body[w.pc].Op.IsGlobalMem() {
+		return w
+	}
+	for _, w := range s.scheds[0].warps {
+		op := w.body[w.pc].Op
+		switch {
+		case !eligible(w):
+		case !op.IsGlobalMem():
+			return w
+		case s.cfg.MemPortsPerSM <= 0: // ports: the one scheduler issues first
+		case op == isa.OpLdGlobal && misses >= s.cfg.MSHRsPerSM:
+		case total >= s.cfg.TxnFlightCapPerSM && flight[w.slot] >= s.txnCapCache:
+		default:
+			return w
+		}
+	}
+	return nil
+}
+
+// issued returns the warp the cycle issued, nil for none: the one that was
+// not waiting at a barrier and whose pc, iteration or barrier flag moved (a
+// barrier release moves warps too, but those were waiting).
+func (r *refScheduler) issued() *Warp {
+	for _, m := range r.before {
+		if w := m.w; !m.atBarrier && (w.pc != m.pc || w.iter != m.iter || w.atBarrier) {
+			r.last = w
+			if m.op == isa.OpBarrier {
+				r.last = nil
+			}
+			return w
+		}
+	}
+	return nil
+}
+
+func (w *Warp) String() string {
+	return fmt.Sprintf("slot %d warp %d (pc %d, iter %d, readyAt %d)", w.slot, w.gid, w.pc, w.iter, w.readyAt)
 }
 
 // flipGate is a QuotaGate whose per-slot answer the test flips.
@@ -276,6 +374,7 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 					}
 				}
 
+				var ref refScheduler
 				sawFull, sawShrink, sampled := false, false, false
 				lens := make([]int, scheds)
 				for now := int64(0); now < cycles; now++ {
@@ -303,7 +402,15 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 						place = false
 						fill(now)
 					}
-					s.Cycle(now)
+					if scheds == 1 {
+						want := ref.expect(s, now, gate.deny)
+						s.Cycle(now)
+						if got := ref.issued(); got != want {
+							t.Fatalf("seed %d cycle %d SM %d: the reference scheduler issues %v, Cycle issued %v", seed, now, s.ID, want, got)
+						}
+					} else {
+						s.Cycle(now)
+					}
 					if now%sampleEvery == 0 && now >= s.BlockedUntil {
 						got, want := make([]int64, nslots), make([]int64, nslots)
 						ready := walkIdleWarps(s, now, want)

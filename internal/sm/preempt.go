@@ -30,7 +30,7 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 	if victim == nil {
 		return nil, 0, false
 	}
-	s.settleIdle()
+	s.SettleIdle()
 	s.idleUntil = 0
 	ctx = &TBContext{
 		Kernel:  victim.Kernel,
@@ -49,7 +49,7 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 		}
 		if !w.done {
 			// Stop the warp: it leaves every scheduler mask now, so no
-			// pick sees a dead warp; its place in the list goes at the
+			// step sees a dead warp; its place in the list goes at the
 			// next compaction and any wake-heap entry when it surfaces.
 			w.done = true
 			s.drop(w)

@@ -4,8 +4,10 @@
 // accounting for thread blocks, and the quota gate that makes the warp
 // scheduler QoS-aware (the paper's Enhanced Warp Scheduler, Section 3.3).
 //
-// The SM is deliberately single-threaded and allocation-free on the issue
-// path; a whole-GPU cycle advances every SM in a deterministic order.
+// The SM is deliberately single-threaded, and its issue path allocates only
+// when a heap grows: done and the wakeQs append ≈ 0.85 MB over a benchmark
+// sim-dense pass, and pre-sized to their bounds would cost ≈ 1.4 MB up
+// front. A whole-GPU cycle advances every SM in a deterministic order.
 package sm
 
 import (
@@ -121,23 +123,28 @@ const wheelSlots = 32
 //
 // A warp at a barrier or finished is in none. Who moves a warp: file and
 // unfile put it in and take it out (dispatch, barrier release, DeferTB,
-// retirement and preemption); issue takes its winner out of ready, where
-// pick found it, and files it again under its new readyAt — through file,
-// or in place when the decoded instruction says which bucket; drain moves
-// matured warps into ready; compact renumbers. ld, st and slots classify
-// rather than place: ld / st hold the filed warps whose next instruction
-// is a global load / store, slots[k] every live warp of kernel slot k, at
-// a barrier or not.
+// retirement and preemption); the step in SM.cycle takes its winner out of
+// ready and files it again under its new readyAt — in place when the
+// decoded instruction says which bucket, else through execute and file;
+// drain (one bucket of it inline in the step) moves matured warps into
+// ready; compact renumbers. The rest classify: ld / st hold the filed
+// warps whose next instruction is a global load / store, slots[k] every
+// live warp of kernel slot k, at a barrier or not, and gated those of the
+// slots the quota gate denies — SM.refreshGate's, as fresh as gateOK, and
+// free to keep a dead warp's bit until compact.
 //
 // last is the greedy target as a mask bit, the last issuer's (0 = none):
-// issue sets it, a barrier and drop clear it, compact squeezes it with the
-// other masks. wakeQ's earliest time is cached in wakeQ.top, which
-// timeHeap's push and pop keep (as for the SM's completion heap, done).
+// the step sets it, a barrier and drop clear it, compact squeezes it with
+// the other masks. nextWake and structSleep are SM.arbitrate's, which the
+// step calls when no compute instruction is the oldest candidate. wakeQ's
+// earliest time is cached in wakeQ.top, which timeHeap's push and pop keep
+// (as for the SM's completion heap, done).
 type scheduler struct {
 	// What a cycle reads first sits together, ahead of the wheel.
-	nextWake    int64  // earliest cycle a pick can possibly issue
+	nextWake    int64  // earliest cycle a step can possibly issue
 	drained     int64  // cycle ready and wheel are exact for
 	ready       uint64 // can issue as far as latency goes
+	gated       uint64 // warps of the slots the quota gate denies
 	ld, st      uint64 // next instruction is a global load / store
 	last        uint64 // greedy target: no bit, or a live warp's
 	occupied    uint32 // bit i set iff wheel[i] != 0
@@ -204,15 +211,16 @@ type SM struct {
 	// refresh, a gate swap, residency changes) wakes the SM — so the
 	// per-slot results are recomputed only when gateDirty is set instead
 	// of per cycle. gatedResident mirrors the slots with !gateOK and
-	// resident TBs (the set charged ThrottledCycles each cycle).
+	// resident TBs: their warps are the schedulers' gated masks, and they
+	// are charged a ThrottledCycle per unblocked cycle.
 	gateDirty     bool
 	gatedResident []int32
 
-	// Idle fast-path: when a Cycle issues nothing, every scheduler's
-	// nextWake is in the future and the SM can skip whole cycles until
-	// the earliest of them. Skipped cycles are counted and settled into
-	// ThrottledCycles (for quota-gated resident kernels) before any state
-	// mutation, so per-kernel accounting matches a cycle-by-cycle run.
+	// That charge is lazy: idleSkips counts the unblocked cycles since the
+	// last settlement, stepped or skipped, and SettleIdle adds them to
+	// gatedResident's counters before the set changes or stats are read.
+	// When a cycle issues nothing every scheduler's nextWake is in the
+	// future, and the SM skips whole cycles until idleUntil, their minimum.
 	idleUntil int64
 	idleSkips int64
 
@@ -283,7 +291,7 @@ func (s *SM) Configure(kernels []*Program, stats []*metrics.KernelStats, gate Qu
 // Scheduler sleep caches are cleared: a new gate can make previously
 // quota-denied warps issuable immediately.
 func (s *SM) SetGate(gate QuotaGate) {
-	s.settleIdle()
+	s.SettleIdle()
 	s.idleUntil = 0
 	s.gate = gate
 	s.gateDirty = true
@@ -348,10 +356,10 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	if !s.FreeFor(slot) {
 		panic(fmt.Sprintf("sm%d: dispatch without room for slot %d", s.ID, slot))
 	}
-	s.settleIdle()
+	s.SettleIdle()
 	s.idleUntil = 0
-	// Residency is about to change: the throttled-resident set (and,
-	// with it, per-cycle ThrottledCycles attribution) may change too.
+	// Residency is about to change, and with it the throttled-resident
+	// set: ThrottledCycles attribution and the gated masks.
 	s.gateDirty = true
 	ks := &s.kernels[slot]
 	k := ks.kernel
@@ -464,7 +472,7 @@ func (s *SM) DeferTB(tb *TB, until int64) {
 // Wake clears scheduler sleep caches so the next cycle rescans; the QoS
 // manager calls this when quotas are replenished.
 func (s *SM) Wake(now int64) {
-	s.settleIdle()
+	s.SettleIdle()
 	s.idleUntil = 0
 	s.gateDirty = true
 	for i := range s.scheds {
