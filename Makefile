@@ -23,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-figures inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-figures bench-journal inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -66,6 +66,15 @@ bench-check:
 		printf '%s\n' "$$out" | tail -n 1 | grep -q '"core.stats_digest_changed":{"value":0,' \
 			|| { echo "bench-check: $$w results differ from benchmark/golden/$$w.digest" >&2; exit 1; }; \
 	done
+
+# The journal layer alone: durable Appends of a decision-sized (3.4 KB)
+# record into a fresh journal, five runs of 2000 each, µs per Append and
+# how many Appends grew the file. The journal is the layer a warm
+# admission waits on (journal.append_p50_us in `make bench`'s traced
+# passes), so a change to it starts and ends here, before and after on the
+# same machine. It measures the file system under $TMPDIR.
+bench-journal:
+	$(GO) test -run='^$$' -bench=BenchmarkJournalAppend -benchtime=2000x -count=5 ./internal/journal
 
 # Two inlinings are load-bearing and nothing else would notice them go:
 # sm.(*SM).Cycle into gpu.RunCtx's sweeps (an idle SM-cycle is a compare

@@ -18,6 +18,7 @@
 //
 //	curl -s localhost:8715/v1/jobs -d '{"kernel":{"workload":"sgemm","goal_frac":0.95}}'
 //	curl -s 'localhost:8715/v1/jobs/job-000001?wait=1'
+//	curl -s 'localhost:8715/v1/jobs?wait=1' -d '{"kernel":{"workload":"lbm"}}'   # submit + wait, one request
 //	curl -N localhost:8715/v1/jobs/job-000001/events
 //	curl -s -X DELETE localhost:8715/v1/jobs/job-000001
 //	curl -s localhost:8715/v1/verdicts/stats
@@ -37,6 +38,7 @@
 //
 //	qosd -addr :8715 -fleet base,base -fleet-journal fleetdir
 //	curl -s localhost:8715/v2/jobs -d '{"workload":"sgemm","gpu_fraction":0.5,"goal":0.5}'
+//	curl -s 'localhost:8715/v2/jobs?wait=1' -d '{"workload":"lbm","gpu_fraction":0.25}'
 //	curl -s localhost:8715/v2/nodes
 //	curl -s localhost:8715/v2/placements
 package main

@@ -104,14 +104,17 @@ func assertMergedIdentical(t *testing.T, c *Coordinator, want [][]byte) {
 	}
 }
 
-// assertJournalSingleLines parses the raw journal and fails on any
-// duplicate case append — the bit-identical-resume poison the dedupe
-// layer exists to prevent.
-func assertJournalSingleLines(t *testing.T, path string, total int) {
+// journalCaseLines reads the raw journal up to its pad (the NUL bytes
+// past the last line) and counts the case lines per index, failing on a
+// damaged line.
+func journalCaseLines(t *testing.T, path string) map[int]int {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if i := bytes.IndexByte(raw, 0); i >= 0 {
+		raw = raw[:i]
 	}
 	perIndex := map[int]int{}
 	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
@@ -123,6 +126,15 @@ func assertJournalSingleLines(t *testing.T, path string, total int) {
 			perIndex[rec.Index]++
 		}
 	}
+	return perIndex
+}
+
+// assertJournalSingleLines parses the raw journal and fails on any
+// duplicate case append — the bit-identical-resume poison the dedupe
+// layer exists to prevent.
+func assertJournalSingleLines(t *testing.T, path string, total int) {
+	t.Helper()
+	perIndex := journalCaseLines(t, path)
 	if len(perIndex) != total {
 		t.Fatalf("journal holds %d cases, want %d", len(perIndex), total)
 	}

@@ -3,7 +3,6 @@ package distsweep
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/journal"
 	"repro/internal/schema"
 	"repro/internal/workloads"
 )
@@ -240,20 +238,7 @@ func TestDoubleReportAfterReissueIsDeduped(t *testing.T) {
 
 	// The journal holds exactly one line per committed case: count raw
 	// case lines, not just the (last-wins) restored map.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perIndex := map[int]int{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		rec, err := journal.Decode([]byte(line))
-		if err != nil {
-			t.Fatalf("journal line damaged: %v", err)
-		}
-		if !rec.Header {
-			perIndex[rec.Index]++
-		}
-	}
+	perIndex := journalCaseLines(t, path)
 	for i, n := range perIndex {
 		if n != 1 {
 			t.Fatalf("journal has %d lines for case %d, want exactly 1", n, i)

@@ -3,11 +3,20 @@
 // sweep (crash, Ctrl-C, power loss) resumes where it stopped instead of
 // rerunning hundreds of simulations.
 //
-// The file is a log: every Append adds one line to its end and fsyncs
-// it; nothing already written is rewritten. Integrity model:
+// The file is a log followed by a pad: the intact prefix of CRC'd lines,
+// then NUL bytes up to the end of the file, which is a multiple of one
+// segment (256 KiB). Create writes the header and pads the first segment;
+// every Append writes its one line over the pad, where the prefix ends,
+// and fsyncs it. Nothing already in the prefix is rewritten, and the
+// fsync flushes blocks the file already has: only an Append whose line
+// would cross the end of the pad first writes the next segment of NULs,
+// and that is the only write that changes the file's size. Integrity
+// model:
 //
-//   - Create replaces the file atomically (tmp + fsync + rename), so a
-//     crash during Create leaves either no journal or one Open accepts.
+//   - Create replaces the file atomically (tmp + fsync + rename + fsync
+//     of the directory), so a crash during Create leaves either no
+//     journal or one Open accepts, and a crash after it cannot lose the
+//     file.
 //   - The first line is a header carrying the schema Version and a
 //     configuration hash; Open refuses a journal whose hash differs from
 //     the resuming study's, so a stale journal cannot silently splice
@@ -17,12 +26,22 @@
 //     a crash or a failed write can leave: a fragment of the last line,
 //     which no caller was told is durable. Recovery stops at the first
 //     damaged line — a last line without its newline counts — and keeps
-//     everything before it.
+//     everything before it. A line that starts with NUL is the pad: the
+//     end of the log. If everything after it is NUL too the pad is reused;
+//     anything else there is damage.
 //   - Only the writer removes damage, just before it writes: Open never
-//     modifies the file; the first Append through a handle, and the one
-//     after a failed Append, first truncate the file to the end of the
-//     intact prefix, so no record lands behind damage, out of recovery's
-//     reach. One handle appends to a file at a time; any number may read.
+//     modifies the file; the first Append after Open found damage, and the
+//     one after a failed Append, first truncate the file to the end of the
+//     intact prefix (and then pad it again), so no record lands behind
+//     damage, out of recovery's reach.
+//   - One handle appends to a file at a time; any number may read. Appends
+//     write at an offset, not with O_APPEND, so two writers would overwrite
+//     each other's lines instead of interleaving them.
+//
+// The pad needs no schema Version bump. A reader from before it meets the
+// pad as a torn last line, so it recovers exactly the intact prefix and
+// cuts the pad on its next Append; a file written before it has no pad and
+// gets one on its first Append here.
 //
 // Case payloads are opaque JSON produced by the sweep engine. Go's JSON
 // encoding of float64 is round-trip exact, so a case restored from the
@@ -161,20 +180,30 @@ type entryKey struct {
 // maxLine bounds one line; a longer run of bytes is damage, not an allocation.
 const maxLine = 16 << 20
 
+// segment is the unit the file grows by. Its size trades how often an
+// Append pays for growing the file against what Create writes and Open
+// reads (EXPERIMENTS.md, "One round trip, one in-place flush").
+const segment = 256 << 10
+
+// zeros is what the pad is written from, so growing allocates nothing.
+var zeros [segment]byte
+
 // Journal is an open checkpoint journal. All methods are safe for
 // concurrent use; the sweep engine appends from every worker goroutine.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
-	f       *os.File // O_APPEND descriptor; nil once closed
+	f       *os.File // write descriptor; nil once closed
 	size    int64    // end of the intact prefix: every byte before it is a whole valid line
-	cut     bool     // the file may hold bytes past size (after Open, after a failed Append)
+	end     int64    // end of the pad: every byte in [size, end) is NUL
+	cut     bool     // the file holds damage past size (found by Open, left by a failed Append)
 	entries map[entryKey]json.RawMessage
 }
 
 // Create starts a fresh journal at path, replacing any existing file,
-// and durably writes the header. The header-only file is written beside
-// path and renamed over it, so path never holds a partial header.
+// and durably writes the header, padded to the end of the first segment.
+// The file is written beside path and renamed over it, so path never
+// holds a partial header.
 func Create(path, configHash string) (*Journal, error) {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -190,7 +219,11 @@ func Create(path, configHash string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err = f.Write(append(hl, '\n')); err == nil {
+	hl = append(hl, '\n')
+	if _, err = f.Write(hl); err == nil {
+		_, err = f.Write(zeros[:segment-len(hl)%segment])
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -203,29 +236,72 @@ func Create(path, configHash string) (*Journal, error) {
 		os.Remove(tmp)
 		return nil, err
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return nil, err
+	}
 	return Open(path, configHash)
 }
 
+// syncDir fsyncs a directory, which makes a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // scanLine is bufio.ScanLines that keeps the newline, so Open can count
-// the bytes of each line and tell a last line that never got its own.
+// the bytes of each line and tell a last line that never got its own. A
+// NUL byte ends a token: no line holds one (JSON escapes every control
+// character), and a run of them, the pad, comes back as tokens of its
+// own, at most one buffer each.
 func scanLine(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if len(data) == 0 {
+		return 0, nil, nil
+	}
+	if n := nulRun(data); n > 0 {
+		return n, data[:n], nil
+	}
+	line := data
 	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i+1], nil
+		line = data[:i+1]
 	}
-	if atEOF && len(data) > 0 {
-		return len(data), data, nil
+	if z := bytes.IndexByte(line, 0); z >= 0 {
+		line = line[:z] // a torn line running into the pad
+	} else if line[len(line)-1] != '\n' && !atEOF {
+		return 0, nil, nil
 	}
-	return 0, nil, nil
+	return len(line), line, nil
+}
+
+// nulRun returns the length of b's leading run of NUL bytes.
+func nulRun(b []byte) int {
+	const chunk = 4 << 10
+	n := 0
+	for n+chunk <= len(b) && bytes.Equal(b[n:n+chunk], zeros[:chunk]) {
+		n += chunk
+	}
+	for n < len(b) && b[n] == 0 {
+		n++
+	}
+	return n
 }
 
 // Open loads an existing journal for resume, verifying the schema version
 // and that its header hash matches configHash. A missing file starts a
 // fresh journal (resuming a study that never checkpointed is legal).
 // Recovery stops at the first damaged line — one that fails Decode, runs
-// past maxLine, or is last and lacks its newline; everything before it is
-// intact by construction. Open never writes: damage stays in the file
-// until the first Append cuts it, so a handle that is never appended to
-// leaves the file as it was. The handle holds a descriptor until Close.
+// past maxLine, or is last and lacks its newline — or at the pad;
+// everything before it is intact by construction. The pad is read in
+// buffer-sized chunks to check that it is all NUL. Open never writes:
+// damage stays in the file until the first Append cuts it, so a handle
+// that is never appended to leaves the file as it was. The handle holds a
+// descriptor until Close.
 func Open(path, configHash string) (*Journal, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -236,15 +312,22 @@ func Open(path, configHash string) (*Journal, error) {
 	}
 	defer f.Close()
 
-	j := &Journal{path: path, cut: true, entries: make(map[entryKey]json.RawMessage)}
+	j := &Journal{path: path, entries: make(map[entryKey]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	sc.Split(scanLine)
+	var pad int64 // NUL bytes read past the intact prefix
 	first := true
+scan:
 	for sc.Scan() {
 		raw := sc.Bytes()
-		if raw[len(raw)-1] != '\n' {
-			break
+		switch {
+		case raw[0] == 0:
+			pad += int64(len(raw))
+			continue
+		case pad > 0 || raw[len(raw)-1] != '\n':
+			j.cut = true
+			break scan
 		}
 		b := bytes.TrimSpace(raw)
 		if len(b) == 0 {
@@ -259,6 +342,7 @@ func Open(path, configHash string) (*Journal, error) {
 				}
 				return nil, fmt.Errorf("%w: %v", ErrNoHeader, derr)
 			}
+			j.cut = true
 			break
 		}
 		if first {
@@ -274,25 +358,30 @@ func Open(path, configHash string) (*Journal, error) {
 		}
 		j.size += int64(len(raw))
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
-		return nil, err
+	if err := sc.Err(); err != nil {
+		if !errors.Is(err, bufio.ErrTooLong) {
+			return nil, err
+		}
+		j.cut = true
 	}
 	if first {
 		return nil, ErrNoHeader
 	}
-	if j.f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0); err != nil {
+	j.end = j.size + pad
+	if j.f, err = os.OpenFile(path, os.O_WRONLY, 0); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
 // Append durably records one completed case: v is marshaled to JSON and
-// added to the end of the file as one CRC'd line, by one write and one
-// fsync, before Append returns. Whatever lies past the intact prefix (the
-// damage Open stopped at, a failed Append's fragment) is truncated away
-// first. An Append that fails cuts its own fragment before returning the
-// error; while that cut cannot be made every later Append fails too
-// rather than write where recovery stops.
+// written as one CRC'd line where the intact prefix ends, over the pad,
+// by one write and one fsync, before Append returns. Damage past the
+// intact prefix (what Open stopped at, a failed Append's fragment) is
+// truncated away first; a line that would cross the end of the pad first
+// writes the next segment of it. An Append that fails cuts its own
+// fragment before returning the error; while that cut cannot be made
+// every later Append fails too rather than write where recovery stops.
 func (j *Journal) Append(stage string, index int, v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -311,17 +400,36 @@ func (j *Journal) Append(stage string, index int, v any) error {
 		if err := j.f.Truncate(j.size); err != nil {
 			return err
 		}
-		j.cut = false
+		j.cut, j.end = false, j.size
 	}
-	if _, err = j.f.Write(append(l, '\n')); err == nil {
+	l = append(l, '\n')
+	err = j.grow(j.size + int64(len(l)))
+	if err == nil {
+		_, err = j.f.WriteAt(l, j.size)
+	}
+	if err == nil {
 		err = j.f.Sync()
 	}
 	if err != nil {
-		j.cut = j.f.Truncate(j.size) != nil
+		j.cut, j.end = j.f.Truncate(j.size) != nil, j.size
 		return err
 	}
-	j.size += int64(len(l)) + 1
+	j.size += int64(len(l))
 	j.entries[entryKey{stage, index}] = data
+	return nil
+}
+
+// grow writes pad past the end of the file, a segment boundary at a
+// time, until the pad reaches to. It is the only write that changes the
+// file's size.
+func (j *Journal) grow(to int64) error {
+	for j.end < to {
+		n := segment - j.end%segment
+		if _, err := j.f.WriteAt(zeros[:n], j.end); err != nil {
+			return err
+		}
+		j.end += n
+	}
 	return nil
 }
 

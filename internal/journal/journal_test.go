@@ -131,8 +131,9 @@ func TestOpenRejectsHeaderless(t *testing.T) {
 	}
 }
 
-// TestOpenDropsTornTail simulates a crash that tore the last line: the
-// intact prefix must survive, the torn line must be dropped.
+// TestOpenDropsTornTail simulates a crash that tore the last line, whose
+// last bytes never left the pad: the intact prefix must survive, the torn
+// line must be dropped.
 func TestOpenDropsTornTail(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Create(path, "cfg")
@@ -148,8 +149,9 @@ func TestOpenDropsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := raw[:len(raw)-15] // cut into the final line
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
+	end := len(splitPad(t, raw))
+	copy(raw[end-15:end], make([]byte, 15)) // cut into the final line
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(path, "cfg")

@@ -10,10 +10,25 @@ import (
 	"testing"
 )
 
+// splitPad returns a journal file's log, the bytes before its first NUL,
+// after checking that everything from there on is NUL.
+func splitPad(tb testing.TB, file []byte) []byte {
+	tb.Helper()
+	n := bytes.IndexByte(file, 0)
+	if n < 0 {
+		return file
+	}
+	if z := bytes.Count(file[n:], []byte{0}); z != len(file)-n {
+		tb.Fatalf("%d bytes of the pad are not NUL", len(file)-n-z)
+	}
+	return file[:n]
+}
+
 // TestLiteralFileBytes pins the on-disk format to literal bytes: what a
-// fixed Create + three Appends must leave in the file, byte for byte.
-// Journals outlive the binary that wrote them, so a change to the write
-// path has to keep producing exactly this file (or bump schema.Version).
+// fixed Create + three Appends must leave in the file, byte for byte,
+// ahead of the pad, which runs to the end of the first segment. Journals
+// outlive the binary that wrote them, so a change to the write path has
+// to keep producing exactly these lines (or bump schema.Version).
 func TestLiteralFileBytes(t *testing.T) {
 	const want = `{"v":3,"kind":"header","config":"cfg-literal","crc":686382238}
 {"v":3,"kind":"case","stage":"pairs/rollover","data":{"Name":"sgemm+lbm","IPC":123.456789012345,"N":42},"crc":2149456558}
@@ -42,20 +57,26 @@ func TestLiteralFileBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != want {
-		t.Fatalf("file bytes changed:\n got %s\nwant %s", got, want)
+	if log := splitPad(t, got); string(log) != want {
+		t.Fatalf("file bytes changed:\n got %s\nwant %s", log, want)
 	}
-	// The literal must also be a journal Open accepts in full.
-	if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-		t.Fatal(err)
+	if len(got) != segment {
+		t.Fatalf("file is %d bytes, want the lines padded with NUL to one segment (%d)", len(got), segment)
 	}
-	r, err := Open(path, "cfg-literal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	// The padded file, and the literal alone (a journal written before
+	// the pad), are journals Open accepts in full.
+	for _, file := range []string{string(got), want} {
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path, "cfg-literal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Len() != 3 {
+			t.Fatalf("Len = %d over a %d-byte file, want 3", r.Len(), len(file))
+		}
+		r.Close()
 	}
 }
 
@@ -77,8 +98,9 @@ var fixtureRecords = []fixtureRecord{
 	{"a", 2, fakeCase{Name: "a2", N: 13}},
 }
 
-// crashFixture returns the bytes of a journal holding fixtureRecords and
-// the offset just past each line's newline (ends[0] is the header's).
+// crashFixture returns the bytes of a journal holding fixtureRecords, pad
+// included, and the offset just past each line's newline (ends[0] is the
+// header's; the last one is where the pad starts).
 func crashFixture(tb testing.TB) (file []byte, ends []int) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "fixture.journal")
@@ -98,13 +120,14 @@ func crashFixture(tb testing.TB) (file []byte, ends []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i, c := range file {
+	log := splitPad(tb, file)
+	for i, c := range log {
 		if c == '\n' {
 			ends = append(ends, i+1)
 		}
 	}
-	if len(ends) != len(fixtureRecords)+1 || ends[len(ends)-1] != len(file) {
-		tb.Fatalf("fixture has %d lines over %d bytes, want %d whole lines", len(ends), len(file), len(fixtureRecords)+1)
+	if len(ends) != len(fixtureRecords)+1 || ends[len(ends)-1] != len(log) {
+		tb.Fatalf("fixture has %d lines over %d bytes, want %d whole lines", len(ends), len(log), len(fixtureRecords)+1)
 	}
 	return file, ends
 }
@@ -146,32 +169,57 @@ func checkEntries(t *testing.T, what string, j *Journal, want map[entryKey]strin
 	}
 }
 
-// TestCrashAtEveryByte cuts the fixture journal after every byte from the
-// end of the header to the full file — every state a crash during an
-// Append can leave — plus damage in the middle and an over-long line.
+// TestCrashAtEveryByte damages the fixture journal every way a crash
+// during an Append can, and some ways only outside hands can:
+//   - a write torn after every byte from the end of the header to the end
+//     of the log, NULs after it (the pad it was writing over);
+//   - the same cuts with no pad at all, as a journal written before the
+//     pad would be, ending at a line or inside one;
+//   - a record whose last sector reached the disk and first did not (NULs,
+//     then the rest of the line and its newline);
+//   - whole lines zeroed with intact lines after them (nothing past a NUL
+//     is log), non-NUL garbage past the pad, a file cut inside its pad, a
+//     flipped payload byte and an over-long line.
+//
 // Each time: Open recovers exactly the records whose line and newline
 // survive, one more Append succeeds, and a second Open sees old + new in
-// a file whose every line decodes.
+// a file whose every line decodes and whose pad is all NUL.
 func TestCrashAtEveryByte(t *testing.T) {
 	file, ends := crashFixture(t)
+	logEnd := ends[len(ends)-1]
 	type damaged struct {
 		name   string
 		file   []byte
 		intact int // leading fixture records that survive
 	}
 	var rows []damaged
-	for n := ends[0]; n <= len(file); n++ {
+	for n := ends[0]; n <= logEnd; n++ {
 		intact := 0
 		for intact < len(fixtureRecords) && ends[intact+1] <= n {
 			intact++
 		}
-		rows = append(rows, damaged{fmt.Sprintf("cut at byte %d", n), file[:n], intact})
+		torn := append(append([]byte(nil), file[:n]...), make([]byte, len(file)-n)...)
+		rows = append(rows,
+			damaged{fmt.Sprintf("torn at byte %d, NULs after", n), torn, intact},
+			damaged{fmt.Sprintf("unpadded, cut at byte %d", n), file[:n], intact})
 	}
-	rows = append(rows, damaged{"byte flipped in record 3", flipPayloadByte(file, ends[2]), 2})
+	last := ends[len(ends)-2]
+	firstSectorLost := append([]byte(nil), file...)
+	copy(firstSectorLost[last:], make([]byte, (logEnd-last)/2))
+	linesZeroed := append([]byte(nil), file...)
+	copy(linesZeroed[ends[2]:ends[4]], make([]byte, ends[4]-ends[2]))
+	garbage := append(append([]byte(nil), file...), "garbage\n"...)
 	overlong := append([]byte(nil), file[:ends[2]]...)
 	overlong = append(overlong, bytes.Repeat([]byte{'x'}, maxLine+1)...)
 	overlong = append(append(overlong, '\n'), file[ends[2]:]...)
-	rows = append(rows, damaged{"over-long line after record 2", overlong, 2})
+	rows = append(rows,
+		damaged{"last record without its first half", firstSectorLost, len(fixtureRecords) - 1},
+		damaged{"records 3 and 4 zeroed, whole lines after them", linesZeroed, 2},
+		damaged{"garbage past the pad", garbage, len(fixtureRecords)},
+		damaged{"file shorter than its last segment", file[:(logEnd+len(file))/2], len(fixtureRecords)},
+		damaged{"pre-pad file", file[:logEnd], len(fixtureRecords)},
+		damaged{"byte flipped in record 3", flipPayloadByte(file, ends[2]), 2},
+		damaged{"over-long line after record 2", overlong, 2})
 
 	dir := t.TempDir()
 	for i, row := range rows {
@@ -206,10 +254,12 @@ func TestCrashAtEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(raw) == 0 || raw[len(raw)-1] != '\n' {
-			t.Fatalf("%s: file does not end in a newline after the append", row.name)
+		os.Remove(path)
+		log := splitPad(t, raw)
+		if len(log) == 0 || log[len(log)-1] != '\n' {
+			t.Fatalf("%s: log does not end in a newline after the append", row.name)
 		}
-		lines := bytes.Split(raw[:len(raw)-1], []byte{'\n'})
+		lines := bytes.Split(log[:len(log)-1], []byte{'\n'})
 		if len(lines) != 1+row.intact+1 {
 			t.Fatalf("%s: %d lines after the append, want header + %d + 1", row.name, len(lines), row.intact)
 		}
@@ -222,8 +272,9 @@ func TestCrashAtEveryByte(t *testing.T) {
 }
 
 // TestLogShape pins the write path's shape by what the file system shows,
-// not by time: Append adds exactly one line to the end of the same file
-// and touches nothing before it; Create leaves no temp file; Open never
+// not by time: Create writes one segment and leaves no temp file; an
+// Append changes only the bytes of its own line, where the log ends, in
+// the same file, and the file grows only by whole segments; Open never
 // writes, even over a torn tail.
 func TestLogShape(t *testing.T) {
 	path := tmpJournal(t)
@@ -242,13 +293,19 @@ func TestLogShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 500; i++ {
-		c := fakeCase{Name: fmt.Sprintf("case-%d", i), IPC: float64(i) / 7, N: int64(i)}
+	if len(before) != segment {
+		t.Fatalf("Create wrote %d bytes, want one segment (%d)", len(before), segment)
+	}
+	size, grew := len(splitPad(t, before)), 0
+	// 100 cases of ≈ 6 KiB cross a segment boundary twice.
+	for i := 0; i < 100; i++ {
+		c := fakeCase{Name: fmt.Sprintf("case-%d-%s", i, bytes.Repeat([]byte{'x'}, 6<<10)), IPC: float64(i) / 7, N: int64(i)}
 		data, _ := json.Marshal(c)
 		l, err := encode(line{Kind: "case", Stage: "s", Index: i, Data: data})
 		if err != nil {
 			t.Fatal(err)
 		}
+		l = append(l, '\n')
 		if err := j.Append("s", i, c); err != nil {
 			t.Fatal(err)
 		}
@@ -257,32 +314,41 @@ func TestLogShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !os.SameFile(first, st) {
-			t.Fatalf("append %d replaced the file (rename) instead of extending it", i)
+			t.Fatalf("append %d replaced the file (rename) instead of writing into it", i)
 		}
 		after, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(after) != len(before)+len(l)+1 {
-			t.Fatalf("append %d grew the file by %d bytes, want len(line)+1 = %d", i, len(after)-len(before), len(l)+1)
+		if d := len(after) - len(before); d != 0 {
+			if d < 0 || d%segment != 0 {
+				t.Fatalf("append %d changed the file's size by %d bytes, want whole segments of %d", i, d, segment)
+			}
+			grew++
 		}
-		if !bytes.Equal(after[:len(before)], before) {
-			t.Fatalf("append %d changed bytes before the end of the file", i)
+		if !bytes.Equal(after[:size], before[:size]) {
+			t.Fatalf("append %d changed bytes before the end of the log", i)
 		}
-		if !bytes.Equal(after[len(before):], append(l, '\n')) {
-			t.Fatalf("append %d wrote %q, want the encoded line", i, after[len(before):])
+		if !bytes.Equal(after[size:size+len(l)], l) {
+			t.Fatalf("append %d wrote %q, want the encoded line", i, after[size:size+len(l)])
 		}
-		before = after
+		if log := splitPad(t, after); len(log) != size+len(l) {
+			t.Fatalf("append %d left a %d-byte log, want %d", i, len(log), size+len(l))
+		}
+		size, before = size+len(l), after
+	}
+	if grew != 2 {
+		t.Fatalf("the file grew %d times over %d bytes of log, want 2", grew, size)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":3,"kind":"case","stage":"s","index":500,"da`); err != nil {
+	if _, err := f.WriteAt([]byte(`{"v":3,"kind":"case","stage":"s","index":100,"da`), int64(size)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -295,8 +361,8 @@ func TestLogShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 500 {
-		t.Fatalf("Len = %d over a torn tail, want 500", r.Len())
+	if r.Len() != 100 {
+		t.Fatalf("Len = %d over a torn tail, want 100", r.Len())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -401,16 +467,25 @@ func TestEachAscendingIndex(t *testing.T) {
 // everything the first Open saw.
 func FuzzJournalOpen(f *testing.F) {
 	file, ends := crashFixture(f)
+	logEnd := ends[len(ends)-1]
 	for _, e := range ends[1:] {
 		for _, n := range []int{e - 1, e, e + 1} {
-			if n <= len(file) {
-				f.Add(file[ends[0]:n])
-			}
+			f.Add(file[ends[0]:n])
 		}
 	}
-	f.Add(flipPayloadByte(file, ends[2])[ends[0]:])
+	f.Add(flipPayloadByte(file, ends[2])[ends[0]:logEnd])
 	f.Add([]byte("\n\n  \n"))
 	f.Add([]byte(`{"v":99,"kind":"header","config":"cfg","crc":0}` + "\n"))
+	// Runs of NUL: a clean pad, a pad longer than Open's compare chunk, a
+	// write torn into the pad, a line whose head is NUL, garbage past the
+	// pad.
+	nuls := func(n int) string { return string(make([]byte, n)) }
+	log := string(file[ends[0]:logEnd])
+	f.Add([]byte(log + nuls(100)))
+	f.Add([]byte(log + nuls(4<<10+7)))
+	f.Add([]byte(log[:len(log)-9] + nuls(50)))
+	f.Add([]byte(log[:ends[3]-ends[0]] + nuls(40) + log[ends[3]-ends[0]+40:]))
+	f.Add([]byte(log + nuls(64) + "garbage\n"))
 	header := file[:ends[0]]
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()

@@ -288,7 +288,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobResponse{Schema: schema.Version, Job: j.view()})
+	writeJSON(w, submitStatus(r, j.done), jobResponse{Schema: schema.Version, Job: j.view()})
+}
+
+// waitDone blocks, when the request asks ?wait=1, until done closes or
+// the client leaves, and reports whether done closed.
+func waitDone(r *http.Request, done <-chan struct{}) bool {
+	if r.URL.Query().Get("wait") == "" {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	case <-r.Context().Done():
+		return false
+	}
+}
+
+// submitStatus is a submission's status code: 202 for a job still
+// pending, 200 when POST …?wait=1 waited for its terminal state.
+func submitStatus(r *http.Request, done <-chan struct{}) int {
+	if waitDone(r, done) {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -298,12 +321,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?wait=1 blocks until the job has a verdict (or the client leaves).
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-j.done:
-		case <-r.Context().Done():
-		}
-	}
+	waitDone(r, j.done)
 	writeJSON(w, http.StatusOK, jobResponse{Schema: schema.Version, Job: j.view()})
 }
 

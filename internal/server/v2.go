@@ -4,7 +4,8 @@
 // nodes by internal/fleet's deterministic placement scheduler, with
 // per-node tiered admission and a nos-style repartitioning fallback.
 //
-//	POST   /v2/jobs        submit a fractional job (202 + job view)
+//	POST   /v2/jobs        submit a fractional job (202 + job view;
+//	                       ?wait=1 blocks until placed, 200)
 //	GET    /v2/jobs        list jobs
 //	GET    /v2/jobs/{id}   job view (?wait=1 blocks until placed)
 //	DELETE /v2/jobs/{id}   release a placed job
@@ -73,7 +74,7 @@ func (s *Server) handleV2Submit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, v2JobResponse{Schema: schema.Version, Job: j.View()})
+	writeJSON(w, submitStatus(r, j.Done()), v2JobResponse{Schema: schema.Version, Job: j.View()})
 }
 
 func (s *Server) handleV2List(w http.ResponseWriter, _ *http.Request) {
@@ -95,12 +96,7 @@ func (s *Server) handleV2Get(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// ?wait=1 blocks until placement resolves (or the client leaves).
-	if r.URL.Query().Get("wait") != "" {
-		select {
-		case <-j.Done():
-		case <-r.Context().Done():
-		}
-	}
+	waitDone(r, j.Done())
 	writeJSON(w, http.StatusOK, v2JobResponse{Schema: schema.Version, Job: j.View()})
 }
 

@@ -12,10 +12,12 @@ import (
 	"repro/internal/server"
 )
 
-// HTTPBackend submits arrivals to a live qosd over its HTTP API:
-// POST + wait-GET + DELETE against /v1/jobs (single-device admission)
-// or, with V2 set, /v2/jobs (fleet placement with fractional-GPU
-// shares). This is `stream -mode replay`'s backend.
+// HTTPBackend submits arrivals to a live qosd over its HTTP API: one
+// POST ?wait=1, which answers with the verdict, and a DELETE per
+// admitted job, against /v1/jobs (single-device admission) or, with V2
+// set, /v2/jobs (fleet placement with fractional-GPU shares). A POST
+// that comes back still pending is followed by GET ?wait=1 until it is
+// decided. This is `stream -mode replay`'s backend.
 type HTTPBackend struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8715".
 	BaseURL string
@@ -90,7 +92,7 @@ type v2Envelope struct {
 	Job    fleet.JobView `json:"job"`
 }
 
-// Submit submits one arrival and blocks (?wait=1) until its verdict.
+// Submit submits one arrival and blocks (POST ?wait=1) until its verdict.
 func (b HTTPBackend) Submit(ctx context.Context, a Arrival) (Outcome, error) {
 	if b.V2 {
 		return b.submitV2(ctx, a)
@@ -104,7 +106,7 @@ func (b HTTPBackend) Submit(ctx context.Context, a Arrival) (Outcome, error) {
 		body.Kernel.Goal = &g
 	}
 	var env v1Envelope
-	throttled, _, err := b.do(ctx, http.MethodPost, "/v1/jobs", body, &env)
+	throttled, _, err := b.do(ctx, http.MethodPost, "/v1/jobs?wait=1", body, &env)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -137,7 +139,7 @@ func (b HTTPBackend) submitV2(ctx context.Context, a Arrival) (Outcome, error) {
 		body.Goal = &g
 	}
 	var env v2Envelope
-	throttled, rejected, err := b.do(ctx, http.MethodPost, "/v2/jobs", body, &env)
+	throttled, rejected, err := b.do(ctx, http.MethodPost, "/v2/jobs?wait=1", body, &env)
 	if err != nil {
 		return Outcome{}, err
 	}
