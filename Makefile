@@ -23,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-figures bench-journal inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -97,12 +97,6 @@ profile:
 	@mkdir -p benchmark/out
 	$(GO) test -count=1 -run '^TestSchedResultsPinned$$' -cpuprofile benchmark/out/sim.prof -o benchmark/out/sim.test .
 	$(GO) tool pprof -top -nodecount=25 benchmark/out/sim.test benchmark/out/sim.prof
-
-# The paper's figures and ablations, one iteration per driver: each
-# reports its reproduced headline quantity (QoSreach, normalised
-# throughput), not a speed.
-bench-figures:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # The race-pass package list is derived, not hand-maintained: a package
 # is raced iff it (or its tests) imports sync or sync/atomic — the

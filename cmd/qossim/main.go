@@ -8,8 +8,8 @@
 // interruption, resume (-resume) without recomputing finished cases;
 // resumed figures are bit-identical to an uninterrupted run. -retries
 // and -case-timeout bound individual flaky or wedged cases; figures
-// still require complete grids, so a case failing all attempts fails its
-// experiment (the journal keeps everything completed so far).
+// still require complete grids, so a case failing all attempts fails the
+// run (the journal keeps everything completed so far).
 //
 // Usage:
 //
@@ -20,9 +20,10 @@
 //	qossim -exp all -full -journal study.ckpt          # checkpoint
 //	qossim -exp all -full -journal study.ckpt -resume  # continue
 //
-// Experiments: table1, fig5, fig6a, fig6b, fig6c, fig7, fig8a, fig8b,
-// fig8c, fig9, fig10, fig11, fig12, fig13, fig14, ablate-history,
-// ablate-static, ablate-preempt, ablate-epoch, ablate-nqinit, all.
+// -exp takes an id of exp.Experiments (table1, fig5 … fig14,
+// ablate-history/-static/-preempt/-epoch/-nqinit) or all. The selected
+// experiments' sweeps are collected once, deduplicated, before any table
+// prints.
 package main
 
 import (
@@ -92,7 +93,7 @@ func main() {
 // openJournal opens (or creates) the checkpoint journal. The header hash
 // binds the file to the study shape; the per-stage keys inside bind each
 // case to the exact session config and grid, so one journal safely backs
-// both the base and 56-SM studies of an -exp all run.
+// every sweep of an -exp all run, the derived runners' included.
 func openJournal(o options) (*journal.Journal, error) {
 	if o.journalPath == "" {
 		if o.resume {
@@ -117,12 +118,13 @@ func openJournal(o options) (*journal.Journal, error) {
 	return journal.Create(o.journalPath, hash)
 }
 
-// newStudy builds one study per device configuration; studies are shared
-// across drivers so pair sweeps memoized per scheme (and the isolated-IPC
-// baselines) are reused by every figure that needs them.
-func newStudy(cfg config.GPU, o options, jnl *journal.Journal) (exp.Study, error) {
+// newStudy builds the study every selected experiment reduces. Sweeps
+// on the 56-SM device and the ablations' variants run on runners derived
+// from this one, and the journal backs them all: stage keys disambiguate
+// the configurations.
+func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
 	ropts := []exp.Option{
-		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window)),
+		exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(o.window)),
 		exp.WithFaultPolicy(exp.FaultPolicy{
 			FailFast:    o.failFast,
 			CaseTimeout: o.caseTimeout,
@@ -166,53 +168,12 @@ func newStudy(cfg config.GPU, o options, jnl *journal.Journal) (exp.Study, error
 	return st, nil
 }
 
-type driver struct {
-	name  string
-	scale bool // uses the 56-SM configuration
-	fn    func(context.Context, exp.Study) (*exp.Table, error)
-}
-
-func drivers() []driver {
-	return []driver{
-		{"fig5", false, exp.Fig5},
-		{"fig6a", false, exp.Fig6a},
-		{"fig6b", false, exp.Fig6b},
-		{"fig6c", false, exp.Fig6c},
-		{"fig7", false, exp.Fig7},
-		{"fig8a", false, exp.Fig8a},
-		{"fig8b", false, exp.Fig8b},
-		{"fig8c", false, exp.Fig8c},
-		{"fig9", false, exp.Fig9},
-		{"fig10", false, exp.Fig10},
-		{"fig11", false, exp.Fig11},
-		{"fig12", true, exp.Fig12},
-		{"fig13", true, exp.Fig13},
-		{"fig14", false, exp.Fig14},
-		{"ablate-history", false, exp.AblateHistory},
-		{"ablate-static", false, exp.AblateStatic},
-		{"ablate-preempt", false, exp.AblatePreemption},
-		{"ablate-epoch", false, func(ctx context.Context, st exp.Study) (*exp.Table, error) {
-			return exp.AblateEpochLength(ctx, st, nil)
-		}},
-		{"ablate-nqinit", false, func(ctx context.Context, st exp.Study) (*exp.Table, error) {
-			return exp.AblateNonQoSInit(ctx, st, nil)
-		}},
-	}
-}
-
 func run(ctx context.Context, o options) error {
-	if o.expName == "table1" {
-		fmt.Print(exp.Table1(config.Base()))
-		return nil
-	}
-	var selected []driver
-	for _, d := range drivers() {
-		if d.name == o.expName || o.expName == "all" {
-			selected = append(selected, d)
+	var selected []exp.Experiment
+	for _, e := range exp.Experiments() {
+		if e.ID == o.expName || o.expName == "all" {
+			selected = append(selected, e)
 		}
-	}
-	if o.expName == "all" {
-		fmt.Print(exp.Table1(config.Base()))
 	}
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q", o.expName)
@@ -224,50 +185,44 @@ func run(ctx context.Context, o options) error {
 	if jnl != nil {
 		defer jnl.Close()
 	}
-	// One study per device configuration, shared across drivers. The
-	// journal is shared too: stage keys disambiguate the configurations.
-	studies := make(map[bool]exp.Study)
-	for _, d := range selected {
-		st, ok := studies[d.scale]
-		if !ok {
-			cfg := config.Base()
-			if d.scale {
-				cfg = config.Scale56()
-			}
-			var err error
-			st, err = newStudy(cfg, o, jnl)
-			if err != nil {
-				return err
-			}
-			studies[d.scale] = st
-		}
-		t, err := d.fn(ctx, st)
-		if err != nil {
-			return fmt.Errorf("%s: %w", d.name, err)
-		}
-		if o.chart {
-			fmt.Print(t.Chart(48))
-		} else {
-			fmt.Print(t)
-		}
-		fmt.Println()
+	st, err := newStudy(o, jnl)
+	if err != nil {
+		return err
 	}
+	tables, rows, err := st.Tables(ctx, selected)
 	if !o.quiet {
-		for _, scale := range []bool{false, true} {
-			st, ok := studies[scale]
-			if !ok {
-				continue
-			}
-			for _, m := range st.Runner.Metrics() {
-				fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s)\n",
-					m.Stage, m.Cases, m.Wall.Round(time.Millisecond), m.CasesPerSec)
-			}
-			for _, rep := range st.Runner.Reports() {
-				if rep.Skipped > 0 || rep.Retried > 0 || len(rep.Failed) > 0 {
-					fmt.Fprintf(os.Stderr, "sweep %-24s %s\n", rep.Stage, rep.Summary())
-				}
-			}
+		printRows(rows)
+	}
+	if err != nil {
+		return err
+	}
+	for i, t := range tables {
+		switch {
+		case selected[i].ID == "table1": // a parameter list, not a figure: text, no spacer
+			fmt.Print(t)
+		case o.chart:
+			fmt.Println(t.Chart(48))
+		default:
+			fmt.Println(t)
 		}
 	}
 	return nil
+}
+
+// printRows writes the end-of-run account of every declared sweep to
+// stderr: cases simulated and their rate, journal skips, retries and
+// failures, or which earlier sweep it reused.
+func printRows(rows []exp.SweepRow) {
+	for _, row := range rows {
+		if row.Reused != "" {
+			fmt.Fprintf(os.Stderr, "sweep %-24s reused %s\n", row.Stage, row.Reused)
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s)",
+			row.Stage, row.Cases, row.Wall.Round(time.Millisecond), row.CasesPerSec)
+		if rep := row.Report; rep.Skipped > 0 || rep.Retried > 0 || len(rep.Failed) > 0 {
+			fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
+		}
+		fmt.Fprintln(os.Stderr)
+	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/exp"
 	"repro/internal/workloads"
 )
 
@@ -137,40 +136,6 @@ func TestIntegrationIsolationBaseline(t *testing.T) {
 		// Memory-class kernels must sit well below compute-class peak.
 		if p.Class.String() == "M" && ipc > 0.35*peak {
 			t.Errorf("%s classified memory-bound but reaches %.1f IPC", name, ipc)
-		}
-	}
-}
-
-// TestIntegrationFigureDriversSmoke runs each cheap figure driver on a
-// micro study to make sure every driver produces a well-formed table.
-func TestIntegrationFigureDriversSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	r, err := exp.NewRunner(0, exp.WithSessionOptions(core.WithWindow(40_000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := exp.Study{
-		Runner: r,
-		Pairs:  []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}, {QoS: "lbm", NonQoS: "sgemm"}},
-		Trios:  []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}},
-		Goals:  []float64{0.5},
-		Goals2: []float64{0.3},
-	}
-	drivers := map[string]func(context.Context, exp.Study) (*exp.Table, error){
-		"fig5": exp.Fig5, "fig6a": exp.Fig6a, "fig6b": exp.Fig6b,
-		"fig6c": exp.Fig6c, "fig7": exp.Fig7, "fig8a": exp.Fig8a,
-		"fig8b": exp.Fig8b, "fig8c": exp.Fig8c, "fig9": exp.Fig9,
-		"fig10": exp.Fig10, "fig11": exp.Fig11, "fig14": exp.Fig14,
-	}
-	for name, fn := range drivers {
-		tbl, err := fn(context.Background(), st)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(tbl.Rows) == 0 || tbl.ID == "" {
-			t.Fatalf("%s: malformed table", name)
 		}
 	}
 }

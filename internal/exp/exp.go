@@ -3,11 +3,13 @@
 // into the quantities each figure reports — QoSreach, normalized non-QoS
 // throughput, QoS overshoot, miss histograms and energy efficiency.
 //
-// Every figure of the paper has a driver in figures.go returning a Table
-// that cmd/qossim prints. Sweeps are deterministic; a Study controls the
-// subset of pairs/trios/goals so benchmarks can run reduced versions of
-// the full 900/600-case studies. The Runner in runner.go fans case grids
-// out over a worker pool with bit-identical results to the serial sweeps.
+// Every table, figure and ablation is one entry of Experiments (study.go):
+// the sweeps it needs and a pure reduction of their cases into a Table
+// that cmd/qossim prints. A Study controls the subset of pairs/trios/goals
+// so reduced versions of the full 900/600-case studies run quickly, and
+// Study.Collect runs each distinct sweep once. The Runner in runner.go
+// fans case grids out over a worker pool with bit-identical results to
+// the serial sweeps.
 package exp
 
 import (
@@ -149,70 +151,74 @@ func TrioSweep(ctx context.Context, s *core.Session, trios []workloads.Trio, goa
 
 // ---- reducers ----
 
-// QoSReach returns the fraction of cases whose QoS goals were all met.
-func QoSReach(ok func(i int) bool, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	hits := 0
-	for i := 0; i < n; i++ {
-		if ok(i) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
+// gridCase is a pair or trio case as the per-goal reducers see it; a
+// trio case's goal is its first QoS kernel's.
+type gridCase interface {
+	PairCase | TrioCase
+	goal() float64
+	result() *core.Result
 }
 
-// PairReachByGoal buckets pair QoSreach per goal value.
-func PairReachByGoal(cases []PairCase, goals []float64) map[float64]float64 {
+func (c PairCase) goal() float64        { return c.Goal }
+func (c PairCase) result() *core.Result { return c.Res }
+func (c TrioCase) goal() float64        { return c.QoSGoals[0] }
+func (c TrioCase) result() *core.Result { return c.Res }
+
+// ReachByGoal returns, per goal, the QoSreach of its cases: the fraction
+// whose QoS goals were all met. A goal with no case is absent (reads 0).
+func ReachByGoal[C gridCase](cases []C, goals []float64) map[float64]float64 {
 	out := make(map[float64]float64, len(goals))
 	for _, g := range goals {
-		sub := filterPairs(cases, g)
-		out[g] = QoSReach(func(i int) bool { return sub[i].Res.AllReached }, len(sub))
+		hits, n := 0, 0
+		for _, c := range cases {
+			if c.goal() == g {
+				n++
+				if c.result().AllReached {
+					hits++
+				}
+			}
+		}
+		if n > 0 {
+			out[g] = float64(hits) / float64(n)
+		}
+	}
+	return out
+}
+
+// successMeanByGoal averages, per goal, the values each successful case
+// contributes — the paper's Figure 8 methodology ("we only include the
+// results from the cases that meet the QoS goals"). A goal with no value
+// is absent.
+func successMeanByGoal[C gridCase](cases []C, goals []float64, values func(*core.Result) []float64) map[float64]float64 {
+	out := make(map[float64]float64, len(goals))
+	for _, g := range goals {
+		sum, n := 0.0, 0
+		for _, c := range cases {
+			if c.goal() != g || !c.result().AllReached {
+				continue
+			}
+			for _, v := range values(c.result()) {
+				sum += v
+				n++
+			}
+		}
+		if n > 0 {
+			out[g] = sum / float64(n)
+		}
 	}
 	return out
 }
 
 // PairNonQoSThroughputByGoal averages the non-QoS kernel's normalized
-// throughput per goal, counting only cases that met the QoS goal — the
-// paper's Figure 8 methodology ("we only include the results from the
-// cases that meet the QoS goals").
+// throughput per goal over the cases that met the QoS goal.
 func PairNonQoSThroughputByGoal(cases []PairCase, goals []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(goals))
-	for _, g := range goals {
-		sum, n := 0.0, 0
-		for _, c := range filterPairs(cases, g) {
-			if !c.Res.AllReached {
-				continue
-			}
-			sum += c.NonQoSKernel().NormThroughput
-			n++
-		}
-		if n > 0 {
-			out[g] = sum / float64(n)
-		}
-	}
-	return out
+	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Kernels[1].NormThroughput} })
 }
 
 // PairOvershootByGoal averages QoS-kernel throughput normalized to the
 // goal (Figure 9), over successful cases.
 func PairOvershootByGoal(cases []PairCase, goals []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(goals))
-	for _, g := range goals {
-		sum, n := 0.0, 0
-		for _, c := range filterPairs(cases, g) {
-			if !c.Res.AllReached {
-				continue
-			}
-			sum += c.QoSKernel().GoalRatio
-			n++
-		}
-		if n > 0 {
-			out[g] = sum / float64(n)
-		}
-	}
-	return out
+	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Kernels[0].GoalRatio} })
 }
 
 // MissBuckets is the Figure 5 histogram: how far failed cases missed the
@@ -265,38 +271,18 @@ func Misses(cases []PairCase) MissBuckets {
 	return b
 }
 
-// TrioReachByGoal buckets trio QoSreach per goal value.
-func TrioReachByGoal(cases []TrioCase, goals []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(goals))
-	for _, g := range goals {
-		sub := filterTrios(cases, g)
-		out[g] = QoSReach(func(i int) bool { return sub[i].Res.AllReached }, len(sub))
-	}
-	return out
-}
-
 // TrioNonQoSThroughputByGoal averages normalized throughput of the trio's
 // non-QoS kernels over successful cases.
 func TrioNonQoSThroughputByGoal(cases []TrioCase, goals []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(goals))
-	for _, g := range goals {
-		sum, n := 0.0, 0
-		for _, c := range filterTrios(cases, g) {
-			if !c.Res.AllReached {
-				continue
-			}
-			for _, k := range c.Res.Kernels {
-				if !k.IsQoS {
-					sum += k.NormThroughput
-					n++
-				}
+	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 {
+		var vs []float64
+		for _, k := range r.Kernels {
+			if !k.IsQoS {
+				vs = append(vs, k.NormThroughput)
 			}
 		}
-		if n > 0 {
-			out[g] = sum / float64(n)
-		}
-	}
-	return out
+		return vs
+	})
 }
 
 // ReachByQoSKernel computes per-benchmark QoSreach (Figure 7) plus the
@@ -331,45 +317,20 @@ func ReachByQoSKernel(cases []PairCase) (perKernel map[string]float64, perClass 
 
 // AvgReach averages QoSreach over all cases.
 func AvgReach(cases []PairCase) float64 {
-	return QoSReach(func(i int) bool { return cases[i].Res.AllReached }, len(cases))
+	if len(cases) == 0 {
+		return 0
+	}
+	hits := 0
+	for _, c := range cases {
+		if c.Res.AllReached {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(cases))
 }
 
 // InstrPerWattByGoal averages instructions/watt per goal over successful
 // cases (Figure 14 compares schemes on this).
 func InstrPerWattByGoal(cases []PairCase, goals []float64) map[float64]float64 {
-	out := make(map[float64]float64, len(goals))
-	for _, g := range goals {
-		sum, n := 0.0, 0
-		for _, c := range filterPairs(cases, g) {
-			if !c.Res.AllReached {
-				continue
-			}
-			sum += c.Res.Power.InstrPerWatt
-			n++
-		}
-		if n > 0 {
-			out[g] = sum / float64(n)
-		}
-	}
-	return out
-}
-
-func filterPairs(cases []PairCase, goal float64) []PairCase {
-	var out []PairCase
-	for _, c := range cases {
-		if c.Goal == goal {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func filterTrios(cases []TrioCase, goal float64) []TrioCase {
-	var out []TrioCase
-	for _, c := range cases {
-		if c.QoSGoals[0] == goal {
-			out = append(out, c)
-		}
-	}
-	return out
+	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Power.InstrPerWatt} })
 }

@@ -48,7 +48,7 @@ func TestPairReducers(t *testing.T) {
 		fakeCase(0.9, 1.03, 0.3),
 	}
 	goals := []float64{0.5, 0.9}
-	reach := PairReachByGoal(cases, goals)
+	reach := ReachByGoal(cases, goals)
 	if reach[0.5] != 0.5 || reach[0.9] != 1.0 {
 		t.Fatalf("reach = %v", reach)
 	}

@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
-	"repro/internal/workloads"
 )
 
 // Table is one reproduced figure or table, ready to print.
@@ -54,115 +51,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Study configures how much of the full evaluation a figure driver runs.
-// The paper's full study is 90 pairs x 10 goals (900 cases per scheme)
-// and 60 trios x 10 goals; Reduced trims both axes for quick runs. All
-// sweeps execute on the Runner's worker pool.
-type Study struct {
-	Runner *Runner
-	Pairs  []workloads.Pair
-	Trios  []workloads.Trio
-	Goals  []float64 // pair/1-QoS-trio goal sweep
-	Goals2 []float64 // 2-QoS-trio goal sweep
-	// Progress receives sweep progress events for long runs (may be nil).
-	Progress ProgressFunc
-
-	// cache memoizes pair sweeps across figure drivers (Figures 7, 8a,
-	// 9 and 14 all reduce the same Spart and Rollover sweeps).
-	cache map[core.Scheme][]PairCase
-}
-
-// FullStudy returns the paper's complete evaluation configuration.
-func FullStudy(r *Runner) Study {
-	return Study{
-		Runner: r,
-		Pairs:  workloads.Pairs(),
-		Trios:  workloads.Trios(),
-		Goals:  Goals(),
-		Goals2: TwoQoSGoals(),
-		cache:  make(map[core.Scheme][]PairCase),
-	}
-}
-
-// ReducedStudy returns a subsampled configuration sized for benchmarks:
-// every k-th pair/trio and every other goal.
-func ReducedStudy(r *Runner, k int) Study {
-	if k < 1 {
-		k = 1
-	}
-	st := FullStudy(r)
-	st.Pairs = everyPair(st.Pairs, k)
-	st.Trios = everyTrio(st.Trios, k)
-	st.Goals = everyGoal(st.Goals, 2)
-	st.Goals2 = everyGoal(st.Goals2, 2)
-	return st
-}
-
-func everyPair(in []workloads.Pair, k int) []workloads.Pair {
-	var out []workloads.Pair
-	for i := 0; i < len(in); i += k {
-		out = append(out, in[i])
-	}
-	return out
-}
-
-func everyTrio(in []workloads.Trio, k int) []workloads.Trio {
-	var out []workloads.Trio
-	for i := 0; i < len(in); i += k {
-		out = append(out, in[i])
-	}
-	return out
-}
-
-func everyGoal(in []float64, k int) []float64 {
-	var out []float64
-	for i := 0; i < len(in); i += k {
-		out = append(out, in[i])
-	}
-	return out
-}
-
-// progress relabels the sweep's events with a figure-specific stage name
-// before forwarding them to the study's stream.
-func (st Study) progress(stage string) ProgressFunc {
-	if st.Progress == nil {
-		return nil
-	}
-	return func(p Progress) {
-		p.Stage = stage
-		st.Progress(p)
-	}
-}
-
-func pct(v float64) string       { return fmt.Sprintf("%.1f%%", 100*v) }
-func num(v float64) string       { return fmt.Sprintf("%.3f", v) }
-func goalLabel(g float64) string { return fmt.Sprintf("%.0f%%", 100*g) }
-
-// schemeSweep runs the pair sweep for several schemes, memoizing results
-// per scheme so successive figure drivers share them. The cache is keyed
-// by scheme only: it is valid because a Study's runner, pair list and
-// goal sweep are immutable once built.
-func (st Study) schemeSweep(ctx context.Context, schemes ...core.Scheme) (map[core.Scheme][]PairCase, error) {
-	out := make(map[core.Scheme][]PairCase, len(schemes))
-	for _, sc := range schemes {
-		if st.cache != nil {
-			if cases, ok := st.cache[sc]; ok {
-				out[sc] = cases
-				continue
-			}
-		}
-		cases, err := st.Runner.PairSweep(ctx, st.Pairs, st.Goals, sc, st.progress(sc.String()))
-		if err != nil {
-			return nil, err
-		}
-		if st.cache != nil {
-			st.cache[sc] = cases
-		}
-		out[sc] = cases
-	}
-	return out, nil
-}
-
 // Table1 reports the simulation parameters (paper Table 1).
 func Table1(cfg config.GPU) *Table {
 	t := &Table{ID: "Table 1", Title: "Simulation parameters",
@@ -181,13 +69,87 @@ func Table1(cfg config.GPU) *Table {
 	return t
 }
 
-// Fig5 reproduces Figure 5: the Naive+History miss-distance histogram.
-func Fig5(ctx context.Context, st Study) (*Table, error) {
-	cases, err := st.Runner.PairSweep(ctx, st.Pairs, st.Goals, core.SchemeNaiveHistory, st.progress("fig5"))
-	if err != nil {
-		return nil, err
+func pct(v float64) string       { return fmt.Sprintf("%.1f%%", 100*v) }
+func num(v float64) string       { return fmt.Sprintf("%.3f", v) }
+func goalLabel(g float64) string { return fmt.Sprintf("%.0f%%", 100*g) }
+
+// reachTable adds one QoSreach column per pair sweep to t: a row per
+// goal, then the average over all cases.
+func reachTable(t *Table, goals []float64, cols []SweepRow) *Table {
+	for _, g := range goals {
+		row := []string{goalLabel(g)}
+		for _, col := range cols {
+			row = append(row, pct(ReachByGoal(col.Pairs, []float64{g})[g]))
+		}
+		t.Rows = append(t.Rows, row)
 	}
-	b := Misses(cases)
+	avg := []string{"AVG"}
+	for _, col := range cols {
+		avg = append(avg, pct(AvgReach(col.Pairs)))
+	}
+	t.Rows = append(t.Rows, avg)
+	return t
+}
+
+// tputTable adds one non-QoS throughput column per pair sweep to t: a
+// row per goal, then the mean over goals. It returns each column's sum.
+func tputTable(t *Table, goals []float64, cols []SweepRow) []float64 {
+	byGoal := make([]map[float64]float64, len(cols))
+	for i, col := range cols {
+		byGoal[i] = PairNonQoSThroughputByGoal(col.Pairs, goals)
+	}
+	sums := make([]float64, len(cols))
+	for _, g := range goals {
+		row := []string{goalLabel(g)}
+		for i, m := range byGoal {
+			row = append(row, num(m[g]))
+			sums[i] += m[g]
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	avg := []string{"AVG"}
+	for _, s := range sums {
+		avg = append(avg, num(s/float64(len(goals))))
+	}
+	t.Rows = append(t.Rows, avg)
+	return sums
+}
+
+// reachFig is a figure of one QoSreach column per declared sweep.
+func reachFig(id, title string, header []string, note string) Reducer {
+	return func(st Study, cs []SweepRow) (*Table, error) {
+		return reachTable(&Table{ID: id, Title: title, Header: header, Notes: []string{note}}, st.Goals, cs), nil
+	}
+}
+
+// tputFig is a figure of one non-QoS throughput column per declared sweep.
+func tputFig(id, title string, header []string, note string) Reducer {
+	return func(st Study, cs []SweepRow) (*Table, error) {
+		t := &Table{ID: id, Title: title, Header: header, Notes: []string{note}}
+		tputTable(t, st.Goals, cs)
+		return t, nil
+	}
+}
+
+// meanPositive averages m over the goals where it is positive; n counts
+// them.
+func meanPositive(m map[float64]float64, goals []float64) (mean float64, n int) {
+	var sum float64
+	for _, g := range goals {
+		if m[g] > 0 {
+			sum += m[g]
+			n++
+		}
+	}
+	if n > 0 {
+		mean = sum / float64(n)
+	}
+	return mean, n
+}
+
+// Fig5 reproduces Figure 5: the Naive+History miss-distance histogram.
+func Fig5(_ Study, cs []SweepRow) (*Table, error) {
+	b := Misses(cs[0].Pairs)
 	labels := BucketLabels()
 	t := &Table{ID: "Figure 5", Title: "Cases where Naive+History misses the IPC goal, by miss distance",
 		Header: []string{"Bucket", "Cases"}}
@@ -201,116 +163,74 @@ func Fig5(ctx context.Context, st Study) (*Table, error) {
 	return t, nil
 }
 
-// Fig6a reproduces Figure 6a: pair QoSreach for Spart/Naive/Elastic/Rollover.
-func Fig6a(ctx context.Context, st Study) (*Table, error) {
-	schemes := []core.Scheme{core.SchemeSpart, core.SchemeNaive, core.SchemeElastic, core.SchemeRollover}
-	bySch, err := st.schemeSweep(ctx, schemes...)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "Figure 6a", Title: "QoSreach vs QoS goal, two-kernel pairs",
-		Header: []string{"Goal"}}
-	for _, sc := range schemes {
-		t.Header = append(t.Header, sc.String())
-	}
-	for _, g := range st.Goals {
-		row := []string{goalLabel(g)}
-		for _, sc := range schemes {
-			row = append(row, pct(PairReachByGoal(bySch[sc], []float64{g})[g]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	avg := []string{"AVG"}
-	for _, sc := range schemes {
-		avg = append(avg, pct(AvgReach(bySch[sc])))
-	}
-	t.Rows = append(t.Rows, avg)
-	t.Notes = append(t.Notes, "paper averages: Naive 20.6%, Spart 78.8%, Rollover 88.4% (Rollover +12.2% over Spart)")
-	return t, nil
-}
+var (
+	spartRolloverHd = []string{"Goal", "Spart", "Rollover"}
+	rolloverTimeHd  = []string{"Goal", "Rollover", "Rollover-Time"}
+)
 
-// trioFig runs the Figure 6b/6c (reach) or 8b/8c (throughput) trio study.
-func trioFig(ctx context.Context, st Study, nQoS int, goals []float64, throughput bool, id, title, paperNote string) (*Table, error) {
-	t := &Table{ID: id, Title: title, Header: []string{"Goal", "Spart", "Rollover"}}
-	spart, err := st.Runner.TrioSweep(ctx, st.Trios, goals, nQoS, core.SchemeSpart, st.progress(id+"/spart"))
-	if err != nil {
-		return nil, err
-	}
-	roll, err := st.Runner.TrioSweep(ctx, st.Trios, goals, nQoS, core.SchemeRollover, st.progress(id+"/rollover"))
-	if err != nil {
-		return nil, err
-	}
-	reduce := TrioReachByGoal
-	format := pct
-	if throughput {
-		reduce = TrioNonQoSThroughputByGoal
-		format = num
-	}
-	sp := reduce(spart, goals)
-	ro := reduce(roll, goals)
-	sum := [2]float64{}
-	cnt := 0
-	for _, g := range goals {
-		label := goalLabel(g)
+// Fig6a reproduces Figure 6a: pair QoSreach for Spart/Naive/Elastic/Rollover.
+var Fig6a = reachFig("Figure 6a", "QoSreach vs QoS goal, two-kernel pairs",
+	[]string{"Goal", "Spart", "Naive", "Elastic", "Rollover"},
+	"paper averages: Naive 20.6%, Spart 78.8%, Rollover 88.4% (Rollover +12.2% over Spart)")
+
+// trioFig is the Figure 6b/6c (reach) or 8b/8c (throughput) trio study,
+// Spart against Rollover with nQoS QoS kernels.
+func trioFig(nQoS int, throughput bool, id, title, paperNote string) Reducer {
+	return func(st Study, cs []SweepRow) (*Table, error) {
+		goals, prefix := st.Goals, ""
 		if nQoS == 2 {
-			label = "2x" + label
+			goals, prefix = st.Goals2, "2x"
 		}
-		t.Rows = append(t.Rows, []string{label, format(sp[g]), format(ro[g])})
-		sum[0] += sp[g]
-		sum[1] += ro[g]
-		cnt++
+		reduce, format := ReachByGoal[TrioCase], pct
+		if throughput {
+			reduce, format = TrioNonQoSThroughputByGoal, num
+		}
+		t := &Table{ID: id, Title: title, Header: spartRolloverHd, Notes: []string{paperNote}}
+		sp, ro := reduce(cs[0].Trios, goals), reduce(cs[1].Trios, goals)
+		var sum [2]float64
+		for _, g := range goals {
+			t.Rows = append(t.Rows, []string{prefix + goalLabel(g), format(sp[g]), format(ro[g])})
+			sum[0] += sp[g]
+			sum[1] += ro[g]
+		}
+		if n := float64(len(goals)); n > 0 {
+			t.Rows = append(t.Rows, []string{"AVG", format(sum[0] / n), format(sum[1] / n)})
+		}
+		return t, nil
 	}
-	if cnt > 0 {
-		t.Rows = append(t.Rows, []string{"AVG", format(sum[0] / float64(cnt)), format(sum[1] / float64(cnt))})
-	}
-	t.Notes = append(t.Notes, paperNote)
-	return t, nil
 }
 
 // Fig6b reproduces Figure 6b: trio QoSreach, one QoS kernel.
-func Fig6b(ctx context.Context, st Study) (*Table, error) {
-	return trioFig(ctx, st, 1, st.Goals, false, "Figure 6b", "QoSreach vs goal, trios with one QoS kernel",
-		"paper: Rollover reaches QoS goals 18.8% more often than Spart")
-}
+var Fig6b = trioFig(1, false, "Figure 6b", "QoSreach vs goal, trios with one QoS kernel",
+	"paper: Rollover reaches QoS goals 18.8% more often than Spart")
 
 // Fig6c reproduces Figure 6c: trio QoSreach, two QoS kernels.
-func Fig6c(ctx context.Context, st Study) (*Table, error) {
-	return trioFig(ctx, st, 2, st.Goals2, false, "Figure 6c", "QoSreach vs goal, trios with two QoS kernels",
-		"paper: Rollover +43.8% over Spart; Spart reaches no goal at (70%,70%)")
-}
+var Fig6c = trioFig(2, false, "Figure 6c", "QoSreach vs goal, trios with two QoS kernels",
+	"paper: Rollover +43.8% over Spart; Spart reaches no goal at (70%,70%)")
 
 // Fig7 reproduces Figure 7: QoSreach per QoS benchmark and class.
-func Fig7(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
-	perK := map[core.Scheme]map[string]float64{}
-	perC := map[core.Scheme]map[string]float64{}
-	for sc, cases := range bySch {
-		k, c, err := ReachByQoSKernel(cases)
-		if err != nil {
+func Fig7(_ Study, cs []SweepRow) (*Table, error) {
+	var perK, perC [2]map[string]float64 // Spart, Rollover
+	for i := range perK {
+		var err error
+		if perK[i], perC[i], err = ReachByQoSKernel(cs[i].Pairs); err != nil {
 			return nil, err
 		}
-		perK[sc], perC[sc] = k, c
 	}
 	t := &Table{ID: "Figure 7", Title: "QoSreach per QoS kernel, two-kernel sharing",
 		Header: []string{"QoS kernel", "Spart", "Rollover"}}
 	var names []string
-	for name := range perK[core.SchemeRollover] {
+	for name := range perK[1] {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.Rows = append(t.Rows, []string{name,
-			pct(perK[core.SchemeSpart][name]), pct(perK[core.SchemeRollover][name])})
+		t.Rows = append(t.Rows, []string{name, pct(perK[0][name]), pct(perK[1][name])})
 	}
 	for _, cls := range []string{"C+M", "C+C", "M+M"} {
-		if _, ok := perC[core.SchemeRollover][cls]; !ok {
-			continue
+		if _, ok := perC[1][cls]; ok {
+			t.Rows = append(t.Rows, []string{cls, pct(perC[0][cls]), pct(perC[1][cls])})
 		}
-		t.Rows = append(t.Rows, []string{cls,
-			pct(perC[core.SchemeSpart][cls]), pct(perC[core.SchemeRollover][cls])})
 	}
 	t.Notes = append(t.Notes,
 		"paper: C+C pairs meet goals in all cases for both schemes; Spart trails Rollover on M+M (no bandwidth control); histo is hard for both")
@@ -318,68 +238,30 @@ func Fig7(ctx context.Context, st Study) (*Table, error) {
 }
 
 // Fig8a reproduces Figure 8a: non-QoS normalized throughput, pairs.
-func Fig8a(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "Figure 8a", Title: "Non-QoS kernel throughput normalized to isolated, pairs",
-		Header: []string{"Goal", "Spart", "Rollover"}}
-	sp := PairNonQoSThroughputByGoal(bySch[core.SchemeSpart], st.Goals)
-	ro := PairNonQoSThroughputByGoal(bySch[core.SchemeRollover], st.Goals)
-	var s0, s1 float64
-	for _, g := range st.Goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), num(sp[g]), num(ro[g])})
-		s0 += sp[g]
-		s1 += ro[g]
-	}
-	n := float64(len(st.Goals))
-	t.Rows = append(t.Rows, []string{"AVG", num(s0 / n), num(s1 / n)})
-	t.Notes = append(t.Notes, "paper: Rollover averages 15.9% higher than Spart; both fall as the goal rises")
-	return t, nil
-}
+var Fig8a = tputFig("Figure 8a", "Non-QoS kernel throughput normalized to isolated, pairs", spartRolloverHd,
+	"paper: Rollover averages 15.9% higher than Spart; both fall as the goal rises")
 
 // Fig8b reproduces Figure 8b: non-QoS throughput, trios with one QoS kernel.
-func Fig8b(ctx context.Context, st Study) (*Table, error) {
-	return trioFig(ctx, st, 1, st.Goals, true, "Figure 8b", "Non-QoS throughput normalized to isolated, trios (1 QoS)",
-		"paper: Rollover +19.9% over Spart; largest gain 75.5% at the 95% goal")
-}
+var Fig8b = trioFig(1, true, "Figure 8b", "Non-QoS throughput normalized to isolated, trios (1 QoS)",
+	"paper: Rollover +19.9% over Spart; largest gain 75.5% at the 95% goal")
 
 // Fig8c reproduces Figure 8c: non-QoS throughput, trios with two QoS kernels.
-func Fig8c(ctx context.Context, st Study) (*Table, error) {
-	return trioFig(ctx, st, 2, st.Goals2, true, "Figure 8c", "Non-QoS throughput normalized to isolated, trios (2 QoS)",
-		"paper: Rollover +20.5% over Spart; >10x in the three highest goal categories")
-}
+var Fig8c = trioFig(2, true, "Figure 8c", "Non-QoS throughput normalized to isolated, trios (2 QoS)",
+	"paper: Rollover +20.5% over Spart; >10x in the three highest goal categories")
 
 // Fig9 reproduces Figure 9: QoS kernel throughput normalized to its goal.
-func Fig9(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
+func Fig9(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Figure 9", Title: "QoS kernel throughput normalized to its goal (overshoot)",
-		Header: []string{"Goal", "Spart", "Rollover"}}
-	sp := PairOvershootByGoal(bySch[core.SchemeSpart], st.Goals)
-	ro := PairOvershootByGoal(bySch[core.SchemeRollover], st.Goals)
-	var s0, s1 float64
-	var n0, n1 int
+		Header: spartRolloverHd}
+	sp, ro := PairOvershootByGoal(cs[0].Pairs, st.Goals), PairOvershootByGoal(cs[1].Pairs, st.Goals)
 	for _, g := range st.Goals {
 		t.Rows = append(t.Rows, []string{goalLabel(g), num(sp[g]), num(ro[g])})
-		if sp[g] > 0 {
-			s0 += sp[g]
-			n0++
-		}
-		if ro[g] > 0 {
-			s1 += ro[g]
-			n1++
-		}
 	}
 	avg := []string{"AVG", "-", "-"}
-	if n0 > 0 {
-		avg[1] = num(s0 / float64(n0))
-	}
-	if n1 > 0 {
-		avg[2] = num(s1 / float64(n1))
+	for i, m := range []map[float64]float64{sp, ro} {
+		if mean, n := meanPositive(m, st.Goals); n > 0 {
+			avg[i+1] = num(mean)
+		}
 	}
 	t.Rows = append(t.Rows, avg)
 	t.Notes = append(t.Notes, "paper: Spart exceeds goals by 11.6% on average, Rollover by only 2.8%")
@@ -387,101 +269,34 @@ func Fig9(ctx context.Context, st Study) (*Table, error) {
 }
 
 // Fig10 reproduces Figure 10: QoSreach, Rollover vs Rollover-Time.
-func Fig10(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeRollover, core.SchemeRolloverTime)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "Figure 10", Title: "QoSreach: Rollover vs time-multiplexed Rollover",
-		Header: []string{"Goal", "Rollover", "Rollover-Time"}}
-	ro := PairReachByGoal(bySch[core.SchemeRollover], st.Goals)
-	rt := PairReachByGoal(bySch[core.SchemeRolloverTime], st.Goals)
-	for _, g := range st.Goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), pct(ro[g]), pct(rt[g])})
-	}
-	t.Rows = append(t.Rows, []string{"AVG",
-		pct(AvgReach(bySch[core.SchemeRollover])), pct(AvgReach(bySch[core.SchemeRolloverTime]))})
-	t.Notes = append(t.Notes, "paper: the two differ by only ~3% on average")
-	return t, nil
-}
+var Fig10 = reachFig("Figure 10", "QoSreach: Rollover vs time-multiplexed Rollover", rolloverTimeHd,
+	"paper: the two differ by only ~3% on average")
 
 // Fig11 reproduces Figure 11: non-QoS throughput, Rollover vs Rollover-Time.
-func Fig11(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeRollover, core.SchemeRolloverTime)
-	if err != nil {
-		return nil, err
-	}
+func Fig11(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Figure 11", Title: "Non-QoS throughput: Rollover vs time-multiplexed Rollover",
-		Header: []string{"Goal", "Rollover", "Rollover-Time"}}
-	ro := PairNonQoSThroughputByGoal(bySch[core.SchemeRollover], st.Goals)
-	rt := PairNonQoSThroughputByGoal(bySch[core.SchemeRolloverTime], st.Goals)
-	var s0, s1 float64
-	for _, g := range st.Goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), num(ro[g]), num(rt[g])})
-		s0 += ro[g]
-		s1 += rt[g]
-	}
-	n := float64(len(st.Goals))
-	t.Rows = append(t.Rows, []string{"AVG", num(s0 / n), num(s1 / n)})
-	if s1 > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("measured degradation: %.2fx (paper: 1.47x)", s0/s1))
+		Header: rolloverTimeHd}
+	s := tputTable(t, st.Goals, cs)
+	if s[1] > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("measured degradation: %.2fx (paper: 1.47x)", s[0]/s[1]))
 	}
 	return t, nil
 }
 
-// Fig12 reproduces Figure 12: QoSreach with 56 SMs. The study's session
-// must be built with config.Scale56.
-func Fig12(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "Figure 12", Title: "QoSreach vs goal, 56 SMs",
-		Header: []string{"Goal", "Spart", "Rollover"}}
-	sp := PairReachByGoal(bySch[core.SchemeSpart], st.Goals)
-	ro := PairReachByGoal(bySch[core.SchemeRollover], st.Goals)
-	for _, g := range st.Goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), pct(sp[g]), pct(ro[g])})
-	}
-	t.Rows = append(t.Rows, []string{"AVG",
-		pct(AvgReach(bySch[core.SchemeSpart])), pct(AvgReach(bySch[core.SchemeRollover]))})
-	t.Notes = append(t.Notes, "paper: more SMs help Spart (finer spatial granularity) but it stays 4.76% behind Rollover")
-	return t, nil
-}
+// Fig12 reproduces Figure 12: QoSreach with 56 SMs (config.Scale56).
+var Fig12 = reachFig("Figure 12", "QoSreach vs goal, 56 SMs", spartRolloverHd,
+	"paper: more SMs help Spart (finer spatial granularity) but it stays 4.76% behind Rollover")
 
 // Fig13 reproduces Figure 13: non-QoS throughput with 56 SMs.
-func Fig13(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "Figure 13", Title: "Non-QoS throughput, 56 SMs",
-		Header: []string{"Goal", "Spart", "Rollover"}}
-	sp := PairNonQoSThroughputByGoal(bySch[core.SchemeSpart], st.Goals)
-	ro := PairNonQoSThroughputByGoal(bySch[core.SchemeRollover], st.Goals)
-	var s0, s1 float64
-	for _, g := range st.Goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), num(sp[g]), num(ro[g])})
-		s0 += sp[g]
-		s1 += ro[g]
-	}
-	n := float64(len(st.Goals))
-	t.Rows = append(t.Rows, []string{"AVG", num(s0 / n), num(s1 / n)})
-	t.Notes = append(t.Notes, "paper: Rollover improves non-QoS throughput by 30.65% on average at 56 SMs")
-	return t, nil
-}
+var Fig13 = tputFig("Figure 13", "Non-QoS throughput, 56 SMs", spartRolloverHd,
+	"paper: Rollover improves non-QoS throughput by 30.65% on average at 56 SMs")
 
 // Fig14 reproduces Figure 14: instructions-per-watt improvement of
 // Rollover over Spart, per goal, over cases both schemes satisfied.
-func Fig14(ctx context.Context, st Study) (*Table, error) {
-	bySch, err := st.schemeSweep(ctx, core.SchemeSpart, core.SchemeRollover)
-	if err != nil {
-		return nil, err
-	}
+func Fig14(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Figure 14", Title: "Instructions-per-watt improvement of Rollover over Spart",
 		Header: []string{"Goal", "Improvement"}}
-	sp := InstrPerWattByGoal(bySch[core.SchemeSpart], st.Goals)
-	ro := InstrPerWattByGoal(bySch[core.SchemeRollover], st.Goals)
+	sp, ro := InstrPerWattByGoal(cs[0].Pairs, st.Goals), InstrPerWattByGoal(cs[1].Pairs, st.Goals)
 	var sum float64
 	var n int
 	for _, g := range st.Goals {

@@ -28,8 +28,8 @@ import (
 // never influence simulation results, which stay bit-identical to a
 // serial run.
 type Progress struct {
-	// Stage labels the sweep (usually the scheme name; figure drivers
-	// relabel it with the figure id).
+	// Stage labels the sweep (usually the scheme name; Study.Collect
+	// relabels it with the declared sweep's name).
 	Stage string
 	// Done and Total count cases.
 	Done, Total int
