@@ -117,10 +117,14 @@ race:
 
 # Deterministic chaos suite for the distributed sweep: scripted worker
 # kills, dropped/duplicated/delayed result deliveries, blackholed
-# heartbeats forcing lease-expiry races — raced and uncached, asserting
-# byte-identical merges and single-append journals every time.
+# heartbeats forcing lease-expiry races, a lease that finishes only when
+# the worker runs it across its whole pool — raced and uncached,
+# asserting byte-identical merges and single-append journals every time.
+# Then the command's three roles as one sweep: a local run's CSV equals
+# `sweep -serve` + an in-process `sweep -worker`, byte for byte.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestSoakKillOne' ./internal/distsweep
+	$(GO) test -race -count=1 -run 'TestChaos|TestSoakKillOne|TestWorkerUsesWholePool' ./internal/distsweep
+	$(GO) test -race -count=1 -run 'TestServeMatchesLocal' ./cmd/sweep
 
 # Formatting gate: gofmt -l lists every file it would rewrite; any name
 # is a failure.

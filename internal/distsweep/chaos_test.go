@@ -67,11 +67,11 @@ func serialOracle(t *testing.T, sp Spec) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheme, err := sp.SchemeValue()
+	scheme, err := core.ParseScheme(sp.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases, err := exp.PairSweep(context.Background(), s, sp.Pairs, sp.FracAxis(), scheme, nil)
+	cases, err := exp.PairSweep(context.Background(), s, sp.Pairs, sp.grid().Goals, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +262,12 @@ type chaosWorkerOpts struct {
 	onCase    func(w *Worker, ev WorkerEvent)
 	flush     int
 	retries   retry.Policy
+	sessions  int // the runner's session pool (0 = one)
 }
 
 // startWorker fetches the spec over the (possibly chaotic) transport,
-// builds a single-session runner, and runs the worker in a goroutine.
+// builds the worker's runner (one session unless o.sessions says more),
+// and runs the worker in a goroutine.
 func startWorker(t *testing.T, ctx context.Context, addr string, o chaosWorkerOpts, rec *execRecorder) (*Worker, <-chan error) {
 	t.Helper()
 	client := http.DefaultClient
@@ -281,7 +283,7 @@ func startWorker(t *testing.T, ctx context.Context, addr string, o chaosWorkerOp
 	if o.faults != nil {
 		sessOpts = append(sessOpts, core.WithFaultInjector(o.faults))
 	}
-	runner, err := exp.NewRunner(1,
+	runner, err := exp.NewRunner(max(o.sessions, 1),
 		exp.WithSessionOptions(sessOpts...),
 		exp.WithFaultPolicy(exp.FaultPolicy{Retry: retry.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Seed: 7}}))
 	if err != nil {
@@ -301,7 +303,6 @@ func startWorker(t *testing.T, ctx context.Context, addr string, o chaosWorkerOp
 		Retry:        pol,
 		FlushCases:   o.flush,
 		PollInterval: 50 * time.Millisecond,
-		Trace:        true,
 		OnEvent: func(ev WorkerEvent) {
 			if ev.Kind == "case" {
 				rec.record(ev.Index)
@@ -380,13 +381,13 @@ func TestCoordinationCostPerCase(t *testing.T) {
 			}
 
 			assertMergedIdentical(t, coord, want)
-			assertJournalSingleLines(t, jpath, sp.Total())
+			assertJournalSingleLines(t, jpath, sp.grid().Len())
 			coord.mu.Lock()
 			granted, reports, dups := coord.granted, coord.reports, coord.duplicates
 			coord.mu.Unlock()
 			if granted != tc.leases || reports != tc.reports {
 				t.Errorf("control plane used %d leases and %d reports for %d cases, want %d and %d",
-					granted, reports, sp.Total(), tc.leases, tc.reports)
+					granted, reports, sp.grid().Len(), tc.leases, tc.reports)
 			}
 			if st := coord.State(); dups != 0 || st.Expired != 0 || st.Orphans != 0 {
 				t.Errorf("fault-free sweep saw %d duplicates, state %+v", dups, st)
@@ -443,7 +444,7 @@ func TestChaosDeliveryFaults(t *testing.T) {
 	}
 
 	assertMergedIdentical(t, coord, want)
-	assertJournalSingleLines(t, jpath, sp.Total())
+	assertJournalSingleLines(t, jpath, sp.grid().Len())
 	if st := coord.State(); !st.Done || st.Failed != 0 {
 		t.Fatalf("state = %+v", st)
 	}
@@ -541,7 +542,7 @@ func TestChaosLeaseExpiryRace(t *testing.T) {
 	}
 
 	assertMergedIdentical(t, coord, want)
-	assertJournalSingleLines(t, jpath, sp.Total())
+	assertJournalSingleLines(t, jpath, sp.grid().Len())
 	// A ran its hung case after B had already run one from the same
 	// re-issued range: at least one case was executed by both.
 	overlap := false
@@ -630,7 +631,7 @@ func TestSoakKillOne(t *testing.T) {
 
 	// Headline guarantee: kill-any-single-worker changes nothing.
 	assertMergedIdentical(t, coord, want)
-	assertJournalSingleLines(t, jpath, sp.Total())
+	assertJournalSingleLines(t, jpath, sp.grid().Len())
 
 	// No journal-committed case was re-executed: whatever was committed
 	// at the kill kept its execution count to the end.
@@ -658,17 +659,73 @@ func TestSoakKillOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scheme, _ := sp.SchemeValue()
-		cases, err := exp.PairSweep(context.Background(), s, sp.Pairs, sp.FracAxis(), scheme, nil)
+		scheme, _ := core.ParseScheme(sp.Scheme)
+		g := sp.grid()
+		cases, err := exp.PairSweep(context.Background(), s, sp.Pairs, g.Goals, scheme, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantCSV.WriteString(strings.Join(exp.PairCSVHeader(), ",") + "\n")
-		for _, c := range cases {
-			wantCSV.WriteString(strings.Join(exp.PairCSVRow(c), ",") + "\n")
+		wantCSV.WriteString(strings.Join(g.CSVHeader(), ",") + "\n")
+		for _, row := range g.CSVRows(exp.Cases{Pairs: cases}) {
+			wantCSV.WriteString(strings.Join(row, ",") + "\n")
 		}
 	}
 	if distCSV.String() != wantCSV.String() {
 		t.Fatalf("merged CSV differs from serial CSV:\n--- serial ---\n%s\n--- merged ---\n%s", wantCSV.String(), distCSV.String())
 	}
+}
+
+// meetTwo is a core.FaultInjector that holds every sweep case at the
+// simulator's door until a second one has arrived: a worker that runs its
+// lease one case at a time never gets past its first case.
+type meetTwo struct {
+	mu      sync.Mutex
+	arrived int
+	both    chan struct{} // closed when the second case arrives
+}
+
+func (m *meetTwo) Inject(ctx context.Context) error {
+	if _, ok := core.CaseIndexFromContext(ctx); !ok {
+		return nil // an isolated baseline, not a sweep case
+	}
+	m.mu.Lock()
+	if m.arrived++; m.arrived == 2 {
+		close(m.both)
+	}
+	m.mu.Unlock()
+	select {
+	case <-m.both:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestWorkerUsesWholePool gives a worker whose runner has two sessions one
+// lease of four cases. A case leaves the simulator's door only once two
+// cases stand there together, so the lease completes only if the worker
+// runs it across its whole pool, not one case at a time.
+func TestWorkerUsesWholePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	sp := testSpec() // 4 cases
+	want := serialOracle(t, sp)
+	coord, ts, jpath := chaosCoordinator(t, sp, 4, 5*time.Second, newFakeClock())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	meet := &meetTwo{both: make(chan struct{})}
+	_, errW := startWorker(t, ctx, ts.URL, chaosWorkerOpts{name: "pool", faults: meet, sessions: 2}, newExecRecorder())
+	select {
+	case <-meet.both:
+	case <-ctx.Done():
+		t.Fatal("no two cases of the lease were ever in the simulator together: the worker runs its lease one case at a time")
+	}
+	waitDone(t, coord, 25*time.Second)
+	if err := <-errW; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	assertMergedIdentical(t, coord, want)
+	assertJournalSingleLines(t, jpath, sp.grid().Len())
 }

@@ -86,6 +86,7 @@ type lease struct {
 //     as duplicates and do not touch the journal.
 type Coordinator struct {
 	cfg   Config
+	grid  exp.Grid
 	stage string
 	total int
 
@@ -137,12 +138,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	grid := cfg.Spec.grid()
 	c := &Coordinator{
 		cfg:      cfg,
+		grid:     grid,
 		stage:    stage,
-		total:    cfg.Spec.Total(),
+		total:    grid.Len(),
 		leases:   make(map[string]*lease),
-		results:  make([]json.RawMessage, cfg.Spec.Total()),
+		results:  make([]json.RawMessage, grid.Len()),
 		attempts: make(map[int]int),
 		failed:   make(map[int]string),
 		done:     make(chan struct{}),
@@ -162,7 +165,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.jnl = j
 		for i, raw := range j.Completed(stage) {
-			if i < 0 || i >= c.total || !cfg.Spec.ValidCase(raw) {
+			if i < 0 || i >= c.total || !grid.Restores(raw) {
 				continue // foreign or damaged entry; leave the case to re-run
 			}
 			if c.results[i] == nil {
@@ -346,7 +349,7 @@ func (c *Coordinator) Report(rr ReportRequest) (ReportResponse, error) {
 			c.duplicates++
 			continue
 		}
-		if !c.cfg.Spec.ValidCase(cs.Data) {
+		if !c.grid.Restores(cs.Data) {
 			return resp, fmt.Errorf("%w: case %d payload does not restore", ErrBadRequest, cs.Index)
 		}
 		if c.jnl != nil {
@@ -390,7 +393,7 @@ func (c *Coordinator) Report(rr ReportRequest) (ReportResponse, error) {
 			c.failed[f.Index] = f.Error
 			c.removeFreeLocked(f.Index)
 			c.logf("coordinator: case %d (%s) permanently failed after %d attempts: %s",
-				f.Index, c.cfg.Spec.Describe(f.Index), c.attempts[f.Index], f.Error)
+				f.Index, c.grid.Describe(f.Index), c.attempts[f.Index], f.Error)
 		} else if !c.inFreeLocked(f.Index) {
 			c.free = append(c.free, f.Index)
 			sort.Ints(c.free)
@@ -473,45 +476,18 @@ func (c *Coordinator) FailedCases() map[int]string {
 	return out
 }
 
-// MergedPairs restores the merged pair cases in grid order.
-func (c *Coordinator) MergedPairs() ([]exp.PairCase, error) {
-	return c.cfg.Spec.RestorePairs(c.Results())
-}
-
-// MergedTrios restores the merged trio cases in grid order.
-func (c *Coordinator) MergedTrios() ([]exp.TrioCase, error) {
-	return c.cfg.Spec.RestoreTrios(c.Results())
-}
-
-// WriteCSV renders the merged results with the same row builders the
-// local sweep front end uses, skipping uncommitted/failed cases.
+// WriteCSV renders the merged results through the CSV writer a local
+// sweep uses, in grid order, skipping uncommitted and failed cases.
 func (c *Coordinator) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if c.cfg.Spec.Mode == ModeTrios {
-		cases, err := c.MergedTrios()
-		if err != nil {
-			return err
-		}
-		cw.Write(exp.TrioCSVHeader())
-		for _, cse := range cases {
-			if cse.Res != nil {
-				cw.Write(exp.TrioCSVRow(cse, c.cfg.Spec.NQoS))
-			}
-		}
-	} else {
-		cases, err := c.MergedPairs()
-		if err != nil {
-			return err
-		}
-		cw.Write(exp.PairCSVHeader())
-		for _, cse := range cases {
-			if cse.Res != nil {
-				cw.Write(exp.PairCSVRow(cse))
-			}
+	cases := c.grid.Cases()
+	for i, raw := range c.Results() {
+		if raw != nil && !cases.Restore(i, raw) {
+			return fmt.Errorf("distsweep: committed case %d does not restore", i)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	cw := csv.NewWriter(w)
+	cw.Write(c.grid.CSVHeader())
+	return cw.WriteAll(c.grid.CSVRows(cases))
 }
 
 // --- HTTP surface -----------------------------------------------------

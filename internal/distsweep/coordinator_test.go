@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +60,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 // the chaos suite exercises real execution.
 func fakePayload(t *testing.T, sp Spec, i int) json.RawMessage {
 	t.Helper()
-	scheme, err := sp.SchemeValue()
+	scheme, err := core.ParseScheme(sp.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,29 +384,37 @@ func TestReportRejectsOutOfGridIndex(t *testing.T) {
 
 // TestStageKeyMatchesRunner pins the journal-interop contract: the
 // coordinator's stage key equals the key a local Runner derives for the
-// same grid, so journals written by either are interchangeable.
+// same grid, so journals written by either are interchangeable, and both
+// equal the keys journals have always been written under.
 func TestStageKeyMatchesRunner(t *testing.T) {
-	sp := testSpec()
-	stage, err := sp.StageKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.NewSession(sp.SessionOptions()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := sp.SchemeValue()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exp.StageKey(s.Config(), s.Seed(), "pairs", scheme, exp.PairGrid{Pairs: sp.Pairs, Goals: sp.FracAxis()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stage != want {
-		t.Fatalf("stage key %q != runner's %q", stage, want)
-	}
-	if !strings.HasPrefix(stage, "pairs/") {
-		t.Fatalf("stage key %q misses kind prefix", stage)
+	trios := testSpec()
+	trios.Mode, trios.NQoS = ModeTrios, 2
+	trios.Trios = []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}}
+	for _, tc := range []struct {
+		sp   Spec
+		want string
+	}{
+		{testSpec(), "pairs/rollover/0f3707296f5c/508ef24092c9"},
+		{trios, "trios/rollover/0f3707296f5c/e882363bd538"},
+	} {
+		stage, err := tc.sp.StageKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stage != tc.want {
+			t.Errorf("%s stage key %q, journals hold %q", tc.sp.Mode, stage, tc.want)
+		}
+		r, err := exp.NewRunner(1, exp.WithSessionOptions(tc.sp.SessionOptions()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Session()
+		runner, err := tc.sp.grid().StageKey(s.Config(), s.Seed(), core.SchemeRollover)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stage != runner {
+			t.Errorf("%s stage key %q != runner's %q", tc.sp.Mode, stage, runner)
+		}
 	}
 }

@@ -85,22 +85,12 @@ type HeartbeatResponse struct {
 	Done    bool `json:"done"`
 }
 
-// TraceSummary is the per-case trace evidence a worker streams back:
-// how many control-decision events the simulation emitted and how many
-// the ring dropped. It rides alongside the payload, never inside it, so
-// it cannot perturb bit-identical merged results.
-type TraceSummary struct {
-	Events  int   `json:"events"`
-	Dropped int64 `json:"dropped,omitempty"`
-}
-
 // CaseResult is one completed case: the journal-ready payload (the JSON
-// of an exp.PairCase/exp.TrioCase), its CRC32, and trace evidence.
+// of an exp.PairCase/exp.TrioCase) and its CRC32.
 type CaseResult struct {
 	Index int             `json:"index"`
 	Data  json.RawMessage `json:"data"`
 	CRC   uint32          `json:"crc"`
-	Trace TraceSummary    `json:"trace"`
 }
 
 // Checksum computes the CRC the wire carries for a payload.
@@ -210,9 +200,6 @@ func DecodeReport(b []byte) (ReportRequest, error) {
 		}
 		if got := Checksum(c.Data); got != c.CRC {
 			return ReportRequest{}, fmt.Errorf("distsweep: report case %d (index %d): CRC mismatch (stored %08x, computed %08x)", i, c.Index, c.CRC, got)
-		}
-		if c.Trace.Events < 0 || c.Trace.Dropped < 0 {
-			return ReportRequest{}, fmt.Errorf("distsweep: report case %d (index %d): negative trace counts", i, c.Index)
 		}
 	}
 	for i, f := range rr.Failed {

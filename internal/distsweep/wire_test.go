@@ -69,7 +69,7 @@ func FuzzLeaseDecode(f *testing.F) {
 	if b, err := json.Marshal(lease); err == nil {
 		f.Add(b)
 	}
-	cr := CaseResult{Index: 2, Data: json.RawMessage(`{"Pair":{"QoS":"sgemm","NonQoS":"lbm"},"Goal":0.5}`), Trace: TraceSummary{Events: 12}}
+	cr := CaseResult{Index: 2, Data: json.RawMessage(`{"Pair":{"QoS":"sgemm","NonQoS":"lbm"},"Goal":0.5}`)}
 	cr.Seal()
 	if b, err := json.Marshal(ReportRequest{Schema: schema.Version, Worker: "w0", Lease: "L7",
 		Cases: []CaseResult{cr}, Failed: []CaseFailure{{Index: 3, Error: "boom"}}}); err == nil {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/retry"
 	"repro/internal/schema"
-	"repro/internal/trace"
 )
 
 // Worker defaults.
@@ -35,9 +34,6 @@ const (
 	// holds computed-but-undelivered results: giving up then loses real
 	// work, so the worker tries considerably longer first.
 	undeliveredPatience = 4
-	// workerRingSize bounds the per-case trace ring; only the summary
-	// (event/drop counts) crosses the wire, so a small ring suffices.
-	workerRingSize = 1 << 12
 )
 
 // WorkerEvent is one observable worker transition, for logging and for
@@ -80,7 +76,8 @@ type WorkerConfig struct {
 	// Name identifies the worker in leases and logs.
 	Name string
 	// Runner executes cases. Required; built from the fetched Spec's
-	// SessionOptions plus local choices (pool size, injectors).
+	// SessionOptions plus local choices (pool size, injectors, trace
+	// directory). A lease runs across its whole session pool.
 	Runner *exp.Runner
 	// Spec is the sweep being executed (fetched via FetchSpec).
 	Spec Spec
@@ -102,13 +99,11 @@ type WorkerConfig struct {
 	// DefaultMaxIdlePolls; the bound is stretched undeliveredPatience×
 	// while computed results still await delivery).
 	MaxIdlePolls int
-	// Trace enables per-case trace collection; summaries ride along
-	// with each result.
-	Trace bool
 	// Log receives progress lines. Nil silences logging.
 	Log *log.Logger
 	// OnEvent observes worker transitions (tests, chaos harness). Called
-	// synchronously from the worker loop.
+	// synchronously, one event at a time: "case" events from the Runner's
+	// pool goroutines, the rest from the worker loop.
 	OnEvent func(WorkerEvent)
 }
 
@@ -126,6 +121,8 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
+	grid   exp.Grid
+	scheme core.Scheme
 
 	// statsMu guards stats: the heartbeat goroutine and tests read and
 	// write concurrently with the execution loop.
@@ -149,6 +146,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, errors.New("distsweep: worker needs a Runner")
 	}
 	if err := cfg.Spec.Validate(); err != nil {
+		return nil, err
+	}
+	scheme, err := core.ParseScheme(cfg.Spec.Scheme)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Addr == "" {
@@ -180,7 +181,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Worker{cfg: cfg, client: client}, nil
+	return &Worker{cfg: cfg, client: client, grid: cfg.Spec.grid(), scheme: scheme}, nil
 }
 
 // Stats returns a snapshot of the run counters; safe to call while the
@@ -275,9 +276,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// executeLease runs one lease's range, heartbeating in the background
-// and streaming results in chunks. Control-plane failures never abort
-// execution: results that cannot be delivered are carried forward.
+// executeLease runs one lease's range through the Runner's sweep engine,
+// across its whole session pool, heartbeating in the background. Each
+// case that completes or fails joins the result batch as soon as it is
+// done, and a full batch is delivered at once. Control-plane failures
+// never abort execution: results that cannot be delivered are carried
+// forward.
 func (w *Worker) executeLease(ctx context.Context, l Lease) {
 	w.bump(func(st *WorkerStats) { st.Leases++ })
 	w.event("lease", l.ID, -1, nil)
@@ -287,8 +291,9 @@ func (w *Worker) executeLease(ctx context.Context, l Lease) {
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, l)
 
-	var batch pendingBatch
-	batch.lease = l.ID
+	// mu serializes the batch, and its delivery, across the pool.
+	var mu sync.Mutex
+	batch := pendingBatch{lease: l.ID}
 	flush := func() {
 		if len(batch.cases) == 0 && len(batch.failed) == 0 {
 			return
@@ -296,53 +301,40 @@ func (w *Worker) executeLease(ctx context.Context, l Lease) {
 		w.deliver(ctx, batch)
 		batch = pendingBatch{lease: l.ID}
 	}
+	todo := make([]int, 0, l.End-l.Start)
 	for i := l.Start; i < l.End; i++ {
-		if ctx.Err() != nil {
-			return // killed mid-lease; undelivered work is lost with us
+		todo = append(todo, i)
+	}
+	_, err := w.cfg.Runner.Run(ctx, w.grid, w.scheme, todo, func(i int, res *core.Result, ce *exp.CaseError) error {
+		var data []byte
+		var err error
+		if ce != nil {
+			err = ce.Err
+		} else if data, err = json.Marshal(w.grid.Case(i, w.scheme, res)); err != nil {
+			err = fmt.Errorf("distsweep: marshal case %d: %w", i, err)
 		}
-		data, tr, err := w.runCase(ctx, i)
+		mu.Lock()
+		defer mu.Unlock()
 		w.bump(func(st *WorkerStats) { st.CasesRun++ })
 		w.event("case", l.ID, i, err)
 		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
 			w.bump(func(st *WorkerStats) { st.CasesFailed++ })
 			batch.failed = append(batch.failed, CaseFailure{Index: i, Error: err.Error()})
-			w.logf("case %d (%s) failed: %v", i, w.cfg.Spec.Describe(i), err)
+			w.logf("case %d (%s) failed: %v", i, w.grid.Describe(i), err)
 		} else {
-			cr := CaseResult{Index: i, Data: data, Trace: tr}
+			cr := CaseResult{Index: i, Data: data}
 			cr.Seal()
 			batch.cases = append(batch.cases, cr)
 		}
 		if len(batch.cases)+len(batch.failed) >= w.cfg.FlushCases {
 			flush()
 		}
+		return nil
+	}, nil)
+	if err != nil {
+		return // killed mid-lease; undelivered work is lost with us
 	}
 	flush()
-}
-
-// runCase executes one case on a borrowed pool session under the
-// runner's fault boundary, tagging the context with the case index so
-// deterministic fault injectors key on it.
-func (w *Worker) runCase(ctx context.Context, i int) (json.RawMessage, TraceSummary, error) {
-	var data json.RawMessage
-	var sum TraceSummary
-	err := w.cfg.Runner.Do(ctx, uint64(i), func(ctx context.Context, s *core.Session) error {
-		ctx = core.ContextWithCaseIndex(ctx, i)
-		var tr *trace.Tracer
-		if w.cfg.Trace {
-			tr = trace.New(workerRingSize)
-		}
-		d, _, err := w.cfg.Spec.RunCaseTraced(ctx, s, i, tr)
-		if err != nil {
-			return err
-		}
-		data = d
-		sum = TraceSummary{Events: tr.Len(), Dropped: tr.Dropped()}
-		return nil
-	})
-	return data, sum, err
 }
 
 // heartbeatLoop extends the lease every TTL/3. Misses are counted and

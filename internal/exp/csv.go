@@ -6,20 +6,38 @@ import (
 	"repro/internal/workloads"
 )
 
-// CSV row builders shared by cmd/sweep (local execution) and cmd/sweepd
-// (distributed coordinator), so both emit byte-identical rows for the
-// same cases and offline plotting scripts cannot drift between the two
-// front ends.
+// The one CSV writer of sweep results: cmd/sweep renders local runs and
+// the distributed coordinator's merge through it, so the two emit
+// byte-identical rows for the same cases.
 
-// PairCSVHeader returns the pair-study CSV header row.
-func PairCSVHeader() []string {
-	return []string{"scheme", "qos", "nonqos", "class", "goal", "reached",
-		"qos_ipc", "qos_goal_ipc", "goal_ratio", "nonqos_norm_tput", "instr_per_watt"}
+// CSVHeader returns the header row of g's CSV.
+func (g Grid) CSVHeader() []string {
+	if g.NQoS == 0 {
+		return []string{"scheme", "qos", "nonqos", "class", "goal", "reached",
+			"qos_ipc", "qos_goal_ipc", "goal_ratio", "nonqos_norm_tput", "instr_per_watt"}
+	}
+	return []string{"scheme", "a", "b", "c", "nqos", "goal", "reached",
+		"ratio_a", "ratio_b", "nonqos_norm_tput"}
 }
 
-// PairCSVRow renders one completed pair case as a CSV row. Failed cases
-// (Res == nil) have no row; callers skip them.
-func PairCSVRow(c PairCase) []string {
+// CSVRows renders the completed cases of g in case order; a failed case
+// (nil Res) has no row.
+func (g Grid) CSVRows(c Cases) [][]string {
+	var rows [][]string
+	for _, pc := range c.Pairs {
+		if pc.Res != nil {
+			rows = append(rows, pairCSVRow(pc))
+		}
+	}
+	for _, tc := range c.Trios {
+		if tc.Res != nil {
+			rows = append(rows, trioCSVRow(tc, g.NQoS))
+		}
+	}
+	return rows
+}
+
+func pairCSVRow(c PairCase) []string {
 	q, nq := c.QoSKernel(), c.NonQoSKernel()
 	cls, _ := workloads.PairClass(c.Pair.QoS, c.Pair.NonQoS)
 	return []string{
@@ -34,14 +52,7 @@ func PairCSVRow(c PairCase) []string {
 	}
 }
 
-// TrioCSVHeader returns the trio-study CSV header row.
-func TrioCSVHeader() []string {
-	return []string{"scheme", "a", "b", "c", "nqos", "goal", "reached",
-		"ratio_a", "ratio_b", "nonqos_norm_tput"}
-}
-
-// TrioCSVRow renders one completed trio case as a CSV row.
-func TrioCSVRow(c TrioCase, nQoS int) []string {
+func trioCSVRow(c TrioCase, nQoS int) []string {
 	ratioB := ""
 	if nQoS == 2 {
 		ratioB = fmt.Sprintf("%.4f", c.Res.Kernels[1].GoalRatio)

@@ -55,8 +55,8 @@ func (c PairCase) NonQoSKernel() core.KernelResult { return c.Res.Kernels[1] }
 
 // PairSpecs builds the two-kernel spec list for one pair case. It is
 // the single definition of how a (pair, goal) grid coordinate becomes
-// simulator input, shared by the serial sweeps, the parallel Runner and
-// the distributed sweep workers (internal/distsweep) — so every
+// simulator input, shared by the serial sweeps and Grid, through which
+// the Runner runs every pooled case, local or distributed — so every
 // execution path is bit-identical by construction.
 func PairSpecs(p workloads.Pair, goal float64) []core.KernelSpec {
 	return []core.KernelSpec{

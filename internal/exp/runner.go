@@ -244,8 +244,9 @@ func (r *Runner) Do(ctx context.Context, stream uint64, fn func(ctx context.Cont
 	})
 }
 
-// doShielded is runShielded without the sweep-case index tagging: the
-// fault boundary for one-off Do work.
+// doShielded runs one attempt inside the fault boundary: bounded by the
+// per-case deadline, with a panic converted into *PanicError so a
+// crashing case surfaces as a value instead of killing the process.
 func doShielded(ctx context.Context, s *core.Session, timeout time.Duration, fn func(context.Context, *core.Session) error) (err error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -290,60 +291,34 @@ func (r *Runner) Reports() []*SweepReport {
 	return append([]*SweepReport(nil), r.reports...)
 }
 
-// runShielded executes one case attempt inside the fault boundary: the
-// context is tagged with the case index (for fault injectors), bounded by
-// the per-case deadline, and panics are converted into *PanicError so a
-// crashing case surfaces as a value instead of killing the process.
-func runShielded(ctx context.Context, s *core.Session, i int, timeout time.Duration, runCase func(context.Context, *core.Session, int) error) (err error) {
-	caseCtx := core.ContextWithCaseIndex(ctx, i)
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		caseCtx, cancel = context.WithTimeout(caseCtx, timeout)
-		defer cancel()
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return runCase(caseCtx, s, i)
-}
-
-// sweep fans total cases out over the worker pool. runCase must write its
-// result into caller-owned storage at index i (indices never collide, so
-// no locking is needed on the result slice). Cases listed in skip are
-// counted as already resolved and never executed; record (if non-nil) is
-// invoked after each successful case to checkpoint it.
+// Run is the sweep engine: it executes the cases of g listed in todo
+// under scheme, fanned out over the session pool, and hands each case to
+// done as it reaches a final state — res for a case that completed, ce
+// for one that exhausted the fault policy's attempts. Every case runs
+// through Do, with the context tagged by the case index so fault
+// injectors can target it. With FailFast the first failing case instead
+// cancels the run and is returned as the error.
 //
-// Failure semantics follow the fault policy: each case gets
-// Retry.MaxAttempts isolated attempts under CaseTimeout; a case that
-// still fails becomes a *CaseError in the returned report (or, with
-// FailFast, cancels the sweep and is returned as the error). External
-// cancellation always aborts and surfaces the parent context's error.
-func (r *Runner) sweep(parent context.Context, stage string, total int, skip map[int]bool, describe func(i int) string, runCase func(ctx context.Context, s *core.Session, i int) error, record func(i int) error, progress ProgressFunc) (*SweepReport, error) {
-	rep := &SweepReport{Stage: stage, Total: total, Skipped: len(skip)}
+// done is called from the pool's goroutines, concurrently for different
+// cases; an error from it aborts the run. Progress events are serialized,
+// and cases outside todo count as already resolved. External
+// cancellation aborts the run and surfaces ctx's error.
+func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []int, done func(i int, res *core.Result, ce *CaseError) error, progress ProgressFunc) (*SweepReport, error) {
+	stage := scheme.String()
+	rep := &SweepReport{Stage: stage, Total: g.Len(), Skipped: g.Len() - len(todo)}
 	if err := parent.Err(); err != nil {
 		return nil, err
-	}
-	if total == 0 {
-		return rep, nil
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	fp := r.fault
 	start := time.Now()
-	pending := total - len(skip)
-	workers := r.workers
-	if workers > pending {
-		workers = pending
-	}
 	jobs := make(chan int)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		done     = len(skip)
+		resolved = rep.Skipped
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -359,7 +334,8 @@ func (r *Runner) sweep(parent context.Context, stage string, total int, skip map
 	// synchronization.
 	resolve := func(ce *CaseError, retried bool) {
 		mu.Lock()
-		done++
+		defer mu.Unlock()
+		resolved++
 		if ce != nil {
 			rep.Failed = append(rep.Failed, ce)
 		} else {
@@ -369,73 +345,51 @@ func (r *Runner) sweep(parent context.Context, stage string, total int, skip map
 			}
 		}
 		if progress != nil {
-			p := Progress{Stage: stage, Done: done, Total: total, Elapsed: time.Since(start)}
-			p.CasesPerSec, p.ETA = sweepRate(done, total, p.Elapsed)
+			p := Progress{Stage: stage, Done: resolved, Total: rep.Total, Elapsed: time.Since(start)}
+			p.CasesPerSec, p.ETA = sweepRate(resolved, rep.Total, p.Elapsed)
 			progress(p)
 		}
-		mu.Unlock()
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(r.workers, len(todo)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Borrow a session from the shared pool (rather than pinning
-			// sessions to workers) so sweeps and concurrent Do callers
-			// split the same worker budget.
-			var s *core.Session
-			select {
-			case s = <-r.slots:
-			case <-ctx.Done():
-				return
-			}
-			defer func() { r.slots <- s }()
 			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
 				attempts := 0
-				err := fp.Retry.Do(ctx, uint64(i), func(attempt int) error {
-					attempts = attempt
-					return runShielded(ctx, s, i, fp.CaseTimeout, runCase)
+				var res *core.Result
+				err := r.Do(core.ContextWithCaseIndex(ctx, i), uint64(i), func(ctx context.Context, s *core.Session) (err error) {
+					attempts++
+					res, err = r.runCase(ctx, s, g.traceName(i, scheme), g.specs(i), scheme)
+					return err
 				})
+				var ce *CaseError
 				if err != nil {
 					if cerr := ctx.Err(); cerr != nil {
-						// The sweep itself is being torn down; the case
-						// error is a cancellation artifact, not a result.
+						// The run itself is being torn down; the case error
+						// is a cancellation artifact, not a result.
 						fail(cerr)
 						return
 					}
-					ce := &CaseError{Stage: stage, Index: i, Case: describe(i), Attempts: attempts, Err: err}
+					ce = &CaseError{Stage: stage, Index: i, Case: g.Describe(i), Attempts: attempts, Err: err}
 					var pe *PanicError
 					if errors.As(err, &pe) {
 						ce.Stack = pe.Stack
 					}
-					if fp.FailFast {
+					if r.fault.FailFast {
 						fail(ce)
 						return
 					}
-					resolve(ce, false)
-					continue
 				}
-				if record != nil {
-					if rerr := record(i); rerr != nil {
-						// A broken checkpoint journal means completed work
-						// is silently unprotected; stop rather than let
-						// the operator find out after the next crash.
-						fail(fmt.Errorf("exp: journal %s case %d: %w", stage, i, rerr))
-						return
-					}
+				if err := done(i, res, ce); err != nil {
+					fail(err)
+					return
 				}
-				resolve(nil, attempts > 1)
+				resolve(ce, attempts > 1)
 			}
 		}()
 	}
 feed:
-	for i := 0; i < total; i++ {
-		if skip[i] {
-			continue
-		}
+	for _, i := range todo {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -455,173 +409,90 @@ feed:
 		return nil, err
 	}
 	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a].Index < rep.Failed[b].Index })
-	wall := time.Since(start)
-	m := SweepMetrics{Stage: stage, Cases: pending, Wall: wall}
-	if secs := wall.Seconds(); secs > 0 {
-		m.CasesPerSec = float64(pending) / secs
+	return rep, nil
+}
+
+// Sweep runs every case of g under scheme across the worker pool and
+// returns them in case order — identical, case for case, to the serial
+// PairSweep/TrioSweep. With a journal in the fault policy, cases it holds
+// for this stage are restored instead of run, and every completed case is
+// appended to it.
+//
+// Under the fault policy, failed cases are left empty in the returned
+// Cases (nil Res) and reported via a *SweepError; callers that can use
+// partial grids inspect its Report, others treat it as fatal.
+func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress ProgressFunc) (Cases, error) {
+	if err := g.Check(); err != nil {
+		return Cases{}, err
+	}
+	out := g.Cases()
+	var (
+		key      string
+		restored map[int]json.RawMessage
+		todo     []int
+	)
+	j := r.fault.Journal
+	if j != nil {
+		var err error
+		if key, err = r.stageKey(g, scheme); err != nil {
+			return Cases{}, err
+		}
+		restored = j.Completed(key)
+	}
+	for i := 0; i < g.Len(); i++ {
+		if raw, ok := restored[i]; !ok || !out.Restore(i, raw) {
+			todo = append(todo, i)
+		}
+	}
+	start := time.Now()
+	rep, err := r.Run(ctx, g, scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
+		if ce != nil {
+			return nil
+		}
+		c := g.Case(i, scheme, res)
+		out.set(i, c)
+		if j == nil {
+			return nil
+		}
+		if err := j.Append(key, i, c); err != nil {
+			// A broken checkpoint journal means completed work is
+			// silently unprotected; stop rather than let the operator
+			// find out after the next crash.
+			return fmt.Errorf("exp: journal %s case %d: %w", scheme, i, err)
+		}
+		return nil
+	}, progress)
+	if err != nil {
+		return Cases{}, err
+	}
+	m := SweepMetrics{Stage: rep.Stage, Cases: len(todo), Wall: time.Since(start)}
+	if secs := m.Wall.Seconds(); secs > 0 {
+		m.CasesPerSec = float64(m.Cases) / secs
 	}
 	r.mu.Lock()
 	r.metrics = append(r.metrics, m)
 	r.reports = append(r.reports, rep)
 	r.mu.Unlock()
-	return rep, nil
-}
-
-// StageKey derives the journal key for one sweep stage: a readable prefix
-// plus hashes of the session configuration (device, window, tuning, seed)
-// and the case grid. Two sweeps share journaled cases only when both
-// hashes agree, so derived runners and differently-subsampled studies can
-// never splice each other's results. Exported so the distributed sweep
-// coordinator (internal/distsweep) journals cases under exactly the keys
-// a local Runner would use — a sweep may start local and finish
-// distributed (or vice versa) against the same journal.
-func StageKey(cfg core.Config, seed uint64, kind string, scheme core.Scheme, grid any) (string, error) {
-	sess, err := journal.Hash(struct {
-		Config core.Config
-		Seed   uint64
-	}{cfg, seed})
-	if err != nil {
-		return "", err
-	}
-	gh, err := journal.Hash(grid)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s/%s/%s/%s", kind, scheme.Name(), sess[:12], gh[:12]), nil
+	return out, rep.Err()
 }
 
 // stageKey derives the journal key for one of this runner's sweep stages.
-func (r *Runner) stageKey(kind string, scheme core.Scheme, grid any) (string, error) {
-	return StageKey(r.Session().Config(), r.Session().Seed(), kind, scheme, grid)
+func (r *Runner) stageKey(g Grid, scheme core.Scheme) (string, error) {
+	return g.StageKey(r.Session().Config(), r.Session().Seed(), scheme)
 }
 
-// journalHooks wires one sweep to the checkpoint journal: restore() is
-// called for every journaled case of this stage (returning false rejects
-// the payload), and the returned record hook checkpoints newly completed
-// cases. With no journal configured both returns are nil.
-func (r *Runner) journalHooks(kind string, scheme core.Scheme, grid any, total int, restore func(i int, raw json.RawMessage) bool, snapshot func(i int) any) (map[int]bool, func(i int) error, error) {
-	j := r.fault.Journal
-	if j == nil {
-		return nil, nil, nil
-	}
-	key, err := r.stageKey(kind, scheme, grid)
-	if err != nil {
-		return nil, nil, err
-	}
-	skip := make(map[int]bool)
-	for i, raw := range j.Completed(key) {
-		if i < 0 || i >= total || !restore(i, raw) {
-			continue
-		}
-		skip[i] = true
-	}
-	record := func(i int) error { return j.Append(key, i, snapshot(i)) }
-	return skip, record, nil
-}
-
-// PairGrid is the hashed identity of a pair-sweep grid, shared with the
-// distributed coordinator (internal/distsweep) so both journal cases
-// under identical stage keys.
-type PairGrid struct {
-	Pairs []workloads.Pair
-	Goals []float64
-}
-
-// PairSweep runs every pair at every goal under the scheme across the
-// worker pool and returns the cases in deterministic (pair-major,
-// goal-minor) order — identical, case for case, to the serial PairSweep.
-//
-// Under the fault policy, failed cases are left zero in the returned
-// slice (Res == nil) and reported via a *SweepError; callers that can use
-// partial grids inspect its Report, others treat it as fatal.
+// PairSweep is Sweep over the pairs at the goals.
 func (r *Runner) PairSweep(ctx context.Context, pairs []workloads.Pair, goals []float64, scheme core.Scheme, progress ProgressFunc) ([]PairCase, error) {
-	out := make([]PairCase, len(pairs)*len(goals))
-	describe := func(i int) string {
-		p, g := pairs[i/len(goals)], goals[i%len(goals)]
-		return fmt.Sprintf("pair[%d] %s+%s @%.2f", i/len(goals), p.QoS, p.NonQoS, g)
-	}
-	skip, record, err := r.journalHooks("pairs", scheme, PairGrid{pairs, goals}, len(out),
-		func(i int, raw json.RawMessage) bool {
-			var c PairCase
-			if json.Unmarshal(raw, &c) != nil || c.Res == nil {
-				return false
-			}
-			out[i] = c
-			return true
-		},
-		func(i int) any { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.sweep(ctx, scheme.String(), len(out), skip, describe, func(ctx context.Context, s *core.Session, i int) error {
-		p, g := pairs[i/len(goals)], goals[i%len(goals)]
-		name := fmt.Sprintf("pair%03d_%s+%s_g%.2f_%s", i, p.QoS, p.NonQoS, g, scheme.Name())
-		res, err := r.runCase(ctx, s, name, PairSpecs(p, g), scheme)
-		if err != nil {
-			return err
-		}
-		out[i] = PairCase{Pair: p, Goal: g, Scheme: scheme, Res: res}
-		return nil
-	}, record, progress)
-	if err != nil {
-		return nil, err
-	}
-	if rerr := rep.Err(); rerr != nil {
-		return out, rerr
-	}
-	return out, nil
+	c, err := r.Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, scheme, progress)
+	return c.Pairs, err
 }
 
-// TrioGrid is the hashed identity of a trio-sweep grid, shared with the
-// distributed coordinator (internal/distsweep).
-type TrioGrid struct {
-	Trios []workloads.Trio
-	Goals []float64
-	NQoS  int
-}
-
-// TrioSweep runs every trio at every goal with nQoS QoS kernels (1 or 2)
-// across the worker pool, merging results in deterministic (trio-major,
-// goal-minor) order — identical to the serial TrioSweep. Failure
-// semantics match PairSweep.
+// TrioSweep is Sweep over the trios at the goals with nQoS QoS kernels
+// (1 or 2).
 func (r *Runner) TrioSweep(ctx context.Context, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme, progress ProgressFunc) ([]TrioCase, error) {
 	if nQoS < 1 || nQoS > 2 {
 		return nil, fmt.Errorf("exp: nQoS must be 1 or 2, got %d", nQoS)
 	}
-	out := make([]TrioCase, len(trios)*len(goals))
-	describe := func(i int) string {
-		t, g := trios[i/len(goals)], goals[i%len(goals)]
-		return fmt.Sprintf("trio[%d] %s+%s+%s @%.2f", i/len(goals), t.A, t.B, t.C, g)
-	}
-	skip, record, err := r.journalHooks("trios", scheme, TrioGrid{trios, goals, nQoS}, len(out),
-		func(i int, raw json.RawMessage) bool {
-			var c TrioCase
-			if json.Unmarshal(raw, &c) != nil || c.Res == nil {
-				return false
-			}
-			out[i] = c
-			return true
-		},
-		func(i int) any { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.sweep(ctx, scheme.String(), len(out), skip, describe, func(ctx context.Context, s *core.Session, i int) error {
-		t, g := trios[i/len(goals)], goals[i%len(goals)]
-		specs, qg := TrioSpecs(t, g, nQoS)
-		name := fmt.Sprintf("trio%03d_%s+%s+%s_g%.2f_q%d_%s", i, t.A, t.B, t.C, g, nQoS, scheme.Name())
-		res, err := r.runCase(ctx, s, name, specs, scheme)
-		if err != nil {
-			return err
-		}
-		out[i] = TrioCase{Trio: t, QoSGoals: qg, Scheme: scheme, Res: res}
-		return nil
-	}, record, progress)
-	if err != nil {
-		return nil, err
-	}
-	if rerr := rep.Err(); rerr != nil {
-		return out, rerr
-	}
-	return out, nil
+	c, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: nQoS}, scheme, progress)
+	return c.Trios, err
 }

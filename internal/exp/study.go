@@ -103,41 +103,37 @@ type SweepRow struct {
 	Trios  []TrioCase // a trio sweep's cases
 }
 
-// plannedSweep is a declared sweep resolved to its runner, goals and
-// journal stage key; its Pairs are the pairs it sweeps.
+// plannedSweep is a declared sweep resolved to its runner, case grid and
+// journal stage key.
 type plannedSweep struct {
 	Sweep
 	runner *Runner
-	goals  []float64
+	grid   Grid
 	key    string
 }
 
 // plan resolves one declared sweep: it checks the grid, builds the
 // derived runner and derives the stage key the sweep will journal under.
 func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
-	if sw.NQoS < 0 || sw.NQoS > 2 {
-		return p, fmt.Errorf("exp: nQoS must be 0 (pairs), 1 or 2, got %d", sw.NQoS)
+	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}}
+	if p.grid.Pairs == nil {
+		p.grid.Pairs = st.Pairs
 	}
-	p = plannedSweep{Sweep: sw, runner: st.Runner, goals: st.Goals}
-	if p.Pairs == nil {
-		p.Pairs = st.Pairs
+	if sw.NQoS != 0 {
+		p.grid = Grid{Trios: st.Trios, Goals: st.Goals, NQoS: sw.NQoS}
 	}
 	if sw.NQoS == 2 {
-		p.goals = st.Goals2
+		p.grid.Goals = st.Goals2
 	}
-	kind, grid, n := "pairs", any(PairGrid{p.Pairs, p.goals}), len(p.Pairs)
-	if sw.NQoS > 0 {
-		kind, grid, n = "trios", TrioGrid{st.Trios, p.goals, sw.NQoS}, len(st.Trios)
-	}
-	if n == 0 || len(p.goals) == 0 {
-		return p, fmt.Errorf("exp: empty case grid")
+	if err := p.grid.Check(); err != nil {
+		return p, err
 	}
 	if len(sw.Session) > 0 {
 		if p.runner, err = st.Runner.With(sw.Session...); err != nil {
 			return p, err
 		}
 	}
-	p.key, err = p.runner.stageKey(kind, sw.Scheme, grid)
+	p.key, err = p.runner.stageKey(p.grid, sw.Scheme)
 	return p, err
 }
 
@@ -169,14 +165,9 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 		if progress != nil { // relabel the sweep's events with its declared name
 			progress = func(e Progress) { e.Stage = p.Name; st.Progress(e) }
 		}
-		var row SweepRow
-		var err error
 		n := len(p.runner.Reports())
-		if p.NQoS == 0 {
-			row.Pairs, err = p.runner.PairSweep(ctx, p.Pairs, p.goals, p.Scheme, progress)
-		} else {
-			row.Trios, err = p.runner.TrioSweep(ctx, st.Trios, p.goals, p.NQoS, p.Scheme, progress)
-		}
+		cases, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
+		row := SweepRow{Pairs: cases.Pairs, Trios: cases.Trios}
 		if reps := p.runner.Reports(); len(reps) > n { // the sweep ran to the end
 			row.SweepMetrics, row.Report = p.runner.Metrics()[n], reps[n]
 			row.Stage = p.Name
