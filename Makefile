@@ -11,7 +11,8 @@
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
 # the checkpoint-journal line decoder, journal recovery, the sweep-wire
-# decoders, the goal-union decoder and the /v1 + /v2 submission bodies),
+# decoders, the goal-union decoder, the /v1 + /v2 submission bodies and
+# the arrival-trace decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
 # still happen), and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
@@ -149,21 +150,26 @@ bench-trace:
 # the network: the checkpoint-journal line decoder, journal recovery over
 # a damaged file (Open -> Append -> Open), the distributed-sweep wire
 # decoders (lease grants, result reports), the schema.Goal JSON union,
-# and the qosd submission path (body decoder + lowering to a kernel
-# spec, /v1 and /v2).
+# the qosd submission path (body decoder + lowering to a kernel spec,
+# /v1 and /v2) and the arrival-trace decoder `stream -mode replay` reads.
+# The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
+# new input that large byte by byte would take the whole time box, so
+# its minimization is capped by count.
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/distsweep -run='^$$' -fuzz=FuzzLeaseDecode -fuzztime=10s
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
+	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
 
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous
-# 4-node fleet, the repartition-beats-first-fit scenario, and the /v2
-# HTTP surface — raced and uncached.
+# 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
+# asking against the ask-every-node reference placer, and the /v2 HTTP
+# surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace

@@ -5,14 +5,15 @@
 // Requests arrive in the fractional-GPU vocabulary of production
 // schedulers (gpu_fraction / vgpu_cores / vgpu_memory, see Request) and
 // are bin-packed across nodes: a best-fit search over every node with
-// fractional capacity left, where each capacity-feasible candidate is
+// fractional capacity left, where a capacity-feasible candidate is
 // proven by that node's tiered what-if admission check (exact verdict
 // cache → perf model → full simulation — the same evidence path the
 // single-GPU daemon uses, via verdict.Decider). A single placement
-// goroutine owns all capacity state and asks every question — fanning
-// one candidate out to the feasible nodes concurrently, one evaluation
-// per node at a time — so the placement sequence for a given submission
-// stream is deterministic.
+// goroutine owns all capacity state and asks every question, serially:
+// it asks the candidates in policy order (tightest fit first) and stops
+// at the first that admits, so the placement sequence for a given
+// submission stream is deterministic and nodes past the chosen one
+// write no decision record.
 //
 // When no node can host a pending job outright, the scheduler runs a
 // bounded repartitioning search (in the spirit of nebuly's nos elastic

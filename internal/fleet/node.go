@@ -43,9 +43,9 @@ type placedEntry struct {
 // node is one simulated GPU in the fleet: its own simulator session,
 // tiered verdict decider and crash-safe decision journal. It needs no
 // goroutine of its own: the placement goroutine is the only caller of
-// evaluate and never has two questions out to one node (place fans out
-// one goroutine per node and waits; repartition asks serially), so a
-// node's evaluations are already serial and its journal order fixed.
+// evaluate and asks one question at a time (place in policy order,
+// repartition in scan order), so a node's evaluations are serial and
+// its journal order fixed.
 type node struct {
 	id     string
 	name   string

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -11,9 +11,9 @@ import (
 // loop is the placement goroutine: the only writer of node capacity
 // ledgers, the job store and the placement journal, which is what
 // makes the placement sequence deterministic for a given submission
-// order. Nodes still evaluate what-if co-runs concurrently — place
-// fans one candidate evaluation out to every capacity-feasible node,
-// one goroutine each, and waits for all of them.
+// order. It also asks every what-if question itself, serially: place
+// asks the capacity-feasible nodes in policy order and stops at the
+// first that admits.
 func (f *Fleet) loop() {
 	defer close(f.loopDone)
 	for o := range f.queue {
@@ -25,17 +25,20 @@ func (f *Fleet) loop() {
 	}
 }
 
-// candidate is one node evaluated for a pending job.
+// candidate is one capacity-feasible node for a pending job.
 type candidate struct {
 	n    *node
 	spec core.KernelSpec
-	v    *schema.Verdict
-	err  error
+	left float64 // best-fit key: leftover capacity once the job is placed
 }
 
-// place decides one pending job: capacity filter, concurrent what-if
-// fan-out, policy pick (best-fit or first-fit), then the repartition
-// fallback, then rejection.
+// place decides one pending job: capacity filter, then the candidates'
+// what-if checks in policy order (best-fit: least leftover capacity
+// first, ties to the lower node index; first-fit: node order) until one
+// admits, then the repartition fallback, then rejection. The node that
+// admits first in policy order is the one the policy would pick among
+// all admitting nodes, so asking the rest would only cost them a
+// decision record each.
 func (f *Fleet) place(j *Job) {
 	j.setState(StatePlacing)
 
@@ -52,7 +55,7 @@ func (f *Fleet) place(j *Job) {
 			continue
 		}
 		if n.fits(j.shares) {
-			cands = append(cands, candidate{n: n, spec: spec})
+			cands = append(cands, candidate{n: n, spec: spec, left: n.leftover(j.shares)})
 		}
 	}
 	if len(cands) == 0 && specErr != nil {
@@ -61,56 +64,31 @@ func (f *Fleet) place(j *Job) {
 		j.finish(StateFailed, specErr.Error())
 		return
 	}
-
-	// Concurrent what-if fan-out, one evaluation per node, so per-node
-	// journal order stays deterministic.
-	var wg sync.WaitGroup
-	for i := range cands {
-		c := &cands[i]
-		specs, ids := c.n.mixSnapshot("")
-		specs = append(specs, c.spec)
-		ids = append(ids, j.id)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.v, c.err = c.n.evaluate(specs, ids, j.id)
-		}()
+	if !f.firstFit {
+		// Stable: leftovers within capEps keep node order.
+		sort.SliceStable(cands, func(a, b int) bool { return cands[a].left < cands[b].left-capEps })
 	}
-	wg.Wait()
 
-	var pick *candidate
 	var evalErr error
 	rejected := 0
-	for i := range cands {
-		c := &cands[i]
-		if c.err != nil {
+	for _, c := range cands {
+		specs, ids := c.n.mixSnapshot("")
+		v, err := c.n.evaluate(append(specs, c.spec), append(ids, j.id), j.id)
+		switch {
+		case err != nil:
 			if evalErr == nil {
-				evalErr = c.err
+				evalErr = err
 			}
-			continue
-		}
-		if !c.v.IsAdmitted() {
+		case !v.IsAdmitted():
 			rejected++
-			continue
-		}
-		if pick == nil {
-			pick = c
-			if f.firstFit {
-				break
+		default:
+			if err := f.commitPlace(j, c.n, c.spec, v, false); err != nil {
+				j.finish(StateFailed, err.Error())
 			}
-			continue
-		}
-		if !f.firstFit && c.n.leftover(j.shares) < pick.n.leftover(j.shares)-capEps {
-			pick = c
+			return
 		}
 	}
 
-	if pick != nil {
-		if err := f.commitPlace(j, pick.n, pick.spec, pick.v); err != nil {
-			j.finish(StateFailed, err.Error())
-		}
-		return
-	}
 	if len(cands) > 0 && rejected == 0 && evalErr != nil {
 		// Every feasible node failed to evaluate (simulator error, not
 		// a QoS rejection): the job failed, it was not crowded out.
@@ -179,22 +157,20 @@ func (f *Fleet) repartition(j *Job) bool {
 				if !f.commitMigrate(m, dst, alt, mSpec, vm) {
 					return false
 				}
-				if err := f.commitPlace(j, dst, dstSpec, vj); err != nil {
+				if err := f.commitPlace(j, dst, dstSpec, vj, true); err != nil {
 					j.finish(StateFailed, err.Error())
-					return true // outcome decided, do not fall through to reject
 				}
-				f.mu.Lock()
-				f.repartitions++
-				f.mu.Unlock()
-				return true
+				return true // outcome decided, do not fall through to reject
 			}
 		}
 	}
 	return false
 }
 
-// commitPlace makes a placement durable, then visible.
-func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Verdict) error {
+// commitPlace makes a placement durable, then visible. A placement the
+// repartition search made room for is counted in Repartitions before
+// the job is marked placed, so a caller woken by the job sees the count.
+func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Verdict, repartitioned bool) error {
 	if err := f.appendPlacement(Placement{
 		Kind:    KindPlace,
 		JobID:   j.id,
@@ -207,6 +183,11 @@ func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Ver
 		return err
 	}
 	n.add(j, spec, j.shares)
+	if repartitioned {
+		f.mu.Lock()
+		f.repartitions++
+		f.mu.Unlock()
+	}
 	j.setPlaced(n.id, v)
 	return nil
 }

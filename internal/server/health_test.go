@@ -108,6 +108,14 @@ func TestHealthzStallWatchdog(t *testing.T) {
 	if v := wait(t, ts, id); v.Verdict == nil {
 		t.Fatalf("job not decided after gate release: %+v", v)
 	}
+	// The job is decided before the loop marks progress: wait for that.
+	deadline = time.Now().Add(5 * time.Second)
+	for s.decidingSinceNs.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("decision loop never marked progress after the decision")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	code, hr = getHealth(t, ts)
 	if code != http.StatusOK || hr.Status != "ok" || hr.Stalled {
 		t.Fatalf("recovered healthz = %d %+v, want 200 ok", code, hr)

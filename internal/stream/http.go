@@ -31,6 +31,10 @@ type HTTPBackend struct {
 	DefaultGPUFraction float64
 }
 
+// maxDrain bounds how much of an unread response body do discards to
+// keep its connection; a longer body closes the connection instead.
+const maxDrain = 64 << 10
+
 func (b HTTPBackend) client() *http.Client {
 	if b.Client != nil {
 		return b.Client
@@ -62,7 +66,13 @@ func (b HTTPBackend) do(ctx context.Context, method, path string, body, out any)
 	if err != nil {
 		return false, false, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// A body closed before EOF costs the keep-alive connection, and
+		// the next request dials a new one: drain what is left (DELETE,
+		// 429 and 409 answers are never read), bounded.
+		io.CopyN(io.Discard, resp.Body, maxDrain)
+		resp.Body.Close()
+	}()
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return true, false, nil

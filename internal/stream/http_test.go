@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -85,6 +86,83 @@ func TestHTTPBackendOneRequestPerSubmit(t *testing.T) {
 			if p, g := c.posts.Load()-posts, c.gets.Load()-gets; p != 1 || g != 0 {
 				t.Fatalf("v2=%v arrival %d: Submit made %d POSTs and %d GETs, want 1 and 0", v2, a.Seq, p, g)
 			}
+		}
+	}
+}
+
+// TestHTTPBackendKeepsOneConnection: the bodies the backend does not
+// read (a release's answer, a 429, a 409) are drained before they are
+// closed, so a stream of submits and releases runs over one keep-alive
+// connection instead of dialling after every one of them.
+func TestHTTPBackendKeepsOneConnection(t *testing.T) {
+	admit := &schema.Verdict{Decision: schema.DecisionAdmit}
+	for _, tc := range []struct {
+		v2              bool
+		submit, release string
+		admitted        any
+		refusals        []int // statuses a submit is refused with, one per refused submit
+	}{
+		{false, "POST /v1/jobs", "DELETE /v1/jobs/{id}",
+			v1Envelope{Job: server.JobView{ID: "job-000001", State: string(server.JobAdmitted), Verdict: admit}},
+			[]int{http.StatusTooManyRequests}},
+		{true, "POST /v2/jobs", "DELETE /v2/jobs/{id}",
+			v2Envelope{Job: fleet.JobView{ID: "vjob-000000", State: fleet.StatePlaced, Verdict: admit}},
+			[]int{http.StatusTooManyRequests, http.StatusConflict}},
+	} {
+		reply := func(w http.ResponseWriter, status int, v any) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(v)
+		}
+		var refuse atomic.Int64
+		mux := http.NewServeMux()
+		mux.HandleFunc(tc.submit, func(w http.ResponseWriter, r *http.Request) {
+			if status := int(refuse.Swap(0)); status != 0 {
+				reply(w, status, map[string]any{"error": "refused", "code": status})
+				return
+			}
+			reply(w, http.StatusOK, tc.admitted)
+		})
+		mux.HandleFunc(tc.release, func(w http.ResponseWriter, r *http.Request) {
+			reply(w, http.StatusOK, tc.admitted)
+		})
+		var dials atomic.Int64
+		ts := httptest.NewUnstartedServer(mux)
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				dials.Add(1)
+			}
+		}
+		ts.Start()
+		b := HTTPBackend{BaseURL: ts.URL, Client: ts.Client(), V2: tc.v2}
+		ctx := context.Background()
+		submit := func(want string) {
+			t.Helper()
+			out, err := b.Submit(ctx, Arrival{Workload: "lbm", GPUFraction: 0.25})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.State != want {
+				t.Fatalf("v2=%v: submit came back %s, want %s", tc.v2, out.State, want)
+			}
+		}
+		submit(StateAdmitted)
+		if err := b.Release(ctx, "job"); err != nil {
+			t.Fatal(err)
+		}
+		submit(StateAdmitted)
+		for _, status := range tc.refusals {
+			refuse.Store(int64(status))
+			want := StateThrottled
+			if status == http.StatusConflict {
+				want = StateRejected
+			}
+			submit(want)
+			submit(StateAdmitted)
+		}
+		ts.Close()
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("v2=%v: the backend opened %d connections, want 1", tc.v2, n)
 		}
 	}
 }

@@ -1,12 +1,16 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/schema"
 )
 
 func TestStreamTraceRoundTrip(t *testing.T) {
@@ -140,4 +144,49 @@ func TestStreamTraceHashMovesWithContent(t *testing.T) {
 	if len(h1) != 64 {
 		t.Errorf("hash %q is not hex sha-256", h1)
 	}
+}
+
+// FuzzTraceDecode hardens the arrival-trace decoder, which reads files
+// handed to `stream -mode replay`: Decode never panics, a rejection is
+// a spec, schema-version or line-length error, and an accepted trace
+// has sequential seqs in time order and re-encodes to bytes that decode
+// back to the same bytes.
+func FuzzTraceDecode(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_bursty.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(golden), "\n")
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])                                   // cut mid-line
+	f.Add([]byte(lines[0]))                                         // header only
+	f.Add([]byte(lines[0] + lines[2] + lines[1]))                   // events out of order
+	f.Add([]byte(lines[0] + strings.Replace(lines[1], ":", "", 1))) // garbled event
+	f.Add([]byte(strings.Replace(lines[0], "bursty", "bursts", 1) + lines[1]))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) && !errors.Is(err, schema.ErrVersion) && !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("rejection %q is not a spec, version or line-length error", err)
+			}
+			return
+		}
+		for i, ev := range tr.Events {
+			if ev.Seq != i || (i > 0 && ev.TUs < tr.Events[i-1].TUs) {
+				t.Fatalf("accepted event %d: seq %d at %dus after %+v", i, ev.Seq, ev.TUs, tr.Events[:i])
+			}
+		}
+		enc, err := tr.Encode()
+		if err != nil {
+			t.Fatalf("accepted trace does not encode: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("accepted trace re-encodes to bytes Decode refuses: %v\n%s", err, enc)
+		}
+		if enc2, _ := again.Encode(); !bytes.Equal(enc, enc2) {
+			t.Fatalf("decode/encode is not byte-stable:\n%s\n%s", enc, enc2)
+		}
+	})
 }

@@ -18,6 +18,15 @@
 // submission order, job ids or client labels — share one signature, so
 // the second decision is a cache hit instead of a simulation.
 //
+// Job ids and labels cannot change a simulated outcome; kernel order
+// can. The simulator takes a mix's kernels in the order given, and one
+// mix in two orders can meet every goal in one and miss one in the
+// other. The cache then answers the second order with the first
+// order's verdict, which can be a false admit, and an owner's answer
+// depends on which mixes it was asked before. Keying on the ordered
+// mix, or always simulating the canonical order, would fix that and
+// change recorded verdicts.
+//
 // Determinism contract: a cache is driven by one goroutine at a time
 // (its Decider's owner), in decision order. Eviction is plain LRU over
 // that serial access sequence, so a serial replay of the decision log
@@ -70,8 +79,9 @@ func Canonical(sigs []KernelSig) []int {
 // Signature hashes the canonicalized mix: sorted kernel sigs, the
 // effective scheme name, and the configuration hash binding device,
 // window and seed. Mixes differing only in kernel order or job identity
-// collide by construction; mixes under different configurations or
-// schemes never do (the hash input differs).
+// collide by construction, although kernel order (unlike job identity)
+// can change the simulated outcome; mixes under different
+// configurations or schemes never do (the hash input differs).
 func Signature(sigs []KernelSig, scheme, configHash string) string {
 	sorted := make([]KernelSig, len(sigs))
 	for i, p := range Canonical(sigs) {
