@@ -5,14 +5,12 @@
 # race-detector pass over the concurrent packages (plus the pinned
 # stream-driver tests), the full test suite — which includes the daemon's
 # httptest smoke, the 50-client concurrent-admission soak and the
-# wheel-vs-per-cycle equivalence suite — the race-enabled
-# distributed-sweep chaos suite (`make chaos`), the stream-replay
+# wheel-vs-per-cycle equivalence suite — the stream-replay
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
-# the checkpoint-journal line decoder, journal recovery, the sweep-wire
-# decoders, the goal-union decoder, the /v1 + /v2 submission bodies and
-# the arrival-trace decoder),
+# the checkpoint-journal line decoder, journal recovery, the goal-union
+# decoder, the /v1 + /v2 submission bodies and the arrival-trace decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
 # still happen), and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
@@ -24,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race chaos fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
 
 all: build
 
@@ -111,21 +109,10 @@ RACE_PKGS = $(shell $(GO) list -f '$(RACE_TMPL)' ./internal/... | tr -d ' \t' | 
 
 # Race-detector pass: the derived concurrent packages. The simulator core
 # (internal/gpu, internal/sm) steps on one goroutine and is not on the
-# list; concurrency starts one level up, in exp.Runner and distsweep.
+# list; concurrency starts one level up, in exp.Runner.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -short -count=1 ./internal/stream
-
-# Deterministic chaos suite for the distributed sweep: scripted worker
-# kills, dropped/duplicated/delayed result deliveries, blackholed
-# heartbeats forcing lease-expiry races, a lease that finishes only when
-# the worker runs it across its whole pool — raced and uncached,
-# asserting byte-identical merges and single-append journals every time.
-# Then the command's three roles as one sweep: a local run's CSV equals
-# `sweep -serve` + an in-process `sweep -worker`, byte for byte.
-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestSoakKillOne|TestWorkerUsesWholePool' ./internal/distsweep
-	$(GO) test -race -count=1 -run 'TestServeMatchesLocal' ./cmd/sweep
 
 # Formatting gate: gofmt -l lists every file it would rewrite; any name
 # is a failure.
@@ -148,8 +135,7 @@ bench-trace:
 
 # Time-boxed fuzz passes over the code that parses bytes from disk or
 # the network: the checkpoint-journal line decoder, journal recovery over
-# a damaged file (Open -> Append -> Open), the distributed-sweep wire
-# decoders (lease grants, result reports), the schema.Goal JSON union,
+# a damaged file (Open -> Append -> Open), the schema.Goal JSON union,
 # the qosd submission path (body decoder + lowering to a kernel spec,
 # /v1 and /v2) and the arrival-trace decoder `stream -mode replay` reads.
 # The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
@@ -158,7 +144,6 @@ bench-trace:
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
-	$(GO) test ./internal/distsweep -run='^$$' -fuzz=FuzzLeaseDecode -fuzztime=10s
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
@@ -185,7 +170,6 @@ ci:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(MAKE) race
-	$(MAKE) chaos
 	$(MAKE) fleet
 	$(GO) test ./...
 	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable' -count=1 ./internal/server

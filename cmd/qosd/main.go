@@ -168,7 +168,6 @@ func run(o options) error {
 			Retry: retry.Policy{
 				MaxAttempts: o.retries + 1,
 				BaseDelay:   100 * time.Millisecond,
-				Seed:        workloads.Seed,
 			},
 		}))
 	if err != nil {

@@ -42,7 +42,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/retry"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // options carries the parsed command line.
@@ -132,7 +131,6 @@ func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
 			Retry: retry.Policy{
 				MaxAttempts: o.retries + 1,
 				BaseDelay:   100 * time.Millisecond,
-				Seed:        workloads.Seed,
 			},
 		}),
 	}

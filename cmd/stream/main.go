@@ -198,7 +198,6 @@ func run(o options) error {
 				Retry: retry.Policy{
 					MaxAttempts: 2,
 					BaseDelay:   100 * time.Millisecond,
-					Seed:        workloads.Seed,
 				},
 			}))
 		if err != nil {

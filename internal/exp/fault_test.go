@@ -106,7 +106,7 @@ func TestSweepTransientRetry(t *testing.T) {
 		2: {{Panic: true}},
 	})
 	r := faultRunner(t, 2, faults,
-		WithFaultPolicy(FaultPolicy{Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Seed: 7}}))
+		WithFaultPolicy(FaultPolicy{Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}}))
 	out, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatalf("sweep failed despite retry budget: %v", err)
@@ -140,7 +140,7 @@ func TestSweepCaseTimeout(t *testing.T) {
 	// ~10x slower under -race) never trip it, while still reaping the
 	// 10-minute wedge quickly.
 	r := faultRunner(t, 2, faults,
-		WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second, Retry: retry.Policy{MaxAttempts: 2, Seed: 3}}))
+		WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second, Retry: retry.Policy{MaxAttempts: 2}}))
 	start := time.Now()
 	_, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -13,8 +13,7 @@ import (
 // QoS kernels each, at every goal. Case i is pair (or trio) i/len(Goals)
 // at goal i%len(Goals): pair/trio-major, goal-minor, the order of the
 // serial PairSweep/TrioSweep. It is the one mapping from a case index to
-// the case, shared by the local sweep, the distributed coordinator and
-// its workers (internal/distsweep).
+// the case.
 type Grid struct {
 	Pairs []workloads.Pair
 	Trios []workloads.Trio
@@ -113,10 +112,8 @@ type (
 // StageKey derives the journal key of a sweep of g under scheme on a
 // session with the given configuration and seed: a readable prefix plus
 // hashes of the session and of the grid. Two sweeps share journaled cases
-// only when both hashes agree, so derived runners, differently subsampled
-// studies and the distributed coordinator never splice each other's
-// results — and a sweep may start local and finish distributed (or the
-// reverse) against one journal.
+// only when both hashes agree, so derived runners and differently
+// subsampled studies never splice each other's results.
 func (g Grid) StageKey(cfg core.Config, seed uint64, scheme core.Scheme) (string, error) {
 	sess, err := journal.Hash(struct {
 		Config core.Config
@@ -144,18 +141,12 @@ type Cases struct {
 }
 
 // Cases returns g's outcome slots, all empty.
-func (g Grid) Cases() Cases { return g.cases(g.Len()) }
-
-func (g Grid) cases(n int) Cases {
+func (g Grid) Cases() Cases {
 	if g.NQoS == 0 {
-		return Cases{Pairs: make([]PairCase, n)}
+		return Cases{Pairs: make([]PairCase, g.Len())}
 	}
-	return Cases{Trios: make([]TrioCase, n)}
+	return Cases{Trios: make([]TrioCase, g.Len())}
 }
-
-// Restores reports whether raw is the journal payload of a completed case
-// of g's kind.
-func (g Grid) Restores(raw json.RawMessage) bool { return g.cases(1).Restore(0, raw) }
 
 // Restore decodes a journal payload into case i. It reports false, and
 // leaves the case as it was, when raw is not a completed case.

@@ -225,12 +225,11 @@ func (r *Runner) runCase(ctx context.Context, s *core.Session, name string, spec
 // Do borrows one worker session from the pool and runs fn under the same
 // fault boundary a sweep case gets: panics are converted to *PanicError,
 // the fault policy's per-case deadline bounds the call, and its retry
-// budget re-runs transient failures (stream disambiguates the retry
-// jitter sequence between concurrent callers). Do blocks while every
+// budget re-runs transient failures. Do blocks while every
 // worker session is busy — this is the backpressure a serving layer
 // (cmd/qosd) relies on — and returns ctx's error if it is canceled
 // before a session frees up.
-func (r *Runner) Do(ctx context.Context, stream uint64, fn func(ctx context.Context, s *core.Session) error) error {
+func (r *Runner) Do(ctx context.Context, fn func(ctx context.Context, s *core.Session) error) error {
 	var s *core.Session
 	select {
 	case s = <-r.slots:
@@ -239,7 +238,7 @@ func (r *Runner) Do(ctx context.Context, stream uint64, fn func(ctx context.Cont
 	}
 	defer func() { r.slots <- s }()
 	fp := r.fault
-	return fp.Retry.Do(ctx, stream, func(int) error {
+	return fp.Retry.Do(ctx, func(int) error {
 		return doShielded(ctx, s, fp.CaseTimeout, fn)
 	})
 }
@@ -357,7 +356,7 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 			for i := range jobs {
 				attempts := 0
 				var res *core.Result
-				err := r.Do(core.ContextWithCaseIndex(ctx, i), uint64(i), func(ctx context.Context, s *core.Session) (err error) {
+				err := r.Do(core.ContextWithCaseIndex(ctx, i), func(ctx context.Context, s *core.Session) (err error) {
 					attempts++
 					res, err = r.runCase(ctx, s, g.traceName(i, scheme), g.specs(i), scheme)
 					return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,12 +220,12 @@ func TestRunnerWith(t *testing.T) {
 // as *PanicError, and honors the fault policy's retry budget.
 func TestRunnerDo(t *testing.T) {
 	r := testRunner(t, 2, WithFaultPolicy(FaultPolicy{
-		Retry: retry.Policy{MaxAttempts: 2, Seed: 11},
+		Retry: retry.Policy{MaxAttempts: 2},
 	}))
 	ctx := context.Background()
 
 	// Plain success sees a usable session.
-	if err := r.Do(ctx, 0, func(_ context.Context, s *core.Session) error {
+	if err := r.Do(ctx, func(_ context.Context, s *core.Session) error {
 		if s.GPUConfig().NumSMs != 4 {
 			t.Error("Do handed out a session with the wrong config")
 		}
@@ -234,7 +235,7 @@ func TestRunnerDo(t *testing.T) {
 	}
 
 	// A panic surfaces as a *PanicError value, not a crash.
-	err := r.Do(ctx, 1, func(context.Context, *core.Session) error {
+	err := r.Do(ctx, func(context.Context, *core.Session) error {
 		panic("boom")
 	})
 	var pe *PanicError
@@ -244,7 +245,7 @@ func TestRunnerDo(t *testing.T) {
 
 	// A transient failure is retried within the policy's budget.
 	attempts := 0
-	if err := r.Do(ctx, 2, func(context.Context, *core.Session) error {
+	if err := r.Do(ctx, func(context.Context, *core.Session) error {
 		attempts++
 		if attempts == 1 {
 			return errors.New("transient")
@@ -258,7 +259,7 @@ func TestRunnerDo(t *testing.T) {
 	hold := make(chan struct{})
 	release := make(chan struct{})
 	for i := 0; i < r.Workers(); i++ {
-		go r.Do(ctx, 3, func(context.Context, *core.Session) error {
+		go r.Do(ctx, func(context.Context, *core.Session) error {
 			hold <- struct{}{}
 			<-release
 			return nil
@@ -269,7 +270,7 @@ func TestRunnerDo(t *testing.T) {
 	}
 	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	if err := r.Do(shortCtx, 4, func(context.Context, *core.Session) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
+	if err := r.Do(shortCtx, func(context.Context, *core.Session) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated pool: err = %v, want DeadlineExceeded", err)
 	}
 	close(release)
@@ -294,5 +295,95 @@ func TestRunnerSharesIsolatedCache(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("worker sessions disagree on the isolated baseline")
+	}
+}
+
+// TestStageKeysArePinned holds the keys journals have always been written
+// under: a pair and a trio grid on the 4-SM, 30k-cycle test device. A key
+// that moves orphans every journaled case of its grid, which then quietly
+// re-simulates on -resume.
+func TestStageKeysArePinned(t *testing.T) {
+	s := testRunner(t, 1).Session()
+	for _, tc := range []struct {
+		g    Grid
+		want string
+	}{
+		{Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}, {QoS: "mri-q", NonQoS: "stencil"}}, Goals: []float64{0.4, 0.7}},
+			"pairs/rollover/0f3707296f5c/508ef24092c9"},
+		{Grid{Trios: []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}}, Goals: []float64{0.4, 0.7}, NQoS: 2},
+			"trios/rollover/0f3707296f5c/e882363bd538"},
+	} {
+		got, err := tc.g.StageKey(s.Config(), s.Seed(), core.SchemeRollover)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s stage key %q, journals hold %q", tc.g.kind(), got, tc.want)
+		}
+	}
+}
+
+// meetTwo is a core.FaultInjector that holds every sweep case at the
+// simulator's door until a second one has arrived: a sweep that runs its
+// cases one at a time never gets past its first case.
+type meetTwo struct {
+	mu      sync.Mutex
+	arrived int
+	both    chan struct{} // closed when the second case arrives
+}
+
+func (m *meetTwo) Inject(ctx context.Context) error {
+	if _, ok := core.CaseIndexFromContext(ctx); !ok {
+		return nil // an isolated baseline, not a sweep case
+	}
+	m.mu.Lock()
+	if m.arrived++; m.arrived == 2 {
+		close(m.both)
+	}
+	m.mu.Unlock()
+	select {
+	case <-m.both:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestSweepUsesWholePool sweeps four cases on a runner with two sessions.
+// A case leaves the simulator's door only once two cases stand there
+// together, so the sweep completes only if the engine runs cases across
+// its whole pool, not one at a time.
+func TestSweepUsesWholePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	meet := &meetTwo{both: make(chan struct{})}
+	r := testRunner(t, 2, WithSessionOptions(core.WithFaultInjector(meet)))
+	g := Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}, {QoS: "mri-q", NonQoS: "stencil"}}, Goals: []float64{0.4, 0.7}}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	type result struct {
+		cases Cases
+		err   error
+	}
+	swept := make(chan result, 1)
+	go func() {
+		c, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+		swept <- result{c, err}
+	}()
+	select {
+	case <-meet.both:
+	case <-ctx.Done():
+		t.Fatal("no two cases were ever in the simulator together: the sweep runs one case at a time")
+	}
+	res := <-swept
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	for i, c := range res.cases.Pairs {
+		if c.Res == nil {
+			t.Fatalf("case %d has no result", i)
+		}
 	}
 }

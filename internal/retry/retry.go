@@ -1,21 +1,11 @@
 // Package retry drives bounded re-execution of failed sweep cases:
-// exponential backoff with a cap, deterministic jitter from a seeded RNG
-// stream, and context-aware sleeping so a canceled sweep never blocks in
-// a backoff wait.
-//
-// Jitter is a pure function of (Policy.Seed, stream, attempt): the sweep
-// engine passes the deterministic case index as the stream id, so two
-// runs of the same study back off identically regardless of worker
-// scheduling — the same reproducibility discipline the simulator applies
-// to its own stochastic decisions (internal/rng).
+// doubling backoff between attempts, and context-aware sleeping so a
+// canceled sweep never blocks in a backoff wait.
 package retry
 
 import (
 	"context"
-	"errors"
 	"time"
-
-	"repro/internal/rng"
 )
 
 // Policy describes how failed operations are retried. The zero value
@@ -25,18 +15,9 @@ type Policy struct {
 	// MaxAttempts bounds total attempts (first try included). Values
 	// below 1 mean 1: no retries.
 	MaxAttempts int
-	// BaseDelay is the backoff after the first failed attempt; 0 retries
-	// immediately.
+	// BaseDelay is the backoff after the first failed attempt, doubled
+	// after each further one; 0 retries immediately.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff; 0 means uncapped.
-	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts; values below 1 mean 2.
-	Multiplier float64
-	// Jitter randomizes each delay into [1-Jitter, 1+Jitter) times its
-	// nominal value (clamped to [0, 1]). 0 disables jitter.
-	Jitter float64
-	// Seed seeds the jitter stream (see package comment).
-	Seed uint64
 }
 
 // attempts normalizes MaxAttempts.
@@ -48,56 +29,16 @@ func (p Policy) attempts() int {
 }
 
 // Delay returns the backoff to wait after the attempt-th attempt failed
-// (attempt counts from 1). Jitter, when enabled, is drawn from src; a nil
-// src disables it.
-func (p Policy) Delay(attempt int, src *rng.Source) time.Duration {
+// (attempt counts from 1): BaseDelay doubled attempt-1 times.
+func (p Policy) Delay(attempt int) time.Duration {
 	if p.BaseDelay <= 0 || attempt < 1 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(p.BaseDelay)
+	d := p.BaseDelay
 	for i := 1; i < attempt; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			break
-		}
+		d *= 2
 	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if j := p.Jitter; j > 0 && src != nil {
-		if j > 1 {
-			j = 1
-		}
-		d *= 1 - j + 2*j*src.Float64()
-	}
-	return time.Duration(d)
-}
-
-// permanentError marks an error as not worth retrying.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Do gives up immediately instead of burning the
-// remaining attempts on a failure that cannot heal (for example a
-// malformed configuration). A nil err stays nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err (or anything it wraps) was marked with
-// Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
+	return d
 }
 
 // Sleep waits for d or until ctx is done, whichever comes first, and
@@ -119,26 +60,23 @@ func Sleep(ctx context.Context, d time.Duration) error {
 // Do runs op until it succeeds, up to MaxAttempts times, backing off
 // between attempts. op receives the attempt number starting at 1. Do
 // returns nil on success and otherwise the error of the last attempt; it
-// stops early — without consuming remaining attempts — when the error is
-// Permanent or when ctx is done (a canceled sweep must release its worker
-// slot immediately). stream disambiguates the jitter sequence between
-// concurrent callers sharing one Policy.
-func (p Policy) Do(ctx context.Context, stream uint64, op func(attempt int) error) error {
+// stops early — without consuming remaining attempts — when ctx is done
+// (a canceled sweep must release its worker slot immediately).
+func (p Policy) Do(ctx context.Context, op func(attempt int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	src := rng.New(rng.Mix(p.Seed, stream))
 	max := p.attempts()
 	var err error
 	for attempt := 1; ; attempt++ {
 		err = op(attempt)
-		if err == nil || attempt >= max || IsPermanent(err) {
+		if err == nil || attempt >= max {
 			return err
 		}
 		if ctx.Err() != nil {
 			return err
 		}
-		if Sleep(ctx, p.Delay(attempt, src)) != nil {
+		if Sleep(ctx, p.Delay(attempt)) != nil {
 			return err
 		}
 	}

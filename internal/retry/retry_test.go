@@ -5,14 +5,12 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/rng"
 )
 
 func TestZeroPolicySingleAttempt(t *testing.T) {
 	calls := 0
 	sentinel := errors.New("boom")
-	err := Policy{}.Do(context.Background(), 0, func(attempt int) error {
+	err := Policy{}.Do(context.Background(), func(attempt int) error {
 		calls++
 		if attempt != 1 {
 			t.Fatalf("attempt = %d", attempt)
@@ -27,7 +25,7 @@ func TestZeroPolicySingleAttempt(t *testing.T) {
 func TestDoRetriesUntilSuccess(t *testing.T) {
 	p := Policy{MaxAttempts: 4, BaseDelay: time.Microsecond}
 	calls := 0
-	err := p.Do(context.Background(), 7, func(attempt int) error {
+	err := p.Do(context.Background(), func(attempt int) error {
 		calls++
 		if attempt < 3 {
 			return errors.New("transient")
@@ -42,25 +40,9 @@ func TestDoRetriesUntilSuccess(t *testing.T) {
 func TestDoExhaustsAttempts(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseDelay: time.Microsecond}
 	calls := 0
-	err := p.Do(context.Background(), 0, func(int) error { calls++; return errors.New("always") })
+	err := p.Do(context.Background(), func(int) error { calls++; return errors.New("always") })
 	if err == nil || calls != 3 {
 		t.Fatalf("err = %v, calls = %d", err, calls)
-	}
-}
-
-func TestDoPermanentShortCircuits(t *testing.T) {
-	p := Policy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	base := errors.New("bad config")
-	calls := 0
-	err := p.Do(context.Background(), 0, func(int) error { calls++; return Permanent(base) })
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1", calls)
-	}
-	if !errors.Is(err, base) || !IsPermanent(err) {
-		t.Fatalf("err = %v", err)
-	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
 	}
 }
 
@@ -69,7 +51,7 @@ func TestDoStopsOnCanceledContext(t *testing.T) {
 	p := Policy{MaxAttempts: 10, BaseDelay: time.Hour} // would hang if backoff ran
 	attemptErr := errors.New("transient")
 	calls := 0
-	err := p.Do(ctx, 0, func(int) error {
+	err := p.Do(ctx, func(int) error {
 		calls++
 		cancel() // canceled mid-attempt: no further attempts, no backoff wait
 		return attemptErr
@@ -82,7 +64,7 @@ func TestDoStopsOnCanceledContext(t *testing.T) {
 func TestDoPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Policy{MaxAttempts: 3}.Do(ctx, 0, func(int) error {
+	err := Policy{MaxAttempts: 3}.Do(ctx, func(int) error {
 		t.Fatal("op ran on a pre-canceled context")
 		return nil
 	})
@@ -91,34 +73,17 @@ func TestDoPreCanceled(t *testing.T) {
 	}
 }
 
-func TestDelayGrowthAndCap(t *testing.T) {
-	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
-	got := []time.Duration{p.Delay(1, nil), p.Delay(2, nil), p.Delay(3, nil), p.Delay(4, nil)}
-	want := []time.Duration{10, 20, 40, 60} // milliseconds; doubled then capped
+func TestDelayDoubles(t *testing.T) {
+	p := Policy{BaseDelay: 10 * time.Millisecond}
+	got := []time.Duration{p.Delay(1), p.Delay(2), p.Delay(3), p.Delay(4)}
+	want := []time.Duration{10, 20, 40, 80} // milliseconds
 	for i := range got {
 		if got[i] != want[i]*time.Millisecond {
 			t.Fatalf("Delay(%d) = %v, want %v", i+1, got[i], want[i]*time.Millisecond)
 		}
 	}
-	if d := (Policy{}).Delay(1, nil); d != 0 {
+	if d := (Policy{}).Delay(1); d != 0 {
 		t.Fatalf("zero-policy delay = %v", d)
-	}
-}
-
-func TestDelayJitterDeterministic(t *testing.T) {
-	p := Policy{BaseDelay: time.Second, Jitter: 0.5, Seed: 42}
-	a := p.Delay(1, rng.New(rng.Mix(42, 3)))
-	b := p.Delay(1, rng.New(rng.Mix(42, 3)))
-	if a != b {
-		t.Fatalf("same seed/stream produced %v and %v", a, b)
-	}
-	c := p.Delay(1, rng.New(rng.Mix(42, 4)))
-	if a == c {
-		t.Fatal("distinct streams produced identical jitter (suspicious)")
-	}
-	lo, hi := time.Duration(float64(time.Second)*0.5), time.Duration(float64(time.Second)*1.5)
-	if a < lo || a >= hi {
-		t.Fatalf("jittered delay %v outside [%v, %v)", a, lo, hi)
 	}
 }
 

@@ -109,16 +109,6 @@ func LatencyGoal(l Latency) Goal { return Goal{Kind: GoalLatency, Latency: l} }
 // PeriodicGoal returns the real-time periodic form.
 func PeriodicGoal(p Periodic) Goal { return Goal{Kind: GoalPeriodic, Periodic: p} }
 
-// FracGoals lifts a slice of fractions (the sweep axis as every config
-// file and flag writes it) into frac goals.
-func FracGoals(fracs []float64) []Goal {
-	out := make([]Goal, len(fracs))
-	for i, f := range fracs {
-		out[i] = FracGoal(f)
-	}
-	return out
-}
-
 // IsZero reports the none (best-effort) form. json omitzero hook.
 func (g Goal) IsZero() bool { return g.Kind == GoalNone }
 

@@ -8,11 +8,11 @@ import (
 	"repro/internal/schema"
 )
 
-// The frac form must round-trip as a bare JSON number: the distributed
-// sweep has always shipped its goal axis as "goals":[0.5,0.9], and the
-// union must not change those wire bytes (stage keys hash them).
+// The frac form must round-trip as a bare JSON number: requests and
+// journals have always carried a fractional goal as "goal":0.5, and the
+// union must not change those bytes.
 func TestGoalFracBareNumberWire(t *testing.T) {
-	b, err := json.Marshal(schema.FracGoals([]float64{0.5, 0.9}))
+	b, err := json.Marshal([]schema.Goal{schema.FracGoal(0.5), schema.FracGoal(0.9)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (s *Server) evaluate(j *job) {
 	v, fr, err := s.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
 		tr := trace.New(1 << 12)
 		var res *core.Result
-		err := s.runner.Do(s.baseCtx, j.seq, func(ctx context.Context, sess *core.Session) (rerr error) {
+		err := s.runner.Do(s.baseCtx, func(ctx context.Context, sess *core.Session) (rerr error) {
 			res, rerr = sess.RunTraced(ctx, specs, scheme, tr)
 			return rerr
 		})
