@@ -151,10 +151,10 @@ fuzz:
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous
 # 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
-# asking against the ask-every-node reference placer, and the /v2 HTTP
-# surface — raced and uncached.
+# asking against the ask-every-node reference placer, the pinned journal
+# header hashes, and the /v2 HTTP surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace
@@ -172,7 +172,7 @@ ci:
 	$(MAKE) race
 	$(MAKE) fleet
 	$(GO) test ./...
-	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable' -count=1 ./internal/server
+	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable|TestCacheTierReproducesSimVerdict|TestJournalHeaderPinned' -count=1 ./internal/server
 	$(MAKE) stream-replay
 	$(MAKE) bench-trace
 	$(MAKE) fuzz

@@ -9,12 +9,6 @@
 //	calibrate                 # characterize the whole suite
 //	calibrate -w sgemm,lbm    # a subset
 //	calibrate -tlp            # add the TLP sensitivity sweep
-//	calibrate -fit iso.json   # also write an isolated-IPC qosd model fit
-//
-// A -fit file carries isolated IPCs only (no pairwise contention data),
-// bound to the default device at -window: a qosd loading it can decide
-// single-kernel mixes analytically while multi-kernel mixes still
-// simulate (use `sweep -fit` for pairwise coverage).
 package main
 
 import (
@@ -27,10 +21,8 @@ import (
 	"syscall"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/kern"
-	"repro/internal/perfmodel"
 	"repro/internal/workloads"
 )
 
@@ -40,7 +32,6 @@ func main() {
 		window  = flag.Int64("window", 200_000, "measurement window in cycles")
 		tlp     = flag.Bool("tlp", false, "include the TLP-sensitivity sweep")
 		timeout = flag.Duration("timeout", 0, "wall-clock deadline for the whole run (0 = none)")
-		fit     = flag.String("fit", "", "write an isolated-IPC qosd model fit to this path")
 	)
 	flag.Parse()
 
@@ -52,7 +43,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *list, *window, *tlp, *fit); err != nil {
+	if err := run(ctx, *list, *window, *tlp); err != nil {
 		fmt.Fprintln(os.Stderr, "calibrate:", err)
 		os.Exit(1)
 	}
@@ -95,48 +86,10 @@ func measure(ctx context.Context, name string, window int64, cap int) (*gpu.GPU,
 	return g, nil
 }
 
-// writeFit measures each workload's isolated IPC on a fresh session
-// (the same device/window/seed a default qosd runs under) and saves a
-// pairs-free model fit.
-func writeFit(ctx context.Context, names []string, window int64, path string) error {
-	sess, err := core.NewSession(core.WithWindow(window))
-	if err != nil {
-		return err
-	}
-	cfgHash, err := perfmodel.ConfigHash(sess.Config(), sess.Seed())
-	if err != nil {
-		return err
-	}
-	f := &perfmodel.Fit{
-		Schema:     perfmodel.FitSchema,
-		ConfigHash: cfgHash,
-		Isolated:   make(map[string]float64, len(names)),
-		Pairs:      map[string][]perfmodel.PairPoint{},
-	}
-	for _, name := range names {
-		ipc, err := sess.IsolatedIPC(ctx, core.KernelSpec{Workload: name})
-		if err != nil {
-			return err
-		}
-		f.Isolated[name] = ipc
-	}
-	if err := f.Save(path); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "calibrate: wrote model fit %s (version %.12s…, %d workloads)\n",
-		path, f.Version, len(f.Isolated))
-	return nil
-}
-
-func run(ctx context.Context, list string, window int64, tlp bool, fit string) error {
+func run(ctx context.Context, list string, window int64, tlp bool) error {
 	names, err := selected(list)
 	if err != nil {
 		return err
-	}
-	if fit != "" {
-		if err := writeFit(ctx, names, window, fit); err != nil {
-			return err
-		}
 	}
 	fmt.Printf("%-14s %-3s %9s %10s %8s %8s %9s %8s\n",
 		"workload", "cls", "IPC", "lines/cyc", "L1hit", "L2hit", "TBs", "launches")

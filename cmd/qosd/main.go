@@ -24,16 +24,13 @@
 //	curl -s localhost:8715/v1/verdicts/stats
 //	curl -s localhost:8715/metrics
 //
-// The tiered fast path (-fast-path, on by default) answers repeat mixes
-// from an exact verdict cache and, when -model points at a fit produced
-// by `sweep -fit` under this exact device/window/seed/scheme, decides
-// covered mixes analytically — falling back to full simulation whenever
-// a predicted goal ratio lands within -uncertainty of its boundary.
+// The fast path (-fast-path, on by default) answers a repeat mix from an
+// exact verdict cache; every other mix is simulated.
 //
 // With -fleet the daemon additionally serves the /v2 fractional-GPU
 // API: a registry of N simulated nodes (comma-separated device names,
 // e.g. -fleet base,base,scale56) behind a deterministic bin-packing
-// placement scheduler with per-node tiered admission and a
+// placement scheduler with per-node cached admission and a
 // repartitioning fallback:
 //
 //	qosd -addr :8715 -fleet base,base -fleet-journal fleetdir
@@ -59,7 +56,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fleet"
-	"repro/internal/perfmodel"
 	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/workloads"
@@ -79,8 +75,6 @@ type options struct {
 	journalPath string
 	drainWait   time.Duration
 	fastPath    bool
-	modelPath   string
-	uncertainty float64
 	cacheSize   int
 	stallAfter  time.Duration
 	fleetNodes  string
@@ -101,9 +95,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 1, "extra attempts per failing evaluation")
 	flag.StringVar(&o.journalPath, "journal", "", "crash-safe job log (restores the admitted mix on restart)")
 	flag.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "graceful drain budget on SIGTERM")
-	flag.BoolVar(&o.fastPath, "fast-path", true, "enable the tiered decision path (verdict cache + model) in front of simulation")
-	flag.StringVar(&o.modelPath, "model", "", "analytic performance-model fit (from `sweep -fit`); requires -fast-path")
-	flag.Float64Var(&o.uncertainty, "uncertainty", server.DefaultUncertaintyBand, "model trust margin: goal ratios within ±band of 1.0 escape to simulation")
+	flag.BoolVar(&o.fastPath, "fast-path", true, "answer repeat mixes from the exact verdict cache instead of simulating them again")
 	flag.IntVar(&o.cacheSize, "verdict-cache", server.DefaultVerdictCacheSize, "exact verdict cache capacity")
 	flag.DurationVar(&o.stallAfter, "stall-after", server.DefaultStallAfter, "decision-loop liveness threshold: /healthz reports decision_loop_stalled (503) when one decision is in flight longer than this")
 	flag.StringVar(&o.fleetNodes, "fleet", "", "serve the /v2 fleet API over these nodes: comma-separated device names (base|scale56), e.g. base,base,scale56")
@@ -146,7 +138,6 @@ func buildFleet(o options, scheme core.Scheme) (*fleet.Fleet, error) {
 		MaxMixPerNode:    o.fleetMix,
 		QueueDepth:       o.queue,
 		FastPath:         o.fastPath,
-		UncertaintyBand:  o.uncertainty,
 		VerdictCacheSize: o.cacheSize,
 		JournalDir:       o.fleetJnlDir,
 	})
@@ -173,13 +164,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	var model *perfmodel.Model
-	if o.modelPath != "" {
-		model, err = perfmodel.Load(o.modelPath)
-		if err != nil {
-			return err
-		}
-	}
 	fl, err := buildFleet(o, scheme)
 	if err != nil {
 		return err
@@ -191,8 +175,6 @@ func run(o options) error {
 		QueueDepth:       o.queue,
 		JournalPath:      o.journalPath,
 		FastPath:         o.fastPath,
-		Model:            model,
-		UncertaintyBand:  o.uncertainty,
 		VerdictCacheSize: o.cacheSize,
 		StallAfter:       o.stallAfter,
 		Fleet:            fl,
@@ -207,9 +189,6 @@ func run(o options) error {
 		fast := "off"
 		if o.fastPath {
 			fast = "cache"
-			if model != nil {
-				fast = "cache+model"
-			}
 		}
 		fleetInfo := ""
 		if fl != nil {

@@ -19,7 +19,6 @@
 //	sweep -mode pairs -workers 1   # force serial execution
 //	sweep -mode pairs -journal pairs.ckpt            # checkpoint as it goes
 //	sweep -mode pairs -journal pairs.ckpt -resume    # pick up after a crash
-//	sweep -mode pairs -schemes rollover -fit fit.json  # also emit a qosd model fit
 //	sweep -mode pairs -suite openworld -schemes rollover > openworld.csv
 //	sweep -mode stream -arrivals poisson,bursty -schemes rollover -window 30000 > stream.csv
 //
@@ -77,7 +76,6 @@ type options struct {
 	traceDir    string
 	traceFmt    string
 	pprofAddr   string
-	fitPath     string
 	suite       string
 	arrivals    string
 	rate        float64
@@ -104,7 +102,6 @@ func main() {
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.StringVar(&o.fitPath, "fit", "", "distill the pair sweep into a qosd performance-model fit at this path (pairs mode, exactly one scheme)")
 	flag.StringVar(&o.suite, "suite", "paper", "pair grid: paper (the 90-pair Parboil grid) | openworld (open-world classes vs every paper benchmark)")
 	flag.StringVar(&o.arrivals, "arrivals", "poisson,diurnal,bursty", "comma-separated arrival processes to sweep (stream mode)")
 	flag.Float64Var(&o.rate, "rate", 8, "mean arrivals per second per process (stream mode)")
@@ -285,9 +282,6 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if o.resume && o.journalPath == "" {
 		return errors.New("-resume requires -journal")
 	}
-	if o.fitPath != "" && (o.mode != "pairs" || len(schemes) != 1) {
-		return errors.New("-fit requires -mode pairs and exactly one -schemes entry (a fit is bound to one scheme)")
-	}
 	g, err := sweepGrid(o)
 	if err != nil {
 		return err
@@ -318,17 +312,6 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 			failed += len(se.Report.Failed)
 		} else if err != nil {
 			return err
-		}
-		if o.fitPath != "" {
-			fit, ferr := exp.ModelFit(cases.Pairs, sc, runner.Session())
-			if ferr != nil {
-				return ferr
-			}
-			if ferr := fit.Save(o.fitPath); ferr != nil {
-				return ferr
-			}
-			fmt.Fprintf(os.Stderr, "sweep: wrote model fit %s (version %.12s…, %d workloads, %d pairs)\n",
-				o.fitPath, fit.Version, len(fit.Isolated), len(fit.Pairs))
 		}
 		if err := w.WriteAll(g.CSVRows(cases)); err != nil {
 			return err

@@ -6,9 +6,9 @@
 // schedulers (gpu_fraction / vgpu_cores / vgpu_memory, see Request) and
 // are bin-packed across nodes: a best-fit search over every node with
 // fractional capacity left, where a capacity-feasible candidate is
-// proven by that node's tiered what-if admission check (exact verdict
-// cache → perf model → full simulation — the same evidence path the
-// single-GPU daemon uses, via verdict.Decider). A single placement
+// proven by that node's what-if admission check (exact verdict cache →
+// full simulation — the same evidence path the single-GPU daemon uses,
+// via verdict.Decider). A single placement
 // goroutine owns all capacity state and asks every question, serially:
 // it asks the candidates in policy order (tightest fit first) and stops
 // at the first that admits, so the placement sequence for a given
@@ -42,7 +42,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/perfmodel"
 	"repro/internal/schema"
 	"repro/internal/verdict"
 )
@@ -70,9 +69,6 @@ type NodeSpec struct {
 	// GPU is the device configuration; nodes may differ (heterogeneous
 	// fleet).
 	GPU config.GPU
-	// Model optionally attaches a trained perf model for this node's
-	// configuration, enabling the model tier of its decider.
-	Model *perfmodel.Model
 }
 
 // Config assembles a Fleet.
@@ -90,10 +86,8 @@ type Config struct {
 	MaxMixPerNode int
 	// QueueDepth bounds the pending placement queue (0 = 16).
 	QueueDepth int
-	// FastPath enables the cache/model tiers on every node's decider.
+	// FastPath enables every node decider's verdict cache.
 	FastPath bool
-	// UncertaintyBand is the model-tier confidence band (0 = default).
-	UncertaintyBand float64
 	// VerdictCacheSize bounds each node's verdict cache (0 = default).
 	VerdictCacheSize int
 	// JournalDir, when set, holds one decision journal per node plus
@@ -162,8 +156,11 @@ type nodeBinding struct {
 	FastPath   bool   `json:"fast_path"`
 	Band       string `json:"band"`
 	CacheSize  int    `json:"cache_size"`
-	Model      string `json:"model,omitempty"`
 }
+
+// bindingBand is the removed model tier's band as every node binding
+// hashed it by default, kept so existing node journals still open.
+const bindingBand = "0.050000"
 
 // fleetBinding is hashed into the placement journal header.
 type fleetBinding struct {
@@ -269,11 +266,9 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
 	}
 	dec, err := verdict.NewDecider(sess, verdict.DeciderConfig{
-		FastPath:        cfg.FastPath,
-		Model:           ns.Model,
-		UncertaintyBand: cfg.UncertaintyBand,
-		CacheSize:       cfg.VerdictCacheSize,
-		Scheme:          cfg.Scheme,
+		FastPath:  cfg.FastPath,
+		CacheSize: cfg.VerdictCacheSize,
+		Scheme:    cfg.Scheme,
 	})
 	if err != nil {
 		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
@@ -294,11 +289,8 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		Scheme:     cfg.Scheme.Name(),
 		MaxMix:     cfg.MaxMixPerNode,
 		FastPath:   cfg.FastPath,
-		Band:       fmt.Sprintf("%.6f", dec.Band()),
+		Band:       bindingBand,
 		CacheSize:  dec.CacheCap(),
-	}
-	if ns.Model != nil {
-		bind.Model = ns.Model.Version()
 	}
 	if cfg.JournalDir != "" {
 		hash, err := journal.Hash(bind)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/schema"
 )
 
@@ -418,6 +419,46 @@ func TestReleaseFreesCapacity(t *testing.T) {
 	}
 	if v.Node != "node-0" {
 		t.Fatalf("after release: placed on %q, want node-0", v.Node)
+	}
+}
+
+// TestJournalHeadersPinned pins, as literals, the header hashes of the
+// journals `qosd -fleet base,base -fleet-journal DIR` writes with every
+// other flag at its default: both node journals and placements.jnl.
+// Journals written before must keep opening, so nothing hashed into a
+// node or fleet binding may move.
+func TestJournalHeadersPinned(t *testing.T) {
+	dir := t.TempDir()
+	f, err := New(Config{
+		Nodes:            []NodeSpec{{Name: "base", GPU: config.Base()}, {Name: "base", GPU: config.Base()}},
+		Scheme:           core.SchemeRollover,
+		Window:           200_000,
+		QueueDepth:       16,
+		FastPath:         true,
+		VerdictCacheSize: 4096,
+		JournalDir:       dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustShutdown(t, f)
+	for file, want := range map[string]string{
+		"node-0.jnl":     "0a53695a7d34f3c39ef960b51f98529457c9383dd409e989895ed6bdc30263f3",
+		"node-1.jnl":     "d7da8e10e01c7ce61c106fdf3d29cea64531c2d81b5f2bd23100bfda4c0c038a",
+		"placements.jnl": "20c2de7e91a4e99f0a5fe6e65c83fcdc11e879df21712771973a5bb040577b52",
+	} {
+		b, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, _, _ := bytes.Cut(b, []byte("\n"))
+		rec, err := journal.Decode(line)
+		if err != nil || !rec.Header {
+			t.Fatalf("%s: first line %q: %v", file, line, err)
+		}
+		if rec.Config != want {
+			t.Errorf("%s header hash %s, want %s", file, rec.Config, want)
+		}
 	}
 }
 

@@ -85,7 +85,7 @@ const decisionStage = "decisions"
 
 // evaluate decides one what-if co-run (mix + candidate last; jobID is
 // the job the question is asked for) through the tiered path: exact
-// cache, perf model inside its confidence band, then full simulation.
+// cache, then on a miss full simulation.
 // The spec snapshot is built by the placement goroutine, so repartition
 // searches can pose counterfactual mixes ("A's mix without m, plus j")
 // with the same machinery as plain placement. Every successful decision

@@ -13,15 +13,17 @@ const (
 	DecisionReject = "reject"
 )
 
-// Tier values of Verdict.Tier: which stage of the tiered decision path
-// produced the verdict.
+// Tier values of Verdict.Tier: which stage of the decision path produced
+// the verdict.
 const (
 	// TierCache is an exact hit in the canonical mix-signature cache.
 	TierCache = "cache"
-	// TierModel is the interpolated analytic performance model.
+	// TierModel named the analytic performance model, which was removed
+	// after an audit against the simulator. No tier emits it; it stays
+	// because the benchmark still reads its (empty) stats row.
 	TierModel = "model"
-	// TierSim is the full what-if co-run simulation (the fallback tier,
-	// and the only tier when the fast path is disabled).
+	// TierSim is the full what-if co-run simulation (what a cache miss
+	// runs, and the only tier when the fast path is disabled).
 	TierSim = "sim"
 )
 
@@ -33,10 +35,8 @@ func Decision(admitted bool) string {
 	return DecisionReject
 }
 
-// KernelOutcome is one kernel's result inside an admission verdict. For
-// simulation-backed verdicts it mirrors core.KernelResult; for
-// model-tier verdicts the IPC fields are the model's interpolated
-// predictions.
+// KernelOutcome is one kernel's result inside an admission verdict: the
+// what-if simulation's core.KernelResult for that kernel.
 type KernelOutcome struct {
 	JobID          string  `json:"job_id,omitempty"`
 	Workload       string  `json:"workload"`
@@ -56,14 +56,13 @@ type KernelOutcome struct {
 type Verdict struct {
 	// Decision is "admit" or "reject".
 	Decision string `json:"decision"`
-	// Tier records which tier decided: "cache", "model" or "sim".
+	// Tier records which tier decided: "cache" or "sim".
 	Tier string `json:"tier"`
-	// Confidence is the deciding tier's confidence in [0,1]. Simulation
-	// evidence is 1; the model reports its uncertainty-band margin
-	// (clamped to 1); cache hits inherit the stored verdict's value.
+	// Confidence is 1: every verdict rests on simulation evidence, a
+	// cache hit on the run that seeded it.
 	Confidence float64 `json:"confidence"`
-	// ModelVersion is the fit hash of the analytic model when the
-	// evidence came from the model tier (directly or via the cache).
+	// ModelVersion is never set now that no analytic model decides; the
+	// field stays so the wire schema does not change.
 	ModelVersion string `json:"model_version,omitempty"`
 	// EvidenceRef names the canonical mix signature the verdict was
 	// decided (and cached) under, as "sig:<prefix>".
@@ -75,7 +74,7 @@ type Verdict struct {
 	Candidate  KernelOutcome   `json:"candidate"`
 	Incumbents []KernelOutcome `json:"incumbents,omitempty"`
 	// Cycles is the simulated measurement window of the what-if run
-	// backing the verdict (0 for model-tier verdicts: no run happened).
+	// backing the verdict.
 	Cycles int64 `json:"cycles"`
 }
 

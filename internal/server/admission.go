@@ -96,8 +96,8 @@ func (s *Server) waitSlot() error {
 }
 
 // evaluate decides one job through the tiered path (verdict.Decider):
-// exact verdict cache, then the analytic model, then the what-if co-run
-// (admitted mix + candidate) on a pooled worker session.
+// exact verdict cache, then on a miss the what-if co-run (admitted mix +
+// candidate) on a pooled worker session.
 func (s *Server) evaluate(j *job) {
 	start := time.Now()
 	j.setState(JobEvaluating)
@@ -110,10 +110,10 @@ func (s *Server) evaluate(j *job) {
 	d := Decision{Kind: "decision", JobID: j.id, JobSeq: j.seq, Name: j.name, Candidate: mixEntry(j), Mix: entries}
 	specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
 
-	// Tier 3, run only when the fast tiers fall through: a traced co-run
-	// on a borrowed session, its counters absorbed and the candidate's
+	// The sim tier, run only on a cache miss: a traced co-run on a
+	// borrowed session, its counters absorbed and the candidate's
 	// epoch-level evidence forwarded to the job's SSE stream.
-	v, fr, err := s.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+	v, cacheMiss, err := s.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
 		tr := trace.New(1 << 12)
 		var res *core.Result
 		err := s.runner.Do(s.baseCtx, func(ctx context.Context, sess *core.Session) (rerr error) {
@@ -128,11 +128,8 @@ func (s *Server) evaluate(j *job) {
 		s.forwardTrace(j, tr, len(specs)-1)
 		return res, nil
 	})
-	if fr.CacheMiss {
+	if cacheMiss {
 		s.count("verdict_cache_misses", 1)
-	}
-	if fr.ModelEscape {
-		s.count("model_escapes", 1)
 	}
 	if err != nil {
 		j.finish(JobFailed, nil, err)

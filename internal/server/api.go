@@ -170,7 +170,7 @@ type tierStats struct {
 type verdictStatsResponse struct {
 	Schema   int  `json:"schema"`
 	FastPath bool `json:"fast_path"`
-	// Tiers maps "cache"/"model"/"sim" to per-tier decision counts and
+	// Tiers maps "cache" and "sim" to per-tier decision counts and
 	// latency EWMAs.
 	Tiers map[string]tierStats `json:"tiers"`
 	// CacheMisses counts decisions that missed the exact cache (fast
@@ -178,11 +178,6 @@ type verdictStatsResponse struct {
 	CacheMisses   int64 `json:"cache_misses"`
 	CacheSize     int   `json:"cache_size"`
 	CacheCapacity int   `json:"cache_capacity,omitempty"`
-	// ModelEscapes counts decisions the model declined (coverage hole or
-	// a prediction inside the uncertainty band).
-	ModelEscapes    int64   `json:"model_escapes"`
-	ModelVersion    string  `json:"model_version,omitempty"`
-	UncertaintyBand float64 `json:"uncertainty_band,omitempty"`
 }
 
 // maxBodyBytes caps a submission body; the largest legitimate one (a
@@ -236,7 +231,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 func (s *Server) retryAfterSeconds() int {
 	var weightedNs, n float64
 	s.statsMu.Lock()
-	for _, tier := range []string{schema.TierCache, schema.TierModel, schema.TierSim} {
+	for _, tier := range decisionTiers {
 		c := float64(s.reg.Counter("verdicts_tier_" + tier).Value())
 		ewma := s.reg.Gauge("latency_ewma_ns_" + tier).Value()
 		// A tier can be counted before its first latency lands: the

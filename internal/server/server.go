@@ -23,7 +23,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/journal"
-	"repro/internal/perfmodel"
 	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/verdict"
@@ -49,18 +48,9 @@ type Config struct {
 	// under a different simulator configuration is refused.
 	JournalPath string
 
-	// FastPath enables the tiered decision path (exact verdict cache,
-	// then the analytic model when one is loaded) in front of the what-if
+	// FastPath puts the exact verdict cache in front of the what-if
 	// simulation. Off, every decision simulates — the pre-v2 behavior.
 	FastPath bool
-	// Model is the optional tier-2 analytic performance model
-	// (perfmodel.Load). Requires FastPath; its fit must be bound to this
-	// runner's exact simulator configuration, seed and scheme.
-	Model *perfmodel.Model
-	// UncertaintyBand is the model tier's trust margin: a predicted QoS
-	// goal ratio within ±band of 1.0 escapes to simulation (default
-	// DefaultUncertaintyBand).
-	UncertaintyBand float64
 	// VerdictCacheSize bounds the exact verdict cache (default
 	// DefaultVerdictCacheSize).
 	VerdictCacheSize int
@@ -178,31 +168,34 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// The journal header hashes the removed model tier's version and band at
+// what a model-less daemon always wrote, so existing journals still open.
+const (
+	journalModelVersion = ""
+	journalBand         = 0.05
+)
+
 // openJournal opens (or creates) the job log. The header hash binds the
 // file to the exact simulator configuration and admission parameters, so
 // a daemon restarted with different settings can never resurrect
 // contracts it would now evaluate differently.
 func (s *Server) openJournal(path string) error {
 	sess := s.runner.Session()
-	var modelVersion string
-	if m := s.dec.Model(); m != nil {
-		modelVersion = m.Version()
-	}
 	hash, err := journal.Hash(struct {
 		Config core.Config
 		Seed   uint64
 		Scheme string
 		MaxMix int
 		// The fast-path parameters are part of the decision function: a
-		// daemon restarted with a different cache, model or band could
-		// decide (or explain) the same submission differently, so such a
-		// restart must refuse the log rather than extend it.
+		// daemon restarted with a different cache could decide (or
+		// explain) the same submission differently, so such a restart
+		// must refuse the log rather than extend it.
 		FastPath        bool
 		ModelVersion    string
 		UncertaintyBand float64
 		CacheSize       int
 	}{sess.Config(), sess.Seed(), s.scheme.Name(), s.maxMix,
-		s.dec.Enabled(), modelVersion, s.dec.Band(), s.dec.CacheCap()})
+		s.dec.Enabled(), journalModelVersion, journalBand, s.dec.CacheCap()})
 	if err != nil {
 		return err
 	}
@@ -398,33 +391,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleVerdictStats reports the tiered decision path's behavior:
-// per-tier decision counts and latency EWMAs, cache occupancy and model
-// escapes. The same counters appear on /metrics.
+// handleVerdictStats reports the decision path's behavior: per-tier
+// decision counts and latency EWMAs, cache misses and occupancy. The
+// same counters appear on /metrics.
 func (s *Server) handleVerdictStats(w http.ResponseWriter, _ *http.Request) {
 	resp := verdictStatsResponse{
 		Schema:   schema.Version,
 		FastPath: s.dec.Enabled(),
-		Tiers:    make(map[string]tierStats, 3),
+		Tiers:    make(map[string]tierStats, len(decisionTiers)),
 	}
 	s.statsMu.Lock()
-	for _, tier := range []string{schema.TierCache, schema.TierModel, schema.TierSim} {
+	for _, tier := range decisionTiers {
 		resp.Tiers[tier] = tierStats{
 			Decisions:     s.reg.Counter("verdicts_tier_" + tier).Value(),
 			LatencyEWMANs: s.reg.Gauge("latency_ewma_ns_" + tier).Value(),
 		}
 	}
 	resp.CacheMisses = s.reg.Counter("verdict_cache_misses").Value()
-	resp.ModelEscapes = s.reg.Counter("model_escapes").Value()
 	s.statsMu.Unlock()
 	resp.CacheSize = s.dec.CacheLen()
 	resp.CacheCapacity = s.dec.CacheCap()
-	if s.dec.Enabled() {
-		resp.UncertaintyBand = s.dec.Band()
-	}
-	if m := s.dec.Model(); m != nil {
-		resp.ModelVersion = m.Version()
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -4,36 +4,33 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/verdict"
 )
 
-// The tiered decision path (cache → model → sim) lives in
-// internal/verdict.Decider, shared verbatim by this daemon's decision
-// loop, the serial Replayer below, and every node of a fleet
-// (internal/fleet). Sharing one implementation is what makes the
-// determinism contract checkable: a serial replay of the decision log
-// evolves the identical cache, takes the identical tier per decision,
-// and reproduces every verdict bit for bit.
+// The decision path (cache → sim) lives in internal/verdict.Decider,
+// shared verbatim by this daemon's decision loop, the serial Replayer
+// below, and every node of a fleet (internal/fleet). Sharing one
+// implementation is what makes the determinism contract checkable: a
+// serial replay of the decision log evolves the identical cache, takes
+// the identical tier per decision, and reproduces every verdict bit for
+// bit.
 
 // DefaultVerdictCacheSize bounds the exact-verdict cache when the fast
 // path is enabled and Config.VerdictCacheSize is zero.
 const DefaultVerdictCacheSize = verdict.DefaultCacheSize
 
-// DefaultUncertaintyBand is the model tier's goal-ratio margin when
-// Config.UncertaintyBand is zero: predictions within ±5% of a goal
-// boundary escape to simulation.
-const DefaultUncertaintyBand = verdict.DefaultUncertaintyBand
+// decisionTiers are the Verdict.Tier values the decision path emits.
+var decisionTiers = []string{schema.TierCache, schema.TierSim}
 
 // newDecider lowers the fast-path half of a Config into the shared
 // decider, bound to the session it will decide for. cfg.Scheme must
 // already be defaulted.
 func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 	return verdict.NewDecider(sess, verdict.DeciderConfig{
-		FastPath:        cfg.FastPath,
-		Model:           cfg.Model,
-		UncertaintyBand: cfg.UncertaintyBand,
-		CacheSize:       cfg.VerdictCacheSize,
-		Scheme:          cfg.Scheme,
+		FastPath:  cfg.FastPath,
+		CacheSize: cfg.VerdictCacheSize,
+		Scheme:    cfg.Scheme,
 	})
 }
 
@@ -41,10 +38,9 @@ func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 // on a single simulator session, in log order. It is the determinism
 // contract made executable: with the same fast-path configuration as
 // the daemon that wrote the log, Replay returns every verdict — and its
-// deciding tier — bit-identically, because the cache and model evolve
-// through the same serial sequence. Only the fast-path fields of cfg
-// are read (FastPath, Model, UncertaintyBand, VerdictCacheSize, Scheme);
-// Runner may be nil.
+// deciding tier — bit-identically, because the cache evolves through the
+// same serial sequence. Only the fast-path fields of cfg are read
+// (FastPath, VerdictCacheSize, Scheme); Runner may be nil.
 type Replayer struct {
 	sess *core.Session
 	dec  *verdict.Decider

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/perfmodel"
+	"repro/internal/journal"
 	"repro/internal/schema"
 	"repro/internal/trace"
 )
@@ -22,10 +28,12 @@ func counter(s *Server, name string) int64 {
 	return s.reg.Counter(name).Value()
 }
 
-// TestCacheTierReproducesSimVerdict pins tier 1: an identical
+// TestCacheTierReproducesSimVerdict pins the cache tier: an identical
 // resubmission must be answered from the exact verdict cache with the
 // same decision, numbers and reason as the simulation that seeded it —
-// only the tier, confidence and job ids may differ.
+// only the tier and job ids may differ. The stats endpoint accounts for
+// both decisions and names no other tier, and a serial Replayer
+// reproduces every verdict (and tier) bit-identically.
 func TestCacheTierReproducesSimVerdict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -73,88 +81,8 @@ func TestCacheTierReproducesSimVerdict(t *testing.T) {
 	if n := counter(s, "verdict_cache_misses"); n != 1 {
 		t.Fatalf("verdict_cache_misses = %d", n)
 	}
-}
 
-// modelFitFor hand-builds a finalized fit bound to sess covering sgemm
-// in isolation only: a lone sgemm submission is model-decidable, any
-// pair escapes.
-func modelFitFor(t *testing.T, sess *core.Session) *perfmodel.Fit {
-	t.Helper()
-	cfgHash, err := perfmodel.ConfigHash(sess.Config(), sess.Seed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &perfmodel.Fit{
-		Schema:     perfmodel.FitSchema,
-		ConfigHash: cfgHash,
-		Scheme:     "rollover",
-		Isolated:   map[string]float64{"sgemm": 2.0},
-		Pairs:      map[string][]perfmodel.PairPoint{},
-	}
-	if err := f.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-// TestModelTierDecidesAndEscapes pins tier 2 end to end: a covered mix
-// is decided analytically without touching the simulator, an uncovered
-// mix escapes to simulation, the stats endpoint accounts for both, and
-// a serial Replayer reproduces every verdict (and tier) bit-identically.
-func TestModelTierDecidesAndEscapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	r, err := exp.NewRunner(2, exp.WithSessionOptions(core.WithWindow(30_000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit := modelFitFor(t, r.Session())
-	model, err := perfmodel.New(fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Runner: r, FastPath: true, Model: model, MaxMix: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-
-	// Lone sgemm at goal 0.5: predicted ratio 1/0.5 = 2.0, far outside
-	// any band — the model admits without simulating.
-	j1 := submitWait(t, s, qos("sgemm", 0.5))
-	v1 := j1.view().Verdict
-	if v1 == nil || v1.Tier != schema.TierModel || !v1.IsAdmitted() {
-		t.Fatalf("verdict = %+v, want admitted model tier", v1)
-	}
-	if v1.ModelVersion != fit.Version {
-		t.Fatalf("model version = %q, want %q", v1.ModelVersion, fit.Version)
-	}
-	if v1.Confidence <= 0 || v1.Confidence > 1 {
-		t.Fatalf("model confidence = %v", v1.Confidence)
-	}
-	if n := counter(s, "evaluations"); n != 0 {
-		t.Fatalf("evaluations = %d, want 0 (model tier must not simulate)", n)
-	}
-
-	// lbm is outside the fit: the pair escapes to simulation.
-	j2 := submitWait(t, s, be("lbm"))
-	v2 := j2.view().Verdict
-	if v2 == nil || v2.Tier != schema.TierSim {
-		t.Fatalf("uncovered mix verdict = %+v, want sim tier", v2)
-	}
-	if n := counter(s, "model_escapes"); n != 1 {
-		t.Fatalf("model_escapes = %d", n)
-	}
-	if n := counter(s, "evaluations"); n != 1 {
-		t.Fatalf("evaluations = %d, want 1", n)
-	}
-
-	// The stats endpoint reports the same story.
+	// The stats endpoint reports the same story, in exactly these fields.
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/v1/verdicts/stats")
@@ -162,25 +90,38 @@ func TestModelTierDecidesAndEscapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for k := range fields {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	if got, want := strings.Join(names, ","), "cache_capacity,cache_misses,cache_size,fast_path,schema,tiers"; got != want {
+		t.Fatalf("stats fields %s, want %s", got, want)
+	}
 	var st verdictStatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Schema != schema.Version || !st.FastPath {
 		t.Fatalf("stats envelope: %+v", st)
 	}
-	if st.Tiers[schema.TierModel].Decisions != 1 || st.Tiers[schema.TierSim].Decisions != 1 {
+	if _, ok := st.Tiers[schema.TierModel]; ok || len(st.Tiers) != 2 ||
+		st.Tiers[schema.TierCache].Decisions != 1 || st.Tiers[schema.TierSim].Decisions != 1 {
 		t.Fatalf("tier decisions: %+v", st.Tiers)
 	}
-	if st.Tiers[schema.TierModel].LatencyEWMANs <= 0 {
-		t.Fatalf("model tier latency EWMA not observed: %+v", st.Tiers)
+	if st.Tiers[schema.TierCache].LatencyEWMANs <= 0 || st.Tiers[schema.TierSim].LatencyEWMANs <= 0 {
+		t.Fatalf("tier latency EWMA not observed: %+v", st.Tiers)
 	}
-	if st.ModelEscapes != 1 || st.ModelVersion != fit.Version {
-		t.Fatalf("stats: %+v", st)
-	}
-	// Both decided verdicts are cached (model verdicts are cached too).
-	if st.CacheSize != 2 || st.CacheCapacity != DefaultVerdictCacheSize {
-		t.Fatalf("cache stats: size=%d cap=%d", st.CacheSize, st.CacheCapacity)
+	if st.CacheMisses != 1 || st.CacheSize != 1 || st.CacheCapacity != DefaultVerdictCacheSize {
+		t.Fatalf("cache stats: %+v", st)
 	}
 
 	// Serial replay through an identical decider reproduces both
@@ -189,7 +130,7 @@ func TestModelTierDecidesAndEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplayer(sess, Config{FastPath: true, Model: model, MaxMix: 2})
+	rp, err := NewReplayer(sess, Config{FastPath: true, MaxMix: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,51 +147,6 @@ func TestModelTierDecidesAndEscapes(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("decision %d:\n served %s\n replay %s", d.Index, got, want)
 		}
-	}
-}
-
-// TestNewDeciderValidation pins the fast-path configuration errors: a
-// model without the fast path, a fit bound to a different simulator
-// configuration, and a fit swept under a different scheme are all
-// refused at construction.
-func TestNewDeciderValidation(t *testing.T) {
-	r, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithWindow(30_000)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit := modelFitFor(t, r.Session())
-	model, err := perfmodel.New(fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Runner: r, Model: model}); err == nil {
-		t.Fatal("model without FastPath accepted")
-	}
-
-	foreign := modelFitFor(t, r.Session())
-	foreign.ConfigHash = "0000deadbeef0000"
-	if err := foreign.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	fm, err := perfmodel.New(foreign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Runner: r, FastPath: true, Model: fm}); err == nil {
-		t.Fatal("model bound to a foreign config accepted")
-	}
-
-	wrongScheme := modelFitFor(t, r.Session())
-	wrongScheme.Scheme = "equal"
-	if err := wrongScheme.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	sm, err := perfmodel.New(wrongScheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Runner: r, FastPath: true, Model: sm}); err == nil {
-		t.Fatal("model swept under a different scheme accepted")
 	}
 }
 
@@ -280,6 +176,32 @@ func TestJournalRefusesFastPathChange(t *testing.T) {
 	}
 	if err := s2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalHeaderPinned pins the header hash of a default journal
+// (fast path on, default cache, 30k window) as a literal: journals
+// written before must keep opening, so the admission parameters hashed
+// into it may not move.
+func TestJournalHeaderPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.log")
+	s := testServer(t, Config{FastPath: true, JournalPath: path})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := bytes.Cut(b, []byte("\n"))
+	rec, err := journal.Decode(line)
+	if err != nil || !rec.Header {
+		t.Fatalf("first line %q: %v", line, err)
+	}
+	if want := "b1c2259c68175bc998b92bc4d55af597a497681488ed541f803fa983de6debd2"; rec.Config != want {
+		t.Fatalf("journal header hash %s, want %s", rec.Config, want)
 	}
 }
 
@@ -374,8 +296,8 @@ func TestRetryAfterSecondsColdStart(t *testing.T) {
 		{
 			name: "non-finite ewma ignored",
 			seed: func(s *Server) {
-				s.reg.Counter("verdicts_tier_model").Add(10)
-				s.reg.Gauge("latency_ewma_ns_model").Set(math.Inf(1))
+				s.reg.Counter("verdicts_tier_cache").Add(10)
+				s.reg.Gauge("latency_ewma_ns_cache").Set(math.Inf(1))
 				s.reg.Counter("verdicts_tier_sim").Add(1)
 				s.reg.Gauge("latency_ewma_ns_sim").Set(2.5e9)
 			},

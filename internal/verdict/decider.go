@@ -1,24 +1,20 @@
 package verdict
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/perfmodel"
+	"repro/internal/journal"
 	"repro/internal/schema"
 )
 
-// The tiered decision path, shared by the qosd decision loop, the
-// serial Replayer and every node of a fleet: one call, Decider.Decide.
-// Tier 1 is the exact verdict cache: a canonical mix signature either
-// hits a decided verdict or misses. Tier 2 is the analytic performance
-// model (internal/perfmodel): an instant interpolated prediction,
-// trusted only when every QoS goal ratio lands clearly outside the
-// uncertainty band. Tier 3 is the full what-if simulation, which the
-// caller supplies as a function — the Decider calls it only when the
-// fast tiers fall through, scores its result and caches the verdict.
+// The decision path, shared by the qosd decision loop, the serial
+// Replayer and every node of a fleet: one call, Decider.Decide. The
+// fast tier is the exact verdict cache: a canonical mix signature either
+// hits a decided verdict or misses. A miss runs the full what-if
+// simulation, which the caller supplies as a function; the Decider
+// scores its result and caches the verdict.
 //
 // Determinism contract: all mutation happens on one goroutine per
 // Decider (a decision loop, a node's placement evaluations, or a
@@ -32,25 +28,14 @@ import (
 // enabled and DeciderConfig.CacheSize is zero.
 const DefaultCacheSize = 4096
 
-// DefaultUncertaintyBand is the model tier's goal-ratio margin when
-// DeciderConfig.UncertaintyBand is zero: predictions within ±5% of a
-// goal boundary escape to simulation.
-const DefaultUncertaintyBand = 0.05
-
 // DeciderConfig is the fast-path half of a daemon or node config.
 type DeciderConfig struct {
-	// FastPath enables tiers 1 and 2; off, every decision simulates.
+	// FastPath enables the verdict cache; off, every decision simulates.
 	FastPath bool
-	// Model is the optional analytic tier; requires FastPath and must be
-	// fit under the session's exact config hash and scheme.
-	Model *perfmodel.Model
-	// UncertaintyBand overrides DefaultUncertaintyBand when positive.
-	UncertaintyBand float64
 	// CacheSize overrides DefaultCacheSize when positive.
 	CacheSize int
 	// Scheme is the (already defaulted) QoS scheme the owner evaluates
-	// under: what Decide hands sim for any mix with a goal to protect,
-	// and what the model fit's scheme is checked against.
+	// under: what Decide hands sim for any mix with a goal to protect.
 	Scheme core.Scheme
 }
 
@@ -63,29 +48,20 @@ type Decider struct {
 	enabled bool
 	scheme  core.Scheme
 	cache   *Cache
-	model   *perfmodel.Model
-	band    float64
 	// cfgHash binds signatures to the exact simulator configuration and
-	// seed (perfmodel.ConfigHash).
+	// seed (configHash).
 	cfgHash string
 }
 
-// NewDecider validates a fast-path config against the session it will
-// decide for and returns the decider bound to that session's config
-// hash.
+// NewDecider returns the decider for a session, bound to that session's
+// config hash.
 func NewDecider(sess *core.Session, dc DeciderConfig) (*Decider, error) {
-	cfgHash, err := perfmodel.ConfigHash(sess.Config(), sess.Seed())
+	cfgHash, err := configHash(sess.Config(), sess.Seed())
 	if err != nil {
 		return nil, err
 	}
-	d := &Decider{enabled: dc.FastPath, scheme: dc.Scheme, band: dc.UncertaintyBand, cfgHash: cfgHash}
-	if d.band <= 0 {
-		d.band = DefaultUncertaintyBand
-	}
+	d := &Decider{enabled: dc.FastPath, scheme: dc.Scheme, cfgHash: cfgHash}
 	if !dc.FastPath {
-		if dc.Model != nil {
-			return nil, errors.New("verdict: DeciderConfig.Model requires FastPath")
-		}
 		return d, nil
 	}
 	size := dc.CacheSize
@@ -93,27 +69,21 @@ func NewDecider(sess *core.Session, dc DeciderConfig) (*Decider, error) {
 		size = DefaultCacheSize
 	}
 	d.cache = NewCache(size)
-	if dc.Model != nil {
-		if got := dc.Model.ConfigHash(); got != cfgHash {
-			return nil, fmt.Errorf("verdict: model fit bound to config %.12s…, session runs %.12s… (refit under this device/window/seed)",
-				got, cfgHash)
-		}
-		if sc := dc.Model.Scheme(); sc != "" && sc != dc.Scheme.Name() {
-			return nil, fmt.Errorf("verdict: model fit swept under scheme %q, decisions evaluate %q", sc, dc.Scheme.Name())
-		}
-		d.model = dc.Model
-	}
 	return d, nil
 }
 
-// Enabled reports whether the fast tiers are on.
+// configHash hashes a simulator configuration and seed into the value
+// every signature is bound to. Its JSON shape fixes every cache key and
+// sig: evidence ref ever written, so it must not change.
+func configHash(cfg core.Config, seed uint64) (string, error) {
+	return journal.Hash(struct {
+		Config core.Config
+		Seed   uint64
+	}{cfg, seed})
+}
+
+// Enabled reports whether the verdict cache is on.
 func (d *Decider) Enabled() bool { return d.enabled }
-
-// Band returns the model tier's uncertainty band.
-func (d *Decider) Band() float64 { return d.band }
-
-// Model returns the analytic tier's model (nil when absent).
-func (d *Decider) Model() *perfmodel.Model { return d.model }
 
 // ConfigHash returns the session config hash signatures are bound to.
 func (d *Decider) ConfigHash() string { return d.cfgHash }
@@ -136,42 +106,32 @@ func (d *Decider) CacheCap() int {
 
 // Decide returns the admission verdict for the hypothetical mix specs
 // (incumbents first, candidate last; ids names the jobs in the same
-// order): effective scheme, signature, exact cache, model, and only when
-// those fall through sim — called at most once, with the scheme the
-// what-if must run under — whose result is scored and cached. A sim
-// error is returned as is and caches nothing. The FastResult is set on
-// every return, error included, so owners can keep their counters.
-func (d *Decider) Decide(specs []core.KernelSpec, ids []string, sim func(core.Scheme) (*core.Result, error)) (*schema.Verdict, FastResult, error) {
+// order): effective scheme, signature, exact cache, and only on a miss
+// sim — called at most once, with the scheme the what-if must run under
+// — whose result is scored and cached. A sim error is returned as is
+// and caches nothing. cacheMiss reports, on every return, error
+// included, that the cache was on and missed, so owners can count it.
+func (d *Decider) Decide(specs []core.KernelSpec, ids []string, sim func(core.Scheme) (*core.Result, error)) (v *schema.Verdict, cacheMiss bool, err error) {
 	scheme, sigs, sig := d.sign(specs)
-	var fr FastResult
 	if d.enabled {
 		if cv, ok := d.cache.Get(sig); ok {
-			return cachedVerdict(cv, sigs, ids, sig), fr, nil
+			return cachedVerdict(cv, sigs, ids, sig), false, nil
 		}
-		fr.CacheMiss = true
-		if d.model != nil {
-			if v := d.modelVerdict(sig, sigs, ids, scheme.Name()); v != nil {
-				// Model verdicts are cached too: the next identical mix is
-				// a tier-1 hit instead of a re-prediction.
-				d.store(sig, v, sigs)
-				return v, fr, nil
-			}
-			fr.ModelEscape = true
-		}
+		cacheMiss = true
 	}
 	res, err := sim(scheme)
 	if err != nil {
-		return nil, fr, err
+		return nil, cacheMiss, err
 	}
-	v := simVerdict(res, ids, sig)
+	v = simVerdict(res, ids, sig)
 	d.store(sig, v, sigs)
-	return v, fr, nil
+	return v, cacheMiss, nil
 }
 
 // Restore replays one logged decision into the cache exactly as
 // deciding it did: a cache-tier verdict was a hit, so it refreshes the
-// entry's LRU recency; a model- or sim-tier verdict is stored. Nothing
-// simulates. Journal recovery calls it per decision, in log order.
+// entry's LRU recency; a sim-tier verdict is stored. Nothing simulates.
+// Journal recovery calls it per decision, in log order.
 func (d *Decider) Restore(specs []core.KernelSpec, v *schema.Verdict) {
 	if !d.enabled {
 		return
@@ -246,16 +206,6 @@ func evidenceRef(sig string) string {
 	return "sig:" + sig
 }
 
-// FastResult reports what the fast tiers did for one decision, so the
-// owner can maintain counters without the decider knowing about them.
-type FastResult struct {
-	// CacheMiss: the fast path is enabled and the exact cache missed.
-	CacheMiss bool
-	// ModelEscape: the model was consulted but declined (coverage hole
-	// or a prediction inside the uncertainty band).
-	ModelEscape bool
-}
-
 // cachedVerdict maps a stored verdict's canonical-order outcomes back to
 // the current request's kernel positions and job ids.
 func cachedVerdict(cv Cached, sigs []KernelSig, ids []string, sig string) *schema.Verdict {
@@ -265,54 +215,12 @@ func cachedVerdict(cv Cached, sigs []KernelSig, ids []string, sig string) *schem
 		o.JobID = ids[oi]
 		outs[oi] = o
 	}
-	v := newVerdict(cv.Admitted, schema.TierCache, cv.Confidence, cv.Scheme, ids, outs, sig)
-	v.ModelVersion = cv.ModelVersion
+	v := newVerdict(cv.Admitted, schema.TierCache, cv.Scheme, ids, outs, sig)
 	v.Cycles = cv.Cycles
-	v.Reason = verdictReason(cv.Admitted, cv.Tier, cv.Confidence, outs)
 	return v
 }
 
-// modelVerdict runs the analytic tier; nil means escape to simulation.
-func (d *Decider) modelVerdict(sig string, sigs []KernelSig, ids []string, schemeName string) *schema.Verdict {
-	mk := make([]perfmodel.Kernel, len(sigs))
-	for i, ks := range sigs {
-		mk[i] = perfmodel.Kernel{Workload: ks.Workload, GoalFrac: ks.GoalFrac, GoalIPC: ks.GoalIPC}
-	}
-	pred, ok := d.model.Predict(mk)
-	if !ok {
-		return nil
-	}
-	admit, clear := pred.Decide(d.band)
-	if !clear {
-		return nil
-	}
-	conf := pred.Confidence()
-	outs := make([]schema.KernelOutcome, len(sigs))
-	for i, kp := range pred.Kernels {
-		o := schema.KernelOutcome{
-			JobID:       ids[i],
-			Workload:    kp.Workload,
-			IsQoS:       kp.IsQoS,
-			GoalIPC:     kp.GoalIPC,
-			IPC:         kp.IPC,
-			IsolatedIPC: kp.Isolated,
-		}
-		if kp.Isolated > 0 {
-			o.NormThroughput = kp.IPC / kp.Isolated
-		}
-		if kp.IsQoS {
-			o.GoalRatio = kp.Ratio
-			o.Reached = kp.Ratio >= 1
-		}
-		outs[i] = o
-	}
-	v := newVerdict(admit, schema.TierModel, conf, schemeName, ids, outs, sig)
-	v.ModelVersion = d.model.Version()
-	v.Reason = verdictReason(admit, schema.TierModel, conf, outs)
-	return v
-}
-
-// simVerdict scores a what-if simulation result (tier 3). The decision
+// simVerdict scores a what-if simulation result. The decision
 // rule is the paper's QoS contract applied transitively: admit if and
 // only if every QoS kernel of the hypothetical mix reaches its goal.
 func simVerdict(res *core.Result, ids []string, sig string) *schema.Verdict {
@@ -330,23 +238,25 @@ func simVerdict(res *core.Result, ids []string, sig string) *schema.Verdict {
 			NormThroughput: kr.NormThroughput,
 		}
 	}
-	v := newVerdict(res.AllReached, schema.TierSim, 1, res.Scheme.Name(), ids, outs, sig)
+	v := newVerdict(res.AllReached, schema.TierSim, res.Scheme.Name(), ids, outs, sig)
 	v.Cycles = res.Cycles
-	v.Reason = verdictReason(res.AllReached, schema.TierSim, 1, outs)
 	return v
 }
 
-// newVerdict assembles the shared envelope; outs is in request order
-// with the candidate last.
-func newVerdict(admitted bool, tier string, conf float64, schemeName string, ids []string, outs []schema.KernelOutcome, sig string) *schema.Verdict {
+// newVerdict assembles the shared envelope and its reason; outs is in
+// request order with the candidate last. Every verdict rests on
+// simulation evidence, a cache hit on the run that seeded it, so its
+// confidence is 1.
+func newVerdict(admitted bool, tier string, schemeName string, ids []string, outs []schema.KernelOutcome, sig string) *schema.Verdict {
 	n := len(outs)
 	mixIDs := make([]string, n-1)
 	copy(mixIDs, ids)
 	v := &schema.Verdict{
 		Decision:    schema.Decision(admitted),
 		Tier:        tier,
-		Confidence:  conf,
+		Confidence:  1,
 		EvidenceRef: evidenceRef(sig),
+		Reason:      verdictReason(admitted, outs),
 		Scheme:      schemeName,
 		MixBefore:   mixIDs,
 		Candidate:   outs[n-1],
@@ -358,15 +268,7 @@ func newVerdict(admitted bool, tier string, conf float64, schemeName string, ids
 }
 
 // verdictReason renders the deterministic human-readable explanation.
-// evidenceTier is the origin of the evidence ("sim" or "model"), which a
-// cache hit inherits from the stored verdict.
-func verdictReason(admitted bool, evidenceTier string, confidence float64, outs []schema.KernelOutcome) string {
-	if evidenceTier == schema.TierModel {
-		if admitted {
-			return fmt.Sprintf("analytic model predicts all QoS goals reached (confidence %.3f)", confidence)
-		}
-		return "analytic model predicts QoS goal missed by " + missedList(outs)
-	}
+func verdictReason(admitted bool, outs []schema.KernelOutcome) string {
 	if admitted {
 		return "all QoS goals reached in the what-if co-run"
 	}
@@ -400,12 +302,9 @@ func (d *Decider) store(sig string, v *schema.Verdict, sigs []KernelSig) {
 		canon[ci] = o
 	}
 	d.cache.Put(sig, Cached{
-		Admitted:     v.IsAdmitted(),
-		Scheme:       v.Scheme,
-		Cycles:       v.Cycles,
-		Confidence:   v.Confidence,
-		Tier:         v.Tier,
-		ModelVersion: v.ModelVersion,
-		Outcomes:     canon,
+		Admitted: v.IsAdmitted(),
+		Scheme:   v.Scheme,
+		Cycles:   v.Cycles,
+		Outcomes: canon,
 	})
 }

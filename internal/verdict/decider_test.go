@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/schema"
 )
 
@@ -76,20 +75,47 @@ func idsFor(prefix string, n int) []string {
 	return ids
 }
 
+// TestConfigHashAndSignaturePinned pins, as literals, the two hashes
+// every cache key and every sig: evidence ref is made of: the default
+// session's config hash and one mix's signature. Journals and caches
+// written before must keep their keys, so neither may move.
+func TestConfigHashAndSignaturePinned(t *testing.T) {
+	const (
+		wantConfig = "bccd48d6775e2440c8ca17c8c833c6fc77c11a1a77d25c060d9915efb0cda227"
+		wantSig    = "825a5f11b65522b61faafdf6f61fa23b0e628615bd30f34fd6fd97827a310ea0"
+	)
+	d := testDecider(t, DeciderConfig{FastPath: true})
+	if got := d.ConfigHash(); got != wantConfig {
+		t.Fatalf("ConfigHash() = %s, want %s", got, wantConfig)
+	}
+	specs := []core.KernelSpec{{Workload: "lbm"}, {Workload: "histo", GoalIPC: 20}, {Workload: "sgemm", GoalFrac: 0.5}}
+	if got := Signature(KernelSigsOf(specs), core.SchemeRollover.Name(), d.ConfigHash()); got != wantSig {
+		t.Fatalf("Signature = %s, want %s", got, wantSig)
+	}
+	var sim fakeSim
+	v, _, err := d.Decide(specs, idsFor("p", 3), sim.over(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "sig:" + wantSig[:16]; v.EvidenceRef != want {
+		t.Fatalf("evidence ref %s, want %s", v.EvidenceRef, want)
+	}
+}
+
 func TestDecideFastPathOffSimulatesEveryTime(t *testing.T) {
 	d := testDecider(t, DeciderConfig{})
 	specs := []core.KernelSpec{{Workload: "lbm"}, {Workload: "sgemm", GoalFrac: 0.5}}
 	var sim fakeSim
 	for i := 1; i <= 3; i++ {
-		v, fr, err := d.Decide(specs, idsFor("j", 2), sim.over(specs))
+		v, miss, err := d.Decide(specs, idsFor("j", 2), sim.over(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.Tier != schema.TierSim || sim.calls != i {
 			t.Fatalf("decision %d: tier %s after %d sim calls, want sim every time", i, v.Tier, sim.calls)
 		}
-		if fr != (FastResult{}) {
-			t.Fatalf("decision %d: %+v with the fast path off", i, fr)
+		if miss {
+			t.Fatalf("decision %d: a cache miss counted with the fast path off", i)
 		}
 	}
 	if d.CacheLen() != 0 {
@@ -111,12 +137,12 @@ func TestDecideCacheHitInAnyIncumbentOrder(t *testing.T) {
 	cand := core.KernelSpec{Workload: "mriq", GoalFrac: 0.1}
 	var sim fakeSim
 	first := append(append([]core.KernelSpec(nil), incumbents...), cand)
-	v0, fr, err := d.Decide(first, idsFor("first", 4), sim.over(first))
+	v0, miss, err := d.Decide(first, idsFor("first", 4), sim.over(first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v0.Tier != schema.TierSim || !fr.CacheMiss || fr.ModelEscape || sim.calls != 1 {
-		t.Fatalf("first decision: tier %s, %+v, %d sim calls", v0.Tier, fr, sim.calls)
+	if v0.Tier != schema.TierSim || !miss || sim.calls != 1 {
+		t.Fatalf("first decision: tier %s, miss %v, %d sim calls", v0.Tier, miss, sim.calls)
 	}
 	want := map[string]schema.KernelOutcome{v0.Candidate.Workload: v0.Candidate}
 	for _, o := range v0.Incumbents {
@@ -130,12 +156,12 @@ func TestDecideCacheHitInAnyIncumbentOrder(t *testing.T) {
 		}
 		specs = append(specs, cand)
 		ids := idsFor(fmt.Sprintf("perm%d", n), 4)
-		v, fr, err := d.Decide(specs, ids, sim.over(specs))
+		v, miss, err := d.Decide(specs, ids, sim.over(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Tier != schema.TierCache || fr != (FastResult{}) || sim.calls != 1 {
-			t.Fatalf("order %v: tier %s, %+v, %d sim calls; want a cache verdict and no simulation", perm, v.Tier, fr, sim.calls)
+		if v.Tier != schema.TierCache || miss || sim.calls != 1 {
+			t.Fatalf("order %v: tier %s, miss %v, %d sim calls; want a cache verdict and no simulation", perm, v.Tier, miss, sim.calls)
 		}
 		if v.Decision != v0.Decision || v.EvidenceRef != v0.EvidenceRef || v.Cycles != v0.Cycles {
 			t.Fatalf("order %v: verdict %+v does not carry the first run's evidence %+v", perm, v, v0)
@@ -184,12 +210,12 @@ func TestDecideSimErrorCachesNothing(t *testing.T) {
 	specs := []core.KernelSpec{{Workload: "sgemm", GoalFrac: 0.5}}
 	boom := errors.New("simulator fault")
 	sim := fakeSim{err: boom}
-	v, fr, err := d.Decide(specs, idsFor("a", 1), sim.over(specs))
+	v, miss, err := d.Decide(specs, idsFor("a", 1), sim.over(specs))
 	if !errors.Is(err, boom) || v != nil {
 		t.Fatalf("Decide = (%+v, %v), want the sim error and no verdict", v, err)
 	}
-	if !fr.CacheMiss || d.CacheLen() != 0 {
-		t.Fatalf("after a failed sim: %+v, cache holds %d; want a counted miss and nothing cached", fr, d.CacheLen())
+	if !miss || d.CacheLen() != 0 {
+		t.Fatalf("after a failed sim: miss %v, cache holds %d; want a counted miss and nothing cached", miss, d.CacheLen())
 	}
 	sim.err = nil
 	for i, tier := range []string{schema.TierSim, schema.TierCache} {
@@ -216,30 +242,13 @@ type loggedDecision struct {
 // tier included, and the same decisions reaching the simulator. It is
 // checked at every cut of a log long enough, over few enough mixes, that
 // a 4-entry cache hits, misses and evicts throughout (an LRU forgets a
-// wrong recency within a few decisions, so one cut would see little); a
-// lone-sgemm model puts model-origin verdicts and escapes in it too.
+// wrong recency within a few decisions, so one cut would see little).
 func TestRestoreContinuesIdentically(t *testing.T) {
-	sess, err := core.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgHash, err := perfmodel.ConfigHash(sess.Config(), sess.Seed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit := &perfmodel.Fit{Schema: perfmodel.FitSchema, ConfigHash: cfgHash, Isolated: map[string]float64{"sgemm": 50}}
-	if err := fit.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	model, err := perfmodel.New(fit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc := DeciderConfig{FastPath: true, CacheSize: 4, Model: model}
+	dc := DeciderConfig{FastPath: true, CacheSize: 4}
 
 	alphabet := []core.KernelSpec{
-		{Workload: "sgemm", GoalFrac: 0.5},  // alone: the model admits
-		{Workload: "sgemm", GoalFrac: 0.98}, // alone: inside the band, escapes
+		{Workload: "sgemm", GoalFrac: 0.5},
+		{Workload: "sgemm", GoalFrac: 0.98},
 		{Workload: "lbm"},
 		{Workload: "histo", GoalIPC: 20},
 	}
@@ -280,7 +289,7 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 		}
 		tiers[log[i].Verdict.Tier]++
 	}
-	if tiers[schema.TierCache] < 20 || tiers[schema.TierModel] < 5 || simA.calls < 50 {
+	if tiers[schema.TierCache] < 20 || simA.calls < 50 {
 		t.Fatalf("log too tame to test recovery: tiers %v, %d sim calls", tiers, simA.calls)
 	}
 

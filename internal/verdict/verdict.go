@@ -2,11 +2,11 @@
 // Its one entry point is Decider.Decide: given the hypothetical mix
 // (the admitted kernels plus the candidate) and a function that runs the
 // what-if simulation, it returns the verdict — from the exact-match
-// cache, from the analytic model, or by calling the simulation, scoring
-// its result against the paper's QoS contract (admit only if every goal
-// holds) and caching it. The owner supplies the simulation — the /v1
-// decision loop a traced run on a pooled session, a fleet node and the
-// Replayer a plain Session.Run — and nothing else of the protocol;
+// cache, or by calling the simulation, scoring its result against the
+// paper's QoS contract (admit only if every goal holds) and caching it.
+// The owner supplies the simulation — the /v1 decision loop a traced run
+// on a pooled session, a fleet node and the Replayer a plain Session.Run
+// — and nothing else of the protocol;
 // Decider.Restore replays a journaled decision into the cache so a
 // restarted owner continues where the stopped one left off.
 //
@@ -100,20 +100,15 @@ func Signature(sigs []KernelSig, scheme, configHash string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Cached is one stored verdict, with per-kernel outcomes in canonical
-// order and job ids stripped. On a hit the caller maps outcomes back to
-// the current request's positions via Canonical and re-attaches its own
-// job ids.
+// Cached is one stored sim verdict, with per-kernel outcomes in
+// canonical order and job ids stripped. On a hit the caller maps outcomes
+// back to the current request's positions via Canonical and re-attaches
+// its own job ids.
 type Cached struct {
 	Admitted bool
 	Scheme   string
 	Cycles   int64
-	// Confidence and Tier record the evidence origin ("sim" or "model")
-	// and its confidence, inherited by verdicts served from the cache.
-	Confidence   float64
-	Tier         string
-	ModelVersion string
-	Outcomes     []schema.KernelOutcome
+	Outcomes []schema.KernelOutcome
 }
 
 // Cache is a bounded LRU of decided verdicts keyed by mix signature.
