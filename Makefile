@@ -3,7 +3,10 @@
 # plus staticcheck (hard-required when $CI is set, soft-skipped with an
 # explicit SKIPPED line on developer machines without the tool), the
 # race-detector pass over the concurrent packages (plus the pinned
-# stream-driver tests), the full test suite — which includes the daemon's
+# stream-driver tests), `make fleet` (the raced fleet acceptance suite,
+# including TestRestartFromFlushedBytes: every answered /v2 arrival
+# survives a crash that keeps only the journal bytes flushed before it),
+# the full test suite — which includes the daemon's
 # httptest smoke, the 50-client concurrent-admission soak and the
 # wheel-vs-per-cycle equivalence suite — the stream-replay
 # determinism gate (`make stream-replay`: the committed golden arrival
@@ -152,9 +155,12 @@ fuzz:
 # placements with byte-identical journal recovery on the heterogeneous
 # 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
 # asking against the ask-every-node reference placer, the pinned journal
-# header hashes, and the /v2 HTTP surface — raced and uncached.
+# header hashes, the one-flush commit rule (a restart from only the bytes
+# flushed before a crash after every answered arrival, ≈ 10 s raced on 2
+# cores, and recovery that rebuilds a carried decision record or refuses a
+# gap), and the /v2 HTTP surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace

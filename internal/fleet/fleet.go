@@ -21,13 +21,22 @@
 // that admits it, if doing so opens a feasible slot for the pending
 // job. Only then is the job rejected.
 //
-// Crash safety mirrors internal/server: every node owns a decision
-// journal (replaying it re-evolves the verdict cache tiers exactly) and
-// the fleet owns a placement journal (place / migrate / release /
-// reject records). Restarting a fleet over the same journal directory
-// reconstructs placements, mixes, job ids and cache state such that the
-// continuation of a submission stream produces byte-identical journals
-// to an uninterrupted run.
+// Crash safety: every node owns a decision journal (replaying it
+// re-evolves the verdict cache tiers exactly) and the fleet owns a
+// placement journal (place / migrate / release / reject records). A
+// placed arrival costs one flush, not one per record: the place (or
+// migrate) record carries the index of the node decision whose verdict
+// it holds, that decision record is written but not flushed, and the
+// placement record's flush makes it durable, because recovery rebuilds
+// it from the placement journal if the node journal lost it. Every node
+// record no placement record carries (a reject, an admit the repartition
+// search did not commit, an admit whose commit failed) is flushed before
+// anything acts on its verdict. On restart node journals are recovered
+// first, then the placement journal, which rebuilds the lost records.
+// Restarting a fleet over the same journal directory reconstructs
+// placements, mixes, job ids and cache state such that the continuation
+// of a submission stream produces byte-identical journals to an
+// uninterrupted run.
 package fleet
 
 import (
@@ -38,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -106,16 +116,40 @@ type Config struct {
 // number; replaying records in index order reconstructs every node's
 // resident mix.
 type Placement struct {
-	Index   int             `json:"index"`
-	Kind    string          `json:"kind"`
-	JobID   string          `json:"job_id"`
-	JobSeq  int             `json:"job_seq"`
-	Node    string          `json:"node,omitempty"`
-	From    string          `json:"from,omitempty"`
-	Request Request         `json:"request"`
-	Shares  Shares          `json:"shares"`
-	Verdict *schema.Verdict `json:"verdict,omitempty"`
-	Reason  string          `json:"reason,omitempty"`
+	Index  int    `json:"index"`
+	Kind   string `json:"kind"`
+	JobID  string `json:"job_id"`
+	JobSeq int    `json:"job_seq"`
+	Node   string `json:"node,omitempty"`
+	From   string `json:"from,omitempty"`
+	// Decision (place and migrate only) is the index, in Node's decision
+	// journal, of the admit this record acts on and whose Verdict it
+	// carries. Records written before it existed have none.
+	Decision *int            `json:"decision,omitempty"`
+	Request  Request         `json:"request"`
+	Shares   Shares          `json:"shares"`
+	Verdict  *schema.Verdict `json:"verdict,omitempty"`
+	Reason   string          `json:"reason,omitempty"`
+}
+
+// Counters are a fleet's work counts since New, for /metrics. They are
+// process-local: a restart starts them at zero, and recovery counts only
+// the records it rebuilds. No view a restart must reproduce carries them.
+type Counters struct {
+	// Asks counts what-if questions put to nodes.
+	Asks int64
+	// NodeRecords counts node decision records written.
+	NodeRecords int64
+	// Flushes counts journal fsyncs requested: placement records, node
+	// records no placement carries, and rebuilt node records.
+	Flushes int64
+	// Placements counts placement records written, by kind.
+	Placements map[string]int64
+}
+
+// counters are the atomic half of Counters, shared by the nodes.
+type counters struct {
+	asks, records, flushes atomic.Int64
 }
 
 // op is one unit of work for the placement goroutine.
@@ -136,6 +170,7 @@ type Fleet struct {
 	cancel   context.CancelFunc
 	loopDone chan struct{}
 	pj       *journal.Journal // placement journal (nil when disabled)
+	ctr      counters
 
 	drainMu  sync.RWMutex
 	draining bool
@@ -144,6 +179,7 @@ type Fleet struct {
 	placements   []Placement
 	nextPlace    int
 	repartitions int
+	kinds        map[string]int64 // placement records written since New
 }
 
 // nodeBinding is hashed into each node journal header so a journal can
@@ -192,6 +228,7 @@ func New(cfg Config) (*Fleet, error) {
 		queue:    make(chan op, cfg.QueueDepth),
 		cancel:   cancel,
 		loopDone: make(chan struct{}),
+		kinds:    make(map[string]int64),
 	}
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
@@ -281,6 +318,7 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		dec:    dec,
 		maxMix: cfg.MaxMixPerNode,
 		ctx:    ctx,
+		ctr:    &f.ctr,
 		tiers:  make(map[string]int),
 	}
 	bind := nodeBinding{
@@ -306,12 +344,24 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 }
 
 // recoverPlacements replays the placement journal in index order,
-// rebuilding jobs, node mixes and the id counter.
+// rebuilding jobs, node mixes and the id counter, and every node decision
+// record a place or migrate record carries that its node journal lost.
 func (f *Fleet) recoverPlacements() error {
 	return f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
 		var p Placement
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return fmt.Errorf("fleet: placement %d: %w", i, err)
+		}
+		// carried rebuilds the decision record p carries, if it was lost,
+		// against n's mix before p is applied.
+		carried := func(n *node, spec core.KernelSpec) error {
+			if p.Decision == nil {
+				return nil
+			}
+			if err := n.rebuild(*p.Decision, spec, p.JobID, p.Verdict); err != nil {
+				return fmt.Errorf("fleet: placement %d: %w", i, err)
+			}
+			return nil
 		}
 		switch p.Kind {
 		case KindPlace:
@@ -323,6 +373,9 @@ func (f *Fleet) recoverPlacements() error {
 			spec, err := p.Request.SpecFor(n.cfg)
 			if err != nil {
 				return fmt.Errorf("fleet: placement %d: %w", i, err)
+			}
+			if err := carried(n, spec); err != nil {
+				return err
 			}
 			n.add(j, spec, p.Shares)
 			j.setPlaced(n.id, p.Verdict)
@@ -342,6 +395,9 @@ func (f *Fleet) recoverPlacements() error {
 			spec, err := p.Request.SpecFor(to.cfg)
 			if err != nil {
 				return fmt.Errorf("fleet: placement %d: %w", i, err)
+			}
+			if err := carried(to, spec); err != nil {
+				return err
 			}
 			to.add(j, spec, e.shares)
 			j.setPlaced(to.id, p.Verdict)
@@ -479,6 +535,22 @@ func (f *Fleet) Repartitions() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.repartitions
+}
+
+// Counters snapshots the fleet's process-local work counts.
+func (f *Fleet) Counters() Counters {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c := Counters{
+		Asks:        f.ctr.asks.Load(),
+		NodeRecords: f.ctr.records.Load(),
+		Flushes:     f.ctr.flushes.Load(),
+		Placements:  make(map[string]int64, len(f.kinds)),
+	}
+	for k, v := range f.kinds {
+		c.Placements[k] = v
+	}
+	return c
 }
 
 // Shutdown drains the fleet: no new submissions, queued jobs finish

@@ -55,6 +55,7 @@ type node struct {
 	maxMix int
 	jnl    *journal.Journal // nil when journaling is disabled
 	ctx    context.Context
+	ctr    *counters // the fleet's
 
 	mu       sync.Mutex
 	mix      []*placedEntry // admission order
@@ -85,39 +86,77 @@ const decisionStage = "decisions"
 
 // evaluate decides one what-if co-run (mix + candidate last; jobID is
 // the job the question is asked for) through the tiered path: exact
-// cache, then on a miss full simulation.
+// cache, then on a miss full simulation, and returns the verdict with the
+// index of the decision record it wrote.
 // The spec snapshot is built by the placement goroutine, so repartition
 // searches can pose counterfactual mixes ("A's mix without m, plus j")
-// with the same machinery as plain placement. Every successful decision
-// is journaled before the verdict is returned, so a crash can never
-// admit a job the journal forgot.
-func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*schema.Verdict, error) {
+// with the same machinery as plain placement.
+//
+// A rejecting verdict's record is flushed before evaluate returns: no
+// placement record will carry it. An admitting one is only written: the
+// place or migrate record that acts on it carries its index, and that
+// record's flush makes the decision durable, since recovery rebuilds a
+// lost record from it (rebuild). A caller that acts on an admit without
+// committing it must flush the node first.
+func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*schema.Verdict, int, error) {
+	n.ctr.asks.Add(1)
 	v, _, err := n.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
 		return n.sess.Run(n.ctx, specs, scheme)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	idx := n.count(v)
+	if n.jnl != nil {
+		d := decisionRecord(specs, ids, jobID, v)
+		write := n.jnl.Write
+		if !v.IsAdmitted() {
+			write = n.jnl.Append
+			n.ctr.flushes.Add(1)
+		}
+		n.ctr.records.Add(1)
+		if err := write(decisionStage, idx, d); err != nil {
+			return nil, 0, fmt.Errorf("node %s: journal decision %d: %w", n.id, idx, err)
+		}
+	}
+	return v, idx, nil
+}
+
+// decisionRecord is the journal entry of one what-if question.
+func decisionRecord(specs []core.KernelSpec, ids []string, jobID string, v *schema.Verdict) NodeDecision {
+	entries := make([]MixEntry, len(specs))
+	for i, s := range specs {
+		entries[i] = MixEntry{JobID: ids[i], Workload: s.Workload, GoalFrac: s.GoalFrac, GoalIPC: s.GoalIPC}
+	}
+	last := len(entries) - 1
+	return NodeDecision{JobID: jobID, Mix: entries[:last], Candidate: entries[last], Verdict: v}
+}
+
+// count books one decision in the node's tier counters and returns its
+// record index.
+func (n *node) count(v *schema.Verdict) int {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.tiers[v.Tier]++
 	if v.Tier == schema.TierSim {
 		n.simEvals++
 	}
-	idx := n.nextDec
 	n.nextDec++
-	n.mu.Unlock()
-	if n.jnl != nil {
-		entries := make([]MixEntry, len(specs))
-		for i, s := range specs {
-			entries[i] = MixEntry{JobID: ids[i], Workload: s.Workload, GoalFrac: s.GoalFrac, GoalIPC: s.GoalIPC}
-		}
-		last := len(entries) - 1
-		d := NodeDecision{JobID: jobID, Mix: entries[:last], Candidate: entries[last], Verdict: v}
-		if err := n.jnl.Append(decisionStage, idx, d); err != nil {
-			return nil, fmt.Errorf("node %s: journal decision %d: %w", n.id, idx, err)
-		}
+	return n.nextDec - 1
+}
+
+// flush makes every decision record the node has written durable. The
+// placement goroutine calls it before acting on an admit that no
+// placement record carries.
+func (n *node) flush() error {
+	if n.jnl == nil {
+		return nil
 	}
-	return v, nil
+	n.ctr.flushes.Add(1)
+	if err := n.jnl.Sync(); err != nil {
+		return fmt.Errorf("node %s: flush decisions: %w", n.id, err)
+	}
+	return nil
 }
 
 // recover replays the node's decision journal in index order,
@@ -137,13 +176,44 @@ func (n *node) recover() error {
 		}
 		specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
 		n.dec.Restore(specs, d.Verdict)
-		n.tiers[d.Verdict.Tier]++
-		if d.Verdict.Tier == schema.TierSim {
-			n.simEvals++
-		}
+		n.count(d.Verdict)
 		n.nextDec = i + 1
 		return nil
 	})
+}
+
+// rebuild is recovery's half of the commit rule: a place or migrate
+// record replayed with the node's resident mix as it stood (placement
+// replay has just rebuilt it) carries decision idx, the admit that put
+// candidate (job jobID) here. A record below the node's recovered count
+// is on disk already. One at the count was written but lost with the
+// flush that never came: it is rebuilt from the mix, the candidate and
+// the carried verdict, restored into the cache and journaled, flushed,
+// at its index, byte-identical to the one that was lost. One above the
+// count means a record no placement carries went missing, and the node
+// cannot be rebuilt.
+func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) error {
+	n.mu.Lock()
+	have := n.nextDec
+	n.mu.Unlock()
+	switch {
+	case idx < have:
+		return nil
+	case idx > have:
+		return fmt.Errorf("node %s: placement carries decision %d, but the node journal recovers only %d: a decision no placement carries is missing", n.id, idx, have)
+	case v == nil:
+		return fmt.Errorf("node %s: decision %d: carried without a verdict", n.id, idx)
+	}
+	specs, ids := n.mixSnapshot("")
+	specs, ids = append(specs, candidate), append(ids, jobID)
+	n.dec.Restore(specs, v)
+	n.count(v)
+	n.ctr.records.Add(1)
+	n.ctr.flushes.Add(1)
+	if err := n.jnl.Append(decisionStage, idx, decisionRecord(specs, ids, jobID, v)); err != nil {
+		return fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
+	}
+	return nil
 }
 
 // fits reports whether shares (plus one more mix slot) are available.

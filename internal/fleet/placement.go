@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -73,7 +74,7 @@ func (f *Fleet) place(j *Job) {
 	rejected := 0
 	for _, c := range cands {
 		specs, ids := c.n.mixSnapshot("")
-		v, err := c.n.evaluate(append(specs, c.spec), append(ids, j.id), j.id)
+		v, idx, err := c.n.evaluate(append(specs, c.spec), append(ids, j.id), j.id)
 		switch {
 		case err != nil:
 			if evalErr == nil {
@@ -82,8 +83,8 @@ func (f *Fleet) place(j *Job) {
 		case !v.IsAdmitted():
 			rejected++
 		default:
-			if err := f.commitPlace(j, c.n, c.spec, v, false); err != nil {
-				j.finish(StateFailed, err.Error())
+			if err := f.commitPlace(j, c.n, c.spec, v, idx, false); err != nil {
+				j.finish(StateFailed, errors.Join(err, c.n.flush()).Error())
 			}
 			return
 		}
@@ -144,21 +145,28 @@ func (f *Fleet) repartition(j *Job) bool {
 				}
 				// Would alt admit the migrated job?
 				specs, ids := alt.mixSnapshot("")
-				vm, err := alt.evaluate(append(specs, mSpec), append(ids, m.job.id), m.job.id)
+				vm, im, err := alt.evaluate(append(specs, mSpec), append(ids, m.job.id), m.job.id)
 				if err != nil || !vm.IsAdmitted() {
 					continue
 				}
-				// Would dst admit the pending job once m is gone?
+				// Would dst admit the pending job once m is gone? If not,
+				// alt's admit is carried by no record: flush it before the
+				// search moves on.
 				specs, ids = dst.mixSnapshot(m.job.id)
-				vj, err := dst.evaluate(append(specs, dstSpec), append(ids, j.id), j.id)
+				vj, ij, err := dst.evaluate(append(specs, dstSpec), append(ids, j.id), j.id)
 				if err != nil || !vj.IsAdmitted() {
+					if err := alt.flush(); err != nil {
+						j.finish(StateFailed, err.Error())
+						return true
+					}
 					continue
 				}
-				if !f.commitMigrate(m, dst, alt, mSpec, vm) {
-					return false
+				if err := f.commitMigrate(m, dst, alt, mSpec, vm, im); err != nil {
+					j.finish(StateFailed, errors.Join(err, alt.flush(), dst.flush()).Error())
+					return true
 				}
-				if err := f.commitPlace(j, dst, dstSpec, vj, true); err != nil {
-					j.finish(StateFailed, err.Error())
+				if err := f.commitPlace(j, dst, dstSpec, vj, ij, true); err != nil {
+					j.finish(StateFailed, errors.Join(err, dst.flush()).Error())
 				}
 				return true // outcome decided, do not fall through to reject
 			}
@@ -167,18 +175,21 @@ func (f *Fleet) repartition(j *Job) bool {
 	return false
 }
 
-// commitPlace makes a placement durable, then visible. A placement the
+// commitPlace makes a placement durable, then visible. Its record
+// carries decision, the index of n's admitting decision record, and its
+// flush is the one that makes that record durable. A placement the
 // repartition search made room for is counted in Repartitions before
 // the job is marked placed, so a caller woken by the job sees the count.
-func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Verdict, repartitioned bool) error {
+func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Verdict, decision int, repartitioned bool) error {
 	if err := f.appendPlacement(Placement{
-		Kind:    KindPlace,
-		JobID:   j.id,
-		JobSeq:  j.seq,
-		Node:    n.id,
-		Request: j.req,
-		Shares:  j.shares,
-		Verdict: v,
+		Kind:     KindPlace,
+		JobID:    j.id,
+		JobSeq:   j.seq,
+		Node:     n.id,
+		Decision: &decision,
+		Request:  j.req,
+		Shares:   j.shares,
+		Verdict:  v,
 	}); err != nil {
 		return err
 	}
@@ -192,24 +203,27 @@ func (f *Fleet) commitPlace(j *Job, n *node, spec core.KernelSpec, v *schema.Ver
 	return nil
 }
 
-// commitMigrate moves an admitted job between nodes.
-func (f *Fleet) commitMigrate(m *placedEntry, from, to *node, spec core.KernelSpec, v *schema.Verdict) bool {
+// commitMigrate moves an admitted job between nodes; its record carries
+// decision, the index of to's admitting decision record, as commitPlace's
+// does.
+func (f *Fleet) commitMigrate(m *placedEntry, from, to *node, spec core.KernelSpec, v *schema.Verdict, decision int) error {
 	if err := f.appendPlacement(Placement{
-		Kind:    KindMigrate,
-		JobID:   m.job.id,
-		JobSeq:  m.job.seq,
-		Node:    to.id,
-		From:    from.id,
-		Request: m.job.req,
-		Shares:  m.shares,
-		Verdict: v,
+		Kind:     KindMigrate,
+		JobID:    m.job.id,
+		JobSeq:   m.job.seq,
+		Node:     to.id,
+		From:     from.id,
+		Decision: &decision,
+		Request:  m.job.req,
+		Shares:   m.shares,
+		Verdict:  v,
 	}); err != nil {
-		return false
+		return err
 	}
 	from.remove(m.job.id)
 	to.add(m.job, spec, m.shares)
 	m.job.setPlaced(to.id, v)
-	return true
+	return nil
 }
 
 // release evicts a placed job (runs on the placement goroutine).
@@ -249,12 +263,14 @@ func (f *Fleet) appendPlacement(p Placement) error {
 	f.nextPlace++
 	f.mu.Unlock()
 	if f.pj != nil {
+		f.ctr.flushes.Add(1)
 		if err := f.pj.Append(placementStage, p.Index, p); err != nil {
 			return fmt.Errorf("fleet: journal placement %d: %w", p.Index, err)
 		}
 	}
 	f.mu.Lock()
 	f.placements = append(f.placements, p)
+	f.kinds[p.Kind]++
 	f.mu.Unlock()
 	return nil
 }

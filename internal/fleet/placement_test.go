@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,6 +28,7 @@ func refPlace(t *testing.T, f *Fleet, j *Job) {
 		n    *node
 		spec core.KernelSpec
 		v    *schema.Verdict
+		idx  int
 	}
 	var pick *answer
 	rejected := 0
@@ -39,7 +41,7 @@ func refPlace(t *testing.T, f *Fleet, j *Job) {
 			continue
 		}
 		specs, ids := n.mixSnapshot("")
-		v, err := n.evaluate(append(specs, spec), append(ids, j.id), j.id)
+		v, idx, err := n.evaluate(append(specs, spec), append(ids, j.id), j.id)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", j.id, n.id, err)
 		}
@@ -48,11 +50,11 @@ func refPlace(t *testing.T, f *Fleet, j *Job) {
 			continue
 		}
 		if pick == nil || (!f.firstFit && n.leftover(j.shares) < pick.n.leftover(j.shares)-capEps) {
-			pick = &answer{n: n, spec: spec, v: v}
+			pick = &answer{n: n, spec: spec, v: v, idx: idx}
 		}
 	}
 	if pick != nil {
-		if err := f.commitPlace(j, pick.n, pick.spec, pick.v, false); err != nil {
+		if err := f.commitPlace(j, pick.n, pick.spec, pick.v, pick.idx, false); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -110,27 +112,73 @@ func placeStream(seed uint64, n int) []placeOp {
 	return ops
 }
 
+// askFleet is the three-node fleet the seeded place/release streams run
+// on: two policies, two mix slots per node.
+func askFleet(firstFit, cache bool, dir string) Config {
+	return Config{
+		Nodes: []NodeSpec{
+			{Name: "four", GPU: tinyGPU(4)},
+			{Name: "two", GPU: tinyGPU(2)},
+			{Name: "four-b", GPU: tinyGPU(4)},
+		},
+		Scheme:        core.SchemeRollover,
+		Window:        10_000,
+		MaxMixPerNode: 2,
+		FirstFit:      firstFit,
+		FastPath:      cache,
+		JournalDir:    dir,
+	}
+}
+
+// withoutDecisions strips the decision indexes, which depend on how many
+// questions each node was asked.
+func withoutDecisions(ps []Placement) []Placement {
+	for i := range ps {
+		ps[i].Decision = nil
+	}
+	return ps
+}
+
+// checkCarried requires every place and migrate record of a journaled
+// fleet to name, in its node's journal, a decision record for the same
+// job whose verdict JSON is the placement's. Run it after Shutdown, when
+// every record is flushed.
+func checkCarried(t *testing.T, f *Fleet) {
+	t.Helper()
+	for _, p := range f.Placements() {
+		if p.Kind != KindPlace && p.Kind != KindMigrate {
+			continue
+		}
+		if p.Decision == nil {
+			t.Fatalf("placement %d (%s) carries no decision index", p.Index, p.Kind)
+		}
+		raw, ok := f.nodeByID(p.Node).jnl.Lookup(decisionStage, *p.Decision)
+		if !ok {
+			t.Fatalf("placement %d names decision %d, which %s never journaled", p.Index, *p.Decision, p.Node)
+		}
+		var d struct {
+			JobID   string          `json:"job_id"`
+			Verdict json.RawMessage `json:"verdict"`
+		}
+		if err := json.Unmarshal(raw, &d); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(p.Verdict)
+		if d.JobID != p.JobID || !bytes.Equal(d.Verdict, want) {
+			t.Fatalf("placement %d carries %s decision %d, which decided %s with %s, not %s with %s", p.Index, p.Node, *p.Decision, d.JobID, d.Verdict, p.JobID, want)
+		}
+	}
+}
+
 // TestPlacementMatchesAskEveryNode: asking candidates in policy order
 // and stopping at the first admit places exactly as evaluating every
 // candidate and then picking, under both policies, while writing fewer
-// node decisions. The verdict cache is off so that a node's answer does
-// not depend on which questions it was asked before.
+// node decisions, and every place record names the node decision whose
+// verdict it carries. The verdict cache is off so that a node's answer
+// does not depend on which questions it was asked before.
 func TestPlacementMatchesAskEveryNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node simulation in -short")
-	}
-	cfg := func(firstFit bool) Config {
-		return Config{
-			Nodes: []NodeSpec{
-				{Name: "four", GPU: tinyGPU(4)},
-				{Name: "two", GPU: tinyGPU(2)},
-				{Name: "four-b", GPU: tinyGPU(4)},
-			},
-			Scheme:        core.SchemeRollover,
-			Window:        10_000,
-			MaxMixPerNode: 2,
-			FirstFit:      firstFit,
-		}
 	}
 	decisions := func(f *Fleet) int {
 		sum := 0
@@ -142,11 +190,11 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 	for _, firstFit := range []bool{false, true} {
 		fewer := false
 		for _, seed := range []uint64{1, 2, 3, 4} {
-			got, err := New(cfg(firstFit))
+			got, err := New(askFleet(firstFit, false, t.TempDir()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := New(cfg(firstFit))
+			ref, err := New(askFleet(firstFit, false, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +234,7 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 				}
 				refPlace(t, ref, ref.store.create(op.req, shares))
 			}
-			if g, w := got.Placements(), ref.Placements(); !reflect.DeepEqual(g, w) {
+			if g, w := withoutDecisions(got.Placements()), withoutDecisions(ref.Placements()); !reflect.DeepEqual(g, w) {
 				i := 0
 				for i < len(g) && i < len(w) && reflect.DeepEqual(g[i], w[i]) {
 					i++
@@ -201,6 +249,7 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 			t.Logf("firstFit=%v seed %d: %d placement records, node decisions %d (ask every node: %d)", firstFit, seed, len(got.Placements()), dg, dr)
 			mustShutdown(t, got)
 			mustShutdown(t, ref)
+			checkCarried(t, got)
 		}
 		if !fewer {
 			t.Errorf("firstFit=%v: no seed asked fewer nodes than asking every node", firstFit)

@@ -6,12 +6,12 @@
 // The file is a log followed by a pad: the intact prefix of CRC'd lines,
 // then NUL bytes up to the end of the file, which is a multiple of one
 // segment (256 KiB). Create writes the header and pads the first segment;
-// every Append writes its one line over the pad, where the prefix ends,
-// and fsyncs it. Nothing already in the prefix is rewritten, and the
-// fsync flushes blocks the file already has: only an Append whose line
-// would cross the end of the pad first writes the next segment of NULs,
-// and that is the only write that changes the file's size. Integrity
-// model:
+// every Write puts its one line over the pad, where the prefix ends, and
+// Sync fsyncs every line written since the last one; Append is the two
+// together. Nothing already in the prefix is rewritten, and the fsync
+// flushes blocks the file already has: only a line that would cross the
+// end of the pad first writes the next segment of NULs, and that is the
+// only write that changes the file's size. Integrity model:
 //
 //   - Create replaces the file atomically (tmp + fsync + rename + fsync
 //     of the directory), so a crash during Create leaves either no
@@ -21,6 +21,11 @@
 //     configuration hash; Open refuses a journal whose hash differs from
 //     the resuming study's, so a stale journal cannot silently splice
 //     results from a different configuration into a new study.
+//   - A line is durable once a Sync (or the Append that wrote it)
+//     returns; Synced reports where that prefix ends. A crash may lose
+//     any line written after it, or keep a later one while losing (or
+//     zeroing) an earlier one: recovery then stops at the earlier one.
+//     A caller that acts on an unflushed line must be able to rebuild it.
 //   - Every line carries a CRC of its payload, catching external
 //     corruption (truncation, editor mangling, bit rot) and the one thing
 //     a crash or a failed write can leave: a fragment of the last line,
@@ -30,18 +35,18 @@
 //     end of the log. If everything after it is NUL too the pad is reused;
 //     anything else there is damage.
 //   - Only the writer removes damage, just before it writes: Open never
-//     modifies the file; the first Append after Open found damage, and the
-//     one after a failed Append, first truncate the file to the end of the
-//     intact prefix (and then pad it again), so no record lands behind
-//     damage, out of recovery's reach.
-//   - One handle appends to a file at a time; any number may read. Appends
-//     write at an offset, not with O_APPEND, so two writers would overwrite
+//     modifies the file; the first Write after Open found damage, and the
+//     one after a failed Write or Sync, first truncate the file to the end
+//     of the intact prefix (and then pad it again), so no record lands
+//     behind damage, out of recovery's reach.
+//   - One handle writes to a file at a time; any number may read. Writes
+//     go at an offset, not with O_APPEND, so two writers would overwrite
 //     each other's lines instead of interleaving them.
 //
 // The pad needs no schema Version bump. A reader from before it meets the
 // pad as a torn last line, so it recovers exactly the intact prefix and
 // cuts the pad on its next Append; a file written before it has no pad and
-// gets one on its first Append here.
+// gets one on its first Write here.
 //
 // Case payloads are opaque JSON produced by the sweep engine. Go's JSON
 // encoding of float64 is round-trip exact, so a case restored from the
@@ -83,7 +88,7 @@ var (
 	ErrVersion = fmt.Errorf("journal: unsupported schema version: %w", schema.ErrVersion)
 	// ErrNoHeader marks a journal whose first line is missing or corrupt.
 	ErrNoHeader = errors.New("journal: missing or corrupt header")
-	// ErrClosed is returned by Append after Close.
+	// ErrClosed is returned by Write, Sync and Append after Close.
 	ErrClosed = errors.New("journal: closed")
 )
 
@@ -191,13 +196,21 @@ var zeros [segment]byte
 // Journal is an open checkpoint journal. All methods are safe for
 // concurrent use; the sweep engine appends from every worker goroutine.
 type Journal struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File // write descriptor; nil once closed
-	size    int64    // end of the intact prefix: every byte before it is a whole valid line
-	end     int64    // end of the pad: every byte in [size, end) is NUL
-	cut     bool     // the file holds damage past size (found by Open, left by a failed Append)
-	entries map[entryKey]json.RawMessage
+	mu       sync.Mutex
+	path     string
+	f        *os.File                     // write descriptor; nil once closed
+	size     int64                        // end of the intact prefix: every byte before it is a whole valid line
+	synced   int64                        // end of the durable prefix: every line before it was fsynced (or found by Open)
+	end      int64                        // end of the pad: every byte in [size, end) is NUL
+	cut      bool                         // the file holds damage past size (found by Open, left by a failed Write or Sync)
+	entries  map[entryKey]json.RawMessage // durable cases only
+	unsynced []entry                      // the lines in [synced, size), in write order
+}
+
+// entry is one written case waiting for the Sync that makes it durable.
+type entry struct {
+	key  entryKey
+	data json.RawMessage
 }
 
 // Create starts a fresh journal at path, replacing any existing file,
@@ -299,8 +312,8 @@ func nulRun(b []byte) int {
 // past maxLine, or is last and lacks its newline — or at the pad;
 // everything before it is intact by construction. The pad is read in
 // buffer-sized chunks to check that it is all NUL. Open never writes:
-// damage stays in the file until the first Append cuts it, so a handle
-// that is never appended to leaves the file as it was. The handle holds a
+// damage stays in the file until the first Write cuts it, so a handle
+// that is never written to leaves the file as it was. The handle holds a
 // descriptor until Close.
 func Open(path, configHash string) (*Journal, error) {
 	f, err := os.Open(path)
@@ -367,32 +380,64 @@ scan:
 	if first {
 		return nil, ErrNoHeader
 	}
-	j.end = j.size + pad
+	j.synced, j.end = j.size, j.size+pad
 	if j.f, err = os.OpenFile(path, os.O_WRONLY, 0); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
-// Append durably records one completed case: v is marshaled to JSON and
-// written as one CRC'd line where the intact prefix ends, over the pad,
-// by one write and one fsync, before Append returns. Damage past the
-// intact prefix (what Open stopped at, a failed Append's fragment) is
-// truncated away first; a line that would cross the end of the pad first
-// writes the next segment of it. An Append that fails cuts its own
-// fragment before returning the error; while that cut cannot be made
-// every later Append fails too rather than write where recovery stops.
+// Append durably records one completed case: Write, then Sync, under one
+// hold of the lock, so the line is on disk before Append returns.
 func (j *Journal) Append(stage string, index int, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("journal: marshal case %s/%d: %w", stage, index, err)
-	}
-	l, err := encode(line{Kind: "case", Stage: stage, Index: index, Data: data})
+	e, l, err := encodeCase(stage, index, v)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if err := j.write(e, l); err != nil {
+		return err
+	}
+	return j.sync()
+}
+
+// Write records one completed case without waiting for the disk: v is
+// marshaled to JSON and written as one CRC'd line where the intact prefix
+// ends, over the pad, by one write. The line is in the file (another Open
+// reads it) but not durable: a crash may lose it until a Sync, or the
+// Append of a later line, returns; the case is not journaled (Lookup,
+// Len, Each) until then. Damage past the intact prefix (what Open stopped
+// at, a failed write's fragment) is truncated away first; a line that
+// would cross the end of the pad first writes the next segment of it. A
+// Write that fails cuts its own fragment before returning the error;
+// while that cut cannot be made every later Write fails too rather than
+// write where recovery stops.
+func (j *Journal) Write(stage string, index int, v any) error {
+	e, l, err := encodeCase(stage, index, v)
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.write(e, l)
+}
+
+// encodeCase marshals one case and encodes its line, newline included.
+func encodeCase(stage string, index int, v any) (entry, []byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return entry{}, nil, fmt.Errorf("journal: marshal case %s/%d: %w", stage, index, err)
+	}
+	l, err := encode(line{Kind: "case", Stage: stage, Index: index, Data: data})
+	if err != nil {
+		return entry{}, nil, err
+	}
+	return entry{entryKey{stage, index}, data}, append(l, '\n'), nil
+}
+
+// write puts one encoded line where the intact prefix ends (j.mu held).
+func (j *Journal) write(e entry, l []byte) error {
 	if j.f == nil {
 		return ErrClosed
 	}
@@ -402,21 +447,56 @@ func (j *Journal) Append(stage string, index int, v any) error {
 		}
 		j.cut, j.end = false, j.size
 	}
-	l = append(l, '\n')
-	err = j.grow(j.size + int64(len(l)))
+	err := j.grow(j.size + int64(len(l)))
 	if err == nil {
 		_, err = j.f.WriteAt(l, j.size)
-	}
-	if err == nil {
-		err = j.f.Sync()
 	}
 	if err != nil {
 		j.cut, j.end = j.f.Truncate(j.size) != nil, j.size
 		return err
 	}
 	j.size += int64(len(l))
-	j.entries[entryKey{stage, index}] = data
+	j.unsynced = append(j.unsynced, e)
 	return nil
+}
+
+// Sync makes every line written since the last Sync durable with one
+// fsync, and journals their cases. A Sync that fails drops them: it cuts
+// the file back to the durable prefix, as a failed Append cuts its own
+// line, and returns the error.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return ErrClosed
+	}
+	return j.sync()
+}
+
+// sync is Sync with j.mu held and the descriptor open.
+func (j *Journal) sync() error {
+	if j.synced == j.size {
+		return nil
+	}
+	if err := j.f.Sync(); err != nil {
+		j.cut, j.end = j.f.Truncate(j.synced) != nil, j.synced
+		j.size, j.unsynced = j.synced, j.unsynced[:0]
+		return err
+	}
+	for _, e := range j.unsynced {
+		j.entries[e.key] = e.data
+	}
+	j.synced, j.unsynced = j.size, j.unsynced[:0]
+	return nil
+}
+
+// Synced reports the end of the durable prefix: the file offset before
+// which every line was flushed by a Sync or an Append (or was already in
+// the file when Open read it). Lines past it are written, not yet durable.
+func (j *Journal) Synced() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.synced
 }
 
 // grow writes pad past the end of the file, a segment boundary at a
@@ -482,16 +562,20 @@ func (j *Journal) Len() int {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close releases the journal's descriptor; every Append was already
-// fsynced, so the close itself is all that can fail. It is idempotent,
-// Append after Close returns ErrClosed, and reads keep working.
+// Close flushes what is unflushed, as Sync does, and releases the
+// journal's descriptor, returning the first error of the two. It is
+// idempotent, Write, Sync and Append after Close return ErrClosed, and
+// reads keep working.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Close()
+	err := j.sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
 	j.f = nil
 	return err
 }

@@ -100,7 +100,10 @@ var fixtureRecords = []fixtureRecord{
 
 // crashFixture returns the bytes of a journal holding fixtureRecords, pad
 // included, and the offset just past each line's newline (ends[0] is the
-// header's; the last one is where the pad starts).
+// header's; the last one is where the pad starts). The last unflushed
+// records were written and left for Close to flush, so a crash before it
+// could have lost them: ends[len(ends)-1-unflushed] is where the durable
+// prefix ended.
 func crashFixture(tb testing.TB) (file []byte, ends []int) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "fixture.journal")
@@ -108,11 +111,16 @@ func crashFixture(tb testing.TB) (file []byte, ends []int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, r := range fixtureRecords {
-		if err := j.Append(r.stage, r.index, r.v); err != nil {
+	for i, r := range fixtureRecords {
+		write := j.Append
+		if i >= len(fixtureRecords)-unflushed {
+			write = j.Write
+		}
+		if err := write(r.stage, r.index, r.v); err != nil {
 			tb.Fatal(err)
 		}
 	}
+	synced := j.Synced()
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -129,8 +137,14 @@ func crashFixture(tb testing.TB) (file []byte, ends []int) {
 	if len(ends) != len(fixtureRecords)+1 || ends[len(ends)-1] != len(log) {
 		tb.Fatalf("fixture has %d lines over %d bytes, want %d whole lines", len(ends), len(log), len(fixtureRecords)+1)
 	}
+	if want := ends[len(ends)-1-unflushed]; synced != int64(want) {
+		tb.Fatalf("Synced() = %d before Close, want %d: the end of the last Append", synced, want)
+	}
 	return file, ends
 }
+
+// unflushed is how many of fixtureRecords crashFixture only Writes.
+const unflushed = 2
 
 // flipPayloadByte returns a copy of file with one bit flipped inside the
 // CRC-covered payload of the line that starts at offset lineStart.
@@ -177,6 +191,9 @@ func checkEntries(t *testing.T, what string, j *Journal, want map[entryKey]strin
 //     pad would be, ending at a line or inside one;
 //   - a record whose last sector reached the disk and first did not (NULs,
 //     then the rest of the line and its newline);
+//   - the records written after the last flush lost, or the earlier of
+//     two zeroed while the later reached the disk (the cut is at the
+//     earlier);
 //   - whole lines zeroed with intact lines after them (nothing past a NUL
 //     is log), non-NUL garbage past the pad, a file cut inside its pad, a
 //     flipped payload byte and an over-long line.
@@ -208,6 +225,13 @@ func TestCrashAtEveryByte(t *testing.T) {
 	copy(firstSectorLost[last:], make([]byte, (logEnd-last)/2))
 	linesZeroed := append([]byte(nil), file...)
 	copy(linesZeroed[ends[2]:ends[4]], make([]byte, ends[4]-ends[2]))
+	// A crash before Close flushed the fixture's last two records: the
+	// page cache may lose both, or write the later one back and not the
+	// earlier, which recovery must treat as the end of the log.
+	flushed := ends[len(ends)-1-unflushed]
+	tailLost := append(append([]byte(nil), file[:flushed]...), make([]byte, len(file)-flushed)...)
+	earlierLost := append([]byte(nil), file...)
+	copy(earlierLost[flushed:ends[len(ends)-unflushed]], make([]byte, ends[len(ends)-unflushed]-flushed))
 	garbage := append(append([]byte(nil), file...), "garbage\n"...)
 	overlong := append([]byte(nil), file[:ends[2]]...)
 	overlong = append(overlong, bytes.Repeat([]byte{'x'}, maxLine+1)...)
@@ -219,7 +243,9 @@ func TestCrashAtEveryByte(t *testing.T) {
 		damaged{"file shorter than its last segment", file[:(logEnd+len(file))/2], len(fixtureRecords)},
 		damaged{"pre-pad file", file[:logEnd], len(fixtureRecords)},
 		damaged{"byte flipped in record 3", flipPayloadByte(file, ends[2]), 2},
-		damaged{"over-long line after record 2", overlong, 2})
+		damaged{"over-long line after record 2", overlong, 2},
+		damaged{"unflushed tail lost", tailLost, len(fixtureRecords) - unflushed},
+		damaged{"unflushed record zeroed, a later unflushed one intact", earlierLost, len(fixtureRecords) - unflushed})
 
 	dir := t.TempDir()
 	for i, row := range rows {
@@ -378,50 +404,133 @@ func TestLogShape(t *testing.T) {
 }
 
 // TestFailedAppendKeepsFailing takes the descriptor away behind the
-// journal's back: the Append fails and its fragment cannot be cut, so
-// every later Append must fail too rather than write where recovery
+// journal's back: the Append (or Write) fails and its fragment cannot be
+// cut, so every later one must fail too rather than write where recovery
 // cannot reach. Everything journaled before the failure is recovered.
 func TestFailedAppendKeepsFailing(t *testing.T) {
+	for _, op := range []string{"Append", "Write"} {
+		t.Run(op, func(t *testing.T) {
+			path := tmpJournal(t)
+			j, err := Create(path, "cfg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if err := j.Append("s", i, fakeCase{N: int64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write := j.Append
+			if op == "Write" {
+				write = j.Write
+			}
+			synced := j.Synced()
+			j.f.Close()
+			for i := 3; i < 6; i++ {
+				if err := write("s", i, fakeCase{N: int64(i)}); !errors.Is(err, os.ErrClosed) {
+					t.Fatalf("%s %d on a dead descriptor: %v, want os.ErrClosed", op, i, err)
+				}
+			}
+			if j.Len() != 3 || j.Synced() != synced {
+				t.Fatalf("Len = %d, Synced %d -> %d: a failed %s must not count as journaled", j.Len(), synced, j.Synced(), op)
+			}
+			if err := j.Sync(); err != nil {
+				t.Fatalf("Sync with nothing written since the last: %v", err)
+			}
+			j.Close() // the descriptor is already gone; Close may say so
+			if err := write("s", 5, fakeCase{}); !errors.Is(err, ErrClosed) {
+				t.Fatalf("%s after close: %v", op, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+
+			r, err := Open(path, "cfg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got := r.Completed("s")
+			if len(got) != 3 {
+				t.Fatalf("recovered %d cases, want the 3 journaled before the failure", len(got))
+			}
+			for i := 0; i < 3; i++ {
+				if _, ok := got[i]; !ok {
+					t.Fatalf("case %d lost", i)
+				}
+			}
+		})
+	}
+}
+
+// TestWriteThenSync: a Written line is in the file, where a concurrent
+// Open reads it, before any Sync; the writer journals it (Lookup, Len)
+// and counts it inside Synced only once a Sync, a later Append or Close
+// flushed it. After every Sync and Append, Synced is the intact size of
+// the file's log, and it is never larger.
+func TestWriteThenSync(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Create(path, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append("s", i, fakeCase{N: int64(i)}); err != nil {
+	step := func(what string, flushed bool, cases int) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	j.f.Close()
-	for i := 3; i < 6; i++ {
-		if err := j.Append("s", i, fakeCase{N: int64(i)}); !errors.Is(err, os.ErrClosed) {
-			t.Fatalf("Append %d on a dead descriptor: %v, want os.ErrClosed", i, err)
+		size := int64(len(splitPad(t, raw)))
+		if s := j.Synced(); s > size || flushed != (s == size) {
+			t.Fatalf("after %s: Synced() = %d over a %d-byte log (flushed %v)", what, s, size, flushed)
+		}
+		if j.Len() != cases {
+			t.Fatalf("after %s: Len = %d, want %d", what, j.Len(), cases)
 		}
 	}
-	if j.Len() != 3 {
-		t.Fatalf("Len = %d: a failed Append must not count as journaled", j.Len())
+	step("Create", true, 0)
+	if err := j.Append("s", 0, fakeCase{N: 0}); err != nil {
+		t.Fatal(err)
 	}
-	j.Close() // the descriptor is already gone; Close may say so
-	if err := j.Append("s", 5, fakeCase{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: %v", err)
+	step("Append", true, 1)
+	if err := j.Write("s", 1, fakeCase{N: 1}); err != nil {
+		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	step("Write", false, 1)
+	if _, ok := j.Lookup("s", 1); ok {
+		t.Fatal("an unflushed case is journaled")
 	}
-
 	r, err := Open(path, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	got := r.Completed("s")
-	if len(got) != 3 {
-		t.Fatalf("recovered %d cases, want the 3 journaled before the failure", len(got))
+	if _, ok := r.Lookup("s", 1); !ok || r.Len() != 2 {
+		t.Fatalf("a concurrent Open recovered %d cases, want the Written one too", r.Len())
 	}
-	for i := 0; i < 3; i++ {
-		if _, ok := got[i]; !ok {
-			t.Fatalf("case %d lost", i)
+	r.Close()
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	step("Sync", true, 2)
+	for i := 2; i < 4; i++ {
+		if err := j.Write("s", i, fakeCase{N: int64(i)}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	step("two Writes", false, 2)
+	if err := j.Append("s", 4, fakeCase{N: 4}); err != nil {
+		t.Fatal(err)
+	}
+	step("an Append after two Writes", true, 5)
+	if err := j.Write("s", 5, fakeCase{N: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	step("Write, Close", true, 6)
+	if err := j.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -486,6 +595,10 @@ func FuzzJournalOpen(f *testing.F) {
 	f.Add([]byte(log[:len(log)-9] + nuls(50)))
 	f.Add([]byte(log[:ends[3]-ends[0]] + nuls(40) + log[ends[3]-ends[0]+40:]))
 	f.Add([]byte(log + nuls(64) + "garbage\n"))
+	// An unflushed tail: the earlier of the two records written after the
+	// last flush zeroed, the later intact.
+	flushed, later := ends[len(ends)-1-unflushed]-ends[0], ends[len(ends)-unflushed]-ends[0]
+	f.Add([]byte(log[:flushed] + nuls(later-flushed) + log[later:]))
 	header := file[:ends[0]]
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		dir := t.TempDir()

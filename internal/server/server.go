@@ -415,7 +415,10 @@ func (s *Server) handleVerdictStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the server registry as plain "name value" lines
-// (sorted), including the schema version and live queue/mix gauges.
+// (sorted), including the schema version and live queue/mix gauges, then,
+// with a fleet attached, its process-local counters: what-if questions
+// asked, node decision records written, journal flushes and placement
+// records by kind.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mixMu.Lock()
 	mixN := len(s.mix)
@@ -433,6 +436,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	for _, g := range s.reg.Gauges() {
 		fmt.Fprintf(w, "qosd_%s %g\n", g.Name(), g.Value())
+	}
+	if s.fleet == nil {
+		return
+	}
+	c := s.fleet.Counters()
+	fmt.Fprintf(w, "qosd_fleet_asks %d\n", c.Asks)
+	fmt.Fprintf(w, "qosd_fleet_node_records %d\n", c.NodeRecords)
+	fmt.Fprintf(w, "qosd_fleet_flushes %d\n", c.Flushes)
+	for _, kind := range []string{fleet.KindPlace, fleet.KindMigrate, fleet.KindReject, fleet.KindRelease} {
+		fmt.Fprintf(w, "qosd_fleet_placements_%s %d\n", kind, c.Placements[kind])
 	}
 }
 

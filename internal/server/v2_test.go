@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -73,7 +74,7 @@ func TestV2DisabledReturns501(t *testing.T) {
 	}
 }
 
-// v2TestServer attaches a two-node fleet to a test daemon.
+// v2TestServer attaches a two-node journaled fleet to a test daemon.
 func v2TestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	fl, err := fleet.New(fleet.Config{
@@ -85,6 +86,7 @@ func v2TestServer(t *testing.T) (*Server, *httptest.Server) {
 		Window:        20_000,
 		MaxMixPerNode: 2,
 		FastPath:      true,
+		JournalDir:    t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +263,30 @@ func TestV2EndpointsSmoke(t *testing.T) {
 	_, jr4 := v2Post(t, ts, `{"name":"retry","workload":"spmv","gpu_fraction":0.9}`)
 	if j4 := v2Wait(t, ts, jr4.Job.ID); j4.State != fleet.StatePlaced {
 		t.Fatalf("job 4 after release = %+v, want placed", j4)
+	}
+
+	// /metrics counts the fleet's work. Each placed job had one feasible
+	// node, which admitted: one question, one node record, and one flush,
+	// the place record's; the reject (no node asked) and the release are
+	// one flush each.
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"qosd_fleet_asks 3\n",
+		"qosd_fleet_node_records 3\n",
+		"qosd_fleet_flushes 5\n",
+		"qosd_fleet_placements_place 3\n",
+		"qosd_fleet_placements_migrate 0\n",
+		"qosd_fleet_placements_reject 1\n",
+		"qosd_fleet_placements_release 1\n",
+	} {
+		if !strings.Contains(string(m), want) {
+			t.Errorf("metrics missing %q:\n%s", want, m)
+		}
 	}
 }
 
