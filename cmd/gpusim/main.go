@@ -4,18 +4,21 @@
 //
 // Usage:
 //
-//	gpusim -kernels sgemm                        # isolated run
+//	gpusim -kernels sgemm                        # isolated run (scheme none)
 //	gpusim -kernels sgemm:0.8,lbm -scheme rollover
 //	gpusim -kernels mri-q:0.5,lbm:0.4,sad -scheme spart -window 400000
 //
 // Each kernel is NAME[:GOALFRAC]; a goal fraction marks it as a QoS
-// kernel with that share of its isolated IPC as the target.
+// kernel with that share of its isolated IPC as the target. A lone kernel
+// without a goal runs alone on the device under scheme none, so its IPC is
+// its isolated IPC; -trace records that run like any other.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -55,7 +58,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := run(ctx, *kernels, *scheme, *window, *scale, *tracePth, *traceFmt); err != nil {
+	if err := run(ctx, os.Stdout, *kernels, *scheme, *window, *scale, *tracePth, *traceFmt); err != nil {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
 		os.Exit(1)
 	}
@@ -85,7 +88,7 @@ func parseSpecs(s string) ([]core.KernelSpec, error) {
 	return specs, nil
 }
 
-func run(ctx context.Context, kernels, schemeName string, window int64, scale bool, tracePath, traceFormat string) error {
+func run(ctx context.Context, w io.Writer, kernels, schemeName string, window int64, scale bool, tracePath, traceFormat string) error {
 	specs, err := parseSpecs(kernels)
 	if err != nil {
 		return err
@@ -113,17 +116,12 @@ func run(ctx context.Context, kernels, schemeName string, window int64, scale bo
 			hasQoS = true
 		}
 	}
-	if len(specs) == 1 && !hasQoS {
-		ipc, err := session.IsolatedIPC(ctx, specs[0])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s isolated: %.1f IPC over %d cycles on %d SMs\n",
-			specs[0].Workload, ipc, window, cfg.NumSMs)
-		return nil
-	}
 	if !hasQoS && scheme != core.SchemeNone && scheme != core.SchemeFair {
-		return fmt.Errorf("scheme %v needs at least one kernel with a goal (NAME:FRAC)", scheme)
+		if len(specs) > 1 {
+			return fmt.Errorf("scheme %v needs at least one kernel with a goal (NAME:FRAC)", scheme)
+		}
+		// A lone kernel without a goal shares the device with nothing.
+		scheme = core.SchemeNone
 	}
 
 	var tr *trace.Tracer
@@ -141,8 +139,8 @@ func run(ctx context.Context, kernels, schemeName string, window int64, scale bo
 		fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n",
 			tr.Len(), tr.Dropped(), tracePath)
 	}
-	fmt.Printf("scheme %v, %d SMs, %d cycles\n\n", res.Scheme, cfg.NumSMs, res.Cycles)
-	fmt.Printf("%-14s %-5s %10s %10s %10s %8s %9s\n",
+	fmt.Fprintf(w, "scheme %v, %d SMs, %d cycles\n\n", res.Scheme, cfg.NumSMs, res.Cycles)
+	fmt.Fprintf(w, "%-14s %-5s %10s %10s %10s %8s %9s\n",
 		"kernel", "QoS", "IPC", "isolated", "goal", "reached", "norm-tput")
 	for _, k := range res.Kernels {
 		goal, reached := "-", "-"
@@ -150,17 +148,17 @@ func run(ctx context.Context, kernels, schemeName string, window int64, scale bo
 			goal = fmt.Sprintf("%.1f", k.GoalIPC)
 			reached = fmt.Sprint(k.Reached)
 		}
-		fmt.Printf("%-14s %-5v %10.1f %10.1f %10s %8s %8.1f%%\n",
+		fmt.Fprintf(w, "%-14s %-5v %10.1f %10.1f %10s %8s %8.1f%%\n",
 			k.Name, k.IsQoS, k.IPC, k.IsolatedIPC, goal, reached, 100*k.NormThroughput)
 	}
-	fmt.Printf("\nper-kernel detail:\n")
+	fmt.Fprintf(w, "\nper-kernel detail:\n")
 	for _, k := range res.Kernels {
 		st := k.Stats
-		fmt.Printf("  %-14s warps:%d l1miss:%4.1f%% txns:%d TBs:%d/%d preempted:%d launches:%d throttled:%d\n",
+		fmt.Fprintf(w, "  %-14s warps:%d l1miss:%4.1f%% txns:%d TBs:%d/%d preempted:%d launches:%d throttled:%d\n",
 			k.Name, st.WarpInstrs, 100*st.L1MissRate(), st.MemTxns,
 			st.TBsCompleted, st.TBsDispatched, st.TBsPreempted, st.Launches, st.ThrottledCycles)
 	}
-	fmt.Printf("\ntotal %.1f IPC | %.1f W avg | %.2e instr/J\n",
+	fmt.Fprintf(w, "\ntotal %.1f IPC | %.1f W avg | %.2e instr/J\n",
 		res.TotalIPC, res.Power.AvgPowerW, res.Power.InstrPerJoule)
 	return nil
 }

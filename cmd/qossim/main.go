@@ -55,7 +55,6 @@ type options struct {
 	chart       bool
 	journalPath string
 	resume      bool
-	failFast    bool
 	caseTimeout time.Duration
 	retries     int
 	traceDir    string
@@ -73,7 +72,6 @@ func main() {
 	flag.BoolVar(&o.chart, "chart", false, "render figures as ASCII bar charts")
 	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
-	flag.BoolVar(&o.failFast, "fail-fast", false, "abort a sweep on the first failing case")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "extra attempts per failing case")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
@@ -125,7 +123,6 @@ func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
 	ropts := []exp.Option{
 		exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(o.window)),
 		exp.WithFaultPolicy(exp.FaultPolicy{
-			FailFast:    o.failFast,
 			CaseTimeout: o.caseTimeout,
 			Journal:     jnl,
 			Retry: retry.Policy{

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -106,7 +107,7 @@ func main() {
 	flag.Float64Var(&o.pace, "pace", 0, "wall-clock pacing: 1 = real time, 2 = 2x speed, 0 = back-to-back")
 	flag.Parse()
 
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "stream:", err)
 		os.Exit(1)
 	}
@@ -140,24 +141,24 @@ func loadOrGenerate(o options) (*stream.Trace, error) {
 	})
 }
 
-func emit(o options, tr *stream.Trace, rep *stream.Report) error {
+func emit(w io.Writer, o options, tr *stream.Trace, rep *stream.Report) error {
 	if o.csvOut {
-		w := csv.NewWriter(os.Stdout)
-		if err := w.Write(stream.CSVHeader()); err != nil {
+		cw := csv.NewWriter(w)
+		if err := cw.Write(stream.CSVHeader()); err != nil {
 			return err
 		}
-		if err := w.WriteAll(stream.CSVRows(rep, tr.Spec)); err != nil {
+		if err := cw.WriteAll(stream.CSVRows(rep, tr.Spec)); err != nil {
 			return err
 		}
-		w.Flush()
-		return w.Error()
+		cw.Flush()
+		return cw.Error()
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
 
-func run(o options) error {
+func run(o options, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -174,7 +175,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d arrivals over %s (%s), sha256 %s\n",
+		fmt.Fprintf(stdout, "%s: %d arrivals over %s (%s), sha256 %s\n",
 			o.out, len(tr.Events), o.duration, tr.Spec.Process, hash)
 		return nil
 
@@ -228,7 +229,7 @@ func run(o options) error {
 		if err := srv.Shutdown(shCtx); err != nil {
 			return err
 		}
-		return emit(o, tr, rep)
+		return emit(stdout, o, tr, rep)
 
 	case "replay":
 		tr, err := loadOrGenerate(o)
@@ -247,7 +248,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		return emit(o, tr, rep)
+		return emit(stdout, o, tr, rep)
 
 	default:
 		return fmt.Errorf("unknown mode %q (want generate, drive or replay)", o.mode)

@@ -5,12 +5,12 @@
 // run. Ctrl-C cancels mid-sweep.
 //
 // Sweeps are fault-tolerant: a crashing or erroring case is isolated and
-// reported instead of aborting the study (restore the old behavior with
-// -fail-fast), transient failures can be retried (-retries, backing off
-// 100 ms and doubling), runaway cases can be reaped (-case-timeout), and
-// with -journal every completed case is checkpointed so an interrupted sweep
-// resumes (-resume) without recomputing — resumed results are
-// bit-identical to an uninterrupted run.
+// reported instead of aborting the study (the healthy rows are emitted and
+// the command exits non-zero), transient failures can be retried
+// (-retries, backing off 100 ms and doubling), runaway cases can be reaped
+// (-case-timeout), and with -journal every completed case is checkpointed
+// so an interrupted sweep resumes (-resume) without recomputing — resumed
+// results are bit-identical to an uninterrupted run.
 //
 // Usage:
 //
@@ -20,15 +20,11 @@
 //	sweep -mode pairs -journal pairs.ckpt            # checkpoint as it goes
 //	sweep -mode pairs -journal pairs.ckpt -resume    # pick up after a crash
 //	sweep -mode pairs -suite openworld -schemes rollover > openworld.csv
-//	sweep -mode stream -arrivals poisson,bursty -schemes rollover -window 30000 > stream.csv
 //
 // -suite openworld swaps the pairs grid for the open-world classes
 // (latency-SLO'd LLM inference, periodic real-time detection) co-run
-// against every paper benchmark. -mode stream sweeps an arrival-process
-// axis instead of a workload grid: each -arrivals process is expanded
-// into a seeded trace at the same mean rate, driven through a fresh
-// in-process qosd admission loop, and reported as per-tenant SLO rows
-// (see internal/stream; trace_hash binds each row to its exact traffic).
+// against every paper benchmark. Arrival streams are driven by
+// cmd/stream (-mode drive -csv), not by this command.
 package main
 
 import (
@@ -52,8 +48,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/journal"
 	"repro/internal/retry"
-	"repro/internal/server"
-	"repro/internal/stream"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -70,23 +64,18 @@ type options struct {
 	workers     int
 	journalPath string
 	resume      bool
-	failFast    bool
 	caseTimeout time.Duration
 	retries     int
 	traceDir    string
 	traceFmt    string
 	pprofAddr   string
 	suite       string
-	arrivals    string
-	rate        float64
-	streamDur   time.Duration
-	mix         int
 }
 
 func main() {
 	var o options
 	var scale56 bool
-	flag.StringVar(&o.mode, "mode", "pairs", "pairs|trios|stream")
+	flag.StringVar(&o.mode, "mode", "pairs", "pairs|trios")
 	flag.IntVar(&o.nQoS, "nqos", 1, "QoS kernels per trio (trios mode)")
 	flag.StringVar(&o.schemes, "schemes", "rollover,spart", "comma-separated scheme list")
 	flag.Int64Var(&o.window, "window", 200_000, "measurement window in cycles")
@@ -96,17 +85,12 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = one per CPU)")
 	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
-	flag.BoolVar(&o.failFast, "fail-fast", false, "abort the sweep on the first failing case")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "extra attempts per failing case")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&o.suite, "suite", "paper", "pair grid: paper (the 90-pair Parboil grid) | openworld (open-world classes vs every paper benchmark)")
-	flag.StringVar(&o.arrivals, "arrivals", "poisson,diurnal,bursty", "comma-separated arrival processes to sweep (stream mode)")
-	flag.Float64Var(&o.rate, "rate", 8, "mean arrivals per second per process (stream mode)")
-	flag.DurationVar(&o.streamDur, "stream-duration", 30*time.Second, "virtual length of each generated trace (stream mode)")
-	flag.IntVar(&o.mix, "mix", 3, "admitted-mix capacity of the in-process daemon (stream mode)")
 	flag.Parse()
 	o.gpu = config.Base()
 	if scale56 {
@@ -246,7 +230,6 @@ func newRunner(o options, j *journal.Journal) (*exp.Runner, error) {
 	return exp.NewRunner(o.workers,
 		exp.WithSessionOptions(core.WithGPU(o.gpu), core.WithWindow(o.window)),
 		exp.WithFaultPolicy(exp.FaultPolicy{
-			FailFast:    o.failFast,
 			CaseTimeout: o.caseTimeout,
 			Journal:     j,
 			Retry: retry.Policy{
@@ -267,17 +250,6 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	}
 	if o.suite != "paper" && o.mode != "pairs" {
 		return errors.New("-suite selects the pairs grid; it requires -mode pairs")
-	}
-	if o.mode == "stream" {
-		if o.journalPath != "" || o.resume {
-			// Case checkpointing keys on grid indices; a stream drive is one
-			// indivisible replay, already reproducible from (spec, seed).
-			return errors.New("-journal/-resume apply to grid sweeps, not -mode stream")
-		}
-		if len(schemes) != 1 {
-			return errors.New("-mode stream requires exactly one -schemes entry (stream rows carry no scheme column)")
-		}
-		return runStream(ctx, o, schemes[0], stdout)
 	}
 	if o.resume && o.journalPath == "" {
 		return errors.New("-resume requires -journal")
@@ -330,66 +302,5 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if failed > 0 {
 		return fmt.Errorf("%d case(s) failed; completed rows were emitted", failed)
 	}
-	return nil
-}
-
-// runStream sweeps the arrival-process axis: each process's seeded trace
-// is driven through a fresh in-process qosd admission loop.
-func runStream(ctx context.Context, o options, scheme core.Scheme, stdout io.Writer) error {
-	runner, err := newRunner(o, nil)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(stdout)
-	defer w.Flush()
-	w.Write(stream.CSVHeader())
-	for _, raw := range strings.Split(o.arrivals, ",") {
-		proc := strings.TrimSpace(raw)
-		tr, err := stream.Generate(stream.GenSpec{
-			Process:    proc,
-			RatePerSec: o.rate,
-			DurationMs: o.streamDur.Milliseconds(),
-			Seed:       workloads.Seed,
-			Tenants:    stream.DefaultTenants(),
-		})
-		if err != nil {
-			return err
-		}
-		// A fresh daemon per process: admission verdicts depend on the
-		// admitted mix, so sharing one daemon would leak load from the
-		// previous process's tail into the next process's head. The
-		// evaluation runner is shared — Shutdown drains the daemon's
-		// decision loop, not the worker pool.
-		srv, err := server.New(server.Config{
-			Runner:   runner,
-			Scheme:   scheme,
-			MaxMix:   o.mix,
-			FastPath: true,
-		})
-		if err != nil {
-			return err
-		}
-		d := &stream.Driver{
-			Backend:  stream.ServerBackend{Server: srv},
-			Registry: srv.Registry(),
-			MixSlots: o.mix,
-		}
-		rep, runErr := d.Run(ctx, tr)
-		shCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		shErr := srv.Shutdown(shCtx)
-		cancel()
-		if runErr != nil {
-			return fmt.Errorf("drive %s: %w", proc, runErr)
-		}
-		if shErr != nil {
-			return fmt.Errorf("shutdown after %s: %w", proc, shErr)
-		}
-		if err := w.WriteAll(stream.CSVRows(rep, tr.Spec)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep stream %-12s %4d arrivals, %d admitted, %d rejected (hash %.12s…)\n",
-			proc, rep.Totals.Arrivals, rep.Totals.Admitted, rep.Totals.Rejected, rep.TraceHash)
-	}
-	fmt.Fprintln(os.Stderr)
 	return nil
 }

@@ -98,8 +98,8 @@ func serialProgress(stage string, total int, progress ProgressFunc) func(done in
 
 // PairSweep runs every pair at every goal under the scheme, serially on
 // one session. Progress (if non-nil) is invoked after each case for
-// long-run visibility. Runner.PairSweep is the parallel equivalent and
-// produces identical results.
+// long-run visibility. Runner.Sweep over a pair Grid is the parallel
+// equivalent and produces identical results.
 func PairSweep(ctx context.Context, s *core.Session, pairs []workloads.Pair, goals []float64, scheme core.Scheme, progress ProgressFunc) ([]PairCase, error) {
 	out := make([]PairCase, 0, len(pairs)*len(goals))
 	tick := serialProgress(scheme.String(), len(pairs)*len(goals), progress)
@@ -128,7 +128,8 @@ type TrioCase struct {
 // TrioSweep runs every trio at every goal with nQoS QoS kernels (1 or 2),
 // serially on one session. For nQoS==1 the goal applies to the trio's
 // first member; for nQoS==2 the same goal applies to the first two (the
-// paper's 2x25%..2x70%). Runner.TrioSweep is the parallel equivalent.
+// paper's 2x25%..2x70%). Runner.Sweep over a trio Grid is the parallel
+// equivalent.
 func TrioSweep(ctx context.Context, s *core.Session, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme, progress ProgressFunc) ([]TrioCase, error) {
 	if nQoS < 1 || nQoS > 2 {
 		return nil, fmt.Errorf("exp: nQoS must be 1 or 2, got %d", nQoS)

@@ -51,7 +51,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 		4: {{Panic: true}},
 	})
 	r := faultRunner(t, 3, faults)
-	out, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
+	out, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 
 	var se *SweepError
 	if !errors.As(err, &se) {
@@ -76,7 +76,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 			t.Fatalf("case %d: missing coordinates: %+v", ce.Index, ce)
 		}
 	}
-	for i, c := range out {
+	for i, c := range out.Pairs {
 		failed := i == 1 || i == 4
 		if failed && c.Res != nil {
 			t.Fatalf("case %d: failed case has a result", i)
@@ -107,11 +107,11 @@ func TestSweepTransientRetry(t *testing.T) {
 	})
 	r := faultRunner(t, 2, faults,
 		WithFaultPolicy(FaultPolicy{Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}}))
-	out, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
+	out, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatalf("sweep failed despite retry budget: %v", err)
 	}
-	for i, c := range out {
+	for i, c := range out.Pairs {
 		if c.Res == nil {
 			t.Fatalf("case %d missing result", i)
 		}
@@ -142,7 +142,7 @@ func TestSweepCaseTimeout(t *testing.T) {
 	r := faultRunner(t, 2, faults,
 		WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second, Retry: retry.Policy{MaxAttempts: 2}}))
 	start := time.Now()
-	_, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
+	_, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded in the chain", err)
 	}
@@ -150,37 +150,14 @@ func TestSweepCaseTimeout(t *testing.T) {
 	if !errors.As(err, &se) || len(se.Report.Failed) != 1 || se.Report.Failed[0].Index != 1 {
 		t.Fatalf("err = %v, want a SweepError failing exactly case 1", err)
 	}
+	if ce := se.Report.Failed[0]; ce.Case != "pair[1] mri-q+stencil @0.50" {
+		t.Fatalf("failed case coordinates %q", ce.Case)
+	}
 	if se.Report.Failed[0].Attempts != 2 {
 		t.Fatalf("Attempts = %d, want 2 (deadline errors are retryable)", se.Report.Failed[0].Attempts)
 	}
 	if elapsed := time.Since(start); elapsed > 60*time.Second {
 		t.Fatalf("sweep took %v; the wedged case was not reaped", elapsed)
-	}
-}
-
-// TestSweepFailFast restores the legacy first-error-aborts semantics and
-// checks the error still carries full case coordinates.
-func TestSweepFailFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	goals := []float64{0.5}
-	boom := errors.New("boom")
-	faults := NewScriptedFaults(map[int][]FaultSpec{2: {{Err: boom}, {Err: boom}}})
-	r := faultRunner(t, 2, faults, WithFaultPolicy(FaultPolicy{FailFast: true}))
-	_, err := r.PairSweep(context.Background(), faultPairs, goals, core.SchemeRollover, nil)
-	var ce *CaseError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CaseError", err)
-	}
-	if ce.Index != 2 || ce.Case != "pair[2] lbm+sgemm @0.50" {
-		t.Fatalf("coordinates = %d %q", ce.Index, ce.Case)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatal("CaseError does not unwrap to the root cause")
-	}
-	if len(r.Reports()) != 0 {
-		t.Fatal("aborted sweep must not publish a report")
 	}
 }
 
@@ -193,13 +170,12 @@ func TestSweepJournalResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	pairs := faultPairs
-	goals := []float64{0.4, 0.7}
+	g := Grid{Pairs: faultPairs, Goals: []float64{0.4, 0.7}}
 	scheme := core.SchemeElastic
 	hash := "exp-fault-test"
 
 	// Reference: uninterrupted, no journal.
-	want, err := testRunner(t, 3).PairSweep(context.Background(), pairs, goals, scheme, nil)
+	want, err := testRunner(t, 3).Sweep(context.Background(), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +188,7 @@ func TestSweepJournalResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r1 := testRunner(t, 2, WithFaultPolicy(FaultPolicy{Journal: j}))
-	_, err = r1.PairSweep(ctx, pairs, goals, scheme, func(p Progress) {
+	_, err = r1.Sweep(ctx, g, scheme, func(p Progress) {
 		if p.Done >= 2 {
 			cancel()
 		}
@@ -233,7 +209,7 @@ func TestSweepJournalResume(t *testing.T) {
 		t.Fatalf("journal holds %d cases after crash, want >= 2", j2.Len())
 	}
 	r2 := testRunner(t, 3, WithFaultPolicy(FaultPolicy{Journal: j2}))
-	got, err := r2.PairSweep(context.Background(), pairs, goals, scheme, nil)
+	got, err := r2.Sweep(context.Background(), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +234,7 @@ func TestSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r3.PairSweep(context.Background(), pairs, goals, scheme, nil); err != nil {
+	if _, err := r3.Sweep(context.Background(), g, scheme, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rep := r3.Reports()[0]; rep.Skipped != 0 {

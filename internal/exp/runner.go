@@ -18,7 +18,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/retry"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // Progress is one event of the sweep progress stream. Events are emitted
@@ -61,9 +60,6 @@ type SweepMetrics struct {
 // every case is attempted once, panics and errors are collected into the
 // SweepReport instead of aborting the sweep, and nothing is journaled.
 type FaultPolicy struct {
-	// FailFast restores the pre-fault-tolerance behavior: the first
-	// failing case cancels the sweep and is returned as the error.
-	FailFast bool
 	// CaseTimeout bounds each case attempt; the deadline propagates into
 	// gpu.RunCtx, which polls it at sub-epoch granularity, so a case
 	// that stops progressing is reaped instead of pinning a worker slot.
@@ -139,8 +135,7 @@ func WithSessionOptions(opts ...core.Option) Option {
 }
 
 // WithFaultPolicy installs the fault policy governing sweeps and Do
-// calls: per-case deadlines, retries, panic containment mode and the
-// checkpoint journal.
+// calls: per-case deadlines, retries and the checkpoint journal.
 func WithFaultPolicy(p FaultPolicy) Option {
 	return func(s *runnerSettings) { s.fault = p }
 }
@@ -282,8 +277,8 @@ func (r *Runner) Metrics() []SweepMetrics {
 }
 
 // Reports returns the fault report of every sweep this runner completed,
-// in completion order. Sweeps aborted by cancellation or fail-fast do not
-// produce a report.
+// in completion order. Sweeps aborted by cancellation or a done callback
+// error do not produce a report.
 func (r *Runner) Reports() []*SweepReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -295,8 +290,7 @@ func (r *Runner) Reports() []*SweepReport {
 // done as it reaches a final state — res for a case that completed, ce
 // for one that exhausted the fault policy's attempts. Every case runs
 // through Do, with the context tagged by the case index so fault
-// injectors can target it. With FailFast the first failing case instead
-// cancels the run and is returned as the error.
+// injectors can target it.
 //
 // done is called from the pool's goroutines, concurrently for different
 // cases; an error from it aborts the run. Progress events are serialized,
@@ -373,10 +367,6 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 					var pe *PanicError
 					if errors.As(err, &pe) {
 						ce.Stack = pe.Stack
-					}
-					if r.fault.FailFast {
-						fail(ce)
-						return
 					}
 				}
 				if err := done(i, res, ce); err != nil {
@@ -478,20 +468,4 @@ func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress
 // stageKey derives the journal key for one of this runner's sweep stages.
 func (r *Runner) stageKey(g Grid, scheme core.Scheme) (string, error) {
 	return g.StageKey(r.Session().Config(), r.Session().Seed(), scheme)
-}
-
-// PairSweep is Sweep over the pairs at the goals.
-func (r *Runner) PairSweep(ctx context.Context, pairs []workloads.Pair, goals []float64, scheme core.Scheme, progress ProgressFunc) ([]PairCase, error) {
-	c, err := r.Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, scheme, progress)
-	return c.Pairs, err
-}
-
-// TrioSweep is Sweep over the trios at the goals with nQoS QoS kernels
-// (1 or 2).
-func (r *Runner) TrioSweep(ctx context.Context, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme, progress ProgressFunc) ([]TrioCase, error) {
-	if nQoS < 1 || nQoS > 2 {
-		return nil, fmt.Errorf("exp: nQoS must be 1 or 2, got %d", nQoS)
-	}
-	c, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: nQoS}, scheme, progress)
-	return c.Trios, err
 }

@@ -70,20 +70,21 @@ func TestPairSweepSerialParallelEquivalence(t *testing.T) {
 	}
 
 	r := testRunner(t, 4)
-	got, err := r.PairSweep(ctx, pairs, goals, core.SchemeRollover, nil)
+	g := Grid{Pairs: pairs, Goals: goals}
+	got, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.Pairs, want) {
 		t.Fatal("parallel pair sweep diverged from the serial reference")
 	}
 	// A second run over the same runner must also be identical (the
 	// isolated cache must not change results, only speed).
-	again, err := r.PairSweep(ctx, pairs, goals, core.SchemeRollover, nil)
+	again, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, want) {
+	if !reflect.DeepEqual(again.Pairs, want) {
 		t.Fatal("repeat parallel sweep diverged")
 	}
 }
@@ -100,7 +101,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	r := testRunner(t, 4)
-	got, err := r.TrioSweep(ctx, trios, goals, 2, core.SchemeRollover, nil)
+	got, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: 2}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.Trios, want) {
 		t.Fatal("parallel trio sweep diverged from the serial reference")
 	}
 }
@@ -123,7 +124,7 @@ func TestPairSweepProgress(t *testing.T) {
 	goals := []float64{0.4, 0.6, 0.8}
 	var events []Progress
 	r := testRunner(t, 2)
-	_, err := r.PairSweep(context.Background(), pairs, goals, core.SchemeRollover,
+	_, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) { events = append(events, p) })
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	_, err := testRunner(t, 2).PairSweep(ctx, pairs, goals, core.SchemeRollover,
+	_, err := testRunner(t, 2).Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) {
 			done = p.Done
 			cancel()
@@ -178,20 +179,32 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 func TestPairSweepPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := testRunner(t, 2).PairSweep(ctx,
-		[]workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}}, []float64{0.5},
+	_, err := testRunner(t, 2).Sweep(ctx,
+		Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}}, Goals: []float64{0.5}},
 		core.SchemeRollover, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-func TestTrioSweepRejectsBadNQoS(t *testing.T) {
-	r := testRunner(t, 1)
-	if _, err := r.TrioSweep(context.Background(),
-		[]workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}},
-		[]float64{0.3}, 3, core.SchemeRollover, nil); err == nil {
-		t.Fatal("accepted nQoS=3")
+// TestGridCheckRejectsBadNQoS: a grid is pairs (NQoS 0) or trios with one
+// or two QoS kernels, and has at least one case; Sweep refuses any other.
+func TestGridCheckRejectsBadNQoS(t *testing.T) {
+	trios := []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}}
+	for _, n := range []int{-1, 3} {
+		if err := (Grid{Trios: trios, Goals: []float64{0.3}, NQoS: n}).Check(); err == nil {
+			t.Errorf("accepted nQoS=%d", n)
+		}
+	}
+	if err := (Grid{Trios: trios, NQoS: 2}).Check(); err == nil {
+		t.Error("accepted a grid without goals")
+	}
+	if err := (Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 2}).Check(); err != nil {
+		t.Errorf("refused a two-QoS trio grid: %v", err)
+	}
+	if _, err := testRunner(t, 1).Sweep(context.Background(),
+		Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 3}, core.SchemeRollover, nil); err == nil {
+		t.Error("Sweep ran a grid Check refuses")
 	}
 }
 

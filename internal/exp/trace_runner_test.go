@@ -32,11 +32,11 @@ func TestPairSweepWritesPerCaseTraces(t *testing.T) {
 		{QoS: "mri-q", NonQoS: "stencil"},
 	}
 	goals := []float64{0.3, 0.5}
-	cases, err := r.PairSweep(context.Background(), pairs, goals, core.SchemeRollover, nil)
+	cases, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases {
+	for _, c := range cases.Pairs {
 		if c.Res == nil {
 			t.Fatalf("case %s/%s g=%.2f failed", c.Pair.QoS, c.Pair.NonQoS, c.Goal)
 		}

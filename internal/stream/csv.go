@@ -3,7 +3,7 @@ package stream
 import "strconv"
 
 // CSV rendering of stream reports, one row per tenant plus an "ALL"
-// totals row, for `sweep -mode stream`'s output. trace_hash on every
+// totals row, for `stream -mode drive -csv`. trace_hash on every
 // row binds the measurement to the exact traffic it was taken under,
 // the same contract journal headers give simulation results.
 

@@ -3,7 +3,7 @@ package stream
 import "repro/internal/schema"
 
 // DefaultTenants is the built-in four-tenant open-world mix `stream`
-// and `sweep -mode stream` use when no tenant file is given. The goal
+// uses when no tenant file is given. The goal
 // values are calibrated against the Base device config (1216 MHz):
 // the derived IPC targets sit at roughly 60-70% of each workload's
 // isolated IPC, the regime where admission decisions are genuinely
