@@ -103,7 +103,7 @@ profile:
 # The race-pass package list is derived, not hand-maintained: a package
 # is raced iff it (or its tests) imports sync or sync/atomic — the
 # repo-wide convention for "does concurrent work". Channel-only packages
-# (trace, retry) are single-owner by design and documented as such.
+# (trace) are single-owner by design and documented as such.
 RACE_TMPL = {{$$p := .ImportPath}}\
 {{range .Imports}}{{if or (eq . "sync") (eq . "sync/atomic")}}{{$$p}}{{"\n"}}{{end}}{{end}}\
 {{range .TestImports}}{{if or (eq . "sync") (eq . "sync/atomic")}}{{$$p}}{{"\n"}}{{end}}{{end}}\
@@ -158,10 +158,12 @@ fuzz:
 # header hashes, the one-flush commit rule (a restart from only the bytes
 # flushed before a crash after every answered arrival, ≈ 10 s raced on 2
 # cores, and recovery that rebuilds a carried decision record or refuses a
-# gap), and the /v2 HTTP surface — raced and uncached.
+# gap), the what-if guard on both planes (a panicking or wedged what-if
+# fails one job on /v2 and /v1 while qosd keeps serving), and the /v2 HTTP
+# surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses' ./internal/fleet
-	$(GO) test -race -count=1 -run 'TestV2' ./internal/server
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestWhatIfGuardV2' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestV2|TestWhatIfGuardV1' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace
 # must (a) regenerate byte-identically from its spec and (b) produce
@@ -178,7 +180,7 @@ ci:
 	$(MAKE) race
 	$(MAKE) fleet
 	$(GO) test ./...
-	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable|TestCacheTierReproducesSimVerdict|TestJournalHeaderPinned' -count=1 ./internal/server
+	$(GO) test -run 'TestEndpointsSmoke|TestAdmissionTable|TestCacheTierReproducesSimVerdict|TestJournalHeaderPinned|TestWhatIfGuardV1|TestHealthzFullMixIsNotAStall|TestStallAfterDerivedOrRefused' -count=1 ./internal/server
 	$(MAKE) stream-replay
 	$(MAKE) bench-trace
 	$(MAKE) fuzz

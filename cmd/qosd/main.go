@@ -1,10 +1,12 @@
 // Command qosd serves the QoS simulator as an admission-control daemon.
 // Clients POST kernel specs with QoS goals (fractional, absolute IPC, or
 // application deadlines) to /v1/jobs; the daemon runs a what-if co-run
-// of the currently admitted mix plus the candidate on a parallel worker
-// pool and admits the kernel only when every QoS goal of the resulting
-// mix is predicted to hold. Admitted jobs occupy a mix slot until
-// released with DELETE /v1/jobs/{id}.
+// of the currently admitted mix plus the candidate and admits the kernel
+// only when every QoS goal of the resulting mix is predicted to hold.
+// Decisions are serial, so the daemon simulates on one session per
+// device. A what-if that panics or outlives -job-timeout fails its job,
+// on /v1 and /v2 alike, and the daemon keeps serving. Admitted jobs
+// occupy a mix slot until released with DELETE /v1/jobs/{id}.
 //
 // SIGTERM/SIGINT drains gracefully: new submissions get 503, queued jobs
 // still receive verdicts, then the listener closes. With -journal every
@@ -14,7 +16,7 @@
 // Usage:
 //
 //	qosd -addr :8715
-//	qosd -addr :8715 -scheme rollover -workers 4 -mix 3 -journal qosd.log
+//	qosd -addr :8715 -scheme rollover -mix 3 -journal qosd.log
 //
 //	curl -s localhost:8715/v1/jobs -d '{"kernel":{"workload":"sgemm","goal_frac":0.95}}'
 //	curl -s 'localhost:8715/v1/jobs/job-000001?wait=1'
@@ -56,7 +58,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/fleet"
-	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/workloads"
 )
@@ -67,11 +68,9 @@ type options struct {
 	schemeName  string
 	window      int64
 	scale       bool
-	workers     int
 	mix         int
 	queue       int
 	jobTimeout  time.Duration
-	retries     int
 	journalPath string
 	drainWait   time.Duration
 	fastPath    bool
@@ -88,16 +87,14 @@ func main() {
 	flag.StringVar(&o.schemeName, "scheme", "rollover", "QoS scheme evaluations run under")
 	flag.Int64Var(&o.window, "window", 200_000, "measurement window in cycles per what-if run")
 	flag.BoolVar(&o.scale, "scale56", false, "use the 56-SM configuration")
-	flag.IntVar(&o.workers, "workers", 0, "evaluation worker pool size (0 = one per CPU)")
 	flag.IntVar(&o.mix, "mix", 3, "max concurrently admitted kernels")
 	flag.IntVar(&o.queue, "queue", 16, "max queued admission decisions before 429")
-	flag.DurationVar(&o.jobTimeout, "job-timeout", 2*time.Minute, "per-evaluation deadline (0 = none)")
-	flag.IntVar(&o.retries, "retries", 1, "extra attempts per failing evaluation")
+	flag.DurationVar(&o.jobTimeout, "job-timeout", 2*time.Minute, "per-evaluation deadline on /v1 and /v2; a what-if past it fails its job (0 = none)")
 	flag.StringVar(&o.journalPath, "journal", "", "crash-safe job log (restores the admitted mix on restart)")
 	flag.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "graceful drain budget on SIGTERM")
 	flag.BoolVar(&o.fastPath, "fast-path", true, "answer repeat mixes from the exact verdict cache instead of simulating them again")
 	flag.IntVar(&o.cacheSize, "verdict-cache", server.DefaultVerdictCacheSize, "exact verdict cache capacity")
-	flag.DurationVar(&o.stallAfter, "stall-after", server.DefaultStallAfter, "decision-loop liveness threshold: /healthz reports decision_loop_stalled (503) when one decision is in flight longer than this")
+	flag.DurationVar(&o.stallAfter, "stall-after", 0, "decision-loop liveness threshold: /healthz reports decision_loop_stalled (503) when one decision is in flight longer than this; must exceed -job-timeout (0 = 2x -job-timeout)")
 	flag.StringVar(&o.fleetNodes, "fleet", "", "serve the /v2 fleet API over these nodes: comma-separated device names (base|scale56), e.g. base,base,scale56")
 	flag.StringVar(&o.fleetJnlDir, "fleet-journal", "", "fleet journal directory (per-node decision journals + placement journal); requires -fleet")
 	flag.IntVar(&o.fleetMix, "fleet-mix", 0, "max concurrently placed kernels per fleet node (0 = fleet default)")
@@ -140,6 +137,7 @@ func buildFleet(o options, scheme core.Scheme) (*fleet.Fleet, error) {
 		FastPath:         o.fastPath,
 		VerdictCacheSize: o.cacheSize,
 		JournalDir:       o.fleetJnlDir,
+		EvalTimeout:      o.jobTimeout,
 	})
 }
 
@@ -152,15 +150,7 @@ func run(o options) error {
 	if o.scale {
 		cfg = config.Scale56()
 	}
-	runner, err := exp.NewRunner(o.workers,
-		exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{
-			CaseTimeout: o.jobTimeout,
-			Retry: retry.Policy{
-				MaxAttempts: o.retries + 1,
-				BaseDelay:   100 * time.Millisecond,
-			},
-		}))
+	runner, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithGPU(cfg), core.WithWindow(o.window)))
 	if err != nil {
 		return err
 	}
@@ -176,6 +166,7 @@ func run(o options) error {
 		JournalPath:      o.journalPath,
 		FastPath:         o.fastPath,
 		VerdictCacheSize: o.cacheSize,
+		EvalTimeout:      o.jobTimeout,
 		StallAfter:       o.stallAfter,
 		Fleet:            fl,
 	})
@@ -194,8 +185,8 @@ func run(o options) error {
 		if fl != nil {
 			fleetInfo = fmt.Sprintf(", fleet %d nodes", len(fl.Nodes()))
 		}
-		fmt.Fprintf(os.Stderr, "qosd: serving on %s (scheme %s, %d workers, mix %d, fast path %s%s)\n",
-			o.addr, scheme.Name(), runner.Workers(), o.mix, fast, fleetInfo)
+		fmt.Fprintf(os.Stderr, "qosd: serving on %s (scheme %s, mix %d, fast path %s%s)\n",
+			o.addr, scheme.Name(), o.mix, fast, fleetInfo)
 		errCh <- hs.ListenAndServe()
 	}()
 

@@ -6,10 +6,11 @@
 //
 // Long studies can checkpoint to a journal (-journal) and, after an
 // interruption, resume (-resume) without recomputing finished cases;
-// resumed figures are bit-identical to an uninterrupted run. -retries
-// and -case-timeout bound individual flaky or wedged cases; figures
-// still require complete grids, so a case failing all attempts fails the
-// run (the journal keeps everything completed so far).
+// resumed figures are bit-identical to an uninterrupted run.
+// -case-timeout bounds an individual wedged case; figures still require
+// complete grids, so a failing case fails the run (the journal keeps
+// everything completed so far). A failed case is not retried: it is a
+// pure function of its inputs and would fail again.
 //
 // Usage:
 //
@@ -40,7 +41,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/journal"
-	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -52,11 +52,9 @@ type options struct {
 	window      int64
 	workers     int
 	quiet       bool
-	chart       bool
 	journalPath string
 	resume      bool
 	caseTimeout time.Duration
-	retries     int
 	traceDir    string
 	traceFmt    string
 }
@@ -69,11 +67,9 @@ func main() {
 	flag.Int64Var(&o.window, "window", 200_000, "measurement window in cycles")
 	flag.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = one per CPU)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
-	flag.BoolVar(&o.chart, "chart", false, "render figures as ASCII bar charts")
 	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
-	flag.IntVar(&o.retries, "retries", 0, "extra attempts per failing case")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
 	flag.Parse()
@@ -122,14 +118,7 @@ func openJournal(o options) (*journal.Journal, error) {
 func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
 	ropts := []exp.Option{
 		exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{
-			CaseTimeout: o.caseTimeout,
-			Journal:     jnl,
-			Retry: retry.Policy{
-				MaxAttempts: o.retries + 1,
-				BaseDelay:   100 * time.Millisecond,
-			},
-		}),
+		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout, Journal: jnl}),
 	}
 	if o.traceDir != "" {
 		f, err := trace.ParseFormat(o.traceFmt)
@@ -192,12 +181,9 @@ func run(ctx context.Context, o options) error {
 		return err
 	}
 	for i, t := range tables {
-		switch {
-		case selected[i].ID == "table1": // a parameter list, not a figure: text, no spacer
+		if selected[i].ID == "table1" { // a parameter list, not a figure: text, no spacer
 			fmt.Print(t)
-		case o.chart:
-			fmt.Println(t.Chart(48))
-		default:
+		} else {
 			fmt.Println(t)
 		}
 	}
@@ -205,8 +191,7 @@ func run(ctx context.Context, o options) error {
 }
 
 // printRows writes the end-of-run account of every declared sweep to
-// stderr: cases simulated and their rate, journal skips, retries and
-// failures, or which earlier sweep it reused.
+// stderr: cases simulated and their rate, journal skips and failures, or which earlier sweep it reused.
 func printRows(rows []exp.SweepRow) {
 	for _, row := range rows {
 		if row.Reused != "" {
@@ -215,7 +200,7 @@ func printRows(rows []exp.SweepRow) {
 		}
 		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s)",
 			row.Stage, row.Cases, row.Wall.Round(time.Millisecond), row.CasesPerSec)
-		if rep := row.Report; rep.Skipped > 0 || rep.Retried > 0 || len(rep.Failed) > 0 {
+		if rep := row.Report; rep.Skipped > 0 || len(rep.Failed) > 0 {
 			fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
 		}
 		fmt.Fprintln(os.Stderr)

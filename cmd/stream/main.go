@@ -44,7 +44,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/retry"
 	"repro/internal/server"
 	"repro/internal/stream"
 	"repro/internal/workloads"
@@ -70,7 +69,6 @@ type options struct {
 	schemeName string
 	window     int64
 	scale      bool
-	workers    int
 	mix        int
 	fastPath   bool
 	journal    string
@@ -97,7 +95,6 @@ func main() {
 	flag.StringVar(&o.schemeName, "scheme", "rollover", "QoS scheme (drive)")
 	flag.Int64Var(&o.window, "window", 50_000, "measurement window in cycles per what-if run (drive)")
 	flag.BoolVar(&o.scale, "scale56", false, "use the 56-SM configuration (drive)")
-	flag.IntVar(&o.workers, "workers", 2, "evaluation worker pool size (drive)")
 	flag.IntVar(&o.mix, "mix", 3, "admitted-mix capacity: the daemon's MaxMix (drive), or the target's -mix (replay)")
 	flag.BoolVar(&o.fastPath, "fast-path", true, "tiered decision path (drive)")
 	flag.StringVar(&o.journal, "journal", "", "decision journal path (drive)")
@@ -192,15 +189,7 @@ func run(o options, stdout io.Writer) error {
 		if o.scale {
 			gpu = config.Scale56()
 		}
-		runner, err := exp.NewRunner(o.workers,
-			exp.WithSessionOptions(core.WithGPU(gpu), core.WithWindow(o.window)),
-			exp.WithFaultPolicy(exp.FaultPolicy{
-				CaseTimeout: 2 * time.Minute,
-				Retry: retry.Policy{
-					MaxAttempts: 2,
-					BaseDelay:   100 * time.Millisecond,
-				},
-			}))
+		runner, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithGPU(gpu), core.WithWindow(o.window)))
 		if err != nil {
 			return err
 		}
@@ -210,6 +199,7 @@ func run(o options, stdout io.Writer) error {
 			MaxMix:      o.mix,
 			JournalPath: o.journal,
 			FastPath:    o.fastPath,
+			EvalTimeout: 2 * time.Minute,
 		})
 		if err != nil {
 			return err

@@ -41,7 +41,6 @@ func TestGenerateThenDriveCSV(t *testing.T) {
 		trace:      path,
 		schemeName: "rollover",
 		window:     20_000,
-		workers:    2,
 		mix:        3,
 		fastPath:   true,
 		csvOut:     true,

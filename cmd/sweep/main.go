@@ -6,11 +6,11 @@
 //
 // Sweeps are fault-tolerant: a crashing or erroring case is isolated and
 // reported instead of aborting the study (the healthy rows are emitted and
-// the command exits non-zero), transient failures can be retried
-// (-retries, backing off 100 ms and doubling), runaway cases can be reaped
+// the command exits non-zero), runaway cases can be reaped
 // (-case-timeout), and with -journal every completed case is checkpointed
 // so an interrupted sweep resumes (-resume) without recomputing — resumed
-// results are bit-identical to an uninterrupted run.
+// results are bit-identical to an uninterrupted run. A failed case is not
+// retried: a case is a pure function of its inputs and would fail again.
 //
 // Usage:
 //
@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/journal"
-	"repro/internal/retry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -65,7 +64,6 @@ type options struct {
 	journalPath string
 	resume      bool
 	caseTimeout time.Duration
-	retries     int
 	traceDir    string
 	traceFmt    string
 	pprofAddr   string
@@ -86,7 +84,6 @@ func main() {
 	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
-	flag.IntVar(&o.retries, "retries", 0, "extra attempts per failing case")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -229,14 +226,7 @@ func newRunner(o options, j *journal.Journal) (*exp.Runner, error) {
 	}
 	return exp.NewRunner(o.workers,
 		exp.WithSessionOptions(core.WithGPU(o.gpu), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{
-			CaseTimeout: o.caseTimeout,
-			Journal:     j,
-			Retry: retry.Policy{
-				MaxAttempts: o.retries + 1,
-				BaseDelay:   100 * time.Millisecond,
-			},
-		}),
+		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout, Journal: j}),
 		exp.WithTraceDir(o.traceDir, traceFmt))
 }
 
@@ -295,7 +285,7 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 			m.Stage, m.Cases, m.Wall.Round(time.Millisecond), m.CasesPerSec, runner.Workers())
 	}
 	for _, rep := range runner.Reports() {
-		if rep.Skipped > 0 || rep.Retried > 0 || len(rep.Failed) > 0 {
+		if rep.Skipped > 0 || len(rep.Failed) > 0 {
 			fmt.Fprintf(os.Stderr, "sweep %-24s %s\n", rep.Stage, rep.Summary())
 		}
 	}

@@ -218,7 +218,6 @@ type Session struct {
 	cfg      Config
 	seed     uint64
 	isolated *IsolatedCache
-	faults   FaultInjector
 }
 
 // NewSession applies the options, validates the resulting configuration
@@ -246,7 +245,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cache == nil {
 		cache = NewIsolatedCache()
 	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: cache, faults: st.faults}, nil
+	return &Session{cfg: cfg, seed: st.seed, isolated: cache}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -348,13 +347,6 @@ func (s *Session) Run(ctx context.Context, specs []KernelSpec, scheme Scheme) (*
 func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Scheme, tr *trace.Tracer) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("core: no kernels")
-	}
-	if s.faults != nil {
-		// Testing hook: a configured injector may error, stall or panic
-		// here to emulate a failing case (see FaultInjector).
-		if err := s.faults.Inject(ctx); err != nil {
-			return nil, err
-		}
 	}
 	kernels := make([]*kern.Kernel, len(specs))
 	goals := make([]float64, len(specs))

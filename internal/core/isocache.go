@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // IsolatedCache memoizes isolated-IPC measurements by workload name with
 // singleflight semantics: when several goroutines ask for the same
@@ -32,11 +35,15 @@ func (c *IsolatedCache) Len() int {
 	return len(c.entries)
 }
 
+// errMeasurePanicked is what the waiters of a flight whose compute
+// panicked observe; the panic itself unwinds through the computing caller.
+var errMeasurePanicked = errors.New("core: isolated measurement panicked")
+
 // ipc returns the cached value for key, computing it via compute on the
-// first request. Failed computations (for example a canceled context) are
-// evicted so a later request retries instead of caching the error
-// forever; concurrent waiters of the failed flight still observe the
-// error.
+// first request. Failed computations (for example a canceled context, or
+// a panic) are evicted so a later request recomputes instead of caching
+// the error — or, for a panic, a zero baseline — forever; concurrent
+// waiters of the failed flight still observe the error.
 func (c *IsolatedCache) ipc(key string, compute func() (float64, error)) (float64, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -45,13 +52,20 @@ func (c *IsolatedCache) ipc(key string, compute func() (float64, error)) (float6
 		c.entries[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
+	defer func() {
+		if e.err != nil {
+			c.mu.Lock()
+			if c.entries[key] == e {
+				delete(c.entries, key)
+			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
+	}()
+	e.once.Do(func() {
+		e.err = errMeasurePanicked // overwritten unless compute panics
+		e.val, e.err = compute()
+	})
+	if e.err != nil {
 		return 0, e.err
 	}
 	return e.val, nil

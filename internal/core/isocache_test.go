@@ -74,6 +74,39 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 	}
 }
 
+// TestIsolatedCachePanicDuringFill: a measurement that panics (under a
+// Guard, as every simulation runs) must not leave a zero baseline behind.
+// The panic reaches the guard as a *PanicError, and the next request
+// measures afresh.
+func TestIsolatedCachePanicDuringFill(t *testing.T) {
+	c := NewIsolatedCache()
+	err := Guard(context.Background(), 0, func(context.Context) error {
+		_, err := c.ipc("sgemm", func() (float64, error) { panic("measurement fault") })
+		return err
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "measurement fault" || len(pe.Stack) == 0 {
+		t.Fatalf("guarded panicking fill = %v, want *PanicError with its stack", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("cache holds %d entries after a panicked fill, want 0", c.Len())
+	}
+	if v, err := c.ipc("sgemm", func() (float64, error) { return 42, nil }); err != nil || v != 42 {
+		t.Fatalf("recompute after a panicked fill = (%v, %v), want (42, nil)", v, err)
+	}
+}
+
+// TestGuardDeadline: Guard's timeout reaches fn as a context deadline.
+func TestGuardDeadline(t *testing.T) {
+	err := Guard(context.Background(), time.Millisecond, func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
 // TestSessionIsolatedIPCCancelThenRetry is the same scenario through the
 // Session facade with a real simulation: a canceled IsolatedIPC must not
 // poison the shared cache for a later successful call.

@@ -9,10 +9,9 @@ import (
 
 // settings collects everything an Option can configure before validation.
 type settings struct {
-	cfg    Config
-	seed   uint64
-	cache  *IsolatedCache
-	faults FaultInjector
+	cfg   Config
+	seed  uint64
+	cache *IsolatedCache
 }
 
 // Option configures a Session (see NewSession). Options apply in order,
@@ -69,15 +68,6 @@ func WithSeed(seed uint64) Option {
 // across its worker pool.
 func WithIsolatedCache(c *IsolatedCache) Option {
 	return func(s *settings) { s.cache = c }
-}
-
-// WithFaultInjector installs a deterministic fault injector consulted at
-// the top of every Session.Run (see FaultInjector). It exists for testing
-// the fault-tolerant sweep engine: injected panics, delays and transient
-// errors prove that panic isolation, per-case deadlines, retries and
-// journal resume behave — production sessions leave it nil.
-func WithFaultInjector(fi FaultInjector) Option {
-	return func(s *settings) { s.faults = fi }
 }
 
 // defaultSettings returns the option state before user options apply.

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -11,25 +12,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/retry"
 	"repro/internal/workloads"
 )
-
-// faultRunner builds a small-device runner whose sessions carry the given
-// injector, sized for CI like testRunner.
-func faultRunner(t *testing.T, workers int, fi core.FaultInjector, ropts ...Option) *Runner {
-	t.Helper()
-	cfg := config.Base()
-	cfg.NumSMs = 4
-	opts := append([]Option{
-		WithSessionOptions(core.WithGPU(cfg), core.WithWindow(30_000), core.WithFaultInjector(fi)),
-	}, ropts...)
-	r, err := NewRunner(workers, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
 
 var faultPairs = []workloads.Pair{
 	{QoS: "sgemm", NonQoS: "lbm"},
@@ -37,20 +21,22 @@ var faultPairs = []workloads.Pair{
 	{QoS: "lbm", NonQoS: "sgemm"},
 }
 
-// TestSweepPanicIsolation injects panics into two chosen cases and runs
-// the sweep with the default (collecting) policy: every other case must
-// complete, the report must name exactly the injected cases, and the
-// recovered stacks must be attached.
+// TestSweepPanicIsolation panics two chosen cases and runs the sweep with
+// the default (collecting) policy: every other case must complete, the
+// report must name exactly the panicking cases, and the recovered stacks
+// must be attached.
 func TestSweepPanicIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	goals := []float64{0.4, 0.7}
-	faults := NewScriptedFaults(map[int][]FaultSpec{
-		1: {{Panic: true}},
-		4: {{Panic: true}},
+	r := testRunner(t, 3)
+	r.interceptCases(func(_ context.Context, i int) error {
+		if i == 1 || i == 4 {
+			panic(fmt.Sprintf("injected panic at case %d", i))
+		}
+		return nil
 	})
-	r := faultRunner(t, 3, faults)
 	out, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 
 	var se *SweepError
@@ -65,9 +51,9 @@ func TestSweepPanicIsolation(t *testing.T) {
 		t.Fatalf("Completed/Total = %d/%d, want 4/6", rep.Completed, rep.Total)
 	}
 	for _, ce := range rep.Failed {
-		var pe *PanicError
+		var pe *core.PanicError
 		if !errors.As(ce.Err, &pe) {
-			t.Fatalf("case %d: err = %v, want *PanicError", ce.Index, ce.Err)
+			t.Fatalf("case %d: err = %v, want *core.PanicError", ce.Index, ce.Err)
 		}
 		if len(ce.Stack) == 0 {
 			t.Fatalf("case %d: no stack captured", ce.Index)
@@ -92,55 +78,29 @@ func TestSweepPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestSweepTransientRetry scripts one-shot faults (fail first attempt,
-// clean after) on two cases: with a retry budget the sweep must finish
-// fully clean and count the retried cases.
-func TestSweepTransientRetry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	goals := []float64{0.5}
-	transient := errors.New("transient fabric glitch")
-	faults := NewScriptedFaults(map[int][]FaultSpec{
-		0: {{Err: transient}},
-		2: {{Panic: true}},
-	})
-	r := faultRunner(t, 2, faults,
-		WithFaultPolicy(FaultPolicy{Retry: retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond}}))
-	out, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
-	if err != nil {
-		t.Fatalf("sweep failed despite retry budget: %v", err)
-	}
-	for i, c := range out.Pairs {
-		if c.Res == nil {
-			t.Fatalf("case %d missing result", i)
-		}
-	}
-	rep := r.Reports()[0]
-	if rep.Retried != 2 || rep.Completed != 3 || len(rep.Failed) != 0 {
-		t.Fatalf("report = %s, want 2 retried / 3 completed / 0 failed", rep.Summary())
-	}
-	if got := faults.Attempts(0); got != 2 {
-		t.Fatalf("case 0 attempted %d times, want 2", got)
-	}
-}
-
-// TestSweepCaseTimeout wedges one case (a scripted delay far beyond the
-// per-case deadline, on every attempt) and expects the engine to reap it
-// as DeadlineExceeded while the rest of the sweep completes.
+// TestSweepCaseTimeout wedges one case (it waits for its context, far
+// beyond the per-case deadline) and expects the engine to reap it as
+// DeadlineExceeded while the rest of the sweep completes.
 func TestSweepCaseTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	goals := []float64{0.5}
-	faults := NewScriptedFaults(map[int][]FaultSpec{
-		1: {{Delay: 10 * time.Minute}, {Delay: 10 * time.Minute}},
-	})
 	// The deadline must be generous enough that healthy cases (fast, but
 	// ~10x slower under -race) never trip it, while still reaping the
-	// 10-minute wedge quickly.
-	r := faultRunner(t, 2, faults,
-		WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second, Retry: retry.Policy{MaxAttempts: 2}}))
+	// wedge quickly.
+	r := testRunner(t, 2, WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second}))
+	r.interceptCases(func(ctx context.Context, i int) error {
+		if i != 1 {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(10 * time.Minute):
+			return nil
+		}
+	})
 	start := time.Now()
 	_, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -152,9 +112,6 @@ func TestSweepCaseTimeout(t *testing.T) {
 	}
 	if ce := se.Report.Failed[0]; ce.Case != "pair[1] mri-q+stencil @0.50" {
 		t.Fatalf("failed case coordinates %q", ce.Case)
-	}
-	if se.Report.Failed[0].Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2 (deadline errors are retryable)", se.Report.Failed[0].Attempts)
 	}
 	if elapsed := time.Since(start); elapsed > 60*time.Second {
 		t.Fatalf("sweep took %v; the wedged case was not reaped", elapsed)
@@ -260,14 +217,5 @@ func TestSweepRate(t *testing.T) {
 	}
 	if _, eta := sweepRate(10, 10, time.Second); eta != 0 {
 		t.Fatalf("finished sweep ETA = %v, want 0", eta)
-	}
-}
-
-// TestScriptedFaultsOutsideSweep: an injector must be inert for runs that
-// carry no case index (isolated baselines).
-func TestScriptedFaultsOutsideSweep(t *testing.T) {
-	f := NewScriptedFaults(map[int][]FaultSpec{0: {{Panic: true}}})
-	if err := f.Inject(context.Background()); err != nil {
-		t.Fatalf("Inject outside a sweep = %v", err)
 	}
 }

@@ -6,20 +6,9 @@ import (
 	"time"
 )
 
-// PanicError wraps a panic recovered from an isolated sweep case, keeping
-// the panic value and the goroutine stack for the failure report.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-// Error renders the panic value; the stack travels separately so wrapped
-// error chains stay one line.
-func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
-
 // CaseError is one failed sweep case with its full coordinates, so a
-// failure is attributable (which pair/trio, which goal, which attempt)
-// without consulting the journal.
+// failure is attributable (which pair/trio, which goal) without
+// consulting the journal.
 type CaseError struct {
 	// Stage is the sweep stage label (usually the scheme name).
 	Stage string
@@ -28,21 +17,15 @@ type CaseError struct {
 	// Case describes the case in grid coordinates, e.g.
 	// "pair[3] sgemm+lbm @0.50".
 	Case string
-	// Attempts counts how many times the case was tried before giving up.
-	Attempts int
-	// Err is the final attempt's error.
+	// Err is the case's error.
 	Err error
 	// Stack is the recovered goroutine stack when the failure was a
-	// panic, nil otherwise.
+	// panic (*core.PanicError), nil otherwise.
 	Stack []byte
 }
 
 func (e *CaseError) Error() string {
-	suffix := ""
-	if e.Attempts > 1 {
-		suffix = fmt.Sprintf(" after %d attempts", e.Attempts)
-	}
-	return fmt.Sprintf("%s case %d (%s)%s: %v", e.Stage, e.Index, e.Case, suffix, e.Err)
+	return fmt.Sprintf("%s case %d (%s): %v", e.Stage, e.Index, e.Case, e.Err)
 }
 
 func (e *CaseError) Unwrap() error { return e.Err }
@@ -60,10 +43,7 @@ type SweepReport struct {
 	Completed int
 	// Skipped counts cases restored from the checkpoint journal.
 	Skipped int
-	// Retried counts completed cases that needed more than one attempt.
-	Retried int
-	// Failed lists cases that exhausted their attempts, in ascending
-	// case-index order.
+	// Failed lists the cases that failed, in ascending case-index order.
 	Failed []*CaseError
 }
 
@@ -81,9 +61,6 @@ func (r *SweepReport) Summary() string {
 	s := fmt.Sprintf("%d/%d cases ok", r.Completed+r.Skipped, r.Total)
 	if r.Skipped > 0 {
 		s += fmt.Sprintf(", %d resumed from journal", r.Skipped)
-	}
-	if r.Retried > 0 {
-		s += fmt.Sprintf(", %d retried", r.Retried)
 	}
 	if len(r.Failed) > 0 {
 		s += fmt.Sprintf(", %d FAILED", len(r.Failed))

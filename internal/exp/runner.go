@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -57,17 +55,15 @@ type SweepMetrics struct {
 
 // FaultPolicy configures how a Runner treats failing cases. The zero
 // value reproduces a study run with no safety nets beyond isolation:
-// every case is attempted once, panics and errors are collected into the
-// SweepReport instead of aborting the sweep, and nothing is journaled.
+// panics and errors are collected into the SweepReport instead of
+// aborting the sweep, and nothing is journaled. A failed case is not
+// retried: it is a pure function of its inputs and would fail again.
 type FaultPolicy struct {
-	// CaseTimeout bounds each case attempt; the deadline propagates into
+	// CaseTimeout bounds each case; the deadline propagates into
 	// gpu.RunCtx, which polls it at sub-epoch granularity, so a case
 	// that stops progressing is reaped instead of pinning a worker slot.
 	// 0 means no per-case deadline.
 	CaseTimeout time.Duration
-	// Retry re-executes failed cases with backoff. The zero value means
-	// one attempt, no retries.
-	Retry retry.Policy
 	// Journal, when non-nil, records every completed case and is
 	// consulted before sweeping to skip cases a previous (interrupted)
 	// run already completed. Stage keys embed hashes of the session
@@ -87,18 +83,19 @@ type FaultPolicy struct {
 // the seeded RNG streams in internal/rng, not from scheduling.
 //
 // The runner is also the fault boundary of a study: each case executes
-// under a recover() that converts panics into typed CaseErrors, under the
-// FaultPolicy's per-case deadline and retry budget, and behind the
-// checkpoint journal — so one sick case costs one case, not the sweep.
+// under core.Guard, which converts a panic into a *core.PanicError and
+// applies the FaultPolicy's per-case deadline, and behind the checkpoint
+// journal — so one sick case costs one case, not the sweep.
 type Runner struct {
 	workers  int
 	opts     []core.Option
 	sessions []*core.Session
-	// slots is the session pool: sweeps and Do borrow sessions from it,
-	// so a Runner shared by a daemon can interleave one-off evaluations
-	// with sweeps without oversubscribing the worker budget.
+	// slots is the session pool every case borrows its session from.
 	slots chan *core.Session
 	fault FaultPolicy
+	// caseRun executes one case (runCase); tests wrap it to fail chosen
+	// case indices.
+	caseRun func(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error)
 
 	// Per-case trace output (WithTraceDir). Every traced case gets its
 	// own trace.Tracer — tracers are unsynchronized by design, so
@@ -121,9 +118,8 @@ type runnerSettings struct {
 }
 
 // Option configures a Runner at construction (see NewRunner). A Runner
-// is immutable once built — the qosd daemon shares one across request
-// goroutines — so everything the deprecated setters used to mutate is
-// now an option.
+// is immutable once built, so everything it can be configured with is an
+// option.
 type Option func(*runnerSettings)
 
 // WithSessionOptions appends core session options applied identically to
@@ -134,8 +130,8 @@ func WithSessionOptions(opts ...core.Option) Option {
 	return func(s *runnerSettings) { s.session = append(s.session, opts...) }
 }
 
-// WithFaultPolicy installs the fault policy governing sweeps and Do
-// calls: per-case deadlines, retries and the checkpoint journal.
+// WithFaultPolicy installs the fault policy governing sweeps: the
+// per-case deadline and the checkpoint journal.
 func WithFaultPolicy(p FaultPolicy) Option {
 	return func(s *runnerSettings) { s.fault = p }
 }
@@ -173,6 +169,7 @@ func NewRunner(workers int, opts ...Option) (*Runner, error) {
 		traceDir:    st.traceDir,
 		traceFormat: st.traceFormat,
 	}
+	r.caseRun = r.runCase
 	cache := core.NewIsolatedCache()
 	withCache := append(append([]core.Option(nil), r.opts...), core.WithIsolatedCache(cache))
 	for i := 0; i < workers; i++ {
@@ -198,10 +195,11 @@ func (r *Runner) With(extra ...core.Option) (*Runner, error) {
 		WithTraceDir(r.traceDir, r.traceFormat))
 }
 
-// runCase executes one sweep case, with a per-case tracer and trace file
-// when WithTraceDir configured one. name must be unique within the sweep
-// (it keys the output file).
-func (r *Runner) runCase(ctx context.Context, s *core.Session, name string, specs []core.KernelSpec, scheme core.Scheme) (*core.Result, error) {
+// runCase executes case i of g, with a per-case tracer and trace file
+// (named by the case's grid coordinates) when WithTraceDir configured
+// one.
+func (r *Runner) runCase(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error) {
+	specs := g.specs(i)
 	if r.traceDir == "" {
 		return s.Run(ctx, specs, scheme)
 	}
@@ -210,21 +208,18 @@ func (r *Runner) runCase(ctx context.Context, s *core.Session, name string, spec
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(r.traceDir, name+r.traceFormat.Ext())
+	path := filepath.Join(r.traceDir, g.traceName(i, scheme)+r.traceFormat.Ext())
 	if werr := trace.WriteFile(path, tr, r.traceFormat); werr != nil {
 		return nil, fmt.Errorf("exp: write trace %s: %w", path, werr)
 	}
 	return res, nil
 }
 
-// Do borrows one worker session from the pool and runs fn under the same
-// fault boundary a sweep case gets: panics are converted to *PanicError,
-// the fault policy's per-case deadline bounds the call, and its retry
-// budget re-runs transient failures. Do blocks while every
-// worker session is busy — this is the backpressure a serving layer
-// (cmd/qosd) relies on — and returns ctx's error if it is canceled
-// before a session frees up.
-func (r *Runner) Do(ctx context.Context, fn func(ctx context.Context, s *core.Session) error) error {
+// do borrows one worker session from the pool and runs fn on it under
+// core.Guard with the fault policy's per-case deadline. It blocks while
+// every session is busy and returns ctx's error if ctx is canceled before
+// one frees up.
+func (r *Runner) do(ctx context.Context, fn func(ctx context.Context, s *core.Session) error) error {
 	var s *core.Session
 	select {
 	case s = <-r.slots:
@@ -232,34 +227,15 @@ func (r *Runner) Do(ctx context.Context, fn func(ctx context.Context, s *core.Se
 		return ctx.Err()
 	}
 	defer func() { r.slots <- s }()
-	fp := r.fault
-	return fp.Retry.Do(ctx, func(int) error {
-		return doShielded(ctx, s, fp.CaseTimeout, fn)
-	})
-}
-
-// doShielded runs one attempt inside the fault boundary: bounded by the
-// per-case deadline, with a panic converted into *PanicError so a
-// crashing case surfaces as a value instead of killing the process.
-func doShielded(ctx context.Context, s *core.Session, timeout time.Duration, fn func(context.Context, *core.Session) error) (err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return fn(ctx, s)
+	return core.Guard(ctx, r.fault.CaseTimeout, func(ctx context.Context) error { return fn(ctx, s) })
 }
 
 // Workers returns the pool size.
 func (r *Runner) Workers() int { return r.workers }
 
-// Session exposes one of the pool's sessions for serial work (isolated
-// measurements, one-off runs) outside a sweep.
+// Session exposes one of the pool's sessions for serial work outside a
+// sweep: isolated measurements, one-off runs, and the /v1 admission
+// loop's what-ifs.
 func (r *Runner) Session() *core.Session { return r.sessions[0] }
 
 // GPUConfig returns the device configuration shared by all workers.
@@ -288,9 +264,7 @@ func (r *Runner) Reports() []*SweepReport {
 // Run is the sweep engine: it executes the cases of g listed in todo
 // under scheme, fanned out over the session pool, and hands each case to
 // done as it reaches a final state — res for a case that completed, ce
-// for one that exhausted the fault policy's attempts. Every case runs
-// through Do, with the context tagged by the case index so fault
-// injectors can target it.
+// for one that failed. Every case runs through do's fault boundary.
 //
 // done is called from the pool's goroutines, concurrently for different
 // cases; an error from it aborts the run. Progress events are serialized,
@@ -325,7 +299,7 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 	// success) and emits the progress event under the lock, so the
 	// callback never sees events out of order and needs no
 	// synchronization.
-	resolve := func(ce *CaseError, retried bool) {
+	resolve := func(ce *CaseError) {
 		mu.Lock()
 		defer mu.Unlock()
 		resolved++
@@ -333,9 +307,6 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 			rep.Failed = append(rep.Failed, ce)
 		} else {
 			rep.Completed++
-			if retried {
-				rep.Retried++
-			}
 		}
 		if progress != nil {
 			p := Progress{Stage: stage, Done: resolved, Total: rep.Total, Elapsed: time.Since(start)}
@@ -348,11 +319,9 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				attempts := 0
 				var res *core.Result
-				err := r.Do(core.ContextWithCaseIndex(ctx, i), func(ctx context.Context, s *core.Session) (err error) {
-					attempts++
-					res, err = r.runCase(ctx, s, g.traceName(i, scheme), g.specs(i), scheme)
+				err := r.do(ctx, func(ctx context.Context, s *core.Session) (err error) {
+					res, err = r.caseRun(ctx, s, g, i, scheme)
 					return err
 				})
 				var ce *CaseError
@@ -363,8 +332,8 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 						fail(cerr)
 						return
 					}
-					ce = &CaseError{Stage: stage, Index: i, Case: g.Describe(i), Attempts: attempts, Err: err}
-					var pe *PanicError
+					ce = &CaseError{Stage: stage, Index: i, Case: g.Describe(i), Err: err}
+					var pe *core.PanicError
 					if errors.As(err, &pe) {
 						ce.Stack = pe.Stack
 					}
@@ -373,7 +342,7 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 					fail(err)
 					return
 				}
-				resolve(ce, attempts > 1)
+				resolve(ce)
 			}
 		}()
 	}

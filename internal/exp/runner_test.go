@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/retry"
 	"repro/internal/workloads"
 )
 
@@ -228,17 +227,15 @@ func TestRunnerWith(t *testing.T) {
 	}
 }
 
-// TestRunnerDo checks the one-off evaluation path the qosd daemon uses:
-// Do borrows pool sessions (blocking when all are busy), isolates panics
-// as *PanicError, and honors the fault policy's retry budget.
+// TestRunnerDo checks the fault boundary every sweep case runs through:
+// do borrows pool sessions (blocking when all are busy), isolates panics
+// as *core.PanicError, and runs a failing call exactly once.
 func TestRunnerDo(t *testing.T) {
-	r := testRunner(t, 2, WithFaultPolicy(FaultPolicy{
-		Retry: retry.Policy{MaxAttempts: 2},
-	}))
+	r := testRunner(t, 2)
 	ctx := context.Background()
 
 	// Plain success sees a usable session.
-	if err := r.Do(ctx, func(_ context.Context, s *core.Session) error {
+	if err := r.do(ctx, func(_ context.Context, s *core.Session) error {
 		if s.GPUConfig().NumSMs != 4 {
 			t.Error("Do handed out a session with the wrong config")
 		}
@@ -247,32 +244,30 @@ func TestRunnerDo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A panic surfaces as a *PanicError value, not a crash.
-	err := r.Do(ctx, func(context.Context, *core.Session) error {
+	// A panic surfaces as a *core.PanicError value, not a crash.
+	err := r.do(ctx, func(context.Context, *core.Session) error {
 		panic("boom")
 	})
-	var pe *PanicError
+	var pe *core.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
+		t.Fatalf("err = %v, want *core.PanicError", err)
 	}
 
-	// A transient failure is retried within the policy's budget.
-	attempts := 0
-	if err := r.Do(ctx, func(context.Context, *core.Session) error {
-		attempts++
-		if attempts == 1 {
-			return errors.New("transient")
-		}
-		return nil
-	}); err != nil || attempts != 2 {
-		t.Fatalf("retry path: err=%v attempts=%d", err, attempts)
+	// A failure is final: the call runs once.
+	calls := 0
+	fault := errors.New("deterministic fault")
+	if err := r.do(ctx, func(context.Context, *core.Session) error {
+		calls++
+		return fault
+	}); !errors.Is(err, fault) || calls != 1 {
+		t.Fatalf("failing call: err=%v calls=%d, want the fault after one call", err, calls)
 	}
 
 	// With every slot held, Do must block until ctx cancels.
 	hold := make(chan struct{})
 	release := make(chan struct{})
 	for i := 0; i < r.Workers(); i++ {
-		go r.Do(ctx, func(context.Context, *core.Session) error {
+		go r.do(ctx, func(context.Context, *core.Session) error {
 			hold <- struct{}{}
 			<-release
 			return nil
@@ -283,7 +278,7 @@ func TestRunnerDo(t *testing.T) {
 	}
 	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
-	if err := r.Do(shortCtx, func(context.Context, *core.Session) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
+	if err := r.do(shortCtx, func(context.Context, *core.Session) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("saturated pool: err = %v, want DeadlineExceeded", err)
 	}
 	close(release)
@@ -336,19 +331,16 @@ func TestStageKeysArePinned(t *testing.T) {
 	}
 }
 
-// meetTwo is a core.FaultInjector that holds every sweep case at the
-// simulator's door until a second one has arrived: a sweep that runs its
-// cases one at a time never gets past its first case.
+// meetTwo is a case hook (interceptCases) that holds every sweep case at
+// the simulator's door until a second one has arrived: a sweep that runs
+// its cases one at a time never gets past its first case.
 type meetTwo struct {
 	mu      sync.Mutex
 	arrived int
 	both    chan struct{} // closed when the second case arrives
 }
 
-func (m *meetTwo) Inject(ctx context.Context) error {
-	if _, ok := core.CaseIndexFromContext(ctx); !ok {
-		return nil // an isolated baseline, not a sweep case
-	}
+func (m *meetTwo) hold(ctx context.Context, _ int) error {
 	m.mu.Lock()
 	if m.arrived++; m.arrived == 2 {
 		close(m.both)
@@ -371,7 +363,8 @@ func TestSweepUsesWholePool(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	meet := &meetTwo{both: make(chan struct{})}
-	r := testRunner(t, 2, WithSessionOptions(core.WithFaultInjector(meet)))
+	r := testRunner(t, 2)
+	r.interceptCases(meet.hold)
 	g := Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}, {QoS: "mri-q", NonQoS: "stencil"}}, Goals: []float64{0.4, 0.7}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

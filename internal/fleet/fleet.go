@@ -48,6 +48,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -109,6 +110,11 @@ type Config struct {
 	// NoRepartition disables the repartitioning search, so jobs that do
 	// not place outright are rejected immediately.
 	NoRepartition bool
+	// EvalTimeout bounds each node's what-if simulation (0 = no
+	// deadline). A node whose evaluation fails — an error, a panic, an
+	// expired deadline — writes no record and is not an admit; a job every
+	// candidate failed to evaluate fails with that error.
+	EvalTimeout time.Duration
 }
 
 // Placement is one fleet placement journal record, and the unit the
@@ -303,9 +309,10 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
 	}
 	dec, err := verdict.NewDecider(sess, verdict.DeciderConfig{
-		FastPath:  cfg.FastPath,
-		CacheSize: cfg.VerdictCacheSize,
-		Scheme:    cfg.Scheme,
+		FastPath:    cfg.FastPath,
+		CacheSize:   cfg.VerdictCacheSize,
+		Scheme:      cfg.Scheme,
+		EvalTimeout: cfg.EvalTimeout,
 	})
 	if err != nil {
 		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
@@ -316,6 +323,7 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config)
 		cfg:    ns.GPU,
 		sess:   sess,
 		dec:    dec,
+		sim:    sess.Run,
 		maxMix: cfg.MaxMixPerNode,
 		ctx:    ctx,
 		ctr:    &f.ctr,

@@ -47,11 +47,14 @@ type placedEntry struct {
 // repartition in scan order), so a node's evaluations are serial and
 // its journal order fixed.
 type node struct {
-	id     string
-	name   string
-	cfg    config.GPU
-	sess   *core.Session
-	dec    *verdict.Decider
+	id   string
+	name string
+	cfg  config.GPU
+	sess *core.Session
+	dec  *verdict.Decider
+	// sim runs one what-if on sess (sess.Run); tests replace it to panic
+	// or wedge.
+	sim    func(ctx context.Context, specs []core.KernelSpec, scheme core.Scheme) (*core.Result, error)
 	maxMix int
 	jnl    *journal.Journal // nil when journaling is disabled
 	ctx    context.Context
@@ -86,8 +89,9 @@ const decisionStage = "decisions"
 
 // evaluate decides one what-if co-run (mix + candidate last; jobID is
 // the job the question is asked for) through the tiered path: exact
-// cache, then on a miss full simulation, and returns the verdict with the
-// index of the decision record it wrote.
+// cache, then on a miss the guarded full simulation, and returns the
+// verdict with the index of the decision record it wrote. A failed
+// simulation (error, panic, expired EvalTimeout) writes no record.
 // The spec snapshot is built by the placement goroutine, so repartition
 // searches can pose counterfactual mixes ("A's mix without m, plus j")
 // with the same machinery as plain placement.
@@ -100,8 +104,8 @@ const decisionStage = "decisions"
 // committing it must flush the node first.
 func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*schema.Verdict, int, error) {
 	n.ctr.asks.Add(1)
-	v, _, err := n.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
-		return n.sess.Run(n.ctx, specs, scheme)
+	v, _, err := n.dec.Decide(n.ctx, specs, ids, func(ctx context.Context, scheme core.Scheme) (*core.Result, error) {
+		return n.sim(ctx, specs, scheme)
 	})
 	if err != nil {
 		return nil, 0, err

@@ -51,21 +51,24 @@ type Decision struct {
 func (s *Server) decisionLoop() {
 	defer close(s.loopDone)
 	for j := range s.queue {
-		// Liveness: mark the decision in flight before anything that can
-		// block (the test gate, the slot wait, the evaluation) so the
-		// /healthz watchdog sees a wedged loop no matter where it wedged.
+		// A full mix waits for a client to release a slot, which is no
+		// stall: the daemon is healthy however long that takes.
+		if err := s.waitSlot(); err != nil {
+			j.finish(JobFailed, nil, err)
+			s.count("jobs_failed", 1)
+			continue
+		}
+		// Liveness: from here the decision is the daemon's own work, so
+		// mark it in flight before anything that can block (the test
+		// gate, the evaluation, the journal) and the /healthz watchdog
+		// sees a wedged loop no matter where it wedged.
 		s.decidingSinceNs.Store(s.now().UnixNano())
 		if s.gate != nil {
 			// Test hook: hold the next decision until the test releases it,
 			// making queue-overflow (429) behavior deterministic.
 			<-s.gate
 		}
-		if err := s.waitSlot(); err != nil {
-			j.finish(JobFailed, nil, err)
-			s.count("jobs_failed", 1)
-		} else {
-			s.evaluate(j)
-		}
+		s.evaluate(j)
 		s.markProgress()
 	}
 }
@@ -96,8 +99,11 @@ func (s *Server) waitSlot() error {
 }
 
 // evaluate decides one job through the tiered path (verdict.Decider):
-// exact verdict cache, then on a miss the what-if co-run (admitted mix +
-// candidate) on a pooled worker session.
+// exact verdict cache, then on a miss the guarded what-if co-run
+// (admitted mix + candidate) on the daemon's session. A failed
+// evaluation — a simulator error, a panic or an expired EvalTimeout —
+// fails the job and writes no record: the daemon's state, journal and
+// cache are what they would be had the job never arrived.
 func (s *Server) evaluate(j *job) {
 	start := time.Now()
 	j.setState(JobEvaluating)
@@ -110,17 +116,13 @@ func (s *Server) evaluate(j *job) {
 	d := Decision{Kind: "decision", JobID: j.id, JobSeq: j.seq, Name: j.name, Candidate: mixEntry(j), Mix: entries}
 	specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
 
-	// The sim tier, run only on a cache miss: a traced co-run on a
-	// borrowed session, its counters absorbed and the candidate's
-	// epoch-level evidence forwarded to the job's SSE stream.
-	v, cacheMiss, err := s.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+	// The sim tier, run only on a cache miss: a traced co-run, its
+	// counters absorbed and the candidate's epoch-level evidence
+	// forwarded to the job's SSE stream.
+	v, cacheMiss, err := s.dec.Decide(s.baseCtx, specs, ids, func(ctx context.Context, scheme core.Scheme) (*core.Result, error) {
 		tr := trace.New(1 << 12)
-		var res *core.Result
-		err := s.runner.Do(s.baseCtx, func(ctx context.Context, sess *core.Session) (rerr error) {
-			res, rerr = sess.RunTraced(ctx, specs, scheme, tr)
-			return rerr
-		})
 		s.count("evaluations", 1)
+		res, err := s.sim(ctx, specs, scheme, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +136,6 @@ func (s *Server) evaluate(j *job) {
 	if err != nil {
 		j.finish(JobFailed, nil, err)
 		s.count("jobs_failed", 1)
-		s.record(d)
 		return
 	}
 	s.count("verdicts_tier_"+v.Tier, 1)
@@ -225,8 +226,8 @@ const jobStage = "jobs"
 // restarted daemon keeps honoring the QoS contracts it already accepted;
 // every logged verdict is restored into the decider, so what comes next
 // is decided by the same tier, and journaled as the same bytes, as in a
-// daemon that never stopped. Queued-but-undecided jobs are not recovered
-// — they never received a verdict.
+// daemon that never stopped. Queued-but-undecided jobs, and jobs whose
+// evaluation failed, are not recovered — they never received a verdict.
 func (s *Server) recoverJournal() error {
 	admitted := make(map[string]Decision)
 	var order []string

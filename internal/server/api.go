@@ -137,7 +137,6 @@ type healthResponse struct {
 	Status   string `json:"status"`
 	Draining bool   `json:"draining"`
 	Scheme   string `json:"scheme"`
-	Workers  int    `json:"workers"`
 	MaxMix   int    `json:"max_mix"`
 	// Stalled reports a decision in flight longer than StallAfter.
 	Stalled bool `json:"decision_loop_stalled"`

@@ -11,8 +11,8 @@ import (
 	"repro/internal/schema"
 )
 
-// Sentinels of the serving layer. Together with the core, exp and
-// journal sentinels they form the daemon's error taxonomy; httpStatus is
+// Sentinels of the serving layer. Together with the core and journal
+// sentinels they form the daemon's error taxonomy; httpStatus is
 // the single place any of them is translated to a status code.
 var (
 	// ErrQueueFull rejects a submission because the bounded admission
@@ -70,8 +70,8 @@ func httpStatus(err error) int {
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	default:
-		// Simulator faults (exp.PanicError, exp.CaseError) and anything
-		// unclassified are internal failures.
+		// Simulator faults (core.PanicError) and anything unclassified
+		// are internal failures.
 		return http.StatusInternalServerError
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/exp"
 	"repro/internal/schema"
 )
 
@@ -125,5 +128,89 @@ func TestHealthzStallWatchdog(t *testing.T) {
 	}
 	if hr.InFlightMs != 0 {
 		t.Fatalf("idle decision_in_flight_ms = %d, want 0", hr.InFlightMs)
+	}
+}
+
+// TestHealthzFullMixIsNotAStall: a queued job waiting for a client to
+// release a slot of a full mix is a healthy daemon, however long the
+// wait. The loop marks a decision in flight only once the mix has room,
+// so /healthz stays 200 with the clock far past StallAfter, and the job
+// is decided as soon as the slot frees.
+func TestHealthzFullMixIsNotAStall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	const stallAfter = 50 * time.Millisecond
+	s := testServer(t, Config{MaxMix: 1, StallAfter: stallAfter})
+	clock := &fakeClock{}
+	clock.ns.Store(time.Now().UnixNano())
+	s.now = clock.Now
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, first := post(t, ts, `{"kernel":{"workload":"sgemm","goal_frac":0.5}}`)
+	if v := wait(t, ts, first.Job.ID); v.State != string(JobAdmitted) {
+		t.Fatalf("first job = %+v, want admitted", v)
+	}
+	_, queued := post(t, ts, `{"kernel":{"workload":"lbm"}}`)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) > 0 { // the loop took the job and waits for a slot
+		if time.Now().After(deadline) {
+			t.Fatal("decision loop never picked up the queued job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let a loop that marks before waiting do so
+	clock.ns.Add(int64(100 * stallAfter))
+	if code, hr := getHealth(t, ts); code != http.StatusOK || hr.Stalled || hr.InFlightMs != 0 {
+		t.Fatalf("healthz with a full mix and a queued job = %d %+v, want 200 and nothing in flight", code, hr)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+first.Job.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if v := wait(t, ts, queued.Job.ID); v.Verdict == nil {
+		t.Fatalf("queued job after the release = %+v, want a verdict", v)
+	}
+}
+
+// TestStallAfterDerivedOrRefused: an unset StallAfter is twice
+// EvalTimeout (DefaultStallAfter with no deadline), and New refuses an
+// explicit one that does not exceed EvalTimeout, under which a slow but
+// live evaluation would read as a stall.
+func TestStallAfterDerivedOrRefused(t *testing.T) {
+	r, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithWindow(30_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		stall, eval time.Duration
+		want        time.Duration // 0: New refuses
+	}{
+		{0, 0, DefaultStallAfter},
+		{0, 2 * time.Minute, 4 * time.Minute},
+		{0, time.Second, 2 * time.Second},
+		{time.Minute, 0, time.Minute},
+		{3 * time.Minute, 2 * time.Minute, 3 * time.Minute},
+		{2 * time.Minute, 2 * time.Minute, 0},
+		{time.Minute, 2 * time.Minute, 0},
+	} {
+		s, err := New(Config{Runner: r, StallAfter: c.stall, EvalTimeout: c.eval})
+		switch {
+		case c.want == 0 && err == nil:
+			s.Shutdown(context.Background())
+			t.Errorf("StallAfter %v, EvalTimeout %v: New accepted it, want a refusal", c.stall, c.eval)
+		case c.want == 0:
+		case err != nil:
+			t.Errorf("StallAfter %v, EvalTimeout %v: %v", c.stall, c.eval, err)
+		default:
+			if s.stallAfter != c.want {
+				t.Errorf("StallAfter %v, EvalTimeout %v: stall threshold %v, want %v", c.stall, c.eval, s.stallAfter, c.want)
+			}
+			s.Shutdown(context.Background())
+		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package server exposes the QoS simulator as a long-running admission
 // control daemon (cmd/qosd). Clients submit kernels with QoS goals
 // (POST /v1/jobs); the controller runs a simulator-backed what-if co-run
-// of the currently admitted mix plus the candidate on a shared
-// exp.Runner worker pool and admits the kernel only when every QoS goal
-// of the hypothetical mix is predicted to hold — the paper's QoS
-// contract applied at admission time, before any kernel touches the
-// device. Admitted jobs occupy a bounded mix until released; decisions
-// are journaled so a restarted daemon keeps honoring contracts it
-// already accepted.
+// of the currently admitted mix plus the candidate on the daemon's
+// simulator session and admits the kernel only when every QoS goal of
+// the hypothetical mix is predicted to hold — the paper's QoS contract
+// applied at admission time, before any kernel touches the device.
+// Admitted jobs occupy a bounded mix until released; decisions are
+// journaled so a restarted daemon keeps honoring contracts it already
+// accepted.
 package server
 
 import (
@@ -29,10 +29,10 @@ import (
 )
 
 // Config assembles a Server. Runner is the only required field: the
-// daemon borrows its worker sessions for what-if runs and inherits its
-// fault policy (per-evaluation timeout, retries).
+// serial decision loop runs every what-if on its Session(), and nothing
+// else of the runner is used (a one-session runner is enough).
 type Config struct {
-	// Runner supplies pooled simulator sessions (exp.NewRunner).
+	// Runner supplies the simulator session (exp.NewRunner).
 	Runner *exp.Runner
 	// Scheme is the QoS scheme every evaluation runs under. Zero value
 	// (SchemeNone) is replaced by SchemeRollover, the paper's best.
@@ -61,22 +61,31 @@ type Config struct {
 	// Server.Shutdown drains the fleet alongside the v1 decision loop.
 	Fleet *fleet.Fleet
 
+	// EvalTimeout bounds each what-if simulation (0 = no deadline): an
+	// evaluation that outlives it fails its job with
+	// context.DeadlineExceeded, and the loop moves on to the next job.
+	EvalTimeout time.Duration
+
 	// StallAfter is the decision-loop liveness threshold: when a single
 	// decision has been in flight longer than this, GET /healthz reports
 	// decision_loop_stalled and returns 503 so orchestrators can detect a
-	// wedged loop instead of reading a bare 200 forever (default
-	// DefaultStallAfter). It must comfortably exceed the runner's
-	// per-evaluation timeout; a legitimate slow simulation is not a stall.
+	// wedged loop instead of reading a bare 200 forever. A decision is in
+	// flight from the moment the admitted mix has room for it, so a queue
+	// waiting on client releases is not a stall. Zero derives it: twice
+	// EvalTimeout, or DefaultStallAfter with no deadline. An explicit
+	// value must exceed EvalTimeout: a slow but live simulation is not a
+	// stall.
 	StallAfter time.Duration
 }
 
-// DefaultStallAfter is the default decision-loop stall threshold.
+// DefaultStallAfter is the decision-loop stall threshold when neither
+// StallAfter nor EvalTimeout is set.
 const DefaultStallAfter = 2 * time.Minute
 
 // Server is the admission-control daemon. Construct with New, mount
 // Handler on an http.Server, stop with Shutdown.
 type Server struct {
-	runner *exp.Runner
+	sess   *core.Session
 	scheme core.Scheme
 	maxMix int
 	dec    *verdict.Decider
@@ -88,6 +97,9 @@ type Server struct {
 	// gate, when non-nil (tests only), holds the decision loop before
 	// each decision so queue states can be arranged deterministically.
 	gate chan struct{}
+	// sim runs one what-if on sess (sess.RunTraced); tests replace it
+	// to panic or wedge.
+	sim func(ctx context.Context, specs []core.KernelSpec, scheme core.Scheme, tr *trace.Tracer) (*core.Result, error)
 	// now is the watchdog's clock: time.Now, except in tests that drive
 	// the stall threshold from a clock they own.
 	now func() time.Time
@@ -133,16 +145,24 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.StallAfter <= 0 {
+	switch {
+	case cfg.StallAfter > 0 && cfg.StallAfter <= cfg.EvalTimeout:
+		return nil, fmt.Errorf("server: StallAfter %v must exceed EvalTimeout %v: a decision still inside its deadline is not a stall", cfg.StallAfter, cfg.EvalTimeout)
+	case cfg.StallAfter > 0:
+	case cfg.EvalTimeout > 0:
+		cfg.StallAfter = 2 * cfg.EvalTimeout
+	default:
 		cfg.StallAfter = DefaultStallAfter
 	}
-	dec, err := newDecider(cfg, cfg.Runner.Session())
+	sess := cfg.Runner.Session()
+	dec, err := newDecider(cfg, sess)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		runner:     cfg.Runner,
+		sess:       sess,
+		sim:        sess.RunTraced,
 		scheme:     cfg.Scheme,
 		maxMix:     cfg.MaxMix,
 		dec:        dec,
@@ -180,7 +200,7 @@ const (
 // a daemon restarted with different settings can never resurrect
 // contracts it would now evaluate differently.
 func (s *Server) openJournal(path string) error {
-	sess := s.runner.Session()
+	sess := s.sess
 	hash, err := journal.Hash(struct {
 		Config core.Config
 		Seed   uint64
@@ -249,7 +269,7 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 				ErrBadRequest, s.scheme.Name(), sc.Name())
 		}
 	}
-	spec, err := req.Kernel.spec(s.runner.GPUConfig())
+	spec, err := req.Kernel.spec(s.sess.GPUConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +448,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "qosd_schema_version %d\n", schema.Version)
-	fmt.Fprintf(w, "qosd_workers %d\n", s.runner.Workers())
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	for _, c := range s.reg.Counters() {
@@ -451,8 +470,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleHealthz reports liveness, not just reachability: beyond the
 // drain flag it watches the decision loop itself. A decision in flight
-// longer than StallAfter (runner deadlocked, simulation wedged past its
-// timeout, slot wait that never resolves) flips decision_loop_stalled
+// longer than StallAfter (a simulation wedged past its deadline, a
+// journal write that never returns) flips decision_loop_stalled
 // and the status code to 503, with the last-progress timestamp so an
 // operator can see how long the loop has been dark — instead of a bare
 // 200 from a daemon that will never decide another job.
@@ -483,7 +502,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Status:         status,
 		Draining:       draining,
 		Scheme:         s.scheme.Name(),
-		Workers:        s.runner.Workers(),
 		MaxMix:         s.maxMix,
 		Stalled:        stalled,
 		InFlightMs:     inflightMs,

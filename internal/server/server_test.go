@@ -19,14 +19,14 @@ import (
 	"repro/internal/schema"
 )
 
-// testServer builds a daemon on a small pool. The default device is the
-// paper's 16-SM Table 1 GPU over a 30k-cycle window — the configuration
-// the admission fixtures in admission_test.go were measured under.
+// testServer builds a daemon on a one-session runner, as qosd does. The
+// default device is the paper's 16-SM Table 1 GPU over a 30k-cycle
+// window — the configuration the admission fixtures in admission_test.go
+// were measured under.
 func testServer(t *testing.T, cfg Config, ropts ...exp.Option) *Server {
 	t.Helper()
 	opts := append([]exp.Option{exp.WithSessionOptions(core.WithWindow(30_000))}, ropts...)
-	workers := 2
-	r, err := exp.NewRunner(workers, opts...)
+	r, err := exp.NewRunner(1, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestHTTPStatusTaxonomy(t *testing.T) {
 		{context.DeadlineExceeded, 504},
 		{context.Canceled, 503},
 		{errors.New("anything else"), 500},
-		{&exp.PanicError{Value: "boom"}, 500},
+		{&core.PanicError{Value: "boom"}, 500},
 	}
 	for _, c := range cases {
 		if got := httpStatus(c.err); got != c.want {

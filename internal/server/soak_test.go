@@ -18,7 +18,7 @@ import (
 )
 
 // TestSoakConcurrentAdmission is the daemon's acceptance test: 50
-// concurrent HTTP clients against a 2-worker runner. Every job must
+// concurrent HTTP clients against one daemon. Every job must
 // reach a terminal state (zero lost), overload must never be silent, and
 // every recorded verdict must be bit-identical to a serial replay of its
 // decision — the determinism contract of the single-threaded decision
@@ -30,7 +30,7 @@ func TestSoakConcurrentAdmission(t *testing.T) {
 	small := config.Base()
 	small.NumSMs = 4
 	sessOpts := []core.Option{core.WithGPU(small), core.WithWindow(30_000)}
-	r, err := exp.NewRunner(2, exp.WithSessionOptions(sessOpts...))
+	r, err := exp.NewRunner(1, exp.WithSessionOptions(sessOpts...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,10 @@ var decisionTiers = []string{schema.TierCache, schema.TierSim}
 // already be defaulted.
 func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 	return verdict.NewDecider(sess, verdict.DeciderConfig{
-		FastPath:  cfg.FastPath,
-		CacheSize: cfg.VerdictCacheSize,
-		Scheme:    cfg.Scheme,
+		FastPath:    cfg.FastPath,
+		CacheSize:   cfg.VerdictCacheSize,
+		Scheme:      cfg.Scheme,
+		EvalTimeout: cfg.EvalTimeout,
 	})
 }
 
@@ -39,8 +40,8 @@ func newDecider(cfg Config, sess *core.Session) (*verdict.Decider, error) {
 // contract made executable: with the same fast-path configuration as
 // the daemon that wrote the log, Replay returns every verdict — and its
 // deciding tier — bit-identically, because the cache evolves through the
-// same serial sequence. Only the fast-path fields of cfg are read
-// (FastPath, VerdictCacheSize, Scheme); Runner may be nil.
+// same serial sequence. Only the decision fields of cfg are read
+// (FastPath, VerdictCacheSize, Scheme, EvalTimeout); Runner may be nil.
 type Replayer struct {
 	sess *core.Session
 	dec  *verdict.Decider
@@ -67,7 +68,7 @@ func (r *Replayer) Replay(ctx context.Context, d Decision) (*Verdict, error) {
 		return nil, nil
 	}
 	specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
-	v, _, err := r.dec.Decide(specs, ids, func(scheme core.Scheme) (*core.Result, error) {
+	v, _, err := r.dec.Decide(ctx, specs, ids, func(ctx context.Context, scheme core.Scheme) (*core.Result, error) {
 		return r.sess.Run(ctx, specs, scheme)
 	})
 	return v, err

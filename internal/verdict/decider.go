@@ -1,8 +1,10 @@
 package verdict
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/journal"
@@ -14,7 +16,11 @@ import (
 // fast tier is the exact verdict cache: a canonical mix signature either
 // hits a decided verdict or misses. A miss runs the full what-if
 // simulation, which the caller supplies as a function; the Decider
-// scores its result and caches the verdict.
+// guards it (core.Guard: panic recovery and the per-evaluation
+// deadline), scores its result and caches the verdict. Because both
+// admission planes decide through this one call, a panicking or wedged
+// what-if fails one job the same way on either plane and never the
+// process.
 //
 // Determinism contract: all mutation happens on one goroutine per
 // Decider (a decision loop, a node's placement evaluations, or a
@@ -28,7 +34,7 @@ import (
 // enabled and DeciderConfig.CacheSize is zero.
 const DefaultCacheSize = 4096
 
-// DeciderConfig is the fast-path half of a daemon or node config.
+// DeciderConfig is the decision half of a daemon or node config.
 type DeciderConfig struct {
 	// FastPath enables the verdict cache; off, every decision simulates.
 	FastPath bool
@@ -37,16 +43,20 @@ type DeciderConfig struct {
 	// Scheme is the (already defaulted) QoS scheme the owner evaluates
 	// under: what Decide hands sim for any mix with a goal to protect.
 	Scheme core.Scheme
+	// EvalTimeout bounds each what-if simulation (0 = no deadline); the
+	// owner lowers its own EvalTimeout into it.
+	EvalTimeout time.Duration
 }
 
 // Decider decides admissions for one simulator session: Decide for a
 // live or replayed decision, Restore for one read back from a journal.
-// The owner supplies the simulation (a pooled traced run in the /v1
-// loop, a plain Session.Run in a fleet node and the Replayer); the tier
-// protocol around it lives here and nowhere else.
+// The owner supplies the simulation (a traced run in the /v1 loop, a
+// plain Session.Run in a fleet node and the Replayer); the tier protocol
+// and the guard around it live here and nowhere else.
 type Decider struct {
 	enabled bool
 	scheme  core.Scheme
+	timeout time.Duration
 	cache   *Cache
 	// cfgHash binds signatures to the exact simulator configuration and
 	// seed (configHash).
@@ -60,7 +70,7 @@ func NewDecider(sess *core.Session, dc DeciderConfig) (*Decider, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decider{enabled: dc.FastPath, scheme: dc.Scheme, cfgHash: cfgHash}
+	d := &Decider{enabled: dc.FastPath, scheme: dc.Scheme, timeout: dc.EvalTimeout, cfgHash: cfgHash}
 	if !dc.FastPath {
 		return d, nil
 	}
@@ -108,10 +118,16 @@ func (d *Decider) CacheCap() int {
 // (incumbents first, candidate last; ids names the jobs in the same
 // order): effective scheme, signature, exact cache, and only on a miss
 // sim — called at most once, with the scheme the what-if must run under
-// — whose result is scored and cached. A sim error is returned as is
-// and caches nothing. cacheMiss reports, on every return, error
-// included, that the cache was on and missed, so owners can count it.
-func (d *Decider) Decide(specs []core.KernelSpec, ids []string, sim func(core.Scheme) (*core.Result, error)) (v *schema.Verdict, cacheMiss bool, err error) {
+// — whose result is scored and cached.
+//
+// sim runs under core.Guard on ctx: a panic in it returns a
+// *core.PanicError, and it is handed a context that expires after
+// EvalTimeout, whose expiry it returns as context.DeadlineExceeded. A
+// sim error of any kind is returned as is and caches nothing, so the
+// decision can be asked again and simulates again. cacheMiss reports, on
+// every return, error included, that the cache was on and missed, so
+// owners can count it.
+func (d *Decider) Decide(ctx context.Context, specs []core.KernelSpec, ids []string, sim func(context.Context, core.Scheme) (*core.Result, error)) (v *schema.Verdict, cacheMiss bool, err error) {
 	scheme, sigs, sig := d.sign(specs)
 	if d.enabled {
 		if cv, ok := d.cache.Get(sig); ok {
@@ -119,7 +135,11 @@ func (d *Decider) Decide(specs []core.KernelSpec, ids []string, sim func(core.Sc
 		}
 		cacheMiss = true
 	}
-	res, err := sim(scheme)
+	var res *core.Result
+	err = core.Guard(ctx, d.timeout, func(ctx context.Context) (err error) {
+		res, err = sim(ctx, scheme)
+		return err
+	})
 	if err != nil {
 		return nil, cacheMiss, err
 	}

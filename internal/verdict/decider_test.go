@@ -2,11 +2,13 @@ package verdict
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/schema"
@@ -24,8 +26,8 @@ type fakeSim struct {
 	err     error
 }
 
-func (f *fakeSim) over(specs []core.KernelSpec) func(core.Scheme) (*core.Result, error) {
-	return func(sc core.Scheme) (*core.Result, error) {
+func (f *fakeSim) over(specs []core.KernelSpec) func(context.Context, core.Scheme) (*core.Result, error) {
+	return func(_ context.Context, sc core.Scheme) (*core.Result, error) {
 		f.calls++
 		f.schemes = append(f.schemes, sc)
 		if f.err != nil {
@@ -67,6 +69,9 @@ func testDecider(t *testing.T, dc DeciderConfig) *Decider {
 	return d
 }
 
+// ctx is every test decision's context: nothing here is canceled.
+var ctx = context.Background()
+
 func idsFor(prefix string, n int) []string {
 	ids := make([]string, n)
 	for i := range ids {
@@ -93,7 +98,7 @@ func TestConfigHashAndSignaturePinned(t *testing.T) {
 		t.Fatalf("Signature = %s, want %s", got, wantSig)
 	}
 	var sim fakeSim
-	v, _, err := d.Decide(specs, idsFor("p", 3), sim.over(specs))
+	v, _, err := d.Decide(ctx, specs, idsFor("p", 3), sim.over(specs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +112,7 @@ func TestDecideFastPathOffSimulatesEveryTime(t *testing.T) {
 	specs := []core.KernelSpec{{Workload: "lbm"}, {Workload: "sgemm", GoalFrac: 0.5}}
 	var sim fakeSim
 	for i := 1; i <= 3; i++ {
-		v, miss, err := d.Decide(specs, idsFor("j", 2), sim.over(specs))
+		v, miss, err := d.Decide(ctx, specs, idsFor("j", 2), sim.over(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +142,7 @@ func TestDecideCacheHitInAnyIncumbentOrder(t *testing.T) {
 	cand := core.KernelSpec{Workload: "mriq", GoalFrac: 0.1}
 	var sim fakeSim
 	first := append(append([]core.KernelSpec(nil), incumbents...), cand)
-	v0, miss, err := d.Decide(first, idsFor("first", 4), sim.over(first))
+	v0, miss, err := d.Decide(ctx, first, idsFor("first", 4), sim.over(first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +161,7 @@ func TestDecideCacheHitInAnyIncumbentOrder(t *testing.T) {
 		}
 		specs = append(specs, cand)
 		ids := idsFor(fmt.Sprintf("perm%d", n), 4)
-		v, miss, err := d.Decide(specs, ids, sim.over(specs))
+		v, miss, err := d.Decide(ctx, specs, ids, sim.over(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +193,7 @@ func TestDecideEffectiveScheme(t *testing.T) {
 	d := testDecider(t, DeciderConfig{FastPath: true})
 	var sim fakeSim
 	goalless := []core.KernelSpec{{Workload: "lbm"}, {Workload: "sgemm"}}
-	v, _, err := d.Decide(goalless, idsFor("a", 2), sim.over(goalless))
+	v, _, err := d.Decide(ctx, goalless, idsFor("a", 2), sim.over(goalless))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestDecideEffectiveScheme(t *testing.T) {
 			sim.schemes[0].Name(), v.Scheme, v.IsAdmitted())
 	}
 	withGoal := []core.KernelSpec{{Workload: "lbm"}, {Workload: "sgemm", GoalIPC: 1}}
-	if v, _, err = d.Decide(withGoal, idsFor("b", 2), sim.over(withGoal)); err != nil {
+	if v, _, err = d.Decide(ctx, withGoal, idsFor("b", 2), sim.over(withGoal)); err != nil {
 		t.Fatal(err)
 	}
 	if sim.schemes[1] != core.SchemeRollover || v.Scheme != core.SchemeRollover.Name() {
@@ -210,7 +215,7 @@ func TestDecideSimErrorCachesNothing(t *testing.T) {
 	specs := []core.KernelSpec{{Workload: "sgemm", GoalFrac: 0.5}}
 	boom := errors.New("simulator fault")
 	sim := fakeSim{err: boom}
-	v, miss, err := d.Decide(specs, idsFor("a", 1), sim.over(specs))
+	v, miss, err := d.Decide(ctx, specs, idsFor("a", 1), sim.over(specs))
 	if !errors.Is(err, boom) || v != nil {
 		t.Fatalf("Decide = (%+v, %v), want the sim error and no verdict", v, err)
 	}
@@ -219,12 +224,45 @@ func TestDecideSimErrorCachesNothing(t *testing.T) {
 	}
 	sim.err = nil
 	for i, tier := range []string{schema.TierSim, schema.TierCache} {
-		if v, _, err = d.Decide(specs, idsFor("b", 1), sim.over(specs)); err != nil || v.Tier != tier {
+		if v, _, err = d.Decide(ctx, specs, idsFor("b", 1), sim.over(specs)); err != nil || v.Tier != tier {
 			t.Fatalf("retry %d: (%+v, %v), want tier %s", i, v, err, tier)
 		}
 	}
 	if sim.calls != 2 {
 		t.Fatalf("sim called %d times, want 2 (the fault and one retry)", sim.calls)
+	}
+}
+
+// TestDecideGuardsTheWhatIf: a panicking sim comes back from Decide as a
+// *core.PanicError — the process survives — with nothing cached and the
+// miss still reported, so the next decision of the same mix simulates;
+// a sim that outlives EvalTimeout is handed an expired context and fails
+// as context.DeadlineExceeded.
+func TestDecideGuardsTheWhatIf(t *testing.T) {
+	d := testDecider(t, DeciderConfig{FastPath: true, EvalTimeout: 10 * time.Millisecond})
+	specs := []core.KernelSpec{{Workload: "lbm"}, {Workload: "sgemm", GoalFrac: 0.5}}
+	v, miss, err := d.Decide(ctx, specs, idsFor("p", 2), func(context.Context, core.Scheme) (*core.Result, error) {
+		panic("simulator fault")
+	})
+	var pe *core.PanicError
+	if !errors.As(err, &pe) || pe.Value != "simulator fault" || v != nil {
+		t.Fatalf("panicking sim: Decide = (%+v, %v), want a *core.PanicError and no verdict", v, err)
+	}
+	if !miss || d.CacheLen() != 0 {
+		t.Fatalf("after a panic: miss %v, cache holds %d; want a counted miss and nothing cached", miss, d.CacheLen())
+	}
+
+	v, miss, err = d.Decide(ctx, specs, idsFor("w", 2), func(ctx context.Context, _ core.Scheme) (*core.Result, error) {
+		<-ctx.Done() // a wedged what-if: only its deadline ends it
+		return nil, ctx.Err()
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || v != nil || !miss || d.CacheLen() != 0 {
+		t.Fatalf("wedged sim: Decide = (%+v, miss %v, %v), cache %d; want DeadlineExceeded, a miss, nothing cached", v, miss, err, d.CacheLen())
+	}
+
+	var sim fakeSim
+	if v, _, err = d.Decide(ctx, specs, idsFor("n", 2), sim.over(specs)); err != nil || v.Tier != schema.TierSim || sim.calls != 1 {
+		t.Fatalf("next decision: (%+v, %v) after %d sim calls, want one fresh simulation", v, err, sim.calls)
 	}
 }
 
@@ -259,7 +297,7 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 	}
 	decide := func(d *Decider, sim *fakeSim, ld loggedDecision) []byte {
 		specs, ids := MixSpecs(ld.Mix, ld.Candidate)
-		v, _, err := d.Decide(specs, ids, sim.over(specs))
+		v, _, err := d.Decide(ctx, specs, ids, sim.over(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
