@@ -70,13 +70,14 @@ bench-check:
 	done
 
 # The journal layer alone: durable Appends of a decision-sized (3.4 KB)
-# record into a fresh journal, five runs of 2000 each, µs per Append and
-# how many Appends grew the file. The journal is the layer a warm
+# record into a fresh journal, five runs of 2000 each: µs per Append, how
+# many Appends grew the file, the bytes per Append the handle retains and,
+# with -benchmem, what each Append allocates. The journal is the layer a warm
 # admission waits on (journal.append_p50_us in `make bench`'s traced
 # passes), so a change to it starts and ends here, before and after on the
 # same machine. It measures the file system under $TMPDIR.
 bench-journal:
-	$(GO) test -run='^$$' -bench=BenchmarkJournalAppend -benchtime=2000x -count=5 ./internal/journal
+	$(GO) test -run='^$$' -bench=BenchmarkJournalAppend -benchtime=2000x -count=5 -benchmem ./internal/journal
 
 # Two inlinings are load-bearing and nothing else would notice them go:
 # sm.(*SM).Cycle into gpu.RunCtx's sweeps (an idle SM-cycle is a compare

@@ -20,14 +20,6 @@ type Stats struct {
 	Evicts   int64
 }
 
-// HitRate returns hits/accesses, or 0 with no accesses.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Accesses-s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative, allocate-on-miss tag array with true-LRU
 // replacement. It is not safe for concurrent use; the simulator is
 // single-threaded by design (deterministic cycle loop).
@@ -122,17 +114,6 @@ func (c *Cache) Flush() {
 	for i := range c.ways {
 		c.ways[i].tick = 0
 	}
-}
-
-// Resident returns the number of valid lines (for tests/invariants).
-func (c *Cache) Resident() int {
-	n := 0
-	for _, w := range c.ways {
-		if w.tick != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckInvariants verifies structural invariants: no duplicate tags within

@@ -1,0 +1,20 @@
+package cache
+
+// HitRate returns hits/accesses, or 0 with no accesses.
+func (s Stats) HitRate() float64 {
+	if s.Accesses == 0 {
+		return 0
+	}
+	return float64(s.Accesses-s.Misses) / float64(s.Accesses)
+}
+
+// Resident returns the number of valid lines.
+func (c *Cache) Resident() int {
+	n := 0
+	for _, w := range c.ways {
+		if w.tick != 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/rng"
 	"repro/internal/schema"
 )
@@ -142,9 +143,11 @@ func withoutDecisions(ps []Placement) []Placement {
 // checkCarried requires every place and migrate record of a journaled
 // fleet to name, in its node's journal, a decision record for the same
 // job whose verdict JSON is the placement's. Run it after Shutdown, when
-// every record is flushed.
+// every record is flushed: it reads each node journal through a fresh
+// Open.
 func checkCarried(t *testing.T, f *Fleet) {
 	t.Helper()
+	decisions := make(map[string]map[int]json.RawMessage) // node id -> its journal's decision records
 	for _, p := range f.Placements() {
 		if p.Kind != KindPlace && p.Kind != KindMigrate {
 			continue
@@ -152,7 +155,16 @@ func checkCarried(t *testing.T, f *Fleet) {
 		if p.Decision == nil {
 			t.Fatalf("placement %d (%s) carries no decision index", p.Index, p.Kind)
 		}
-		raw, ok := f.nodeByID(p.Node).jnl.Lookup(decisionStage, *p.Decision)
+		if decisions[p.Node] == nil {
+			path := f.nodeByID(p.Node).jnl.Path()
+			j, err := journal.Open(path, headerHash(t, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			decisions[p.Node] = j.Completed(decisionStage)
+			j.Close()
+		}
+		raw, ok := decisions[p.Node][*p.Decision]
 		if !ok {
 			t.Fatalf("placement %d names decision %d, which %s never journaled", p.Index, *p.Decision, p.Node)
 		}

@@ -258,15 +258,6 @@ func (g *GPU) IdleWarpAverages() [][]float64 {
 // fail on scheduling artifacts.
 func (g *GPU) IPC(slot int) float64 { return g.Stats[slot].ActiveIPC() }
 
-// TotalThreadInstrs sums executed thread instructions across kernels.
-func (g *GPU) TotalThreadInstrs() int64 {
-	var sum int64
-	for _, st := range g.Stats {
-		sum += st.ThreadInstrs
-	}
-	return sum
-}
-
 // CheckInvariants validates cross-SM accounting; tests call this after
 // runs. It returns "" when healthy.
 func (g *GPU) CheckInvariants() string {

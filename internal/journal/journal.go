@@ -43,6 +43,12 @@
 //     go at an offset, not with O_APPEND, so two writers would overwrite
 //     each other's lines instead of interleaving them.
 //
+// A Journal is a log, not a store: a handle keeps offsets into its file,
+// never the payloads written through it, so its memory does not grow
+// with the file. What Open recovered is handed over once: Each or
+// Completed returns a stage's cases and drops them from the handle. A
+// case written through a handle is read back only by another Open.
+//
 // The pad needs no schema Version bump. A reader from before it meets the
 // pad as a torn last line, so it recovers exactly the intact prefix and
 // cuts the pad on its next Append; a file written before it has no pad and
@@ -176,12 +182,6 @@ func Hash(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// entryKey addresses one completed case.
-type entryKey struct {
-	stage string
-	index int
-}
-
 // maxLine bounds one line; a longer run of bytes is damage, not an allocation.
 const maxLine = 16 << 20
 
@@ -196,21 +196,14 @@ var zeros [segment]byte
 // Journal is an open checkpoint journal. All methods are safe for
 // concurrent use; the sweep engine appends from every worker goroutine.
 type Journal struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File                     // write descriptor; nil once closed
-	size     int64                        // end of the intact prefix: every byte before it is a whole valid line
-	synced   int64                        // end of the durable prefix: every line before it was fsynced (or found by Open)
-	end      int64                        // end of the pad: every byte in [size, end) is NUL
-	cut      bool                         // the file holds damage past size (found by Open, left by a failed Write or Sync)
-	entries  map[entryKey]json.RawMessage // durable cases only
-	unsynced []entry                      // the lines in [synced, size), in write order
-}
-
-// entry is one written case waiting for the Sync that makes it durable.
-type entry struct {
-	key  entryKey
-	data json.RawMessage
+	mu        sync.Mutex
+	path      string
+	f         *os.File                           // write descriptor; nil once closed
+	size      int64                              // end of the intact prefix: every byte before it is a whole valid line
+	synced    int64                              // end of the durable prefix: every line before it was fsynced (or found by Open)
+	end       int64                              // end of the pad: every byte in [size, end) is NUL
+	cut       bool                               // the file holds damage past size (found by Open, left by a failed Write or Sync)
+	recovered map[string]map[int]json.RawMessage // what Open read and no Each or Completed has handed over, by stage
 }
 
 // Create starts a fresh journal at path, replacing any existing file,
@@ -314,7 +307,8 @@ func nulRun(b []byte) int {
 // buffer-sized chunks to check that it is all NUL. Open never writes:
 // damage stays in the file until the first Write cuts it, so a handle
 // that is never written to leaves the file as it was. The handle holds a
-// descriptor until Close.
+// descriptor until Close, and the recovered cases until Each or Completed
+// hands them over.
 func Open(path, configHash string) (*Journal, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -325,7 +319,7 @@ func Open(path, configHash string) (*Journal, error) {
 	}
 	defer f.Close()
 
-	j := &Journal{path: path, entries: make(map[entryKey]json.RawMessage)}
+	j := &Journal{path: path, recovered: make(map[string]map[int]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	sc.Split(scanLine)
@@ -367,7 +361,10 @@ scan:
 			}
 			first = false
 		} else if !rec.Header {
-			j.entries[entryKey{rec.Stage, rec.Index}] = rec.Data
+			if j.recovered[rec.Stage] == nil {
+				j.recovered[rec.Stage] = make(map[int]json.RawMessage)
+			}
+			j.recovered[rec.Stage][rec.Index] = rec.Data
 		}
 		j.size += int64(len(raw))
 	}
@@ -390,13 +387,13 @@ scan:
 // Append durably records one completed case: Write, then Sync, under one
 // hold of the lock, so the line is on disk before Append returns.
 func (j *Journal) Append(stage string, index int, v any) error {
-	e, l, err := encodeCase(stage, index, v)
+	l, err := encodeCase(stage, index, v)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.write(e, l); err != nil {
+	if err := j.write(l); err != nil {
 		return err
 	}
 	return j.sync()
@@ -406,38 +403,38 @@ func (j *Journal) Append(stage string, index int, v any) error {
 // marshaled to JSON and written as one CRC'd line where the intact prefix
 // ends, over the pad, by one write. The line is in the file (another Open
 // reads it) but not durable: a crash may lose it until a Sync, or the
-// Append of a later line, returns; the case is not journaled (Lookup,
-// Len, Each) until then. Damage past the intact prefix (what Open stopped
-// at, a failed write's fragment) is truncated away first; a line that
-// would cross the end of the pad first writes the next segment of it. A
-// Write that fails cuts its own fragment before returning the error;
-// while that cut cannot be made every later Write fails too rather than
-// write where recovery stops.
+// Append of a later line, returns, and Synced does not count it until
+// then. Damage past the intact prefix (what Open stopped at, a failed
+// write's fragment) is truncated away first; a line that would cross the
+// end of the pad first writes the next segment of it. A Write that fails
+// cuts its own fragment before returning the error; while that cut cannot
+// be made every later Write fails too rather than write where recovery
+// stops.
 func (j *Journal) Write(stage string, index int, v any) error {
-	e, l, err := encodeCase(stage, index, v)
+	l, err := encodeCase(stage, index, v)
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.write(e, l)
+	return j.write(l)
 }
 
 // encodeCase marshals one case and encodes its line, newline included.
-func encodeCase(stage string, index int, v any) (entry, []byte, error) {
+func encodeCase(stage string, index int, v any) ([]byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
-		return entry{}, nil, fmt.Errorf("journal: marshal case %s/%d: %w", stage, index, err)
+		return nil, fmt.Errorf("journal: marshal case %s/%d: %w", stage, index, err)
 	}
 	l, err := encode(line{Kind: "case", Stage: stage, Index: index, Data: data})
 	if err != nil {
-		return entry{}, nil, err
+		return nil, err
 	}
-	return entry{entryKey{stage, index}, data}, append(l, '\n'), nil
+	return append(l, '\n'), nil
 }
 
 // write puts one encoded line where the intact prefix ends (j.mu held).
-func (j *Journal) write(e entry, l []byte) error {
+func (j *Journal) write(l []byte) error {
 	if j.f == nil {
 		return ErrClosed
 	}
@@ -456,14 +453,13 @@ func (j *Journal) write(e entry, l []byte) error {
 		return err
 	}
 	j.size += int64(len(l))
-	j.unsynced = append(j.unsynced, e)
 	return nil
 }
 
 // Sync makes every line written since the last Sync durable with one
-// fsync, and journals their cases. A Sync that fails drops them: it cuts
-// the file back to the durable prefix, as a failed Append cuts its own
-// line, and returns the error.
+// fsync. A Sync that fails drops them: it cuts the file back to the
+// durable prefix, as a failed Append cuts its own line, and returns the
+// error.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -480,13 +476,10 @@ func (j *Journal) sync() error {
 	}
 	if err := j.f.Sync(); err != nil {
 		j.cut, j.end = j.f.Truncate(j.synced) != nil, j.synced
-		j.size, j.unsynced = j.synced, j.unsynced[:0]
+		j.size = j.synced
 		return err
 	}
-	for _, e := range j.unsynced {
-		j.entries[e.key] = e.data
-	}
-	j.synced, j.unsynced = j.size, j.unsynced[:0]
+	j.synced = j.size
 	return nil
 }
 
@@ -513,30 +506,21 @@ func (j *Journal) grow(to int64) error {
 	return nil
 }
 
-// Lookup returns the journaled payload for one case.
-func (j *Journal) Lookup(stage string, index int) (json.RawMessage, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	data, ok := j.entries[entryKey{stage, index}]
-	return data, ok
-}
-
-// Completed returns every journaled case of a stage, keyed by case index.
+// Completed hands over every case of a stage that Open recovered, keyed by
+// case index, and drops them from the handle: a second call for the same
+// stage, or an Each, gets nothing. Cases written through this handle are
+// not among them.
 func (j *Journal) Completed(stage string) map[int]json.RawMessage {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make(map[int]json.RawMessage)
-	for k, v := range j.entries {
-		if k.stage == stage {
-			out[k.index] = v
-		}
-	}
-	return out
+	done := j.recovered[stage]
+	delete(j.recovered, stage)
+	return done
 }
 
-// Each calls fn for every journaled case of a stage in ascending index
-// order — the order a client that numbers its records replays them in —
-// and stops at the first error fn returns.
+// Each hands over a stage's recovered cases as Completed does, calling fn
+// for each in ascending index order — the order a client that numbers its
+// records replays them in — and stops at the first error fn returns.
 func (j *Journal) Each(stage string, fn func(index int, data json.RawMessage) error) error {
 	done := j.Completed(stage)
 	idxs := make([]int, 0, len(done))
@@ -552,20 +536,13 @@ func (j *Journal) Each(stage string, fn func(index int, data json.RawMessage) er
 	return nil
 }
 
-// Len reports the number of journaled cases across all stages.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
-
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
 // Close flushes what is unflushed, as Sync does, and releases the
 // journal's descriptor, returning the first error of the two. It is
 // idempotent, Write, Sync and Append after Close return ErrClosed, and
-// reads keep working.
+// Each and Completed keep working.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -41,9 +41,14 @@ func TestCreateAppendReopen(t *testing.T) {
 	if err := j.Append("trios/spart", 0, fakeCase{Name: "other-stage"}); err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 3 {
-		t.Fatalf("Len = %d", j.Len())
+	fresh, err := Open(path, "cfg-a")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if n := len(recovered(fresh)); n != 3 {
+		t.Fatalf("a fresh Open recovered %d cases, want 3", n)
+	}
+	fresh.Close()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +73,10 @@ func TestCreateAppendReopen(t *testing.T) {
 			t.Fatalf("case %d = %+v, want %+v (must be bit-identical)", i, c, w)
 		}
 	}
-	if _, ok := r.Lookup("trios/spart", 0); !ok {
+	if _, ok := r.Completed("trios/spart")[0]; !ok {
 		t.Fatal("lost the other stage's entry")
 	}
-	if _, ok := r.Lookup("pairs/rollover", 99); ok {
+	if _, ok := got[99]; ok {
 		t.Fatal("found a case that was never journaled")
 	}
 }
@@ -82,8 +87,8 @@ func TestOpenMissingFileCreates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 0 {
-		t.Fatalf("Len = %d", j.Len())
+	if n := len(recovered(j)); n != 0 {
+		t.Fatalf("recovered %d cases from a missing file", n)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("header not written: %v", err)
@@ -232,12 +237,8 @@ func TestAppendAfterRecoveryCompactsDamage(t *testing.T) {
 	if err := r.Append("s", 1, fakeCase{N: 2}); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(path, "cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() != 2 {
-		t.Fatalf("after compaction Len = %d, want 2", r2.Len())
+	if n := len(recoveredFrom(t, path)); n != 2 {
+		t.Fatalf("after compaction a fresh Open recovered %d cases, want 2", n)
 	}
 }
 
@@ -259,12 +260,8 @@ func TestConcurrentAppend(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	r, err := Open(path, "cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != n {
-		t.Fatalf("recovered %d cases, want %d", r.Len(), n)
+	if got := len(recoveredFrom(t, path)); got != n {
+		t.Fatalf("recovered %d cases, want %d", got, n)
 	}
 }
 
@@ -337,4 +334,85 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestJournalRetainsNoPayload: a handle keeps offsets, not payloads, so
+// the heap of a writer does not grow with the lines it appends. 2000
+// decision-sized (≈ 3.4 KB) Appends; between the 1000th and the 2000th
+// the live heap must grow by far less than the ≈ 3.4 MB the second
+// thousand wrote.
+func TestJournalRetainsNoPayload(t *testing.T) {
+	j, err := Create(tmpJournal(t), "cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	payload := json.RawMessage(`{"record":"` + strings.Repeat("x", 3400) + `"}`)
+	var mid uint64
+	for i := 0; i < 2000; i++ {
+		if i == 1000 {
+			mid = liveHeap()
+		}
+		if err := j.Append("jobs", i, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := int64(liveHeap()) - int64(mid); grew >= 256<<10 {
+		t.Fatalf("the live heap grew by %d KB over 1000 Appends of %d B: the handle retains what it writes", grew>>10, len(payload))
+	}
+}
+
+// TestEachHandsOverOnce: Each and Completed hand a stage's recovered
+// cases over once and drop them; a second Each or Completed of the stage
+// visits nothing, other stages stay until asked for, and cases written
+// through the handle are never handed over.
+func TestEachHandsOverOnce(t *testing.T) {
+	path := tmpJournal(t)
+	j, err := Create(path, "cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		for _, stage := range []string{"s", "t"} {
+			if err := j.Append(stage, i, fakeCase{N: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path, "cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Append("s", 3, fakeCase{N: 3}); err != nil {
+		t.Fatal(err)
+	}
+	visits := func(stage string) int {
+		n := 0
+		if err := r.Each(stage, func(int, json.RawMessage) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := visits("s"); n != 3 {
+		t.Fatalf("first Each of s visited %d cases, want the 3 Open recovered", n)
+	}
+	if n := visits("s"); n != 0 {
+		t.Fatalf("second Each of s visited %d cases, want none", n)
+	}
+	if n := len(r.Completed("s")); n != 0 {
+		t.Fatalf("Completed after Each of s returned %d cases, want none", n)
+	}
+	if n := len(r.Completed("t")); n != 3 {
+		t.Fatalf("first Completed of t returned %d cases, want 3", n)
+	}
+	if n := len(r.Completed("t")); n != 0 {
+		t.Fatalf("second Completed of t returned %d cases, want none", n)
+	}
+	if n := visits("t"); n != 0 {
+		t.Fatalf("Each after Completed of t visited %d cases, want none", n)
+	}
 }

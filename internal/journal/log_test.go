@@ -24,6 +24,35 @@ func splitPad(tb testing.TB, file []byte) []byte {
 	return file[:n]
 }
 
+// entryKey addresses one recovered case.
+type entryKey struct {
+	stage string
+	index int
+}
+
+// recovered returns, across all stages, the cases j holds from Open that
+// no Each or Completed has handed over yet.
+func recovered(j *Journal) map[entryKey]string {
+	out := make(map[entryKey]string)
+	for stage, cases := range j.recovered {
+		for i, data := range cases {
+			out[entryKey{stage, i}] = string(data)
+		}
+	}
+	return out
+}
+
+// recoveredFrom returns every case a fresh Open of path recovers.
+func recoveredFrom(tb testing.TB, path string) map[entryKey]string {
+	tb.Helper()
+	r, err := Open(path, "cfg")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	return recovered(r)
+}
+
 // TestLiteralFileBytes pins the on-disk format to literal bytes: what a
 // fixed Create + three Appends must leave in the file, byte for byte,
 // ahead of the pad, which runs to the end of the first segment. Journals
@@ -73,8 +102,8 @@ func TestLiteralFileBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Len() != 3 {
-			t.Fatalf("Len = %d over a %d-byte file, want 3", r.Len(), len(file))
+		if n := len(recovered(r)); n != 3 {
+			t.Fatalf("recovered %d cases over a %d-byte file, want 3", n, len(file))
 		}
 		r.Close()
 	}
@@ -173,11 +202,12 @@ func wantEntries(tb testing.TB, n int) map[entryKey]string {
 // with want.
 func checkEntries(t *testing.T, what string, j *Journal, want map[entryKey]string) {
 	t.Helper()
-	if j.Len() != len(want) {
-		t.Fatalf("%s: recovered %d cases, want %d", what, j.Len(), len(want))
+	have := recovered(j)
+	if len(have) != len(want) {
+		t.Fatalf("%s: recovered %d cases, want %d", what, len(have), len(want))
 	}
 	for k, w := range want {
-		if got, ok := j.Lookup(k.stage, k.index); !ok || string(got) != w {
+		if got, ok := have[k]; !ok || got != w {
 			t.Fatalf("%s: case %s/%d = %q (present %v), want %q", what, k.stage, k.index, got, ok, w)
 		}
 	}
@@ -387,8 +417,8 @@ func TestLogShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 100 {
-		t.Fatalf("Len = %d over a torn tail, want 100", r.Len())
+	if n := len(recovered(r)); n != 100 {
+		t.Fatalf("recovered %d cases over a torn tail, want 100", n)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -406,7 +436,8 @@ func TestLogShape(t *testing.T) {
 // TestFailedAppendKeepsFailing takes the descriptor away behind the
 // journal's back: the Append (or Write) fails and its fragment cannot be
 // cut, so every later one must fail too rather than write where recovery
-// cannot reach. Everything journaled before the failure is recovered.
+// cannot reach. A failed one is not recovered and does not move Synced;
+// everything journaled before the failure is recovered.
 func TestFailedAppendKeepsFailing(t *testing.T) {
 	for _, op := range []string{"Append", "Write"} {
 		t.Run(op, func(t *testing.T) {
@@ -431,8 +462,8 @@ func TestFailedAppendKeepsFailing(t *testing.T) {
 					t.Fatalf("%s %d on a dead descriptor: %v, want os.ErrClosed", op, i, err)
 				}
 			}
-			if j.Len() != 3 || j.Synced() != synced {
-				t.Fatalf("Len = %d, Synced %d -> %d: a failed %s must not count as journaled", j.Len(), synced, j.Synced(), op)
+			if n := len(recoveredFrom(t, path)); n != 3 || j.Synced() != synced {
+				t.Fatalf("recovered %d cases, Synced %d -> %d: a failed %s must not count as journaled", n, synced, j.Synced(), op)
 			}
 			if err := j.Sync(); err != nil {
 				t.Fatalf("Sync with nothing written since the last: %v", err)
@@ -464,10 +495,10 @@ func TestFailedAppendKeepsFailing(t *testing.T) {
 }
 
 // TestWriteThenSync: a Written line is in the file, where a concurrent
-// Open reads it, before any Sync; the writer journals it (Lookup, Len)
-// and counts it inside Synced only once a Sync, a later Append or Close
-// flushed it. After every Sync and Append, Synced is the intact size of
-// the file's log, and it is never larger.
+// Open reads it, before any Sync; the writer counts it inside Synced only
+// once a Sync, a later Append or Close flushed it. After every Sync and
+// Append, Synced is the intact size of the file's log, and it is never
+// larger.
 func TestWriteThenSync(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Create(path, "cfg")
@@ -484,8 +515,8 @@ func TestWriteThenSync(t *testing.T) {
 		if s := j.Synced(); s > size || flushed != (s == size) {
 			t.Fatalf("after %s: Synced() = %d over a %d-byte log (flushed %v)", what, s, size, flushed)
 		}
-		if j.Len() != cases {
-			t.Fatalf("after %s: Len = %d, want %d", what, j.Len(), cases)
+		if got := recoveredFrom(t, path); len(got) != cases {
+			t.Fatalf("after %s: a concurrent Open recovered %d cases, want %d", what, len(got), cases)
 		}
 	}
 	step("Create", true, 0)
@@ -496,18 +527,10 @@ func TestWriteThenSync(t *testing.T) {
 	if err := j.Write("s", 1, fakeCase{N: 1}); err != nil {
 		t.Fatal(err)
 	}
-	step("Write", false, 1)
-	if _, ok := j.Lookup("s", 1); ok {
-		t.Fatal("an unflushed case is journaled")
+	step("Write", false, 2)
+	if _, ok := recoveredFrom(t, path)[entryKey{"s", 1}]; !ok {
+		t.Fatal("a concurrent Open did not recover the Written case")
 	}
-	r, err := Open(path, "cfg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Lookup("s", 1); !ok || r.Len() != 2 {
-		t.Fatalf("a concurrent Open recovered %d cases, want the Written one too", r.Len())
-	}
-	r.Close()
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +540,7 @@ func TestWriteThenSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step("two Writes", false, 2)
+	step("two Writes", false, 4)
 	if err := j.Append("s", 4, fakeCase{N: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -534,14 +557,15 @@ func TestWriteThenSync(t *testing.T) {
 	}
 }
 
-// TestEachAscendingIndex: Each visits one stage in index order whatever
-// order the cases were journaled in, and stops at fn's first error.
+// TestEachAscendingIndex: Each visits one stage of what Open recovered in
+// index order whatever order the cases were journaled in, and stops at
+// fn's first error.
 func TestEachAscendingIndex(t *testing.T) {
-	j, err := Create(tmpJournal(t), "cfg")
+	path := tmpJournal(t)
+	j, err := Create(path, "cfg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	for _, i := range []int{5, 1, 9, 3} {
 		if err := j.Append("s", i, fakeCase{N: int64(i)}); err != nil {
 			t.Fatal(err)
@@ -550,8 +574,19 @@ func TestEachAscendingIndex(t *testing.T) {
 	if err := j.Append("other", 0, fakeCase{}); err != nil {
 		t.Fatal(err)
 	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Journal {
+		r, err := Open(path, "cfg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return r
+	}
 	var seen []int
-	err = j.Each("s", func(i int, raw json.RawMessage) error {
+	err = open().Each("s", func(i int, raw json.RawMessage) error {
 		var c fakeCase
 		if err := json.Unmarshal(raw, &c); err != nil || c.N != int64(i) {
 			t.Fatalf("case %d carries %s (%v)", i, raw, err)
@@ -564,7 +599,7 @@ func TestEachAscendingIndex(t *testing.T) {
 	}
 	stop := errors.New("stop")
 	n := 0
-	if err := j.Each("s", func(int, json.RawMessage) error { n++; return stop }); !errors.Is(err, stop) || n != 1 {
+	if err := open().Each("s", func(int, json.RawMessage) error { n++; return stop }); !errors.Is(err, stop) || n != 1 {
 		t.Fatalf("Each returned %v after %d calls, want the callback's error after 1", err, n)
 	}
 }
@@ -628,10 +663,7 @@ func FuzzJournalOpen(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid header + arbitrary tail must open: %v", err)
 		}
-		want := make(map[entryKey]string, len(j.entries)+1)
-		for k, v := range j.entries {
-			want[k] = string(v)
-		}
+		want := recovered(j)
 		if err := j.Append("fuzz/appended", 0, fakeCase{Name: "new"}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
