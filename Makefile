@@ -12,8 +12,9 @@
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
-# the checkpoint-journal line decoder, journal recovery, the goal-union
-# decoder, the /v1 + /v2 submission bodies and the arrival-trace decoder),
+# the checkpoint-journal line decoder and encoder, journal recovery, the
+# goal-union decoder, the /v1 + /v2 submission bodies and the
+# arrival-trace decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
 # still happen), and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
@@ -72,12 +73,15 @@ bench-check:
 # The journal layer alone: durable Appends of a decision-sized (3.4 KB)
 # record into a fresh journal, five runs of 2000 each: µs per Append, how
 # many Appends grew the file, the bytes per Append the handle retains and,
-# with -benchmem, what each Append allocates. The journal is the layer a warm
-# admission waits on (journal.append_p50_us in `make bench`'s traced
-# passes), so a change to it starts and ends here, before and after on the
-# same machine. It measures the file system under $TMPDIR.
+# with -benchmem, what each Append allocates. Then recovery: Open + Each
+# over 10⁴ such records, five runs of five, µs per record recovered. The
+# journal is the layer a warm admission waits on (journal.append_p50_us in
+# `make bench`'s traced passes) and the bulk of a restart, so a change to
+# it starts and ends here, before and after on the same machine. It
+# measures the file system under $TMPDIR.
 bench-journal:
 	$(GO) test -run='^$$' -bench=BenchmarkJournalAppend -benchtime=2000x -count=5 -benchmem ./internal/journal
+	$(GO) test -run='^$$' -bench=BenchmarkJournalRecover -benchtime=5x -count=5 -benchmem ./internal/journal
 
 # Two inlinings are load-bearing and nothing else would notice them go:
 # sm.(*SM).Cycle into gpu.RunCtx's sweeps (an idle SM-cycle is a compare
@@ -138,8 +142,10 @@ bench-trace:
 	$(GO) test -bench=BenchmarkEmit -benchtime=100x -run='^$$' ./internal/trace
 
 # Time-boxed fuzz passes over the code that parses bytes from disk or
-# the network: the checkpoint-journal line decoder, journal recovery over
-# a damaged file (Open -> Append -> Open), the schema.Goal JSON union,
+# the network: the checkpoint-journal line decoder (its one-pass fast path
+# against the full decoder), the case-line encoder (against encoding the
+# line struct), journal recovery over a damaged file (Open -> Append ->
+# Open), the schema.Goal JSON union (against the two-pass decoder),
 # the qosd submission path (body decoder + lowering to a kernel spec,
 # /v1 and /v2) and the arrival-trace decoder `stream -mode replay` reads.
 # The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
@@ -147,6 +153,7 @@ bench-trace:
 # its minimization is capped by count.
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
+	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzEncodeCase -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
@@ -159,11 +166,13 @@ fuzz:
 # header hashes, the one-flush commit rule (a restart from only the bytes
 # flushed before a crash after every answered arrival, ≈ 10 s raced on 2
 # cores, and recovery that rebuilds a carried decision record or refuses a
-# gap), the what-if guard on both planes (a panicking or wedged what-if
+# gap), node journals recovered concurrently yet failing deterministically
+# (the lowest-index damaged node is named, every journal closed), the
+# what-if guard on both planes (a panicking or wedged what-if
 # fails one job on /v2 and /v1 while qosd keeps serving), and the /v2 HTTP
 # surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestWhatIfGuardV2' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestParallelRecoveryNamesLowestNode|TestWhatIfGuardV2' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2|TestWhatIfGuardV1' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace

@@ -97,18 +97,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Probe reports whether addr is resident without updating LRU state or
-// filling. Used by tests and invariant checks.
-func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineShift
-	for _, w := range c.set(line) {
-		if w.tag == line && w.tick != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Flush invalidates every line. Statistics are preserved.
 func (c *Cache) Flush() {
 	for i := range c.ways {

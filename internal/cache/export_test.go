@@ -18,3 +18,15 @@ func (c *Cache) Resident() int {
 	}
 	return n
 }
+
+// Probe reports whether addr is resident without updating LRU state or
+// filling.
+func (c *Cache) Probe(addr uint64) bool {
+	line := addr >> c.lineShift
+	for _, w := range c.set(line) {
+		if w.tag == line && w.tick != 0 {
+			return true
+		}
+	}
+	return false
+}

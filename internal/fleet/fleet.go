@@ -31,8 +31,9 @@
 // it from the placement journal if the node journal lost it. Every node
 // record no placement record carries (a reject, an admit the repartition
 // search did not commit, an admit whose commit failed) is flushed before
-// anything acts on its verdict. On restart node journals are recovered
-// first, then the placement journal, which rebuilds the lost records.
+// anything acts on its verdict. On restart the node journals are
+// recovered concurrently, one goroutine per node, then the placement
+// journal, which rebuilds the lost records.
 // Restarting a fleet over the same journal directory reconstructs
 // placements, mixes, job ids and cache state such that the continuation
 // of a submission stream produces byte-identical journals to an
@@ -243,28 +244,18 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 
-	bindings := make([]nodeBinding, 0, len(cfg.Nodes))
-	for i, ns := range cfg.Nodes {
-		n, bind, err := f.buildNode(ctx, i, ns, cfg)
-		if err != nil {
-			f.closeJournals()
-			cancel()
-			return nil, err
-		}
-		f.nodes = append(f.nodes, n)
-		bindings = append(bindings, bind)
-	}
-
-	// Recover per-node decision journals first (cache state), then the
-	// placement journal (mixes and jobs); placement replay re-resolves
-	// each job's spec against its journaled node, which must succeed
-	// because the journal header pins the node configurations.
-	for _, n := range f.nodes {
-		if err := n.recover(); err != nil {
-			f.closeJournals()
-			cancel()
-			return nil, err
-		}
+	// Build every node and recover its decision journal (cache state)
+	// concurrently: a node's recovery reads only its own journal and
+	// writes only its own decider and counters. Then the placement
+	// journal (mixes and jobs), whose replay needs every node's recovered
+	// count and re-resolves each job's spec against its journaled node,
+	// which must succeed because the journal header pins the node
+	// configurations.
+	bindings, err := f.recoverNodes(ctx, cfg)
+	if err != nil {
+		f.closeJournals()
+		cancel()
+		return nil, err
 	}
 	if cfg.JournalDir != "" {
 		hash, err := journal.Hash(fleetBinding{
@@ -293,6 +284,40 @@ func New(cfg Config) (*Fleet, error) {
 
 	go f.loop()
 	return f, nil
+}
+
+// recoverNodes builds and recovers every node, one goroutine each, and
+// waits for all of them. The fleet keeps every node that was built, so
+// closeJournals reaches every journal that was opened; on failure the
+// error is the lowest-index node's, whichever failed first.
+func (f *Fleet) recoverNodes(ctx context.Context, cfg Config) ([]nodeBinding, error) {
+	nodes := make([]*node, len(cfg.Nodes))
+	bindings := make([]nodeBinding, len(cfg.Nodes))
+	errs := make([]error, len(cfg.Nodes))
+	var wg sync.WaitGroup
+	for i, ns := range cfg.Nodes {
+		wg.Add(1)
+		go func(i int, ns NodeSpec) {
+			defer wg.Done()
+			n, bind, err := f.buildNode(ctx, i, ns, cfg)
+			if err == nil {
+				err = n.recover()
+			}
+			nodes[i], bindings[i], errs[i] = n, bind, err
+		}(i, ns)
+	}
+	wg.Wait()
+	for _, n := range nodes {
+		if n != nil {
+			f.nodes = append(f.nodes, n)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return bindings, nil
 }
 
 // buildNode assembles one node (session, decider, journal).

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -472,5 +473,70 @@ func TestFleetDrain(t *testing.T) {
 	mustShutdown(t, f)
 	if _, err := f.Submit(Request{Workload: "sgemm", GPUFraction: 0.5}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after shutdown err = %v, want ErrDraining", err)
+	}
+}
+
+// openIn counts this process's descriptors open on files under dir, or
+// returns -1 where /proc/self/fd does not list them.
+func openIn(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestParallelRecoveryNamesLowestNode: node journals are recovered
+// concurrently, yet a restart over two damaged ones fails the same way
+// every time — naming the lower-index node, whichever goroutine failed
+// first — and closes every journal it opened. Node 1 holds a decision
+// record without a verdict, which fails its replay after its journal is
+// open; node 3's journal belongs to another binding, which fails its open.
+func TestParallelRecoveryNamesLowestNode(t *testing.T) {
+	dir := t.TempDir()
+	f, err := New(hetFleetConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustShutdown(t, f)
+	path := filepath.Join(dir, "node-1.jnl")
+	j, err := journal.Open(path, headerHash(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(decisionStage, 0, NodeDecision{JobID: "vjob-000000"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = journal.Create(filepath.Join(dir, "node-3.jnl"), "another binding")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "node node-1: decision 0: missing verdict"
+	for i := 0; i < 20; i++ {
+		f, err := New(hetFleetConfig(dir))
+		if err == nil {
+			f.Close()
+			t.Fatalf("restart %d recovered a fleet whose node journals 1 and 3 are damaged", i)
+		}
+		if err.Error() != want {
+			t.Fatalf("restart %d: %v; want %q", i, err, want)
+		}
+		if n := openIn(t, dir); n > 0 {
+			t.Fatalf("restart %d left %d journals open", i, n)
+		}
 	}
 }

@@ -46,3 +46,43 @@ func liveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// BenchmarkJournalRecover times recovery: Open plus Each over a journal
+// of 10⁴ decision-sized records (the payload BenchmarkJournalAppend
+// writes), as a restarting qosd recovers its log. It reports µs per
+// record recovered; the file is written once, before the timer starts, so
+// it is read from the page cache. `make bench-journal` runs it.
+func BenchmarkJournalRecover(b *testing.B) {
+	const records = 10_000
+	path := filepath.Join(b.TempDir(), "bench.journal")
+	j, err := Create(path, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := json.RawMessage(`{"record":"` + strings.Repeat("x", 3400) + `"}`)
+	for i := 0; i < records; i++ {
+		if err := j.Write("jobs", i, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Open(path, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		err = r.Each("jobs", func(int, json.RawMessage) error { n++; return nil })
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil || n != records {
+			b.Fatalf("recovered %d of %d records: %v", n, records, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*records), "us/record")
+}

@@ -57,6 +57,11 @@
 // Case payloads are opaque JSON produced by the sweep engine. Go's JSON
 // encoding of float64 is round-trip exact, so a case restored from the
 // journal is bit-identical to the run that produced it.
+//
+// The codec passes over a payload once each way: a case line is written
+// around json.Marshal's output rather than marshaled again, and read back
+// by a fast path that checks its exact layout, CRC and JSON validity in
+// one pass, leaving every other line to the full JSON decoder.
 package journal
 
 import (
@@ -68,9 +73,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/schema"
@@ -128,8 +135,20 @@ type Record struct {
 
 // Decode parses and validates one journal line: JSON shape, schema
 // version, field sanity and payload CRC. It is the single entry point for
-// untrusted bytes (FuzzJournalDecode fuzzes it).
+// untrusted bytes (FuzzJournalDecode fuzzes it). A case line exactly as
+// encodeCase writes it is read in one pass (decodeCase); every other line
+// goes to decodeFull, which decides it as json.Unmarshal reads it. Both
+// return the same Record for any line decodeCase accepts.
 func Decode(b []byte) (Record, error) {
+	if rec, ok := decodeCase(b); ok {
+		return rec, nil
+	}
+	return decodeFull(b)
+}
+
+// decodeFull is Decode for any line: it unmarshals the whole line, then
+// checks it.
+func decodeFull(b []byte) (Record, error) {
 	var l line
 	if err := json.Unmarshal(b, &l); err != nil {
 		return Record{}, fmt.Errorf("journal: bad line: %w", err)
@@ -160,6 +179,78 @@ func Decode(b []byte) (Record, error) {
 		Data:   l.Data,
 	}, nil
 }
+
+// The fixed pieces of a case line, in the order encodeCase writes them.
+var (
+	caseHead  = []byte(`{"v":` + strconv.Itoa(Version) + `,"kind":"case","stage":`)
+	caseIndex = []byte(`,"index":`)
+	caseData  = []byte(`,"data":`)
+	caseCRC   = []byte(`,"crc":`)
+)
+
+// decodeCase is Decode's fast path. It accepts only a valid case line in
+// encodeCase's exact layout — that prefix, a stage of plain ASCII with no
+// escapes, index digits, data running to the last ,"crc": and the crc
+// digits closing the line — whose CRC matches and whose data is one JSON
+// value with no surrounding whitespace. It reports false for anything
+// else, valid or not, and leaves that line to decodeFull.
+func decodeCase(b []byte) (Record, bool) {
+	rest, ok := bytes.CutPrefix(b, caseHead)
+	if !ok || len(rest) == 0 || rest[0] != '"' {
+		return Record{}, false
+	}
+	n := 1
+	for n < len(rest) && rest[n] != '"' {
+		if c := rest[n]; c < 0x20 || c >= 0x80 || c == '\\' {
+			return Record{}, false
+		}
+		n++
+	}
+	if n == 1 || n == len(rest) {
+		return Record{}, false
+	}
+	stage := rest[1:n]
+	rest = rest[n+1:]
+	var index uint64
+	if r, ok := bytes.CutPrefix(rest, caseIndex); ok {
+		if index, n = uintAt(r); n == 0 || index > math.MaxInt {
+			return Record{}, false
+		}
+		rest = r[n:]
+	}
+	if rest, ok = bytes.CutPrefix(rest, caseData); !ok {
+		return Record{}, false
+	}
+	k := bytes.LastIndex(rest, caseCRC)
+	if k <= 0 {
+		return Record{}, false
+	}
+	data, tail := rest[:k], rest[k+len(caseCRC):]
+	crc, n := uintAt(tail)
+	if n == 0 || crc > math.MaxUint32 || len(tail) != n+1 || tail[n] != '}' ||
+		isSpace(data[0]) || isSpace(data[len(data)-1]) ||
+		crc32.ChecksumIEEE(data) != uint32(crc) || !json.Valid(data) {
+		return Record{}, false
+	}
+	return Record{Stage: string(stage), Index: int(index), Data: append(json.RawMessage(nil), data...)}, true
+}
+
+// uintAt parses the JSON integer b starts with — 0, or a non-zero digit
+// and at most 18 more, so it fits a uint64 — and returns it with its
+// length; n is 0 when b starts with no such integer.
+func uintAt(b []byte) (v uint64, n int) {
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		if n == 19 || n == 1 && b[0] == '0' {
+			return 0, 0
+		}
+		v = v*10 + uint64(b[n]-'0')
+		n++
+	}
+	return v, n
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // encode stamps version and CRC and serializes the line.
 func encode(l line) ([]byte, error) {
@@ -385,7 +476,9 @@ scan:
 }
 
 // Append durably records one completed case: Write, then Sync, under one
-// hold of the lock, so the line is on disk before Append returns.
+// hold of the lock, so the line is on disk before Append returns. Like
+// Write, it refuses a case with no stage or a negative index before
+// writing anything.
 func (j *Journal) Append(stage string, index int, v any) error {
 	l, err := encodeCase(stage, index, v)
 	if err != nil {
@@ -401,12 +494,14 @@ func (j *Journal) Append(stage string, index int, v any) error {
 
 // Write records one completed case without waiting for the disk: v is
 // marshaled to JSON and written as one CRC'd line where the intact prefix
-// ends, over the pad, by one write. The line is in the file (another Open
-// reads it) but not durable: a crash may lose it until a Sync, or the
-// Append of a later line, returns, and Synced does not count it until
-// then. Damage past the intact prefix (what Open stopped at, a failed
-// write's fragment) is truncated away first; a line that would cross the
-// end of the pad first writes the next segment of it. A Write that fails
+// ends, over the pad, by one write. A case with no stage or a negative
+// index, which Decode would refuse and Open would stop at, is an error
+// and writes nothing. The line is in the file (another Open reads it)
+// but not durable: a crash may lose it until a Sync, or the Append of a
+// later line, returns, and Synced does not count it until then. Damage
+// past the intact prefix (what Open stopped at, a failed write's
+// fragment) is truncated away first; a line that would cross the end of
+// the pad first writes the next segment of it. A Write that fails
 // cuts its own fragment before returning the error; while that cut cannot
 // be made every later Write fails too rather than write where recovery
 // stops.
@@ -420,17 +515,46 @@ func (j *Journal) Write(stage string, index int, v any) error {
 	return j.write(l)
 }
 
-// encodeCase marshals one case and encodes its line, newline included.
+// encodeCase marshals one case and encodes its line, newline included:
+// byte for byte what encode(line{Kind: "case", ...}) and a newline are,
+// written around json.Marshal's output instead of marshaling it again,
+// since that output is already compact and HTML-escaped. A case Decode
+// would refuse — no stage, a negative index — is an error, not a line.
 func encodeCase(stage string, index int, v any) ([]byte, error) {
+	if stage == "" || index < 0 {
+		return nil, fmt.Errorf("journal: case %q/%d: want a stage and an index >= 0", stage, index)
+	}
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("journal: marshal case %s/%d: %w", stage, index, err)
 	}
-	l, err := encode(line{Kind: "case", Stage: stage, Index: index, Data: data})
-	if err != nil {
-		return nil, err
+	const digits = 20 // the most an index or a crc can take
+	b := make([]byte, 0, len(caseHead)+len(stage)+2+len(caseIndex)+digits+len(caseData)+len(data)+len(caseCRC)+digits+len("}\n"))
+	b = append(b, caseHead...)
+	b = appendString(b, stage)
+	if index != 0 {
+		b = append(b, caseIndex...)
+		b = strconv.AppendInt(b, int64(index), 10)
 	}
-	return append(l, '\n'), nil
+	b = append(b, caseData...)
+	b = append(b, data...)
+	b = append(b, caseCRC...)
+	b = strconv.AppendUint(b, uint64(crc32.ChecksumIEEE(data)), 10)
+	return append(b, "}\n"...), nil
+}
+
+// appendString appends s quoted as json.Marshal quotes it: as it is when
+// it needs no escape, else by json.Marshal.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // write puts one encoded line where the intact prefix ends (j.mu held).

@@ -292,8 +292,10 @@ func TestHashStable(t *testing.T) {
 }
 
 // FuzzJournalDecode hardens the line parser: Decode must never panic on
-// arbitrary bytes, and every accepted line must survive a re-encode ->
-// re-decode round trip with its fields intact.
+// arbitrary bytes, every accepted line must survive a re-encode ->
+// re-decode round trip with its fields intact, and whenever the fast path
+// accepts a line the full decoder reads it the same, field for field and
+// byte for byte.
 func FuzzJournalDecode(f *testing.F) {
 	if hl, err := encode(line{Kind: "header", Config: "abcdef"}); err == nil {
 		f.Add(hl)
@@ -305,7 +307,17 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte(`{"v":99,"kind":"header","config":"x","crc":0}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
+	fast, slow := fastPathSeeds()
+	for _, s := range append(fast, slow...) {
+		f.Add([]byte(s))
+	}
+	for _, lines := range recordedLines(f) {
+		f.Add(bytes.TrimSpace(lines[1]))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		if fast, ok := decodeCase(b); ok {
+			checkFastPath(t, b, fast)
+		}
 		rec, err := Decode(b)
 		if err != nil {
 			return // rejected input: fine, as long as we did not panic

@@ -217,60 +217,74 @@ func (g Goal) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts a bare number (frac), null (none), or an object
 // carrying exactly one of "frac", "ipc", "deadline", "latency",
-// "periodic".
+// "periodic". It decodes b once, dispatching on its first non-space
+// byte: an object straight into its typed form, anything else into a
+// probe value. Only an object that fails its typed decode is probed too,
+// so an object the probe refuses (not JSON, a number out of range) fails
+// with the probe's error, whatever its form.
 func (g *Goal) UnmarshalJSON(b []byte) error {
+	i := 0
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	if i < len(b) && b[i] == '{' {
+		return g.unmarshalObject(b)
+	}
 	var probe any
 	if err := json.Unmarshal(b, &probe); err != nil {
 		return err
 	}
-	switch probe.(type) {
+	switch f := probe.(type) {
 	case nil:
 		*g = Goal{}
 		return nil
 	case float64:
-		var f float64
-		if err := json.Unmarshal(b, &f); err != nil {
-			return err
-		}
 		*g = FracGoal(f)
-		return nil
-	case map[string]any:
-		var obj goalObject
-		if err := DecodeStrict(b, &obj); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadGoal, err)
-		}
-		forms := 0
-		if obj.Frac != nil {
-			forms++
-		}
-		if obj.IPC != nil {
-			forms++
-		}
-		if obj.Deadline != nil {
-			forms++
-		}
-		if obj.Latency != nil {
-			forms++
-		}
-		if obj.Periodic != nil {
-			forms++
-		}
-		if forms != 1 {
-			return fmt.Errorf("%w: goal object must carry exactly one of frac, ipc, deadline, latency, periodic", ErrBadGoal)
-		}
-		switch {
-		case obj.Frac != nil:
-			*g = FracGoal(*obj.Frac)
-		case obj.IPC != nil:
-			*g = IPCGoal(*obj.IPC)
-		case obj.Deadline != nil:
-			*g = DeadlineGoal(*obj.Deadline)
-		case obj.Latency != nil:
-			*g = LatencyGoal(*obj.Latency)
-		default:
-			*g = PeriodicGoal(*obj.Periodic)
-		}
 		return nil
 	}
 	return fmt.Errorf("%w: goal must be a number, null, or a one-key object", ErrBadGoal)
+}
+
+// unmarshalObject is UnmarshalJSON for b that starts with '{'.
+func (g *Goal) unmarshalObject(b []byte) error {
+	var obj goalObject
+	if err := DecodeStrict(b, &obj); err != nil {
+		var probe any
+		if perr := json.Unmarshal(b, &probe); perr != nil {
+			return perr
+		}
+		return fmt.Errorf("%w: %v", ErrBadGoal, err)
+	}
+	forms := 0
+	if obj.Frac != nil {
+		forms++
+	}
+	if obj.IPC != nil {
+		forms++
+	}
+	if obj.Deadline != nil {
+		forms++
+	}
+	if obj.Latency != nil {
+		forms++
+	}
+	if obj.Periodic != nil {
+		forms++
+	}
+	if forms != 1 {
+		return fmt.Errorf("%w: goal object must carry exactly one of frac, ipc, deadline, latency, periodic", ErrBadGoal)
+	}
+	switch {
+	case obj.Frac != nil:
+		*g = FracGoal(*obj.Frac)
+	case obj.IPC != nil:
+		*g = IPCGoal(*obj.IPC)
+	case obj.Deadline != nil:
+		*g = DeadlineGoal(*obj.Deadline)
+	case obj.Latency != nil:
+		*g = LatencyGoal(*obj.Latency)
+	default:
+		*g = PeriodicGoal(*obj.Periodic)
+	}
+	return nil
 }

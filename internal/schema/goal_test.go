@@ -3,6 +3,8 @@ package schema_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/schema"
@@ -145,25 +147,90 @@ func TestGoalFromForms(t *testing.T) {
 	}
 }
 
+// goalObject mirrors the schema package's object form under the same
+// name, so the typed decode's errors read the same from twoPassGoal.
+type goalObject struct {
+	Frac     *float64         `json:"frac,omitempty"`
+	IPC      *float64         `json:"ipc,omitempty"`
+	Deadline *schema.Deadline `json:"deadline,omitempty"`
+	Latency  *schema.Latency  `json:"latency,omitempty"`
+	Periodic *schema.Periodic `json:"periodic,omitempty"`
+}
+
+// twoPassGoal is the goal decoder as it was before UnmarshalJSON
+// dispatched on the first byte: a probe into any, then the typed decode.
+// FuzzGoalJSON holds the one-pass decoder to its results and errors.
+func twoPassGoal(b []byte) (schema.Goal, error) {
+	var probe any
+	if err := json.Unmarshal(b, &probe); err != nil {
+		return schema.Goal{}, err
+	}
+	switch probe.(type) {
+	case nil:
+		return schema.Goal{}, nil
+	case float64:
+		var f float64
+		if err := json.Unmarshal(b, &f); err != nil {
+			return schema.Goal{}, err
+		}
+		return schema.FracGoal(f), nil
+	case map[string]any:
+		var obj goalObject
+		if err := schema.DecodeStrict(b, &obj); err != nil {
+			return schema.Goal{}, fmt.Errorf("%w: %v", schema.ErrBadGoal, err)
+		}
+		forms := 0
+		for _, set := range []bool{obj.Frac != nil, obj.IPC != nil, obj.Deadline != nil, obj.Latency != nil, obj.Periodic != nil} {
+			if set {
+				forms++
+			}
+		}
+		if forms != 1 {
+			return schema.Goal{}, fmt.Errorf("%w: goal object must carry exactly one of frac, ipc, deadline, latency, periodic", schema.ErrBadGoal)
+		}
+		switch {
+		case obj.Frac != nil:
+			return schema.FracGoal(*obj.Frac), nil
+		case obj.IPC != nil:
+			return schema.IPCGoal(*obj.IPC), nil
+		case obj.Deadline != nil:
+			return schema.DeadlineGoal(*obj.Deadline), nil
+		case obj.Latency != nil:
+			return schema.LatencyGoal(*obj.Latency), nil
+		default:
+			return schema.PeriodicGoal(*obj.Periodic), nil
+		}
+	}
+	return schema.Goal{}, fmt.Errorf("%w: goal must be a number, null, or a one-key object", schema.ErrBadGoal)
+}
+
 // FuzzGoalJSON hardens the goal union's decoder, which faces the network
 // inside every /v1 and /v2 submission and sweep lease: arbitrary bytes
-// never panic it, and a goal that decodes and validates survives
-// marshal -> unmarshal unchanged (what a journal or a worker is handed
-// is what the client sent).
+// never panic it, it decodes every input to the goal and the error value
+// the two-pass decoder did (twoPassGoal), and a goal that decodes and
+// validates survives marshal -> unmarshal unchanged (what a journal or a
+// worker is handed is what the client sent).
 func FuzzGoalJSON(f *testing.F) {
 	for _, seed := range []string{
-		`null`, `0.75`, `{"frac":0.5}`, `{"ipc":2.5}`,
+		`null`, ` null `, `nul`, `0.75`, `1e999`, `-`, `{"frac":0.5}`, `{"ipc":2.5}`,
 		`{"deadline":{"instrs":1000,"seconds":0.5,"transfer_bytes":4096,"pcie_gbps":8}}`,
 		`{"deadline":{"instrs":9000000000000000000,"seconds":1e-300}}`,
+		`{"deadline":{"instrs":90000000000000000000,"seconds":1}}`,
 		`{"latency":{"instrs":3000000,"seconds":0.0002,"percentile":0.99}}`,
 		`{"periodic":{"instrs":2000000,"period_s":0.0005,"deadline_s":0.0002}}`,
-		`{"ipc":1,"frac":0.5}`, `{"ipc":1}{"ipc":2}`, `{"bogus":1}`, `"0.5"`, `[0.5]`, `1e999`, `{`, ``,
+		`{"ipc":1,"frac":0.5}`, `{"ipc":1}{"ipc":2}`, `{"ipc":1} `, `{"ipc":1e999}`, `{"bogus":1e999}`,
+		`{"bogus":1}`, `{"ipc":"2"}`, `"0.5"`, `[0.5]`, `true`, `{`, ``, ` `,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var g schema.Goal
-		if err := g.UnmarshalJSON(b); err != nil || g.Validate() != nil {
+		err := g.UnmarshalJSON(b)
+		want, wantErr := twoPassGoal(b)
+		if !reflect.DeepEqual(err, wantErr) || err == nil && g != want {
+			t.Fatalf("%q decodes to %+v, %#v; the two-pass decoder gave %+v, %#v", b, g, err, want, wantErr)
+		}
+		if err != nil || g.Validate() != nil {
 			return // rejected input: fine, as long as we did not panic
 		}
 		enc, err := json.Marshal(g)

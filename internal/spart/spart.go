@@ -162,9 +162,6 @@ func (c *Controller) SMsOf(slot int) int {
 	return n
 }
 
-// Owner returns the owning slot of smID (for tests).
-func (c *Controller) Owner(smID int) int { return c.owner[smID] }
-
 // OnCycle implements gpu.Controller; Spart has no per-cycle work.
 func (c *Controller) OnCycle(now int64) {}
 

@@ -27,8 +27,8 @@ package trace
 type Kind uint8
 
 const (
-	// KindInvalid marks an unset event kind.
-	KindInvalid Kind = iota
+	// kindInvalid marks an unset event kind.
+	kindInvalid Kind = iota
 
 	// --- per-epoch events (device-wide control decisions) ---
 
