@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		kernels  = flag.String("kernels", "sgemm:0.8,lbm", "comma-separated NAME[:GOALFRAC] list")
-		scheme   = flag.String("scheme", "rollover", "none|naive|naive-history|elastic|rollover|rollover-time|spart|fair")
+		scheme   = flag.String("scheme", "rollover", core.SchemeNames("|"))
 		window   = flag.Int64("window", 200_000, "measurement window in cycles")
 		scale    = flag.Bool("scale56", false, "use the 56-SM configuration (Section 4.6)")
 		list     = flag.Bool("list", false, "list available workloads and exit")
@@ -116,7 +116,7 @@ func run(ctx context.Context, w io.Writer, kernels, schemeName string, window in
 			hasQoS = true
 		}
 	}
-	if !hasQoS && scheme != core.SchemeNone && scheme != core.SchemeFair {
+	if !hasQoS && scheme != core.SchemeNone {
 		if len(specs) > 1 {
 			return fmt.Errorf("scheme %v needs at least one kernel with a goal (NAME:FRAC)", scheme)
 		}

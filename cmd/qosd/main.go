@@ -75,7 +75,6 @@ type options struct {
 	drainWait   time.Duration
 	fastPath    bool
 	cacheSize   int
-	stallAfter  time.Duration
 	fleetNodes  string
 	fleetJnlDir string
 	fleetMix    int
@@ -94,7 +93,6 @@ func main() {
 	flag.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "graceful drain budget on SIGTERM")
 	flag.BoolVar(&o.fastPath, "fast-path", true, "answer repeat mixes from the exact verdict cache instead of simulating them again")
 	flag.IntVar(&o.cacheSize, "verdict-cache", server.DefaultVerdictCacheSize, "exact verdict cache capacity")
-	flag.DurationVar(&o.stallAfter, "stall-after", 0, "decision-loop liveness threshold: /healthz reports decision_loop_stalled (503) when one decision is in flight longer than this; must exceed -job-timeout (0 = 2x -job-timeout)")
 	flag.StringVar(&o.fleetNodes, "fleet", "", "serve the /v2 fleet API over these nodes: comma-separated device names (base|scale56), e.g. base,base,scale56")
 	flag.StringVar(&o.fleetJnlDir, "fleet-journal", "", "fleet journal directory (per-node decision journals + placement journal); requires -fleet")
 	flag.IntVar(&o.fleetMix, "fleet-mix", 0, "max concurrently placed kernels per fleet node (0 = fleet default)")
@@ -167,7 +165,6 @@ func run(o options) error {
 		FastPath:         o.fastPath,
 		VerdictCacheSize: o.cacheSize,
 		EvalTimeout:      o.jobTimeout,
-		StallAfter:       o.stallAfter,
 		Fleet:            fl,
 	})
 	if err != nil {

@@ -198,9 +198,11 @@ func printRows(rows []exp.SweepRow) {
 			fmt.Fprintf(os.Stderr, "sweep %-24s reused %s\n", row.Stage, row.Reused)
 			continue
 		}
+		rep := row.Report
+		n := rep.Total - rep.Skipped
 		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s)",
-			row.Stage, row.Cases, row.Wall.Round(time.Millisecond), row.CasesPerSec)
-		if rep := row.Report; rep.Skipped > 0 || len(rep.Failed) > 0 {
+			row.Stage, n, rep.Wall.Round(time.Millisecond), float64(n)/rep.Wall.Seconds())
+		if rep.Skipped > 0 || len(rep.Failed) > 0 {
 			fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
 		}
 		fmt.Fprintln(os.Stderr)

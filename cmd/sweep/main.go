@@ -266,8 +266,9 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	// A sweep that completed with failed cases still emits its healthy
 	// rows, but the run exits non-zero so scripts notice the holes.
 	var failed int
+	var reps []*exp.SweepReport
 	for _, sc := range schemes {
-		cases, err := runner.Sweep(ctx, g, sc, progress)
+		cases, rep, err := runner.Sweep(ctx, g, sc, progress)
 		var se *exp.SweepError
 		if errors.As(err, &se) {
 			fmt.Fprintf(os.Stderr, "\n%s\n", se.Error())
@@ -275,16 +276,18 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 		} else if err != nil {
 			return err
 		}
+		reps = append(reps, rep)
 		if err := w.WriteAll(g.CSVRows(cases)); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintln(os.Stderr)
-	for _, m := range runner.Metrics() {
+	for _, rep := range reps {
+		n := rep.Total - rep.Skipped
 		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s, %d workers)\n",
-			m.Stage, m.Cases, m.Wall.Round(time.Millisecond), m.CasesPerSec, runner.Workers())
+			rep.Stage, n, rep.Wall.Round(time.Millisecond), float64(n)/rep.Wall.Seconds(), runner.Workers())
 	}
-	for _, rep := range runner.Reports() {
+	for _, rep := range reps {
 		if rep.Skipped > 0 || len(rep.Failed) > 0 {
 			fmt.Fprintf(os.Stderr, "sweep %-24s %s\n", rep.Stage, rep.Summary())
 		}

@@ -62,11 +62,6 @@ const (
 	// SchemeSpart is the spatial-partitioning baseline with hill
 	// climbing.
 	SchemeSpart
-	// SchemeFair is an extension: SMK-style fairness on the same quota
-	// machinery (equal normalized progress for every sharer; goals are
-	// ignored). The paper's firmware can switch between fairness and
-	// QoS policies (Section 3.3).
-	SchemeFair
 )
 
 // String returns the display name used in figures.
@@ -86,8 +81,6 @@ func (s Scheme) String() string {
 		return "Rollover-Time"
 	case SchemeSpart:
 		return "Spart"
-	case SchemeFair:
-		return "Fair"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
@@ -110,8 +103,6 @@ func (s Scheme) Name() string {
 		return "rollover-time"
 	case SchemeSpart:
 		return "spart"
-	case SchemeFair:
-		return "fair"
 	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
@@ -119,7 +110,7 @@ func (s Scheme) Name() string {
 // Schemes returns every scheme in declaration order.
 func Schemes() []Scheme {
 	return []Scheme{SchemeNone, SchemeNaive, SchemeNaiveHistory, SchemeElastic,
-		SchemeRollover, SchemeRolloverTime, SchemeSpart, SchemeFair}
+		SchemeRollover, SchemeRolloverTime, SchemeSpart}
 }
 
 // ParseScheme resolves a scheme name (case-insensitive; both the
@@ -132,11 +123,17 @@ func ParseScheme(name string) (Scheme, error) {
 			return s, nil
 		}
 	}
+	return 0, fmt.Errorf("%w %q (known: %s)", ErrUnknownScheme, name, SchemeNames(", "))
+}
+
+// SchemeNames joins the Name of every scheme, in declaration order, with
+// sep.
+func SchemeNames(sep string) string {
 	names := make([]string, 0, len(Schemes()))
 	for _, s := range Schemes() {
 		names = append(names, s.Name())
 	}
-	return 0, fmt.Errorf("%w %q (known: %s)", ErrUnknownScheme, name, strings.Join(names, ", "))
+	return strings.Join(names, sep)
 }
 
 // qosScheme maps facade schemes to qos package schemes.
@@ -438,13 +435,6 @@ func (s *Session) applyStepping(g *gpu.GPU) {
 func installScheme(g *gpu.GPU, scheme Scheme, goals, isolated []float64, opts qos.Options) error {
 	switch scheme {
 	case SchemeNone:
-		return nil
-	case SchemeFair:
-		f, err := qos.NewFair(g, isolated, opts)
-		if err != nil {
-			return err
-		}
-		f.Install()
 		return nil
 	case SchemeSpart:
 		c, err := spart.New(g, goals, isolated)

@@ -370,7 +370,7 @@ func TestSchemeStrings(t *testing.T) {
 // canonical Name and its String form.
 func TestParseSchemeRoundTrip(t *testing.T) {
 	all := Schemes()
-	if len(all) != 8 {
+	if len(all) != 7 {
 		t.Fatalf("Schemes() lists %d schemes", len(all))
 	}
 	for _, sc := range all {
@@ -385,9 +385,13 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseSchemeUnknown also holds the deleted SMK fairness scheme
+// ("fair") to unknown.
 func TestParseSchemeUnknown(t *testing.T) {
-	if _, err := ParseScheme("quantum"); !errors.Is(err, ErrUnknownScheme) {
-		t.Fatalf("err = %v, want ErrUnknownScheme", err)
+	for _, name := range []string{"quantum", "fair"} {
+		if _, err := ParseScheme(name); !errors.Is(err, ErrUnknownScheme) {
+			t.Fatalf("ParseScheme(%q) err = %v, want ErrUnknownScheme", name, err)
+		}
 	}
 }
 
@@ -449,22 +453,5 @@ func TestPCIeTransferSeconds(t *testing.T) {
 	}
 	if PCIeTransferSeconds(0, 16, 0.002) != 0.002 {
 		t.Fatal("zero-byte transfer should cost only fixed latency")
-	}
-}
-
-func TestSchemeFairRunsWithoutGoals(t *testing.T) {
-	s := fastSession(t)
-	res, err := s.Run(context.Background(), []KernelSpec{
-		{Profile: customProfile("a")},
-		{Profile: customProfile("b")},
-	}, SchemeFair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernels[0].IPC <= 0 || res.Kernels[1].IPC <= 0 {
-		t.Fatal("fairness-managed kernels made no progress")
-	}
-	if res.Kernels[0].IsQoS || res.Kernels[1].IsQoS {
-		t.Fatal("fairness run should have no QoS kernels")
 	}
 }

@@ -51,6 +51,15 @@ func epochSweep(st Study, l int64) Sweep {
 		Session: []core.Option{core.WithGPU(cfg)}}
 }
 
+// simulated counts the cases a row's sweep simulated this run (0 for a
+// reused sweep).
+func simulated(row SweepRow) int {
+	if row.Report == nil {
+		return 0
+	}
+	return row.Report.Total - row.Report.Skipped
+}
+
 // byStage indexes Collect's rows by sweep name.
 func byStage(rows []SweepRow) map[string]SweepRow {
 	m := map[string]SweepRow{}
@@ -102,7 +111,7 @@ func TestCollectDeduplicatesAgainstJournal(t *testing.T) {
 	}
 	ran, reused := 0, 0
 	for _, row := range rows {
-		ran += row.Cases
+		ran += simulated(row)
 		if row.Reused != "" {
 			reused++
 		}
@@ -129,8 +138,8 @@ func TestCollectDeduplicatesAgainstJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		if row.Cases != 0 {
-			t.Fatalf("resumed run simulated %d cases for %s", row.Cases, row.Stage)
+		if n := simulated(row); n != 0 {
+			t.Fatalf("resumed run simulated %d cases for %s", n, row.Stage)
 		}
 	}
 	if n := journalCaseLines(t, path); n != unique {

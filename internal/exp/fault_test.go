@@ -37,7 +37,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 		}
 		return nil
 	})
-	out, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
+	out, ret, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 
 	var se *SweepError
 	if !errors.As(err, &se) {
@@ -71,10 +71,9 @@ func TestSweepPanicIsolation(t *testing.T) {
 			t.Fatalf("case %d: healthy case missing its result", i)
 		}
 	}
-	// The report is also retained on the runner for later inspection.
-	reps := r.Reports()
-	if len(reps) != 1 || len(reps[0].Failed) != 2 {
-		t.Fatalf("Reports() = %+v", reps)
+	// Sweep also returns the report, beside the error that carries it.
+	if ret != rep {
+		t.Fatalf("Sweep returned report %+v, want the SweepError's %+v", ret, rep)
 	}
 }
 
@@ -102,7 +101,7 @@ func TestSweepCaseTimeout(t *testing.T) {
 		}
 	})
 	start := time.Now()
-	_, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
+	_, _, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded in the chain", err)
 	}
@@ -132,7 +131,7 @@ func TestSweepJournalResume(t *testing.T) {
 	hash := "exp-fault-test"
 
 	// Reference: uninterrupted, no journal.
-	want, err := testRunner(t, 3).Sweep(context.Background(), g, scheme, nil)
+	want, _, err := testRunner(t, 3).Sweep(context.Background(), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestSweepJournalResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	r1 := testRunner(t, 2, WithFaultPolicy(FaultPolicy{Journal: j}))
-	_, err = r1.Sweep(ctx, g, scheme, func(p Progress) {
+	_, _, err = r1.Sweep(ctx, g, scheme, func(p Progress) {
 		if p.Done >= 2 {
 			cancel()
 		}
@@ -166,14 +165,13 @@ func TestSweepJournalResume(t *testing.T) {
 		t.Fatalf("journal holds %d cases after crash, want >= 2", n)
 	}
 	r2 := testRunner(t, 3, WithFaultPolicy(FaultPolicy{Journal: j2}))
-	got, err := r2.Sweep(context.Background(), g, scheme, nil)
+	got, rep, err := r2.Sweep(context.Background(), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("resumed sweep differs from the uninterrupted reference run")
 	}
-	rep := r2.Reports()[0]
 	if rep.Skipped < 2 || rep.Skipped+rep.Completed != rep.Total {
 		t.Fatalf("resume accounting wrong: %s", rep.Summary())
 	}
@@ -191,10 +189,11 @@ func TestSweepJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r3.Sweep(context.Background(), g, scheme, nil); err != nil {
+	_, rep, err = r3.Sweep(context.Background(), g, scheme, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := r3.Reports()[0]; rep.Skipped != 0 {
+	if rep.Skipped != 0 {
 		t.Fatalf("foreign-config runner resumed %d cases from the journal", rep.Skipped)
 	}
 }

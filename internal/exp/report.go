@@ -45,6 +45,9 @@ type SweepReport struct {
 	Skipped int
 	// Failed lists the cases that failed, in ascending case-index order.
 	Failed []*CaseError
+	// Wall is the sweep's wall time. Total - Skipped cases were
+	// simulated in it (journal-restored cases cost no simulation time).
+	Wall time.Duration
 }
 
 // Err returns nil when every case completed and otherwise a *SweepError

@@ -43,16 +43,6 @@ type Progress struct {
 // implementations need no locking.
 type ProgressFunc func(Progress)
 
-// SweepMetrics summarizes one completed sweep stage. Cases counts only
-// cases executed this run (journal-restored cases cost no simulation
-// time and are excluded from the rate).
-type SweepMetrics struct {
-	Stage       string
-	Cases       int
-	Wall        time.Duration
-	CasesPerSec float64
-}
-
 // FaultPolicy configures how a Runner treats failing cases. The zero
 // value reproduces a study run with no safety nets beyond isolation:
 // panics and errors are collected into the SweepReport instead of
@@ -102,10 +92,6 @@ type Runner struct {
 	// sharing one across workers would race.
 	traceDir    string
 	traceFormat trace.Format
-
-	mu      sync.Mutex
-	metrics []SweepMetrics
-	reports []*SweepReport
 }
 
 // runnerSettings collects everything a runner Option can configure
@@ -244,23 +230,6 @@ func (r *Runner) GPUConfig() config.GPU { return r.sessions[0].GPUConfig() }
 // Window returns the measurement window shared by all workers.
 func (r *Runner) Window() int64 { return r.sessions[0].Window() }
 
-// Metrics returns per-stage wall-time summaries of every sweep this
-// runner completed, in completion order.
-func (r *Runner) Metrics() []SweepMetrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]SweepMetrics(nil), r.metrics...)
-}
-
-// Reports returns the fault report of every sweep this runner completed,
-// in completion order. Sweeps aborted by cancellation or a done callback
-// error do not produce a report.
-func (r *Runner) Reports() []*SweepReport {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*SweepReport(nil), r.reports...)
-}
-
 // Run is the sweep engine: it executes the cases of g listed in todo
 // under scheme, fanned out over the session pool, and hands each case to
 // done as it reaches a final state — res for a case that completed, ce
@@ -367,21 +336,23 @@ feed:
 		return nil, err
 	}
 	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a].Index < rep.Failed[b].Index })
+	rep.Wall = time.Since(start)
 	return rep, nil
 }
 
 // Sweep runs every case of g under scheme across the worker pool and
 // returns them in case order — identical, case for case, to the serial
-// PairSweep/TrioSweep. With a journal in the fault policy, cases it holds
-// for this stage are restored instead of run, and every completed case is
-// appended to it.
+// PairSweep/TrioSweep — with the report of how the sweep went. With a
+// journal in the fault policy, cases it holds for this stage are
+// restored instead of run, and every completed case is appended to it.
 //
 // Under the fault policy, failed cases are left empty in the returned
 // Cases (nil Res) and reported via a *SweepError; callers that can use
-// partial grids inspect its Report, others treat it as fatal.
-func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress ProgressFunc) (Cases, error) {
+// partial grids inspect its Report, others treat it as fatal. The report
+// is nil when the sweep did not run to the end.
+func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress ProgressFunc) (Cases, *SweepReport, error) {
 	if err := g.Check(); err != nil {
-		return Cases{}, err
+		return Cases{}, nil, err
 	}
 	out := g.Cases()
 	var (
@@ -393,7 +364,7 @@ func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress
 	if j != nil {
 		var err error
 		if key, err = r.stageKey(g, scheme); err != nil {
-			return Cases{}, err
+			return Cases{}, nil, err
 		}
 		restored = j.Completed(key)
 	}
@@ -402,7 +373,6 @@ func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress
 			todo = append(todo, i)
 		}
 	}
-	start := time.Now()
 	rep, err := r.Run(ctx, g, scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
 		if ce != nil {
 			return nil
@@ -421,17 +391,9 @@ func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress
 		return nil
 	}, progress)
 	if err != nil {
-		return Cases{}, err
+		return Cases{}, nil, err
 	}
-	m := SweepMetrics{Stage: rep.Stage, Cases: len(todo), Wall: time.Since(start)}
-	if secs := m.Wall.Seconds(); secs > 0 {
-		m.CasesPerSec = float64(m.Cases) / secs
-	}
-	r.mu.Lock()
-	r.metrics = append(r.metrics, m)
-	r.reports = append(r.reports, rep)
-	r.mu.Unlock()
-	return out, rep.Err()
+	return out, rep, rep.Err()
 }
 
 // stageKey derives the journal key for one of this runner's sweep stages.

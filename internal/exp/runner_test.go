@@ -70,7 +70,7 @@ func TestPairSweepSerialParallelEquivalence(t *testing.T) {
 
 	r := testRunner(t, 4)
 	g := Grid{Pairs: pairs, Goals: goals}
-	got, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+	got, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPairSweepSerialParallelEquivalence(t *testing.T) {
 	}
 	// A second run over the same runner must also be identical (the
 	// isolated cache must not change results, only speed).
-	again, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+	again, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	r := testRunner(t, 4)
-	got, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: 2}, core.SchemeRollover, nil)
+	got, _, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: 2}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPairSweepProgress(t *testing.T) {
 	goals := []float64{0.4, 0.6, 0.8}
 	var events []Progress
 	r := testRunner(t, 2)
-	_, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
+	_, rep, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) { events = append(events, p) })
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +140,8 @@ func TestPairSweepProgress(t *testing.T) {
 	if last.CasesPerSec <= 0 || last.ETA != 0 {
 		t.Fatalf("final event rate/ETA: %+v", last)
 	}
-	ms := r.Metrics()
-	if len(ms) != 1 || ms[0].Cases != 3 || ms[0].Stage != core.SchemeRollover.String() {
-		t.Fatalf("metrics = %+v", ms)
+	if rep.Total-rep.Skipped != 3 || rep.Stage != core.SchemeRollover.String() || rep.Wall <= 0 {
+		t.Fatalf("report = %+v", rep)
 	}
 }
 
@@ -162,7 +161,7 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	_, err := testRunner(t, 2).Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
+	_, _, err := testRunner(t, 2).Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) {
 			done = p.Done
 			cancel()
@@ -178,7 +177,7 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 func TestPairSweepPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := testRunner(t, 2).Sweep(ctx,
+	_, _, err := testRunner(t, 2).Sweep(ctx,
 		Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}}, Goals: []float64{0.5}},
 		core.SchemeRollover, nil)
 	if !errors.Is(err, context.Canceled) {
@@ -201,7 +200,7 @@ func TestGridCheckRejectsBadNQoS(t *testing.T) {
 	if err := (Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 2}).Check(); err != nil {
 		t.Errorf("refused a two-QoS trio grid: %v", err)
 	}
-	if _, err := testRunner(t, 1).Sweep(context.Background(),
+	if _, _, err := testRunner(t, 1).Sweep(context.Background(),
 		Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 3}, core.SchemeRollover, nil); err == nil {
 		t.Error("Sweep ran a grid Check refuses")
 	}
@@ -375,7 +374,7 @@ func TestSweepUsesWholePool(t *testing.T) {
 	}
 	swept := make(chan result, 1)
 	go func() {
-		c, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+		c, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
 		swept <- result{c, err}
 	}()
 	select {

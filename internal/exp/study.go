@@ -90,10 +90,10 @@ func scale56Of(sc core.Scheme) Sweep {
 }
 
 // SweepRow is one declared sweep of a Collect call: its cases and how
-// they were obtained. Stage is the sweep's name; Cases counts the cases
-// simulated for it this run (journal-restored cases excluded).
+// they were obtained.
 type SweepRow struct {
-	SweepMetrics
+	// Stage is the sweep's declared name.
+	Stage string
 	// Reused names the earlier sweep of the same Collect with the same
 	// journal stage key, whose cases this one shares; empty if it ran.
 	Reused string
@@ -157,20 +157,16 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 	ran := map[string]SweepRow{} // stage key -> the row that ran it
 	for _, p := range plans {
 		if first, ok := ran[p.key]; ok {
-			rows = append(rows, SweepRow{SweepMetrics: SweepMetrics{Stage: p.Name},
-				Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
+			rows = append(rows, SweepRow{Stage: p.Name, Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
 			continue
 		}
 		progress := st.Progress
 		if progress != nil { // relabel the sweep's events with its declared name
 			progress = func(e Progress) { e.Stage = p.Name; st.Progress(e) }
 		}
-		n := len(p.runner.Reports())
-		cases, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
-		row := SweepRow{Pairs: cases.Pairs, Trios: cases.Trios}
-		if reps := p.runner.Reports(); len(reps) > n { // the sweep ran to the end
-			row.SweepMetrics, row.Report = p.runner.Metrics()[n], reps[n]
-			row.Stage = p.Name
+		cases, rep, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
+		row := SweepRow{Stage: p.Name, Report: rep, Pairs: cases.Pairs, Trios: cases.Trios}
+		if rep != nil { // the sweep ran to the end
 			rows = append(rows, row)
 		}
 		if err != nil {

@@ -32,7 +32,7 @@ func TestPairSweepWritesPerCaseTraces(t *testing.T) {
 		{QoS: "mri-q", NonQoS: "stencil"},
 	}
 	goals := []float64{0.3, 0.5}
-	cases, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover, nil)
+	cases, _, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

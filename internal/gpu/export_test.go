@@ -8,3 +8,10 @@ func (g *GPU) TotalThreadInstrs() int64 {
 	}
 	return sum
 }
+
+// WakeAll clears every SM's scheduler sleep cache (quota replenishment).
+func (g *GPU) WakeAll(now int64) {
+	for _, s := range g.SMs {
+		s.Wake(now)
+	}
+}

@@ -55,7 +55,6 @@ type GPU struct {
 
 	Kernels []*kern.Kernel
 	Stats   []*metrics.KernelStats
-	Rec     *metrics.Recorder
 
 	controller Controller
 	gate       sm.QuotaGate
@@ -104,7 +103,7 @@ type GPU struct {
 	// calls ForceEpochRoll, which rolls the counters *and* pushes the
 	// deadline out a full epoch — so a forced roll and the fixed modulo
 	// can never both fire for the same interval (the double-roll bug
-	// that mis-attributed instructions to the wrong EpochRecord).
+	// that mis-attributed instructions to the wrong epoch).
 	nextEpochAt int64
 }
 
@@ -123,7 +122,6 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 		Mem:     mem.New(cfg),
 		Engine:  preempt.New(cfg),
 		Kernels: kernels,
-		Rec:     metrics.NewRecorder(len(kernels)),
 	}
 	g.Stats = make([]*metrics.KernelStats, len(kernels))
 	for i := range g.Stats {
@@ -216,13 +214,6 @@ func (g *GPU) TotalResidentTBs(slot int) int {
 		n += s.ResidentTBs(slot)
 	}
 	return n
-}
-
-// WakeAll clears every SM's scheduler sleep cache (quota replenishment).
-func (g *GPU) WakeAll(now int64) {
-	for _, s := range g.SMs {
-		s.Wake(now)
-	}
 }
 
 // RequestDispatch asks the TB scheduler to run at the next opportunity

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/kern"
+	"repro/internal/trace"
 )
 
 // smallCfg is a 4-SM device for fast whole-GPU tests.
@@ -227,14 +228,28 @@ func (c *countingController) OnEpoch(now int64) { c.epochs++ }
 // NextControlEvent claims every cycle, so the wheel never skips one.
 func (c *countingController) NextControlEvent(now int64) int64 { return now }
 
+// TestEpochRecorder checks the trace's epoch_roll events, the device's
+// one record of an epoch: one per roll, each carrying the epoch's work.
 func TestEpochRecorder(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	g.Run(35_000)
-	if len(g.Rec.ByKernel[0]) != 3 {
-		t.Fatalf("%d epoch records in 35K cycles, want 3", len(g.Rec.ByKernel[0]))
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped())
 	}
-	if g.Rec.MeanEpochInstrs(0) <= 0 {
-		t.Fatal("epoch records carry no work")
+	rolls, instrs := 0, 0.0
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindEpochRoll && e.Slot == 0 {
+			rolls++
+			instrs += e.A
+		}
+	}
+	if rolls != 3 {
+		t.Fatalf("%d epoch rolls in 35K cycles, want 3", rolls)
+	}
+	if instrs <= 0 {
+		t.Fatal("epoch rolls carry no work")
 	}
 }
 

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"context"
-
-	"repro/internal/metrics"
-)
+import "context"
 
 // Run advances the GPU for the given number of cycles, driving the TB
 // scheduler, the SMs, idle-warp sampling and the controller hooks. It can
@@ -193,32 +189,25 @@ func (g *GPU) nextEventAt(a, end int64, sampleEvery int64) int64 {
 	return next
 }
 
-// rollEpoch snapshots per-kernel epoch counters, records them, and fires
+// rollEpoch snapshots per-kernel epoch counters, traces them, and fires
 // the controller's epoch hook.
 func (g *GPU) rollEpoch(now int64) {
 	g.epochIdx++
 	g.tracer.SetEpoch(g.epochIdx)
 	for slot, st := range g.Stats {
-		instrs := st.BeginEpoch()
-		tbs := g.TotalResidentTBs(slot)
-		g.Rec.Add(slot, metrics.EpochRecord{
-			Epoch:    g.epochIdx,
-			EndCycle: now,
-			Instrs:   instrs,
-			TBsHeld:  tbs,
-		})
-		g.tracer.EpochRoll(now, slot, instrs, tbs)
+		g.tracer.EpochRoll(now, slot, st.BeginEpoch(), g.TotalResidentTBs(slot))
 	}
 	if g.controller != nil {
 		g.controller.OnEpoch(now)
 	}
 }
 
-// ForceEpochRoll rolls the epoch immediately — counters, records,
-// controller hook — and restarts the scheduled epoch clock a full epoch
-// from now. Controllers that shorten epochs (Elastic) call this instead
-// of duplicating the roll locally, so the GPU's EpochRecords and the
-// controller's OnEpoch observations always describe the same interval.
+// ForceEpochRoll rolls the epoch immediately — counters, epoch_roll
+// events, controller hook — and restarts the scheduled epoch clock a full
+// epoch from now. Controllers that shorten epochs (Elastic) call this
+// instead of duplicating the roll locally, so the traced epoch rolls and
+// the controller's OnEpoch observations always describe the same
+// interval.
 func (g *GPU) ForceEpochRoll(now int64) {
 	g.rollEpoch(now)
 	g.nextEpochAt = now + g.Cfg.EpochLength

@@ -48,12 +48,6 @@ func (o Op) IsGlobalMem() bool { return o == OpLdGlobal || o == OpStGlobal }
 // IsSharedMem reports whether the op accesses the SM scratchpad.
 func (o Op) IsSharedMem() bool { return o == OpLdShared || o == OpStShared }
 
-// IsMem reports whether the op is any memory access.
-func (o Op) IsMem() bool { return o.IsGlobalMem() || o.IsSharedMem() }
-
-// IsStore reports whether the op writes memory.
-func (o Op) IsStore() bool { return o == OpStGlobal || o == OpStShared }
-
 // Instr is one instruction descriptor in a kernel's loop body.
 //
 // Memory instructions generate addresses as a pure function of

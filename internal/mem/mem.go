@@ -166,9 +166,6 @@ func (s *System) L2Stats() (agg cache.Stats) {
 	return agg
 }
 
-// NumPartitions returns the number of memory partitions.
-func (s *System) NumPartitions() int { return len(s.parts) }
-
 // String summarizes the system state.
 func (s *System) String() string {
 	st := s.Stats()

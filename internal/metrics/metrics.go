@@ -3,7 +3,8 @@
 // lifecycle events. The QoS manager (internal/qos), the Spart controller
 // (internal/spart) and the experiment harness (internal/exp) all read
 // these counters; they are the "profiling data" arrow in the paper's
-// Figure 3.
+// Figure 3. The package keeps no per-epoch trajectory: the tracer's
+// epoch_roll and quota_grant events (internal/trace) record each epoch.
 package metrics
 
 import "fmt"
@@ -119,59 +120,4 @@ func (k *KernelStats) String() string {
 	return fmt.Sprintf("instrs:%d warps:%d l1miss:%.1f%% txns:%d tb:%d/%d",
 		k.ThreadInstrs, k.WarpInstrs, 100*k.L1MissRate(), k.MemTxns,
 		k.TBsCompleted, k.TBsDispatched)
-}
-
-// EpochRecord captures one kernel's view of one epoch, retained by the
-// Recorder for post-run analysis (Figure 5 style histograms need the
-// whole trajectory, not just the final IPC).
-type EpochRecord struct {
-	Epoch    int
-	EndCycle int64
-	Instrs   int64   // thread instructions executed during the epoch
-	Quota    float64 // quota allocated at the top of the epoch (0: none)
-	Alpha    float64 // history adjustment factor in force
-	TBsHeld  int     // resident TBs at the end of the epoch
-}
-
-// Recorder retains per-kernel epoch trajectories.
-type Recorder struct {
-	ByKernel [][]EpochRecord
-}
-
-// NewRecorder creates a recorder for n kernels.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{ByKernel: make([][]EpochRecord, n)}
-}
-
-// Add appends an epoch record for kernel k.
-func (r *Recorder) Add(k int, rec EpochRecord) {
-	r.ByKernel[k] = append(r.ByKernel[k], rec)
-}
-
-// AnnotateLast fills the quota/α fields of kernel k's most recent epoch
-// record. The GPU creates records at the roll (it does not know quotas);
-// the QoS manager annotates them from its epoch hook with the values
-// that were in force during the recorded epoch. No-op when the kernel
-// has no records yet (the install-time quota refresh precedes epoch 1).
-func (r *Recorder) AnnotateLast(k int, quota, alpha float64) {
-	recs := r.ByKernel[k]
-	if len(recs) == 0 {
-		return
-	}
-	recs[len(recs)-1].Quota = quota
-	recs[len(recs)-1].Alpha = alpha
-}
-
-// MeanEpochInstrs returns the mean per-epoch instruction count of kernel
-// k, or 0 if no epochs were recorded.
-func (r *Recorder) MeanEpochInstrs(k int) float64 {
-	recs := r.ByKernel[k]
-	if len(recs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, rec := range recs {
-		sum += rec.Instrs
-	}
-	return float64(sum) / float64(len(recs))
 }

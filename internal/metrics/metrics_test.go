@@ -47,26 +47,3 @@ func TestString(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
-
-func TestRecorder(t *testing.T) {
-	r := NewRecorder(2)
-	r.Add(0, EpochRecord{Epoch: 1, Instrs: 10})
-	r.Add(0, EpochRecord{Epoch: 2, Instrs: 30})
-	r.Add(1, EpochRecord{Epoch: 1, Instrs: 7})
-	if got := r.MeanEpochInstrs(0); got != 20 {
-		t.Fatalf("mean = %v, want 20", got)
-	}
-	if got := r.MeanEpochInstrs(1); got != 7 {
-		t.Fatalf("mean = %v, want 7", got)
-	}
-	if len(r.ByKernel[0]) != 2 {
-		t.Fatal("records not retained")
-	}
-}
-
-func TestRecorderEmpty(t *testing.T) {
-	r := NewRecorder(1)
-	if r.MeanEpochInstrs(0) != 0 {
-		t.Fatal("empty recorder mean should be 0")
-	}
-}

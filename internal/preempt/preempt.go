@@ -90,6 +90,3 @@ func (e *Engine) Pending(now int64) bool {
 	}
 	return false
 }
-
-// BusyUntil returns when smID's engine lane frees (for tests).
-func (e *Engine) BusyUntil(smID int) int64 { return e.busyUntil[smID] }

@@ -11,15 +11,15 @@ import (
 // per-SM counters locally while the GPU kept rolling on its own fixed
 // schedule, so the recorded epochs never lined up with the intervals the
 // controller actually managed (and a forced restart landing near a
-// boundary double-rolled). With ForceEpochRoll the GPU's EpochRecords,
-// the scheduled epoch clock, and Elastic's early restarts must all
+// boundary double-rolled). With ForceEpochRoll the traced epoch_roll
+// events, the scheduled epoch clock, and Elastic's early restarts must all
 // describe the same intervals:
 //
 //   - scheduled rolls close an interval of exactly EpochLength cycles;
 //   - every early restart closes a strictly shorter interval;
 //   - the number of short intervals equals Manager.ElasticNew, which in
 //     turn equals the tracer's epochs_forced counter;
-//   - scheduled + forced rolls account for every EpochRecord.
+//   - scheduled + forced rolls account for every epoch_roll event.
 func TestElasticEpochRecordsMatchElasticNew(t *testing.T) {
 	iso := isolatedIPC(t, 40_000)
 	g := newGPU(t, "a", "b")
@@ -37,15 +37,23 @@ func TestElasticEpochRecordsMatchElasticNew(t *testing.T) {
 	if m.ElasticNew == 0 {
 		t.Fatal("elastic never restarted an epoch early; test needs a forced roll")
 	}
-	recs := g.Rec.ByKernel[0]
-	if len(recs) != g.EpochIndex() {
-		t.Fatalf("slot 0 has %d epoch records, GPU rolled %d epochs", len(recs), g.EpochIndex())
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events; the epoch record is incomplete", tr.Dropped())
+	}
+	var ends []int64 // slot 0's epoch-end cycles
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindEpochRoll && e.Slot == 0 {
+			ends = append(ends, e.Cycle)
+		}
+	}
+	if len(ends) != g.EpochIndex() {
+		t.Fatalf("slot 0 has %d epoch rolls, GPU rolled %d epochs", len(ends), g.EpochIndex())
 	}
 
 	epochLen := g.Cfg.EpochLength
 	short, prev := 0, int64(0)
-	for i, r := range recs {
-		gap := r.EndCycle - prev
+	for i, end := range ends {
+		gap := end - prev
 		if gap > epochLen {
 			t.Fatalf("epoch %d spans %d cycles (> EpochLength %d): a forced roll failed to reset the epoch clock",
 				i, gap, epochLen)
@@ -53,10 +61,10 @@ func TestElasticEpochRecordsMatchElasticNew(t *testing.T) {
 		if gap < epochLen {
 			short++
 		}
-		prev = r.EndCycle
+		prev = end
 	}
 	if int64(short) != m.ElasticNew {
-		t.Fatalf("%d short epochs recorded, but ElasticNew = %d: early restarts and epoch records disagree",
+		t.Fatalf("%d short epochs traced, but ElasticNew = %d: early restarts and epoch rolls disagree",
 			short, m.ElasticNew)
 	}
 

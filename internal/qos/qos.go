@@ -264,7 +264,7 @@ func (m *Manager) OnCycle(now int64) {
 		// Elastic starts the next epoch the moment every kernel's quota
 		// is spent (Figure 4b) — as a real epoch roll, not a local
 		// counter top-up. Routing the early start through the GPU's
-		// ForceEpochRoll keeps the device's EpochRecords, the epoch
+		// ForceEpochRoll keeps the traced epoch rolls, the epoch
 		// clock and this manager's OnEpoch observing the same interval;
 		// the previous local top-up left the fixed epoch timer running,
 		// so the boundary roll double-counted the shortened epoch and
@@ -360,12 +360,6 @@ func (m *Manager) qosExhaustedEverywhere() bool {
 // OnEpoch recomputes α, non-QoS artificial goals and quotas, then runs
 // the static TB adjuster.
 func (m *Manager) OnEpoch(now int64) {
-	// Annotate the EpochRecords the GPU just closed with the quota and α
-	// that were actually in force during that epoch (they were computed
-	// at the previous refresh, so they are about to be overwritten).
-	for slot := range m.quota {
-		m.g.Rec.AnnotateLast(slot, m.quota[slot], m.alpha[slot])
-	}
 	// IPC of the epoch that just ended (the GPU rolled counters first).
 	// The denominator is the epoch's actual duration: under Elastic an
 	// epoch ends early via ForceEpochRoll, and dividing by the nominal

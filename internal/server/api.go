@@ -129,8 +129,8 @@ type jobListResponse struct {
 }
 
 // healthResponse is the GET /healthz body. Status is "ok", "draining"
-// or "stalled"; "stalled" (decision loop wedged past Config.StallAfter)
-// is served with HTTP 503 so load balancers and orchestrators see a
+// or "stalled"; "stalled" (decision loop wedged past the stall
+// threshold, twice Config.EvalTimeout) is served with HTTP 503 so load balancers and orchestrators see a
 // dead controller without parsing the body.
 type healthResponse struct {
 	Schema   int    `json:"schema"`
@@ -138,7 +138,8 @@ type healthResponse struct {
 	Draining bool   `json:"draining"`
 	Scheme   string `json:"scheme"`
 	MaxMix   int    `json:"max_mix"`
-	// Stalled reports a decision in flight longer than StallAfter.
+	// Stalled reports a decision in flight longer than the stall
+	// threshold.
 	Stalled bool `json:"decision_loop_stalled"`
 	// InFlightMs is how long the current decision has been running
 	// (0 when the loop is idle).

@@ -37,17 +37,16 @@ func (c *fakeClock) Now() time.Time { return time.Unix(0, c.ns.Load()) }
 
 // TestHealthzStallWatchdog wedges the decision loop deterministically
 // (via the test gate) and checks /healthz flips from 200 to a 503 with
-// decision_loop_stalled once the in-flight decision exceeds StallAfter —
-// then recovers to 200 with an advanced last-progress timestamp when the
-// loop moves again. This is the liveness contract an orchestrator polls:
-// a wedged controller must not keep answering "ok". Time is the test's:
-// the watchdog's clock is advanced, never slept on.
+// decision_loop_stalled once the in-flight decision exceeds the stall
+// threshold — then recovers to 200 with an advanced last-progress
+// timestamp when the loop moves again. This is the liveness contract an
+// orchestrator polls: a wedged controller must not keep answering "ok".
+// Time is the test's: the watchdog's clock is advanced, never slept on.
 func TestHealthzStallWatchdog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	const stallAfter = 50 * time.Millisecond
-	s := testServer(t, Config{StallAfter: stallAfter})
+	s := testServer(t, Config{})
 	s.gate = make(chan struct{})
 	clock := &fakeClock{}
 	clock.ns.Store(time.Now().UnixNano()) // not before the startup stamp
@@ -79,13 +78,13 @@ func TestHealthzStallWatchdog(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	clock.ns.Add(int64(2 * stallAfter))
+	clock.ns.Add(int64(2 * s.stallAfter))
 
 	code, hr = getHealth(t, ts)
 	if code != http.StatusServiceUnavailable || hr.Status != "stalled" || !hr.Stalled {
 		t.Fatalf("wedged healthz = %d %+v, want 503 stalled", code, hr)
 	}
-	if want := (2 * stallAfter).Milliseconds(); hr.InFlightMs != want {
+	if want := (2 * s.stallAfter).Milliseconds(); hr.InFlightMs != want {
 		t.Fatalf("decision_in_flight_ms = %d, want exactly %d", hr.InFlightMs, want)
 	}
 	if hr.LastProgressMs != baseline {
@@ -134,14 +133,14 @@ func TestHealthzStallWatchdog(t *testing.T) {
 // TestHealthzFullMixIsNotAStall: a queued job waiting for a client to
 // release a slot of a full mix is a healthy daemon, however long the
 // wait. The loop marks a decision in flight only once the mix has room,
-// so /healthz stays 200 with the clock far past StallAfter, and the job
+// so /healthz stays 200 with the clock far past the stall threshold, and
+// the job
 // is decided as soon as the slot frees.
 func TestHealthzFullMixIsNotAStall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	const stallAfter = 50 * time.Millisecond
-	s := testServer(t, Config{MaxMix: 1, StallAfter: stallAfter})
+	s := testServer(t, Config{MaxMix: 1})
 	clock := &fakeClock{}
 	clock.ns.Store(time.Now().UnixNano())
 	s.now = clock.Now
@@ -161,7 +160,7 @@ func TestHealthzFullMixIsNotAStall(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond) // let a loop that marks before waiting do so
-	clock.ns.Add(int64(100 * stallAfter))
+	clock.ns.Add(int64(100 * s.stallAfter))
 	if code, hr := getHealth(t, ts); code != http.StatusOK || hr.Stalled || hr.InFlightMs != 0 {
 		t.Fatalf("healthz with a full mix and a queued job = %d %+v, want 200 and nothing in flight", code, hr)
 	}
@@ -177,40 +176,26 @@ func TestHealthzFullMixIsNotAStall(t *testing.T) {
 	}
 }
 
-// TestStallAfterDerivedOrRefused: an unset StallAfter is twice
-// EvalTimeout (DefaultStallAfter with no deadline), and New refuses an
-// explicit one that does not exceed EvalTimeout, under which a slow but
-// live evaluation would read as a stall.
-func TestStallAfterDerivedOrRefused(t *testing.T) {
+// TestStallAfterDerived: the stall threshold is twice EvalTimeout
+// (DefaultStallAfter with no deadline), so a slow but live evaluation
+// never reads as a stall.
+func TestStallAfterDerived(t *testing.T) {
 	r, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithWindow(30_000)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		stall, eval time.Duration
-		want        time.Duration // 0: New refuses
-	}{
-		{0, 0, DefaultStallAfter},
-		{0, 2 * time.Minute, 4 * time.Minute},
-		{0, time.Second, 2 * time.Second},
-		{time.Minute, 0, time.Minute},
-		{3 * time.Minute, 2 * time.Minute, 3 * time.Minute},
-		{2 * time.Minute, 2 * time.Minute, 0},
-		{time.Minute, 2 * time.Minute, 0},
+	for _, c := range []struct{ eval, want time.Duration }{
+		{0, DefaultStallAfter},
+		{2 * time.Minute, 4 * time.Minute},
+		{time.Second, 2 * time.Second},
 	} {
-		s, err := New(Config{Runner: r, StallAfter: c.stall, EvalTimeout: c.eval})
-		switch {
-		case c.want == 0 && err == nil:
-			s.Shutdown(context.Background())
-			t.Errorf("StallAfter %v, EvalTimeout %v: New accepted it, want a refusal", c.stall, c.eval)
-		case c.want == 0:
-		case err != nil:
-			t.Errorf("StallAfter %v, EvalTimeout %v: %v", c.stall, c.eval, err)
-		default:
-			if s.stallAfter != c.want {
-				t.Errorf("StallAfter %v, EvalTimeout %v: stall threshold %v, want %v", c.stall, c.eval, s.stallAfter, c.want)
-			}
-			s.Shutdown(context.Background())
+		s, err := New(Config{Runner: r, EvalTimeout: c.eval})
+		if err != nil {
+			t.Fatalf("EvalTimeout %v: %v", c.eval, err)
 		}
+		if s.stallAfter != c.want {
+			t.Errorf("EvalTimeout %v: stall threshold %v, want %v", c.eval, s.stallAfter, c.want)
+		}
+		s.Shutdown(context.Background())
 	}
 }

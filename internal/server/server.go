@@ -64,22 +64,12 @@ type Config struct {
 	// EvalTimeout bounds each what-if simulation (0 = no deadline): an
 	// evaluation that outlives it fails its job with
 	// context.DeadlineExceeded, and the loop moves on to the next job.
+	// It also sets the /healthz stall threshold: twice EvalTimeout.
 	EvalTimeout time.Duration
-
-	// StallAfter is the decision-loop liveness threshold: when a single
-	// decision has been in flight longer than this, GET /healthz reports
-	// decision_loop_stalled and returns 503 so orchestrators can detect a
-	// wedged loop instead of reading a bare 200 forever. A decision is in
-	// flight from the moment the admitted mix has room for it, so a queue
-	// waiting on client releases is not a stall. Zero derives it: twice
-	// EvalTimeout, or DefaultStallAfter with no deadline. An explicit
-	// value must exceed EvalTimeout: a slow but live simulation is not a
-	// stall.
-	StallAfter time.Duration
 }
 
-// DefaultStallAfter is the decision-loop stall threshold when neither
-// StallAfter nor EvalTimeout is set.
+// DefaultStallAfter is the decision-loop stall threshold when
+// EvalTimeout is not set.
 const DefaultStallAfter = 2 * time.Minute
 
 // Server is the admission-control daemon. Construct with New, mount
@@ -114,11 +104,17 @@ type Server struct {
 	statsMu sync.Mutex
 	reg     *trace.Registry
 
-	// Decision-loop liveness (see Config.StallAfter). decidingSinceNs is
-	// the wall time the in-flight decision started, 0 while the loop is
-	// idle; lastProgressNs is the wall time the loop last completed a
-	// decision (or started). Atomics: written by the decision loop, read
-	// by /healthz.
+	// Decision-loop liveness. stallAfter is the threshold: when a single
+	// decision has been in flight longer than this, GET /healthz reports
+	// decision_loop_stalled and returns 503 so orchestrators can detect a
+	// wedged loop instead of reading a bare 200 forever. A decision is in
+	// flight from the moment the admitted mix has room for it, so a queue
+	// waiting on client releases is not a stall. It is twice EvalTimeout
+	// (a slow but live simulation is not a stall), or DefaultStallAfter
+	// with no deadline. decidingSinceNs is the wall time the in-flight
+	// decision started, 0 while the loop is idle; lastProgressNs is the
+	// wall time the loop last completed a decision (or started).
+	// Atomics: written by the decision loop, read by /healthz.
 	stallAfter      time.Duration
 	decidingSinceNs atomic.Int64
 	lastProgressNs  atomic.Int64
@@ -145,14 +141,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	switch {
-	case cfg.StallAfter > 0 && cfg.StallAfter <= cfg.EvalTimeout:
-		return nil, fmt.Errorf("server: StallAfter %v must exceed EvalTimeout %v: a decision still inside its deadline is not a stall", cfg.StallAfter, cfg.EvalTimeout)
-	case cfg.StallAfter > 0:
-	case cfg.EvalTimeout > 0:
-		cfg.StallAfter = 2 * cfg.EvalTimeout
-	default:
-		cfg.StallAfter = DefaultStallAfter
+	stallAfter := DefaultStallAfter
+	if cfg.EvalTimeout > 0 {
+		stallAfter = 2 * cfg.EvalTimeout
 	}
 	sess := cfg.Runner.Session()
 	dec, err := newDecider(cfg, sess)
@@ -174,7 +165,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		stop:       cancel,
 		loopDone:   make(chan struct{}),
-		stallAfter: cfg.StallAfter,
+		stallAfter: stallAfter,
 		now:        time.Now,
 	}
 	s.lastProgressNs.Store(s.now().UnixNano())
@@ -470,7 +461,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleHealthz reports liveness, not just reachability: beyond the
 // drain flag it watches the decision loop itself. A decision in flight
-// longer than StallAfter (a simulation wedged past its deadline, a
+// longer than stallAfter (a simulation wedged past its deadline, a
 // journal write that never returns) flips decision_loop_stalled
 // and the status code to 503, with the last-progress timestamp so an
 // operator can see how long the loop has been dark — instead of a bare

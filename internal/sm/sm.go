@@ -313,12 +313,6 @@ func (s *SM) TBCap(slot int) int { return s.kernels[slot].cap }
 // ResidentTBs returns how many TBs of the slot this SM currently hosts.
 func (s *SM) ResidentTBs(slot int) int { return s.kernels[slot].tbs }
 
-// Outstanding returns the in-flight global load misses (MSHR occupancy).
-func (s *SM) Outstanding() int { return s.outstanding }
-
-// UsedThreads returns the number of resident threads.
-func (s *SM) UsedThreads() int { return s.usedThreads }
-
 // FreeFor reports whether the SM has the static resources to host one
 // more TB of the slot's kernel, honouring the per-kernel cap.
 func (s *SM) FreeFor(slot int) bool {

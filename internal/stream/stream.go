@@ -45,11 +45,6 @@ const (
 	ProcessBursty = "bursty"
 )
 
-// Processes lists the supported arrival processes.
-func Processes() []string {
-	return []string{ProcessPoisson, ProcessDiurnal, ProcessBursty}
-}
-
 // ErrBadSpec marks a structurally invalid generation spec or trace.
 var ErrBadSpec = errors.New("stream: invalid spec")
 

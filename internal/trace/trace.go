@@ -335,18 +335,6 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped
 }
 
-// Reset clears the buffered events (counters keep their values).
-// Nil-safe.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.next = 0
-	t.filled = false
-	t.dropped = 0
-	t.epoch = 0
-}
-
 // Registry returns the tracer's counter/gauge registry, or nil for a nil
 // tracer (the registry's methods are themselves nil-safe).
 func (t *Tracer) Registry() *Registry {

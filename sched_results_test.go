@@ -16,18 +16,25 @@ import (
 	"repro/internal/workloads"
 )
 
-// schedCase is one pinned co-run.
+// schedCase is one pinned co-run; draw is its index among the draws.
 type schedCase struct {
+	draw   int
 	label  string
 	specs  []core.KernelSpec
 	scheme core.Scheme
 }
 
-// schedCases draws n co-runs by seed, cycling through every scheme of
-// core.Schemes() so each is met n/8 times: two in four are pairs from
-// workloads.Pairs(), one is an open-world pair (infer or rtdet as the
-// QoS kernel), one a trio from workloads.Trios() with one or two QoS
-// members. Goals come from the 0.05 grid over 0.20..0.95: the low end
+// schedSlots is the length of the scheme cycle: the seven schemes of
+// core.Schemes() plus the slot of the deleted SMK fairness scheme. That
+// slot's mixes are still drawn, then dropped, so every other row keeps
+// its mix and its draw index.
+const schedSlots = 8
+
+// schedCases draws n co-runs by seed, cycling through schedSlots slots
+// so each scheme of core.Schemes() is met n/8 times: two in four are
+// pairs from workloads.Pairs(), one is an open-world pair (infer or rtdet
+// as the QoS kernel), one a trio from workloads.Trios() with one or two
+// QoS members. Goals come from the 0.05 grid over 0.20..0.95: the low end
 // runs quotas dry early (gate-stalled SMs), the high end keeps every
 // scheduler issuing.
 func schedCases(seed uint64, n int) []schedCase {
@@ -37,7 +44,7 @@ func schedCases(seed uint64, n int) []schedCase {
 	schemes := core.Schemes()
 	cases := make([]schedCase, 0, n)
 	for i := 0; i < n; i++ {
-		c := schedCase{scheme: schemes[i%len(schemes)]}
+		c := schedCase{draw: i}
 		switch i % 4 {
 		case 2:
 			p := open[src.Intn(len(open))]
@@ -52,6 +59,10 @@ func schedCases(seed uint64, n int) []schedCase {
 			p := pairs[src.Intn(len(pairs))]
 			c.specs = []core.KernelSpec{{Workload: p.QoS, GoalFrac: goal()}, {Workload: p.NonQoS}}
 		}
+		if i%schedSlots >= len(schemes) {
+			continue
+		}
+		c.scheme = schemes[i%schedSlots]
 		names := make([]string, len(c.specs))
 		for j, s := range c.specs {
 			names[j] = fmt.Sprintf("%s:%.2f", s.Workload, s.GoalFrac)
@@ -62,12 +73,12 @@ func schedCases(seed uint64, n int) []schedCase {
 	return cases
 }
 
-// TestSchedResultsPinned pins what the simulator computes, not how: 24
-// seeded co-runs on config.Base() and 8 on config.Scale56() (32 warps
+// TestSchedResultsPinned pins what the simulator computes, not how: 21
+// seeded co-runs on config.Base() and 7 on config.Scale56() (32 warps
 // per scheduler, where a scheduler's warp list fills and compacts) over a
-// 30k-cycle window, every scheme included — Spart's drain / preempt /
-// resume, Rollover-Time's deferred restores, Fair and unmanaged sharing —
-// each reduced to the SHA-256 of its marshalled core.Result and compared
+// 30k-cycle window, each scheme met 4 times — Spart's drain / preempt /
+// resume, Rollover-Time's deferred restores and unmanaged sharing
+// included — each reduced to the SHA-256 of its marshalled core.Result and compared
 // with testdata/sched_results.golden. The wheel-equivalence suite
 // compares two steppers over the same warp scheduler and the golden
 // trace is one mix; this file is the oracle for a change to the
@@ -94,16 +105,16 @@ func TestSchedResultsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, c := range schedCases(grid.seed, grid.n) {
+		for _, c := range schedCases(grid.seed, grid.n) {
 			res, err := s.Run(context.Background(), c.specs, c.scheme)
 			if err != nil {
-				t.Fatalf("%s/%02d %s: %v", grid.name, i, c.label, err)
+				t.Fatalf("%s/%02d %s: %v", grid.name, c.draw, c.label, err)
 			}
 			b, err := json.Marshal(res)
 			if err != nil {
-				t.Fatalf("%s/%02d %s: %v", grid.name, i, c.label, err)
+				t.Fatalf("%s/%02d %s: %v", grid.name, c.draw, c.label, err)
 			}
-			fmt.Fprintf(&got, "%s/%02d %s %x\n", grid.name, i, c.label, sha256.Sum256(b))
+			fmt.Fprintf(&got, "%s/%02d %s %x\n", grid.name, c.draw, c.label, sha256.Sum256(b))
 		}
 	}
 
