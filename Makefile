@@ -167,12 +167,13 @@ fuzz:
 # flushed before a crash after every answered arrival, ≈ 10 s raced on 2
 # cores, and recovery that rebuilds a carried decision record or refuses a
 # gap), node journals recovered concurrently yet failing deterministically
-# (the lowest-index damaged node is named, every journal closed), the
+# (the lowest-index damaged node is named, every journal closed),
+# same-device nodes sharing one isolated-baseline cache, the
 # what-if guard on both planes (a panicking or wedged what-if
 # fails one job on /v2 and /v1 while qosd keeps serving), and the /v2 HTTP
 # surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestParallelRecoveryNamesLowestNode|TestWhatIfGuardV2' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestParallelRecoveryNamesLowestNode|TestSameConfigNodesShareBaselines|TestWhatIfGuardV2' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2|TestWhatIfGuardV1' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace

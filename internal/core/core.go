@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strings"
@@ -180,6 +181,18 @@ func (ks KernelSpec) name() string {
 	return "?"
 }
 
+// baselineKey is the spec's IsolatedCache key. A suite workload is keyed
+// by its name; a custom profile by its name plus a hash of the whole
+// profile value, so two profiles that share a name but differ in any
+// field (a smaller grid, say) never share a baseline.
+func (ks KernelSpec) baselineKey() string {
+	if ks.Workload != "" || ks.Profile == nil {
+		return ks.name()
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%#v", *ks.Profile))
+	return fmt.Sprintf("%s#%x", ks.Profile.Name, sum[:8])
+}
+
 // Config is a Session's resolved configuration, assembled by the
 // functional options (WithGPU, WithWindow, WithQoSOptions,
 // WithPowerCosts). Sessions are constructed with NewSession(opts...);
@@ -215,6 +228,9 @@ type Session struct {
 	cfg      Config
 	seed     uint64
 	isolated *IsolatedCache
+	// newGPU builds every device the session runs (gpu.New); tests wrap
+	// it to count builds.
+	newGPU func(config.GPU, []*kern.Kernel) (*gpu.GPU, error)
 }
 
 // NewSession applies the options, validates the resulting configuration
@@ -242,7 +258,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cache == nil {
 		cache = NewIsolatedCache()
 	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: cache}, nil
+	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: gpu.New}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -280,18 +296,19 @@ func (s *Session) buildKernel(spec KernelSpec, slot int) (*kern.Kernel, error) {
 // the same kernel measure it once (singleflight); the cache may be shared
 // across sessions via WithIsolatedCache. The context cancels the
 // underlying simulation at epoch granularity.
+//
+// The measurement is exactly a lone unmanaged co-run (see RunTraced), so
+// a baseline either one files is the baseline the other would measure,
+// bit for bit. Suite workloads are cached by name, custom profiles by
+// name and profile value.
 func (s *Session) IsolatedIPC(ctx context.Context, spec KernelSpec) (float64, error) {
-	return s.isolated.ipc(spec.name(), func() (float64, error) {
+	return s.isolated.ipc(ctx, spec.baselineKey(), func() (float64, error) {
 		k, err := s.buildKernel(spec, 0)
 		if err != nil {
 			return 0, err
 		}
-		g, err := gpu.New(s.cfg.GPU, []*kern.Kernel{k})
+		g, err := s.simulate(ctx, []*kern.Kernel{k}, SchemeNone, nil, nil, nil)
 		if err != nil {
-			return 0, err
-		}
-		s.applyStepping(g)
-		if err := g.RunCtx(ctx, s.cfg.WindowCycles); err != nil {
 			return 0, err
 		}
 		return g.IPC(0), nil
@@ -341,10 +358,18 @@ func (s *Session) Run(ctx context.Context, specs []KernelSpec, scheme Scheme) (*
 // manager, spatial controller) emits its control decisions into tr, which
 // the caller exports afterwards (trace.Export / trace.WriteFile). A nil
 // tracer makes RunTraced identical to Run.
+//
+// A lone unmanaged run — one spec, SchemeNone, GoalFrac 0, so no goal
+// needs the baseline before cycle 0 — is the kernel's isolated
+// measurement. RunTraced then simulates once: it runs the device first
+// and files the kernel's IPC as its isolated baseline, or, when the
+// baseline is already cached, reports the cached value, which is the
+// same number. A run that fails or is canceled files nothing.
 func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Scheme, tr *trace.Tracer) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("core: no kernels")
 	}
+	lone := len(specs) == 1 && scheme == SchemeNone && specs[0].GoalFrac == 0
 	kernels := make([]*kern.Kernel, len(specs))
 	goals := make([]float64, len(specs))
 	isolated := make([]float64, len(specs))
@@ -357,11 +382,11 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		if spec.GoalFrac < 0 || spec.GoalIPC < 0 {
 			return nil, fmt.Errorf("%w: negative goal for %s", ErrBadGoal, spec.name())
 		}
-		iso, err := s.IsolatedIPC(ctx, spec)
-		if err != nil {
-			return nil, err
+		if !lone { // a lone run is the measurement; its IPC is filed after it
+			if isolated[i], err = s.IsolatedIPC(ctx, spec); err != nil {
+				return nil, err
+			}
 		}
-		isolated[i] = iso
 		switch {
 		case spec.GoalIPC > 0:
 			goals[i] = spec.GoalIPC
@@ -369,25 +394,19 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 			if spec.GoalFrac > 1 {
 				return nil, fmt.Errorf("%w: GoalFrac %.2f > 1 for %s", ErrBadGoal, spec.GoalFrac, spec.name())
 			}
-			goals[i] = spec.GoalFrac * iso
+			goals[i] = spec.GoalFrac * isolated[i]
 		}
 	}
 
-	g, err := gpu.New(s.cfg.GPU, kernels)
+	g, err := s.simulate(ctx, kernels, scheme, goals, isolated, tr)
 	if err != nil {
 		return nil, err
 	}
-	s.applyStepping(g)
-	if tr != nil {
-		// Attach before the scheme installs so the first quota
-		// allocation (epoch 0, cycle 0) is captured too.
-		g.SetTracer(tr)
-	}
-	if err := installScheme(g, scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
-		return nil, err
-	}
-	if err := g.RunCtx(ctx, s.cfg.WindowCycles); err != nil {
-		return nil, err
+	if lone {
+		ipc := g.IPC(0)
+		if isolated[0], err = s.isolated.ipc(ctx, specs[0].baselineKey(), func() (float64, error) { return ipc, nil }); err != nil {
+			return nil, err
+		}
 	}
 
 	costs := power.DefaultCosts()
@@ -425,10 +444,28 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 	return res, nil
 }
 
-// applyStepping selects the stepper on a freshly built device: the event
-// wheel, or the per-cycle reference loop when a test asked for it.
-func (s *Session) applyStepping(g *gpu.GPU) {
+// simulate builds a device over kernels, installs scheme and runs it for
+// the session window: every simulation the session makes, the isolated
+// measurement included. It selects the event wheel, or the per-cycle
+// reference loop when a test asked for it, and attaches tr (nil for
+// none) before the scheme installs, so the first quota allocation
+// (epoch 0, cycle 0) is captured too.
+func (s *Session) simulate(ctx context.Context, kernels []*kern.Kernel, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*gpu.GPU, error) {
+	g, err := s.newGPU(s.cfg.GPU, kernels)
+	if err != nil {
+		return nil, err
+	}
 	g.SetEventWheel(!s.cfg.DisableEventWheel)
+	if tr != nil {
+		g.SetTracer(tr)
+	}
+	if err := installScheme(g, scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
+		return nil, err
+	}
+	if err := g.RunCtx(ctx, s.cfg.WindowCycles); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // installScheme wires the chosen management policy into the GPU.

@@ -150,7 +150,7 @@ func TestSharedIsolatedCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := cache.ipc("k", func() (float64, error) {
+			v, err := cache.ipc(context.Background(), "k", func() (float64, error) {
 				computes.Add(1)
 				return 42, nil
 			})
@@ -173,13 +173,13 @@ func TestSharedIsolatedCacheSingleflight(t *testing.T) {
 func TestIsolatedCacheEvictsErrors(t *testing.T) {
 	cache := NewIsolatedCache()
 	boom := errors.New("boom")
-	if _, err := cache.ipc("k", func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := cache.ipc(context.Background(), "k", func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if cache.Len() != 0 {
 		t.Fatal("failed entry not evicted")
 	}
-	v, err := cache.ipc("k", func() (float64, error) { return 7, nil })
+	v, err := cache.ipc(context.Background(), "k", func() (float64, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry after failure: %v, %v", v, err)
 	}

@@ -40,7 +40,7 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.ipc("sgemm", compute)
+			v, err := c.ipc(ctx, "sgemm", compute)
 			results <- res{v, err}
 		}()
 	}
@@ -65,7 +65,7 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after a failed fill, want 0", c.Len())
 	}
-	v, err := c.ipc("sgemm", func() (float64, error) { return 42, nil })
+	v, err := c.ipc(context.Background(), "sgemm", func() (float64, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("recompute after eviction = (%v, %v), want (42, nil)", v, err)
 	}
@@ -80,8 +80,8 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 // measures afresh.
 func TestIsolatedCachePanicDuringFill(t *testing.T) {
 	c := NewIsolatedCache()
-	err := Guard(context.Background(), 0, func(context.Context) error {
-		_, err := c.ipc("sgemm", func() (float64, error) { panic("measurement fault") })
+	err := Guard(context.Background(), 0, func(ctx context.Context) error {
+		_, err := c.ipc(ctx, "sgemm", func() (float64, error) { panic("measurement fault") })
 		return err
 	})
 	var pe *PanicError
@@ -91,7 +91,7 @@ func TestIsolatedCachePanicDuringFill(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("cache holds %d entries after a panicked fill, want 0", c.Len())
 	}
-	if v, err := c.ipc("sgemm", func() (float64, error) { return 42, nil }); err != nil || v != 42 {
+	if v, err := c.ipc(context.Background(), "sgemm", func() (float64, error) { return 42, nil }); err != nil || v != 42 {
 		t.Fatalf("recompute after a panicked fill = (%v, %v), want (42, nil)", v, err)
 	}
 }

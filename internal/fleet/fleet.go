@@ -290,16 +290,27 @@ func New(cfg Config) (*Fleet, error) {
 // waits for all of them. The fleet keeps every node that was built, so
 // closeJournals reaches every journal that was opened; on failure the
 // error is the lowest-index node's, whichever failed first.
+//
+// Nodes with the same device share one isolated-baseline cache: a
+// baseline depends only on the device, the window and the seed, and the
+// last two are fleet-wide, so three identical nodes measure each
+// workload's baseline once between them. Verdict caches stay per node.
 func (f *Fleet) recoverNodes(ctx context.Context, cfg Config) ([]nodeBinding, error) {
 	nodes := make([]*node, len(cfg.Nodes))
 	bindings := make([]nodeBinding, len(cfg.Nodes))
 	errs := make([]error, len(cfg.Nodes))
+	baselines := make(map[config.GPU]*core.IsolatedCache)
+	for _, ns := range cfg.Nodes {
+		if baselines[ns.GPU] == nil {
+			baselines[ns.GPU] = core.NewIsolatedCache()
+		}
+	}
 	var wg sync.WaitGroup
 	for i, ns := range cfg.Nodes {
 		wg.Add(1)
 		go func(i int, ns NodeSpec) {
 			defer wg.Done()
-			n, bind, err := f.buildNode(ctx, i, ns, cfg)
+			n, bind, err := f.buildNode(ctx, i, ns, cfg, baselines[ns.GPU])
 			if err == nil {
 				err = n.recover()
 			}
@@ -320,9 +331,10 @@ func (f *Fleet) recoverNodes(ctx context.Context, cfg Config) ([]nodeBinding, er
 	return bindings, nil
 }
 
-// buildNode assembles one node (session, decider, journal).
-func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config) (*node, nodeBinding, error) {
-	opts := []core.Option{core.WithGPU(ns.GPU)}
+// buildNode assembles one node (session over the baselines cache,
+// decider, journal).
+func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config, baselines *core.IsolatedCache) (*node, nodeBinding, error) {
+	opts := []core.Option{core.WithGPU(ns.GPU), core.WithIsolatedCache(baselines)}
 	if cfg.Window > 0 {
 		opts = append(opts, core.WithWindow(cfg.Window))
 	}

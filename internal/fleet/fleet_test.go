@@ -540,3 +540,53 @@ func TestParallelRecoveryNamesLowestNode(t *testing.T) {
 		}
 	}
 }
+
+// TestSameConfigNodesShareBaselines: the three base nodes of a
+// 3×base + scale56 fleet share one isolated-baseline cache, and the
+// scale56 node keeps its own. First-fit sends every arrival to node-0
+// until it is full, then to node-1; node-2 and node-3 simulate nothing.
+// After the drive, every base node holds each workload's baseline — a
+// probe under a canceled context, which cannot simulate, finds it — and
+// the scale56 node holds none.
+func TestSameConfigNodesShareBaselines(t *testing.T) {
+	f, err := New(Config{
+		Nodes: []NodeSpec{
+			{Name: "base-a", GPU: config.Base()},
+			{Name: "base-b", GPU: config.Base()},
+			{Name: "base-c", GPU: config.Base()},
+			{Name: "scale56", GPU: config.Scale56()},
+		},
+		Scheme:   core.SchemeRollover,
+		Window:   20_000,
+		FastPath: true,
+		FirstFit: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, f)
+	names := []string{"sgemm", "lbm", "histo", "spmv"}
+	var reqs []Request
+	for _, w := range names {
+		reqs = append(reqs, Request{Name: w, Workload: w, GPUFraction: 0.2})
+	}
+	submitAll(t, f, reqs)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range names {
+		spec := core.KernelSpec{Workload: w}
+		want, err := f.nodes[0].sess.IsolatedIPC(canceled, spec)
+		if err != nil {
+			t.Fatalf("node-0 has no %s baseline after the drive: %v", w, err)
+		}
+		for _, n := range f.nodes[1:3] {
+			if got, err := n.sess.IsolatedIPC(canceled, spec); err != nil || got != want {
+				t.Errorf("%s: %s baseline (%v, %v), want node-0's %v", n.id, w, got, err, want)
+			}
+		}
+		if got, err := f.nodes[3].sess.IsolatedIPC(canceled, spec); !errors.Is(err, context.Canceled) {
+			t.Errorf("scale56 node answered %s from a cache it should not share: (%v, %v)", w, got, err)
+		}
+	}
+}
