@@ -1,6 +1,7 @@
 # Build, test and verification entry points. `make ci` is the gate run
-# before merging: `make fmt-check` (`gofmt -l .` must print nothing), vet
-# plus staticcheck (hard-required when $CI is set, soft-skipped with an
+# before merging: `make fmt-check` (`gofmt -l .` must print nothing), vet,
+# `make arch386` (vet for GOARCH=386 and the golden-bearing packages' tests
+# run there), staticcheck (hard-required when $CI is set, soft-skipped with an
 # explicit SKIPPED line on developer machines without the tool), the
 # race-detector pass over the concurrent packages (plus the pinned
 # stream-driver tests), `make fleet` (the raced fleet acceptance suite,
@@ -26,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace arch386 fleet stream-replay ci clean
 
 all: build
 
@@ -159,6 +160,15 @@ fuzz:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
 
+# 32-bit check: results must be byte-identical on a 32-bit target too.
+# GOARCH=386 runs natively on amd64, so the whole tree is vetted for it
+# (an int constant past 32 bits fails to compile there) and the packages
+# that pin results in goldens — figures, scheduler results and the trace
+# (root), the arrival streams, the journal codec — run their tests on it.
+arch386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal
+
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous
 # 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
@@ -187,6 +197,7 @@ stream-replay:
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
+	$(MAKE) arch386
 	$(MAKE) staticcheck
 	$(MAKE) race
 	$(MAKE) fleet

@@ -261,7 +261,7 @@ func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []plac
 		}
 	}
 	mustShutdown(t, live)
-	checkCarried(t, live)
+	checkCarried(t, live, cfg(liveDir))
 	if finished == "" {
 		t.Fatal("no torn crash copy in the last quarter of the stream kept a record past a lost one")
 	}
@@ -309,7 +309,11 @@ func cutNodeJournal(t *testing.T, dir, node string, idx int) {
 // one that lost a record no placement carries cannot be rebuilt, and New
 // names the node and the decision instead of recovering a different
 // cache; a placement journal written before records carried decisions
-// recovers as it always did.
+// recovers as it always did. Node journals whose every record carries
+// its verdict, as all did before cache hits were journaled by key alone,
+// recover to the same fleet and are left as they are; a key-only record
+// whose key the replayed cache lacks fails New, naming the node and the
+// record.
 func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node simulation in -short")
@@ -363,13 +367,42 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		t.Fatalf("the fixture stream no longer ends a node journal on carried records (%v) or carries a record after an uncarried one (%q)", tails, gapNode)
 	}
 
+	// The first cache hit, journaled by its key alone, and a node
+	// journal as a fleet that copied every verdict would have written it.
+	hitNode, hitAt := -1, -1
+	for i := range f.nodes {
+		_, keyOnly := replayedRecords(t, askFleet(false, true, base), i)
+		for k, ko := range keyOnly {
+			if ko && hitNode < 0 {
+				hitNode, hitAt = i, k
+			}
+		}
+	}
+	if hitNode < 0 {
+		t.Fatal("the fixture stream no longer journals a cache hit")
+	}
+
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
 		want   string // New's error must contain it; "" = recovers the run's fleet
 		old    bool   // the placement records carry no decision
+		asRead bool   // recovery leaves the damaged journals as they are
 	}{
 		{name: "clean"},
+		{name: "node records with every verdict", damage: func(t *testing.T, dir string) {
+			for i, n := range f.nodes {
+				recs, _ := replayedRecords(t, askFleet(false, true, dir), i)
+				rewriteNodeJournal(t, dir, n.id, recs)
+			}
+		}, asRead: true},
+		{name: "cache hit not in the cache", damage: func(t *testing.T, dir string) {
+			recs, _ := replayedRecords(t, askFleet(false, true, dir), hitNode)
+			recs = recs[:hitAt+1]
+			recs[hitAt].Verdict = nil
+			recs[hitAt].Candidate.GoalFrac = 0.123 // a mix no record decided
+			rewriteNodeJournal(t, dir, f.nodes[hitNode].id, recs)
+		}, want: fmt.Sprintf("node %s: decision %d: cache hit sig:", f.nodes[hitNode].id, hitAt)},
 		{name: "carried tail records lost", damage: func(t *testing.T, dir string) {
 			for node, idx := range tails {
 				cutNodeJournal(t, dir, node, idx)
@@ -390,11 +423,15 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 			if tc.damage != nil {
 				tc.damage(t, dir)
 			}
+			wantLogs := logs(t, base)
+			if tc.asRead {
+				wantLogs = logs(t, dir)
+			}
 			f, err := New(askFleet(false, true, dir))
 			if tc.want != "" {
 				if err == nil {
 					f.Close()
-					t.Fatalf("New recovered a fleet that lost an uncarried decision; want an error containing %q", tc.want)
+					t.Fatalf("New recovered a damaged fleet; want an error containing %q", tc.want)
 				}
 				if !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("New: %v; want an error containing %q", err, tc.want)
@@ -412,10 +449,29 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 				t.Fatalf("recovered fleet differs:\ngot:  %s\nwant: %s", got, want)
 			}
 			mustShutdown(t, f)
-			if got := logs(t, dir); !tc.old && !reflect.DeepEqual(got, logs(t, base)) {
+			if got := logs(t, dir); !tc.old && !reflect.DeepEqual(got, wantLogs) {
 				t.Fatal("recovered journals differ from the run's")
 			}
 		})
+	}
+}
+
+// rewriteNodeJournal replaces node's decision journal in dir with recs,
+// under the same header.
+func rewriteNodeJournal(t *testing.T, dir, node string, recs []NodeDecision) {
+	t.Helper()
+	path := filepath.Join(dir, node+".jnl")
+	j, err := journal.Create(path, headerHash(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, d := range recs {
+		if err := j.Append(decisionStage, k, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -23,7 +23,15 @@
 //
 // Crash safety: every node owns a decision journal (replaying it
 // re-evolves the verdict cache tiers exactly) and the fleet owns a
-// placement journal (place / migrate / release / reject records). A
+// placement journal (place / migrate / release / reject records). A node
+// record carries its verdict only when the simulator decided it; a cache
+// hit is journaled by its key alone (job id, mix and candidate), because
+// its verdict is the cached copy of an earlier sim record of the same
+// journal. Recovery replays each node journal in order, so the cache it
+// re-evolves holds every hit's key when that hit's record comes up, and a
+// key it lacks fails recovery, naming the node and the record. Journals
+// whose every record carries its verdict, as all did before, recover the
+// same way. Placement records always carry their verdicts. A
 // placed arrival costs one flush, not one per record: the place (or
 // migrate) record carries the index of the node decision whose verdict
 // it holds, that decision record is written but not flushed, and the

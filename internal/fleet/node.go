@@ -22,15 +22,20 @@ const capEps = 1e-9
 type MixEntry = verdict.MixEntry
 
 // NodeDecision is one per-node admission decision journal entry: the
-// resident mix, the candidate, and the verdict the tiered decider
-// produced. Replaying the sequence re-evolves the node's verdict cache
-// exactly, so a restarted node serves the same tiers for the same
-// future traffic.
+// resident mix, the candidate and, for a decision the simulator made,
+// the verdict. A cache hit is journaled by its key alone (no verdict):
+// its verdict is the one the cache already held, decided by an earlier
+// sim-tier record of the same journal, so a copy would add bytes and
+// nothing else. Replaying the sequence in order re-evolves the node's
+// verdict cache exactly, which is what lets recovery find every hit's
+// verdict again, so a restarted node serves the same tiers for the same
+// future traffic. Journals written before hits were journaled by key
+// carry a verdict on every record, and recover the same way.
 type NodeDecision struct {
 	JobID     string          `json:"job_id"`
 	Mix       []MixEntry      `json:"mix,omitempty"`
 	Candidate MixEntry        `json:"candidate"`
-	Verdict   *schema.Verdict `json:"verdict"`
+	Verdict   *schema.Verdict `json:"verdict,omitempty"`
 }
 
 // placedEntry is one job resident on a node.
@@ -110,7 +115,7 @@ func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*s
 	if err != nil {
 		return nil, 0, err
 	}
-	idx := n.count(v)
+	idx := n.count(v.Tier)
 	if n.jnl != nil {
 		d := decisionRecord(specs, ids, jobID, v)
 		write := n.jnl.Write
@@ -126,23 +131,28 @@ func (n *node) evaluate(specs []core.KernelSpec, ids []string, jobID string) (*s
 	return v, idx, nil
 }
 
-// decisionRecord is the journal entry of one what-if question.
+// decisionRecord is the journal entry of one what-if question: the mix
+// and candidate, and the verdict unless the cache tier gave it.
 func decisionRecord(specs []core.KernelSpec, ids []string, jobID string, v *schema.Verdict) NodeDecision {
 	entries := make([]MixEntry, len(specs))
 	for i, s := range specs {
 		entries[i] = MixEntry{JobID: ids[i], Workload: s.Workload, GoalFrac: s.GoalFrac, GoalIPC: s.GoalIPC}
 	}
 	last := len(entries) - 1
-	return NodeDecision{JobID: jobID, Mix: entries[:last], Candidate: entries[last], Verdict: v}
+	d := NodeDecision{JobID: jobID, Mix: entries[:last], Candidate: entries[last]}
+	if v.Tier != schema.TierCache {
+		d.Verdict = v
+	}
+	return d
 }
 
-// count books one decision in the node's tier counters and returns its
-// record index.
-func (n *node) count(v *schema.Verdict) int {
+// count books one decision of the given tier in the node's tier
+// counters and returns its record index.
+func (n *node) count(tier string) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.tiers[v.Tier]++
-	if v.Tier == schema.TierSim {
+	n.tiers[tier]++
+	if tier == schema.TierSim {
 		n.simEvals++
 	}
 	n.nextDec++
@@ -164,8 +174,9 @@ func (n *node) flush() error {
 }
 
 // recover replays the node's decision journal in index order,
-// re-evolving the verdict cache (verdict.Decider.Restore). No
-// simulation runs.
+// re-evolving the verdict cache (verdict.Decider.Restore). A record
+// without a verdict is a cache hit, whose key must be in the cache the
+// replay has re-evolved so far. No simulation runs.
 func (n *node) recover() error {
 	if n.jnl == nil {
 		return nil
@@ -175,12 +186,12 @@ func (n *node) recover() error {
 		if err := json.Unmarshal(raw, &d); err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
-		if d.Verdict == nil {
-			return fmt.Errorf("node %s: decision %d: missing verdict", n.id, i)
-		}
 		specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
-		n.dec.Restore(specs, d.Verdict)
-		n.count(d.Verdict)
+		tier, err := n.dec.Restore(specs, d.Verdict)
+		if err != nil {
+			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
+		}
+		n.count(tier)
 		n.nextDec = i + 1
 		return nil
 	})
@@ -192,10 +203,11 @@ func (n *node) recover() error {
 // candidate (job jobID) here. A record below the node's recovered count
 // is on disk already. One at the count was written but lost with the
 // flush that never came: it is rebuilt from the mix, the candidate and
-// the carried verdict, restored into the cache and journaled, flushed,
-// at its index, byte-identical to the one that was lost. One above the
-// count means a record no placement carries went missing, and the node
-// cannot be rebuilt.
+// the carried verdict (a cache hit by its key alone, as evaluate wrote
+// it), restored into the cache through that record and journaled,
+// flushed, at its index, byte-identical to the one that was lost. One
+// above the count means a record no placement carries went missing, and
+// the node cannot be rebuilt.
 func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) error {
 	n.mu.Lock()
 	have := n.nextDec
@@ -210,11 +222,15 @@ func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *sche
 	}
 	specs, ids := n.mixSnapshot("")
 	specs, ids = append(specs, candidate), append(ids, jobID)
-	n.dec.Restore(specs, v)
-	n.count(v)
+	d := decisionRecord(specs, ids, jobID, v)
+	tier, err := n.dec.Restore(specs, d.Verdict)
+	if err != nil {
+		return fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
+	}
+	n.count(tier)
 	n.ctr.records.Add(1)
 	n.ctr.flushes.Add(1)
-	if err := n.jnl.Append(decisionStage, idx, decisionRecord(specs, ids, jobID, v)); err != nil {
+	if err := n.jnl.Append(decisionStage, idx, d); err != nil {
 		return fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/rng"
 	"repro/internal/schema"
+	"repro/internal/verdict"
 )
 
 // refPlace is the placement rule the serial policy-ordered ask must
@@ -140,14 +142,71 @@ func withoutDecisions(ps []Placement) []Placement {
 	return ps
 }
 
-// checkCarried requires every place and migrate record of a journaled
-// fleet to name, in its node's journal, a decision record for the same
-// job whose verdict JSON is the placement's. Run it after Shutdown, when
-// every record is flushed: it reads each node journal through a fresh
-// Open.
-func checkCarried(t *testing.T, f *Fleet) {
+// replayedRecords replays the decision journal of cfg's node i on a
+// fresh decider, in index order, and returns its records, each with the
+// verdict it decided: its own, or for a cache hit journaled by its key
+// alone (keyOnly), the verdict the replayed cache gives for its mix and
+// candidate. A key-only record whose key the cache lacks fails the test.
+func replayedRecords(t *testing.T, cfg Config, i int) (recs []NodeDecision, keyOnly []bool) {
 	t.Helper()
-	decisions := make(map[string]map[int]json.RawMessage) // node id -> its journal's decision records
+	path := filepath.Join(cfg.JournalDir, fmt.Sprintf("node-%d.jnl", i))
+	j, err := journal.Open(path, headerHash(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := j.Completed(decisionStage)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := cfg
+	fresh.JournalDir = ""
+	n, _, err := (&Fleet{}).buildNode(context.Background(), i, cfg.Nodes[i], fresh, core.NewIsolatedCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, keyOnly = make([]NodeDecision, len(raw)), make([]bool, len(raw))
+	for k := range recs {
+		if err := json.Unmarshal(raw[k], &recs[k]); err != nil {
+			t.Fatalf("%s decision %d: %v", n.id, k, err)
+		}
+		specs, ids := verdict.MixSpecs(recs[k].Mix, recs[k].Candidate)
+		if recs[k].Verdict != nil {
+			if _, err := n.dec.Restore(specs, recs[k].Verdict); err != nil {
+				t.Fatalf("%s decision %d: %v", n.id, k, err)
+			}
+			continue
+		}
+		v, _, err := n.dec.Decide(context.Background(), specs, ids, func(context.Context, core.Scheme) (*core.Result, error) {
+			return nil, errors.New("key not in the replayed cache")
+		})
+		if err != nil {
+			t.Fatalf("%s decision %d: %v", n.id, k, err)
+		}
+		recs[k].Verdict, keyOnly[k] = v, true
+	}
+	return recs, keyOnly
+}
+
+// checkCarried requires every place and migrate record of a journaled
+// fleet (built from cfg) to name, in its node's journal, a decision
+// record for the same job whose verdict is byte for byte the one the
+// placement carries: for a cache hit, journaled by its key alone, the
+// verdict the node's replayed cache gives for that mix and candidate;
+// otherwise the record's own. A carried verdict comes from a key-only
+// record exactly when the cache tier gave it. Run it after Shutdown,
+// when every record is flushed: it reads each node journal through a
+// fresh Open.
+func checkCarried(t *testing.T, f *Fleet, cfg Config) {
+	t.Helper()
+	type replayed struct {
+		recs    []NodeDecision
+		keyOnly []bool
+	}
+	nodes := make(map[string]replayed)
+	for i, n := range f.nodes {
+		recs, keyOnly := replayedRecords(t, cfg, i)
+		nodes[n.id] = replayed{recs, keyOnly}
+	}
 	for _, p := range f.Placements() {
 		if p.Kind != KindPlace && p.Kind != KindMigrate {
 			continue
@@ -155,29 +214,17 @@ func checkCarried(t *testing.T, f *Fleet) {
 		if p.Decision == nil {
 			t.Fatalf("placement %d (%s) carries no decision index", p.Index, p.Kind)
 		}
-		if decisions[p.Node] == nil {
-			path := f.nodeByID(p.Node).jnl.Path()
-			j, err := journal.Open(path, headerHash(t, path))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decisions[p.Node] = j.Completed(decisionStage)
-			j.Close()
+		r, k := nodes[p.Node], *p.Decision
+		if k >= len(r.recs) {
+			t.Fatalf("placement %d names decision %d, which %s never journaled", p.Index, k, p.Node)
 		}
-		raw, ok := decisions[p.Node][*p.Decision]
-		if !ok {
-			t.Fatalf("placement %d names decision %d, which %s never journaled", p.Index, *p.Decision, p.Node)
-		}
-		var d struct {
-			JobID   string          `json:"job_id"`
-			Verdict json.RawMessage `json:"verdict"`
-		}
-		if err := json.Unmarshal(raw, &d); err != nil {
-			t.Fatal(err)
-		}
+		got, _ := json.Marshal(r.recs[k].Verdict)
 		want, _ := json.Marshal(p.Verdict)
-		if d.JobID != p.JobID || !bytes.Equal(d.Verdict, want) {
-			t.Fatalf("placement %d carries %s decision %d, which decided %s with %s, not %s with %s", p.Index, p.Node, *p.Decision, d.JobID, d.Verdict, p.JobID, want)
+		if r.recs[k].JobID != p.JobID || !bytes.Equal(got, want) {
+			t.Fatalf("placement %d carries %s decision %d, which decided %s with %s, not %s with %s", p.Index, p.Node, k, r.recs[k].JobID, got, p.JobID, want)
+		}
+		if r.keyOnly[k] != (p.Verdict.Tier == schema.TierCache) {
+			t.Fatalf("placement %d carries a %s verdict, but %s journaled decision %d key-only = %v", p.Index, p.Verdict.Tier, p.Node, k, r.keyOnly[k])
 		}
 	}
 }
@@ -202,7 +249,8 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 	for _, firstFit := range []bool{false, true} {
 		fewer := false
 		for _, seed := range []uint64{1, 2, 3, 4} {
-			got, err := New(askFleet(firstFit, false, t.TempDir()))
+			cfg := askFleet(firstFit, false, t.TempDir())
+			got, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +309,7 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 			t.Logf("firstFit=%v seed %d: %d placement records, node decisions %d (ask every node: %d)", firstFit, seed, len(got.Placements()), dg, dr)
 			mustShutdown(t, got)
 			mustShutdown(t, ref)
-			checkCarried(t, got)
+			checkCarried(t, got, cfg)
 		}
 		if !fewer {
 			t.Errorf("firstFit=%v: no seed asked fewer nodes than asking every node", firstFit)

@@ -58,8 +58,11 @@ func (s Scheme) String() string {
 // historyAdjusted reports whether the scheme scales quotas by α.
 func (s Scheme) historyAdjusted() bool { return s != Naive }
 
-// Options tunes the manager beyond the scheme choice; zero values give
-// the paper's configuration.
+// Options tunes the manager beyond the scheme choice. A zero Options is
+// this reproduction's default, not the paper's configuration: it keeps
+// the paper's history adjustment and static TB adjuster, and adds a
+// +1.5 % QuotaMargin (DESIGN.md §6, deviation 3) and an AlphaCap of 16,
+// neither of which is in the paper.
 type Options struct {
 	// DisableHistory forces α=1 even for schemes that normally adjust
 	// (the Section 4.8 history ablation).
@@ -298,20 +301,12 @@ func (m *Manager) OnCycle(now int64) {
 		return
 	}
 	for smID := range m.counters {
-		c := m.counters[smID]
-		s := m.g.SMs[smID]
-		exhausted := true
-		for _, slot := range m.nonQoS {
-			if c[slot] > 0 && s.ResidentTBs(slot) > 0 {
-				exhausted = false
-				break
-			}
-		}
-		if !exhausted {
+		if !m.nonQoSSpent(smID) {
 			continue
 		}
 		// Top up only the non-QoS kernels so they keep the SM busy
 		// until the epoch boundary.
+		c := m.counters[smID]
 		any := false
 		for _, slot := range m.nonQoS {
 			share := m.share(smID, slot)
@@ -323,22 +318,54 @@ func (m *Manager) OnCycle(now int64) {
 		}
 		if any {
 			m.Replenish++
-			s.Wake(now)
+			m.g.SMs[smID].Wake(now)
 		}
 	}
 }
 
-// NextControlEvent implements gpu.Controller for the event wheel.
-// OnCycle acts only once every QoS kernel has exhausted its quota
-// GPU-wide; until then it returns on its first check, and the exhaustion
-// state cannot change across a skipped stretch — it is a function of the
-// quota counters and TB residency, both frozen while every SM sleeps
-// (the issue that crosses the final counter past zero wakes its SM, so
-// the wheel re-evaluates at the very next cycle). Once exhausted, the
-// manager runs per cycle: replenish timing and elastic epoch starts
-// depend on state the hook itself mutates.
+// nonQoSSpent reports whether no non-QoS kernel on smID has both quota
+// left and a TB resident: the SM's replenish condition.
+func (m *Manager) nonQoSSpent(smID int) bool {
+	c := m.counters[smID]
+	s := m.g.SMs[smID]
+	for _, slot := range m.nonQoS {
+		if c[slot] > 0 && s.ResidentTBs(slot) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// replenishDue reports whether OnCycle's replenish would top up some
+// SM: one whose non-QoS kernels are all spent and where one of them has
+// a positive share. A mix without a non-QoS kernel never has one.
+func (m *Manager) replenishDue() bool {
+	for smID := range m.counters {
+		if !m.nonQoSSpent(smID) {
+			continue
+		}
+		for _, slot := range m.nonQoS {
+			if m.share(smID, slot) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// NextControlEvent implements gpu.Controller for the event wheel: it
+// returns now exactly when OnCycle would act. OnCycle acts only once
+// every QoS kernel has exhausted its quota GPU-wide, and then either
+// starts an elastic epoch (Elastic, whose test depends on state the hook
+// itself mutates, so it runs per cycle) or replenishes the SMs whose
+// non-QoS kernels are spent (replenishDue). Every input of both tests —
+// quota counters, TB residency, the epoch's quotas — is frozen while
+// every SM sleeps (the issue that crosses a counter past zero wakes its
+// SM, and an epoch roll is a wheel event of its own), so the wheel
+// re-evaluates at the very next cycle any of them can change, and a
+// skipped stretch stays exact.
 func (m *Manager) NextControlEvent(now int64) int64 {
-	if m.qosExhaustedEverywhere() {
+	if m.qosExhaustedEverywhere() && (m.scheme == Elastic || m.replenishDue()) {
 		return now
 	}
 	return gpu.NoEvent

@@ -242,7 +242,9 @@ func (s *Server) recoverJournal() error {
 		case "decision":
 			if d.Verdict != nil {
 				specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
-				s.dec.Restore(specs, d.Verdict)
+				if _, err := s.dec.Restore(specs, d.Verdict); err != nil {
+					return fmt.Errorf("server: job log entry %d: %w", i, err)
+				}
 			}
 			if d.Admitted {
 				admitted[d.JobID] = d

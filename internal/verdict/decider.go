@@ -2,6 +2,7 @@ package verdict
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -27,8 +28,9 @@ import (
 // replayer), in decision order, so a serial replay of a decision log
 // evolves an identical cache and reproduces every verdict — and its
 // deciding tier — bit for bit. Restore is the same evolution without
-// the deciding: recovery feeds it the logged verdicts, so a restarted
-// owner continues with the cache the stopped one had.
+// the deciding: recovery feeds it the logged verdicts, or for a cache hit
+// only its key, so a restarted owner continues with the cache the
+// stopped one had.
 
 // DefaultCacheSize bounds the exact-verdict cache when the fast path is
 // enabled and DeciderConfig.CacheSize is zero.
@@ -149,19 +151,33 @@ func (d *Decider) Decide(ctx context.Context, specs []core.KernelSpec, ids []str
 }
 
 // Restore replays one logged decision into the cache exactly as
-// deciding it did: a cache-tier verdict was a hit, so it refreshes the
-// entry's LRU recency; a sim-tier verdict is stored. Nothing simulates.
-// Journal recovery calls it per decision, in log order.
-func (d *Decider) Restore(specs []core.KernelSpec, v *schema.Verdict) {
+// deciding it did, and returns the tier that decided it: a sim-tier
+// verdict is stored; a cache-tier verdict was a hit, so it refreshes the
+// entry's LRU recency. A nil verdict is a hit logged by its key alone:
+// in-order replay has re-evolved the cache that answered it, so its
+// signature must be there, and a miss is an error, because the cached
+// verdict was the record's only copy. Nothing simulates. Journal
+// recovery calls it per decision, in log order.
+func (d *Decider) Restore(specs []core.KernelSpec, v *schema.Verdict) (string, error) {
 	if !d.enabled {
-		return
+		if v == nil {
+			return "", errors.New("cache hit logged by its key, but the verdict cache is off")
+		}
+		return v.Tier, nil
 	}
 	_, sigs, sig := d.sign(specs)
-	if v.Tier == schema.TierCache {
+	switch {
+	case v == nil:
+		if _, ok := d.cache.Get(sig); !ok {
+			return "", fmt.Errorf("cache hit %s is not in the replayed cache", evidenceRef(sig))
+		}
+		return schema.TierCache, nil
+	case v.Tier == schema.TierCache:
 		d.cache.Get(sig)
-		return
+	default:
+		d.store(sig, v, sigs)
 	}
-	d.store(sig, v, sigs)
+	return v.Tier, nil
 }
 
 // sign lowers a hypothetical mix to what keys it: the effective scheme,

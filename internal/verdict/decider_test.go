@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -331,24 +332,56 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 		t.Fatalf("log too tame to test recovery: tiers %v, %d sim calls", tiers, simA.calls)
 	}
 
-	for k := 1; k <= logged; k++ {
-		var simB fakeSim
-		b := testDecider(t, dc)
-		for _, ld := range log[:k] {
-			specs, _ := MixSpecs(ld.Mix, ld.Candidate)
-			b.Restore(specs, ld.Verdict)
-		}
-		if simB.calls != 0 {
-			t.Fatalf("cut %d: Restore simulated %d time(s)", k, simB.calls)
-		}
-		for i := k; i < k+tail; i++ {
-			before := simB.calls
-			if got := decide(b, &simB, log[i]); !bytes.Equal(got, want[i]) {
-				t.Fatalf("restored after %d decisions, decision %d diverged:\n uninterrupted %s\n restored      %s", k, i, want[i], got)
+	// Restored from full verdicts, and from a log that keeps a cache hit
+	// by its key alone (a nil verdict), as a fleet node journals it.
+	for _, keyOnly := range []bool{false, true} {
+		for k := 1; k <= logged; k++ {
+			var simB fakeSim
+			b := testDecider(t, dc)
+			for i, ld := range log[:k] {
+				specs, _ := MixSpecs(ld.Mix, ld.Candidate)
+				v := ld.Verdict
+				if keyOnly && v.Tier == schema.TierCache {
+					v = nil
+				}
+				tier, err := b.Restore(specs, v)
+				if err != nil {
+					t.Fatalf("key only %v, cut %d: restore %d: %v", keyOnly, k, i, err)
+				}
+				if tier != ld.Verdict.Tier {
+					t.Fatalf("key only %v, cut %d: restore %d reports tier %q, logged %q", keyOnly, k, i, tier, ld.Verdict.Tier)
+				}
 			}
-			if simulated := simB.calls > before; simulated != (log[i].Verdict.Tier == schema.TierSim) {
-				t.Fatalf("restored after %d decisions, decision %d: simulated = %v against a logged %s verdict", k, i, simulated, log[i].Verdict.Tier)
+			if simB.calls != 0 {
+				t.Fatalf("cut %d: Restore simulated %d time(s)", k, simB.calls)
+			}
+			for i := k; i < k+tail; i++ {
+				before := simB.calls
+				if got := decide(b, &simB, log[i]); !bytes.Equal(got, want[i]) {
+					t.Fatalf("key only %v, restored after %d decisions, decision %d diverged:\n uninterrupted %s\n restored      %s", keyOnly, k, i, want[i], got)
+				}
+				if simulated := simB.calls > before; simulated != (log[i].Verdict.Tier == schema.TierSim) {
+					t.Fatalf("restored after %d decisions, decision %d: simulated = %v against a logged %s verdict", k, i, simulated, log[i].Verdict.Tier)
+				}
 			}
 		}
+	}
+}
+
+// TestRestoreKeyOnlyMissFails: a cache hit logged by its key alone has
+// no verdict to fall back on, so a key the replayed cache lacks, or a
+// decider with the cache off, fails its Restore instead of guessing.
+func TestRestoreKeyOnlyMissFails(t *testing.T) {
+	specs := []core.KernelSpec{{Workload: "sgemm", GoalFrac: 0.5}, {Workload: "lbm"}}
+	on := testDecider(t, DeciderConfig{FastPath: true})
+	if _, err := on.Restore(specs, nil); err == nil || !strings.Contains(err.Error(), "not in the replayed cache") {
+		t.Fatalf("key-only restore of an unknown mix: %v", err)
+	}
+	if n := on.CacheLen(); n != 0 {
+		t.Fatalf("a failed restore left %d cache entries", n)
+	}
+	off := testDecider(t, DeciderConfig{})
+	if _, err := off.Restore(specs, nil); err == nil {
+		t.Fatal("key-only restore succeeded with the cache off")
 	}
 }
