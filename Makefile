@@ -1,8 +1,10 @@
 # Build, test and verification entry points. `make ci` is the gate run
 # before merging: `make fmt-check` (`gofmt -l .` must print nothing), vet,
 # `make arch386` (vet for GOARCH=386 and the golden-bearing packages' tests
-# run there), staticcheck (hard-required when $CI is set, soft-skipped with an
-# explicit SKIPPED line on developer machines without the tool), the
+# run there), `make arch-check` (no fused multiply-add in this module's
+# code on arm64 or riscv64), staticcheck (hard-required when $CI is set,
+# soft-skipped with an explicit SKIPPED line on developer machines without
+# the tool), the
 # race-detector pass over the concurrent packages (plus the pinned
 # stream-driver tests), `make fleet` (the raced fleet acceptance suite,
 # including TestRestartFromFlushedBytes: every answered /v2 arrival
@@ -27,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace arch386 fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace arch386 arch-check fleet stream-replay ci clean
 
 all: build
 
@@ -169,6 +171,15 @@ arch386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal
 
+# Fused multiply-add guard: Go may fuse x*y + z into one rounding on
+# arm64, riscv64, ppc64le and loong64, never on amd64, so no amd64 run
+# notices a fused site. Every cmd/* is cross-compiled for arm64 and
+# riscv64 and disassembled; any FMADDD/FMSUBD/FNMADDD/FNMSUBD in a repro/
+# function fails (scripts/arch-check.sh). An explicit float64(...) around
+# the product is the fix.
+arch-check:
+	@bash scripts/arch-check.sh
+
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous
 # 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
@@ -176,8 +187,10 @@ arch386:
 # header hashes, the one-flush commit rule (a restart from only the bytes
 # flushed before a crash after every answered arrival, ≈ 10 s raced on 2
 # cores, and recovery that rebuilds a carried decision record or refuses a
-# gap), node journals recovered concurrently yet failing deterministically
-# (the lowest-index damaged node is named, every journal closed),
+# gap, reads slim and legacy placement records alike and refuses a slim
+# record that names no replayed admit), node journals recovered
+# concurrently yet failing deterministically (the lowest-index damaged
+# node is named, every journal closed),
 # same-device nodes sharing one isolated-baseline cache, the
 # what-if guard on both planes (a panicking or wedged what-if
 # fails one job on /v2 and /v1 while qosd keeps serving), and the /v2 HTTP
@@ -198,6 +211,7 @@ ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(MAKE) arch386
+	$(MAKE) arch-check
 	$(MAKE) staticcheck
 	$(MAKE) race
 	$(MAKE) fleet

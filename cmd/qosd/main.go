@@ -40,6 +40,12 @@
 //	curl -s 'localhost:8715/v2/jobs?wait=1' -d '{"workload":"lbm","gpu_fraction":0.25}'
 //	curl -s localhost:8715/v2/nodes
 //	curl -s localhost:8715/v2/placements
+//
+// -pprof addr serves net/http/pprof on a listener of its own (off by
+// default; never on the API address):
+//
+//	qosd -addr :8715 -pprof localhost:6060
+//	go tool pprof 'localhost:6060/debug/pprof/profile?seconds=10'
 package main
 
 import (
@@ -47,7 +53,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -78,6 +86,7 @@ type options struct {
 	fleetNodes  string
 	fleetJnlDir string
 	fleetMix    int
+	pprofAddr   string
 }
 
 func main() {
@@ -96,6 +105,7 @@ func main() {
 	flag.StringVar(&o.fleetNodes, "fleet", "", "serve the /v2 fleet API over these nodes: comma-separated device names (base|scale56), e.g. base,base,scale56")
 	flag.StringVar(&o.fleetJnlDir, "fleet-journal", "", "fleet journal directory (per-node decision journals + placement journal); requires -fleet")
 	flag.IntVar(&o.fleetMix, "fleet-mix", 0, "max concurrently placed kernels per fleet node (0 = fleet default)")
+	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, apart from the API (e.g. localhost:6060; off when empty)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -171,6 +181,15 @@ func run(o options) error {
 		return err
 	}
 
+	if o.pprofAddr != "" {
+		ln, err := net.Listen("tcp", o.pprofAddr)
+		if err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
+		defer servePprof(ln).Close()
+		fmt.Fprintf(os.Stderr, "qosd: pprof on %s\n", ln.Addr())
+	}
+
 	hs := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
@@ -208,4 +227,22 @@ func run(o options) error {
 	}
 	fmt.Fprintln(os.Stderr, "qosd: drained")
 	return nil
+}
+
+// servePprof serves the net/http/pprof handlers on ln, on a mux of
+// their own: the API mux never carries them.
+func servePprof(ln net.Listener) *http.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ps := &http.Server{Handler: mux}
+	go func() {
+		if err := ps.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "qosd: pprof:", err)
+		}
+	}()
+	return ps
 }

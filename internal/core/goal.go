@@ -96,5 +96,5 @@ func LatencyTailHeadroom(percentile float64) float64 {
 	if percentile <= 0.9 {
 		return 1
 	}
-	return 1 + 2.5*(percentile-0.9)
+	return 1 + float64(2.5*(percentile-0.9)) // rounded, never fused: make arch-check
 }

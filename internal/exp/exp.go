@@ -9,14 +9,10 @@
 // so reduced versions of the full 900/600-case studies run quickly, and
 // Study.Collect runs each distinct sweep once. The Runner in runner.go
 // fans case grids out over a worker pool with bit-identical results to
-// the serial sweeps.
+// the serial sweeps the package tests keep as its reference.
 package exp
 
 import (
-	"context"
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/workloads"
 )
@@ -82,40 +78,6 @@ func TrioSpecs(t workloads.Trio, goal float64, nQoS int) ([]core.KernelSpec, []f
 	return specs, qg
 }
 
-// serialProgress emits Progress events for the in-order serial sweeps so
-// they feed the same stream the parallel Runner does.
-func serialProgress(stage string, total int, progress ProgressFunc) func(done int) {
-	if progress == nil {
-		return func(int) {}
-	}
-	start := time.Now()
-	return func(done int) {
-		p := Progress{Stage: stage, Done: done, Total: total, Elapsed: time.Since(start)}
-		p.CasesPerSec, p.ETA = sweepRate(done, total, p.Elapsed)
-		progress(p)
-	}
-}
-
-// PairSweep runs every pair at every goal under the scheme, serially on
-// one session. Progress (if non-nil) is invoked after each case for
-// long-run visibility. Runner.Sweep over a pair Grid is the parallel
-// equivalent and produces identical results.
-func PairSweep(ctx context.Context, s *core.Session, pairs []workloads.Pair, goals []float64, scheme core.Scheme, progress ProgressFunc) ([]PairCase, error) {
-	out := make([]PairCase, 0, len(pairs)*len(goals))
-	tick := serialProgress(scheme.String(), len(pairs)*len(goals), progress)
-	for _, p := range pairs {
-		for _, g := range goals {
-			res, err := s.Run(ctx, PairSpecs(p, g), scheme)
-			if err != nil {
-				return nil, fmt.Errorf("pair %s+%s @%.2f: %w", p.QoS, p.NonQoS, g, err)
-			}
-			out = append(out, PairCase{Pair: p, Goal: g, Scheme: scheme, Res: res})
-			tick(len(out))
-		}
-	}
-	return out, nil
-}
-
 // TrioCase is one trio run outcome. QoSGoals lists the goal fraction per
 // QoS kernel (the first len(QoSGoals) members carry goals).
 type TrioCase struct {
@@ -123,31 +85,6 @@ type TrioCase struct {
 	QoSGoals []float64
 	Scheme   core.Scheme
 	Res      *core.Result
-}
-
-// TrioSweep runs every trio at every goal with nQoS QoS kernels (1 or 2),
-// serially on one session. For nQoS==1 the goal applies to the trio's
-// first member; for nQoS==2 the same goal applies to the first two (the
-// paper's 2x25%..2x70%). Runner.Sweep over a trio Grid is the parallel
-// equivalent.
-func TrioSweep(ctx context.Context, s *core.Session, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme, progress ProgressFunc) ([]TrioCase, error) {
-	if nQoS < 1 || nQoS > 2 {
-		return nil, fmt.Errorf("exp: nQoS must be 1 or 2, got %d", nQoS)
-	}
-	out := make([]TrioCase, 0, len(trios)*len(goals))
-	tick := serialProgress(scheme.String(), len(trios)*len(goals), progress)
-	for _, t := range trios {
-		for _, g := range goals {
-			specs, qg := TrioSpecs(t, g, nQoS)
-			res, err := s.Run(ctx, specs, scheme)
-			if err != nil {
-				return nil, fmt.Errorf("trio %s+%s+%s @%.2f: %w", t.A, t.B, t.C, g, err)
-			}
-			out = append(out, TrioCase{Trio: t, QoSGoals: qg, Scheme: scheme, Res: res})
-			tick(len(out))
-		}
-	}
-	return out, nil
 }
 
 // ---- reducers ----

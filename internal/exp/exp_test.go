@@ -155,7 +155,7 @@ func TestPairSweepSmoke(t *testing.T) {
 	}
 	pairs := []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}}
 	goals := []float64{0.4}
-	cases, err := PairSweep(context.Background(), s, pairs, goals, core.SchemeRollover, nil)
+	cases, err := PairSweep(context.Background(), s, pairs, goals, core.SchemeRollover)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +176,14 @@ func TestTrioSweepSmoke(t *testing.T) {
 	cfg.NumSMs = 4
 	s, _ := core.NewSession(core.WithGPU(cfg), core.WithWindow(30_000))
 	trios := []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}}
-	cases, err := TrioSweep(context.Background(), s, trios, []float64{0.25}, 2, core.SchemeRollover, nil)
+	cases, err := TrioSweep(context.Background(), s, trios, []float64{0.25}, 2, core.SchemeRollover)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cases[0].QoSGoals) != 2 {
 		t.Fatal("2-QoS trio carries wrong goal count")
 	}
-	if _, err := TrioSweep(context.Background(), s, trios, []float64{0.25}, 3, core.SchemeRollover, nil); err == nil {
+	if _, err := TrioSweep(context.Background(), s, trios, []float64{0.25}, 3, core.SchemeRollover); err == nil {
 		t.Fatal("accepted nQoS=3")
 	}
 }

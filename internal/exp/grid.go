@@ -12,8 +12,8 @@ import (
 // Grid is one sweep's case grid: the study's pairs, or its trios with NQoS
 // QoS kernels each, at every goal. Case i is pair (or trio) i/len(Goals)
 // at goal i%len(Goals): pair/trio-major, goal-minor, the order of the
-// serial PairSweep/TrioSweep. It is the one mapping from a case index to
-// the case.
+// serial PairSweep/TrioSweep the package tests hold it to. It is the one
+// mapping from a case index to the case.
 type Grid struct {
 	Pairs []workloads.Pair
 	Trios []workloads.Trio

@@ -69,8 +69,8 @@ type FaultPolicy struct {
 // how many workers ask for them. Results are always merged in
 // deterministic case order (pairs/trios outer, goals inner) regardless of
 // completion order, and each case is bit-identical to what the serial
-// PairSweep/TrioSweep functions produce: per-case determinism comes from
-// the seeded RNG streams in internal/rng, not from scheduling.
+// PairSweep/TrioSweep of the package tests produce: per-case determinism
+// comes from the seeded RNG streams in internal/rng, not from scheduling.
 //
 // The runner is also the fault boundary of a study: each case executes
 // under core.Guard, which converts a panic into a *core.PanicError and

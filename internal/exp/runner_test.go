@@ -63,7 +63,7 @@ func TestPairSweepSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PairSweep(ctx, serialSession, pairs, goals, core.SchemeRollover, nil)
+	want, err := PairSweep(ctx, serialSession, pairs, goals, core.SchemeRollover)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := TrioSweep(ctx, r.Session(), trios, goals, 2, core.SchemeRollover, nil)
+	want, err := TrioSweep(ctx, r.Session(), trios, goals, 2, core.SchemeRollover)
 	if err != nil {
 		t.Fatal(err)
 	}

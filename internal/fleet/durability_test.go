@@ -9,12 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/schema"
 )
 
 // applyOp runs one step of a place/release stream on f and waits for its
@@ -179,24 +181,31 @@ func TestRestartFromFlushedBytes(t *testing.T) {
 	}
 	scenarios = append(scenarios, repart)
 
-	var migrates atomic.Int64
+	var migrates, keyRebuilds atomic.Int64
 	t.Run("streams", func(t *testing.T) {
 		for _, sc := range scenarios {
 			sc := sc
 			t.Run(sc.name, func(t *testing.T) {
 				t.Parallel()
-				migrates.Add(int64(crashAfterEveryAnswer(t, sc.cfg, sc.ops)))
+				m, k := crashAfterEveryAnswer(t, sc.cfg, sc.ops)
+				migrates.Add(int64(m))
+				keyRebuilds.Add(int64(k))
 			})
 		}
 	})
 	if migrates.Load() == 0 {
 		t.Fatal("nothing migrated: the test no longer covers carried migrate records")
 	}
+	if keyRebuilds.Load() == 0 {
+		t.Fatal("no restart rebuilt a cache hit from its key: the test no longer covers a lost node record behind a slim place record")
+	}
 }
 
 // crashAfterEveryAnswer is one scenario of TestRestartFromFlushedBytes. It
-// returns how many jobs the stream migrated.
-func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []placeOp) (migrates int) {
+// returns how many jobs the stream migrated, and how many restarts on a
+// cut copy rebuilt a node record journaled by its key alone, which only a
+// slim place or migrate record carries.
+func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []placeOp) (migrates, keyRebuilds int) {
 	root := t.TempDir()
 	liveDir := filepath.Join(root, "live")
 	live, err := New(cfg(liveDir))
@@ -239,6 +248,9 @@ func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []plac
 			if got := logs(t, dir); !reflect.DeepEqual(got, wantLogs) {
 				t.Fatalf("%s: recovered journals differ from the live ones", what)
 			}
+			if !torn && keyOnlyTail(img, wantLogs) {
+				keyRebuilds++
+			}
 			finish := torn && finished == "" && i >= 3*len(ops)/4
 			if finish {
 				rest := append([]string(nil), placed...)
@@ -268,7 +280,24 @@ func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []plac
 	if got, want := journalBytes(t, filepath.Join(root, finished)), journalBytes(t, liveDir); !reflect.DeepEqual(got, want) {
 		t.Fatalf("the stream finished after a restart on the torn copy after %s wrote different journals", finished)
 	}
-	return migrates
+	return migrates, keyRebuilds
+}
+
+// keyOnlyTail reports whether a restart on the cut copy img, which
+// recovered the journals want, rebuilt a node record without a verdict:
+// a record of want's node logs past img's that carries none.
+func keyOnlyTail(img map[string][]byte, want map[string]string) bool {
+	for name, log := range want {
+		if name == "placements.jnl" {
+			continue
+		}
+		for _, line := range strings.SplitAfter(log[len(img[name]):], "\n") {
+			if line != "" && !strings.Contains(line, `"verdict":`) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // headerHash reads the configuration hash from a journal's header line.
@@ -309,11 +338,14 @@ func cutNodeJournal(t *testing.T, dir, node string, idx int) {
 // one that lost a record no placement carries cannot be rebuilt, and New
 // names the node and the decision instead of recovering a different
 // cache; a placement journal written before records carried decisions
-// recovers as it always did. Node journals whose every record carries
-// its verdict, as all did before cache hits were journaled by key alone,
-// recover to the same fleet and are left as they are; a key-only record
+// (with every verdict) recovers as it always did. Node journals whose
+// every record carries its verdict, as all did before cache hits were
+// journaled by key alone, and a placement journal with every verdict and
+// full releases, as all were before placement records went slim, recover
+// to the same fleet and are left as they are. A key-only node record
 // whose key the replayed cache lacks fails New, naming the node and the
-// record.
+// record; so does a slim place record whose decision is not a replayed
+// admit of its job, naming the placement and the node.
 func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node simulation in -short")
@@ -329,6 +361,7 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	}
 	mustShutdown(t, f)
 	clean, cleanOld := fleetJSON(f.Placements(), f), fleetJSON(withoutDecisions(f.Placements()), f)
+	placementsPath := func(dir string) string { return filepath.Join(dir, "placements.jnl") }
 
 	// Which records each node wrote, and which of them a placement carries.
 	carried := make(map[string]map[int]bool)
@@ -382,6 +415,26 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		t.Fatal("the fixture stream no longer journals a cache hit")
 	}
 
+	// The first slim place record on a node that rejected before it, and
+	// that rejection.
+	slimAt, notAdmit := -1, -1
+	for _, p := range f.Placements() {
+		if p.Kind != KindPlace || p.Verdict.Tier != schema.TierCache || slimAt >= 0 {
+			continue
+		}
+		recs, _ := replayedRecords(t, askFleet(false, true, base), slices.IndexFunc(f.nodes, func(n *node) bool { return n.id == p.Node }))
+		for k := 0; k < *p.Decision; k++ {
+			if !recs[k].Verdict.IsAdmitted() {
+				slimAt, notAdmit = p.Index, k
+				break
+			}
+		}
+	}
+	if slimAt < 0 {
+		t.Fatal("the fixture stream no longer places a cache-tier admit on a node that rejected before")
+	}
+	slim := f.Placements()[slimAt]
+
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
@@ -411,7 +464,22 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		{name: "uncarried record lost", damage: func(t *testing.T, dir string) {
 			cutNodeJournal(t, dir, gapNode, gapAt)
 		}, want: fmt.Sprintf("node %s: placement carries decision %d, but the node journal recovers only %d", gapNode, gapNext, gapAt)},
-		{name: "placement records without decisions", damage: stripDecisions, old: true},
+		{name: "legacy placement records", damage: func(t *testing.T, dir string) {
+			// Every place and migrate record with its verdict and every
+			// release with its request and shares, as the fleet wrote them
+			// before records went slim.
+			rewriteJournal(t, placementsPath(dir), placementStage, f.Placements())
+		}, asRead: true},
+		{name: "slim record carries no admit", damage: func(t *testing.T, dir string) {
+			recs := placementRecords(t, dir)
+			recs[slimAt].Decision = &notAdmit
+			rewriteJournal(t, placementsPath(dir), placementStage, recs)
+		}, want: fmt.Sprintf("fleet: placement %d: node %s: decision %d is not a replayed admit of job %s", slimAt, slim.Node, notAdmit, slim.JobID)},
+		{name: "placement records without decisions", damage: func(t *testing.T, dir string) {
+			// A full-verdict log: the slim records a fleet writes today
+			// need their decision indexes.
+			rewriteJournal(t, placementsPath(dir), placementStage, withoutDecisions(f.Placements()))
+		}, old: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -456,17 +524,16 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	}
 }
 
-// rewriteNodeJournal replaces node's decision journal in dir with recs,
-// under the same header.
-func rewriteNodeJournal(t *testing.T, dir, node string, recs []NodeDecision) {
+// rewriteJournal replaces the journal at path with recs, record k at
+// index k of stage, under the same header.
+func rewriteJournal[T any](t *testing.T, path, stage string, recs []T) {
 	t.Helper()
-	path := filepath.Join(dir, node+".jnl")
 	j, err := journal.Create(path, headerHash(t, path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, d := range recs {
-		if err := j.Append(decisionStage, k, d); err != nil {
+	for k, r := range recs {
+		if err := j.Append(stage, k, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -475,39 +542,8 @@ func rewriteNodeJournal(t *testing.T, dir, node string, recs []NodeDecision) {
 	}
 }
 
-// stripDecisions rewrites the placement journal in dir as a fleet that
-// did not carry decision indexes would have written it.
-func stripDecisions(t *testing.T, dir string) {
+// rewriteNodeJournal replaces node's decision journal in dir with recs.
+func rewriteNodeJournal(t *testing.T, dir, node string, recs []NodeDecision) {
 	t.Helper()
-	path := filepath.Join(dir, "placements.jnl")
-	hash := headerHash(t, path)
-	old, err := journal.Open(path, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ps []Placement
-	err = old.Each(placementStage, func(_ int, raw json.RawMessage) error {
-		var p Placement
-		err := json.Unmarshal(raw, &p)
-		ps = append(ps, p)
-		return err
-	})
-	if cerr := old.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := journal.Create(path, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range withoutDecisions(ps) {
-		if err := j.Append(placementStage, p.Index, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	rewriteJournal(t, filepath.Join(dir, node+".jnl"), decisionStage, recs)
 }

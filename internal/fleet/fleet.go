@@ -31,17 +31,33 @@
 // re-evolves holds every hit's key when that hit's record comes up, and a
 // key it lacks fails recovery, naming the node and the record. Journals
 // whose every record carries its verdict, as all did before, recover the
-// same way. Placement records always carry their verdicts. A
-// placed arrival costs one flush, not one per record: the place (or
-// migrate) record carries the index of the node decision whose verdict
-// it holds, that decision record is written but not flushed, and the
-// placement record's flush makes it durable, because recovery rebuilds
-// it from the placement journal if the node journal lost it. Every node
-// record no placement record carries (a reject, an admit the repartition
-// search did not commit, an admit whose commit failed) is flushed before
-// anything acts on its verdict. On restart the node journals are
-// recovered concurrently, one goroutine per node, then the placement
-// journal, which rebuilds the lost records.
+// same way.
+//
+// Placement records are slim where the node journal already holds what
+// they would copy. A place or migrate record names the node decision it
+// acts on by index (decision); when the cache tier admitted, that index
+// is the record's only copy of the verdict, and recovery takes the
+// verdict the node journal's replay gave that decision (node replay
+// keeps every admit's verdict by index until placement replay ends). A
+// sim-tier admit's record still carries its verdict. A release record
+// keeps only its index, kind, job, sequence and node; recovery takes its
+// request and shares from the job, where the writer took them. Logs
+// written before records went slim, with every verdict and full
+// releases, recover to the same fleet. An older build reading a slim log
+// would recover placements without verdicts and say nothing, so a
+// placement journal this build wrote needs this build or a later one.
+//
+// A placed arrival costs one flush, not one per record: the admitting
+// node's decision record is written but not flushed, and the placement
+// record's flush makes it durable, because recovery rebuilds it from
+// the placement journal (from its verdict, or a cache hit from its key)
+// if the node journal lost it. Every node record no placement record
+// carries (a reject, an admit the repartition search did not commit, an
+// admit whose commit failed) is flushed before anything acts on its
+// verdict. On restart the node journals are recovered concurrently, one
+// goroutine per node, then the placement journal, which rebuilds the
+// lost records.
+//
 // Restarting a fleet over the same journal directory reconstructs
 // placements, mixes, job ids and cache state such that the continuation
 // of a submission stream produces byte-identical journals to an
@@ -126,10 +142,13 @@ type Config struct {
 	EvalTimeout time.Duration
 }
 
-// Placement is one fleet placement journal record, and the unit the
-// GET /v2/placements API serves. Index is the deterministic sequence
-// number; replaying records in index order reconstructs every node's
-// resident mix.
+// Placement is one fleet placement decision, the unit the GET
+// /v2/placements API serves, always whole: a place or migrate carries
+// its verdict and a release its request and shares. Its journal record
+// (placementRecord) leaves out what the node journals and the job
+// already hold, and recovery puts it back. Index is the deterministic
+// sequence number; replaying records in index order reconstructs every
+// node's resident mix.
 type Placement struct {
 	Index  int    `json:"index"`
 	Kind   string `json:"kind"`
@@ -145,6 +164,40 @@ type Placement struct {
 	Shares   Shares          `json:"shares"`
 	Verdict  *schema.Verdict `json:"verdict,omitempty"`
 	Reason   string          `json:"reason,omitempty"`
+}
+
+// placementRecord is a Placement as the placement journal holds it.
+// A place or migrate record whose decision the cache tier admitted
+// leaves its verdict out: the node journal holds that decision, by its
+// key, and recovery takes the verdict from its replay. A release keeps
+// only its index, kind, job, sequence and node: its request and shares
+// are its job's. Every other record is the Placement byte for byte.
+type placementRecord struct {
+	Index    int             `json:"index"`
+	Kind     string          `json:"kind"`
+	JobID    string          `json:"job_id"`
+	JobSeq   int             `json:"job_seq"`
+	Node     string          `json:"node,omitempty"`
+	From     string          `json:"from,omitempty"`
+	Decision *int            `json:"decision,omitempty"`
+	Request  *Request        `json:"request,omitempty"`
+	Shares   *Shares         `json:"shares,omitempty"`
+	Verdict  *schema.Verdict `json:"verdict,omitempty"`
+	Reason   string          `json:"reason,omitempty"`
+}
+
+// record is p's placement journal record.
+func (p Placement) record() placementRecord {
+	r := placementRecord{Index: p.Index, Kind: p.Kind, JobID: p.JobID, JobSeq: p.JobSeq, Node: p.Node}
+	if p.Kind == KindRelease {
+		return r
+	}
+	r.From, r.Decision, r.Reason = p.From, p.Decision, p.Reason
+	r.Request, r.Shares = &p.Request, &p.Shares
+	if p.Decision == nil || p.Verdict == nil || p.Verdict.Tier != schema.TierCache {
+		r.Verdict = p.Verdict
+	}
+	return r
 }
 
 // Counters are a fleet's work counts since New, for /metrics. They are
@@ -283,7 +336,11 @@ func New(cfg Config) (*Fleet, error) {
 			cancel()
 			return nil, err
 		}
-		if err := f.recoverPlacements(); err != nil {
+		err = f.recoverPlacements()
+		for _, n := range f.nodes {
+			n.replayed = nil
+		}
+		if err != nil {
 			f.closeJournals()
 			cancel()
 			return nil, err
@@ -399,21 +456,27 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config,
 // recoverPlacements replays the placement journal in index order,
 // rebuilding jobs, node mixes and the id counter, and every node decision
 // record a place or migrate record carries that its node journal lost.
+// What a slim record leaves out it puts back: a place or migrate record's
+// verdict from its node's replay (node.carried), a release's request and
+// shares from its job, so Placements reads as the fleet that wrote it.
 func (f *Fleet) recoverPlacements() error {
 	return f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
 		var p Placement
 		if err := json.Unmarshal(raw, &p); err != nil {
 			return fmt.Errorf("fleet: placement %d: %w", i, err)
 		}
-		// carried rebuilds the decision record p carries, if it was lost,
-		// against n's mix before p is applied.
+		// carried sets p's verdict from the decision record p carries,
+		// rebuilding that record if it was lost, against n's mix before p
+		// is applied.
 		carried := func(n *node, spec core.KernelSpec) error {
 			if p.Decision == nil {
 				return nil
 			}
-			if err := n.rebuild(*p.Decision, spec, p.JobID, p.Verdict); err != nil {
+			v, err := n.carried(*p.Decision, spec, p.JobID, p.Verdict)
+			if err != nil {
 				return fmt.Errorf("fleet: placement %d: %w", i, err)
 			}
+			p.Verdict = v
 			return nil
 		}
 		switch p.Kind {
@@ -463,6 +526,7 @@ func (f *Fleet) recoverPlacements() error {
 				n.remove(p.JobID)
 			}
 			j.setReleased()
+			p.Request, p.Shares = j.req, j.shares
 		case KindReject:
 			j := f.store.adopt(p.JobSeq, p.Request, p.Shares)
 			j.finish(StateRejected, p.Reason)

@@ -72,6 +72,10 @@ type node struct {
 	tiers    map[string]int
 	simEvals int
 	nextDec  int // next decision journal index
+	// replayed holds, by decision index, the verdict of every admit the
+	// node journal recovered, for the slim place and migrate records that
+	// carry them by index; recovery drops it once placement replay ends.
+	replayed map[int]*schema.Verdict
 }
 
 // NodeView is the wire-ready snapshot of one node.
@@ -174,66 +178,86 @@ func (n *node) flush() error {
 }
 
 // recover replays the node's decision journal in index order,
-// re-evolving the verdict cache (verdict.Decider.Restore). A record
-// without a verdict is a cache hit, whose key must be in the cache the
-// replay has re-evolved so far. No simulation runs.
+// re-evolving the verdict cache (verdict.Decider.Restore), and keeps
+// each admit's verdict in replayed. A record without a verdict is a
+// cache hit, whose key must be in the cache the replay has re-evolved so
+// far. No simulation runs.
 func (n *node) recover() error {
 	if n.jnl == nil {
 		return nil
 	}
+	n.replayed = make(map[int]*schema.Verdict)
 	return n.jnl.Each(decisionStage, func(i int, raw json.RawMessage) error {
 		var d NodeDecision
 		if err := json.Unmarshal(raw, &d); err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
-		specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
-		tier, err := n.dec.Restore(specs, d.Verdict)
+		specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
+		v, err := n.dec.Restore(specs, ids, d.Verdict)
 		if err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
-		n.count(tier)
+		if v.IsAdmitted() {
+			n.replayed[i] = v
+		}
+		n.count(v.Tier)
 		n.nextDec = i + 1
 		return nil
 	})
 }
 
-// rebuild is recovery's half of the commit rule: a place or migrate
-// record replayed with the node's resident mix as it stood (placement
-// replay has just rebuilt it) carries decision idx, the admit that put
-// candidate (job jobID) here. A record below the node's recovered count
-// is on disk already. One at the count was written but lost with the
-// flush that never came: it is rebuilt from the mix, the candidate and
-// the carried verdict (a cache hit by its key alone, as evaluate wrote
-// it), restored into the cache through that record and journaled,
-// flushed, at its index, byte-identical to the one that was lost. One
-// above the count means a record no placement carries went missing, and
-// the node cannot be rebuilt.
-func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) error {
+// carried returns the verdict of decision idx, the admit that put
+// candidate (job jobID) here, which a place or migrate record replayed
+// with the node's resident mix as it stood (placement replay has just
+// rebuilt it) carries: v, the record's copy, or nil for a slim record
+// that carries it by index alone. A record below the node's recovered
+// count is on disk already: its verdict is v, or for a slim record the
+// one the node journal replayed, which must be an admit of jobID. One at
+// the count was written but lost with the flush that never came, and is
+// rebuilt. One above the count means a record no placement carries went
+// missing, and the node cannot be rebuilt.
+func (n *node) carried(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) (*schema.Verdict, error) {
 	n.mu.Lock()
 	have := n.nextDec
 	n.mu.Unlock()
 	switch {
-	case idx < have:
-		return nil
 	case idx > have:
-		return fmt.Errorf("node %s: placement carries decision %d, but the node journal recovers only %d: a decision no placement carries is missing", n.id, idx, have)
-	case v == nil:
-		return fmt.Errorf("node %s: decision %d: carried without a verdict", n.id, idx)
+		return nil, fmt.Errorf("node %s: placement carries decision %d, but the node journal recovers only %d: a decision no placement carries is missing", n.id, idx, have)
+	case idx == have:
+		return n.rebuild(idx, candidate, jobID, v)
+	case v != nil:
+		return v, nil
 	}
+	if rv := n.replayed[idx]; rv != nil && rv.Candidate.JobID == jobID {
+		return rv, nil
+	}
+	return nil, fmt.Errorf("node %s: decision %d is not a replayed admit of job %s", n.id, idx, jobID)
+}
+
+// rebuild is recovery's half of the commit rule: decision idx, carried
+// by a placement record but lost from the node journal, is rebuilt from
+// the resident mix, the candidate and the carried verdict v, or for a
+// cache hit (v of the cache tier, or nil from a slim record) its key
+// alone, as evaluate wrote it. It is restored into the cache through
+// that record, journaled, flushed, at its index, byte-identical to the
+// one that was lost, and rebuild returns the verdict it gave.
+func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) (*schema.Verdict, error) {
 	specs, ids := n.mixSnapshot("")
 	specs, ids = append(specs, candidate), append(ids, jobID)
-	d := decisionRecord(specs, ids, jobID, v)
-	tier, err := n.dec.Restore(specs, d.Verdict)
-	if err != nil {
-		return fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
+	if v != nil && v.Tier == schema.TierCache {
+		v = nil
 	}
-	n.count(tier)
+	v, err := n.dec.Restore(specs, ids, v)
+	if err != nil {
+		return nil, fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
+	}
+	n.count(v.Tier)
 	n.ctr.records.Add(1)
 	n.ctr.flushes.Add(1)
-	if err := n.jnl.Append(decisionStage, idx, d); err != nil {
-		return fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
+	if err := n.jnl.Append(decisionStage, idx, decisionRecord(specs, ids, jobID, v)); err != nil {
+		return nil, fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
 	}
-	return nil
+	return v, nil
 }
 
 // fits reports whether shares (plus one more mix slot) are available.

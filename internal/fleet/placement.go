@@ -264,7 +264,7 @@ func (f *Fleet) appendPlacement(p Placement) error {
 	f.mu.Unlock()
 	if f.pj != nil {
 		f.ctr.flushes.Add(1)
-		if err := f.pj.Append(placementStage, p.Index, p); err != nil {
+		if err := f.pj.Append(placementStage, p.Index, p.record()); err != nil {
 			return fmt.Errorf("fleet: journal placement %d: %w", p.Index, err)
 		}
 	}

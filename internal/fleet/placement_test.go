@@ -170,19 +170,11 @@ func replayedRecords(t *testing.T, cfg Config, i int) (recs []NodeDecision, keyO
 			t.Fatalf("%s decision %d: %v", n.id, k, err)
 		}
 		specs, ids := verdict.MixSpecs(recs[k].Mix, recs[k].Candidate)
-		if recs[k].Verdict != nil {
-			if _, err := n.dec.Restore(specs, recs[k].Verdict); err != nil {
-				t.Fatalf("%s decision %d: %v", n.id, k, err)
-			}
-			continue
-		}
-		v, _, err := n.dec.Decide(context.Background(), specs, ids, func(context.Context, core.Scheme) (*core.Result, error) {
-			return nil, errors.New("key not in the replayed cache")
-		})
+		v, err := n.dec.Restore(specs, ids, recs[k].Verdict)
 		if err != nil {
 			t.Fatalf("%s decision %d: %v", n.id, k, err)
 		}
-		recs[k].Verdict, keyOnly[k] = v, true
+		recs[k].Verdict, keyOnly[k] = v, recs[k].Verdict == nil
 	}
 	return recs, keyOnly
 }
@@ -193,9 +185,10 @@ func replayedRecords(t *testing.T, cfg Config, i int) (recs []NodeDecision, keyO
 // placement carries: for a cache hit, journaled by its key alone, the
 // verdict the node's replayed cache gives for that mix and candidate;
 // otherwise the record's own. A carried verdict comes from a key-only
-// record exactly when the cache tier gave it. Run it after Shutdown,
-// when every record is flushed: it reads each node journal through a
-// fresh Open.
+// record exactly when the cache tier gave it, and exactly then the
+// placement journal's record leaves it out; a journaled release carries
+// no request or shares. Run it after Shutdown, when every record is
+// flushed: it reads each journal through a fresh Open.
 func checkCarried(t *testing.T, f *Fleet, cfg Config) {
 	t.Helper()
 	type replayed struct {
@@ -207,7 +200,19 @@ func checkCarried(t *testing.T, f *Fleet, cfg Config) {
 		recs, keyOnly := replayedRecords(t, cfg, i)
 		nodes[n.id] = replayed{recs, keyOnly}
 	}
-	for _, p := range f.Placements() {
+	journaled := placementRecords(t, cfg.JournalDir)
+	ps := f.Placements()
+	if len(journaled) != len(ps) {
+		t.Fatalf("the placement journal holds %d records, the fleet %d", len(journaled), len(ps))
+	}
+	for i, p := range ps {
+		jr := journaled[i]
+		if p.Kind == KindRelease {
+			if jr.Request != nil || jr.Shares != nil {
+				t.Fatalf("placement %d: a journaled release carries its request or shares", p.Index)
+			}
+			continue
+		}
 		if p.Kind != KindPlace && p.Kind != KindMigrate {
 			continue
 		}
@@ -223,10 +228,38 @@ func checkCarried(t *testing.T, f *Fleet, cfg Config) {
 		if r.recs[k].JobID != p.JobID || !bytes.Equal(got, want) {
 			t.Fatalf("placement %d carries %s decision %d, which decided %s with %s, not %s with %s", p.Index, p.Node, k, r.recs[k].JobID, got, p.JobID, want)
 		}
-		if r.keyOnly[k] != (p.Verdict.Tier == schema.TierCache) {
+		cache := p.Verdict.Tier == schema.TierCache
+		if r.keyOnly[k] != cache {
 			t.Fatalf("placement %d carries a %s verdict, but %s journaled decision %d key-only = %v", p.Index, p.Verdict.Tier, p.Node, k, r.keyOnly[k])
 		}
+		if (jr.Verdict == nil) != cache {
+			t.Fatalf("placement %d carries a %s verdict, and its journal record leaves it out = %v", p.Index, p.Verdict.Tier, jr.Verdict == nil)
+		}
+		if jb, _ := json.Marshal(jr.Verdict); !cache && !bytes.Equal(jb, want) {
+			t.Fatalf("placement %d journaled verdict %s, not %s", p.Index, jb, want)
+		}
 	}
+}
+
+// placementRecords reads the placement journal in dir as it was written.
+func placementRecords(t *testing.T, dir string) []placementRecord {
+	t.Helper()
+	path := filepath.Join(dir, "placements.jnl")
+	j, err := journal.Open(path, headerHash(t, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := j.Completed(placementStage)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]placementRecord, len(raw))
+	for k := range recs {
+		if err := json.Unmarshal(raw[k], &recs[k]); err != nil {
+			t.Fatalf("placement %d: %v", k, err)
+		}
+	}
+	return recs
 }
 
 // TestPlacementMatchesAskEveryNode: asking candidates in policy order

@@ -69,17 +69,19 @@ func Measure(g *gpu.GPU, c Costs) Report {
 		if st.WarpInstrs > 0 {
 			lanes = float64(st.ThreadInstrs) / float64(st.WarpInstrs)
 		}
-		dyn += float64(st.ALUInstrs) * lanes * c.ALUOp
-		dyn += float64(st.SFUInstrs) * lanes * c.SFUOp
-		dyn += float64(st.SharedInstrs) * lanes * c.SharedOp
-		dyn += float64(st.WarpInstrs) * c.IssueBase
-		dyn += float64(st.L1Accesses) * c.L1Access
+		// Every product is rounded before it is added, so no target
+		// fuses it into the sum (make arch-check).
+		dyn += float64(float64(st.ALUInstrs) * lanes * c.ALUOp)
+		dyn += float64(float64(st.SFUInstrs) * lanes * c.SFUOp)
+		dyn += float64(float64(st.SharedInstrs) * lanes * c.SharedOp)
+		dyn += float64(float64(st.WarpInstrs) * c.IssueBase)
+		dyn += float64(float64(st.L1Accesses) * c.L1Access)
 	}
 	l2 := g.Mem.L2Stats()
-	dyn += float64(l2.Accesses) * c.L2Access
-	dyn += float64(l2.Misses) * c.DRAMAccess
+	dyn += float64(float64(l2.Accesses) * c.L2Access)
+	dyn += float64(float64(l2.Misses) * c.DRAMAccess)
 	r.DynamicPJ = dyn
-	r.StaticPJ = float64(r.Cycles) * (float64(g.Cfg.NumSMs)*c.SMLeakage + c.BaseLeak)
+	r.StaticPJ = float64(float64(r.Cycles) * (float64(float64(g.Cfg.NumSMs)*c.SMLeakage) + c.BaseLeak))
 	r.TotalPJ = r.DynamicPJ + r.StaticPJ
 
 	if r.TotalPJ > 0 {

@@ -431,7 +431,7 @@ func (m *Manager) OnEpoch(now int64) {
 			next = m.peakIPC
 		}
 		prev := m.nonQoSGoal[slot]
-		m.nonQoSGoal[slot] = 0.5*prev + 0.5*next
+		m.nonQoSGoal[slot] = float64(0.5*prev) + float64(0.5*next) // rounded, never fused: make arch-check
 		m.g.Tracer().ArtificialGoal(now, slot, m.nonQoSGoal[slot], prev)
 	}
 	// History-based α for QoS kernels (Section 3.4.2). The α that was

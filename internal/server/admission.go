@@ -186,7 +186,7 @@ func (s *Server) release(id string) (*job, error) {
 	case s.slotFree <- struct{}{}:
 	default:
 	}
-	j.emit("state", map[string]string{"state": string(JobReleased)})
+	j.emitState(JobReleased)
 	s.count("jobs_released", 1)
 	s.record(Decision{Kind: "release", JobID: j.id, JobSeq: j.seq, Candidate: mixEntry(j)})
 	return j, nil
@@ -241,8 +241,8 @@ func (s *Server) recoverJournal() error {
 		switch d.Kind {
 		case "decision":
 			if d.Verdict != nil {
-				specs, _ := verdict.MixSpecs(d.Mix, d.Candidate)
-				if _, err := s.dec.Restore(specs, d.Verdict); err != nil {
+				specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
+				if _, err := s.dec.Restore(specs, ids, d.Verdict); err != nil {
 					return fmt.Errorf("server: job log entry %d: %w", i, err)
 				}
 			}
@@ -307,11 +307,11 @@ func (s *Server) forwardTrace(j *job, tr *trace.Tracer, slot int) {
 		if n++; n > maxForwardedEvents {
 			break
 		}
-		j.emit(ev.Kind.String(), map[string]any{
+		j.emit(Event{Type: ev.Kind.String(), data: encodeEvent(map[string]any{
 			"cycle": ev.Cycle,
 			"epoch": ev.Epoch,
 			"a":     ev.A,
 			"b":     ev.B,
-		})
+		})})
 	}
 }

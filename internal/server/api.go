@@ -245,7 +245,7 @@ func (s *Server) retryAfterSeconds() int {
 		if c <= 0 || ewma <= 0 || math.IsInf(ewma, 0) || math.IsNaN(ewma) {
 			continue
 		}
-		weightedNs += c * ewma
+		weightedNs += float64(c * ewma) // rounded, never fused: make arch-check
 		n += c
 	}
 	s.statsMu.Unlock()
@@ -277,7 +277,7 @@ func (s *Server) observeLatency(tier string, d time.Duration) {
 	s.statsMu.Lock()
 	g := s.reg.Gauge("latency_ewma_ns_" + tier)
 	if prev := g.Value(); prev > 0 {
-		ns = prev*(1-latencyEWMAAlpha) + ns*latencyEWMAAlpha
+		ns = float64(prev*(1-latencyEWMAAlpha)) + float64(ns*latencyEWMAAlpha) // rounded, never fused: make arch-check
 	}
 	g.Set(ns)
 	s.statsMu.Unlock()

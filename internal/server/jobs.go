@@ -32,12 +32,43 @@ const (
 // emission order. Type is "state" for lifecycle transitions, "verdict"
 // for the final admission decision, or a simulator trace-event name
 // (epoch_roll, goal_check, ...) for epoch-level evidence forwarded from
-// the what-if run.
+// the what-if run. A buffered event holds its payload by reference where
+// one exists already: a verdict event the job's own *Verdict, a state
+// event a shared pre-encoded constant. Only trace evidence is encoded
+// when it is emitted.
 type Event struct {
-	Seq  int             `json:"seq"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
+	Seq     int
+	Type    string
+	data    json.RawMessage // the encoded payload; nil for a verdict event
+	verdict *Verdict        // a verdict event's payload, encoded when sent
 }
+
+// Data returns the event's JSON payload, as an SSE stream sends it.
+func (e Event) Data() json.RawMessage {
+	if e.verdict == nil {
+		return e.data
+	}
+	return encodeEvent(e.verdict)
+}
+
+// encodeEvent is an event payload's JSON; one that cannot be encoded is
+// sent as {}.
+func encodeEvent(v any) json.RawMessage {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return json.RawMessage(`{}`)
+	}
+	return raw
+}
+
+// stateData holds each lifecycle state's event payload, encoded once.
+var stateData = func() map[JobState]json.RawMessage {
+	m := make(map[JobState]json.RawMessage)
+	for _, s := range []JobState{JobQueued, JobEvaluating, JobAdmitted, JobRejected, JobFailed, JobReleased} {
+		m[s] = encodeEvent(map[string]string{"state": string(s)})
+	}
+	return m
+}()
 
 // maxJobEvents caps each job's event buffer; the simulator can emit far
 // more epoch events than any admission client wants to replay.
@@ -72,7 +103,6 @@ func newJob(seq uint64, name string, spec core.KernelSpec, req KernelRequest) *j
 		spec:  spec,
 		req:   req,
 		state: JobQueued,
-		subs:  make(map[chan Event]struct{}),
 		done:  make(chan struct{}),
 	}
 }
@@ -81,13 +111,9 @@ func newJob(seq uint64, name string, spec core.KernelSpec, req KernelRequest) *j
 // evidence beyond the cap, never the lifecycle events at the front) and
 // fans it out to live subscribers. Slow subscribers lose events rather
 // than stall the decision loop; SSE clients resync via the buffer.
-func (j *job) emit(typ string, data any) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		raw = json.RawMessage(`{}`)
-	}
+func (j *job) emit(ev Event) {
 	j.mu.Lock()
-	ev := Event{Seq: len(j.events), Type: typ, Data: raw}
+	ev.Seq = len(j.events)
 	if len(j.events) < maxJobEvents {
 		j.events = append(j.events, ev)
 	}
@@ -100,12 +126,17 @@ func (j *job) emit(typ string, data any) {
 	j.mu.Unlock()
 }
 
+// emitState emits the "state" event of s.
+func (j *job) emitState(s JobState) {
+	j.emit(Event{Type: "state", data: stateData[s]})
+}
+
 // setState transitions the job and emits the matching "state" event.
 func (j *job) setState(s JobState) {
 	j.mu.Lock()
 	j.state = s
 	j.mu.Unlock()
-	j.emit("state", map[string]string{"state": string(s)})
+	j.emitState(s)
 }
 
 // finish records the terminal decision and wakes waiters.
@@ -117,9 +148,9 @@ func (j *job) finish(s JobState, v *Verdict, err error) {
 		j.errMsg = err.Error()
 	}
 	j.mu.Unlock()
-	j.emit("state", map[string]string{"state": string(s)})
+	j.emitState(s)
 	if v != nil {
-		j.emit("verdict", v)
+		j.emit(Event{Type: "verdict", verdict: v})
 	}
 	close(j.done)
 }
@@ -131,6 +162,9 @@ func (j *job) subscribe(ch chan Event) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	snap := append([]Event(nil), j.events...)
+	if j.subs == nil {
+		j.subs = make(map[chan Event]struct{})
+	}
 	j.subs[ch] = struct{}{}
 	return snap
 }

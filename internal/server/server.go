@@ -375,7 +375,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return // already replayed
 		}
 		seen = ev.Seq
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
+		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data())
 	}
 	for _, ev := range replay {
 		write(ev)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -395,4 +396,64 @@ func cfg16(t *testing.T) config.GPU {
 		t.Fatalf("config.Base() has %d SMs", c.NumSMs)
 	}
 	return c
+}
+
+// TestSSEReplayMatchesEagerEncoding: a job keeps its verdict event as
+// the *Verdict it holds and its state events as shared constants, and
+// encodes them only when a stream sends them, yet a replay is the byte
+// stream the eager encoding wrote: every payload json.Marshal of what was
+// emitted (the state map, the verdict), trace evidence as encoded at
+// emit.
+func TestSSEReplayMatchesEagerEncoding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a what-if simulation")
+	}
+	s := testServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, jr := post(t, ts, `{"kernel":{"workload":"sgemm","goal_frac":0.95}}`)
+	if v := wait(t, ts, jr.Job.ID); v.State != string(JobAdmitted) {
+		t.Fatalf("job = %+v, want admitted", v)
+	}
+	if _, err := s.ReleaseJob(jr.Job.ID); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + jr.Job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	j, err := s.store.get(jr.Job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []JobState{JobEvaluating, JobAdmitted, JobReleased}
+	var want strings.Builder
+	for seq, ev := range j.subscribe(make(chan Event)) {
+		var data []byte
+		switch ev.Type {
+		case "state":
+			if len(states) == 0 {
+				t.Fatalf("event %d: a state event past the lifecycle", seq)
+			}
+			data, _ = json.Marshal(map[string]string{"state": string(states[0])})
+			states = states[1:]
+		case "verdict":
+			data, _ = json.Marshal(j.verdict)
+		default:
+			data = ev.data
+		}
+		fmt.Fprintf(&want, "id: %d\nevent: %s\ndata: %s\n\n", seq, ev.Type, data)
+	}
+	if len(states) != 0 || !strings.Contains(want.String(), "event: verdict\n") || !strings.Contains(want.String(), "event: epoch_roll\n") {
+		t.Fatalf("the replay lacks states %v, the verdict or trace evidence:\n%s", states, want.String())
+	}
+	if string(got) != want.String() {
+		t.Fatalf("SSE replay differs from the eager encoding:\ngot:\n%s\nwant:\n%s", got, want.String())
+	}
 }

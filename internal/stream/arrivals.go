@@ -62,8 +62,9 @@ func Generate(spec GenSpec) (*Trace, error) {
 // expo draws an exponential inter-arrival time (seconds) at rate/sec.
 func expo(src *rng.Source, rate float64) float64 {
 	// 1-u is in (0,1]: Float64 returns [0,1), so the log argument is
-	// never zero.
-	return -math.Log(1-src.Float64()) / rate
+	// never zero. u is rounded before the subtraction, so no target fuses
+	// Float64's scaling into it (make arch-check).
+	return -math.Log(1-float64(src.Float64())) / rate
 }
 
 // pickTenant draws a tenant by cumulative weight.
@@ -101,7 +102,7 @@ func diurnalTimes(times, mod *rng.Source, spec GenSpec) []int64 {
 	peak := rate * (1 + amp)
 	var out []int64
 	for t := expo(times, peak); t < horizon; t += expo(times, peak) {
-		lambda := rate * (1 + amp*math.Sin(2*math.Pi*t/period))
+		lambda := rate * (1 + float64(amp*math.Sin(2*math.Pi*t/period))) // rounded, never fused: make arch-check
 		if mod.Float64()*peak < lambda {
 			out = append(out, int64(t*1e6))
 		}
@@ -124,7 +125,7 @@ func burstyTimes(times, mod *rng.Source, spec GenSpec) []int64 {
 	horizon := float64(spec.DurationMs) / 1000
 	fb := spec.BurstMs / (spec.BurstMs + spec.CalmMs)
 	rateBurst := spec.RatePerSec * spec.BurstFactor
-	rateCalm := spec.RatePerSec * (1 - spec.BurstFactor*fb) / (1 - fb)
+	rateCalm := spec.RatePerSec * (1 - float64(spec.BurstFactor*fb)) / (1 - fb) // rounded, never fused: make arch-check
 
 	var out []int64
 	burst := false

@@ -331,7 +331,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
+	idx := int(float64(p*float64(len(sorted)))+0.5) - 1 // rounded, never fused: make arch-check
 	if idx < 0 {
 		idx = 0
 	}

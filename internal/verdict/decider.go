@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -29,8 +30,8 @@ import (
 // evolves an identical cache and reproduces every verdict — and its
 // deciding tier — bit for bit. Restore is the same evolution without
 // the deciding: recovery feeds it the logged verdicts, or for a cache hit
-// only its key, so a restarted owner continues with the cache the
-// stopped one had.
+// only its key, and gets back the verdict each decision gave, so a
+// restarted owner continues with the cache the stopped one had.
 
 // DefaultCacheSize bounds the exact-verdict cache when the fast path is
 // enabled and DeciderConfig.CacheSize is zero.
@@ -151,33 +152,37 @@ func (d *Decider) Decide(ctx context.Context, specs []core.KernelSpec, ids []str
 }
 
 // Restore replays one logged decision into the cache exactly as
-// deciding it did, and returns the tier that decided it: a sim-tier
-// verdict is stored; a cache-tier verdict was a hit, so it refreshes the
-// entry's LRU recency. A nil verdict is a hit logged by its key alone:
-// in-order replay has re-evolved the cache that answered it, so its
-// signature must be there, and a miss is an error, because the cached
-// verdict was the record's only copy. Nothing simulates. Journal
-// recovery calls it per decision, in log order.
-func (d *Decider) Restore(specs []core.KernelSpec, v *schema.Verdict) (string, error) {
+// deciding it did, and returns the verdict the decision gave (ids names
+// the mix's jobs, as for Decide): a sim-tier verdict is stored; a
+// cache-tier verdict was a hit, so it refreshes the entry's LRU recency;
+// either is returned as logged. A nil verdict is a hit logged by its key
+// alone: in-order replay has re-evolved the cache that answered it, so
+// its signature must be there, and the cached verdict, re-mapped to ids
+// as Decide would have, is returned; a miss is an error, because the
+// cached verdict was the record's only copy. The mix is signed once and
+// nothing simulates. Journal recovery calls it per decision, in log
+// order.
+func (d *Decider) Restore(specs []core.KernelSpec, ids []string, v *schema.Verdict) (*schema.Verdict, error) {
 	if !d.enabled {
 		if v == nil {
-			return "", errors.New("cache hit logged by its key, but the verdict cache is off")
+			return nil, errors.New("cache hit logged by its key, but the verdict cache is off")
 		}
-		return v.Tier, nil
+		return v, nil
 	}
 	_, sigs, sig := d.sign(specs)
 	switch {
 	case v == nil:
-		if _, ok := d.cache.Get(sig); !ok {
-			return "", fmt.Errorf("cache hit %s is not in the replayed cache", evidenceRef(sig))
+		cv, ok := d.cache.Get(sig)
+		if !ok {
+			return nil, fmt.Errorf("cache hit %s is not in the replayed cache", evidenceRef(sig))
 		}
-		return schema.TierCache, nil
+		return cachedVerdict(cv, sigs, ids, sig), nil
 	case v.Tier == schema.TierCache:
 		d.cache.Get(sig)
 	default:
 		d.store(sig, v, sigs)
 	}
-	return v.Tier, nil
+	return v, nil
 }
 
 // sign lowers a hypothetical mix to what keys it: the effective scheme,
@@ -311,15 +316,28 @@ func verdictReason(admitted bool, outs []schema.KernelOutcome) string {
 	return "QoS goal missed by " + missedList(outs)
 }
 
-// missedList names every QoS kernel below goal, in request order.
+// missedList names every QoS kernel below goal, in request order, as
+// "job (workload) at R% of goal" with R to one decimal, ", "-separated.
+// It appends instead of formatting: recovery builds a reason for every
+// rejecting cache hit it replays.
 func missedList(outs []schema.KernelOutcome) string {
-	var missed []string
+	var b strings.Builder
+	var num [32]byte
 	for _, o := range outs {
-		if o.IsQoS && !o.Reached {
-			missed = append(missed, fmt.Sprintf("%s (%s) at %.1f%% of goal", o.JobID, o.Workload, 100*o.GoalRatio))
+		if !o.IsQoS || o.Reached {
+			continue
 		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(o.JobID)
+		b.WriteString(" (")
+		b.WriteString(o.Workload)
+		b.WriteString(") at ")
+		b.Write(strconv.AppendFloat(num[:0], 100*o.GoalRatio, 'f', 1, 64))
+		b.WriteString("% of goal")
 	}
-	return strings.Join(missed, ", ")
+	return b.String()
 }
 
 // store caches a decided verdict under its signature with outcomes in

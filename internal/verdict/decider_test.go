@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -278,7 +279,9 @@ type loggedDecision struct {
 // TestRestoreContinuesIdentically is the recovery property: a decider
 // that Restores the first k decisions of another's log must decide the
 // following ones exactly as the other did — same verdict bytes, deciding
-// tier included, and the same decisions reaching the simulator. It is
+// tier included, and the same decisions reaching the simulator — and
+// Restore must give back each logged verdict byte for byte, a hit logged
+// by its key alone re-mapped from the replayed cache. It is
 // checked at every cut of a log long enough, over few enough mixes, that
 // a 4-entry cache hits, misses and evicts throughout (an LRU forgets a
 // wrong recency within a few decisions, so one cut would see little).
@@ -339,17 +342,17 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 			var simB fakeSim
 			b := testDecider(t, dc)
 			for i, ld := range log[:k] {
-				specs, _ := MixSpecs(ld.Mix, ld.Candidate)
+				specs, ids := MixSpecs(ld.Mix, ld.Candidate)
 				v := ld.Verdict
 				if keyOnly && v.Tier == schema.TierCache {
 					v = nil
 				}
-				tier, err := b.Restore(specs, v)
+				got, err := b.Restore(specs, ids, v)
 				if err != nil {
 					t.Fatalf("key only %v, cut %d: restore %d: %v", keyOnly, k, i, err)
 				}
-				if tier != ld.Verdict.Tier {
-					t.Fatalf("key only %v, cut %d: restore %d reports tier %q, logged %q", keyOnly, k, i, tier, ld.Verdict.Tier)
+				if gb, _ := json.Marshal(got); !bytes.Equal(gb, want[i]) {
+					t.Fatalf("key only %v, cut %d: restore %d gave\n %s\nlogged\n %s", keyOnly, k, i, gb, want[i])
 				}
 			}
 			if simB.calls != 0 {
@@ -374,14 +377,39 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 func TestRestoreKeyOnlyMissFails(t *testing.T) {
 	specs := []core.KernelSpec{{Workload: "sgemm", GoalFrac: 0.5}, {Workload: "lbm"}}
 	on := testDecider(t, DeciderConfig{FastPath: true})
-	if _, err := on.Restore(specs, nil); err == nil || !strings.Contains(err.Error(), "not in the replayed cache") {
+	ids := []string{"a", "b"}
+	if _, err := on.Restore(specs, ids, nil); err == nil || !strings.Contains(err.Error(), "not in the replayed cache") {
 		t.Fatalf("key-only restore of an unknown mix: %v", err)
 	}
 	if n := on.CacheLen(); n != 0 {
 		t.Fatalf("a failed restore left %d cache entries", n)
 	}
 	off := testDecider(t, DeciderConfig{})
-	if _, err := off.Restore(specs, nil); err == nil {
+	if _, err := off.Restore(specs, ids, nil); err == nil {
 		t.Fatal("key-only restore succeeded with the cache off")
+	}
+}
+
+// TestMissedListMatchesSprintf: the appended reason is byte for byte the
+// fmt.Sprintf one verdicts carried before, for every ratio a what-if can
+// score, non-finite ones included.
+func TestMissedListMatchesSprintf(t *testing.T) {
+	var outs []schema.KernelOutcome
+	for i, r := range []float64{0, 0.9549, 0.95, 0.0004, 1.23456, -0.0001, math.Copysign(0, -1), 12345.678, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		outs = append(outs,
+			schema.KernelOutcome{JobID: fmt.Sprintf("job-%d", i), Workload: "sgemm", IsQoS: true, GoalRatio: r},
+			schema.KernelOutcome{JobID: "reached", Workload: "lbm", IsQoS: true, Reached: true, GoalRatio: r},
+			schema.KernelOutcome{JobID: "best-effort", Workload: "histo", GoalRatio: r})
+	}
+	for n := 0; n <= len(outs); n++ {
+		var missed []string
+		for _, o := range outs[:n] {
+			if o.IsQoS && !o.Reached {
+				missed = append(missed, fmt.Sprintf("%s (%s) at %.1f%% of goal", o.JobID, o.Workload, 100*o.GoalRatio))
+			}
+		}
+		if got, want := missedList(outs[:n]), strings.Join(missed, ", "); got != want {
+			t.Fatalf("%d outcomes: missedList = %q, want %q", n, got, want)
+		}
 	}
 }

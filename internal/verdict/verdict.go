@@ -39,7 +39,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"sort"
 	"sync"
 
 	"repro/internal/schema"
@@ -59,12 +58,7 @@ type KernelSig struct {
 // sort is stable (ties keep submission order), so the mapping between
 // request positions and cached outcomes is itself deterministic.
 func Canonical(sigs []KernelSig) []int {
-	perm := make([]int, len(sigs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		x, y := sigs[perm[a]], sigs[perm[b]]
+	less := func(x, y KernelSig) bool {
 		if x.Workload != y.Workload {
 			return x.Workload < y.Workload
 		}
@@ -72,7 +66,16 @@ func Canonical(sigs []KernelSig) []int {
 			return x.GoalFrac < y.GoalFrac
 		}
 		return x.GoalIPC < y.GoalIPC
-	})
+	}
+	// A mix is a handful of kernels: a stable insertion sort, which
+	// allocates nothing beyond perm.
+	perm := make([]int, len(sigs))
+	for i := range perm {
+		perm[i] = i
+		for j := i; j > 0 && less(sigs[perm[j]], sigs[perm[j-1]]); j-- {
+			perm[j], perm[j-1] = perm[j-1], perm[j]
+		}
+	}
 	return perm
 }
 

@@ -3,6 +3,7 @@ package verdict
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/schema"
@@ -157,5 +158,40 @@ func TestSignatureFuzzNoFalseCollisions(t *testing.T) {
 			t.Fatalf("collision: %q and %q share %s", prev, canon, sig)
 		}
 		seen[sig] = canon
+	}
+}
+
+// TestCanonicalMatchesStableSort: the insertion sort Canonical runs is
+// the permutation a stable library sort gives, on mixes of every size a
+// node or daemon signs, with duplicate kernels and ties throughout.
+func TestCanonicalMatchesStableSort(t *testing.T) {
+	alphabet := []KernelSig{
+		{Workload: "sgemm", GoalFrac: 0.5}, {Workload: "sgemm", GoalFrac: 0.95}, {Workload: "sgemm"},
+		{Workload: "lbm"}, {Workload: "lbm", GoalIPC: 20}, {Workload: "histo", GoalIPC: 3.25},
+		{Workload: "histo", GoalFrac: 0.5, GoalIPC: 3.25},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 5000; trial++ {
+		sigs := make([]KernelSig, rng.Intn(7))
+		for i := range sigs {
+			sigs[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		want := make([]int, len(sigs))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			x, y := sigs[want[a]], sigs[want[b]]
+			if x.Workload != y.Workload {
+				return x.Workload < y.Workload
+			}
+			if x.GoalFrac != y.GoalFrac {
+				return x.GoalFrac < y.GoalFrac
+			}
+			return x.GoalIPC < y.GoalIPC
+		})
+		if got := Canonical(sigs); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Canonical(%v) = %v, stable sort %v", sigs, got, want)
+		}
 	}
 }
