@@ -29,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz fmt-check staticcheck bench-trace arch386 arch-check fleet stream-replay ci clean
+.PHONY: all build test bench bench-ab bench-check bench-journal inline-check profile race fuzz rows-check fmt-check staticcheck bench-trace arch386 arch-check fleet stream-replay ci clean
 
 all: build
 
@@ -150,7 +150,8 @@ bench-trace:
 # line struct), journal recovery over a damaged file (Open -> Append ->
 # Open), the schema.Goal JSON union (against the two-pass decoder),
 # the qosd submission path (body decoder + lowering to a kernel spec,
-# /v1 and /v2) and the arrival-trace decoder `stream -mode replay` reads.
+# /v1 and /v2), the arrival-trace decoder `stream -mode replay` reads and
+# the row decoder qossim reads results/full through.
 # The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
 # new input that large byte by byte would take the whole time box, so
 # its minimization is capped by count.
@@ -161,6 +162,15 @@ fuzz:
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
+	$(GO) test ./internal/exp -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=10s
+
+# Staleness gate over the committed rows: 40 class-stratified cases of
+# results/full's 11 full-grid stages re-simulate through Runner.Run's
+# case subset and must render byte-equal rows (about half a minute on two
+# cores). A change that moves a simulated result fails here, and re-runs
+# the committed study (EXPERIMENTS.md) as it re-runs -update-golden.
+rows-check:
+	$(GO) test -count=1 -run '^TestCommittedRowsAreCurrent$$' ./internal/exp -stale
 
 # 32-bit check: results must be byte-identical on a 32-bit target too.
 # GOARCH=386 runs natively on amd64, so the whole tree is vetted for it
@@ -220,6 +230,7 @@ ci:
 	$(MAKE) stream-replay
 	$(MAKE) bench-trace
 	$(MAKE) fuzz
+	$(MAKE) rows-check
 	$(MAKE) inline-check
 	$(MAKE) bench-check
 

@@ -1,35 +1,38 @@
-// Command qossim regenerates the paper's tables and figures on the
-// simulator. Each experiment prints the same rows/series the paper
-// reports, next to a note quoting the paper's own numbers. Sweeps run on
-// a parallel worker pool (-workers, default one per CPU) with results
-// bit-identical to a serial run; Ctrl-C cancels cleanly mid-sweep.
+// Command qossim prints the paper's tables and figures, each next to a
+// note quoting the paper's own numbers. A table is a reduction over a
+// study's per-case rows: the selected experiments' sweeps are collected
+// once, deduplicated, before any table prints.
 //
-// Long studies can checkpoint to a journal (-journal) and, after an
-// interruption, resume (-resume) without recomputing finished cases;
-// resumed figures are bit-identical to an uninterrupted run.
-// -case-timeout bounds an individual wedged case; figures still require
-// complete grids, so a failing case fails the run (the journal keeps
-// everything completed so far). A failed case is not retried: it is a
-// pure function of its inputs and would fail again.
+// Rows come from a row store (-rows, default results/full: the committed
+// full-grid study at the committed window). A sweep whose stage file is
+// there is read, not simulated; a missing one is simulated on a parallel
+// worker pool (-workers, default one per CPU), bit-identical to a serial
+// run, and written there when it completes. So the store is also the
+// resume point: a killed run loses at most the stage in flight. The
+// stderr account names, per sweep, the cases simulated or the file read.
+// -rows "" simulates everything and writes nothing. A file whose rows do
+// not match its grid fails the run; no table is reduced from a partial
+// grid.
+//
+// -case-timeout bounds an individual wedged case; a failing case fails
+// the run and writes no file. A failed case is not retried: it is a pure
+// function of its inputs and would fail again. -trace writes per-case
+// event traces of the cases that simulate.
 //
 // Usage:
 //
-//	qossim -exp fig6a              # reduced study (fast)
-//	qossim -exp fig6c -full        # the complete 60-trio sweep
-//	qossim -exp all -window 500000 # everything, longer window
-//	qossim -exp fig6a -workers 4   # cap the worker pool
-//	qossim -exp all -full -journal study.ckpt          # checkpoint
-//	qossim -exp all -full -journal study.ckpt -resume  # continue
+//	qossim -exp fig6a                # from results/full, simulates nothing
+//	qossim -exp fig12 -subsample 6   # the committed Scale56 subsample
+//	qossim -exp all -window 100000 -subsample 9 -rows /tmp/rows
+//	qossim -exp fig6a -rows "" -subsample 30 -window 60000  # quick, unstored
 //
 // -exp takes an id of exp.Experiments (table1, fig5 … fig14,
-// ablate-history/-static/-preempt/-epoch/-nqinit) or all. The selected
-// experiments' sweeps are collected once, deduplicated, before any table
-// prints.
+// ablate-history/-static/-preempt/-epoch/-nqinit) or all. -subsample k
+// takes every k-th pair and trio, at every goal.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,20 +43,17 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
 // options carries the parsed command line.
 type options struct {
 	expName     string
-	full        bool
 	subsample   int
 	window      int64
 	workers     int
 	quiet       bool
-	journalPath string
-	resume      bool
+	rows        string
 	caseTimeout time.Duration
 	traceDir    string
 	traceFmt    string
@@ -62,13 +62,11 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.expName, "exp", "fig6a", "experiment to run (or 'all')")
-	flag.BoolVar(&o.full, "full", false, "run the complete study (90 pairs / 60 trios, 10 goals)")
-	flag.IntVar(&o.subsample, "subsample", 6, "take every k-th pair/trio in reduced mode")
-	flag.Int64Var(&o.window, "window", 200_000, "measurement window in cycles")
+	flag.IntVar(&o.subsample, "subsample", 1, "take every k-th pair/trio (1 = the full grid)")
+	flag.Int64Var(&o.window, "window", exp.CommittedWindow, "measurement window in cycles")
 	flag.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = one per CPU)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
-	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
-	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
+	flag.StringVar(&o.rows, "rows", "results/full", "row store: stage files are read from and written to it (\"\" = simulate all, write none)")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
@@ -83,42 +81,14 @@ func main() {
 	}
 }
 
-// openJournal opens (or creates) the checkpoint journal. The header hash
-// binds the file to the study shape; the per-stage keys inside bind each
-// case to the exact session config and grid, so one journal safely backs
-// every sweep of an -exp all run, the derived runners' included.
-func openJournal(o options) (*journal.Journal, error) {
-	if o.journalPath == "" {
-		if o.resume {
-			return nil, errors.New("-resume requires -journal")
-		}
-		return nil, nil
-	}
-	hash, err := journal.Hash(struct {
-		Window    int64
-		Full      bool
-		Subsample int
-	}{o.window, o.full, o.subsample})
-	if err != nil {
-		return nil, err
-	}
-	if o.resume {
-		return journal.Open(o.journalPath, hash)
-	}
-	if _, err := os.Stat(o.journalPath); err == nil {
-		return nil, fmt.Errorf("journal %s exists; pass -resume to continue it or remove it first", o.journalPath)
-	}
-	return journal.Create(o.journalPath, hash)
-}
-
 // newStudy builds the study every selected experiment reduces. Sweeps
 // on the 56-SM device and the ablations' variants run on runners derived
-// from this one, and the journal backs them all: stage keys disambiguate
-// the configurations.
-func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
+// from this one, and the row store backs them all: stage keys
+// disambiguate the configurations.
+func newStudy(o options) (exp.Study, error) {
 	ropts := []exp.Option{
 		exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout, Journal: jnl}),
+		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout}),
 	}
 	if o.traceDir != "" {
 		f, err := trace.ParseFormat(o.traceFmt)
@@ -131,12 +101,8 @@ func newStudy(o options, jnl *journal.Journal) (exp.Study, error) {
 	if err != nil {
 		return exp.Study{}, err
 	}
-	var st exp.Study
-	if o.full {
-		st = exp.FullStudy(r)
-	} else {
-		st = exp.ReducedStudy(r, o.subsample)
-	}
+	st := exp.NewStudy(r, o.subsample)
+	st.Rows = o.rows
 	if !o.quiet {
 		st.Progress = func(p exp.Progress) {
 			if p.Done == p.Total || p.Done%25 == 0 {
@@ -162,14 +128,7 @@ func run(ctx context.Context, o options) error {
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q", o.expName)
 	}
-	jnl, err := openJournal(o)
-	if err != nil {
-		return err
-	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
-	st, err := newStudy(o, jnl)
+	st, err := newStudy(o)
 	if err != nil {
 		return err
 	}
@@ -191,20 +150,26 @@ func run(ctx context.Context, o options) error {
 }
 
 // printRows writes the end-of-run account of every declared sweep to
-// stderr: cases simulated and their rate, journal skips and failures, or which earlier sweep it reused.
+// stderr: cases simulated and their rate, failures, the row file read or
+// written, or which earlier sweep it reused.
 func printRows(rows []exp.SweepRow) {
 	for _, row := range rows {
-		if row.Reused != "" {
+		switch rep := row.Report; {
+		case row.Reused != "":
 			fmt.Fprintf(os.Stderr, "sweep %-24s reused %s\n", row.Stage, row.Reused)
-			continue
+		case rep == nil:
+			fmt.Fprintf(os.Stderr, "sweep %-24s    0 cases simulated; %d read from %s\n",
+				row.Stage, len(row.Pairs)+len(row.Trios), row.File)
+		default:
+			fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases simulated in %8s (%.1f case/s)",
+				row.Stage, rep.Total, rep.Wall.Round(time.Millisecond), float64(rep.Total)/rep.Wall.Seconds())
+			if len(rep.Failed) > 0 {
+				fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
+			}
+			if row.File != "" {
+				fmt.Fprintf(os.Stderr, "; wrote %s", row.File)
+			}
+			fmt.Fprintln(os.Stderr)
 		}
-		rep := row.Report
-		n := rep.Total - rep.Skipped
-		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s)",
-			row.Stage, n, rep.Wall.Round(time.Millisecond), float64(n)/rep.Wall.Seconds())
-		if rep.Skipped > 0 || len(rep.Failed) > 0 {
-			fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
-		}
-		fmt.Fprintln(os.Stderr)
 	}
 }

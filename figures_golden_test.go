@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"path/filepath"
 	"strings"
@@ -17,8 +18,12 @@ import (
 // window, which covers only two of the epoch ablation's four lengths,
 // so its skip note is pinned too. Every sweep is collected in one pass
 // and each table is a pure reduction, so the concatenated text is the
-// whole reproduction pipeline end to end. Regenerate (only for an
-// intended change to results or table layout) with
+// whole reproduction pipeline end to end. The pass writes each sweep's
+// rows to a row store; a second study reads them back under a canceled
+// context, so any case it tried to simulate would fail it, and its tables
+// must be the same bytes: a table reduced from rows is the table reduced
+// from the simulated cases. Regenerate (only for an intended change to
+// results or table layout) with
 // `go test -run '^TestFiguresGolden$' -update-golden .`.
 func TestFiguresGolden(t *testing.T) {
 	if testing.Short() {
@@ -38,9 +43,24 @@ func TestFiguresGolden(t *testing.T) {
 		Trios:  []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}},
 		Goals:  []float64{0.5, 0.8},
 		Goals2: []float64{0.3, 0.5},
+		Rows:   t.TempDir(),
 	}
+	got := figuresText(context.Background(), t, st)
+	checkGolden(t, filepath.Join("testdata", "figures.golden"), got)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if fromRows := figuresText(canceled, t, st); !bytes.Equal(fromRows, got) {
+		t.Fatal("the tables reduced from the written rows differ from the tables reduced from the simulated cases")
+	}
+}
+
+// figuresText collects every experiment of the registry on st and
+// returns the concatenated tables.
+func figuresText(ctx context.Context, t *testing.T, st exp.Study) []byte {
+	t.Helper()
 	exps := exp.Experiments()
-	tables, _, err := st.Tables(context.Background(), exps)
+	tables, _, err := st.Tables(ctx, exps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,5 +72,5 @@ func TestFiguresGolden(t *testing.T) {
 		got.WriteString(tbl.String())
 		got.WriteByte('\n')
 	}
-	checkGolden(t, filepath.Join("testdata", "figures.golden"), []byte(got.String()))
+	return []byte(got.String())
 }

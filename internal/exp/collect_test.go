@@ -185,7 +185,7 @@ func TestAblationsFitTheStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ReducedStudy(r, 30) // no M+M pair among its three
+	st := NewStudy(r, 30) // no M+M pair among its three
 	var names []string
 	for _, sw := range epochSweeps(st) {
 		names = append(names, sw.Name)

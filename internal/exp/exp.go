@@ -5,9 +5,10 @@
 //
 // Every table, figure and ablation is one entry of Experiments (study.go):
 // the sweeps it needs and a pure reduction of their cases into a Table
-// that cmd/qossim prints. A Study controls the subset of pairs/trios/goals
-// so reduced versions of the full 900/600-case studies run quickly, and
-// Study.Collect runs each distinct sweep once. The Runner in runner.go
+// that cmd/qossim prints. A Study controls the subset of pairs and trios
+// (every k-th of the full 900/600-case studies), and Study.Collect
+// obtains each distinct sweep once: from the study's row store (rows.go)
+// when it holds the sweep, else by simulating it. The Runner in runner.go
 // fans case grids out over a worker pool with bit-identical results to
 // the serial sweeps the package tests keep as its reference.
 package exp
@@ -52,8 +53,8 @@ func (c PairCase) NonQoSKernel() core.KernelResult { return c.Res.Kernels[1] }
 // PairSpecs builds the two-kernel spec list for one pair case. It is
 // the single definition of how a (pair, goal) grid coordinate becomes
 // simulator input, shared by the serial sweeps and Grid, through which
-// the Runner runs every pooled case, local or distributed — so every
-// execution path is bit-identical by construction.
+// the Runner runs every pooled case — so every execution path is
+// bit-identical by construction.
 func PairSpecs(p workloads.Pair, goal float64) []core.KernelSpec {
 	return []core.KernelSpec{
 		{Workload: p.QoS, GoalFrac: goal},
@@ -63,7 +64,7 @@ func PairSpecs(p workloads.Pair, goal float64) []core.KernelSpec {
 
 // TrioSpecs builds the three-kernel spec list for one trio case along
 // with its per-QoS-kernel goal list. Like PairSpecs it is shared by
-// every execution path (serial, pooled, distributed).
+// every execution path (serial and pooled).
 func TrioSpecs(t workloads.Trio, goal float64, nQoS int) ([]core.KernelSpec, []float64) {
 	specs := []core.KernelSpec{
 		{Workload: t.A, GoalFrac: goal},

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -113,16 +114,19 @@ func TestStudyReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := FullStudy(r)
-	if len(full.Pairs) != 90 || len(full.Trios) != 60 {
-		t.Fatalf("full study %d pairs / %d trios", len(full.Pairs), len(full.Trios))
+	full := NewStudy(r, 1)
+	if len(full.Pairs) != 90 || len(full.Trios) != 60 || len(full.Goals) != 10 || len(full.Goals2) != 10 {
+		t.Fatalf("full study %d pairs / %d trios / %d+%d goals", len(full.Pairs), len(full.Trios), len(full.Goals), len(full.Goals2))
 	}
-	red := ReducedStudy(r, 10)
-	if len(red.Pairs) != 9 {
-		t.Fatalf("reduced pairs = %d, want 9", len(red.Pairs))
+	red := NewStudy(r, 10)
+	if len(red.Pairs) != 9 || len(red.Trios) != 6 {
+		t.Fatalf("every 10th: %d pairs / %d trios, want 9 / 6", len(red.Pairs), len(red.Trios))
 	}
-	if len(red.Goals) != 5 {
-		t.Fatalf("reduced goals = %d, want 5", len(red.Goals))
+	if !reflect.DeepEqual(red.Goals, full.Goals) || !reflect.DeepEqual(red.Goals2, full.Goals2) {
+		t.Fatal("a subsampled study must keep every goal")
+	}
+	if red.Pairs[1] != full.Pairs[10] {
+		t.Fatalf("second subsampled pair %v, want the full grid's 11th %v", red.Pairs[1], full.Pairs[10])
 	}
 }
 

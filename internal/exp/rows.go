@@ -1,0 +1,69 @@
+package exp
+
+import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+
+	"repro/internal/core"
+)
+
+// A study's row store is a directory of row files, one per completed
+// sweep stage, named by the stage key Collect deduplicates by. The key
+// hashes the session configuration (window included) and the grid, so a
+// file is found only by the exact grid it was simulated for. A stage is
+// written once, whole, when it completes; a file is never appended to.
+
+// CommittedWindow is the measurement window of the committed row store
+// results/full (EXPERIMENTS.md gives the convergence study it was chosen
+// from).
+const CommittedWindow = 300_000
+
+// rowFile is the path of a stage's row file in dir.
+func rowFile(dir, key string) string {
+	return filepath.Join(dir, strings.ReplaceAll(key, "/", "_")+".csv")
+}
+
+// readRows decodes the row file at path into g's cases under scheme. It
+// reports found false, and no error, when there is no such file.
+func readRows(path string, g Grid, scheme core.Scheme) (c Cases, found bool, err error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return Cases{}, false, nil
+	}
+	if err != nil {
+		return Cases{}, false, err
+	}
+	c, err = g.decodeRows(path, data, scheme)
+	return c, true, err
+}
+
+// writeRows writes the complete cases of g as the row file at path,
+// atomically: into a temporary file beside it, synced, then renamed over
+// it, so a killed run leaves either the whole stage or nothing.
+func writeRows(path string, g Grid, c Cases) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), ".rows-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name()) // a no-op once renamed
+	_, err = f.Write(g.encodeRows(c))
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	return err
+}

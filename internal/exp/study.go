@@ -12,41 +12,33 @@ import (
 
 // Study configures how much of the full evaluation the experiments
 // reduce. The paper's full study is 90 pairs x 10 goals (900 cases per
-// scheme) and 60 trios x 10 goals; Reduced trims both axes for quick
-// runs. All sweeps execute on the Runner's worker pool.
+// scheme) and 60 trios x 10 goals; NewStudy subsamples the pairs and
+// trios. All sweeps execute on the Runner's worker pool.
 type Study struct {
 	Runner *Runner
 	Pairs  []workloads.Pair
 	Trios  []workloads.Trio
 	Goals  []float64 // pair/1-QoS-trio goal sweep
 	Goals2 []float64 // 2-QoS-trio goal sweep
+	// Rows is the row store (rows.go): a sweep whose stage file is there
+	// is read instead of simulated, and one that simulates to the end is
+	// written there. Empty means simulate every sweep and write nothing.
+	Rows string
 	// Progress receives sweep progress events for long runs (may be nil).
 	Progress ProgressFunc
 }
 
-// FullStudy returns the paper's complete evaluation configuration.
-func FullStudy(r *Runner) Study {
+// NewStudy returns the paper's evaluation on every k-th pair and trio
+// (k <= 1: all of them) at every goal.
+func NewStudy(r *Runner, k int) Study {
+	k = max(k, 1)
 	return Study{
 		Runner: r,
-		Pairs:  workloads.Pairs(),
-		Trios:  workloads.Trios(),
+		Pairs:  every(workloads.Pairs(), k),
+		Trios:  every(workloads.Trios(), k),
 		Goals:  Goals(),
 		Goals2: TwoQoSGoals(),
 	}
-}
-
-// ReducedStudy returns a subsampled configuration sized for quick runs:
-// every k-th pair/trio and every other goal.
-func ReducedStudy(r *Runner, k int) Study {
-	if k < 1 {
-		k = 1
-	}
-	st := FullStudy(r)
-	st.Pairs = every(st.Pairs, k)
-	st.Trios = every(st.Trios, k)
-	st.Goals = every(st.Goals, 2)
-	st.Goals2 = every(st.Goals2, 2)
-	return st
 }
 
 func every[T any](in []T, k int) []T {
@@ -95,16 +87,20 @@ type SweepRow struct {
 	// Stage is the sweep's declared name.
 	Stage string
 	// Reused names the earlier sweep of the same Collect with the same
-	// journal stage key, whose cases this one shares; empty if it ran.
+	// stage key, whose cases this one shares; empty otherwise.
 	Reused string
-	// Report is the fault report of the sweep that ran; nil when Reused.
+	// File is the row file the cases were read from (Report nil) or
+	// written to; empty when reused or without a row store.
+	File string
+	// Report is the fault report of the sweep that simulated; nil when
+	// reused or read.
 	Report *SweepReport
 	Pairs  []PairCase // a pair sweep's cases
 	Trios  []TrioCase // a trio sweep's cases
 }
 
 // plannedSweep is a declared sweep resolved to its runner, case grid and
-// journal stage key.
+// stage key.
 type plannedSweep struct {
 	Sweep
 	runner *Runner
@@ -113,7 +109,7 @@ type plannedSweep struct {
 }
 
 // plan resolves one declared sweep: it checks the grid, builds the
-// derived runner and derives the stage key the sweep will journal under.
+// derived runner and derives the sweep's stage key.
 func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
 	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}}
 	if p.grid.Pairs == nil {
@@ -142,8 +138,10 @@ func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
 // or an empty grid fails before any case simulates. It then deduplicates
 // by stage key, which hashes the session configuration and the grid, so
 // two sweeps share a key only when their cases are identical. Last, it
-// runs each unique sweep once. It returns one row per declared sweep, in
-// order; on error, the rows of every sweep that finished before it.
+// obtains each unique sweep once: from its row file when the study's row
+// store has one, else by simulating it (and writing the file). It
+// returns one row per declared sweep, in order; on error, the rows of
+// every sweep that finished before it.
 func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error) {
 	plans := make([]plannedSweep, len(sweeps))
 	for i, sw := range sweeps {
@@ -154,27 +152,51 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 		plans[i] = p
 	}
 	var rows []SweepRow
-	ran := map[string]SweepRow{} // stage key -> the row that ran it
+	done := map[string]SweepRow{} // stage key -> the row that obtained it
 	for _, p := range plans {
-		if first, ok := ran[p.key]; ok {
+		if first, ok := done[p.key]; ok {
 			rows = append(rows, SweepRow{Stage: p.Name, Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
 			continue
 		}
-		progress := st.Progress
-		if progress != nil { // relabel the sweep's events with its declared name
-			progress = func(e Progress) { e.Stage = p.Name; st.Progress(e) }
-		}
-		cases, rep, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
-		row := SweepRow{Stage: p.Name, Report: rep, Pairs: cases.Pairs, Trios: cases.Trios}
-		if rep != nil { // the sweep ran to the end
+		row, err := st.obtain(ctx, p)
+		if row.Report != nil || row.File != "" { // read, or simulated to the end
 			rows = append(rows, row)
 		}
 		if err != nil {
 			return rows, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		ran[p.key] = row
+		done[p.key] = row
 	}
 	return rows, nil
+}
+
+// obtain reads one planned sweep from the row store, or simulates it and
+// writes its file once every case has completed.
+func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
+	row := SweepRow{Stage: p.Name}
+	var path string
+	if st.Rows != "" {
+		path = rowFile(st.Rows, p.key)
+		cases, found, err := readRows(path, p.grid, p.Scheme)
+		if found && err == nil {
+			row.File, row.Pairs, row.Trios = path, cases.Pairs, cases.Trios
+		}
+		if found || err != nil {
+			return row, err
+		}
+	}
+	progress := st.Progress
+	if progress != nil { // relabel the sweep's events with its declared name
+		progress = func(e Progress) { e.Stage = p.Name; st.Progress(e) }
+	}
+	cases, rep, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
+	row.Report, row.Pairs, row.Trios = rep, cases.Pairs, cases.Trios
+	if err == nil && path != "" {
+		if err = writeRows(path, p.grid, cases); err == nil {
+			row.File = path
+		}
+	}
+	return row, err
 }
 
 // Reducer turns the rows of an experiment's declared sweeps, in

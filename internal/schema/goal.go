@@ -21,10 +21,10 @@ import (
 //   - periodic: a real-time activation contract — Instrs per period,
 //     each activation due within its relative deadline
 //
-// The JSON encoding keeps the fraction form wire-compatible with the
-// bare numbers the distributed-sweep protocol has always shipped
-// ("goals":[0.5,0.9]): a frac goal marshals as a bare number and a bare
-// number unmarshals as a frac goal. The other forms are single-key
+// The JSON encoding keeps the fraction form a bare number
+// ("goals":[0.5,0.9]), as journals and arrival traces have always
+// written it: a frac goal marshals as a bare number and a bare number
+// unmarshals as a frac goal. The other forms are single-key
 // objects: {"ipc":2.5}, {"deadline":{...}}, {"latency":{...}} and
 // {"periodic":{...}}. null (or an omitted field) is the none form.
 
@@ -195,7 +195,7 @@ type goalObject struct {
 	Periodic *Periodic `json:"periodic,omitempty"`
 }
 
-// MarshalJSON encodes frac goals as bare numbers (sweep wire compat),
+// MarshalJSON encodes frac goals as bare numbers (see the package doc),
 // the other forms as single-key objects, and none as null.
 func (g Goal) MarshalJSON() ([]byte, error) {
 	switch g.Kind {

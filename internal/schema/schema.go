@@ -50,9 +50,10 @@ func Check(got int) error {
 
 // DecodeStrict unmarshals one JSON value into v, rejecting unknown
 // fields and trailing garbage. It is the shared decode discipline for
-// schema-versioned wire payloads (the distributed-sweep lease/report
-// protocol), so a peer speaking a newer layout fails loudly at the
-// boundary instead of having its extra fields silently dropped.
+// schema-versioned payloads (qosd submission bodies, arrival traces, the
+// goal union's object forms), so a writer speaking a newer layout fails
+// loudly at the boundary instead of having its extra fields silently
+// dropped.
 func DecodeStrict(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()

@@ -10,8 +10,8 @@ import (
 
 // ServerBackend submits arrivals to an in-process qosd decision loop
 // via server.Drive — no listener, no transport, same decision path and
-// journal as /v1. This is the offline-sweep backend (`sweep -mode
-// stream`, `stream -mode drive`) and the replay-determinism gate's.
+// journal as /v1. This is the backend of `stream -mode drive` and of
+// the replay-determinism gate.
 type ServerBackend struct {
 	Server *server.Server
 }
