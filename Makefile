@@ -15,7 +15,7 @@
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
-# the checkpoint-journal line decoder and encoder, journal recovery, the
+# the decision-journal line decoder and encoder, journal recovery, the
 # goal-union decoder, the /v1 + /v2 submission bodies and the
 # arrival-trace decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
@@ -145,7 +145,7 @@ bench-trace:
 	$(GO) test -bench=BenchmarkEmit -benchtime=100x -run='^$$' ./internal/trace
 
 # Time-boxed fuzz passes over the code that parses bytes from disk or
-# the network: the checkpoint-journal line decoder (its one-pass fast path
+# the network: the decision-journal line decoder (its one-pass fast path
 # against the full decoder), the case-line encoder (against encoding the
 # line struct), journal recovery over a damaged file (Open -> Append ->
 # Open), the schema.Goal JSON union (against the two-pass decoder),

@@ -88,7 +88,7 @@ func main() {
 func newStudy(o options) (exp.Study, error) {
 	ropts := []exp.Option{
 		exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout}),
+		exp.WithCaseTimeout(o.caseTimeout),
 	}
 	if o.traceDir != "" {
 		f, err := trace.ParseFormat(o.traceFmt)
@@ -134,7 +134,7 @@ func run(ctx context.Context, o options) error {
 	}
 	tables, rows, err := st.Tables(ctx, selected)
 	if !o.quiet {
-		printRows(rows)
+		exp.PrintRows(os.Stderr, rows)
 	}
 	if err != nil {
 		return err
@@ -147,29 +147,4 @@ func run(ctx context.Context, o options) error {
 		}
 	}
 	return nil
-}
-
-// printRows writes the end-of-run account of every declared sweep to
-// stderr: cases simulated and their rate, failures, the row file read or
-// written, or which earlier sweep it reused.
-func printRows(rows []exp.SweepRow) {
-	for _, row := range rows {
-		switch rep := row.Report; {
-		case row.Reused != "":
-			fmt.Fprintf(os.Stderr, "sweep %-24s reused %s\n", row.Stage, row.Reused)
-		case rep == nil:
-			fmt.Fprintf(os.Stderr, "sweep %-24s    0 cases simulated; %d read from %s\n",
-				row.Stage, len(row.Pairs)+len(row.Trios), row.File)
-		default:
-			fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases simulated in %8s (%.1f case/s)",
-				row.Stage, rep.Total, rep.Wall.Round(time.Millisecond), float64(rep.Total)/rep.Wall.Seconds())
-			if len(rep.Failed) > 0 {
-				fmt.Fprintf(os.Stderr, "; %s", rep.Summary())
-			}
-			if row.File != "" {
-				fmt.Fprintf(os.Stderr, "; wrote %s", row.File)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-	}
 }

@@ -4,21 +4,27 @@
 // emitted in deterministic case order and are bit-identical to a serial
 // run. Ctrl-C cancels mid-sweep.
 //
-// Sweeps are fault-tolerant: a crashing or erroring case is isolated and
-// reported instead of aborting the study (the healthy rows are emitted and
-// the command exits non-zero), runaway cases can be reaped
-// (-case-timeout), and with -journal every completed case is checkpointed
-// so an interrupted sweep resumes (-resume) without recomputing — resumed
-// results are bit-identical to an uninterrupted run. A failed case is not
-// retried: a case is a pure function of its inputs and would fail again.
+// Each scheme's sweep is collected on its own (exp.Study.Collect), so
+// sweeps are fault-tolerant: a crashing or erroring case is isolated and
+// reported instead of aborting the study (the healthy rows are emitted,
+// the next scheme still runs and the command exits non-zero), and runaway
+// cases can be reaped (-case-timeout). A failed case is not retried: a
+// case is a pure function of its inputs and would fail again.
+//
+// -rows DIR backs the sweep with a row store, the one qossim reads: a
+// scheme whose stage file is in DIR is read, not simulated, and one that
+// simulates to the end is written there. So a killed sweep re-run with
+// the same flags resumes after the last completed scheme, and
+// -rows results/full with the committed window (-window 300000) prints
+// the committed full-grid rows without simulating. Off by default.
 //
 // Usage:
 //
 //	sweep -mode pairs -schemes rollover,spart > pairs.csv
 //	sweep -mode trios -nqos 2 -schemes rollover,spart -subsample 2 > trios2.csv
 //	sweep -mode pairs -workers 1   # force serial execution
-//	sweep -mode pairs -journal pairs.ckpt            # checkpoint as it goes
-//	sweep -mode pairs -journal pairs.ckpt -resume    # pick up after a crash
+//	sweep -mode pairs -rows rows/ > pairs.csv   # re-run after a crash to resume
+//	sweep -mode pairs -schemes rollover -window 300000 -rows results/full
 //	sweep -mode pairs -suite openworld -schemes rollover > openworld.csv
 //
 // -suite openworld swaps the pairs grid for the open-world classes
@@ -46,7 +52,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/journal"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -61,8 +66,7 @@ type options struct {
 	goals       string
 	gpu         config.GPU // -scale56 selects config.Scale56, else config.Base
 	workers     int
-	journalPath string
-	resume      bool
+	rows        string
 	caseTimeout time.Duration
 	traceDir    string
 	traceFmt    string
@@ -81,8 +85,7 @@ func main() {
 	flag.StringVar(&o.goals, "goals", "", "comma-separated goal fractions (default: paper sweep)")
 	flag.BoolVar(&scale56, "scale56", false, "use the 56-SM configuration")
 	flag.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = one per CPU)")
-	flag.StringVar(&o.journalPath, "journal", "", "checkpoint journal file (completed cases are appended)")
-	flag.BoolVar(&o.resume, "resume", false, "resume from the journal, skipping already-completed cases")
+	flag.StringVar(&o.rows, "rows", "", "row store: stage files are read from and written to it (empty = simulate all, write none)")
 	flag.DurationVar(&o.caseTimeout, "case-timeout", 0, "per-case deadline (0 = none)")
 	flag.StringVar(&o.traceDir, "trace", "", "directory for per-case event traces (empty = tracing off)")
 	flag.StringVar(&o.traceFmt, "trace-format", "jsonl", "trace encoding: jsonl|chrome")
@@ -181,52 +184,15 @@ func sweepGrid(o options) (exp.Grid, error) {
 	return exp.Grid{}, fmt.Errorf("unknown mode %q", o.mode)
 }
 
-// openJournal opens (or creates) the checkpoint journal of a grid sweep.
-// The header hash binds the file to the device, window, mode and -nqos;
-// per-stage keys inside bind each case to the exact session config and
-// grid. The hash keeps the form every grid journal has been written
-// under, by this command and by the distributed coordinator it once had:
-// pairs mode hashes -nqos too, unused as it is there, and -window 0 and
-// -nqos 0 hash as the defaults they run as. Without -resume an existing
-// journal is refused rather than silently overwritten.
-func openJournal(o options) (*journal.Journal, error) {
-	if o.journalPath == "" {
-		return nil, nil
-	}
-	window, nqos := o.window, o.nQoS
-	if window == 0 {
-		window = 200_000
-	}
-	if nqos == 0 {
-		nqos = 1
-	}
-	hash, err := journal.Hash(struct {
-		GPU    config.GPU
-		Window int64
-		Mode   string
-		NQoS   int
-	}{o.gpu, window, o.mode, nqos})
-	if err != nil {
-		return nil, err
-	}
-	if o.resume {
-		return journal.Open(o.journalPath, hash)
-	}
-	if _, err := os.Stat(o.journalPath); err == nil {
-		return nil, fmt.Errorf("journal %s exists; pass -resume to continue it or remove it first", o.journalPath)
-	}
-	return journal.Create(o.journalPath, hash)
-}
-
 // newRunner builds the session pool a sweep runs its cases on.
-func newRunner(o options, j *journal.Journal) (*exp.Runner, error) {
+func newRunner(o options) (*exp.Runner, error) {
 	traceFmt, err := trace.ParseFormat(o.traceFmt)
 	if err != nil {
 		return nil, err
 	}
 	return exp.NewRunner(o.workers,
 		exp.WithSessionOptions(core.WithGPU(o.gpu), core.WithWindow(o.window)),
-		exp.WithFaultPolicy(exp.FaultPolicy{CaseTimeout: o.caseTimeout, Journal: j}),
+		exp.WithCaseTimeout(o.caseTimeout),
 		exp.WithTraceDir(o.traceDir, traceFmt))
 }
 
@@ -241,57 +207,45 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if o.suite != "paper" && o.mode != "pairs" {
 		return errors.New("-suite selects the pairs grid; it requires -mode pairs")
 	}
-	if o.resume && o.journalPath == "" {
-		return errors.New("-resume requires -journal")
-	}
 	g, err := sweepGrid(o)
 	if err != nil {
 		return err
 	}
-	jnl, err := openJournal(o)
+	runner, err := newRunner(o)
 	if err != nil {
 		return err
 	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
-	runner, err := newRunner(o, jnl)
-	if err != nil {
-		return err
-	}
+	// The study's grid for a sweep of g's NQoS is g itself: a 2-QoS trio
+	// sweep runs at Goals2, every other at Goals.
+	st := exp.Study{Runner: runner, Pairs: g.Pairs, Trios: g.Trios, Goals: g.Goals, Goals2: g.Goals,
+		Rows: o.rows, Progress: progress}
 
 	w := csv.NewWriter(stdout)
 	defer w.Flush()
 	w.Write(g.CSVHeader())
-	// A sweep that completed with failed cases still emits its healthy
-	// rows, but the run exits non-zero so scripts notice the holes.
+	// One Collect per scheme: a sweep that completed with failed cases
+	// still emits its healthy rows and the next scheme still runs, but
+	// the run exits non-zero so scripts notice the holes.
 	var failed int
-	var reps []*exp.SweepReport
+	var rows []exp.SweepRow
 	for _, sc := range schemes {
-		cases, rep, err := runner.Sweep(ctx, g, sc, progress)
+		got, err := st.Collect(ctx, []exp.Sweep{{Name: sc.String(), Scheme: sc, NQoS: g.NQoS}})
 		var se *exp.SweepError
 		if errors.As(err, &se) {
-			fmt.Fprintf(os.Stderr, "\n%s\n", se.Error())
+			fmt.Fprintf(os.Stderr, "\n%s\n", se)
 			failed += len(se.Report.Failed)
 		} else if err != nil {
 			return err
 		}
-		reps = append(reps, rep)
-		if err := w.WriteAll(g.CSVRows(cases)); err != nil {
-			return err
+		for _, row := range got {
+			if err := w.WriteAll(g.CSVRows(exp.Cases{Pairs: row.Pairs, Trios: row.Trios})); err != nil {
+				return err
+			}
 		}
+		rows = append(rows, got...)
 	}
 	fmt.Fprintln(os.Stderr)
-	for _, rep := range reps {
-		n := rep.Total - rep.Skipped
-		fmt.Fprintf(os.Stderr, "sweep %-24s %4d cases in %8s (%.1f case/s, %d workers)\n",
-			rep.Stage, n, rep.Wall.Round(time.Millisecond), float64(n)/rep.Wall.Seconds(), runner.Workers())
-	}
-	for _, rep := range reps {
-		if rep.Skipped > 0 || len(rep.Failed) > 0 {
-			fmt.Fprintf(os.Stderr, "sweep %-24s %s\n", rep.Stage, rep.Summary())
-		}
-	}
+	exp.PrintRows(os.Stderr, rows)
 	if failed > 0 {
 		return fmt.Errorf("%d case(s) failed; completed rows were emitted", failed)
 	}

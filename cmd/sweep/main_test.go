@@ -30,14 +30,37 @@ func testOptions() options {
 	}
 }
 
-// TestServeJournalResumesLocally pins journal interop across the removal
-// of the distributed sweep. testdata/serve.ckpt was written by the
-// command's former coordinator role (-serve -journal, one in-process
-// worker) on testOptions()'s grid. It must open under -journal -resume,
-// which also pins the header hash openJournal derives, restore all four
-// cases without simulating or appending anything, and print the CSV of a
-// fresh local run byte for byte.
-func TestServeJournalResumesLocally(t *testing.T) {
+// canceled is a context any simulation fails under: a run that succeeds
+// under it read every row from its row store.
+func canceled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// TestCommittedRowsPrintWithoutSimulating reads the committed Rollover
+// pair stage of results/full under a canceled context and must print the
+// bytes of its row file: a single-scheme sweep's CSV is the row file.
+func TestCommittedRowsPrintWithoutSimulating(t *testing.T) {
+	o := options{mode: "pairs", nQoS: 1, schemes: "rollover", window: 300_000, subsample: 1,
+		gpu: config.Base(), workers: 1, rows: "../../results/full", traceFmt: "jsonl", suite: "paper"}
+	want, err := os.ReadFile(filepath.Join(o.rows, "pairs_rollover_41fd78ba8736_d42656481e63.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(canceled(), o, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("sweep printed %d bytes, want the committed row file's %d", got.Len(), len(want))
+	}
+}
+
+// TestRowsResumeLocally runs a small sweep with and without a row store:
+// both print the same CSV, and a re-run over the store, under a canceled
+// context, prints it again without simulating.
+func TestRowsResumeLocally(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
@@ -48,28 +71,18 @@ func TestServeJournalResumesLocally(t *testing.T) {
 	if rows := strings.Count(want.String(), "\n"); rows != 5 {
 		t.Fatalf("local run printed %d lines, want a header and 4 rows:\n%s", rows, want.String())
 	}
-
-	committed, err := os.ReadFile(filepath.Join("testdata", "serve.ckpt"))
-	if err != nil {
-		t.Fatal(err)
+	stored := testOptions()
+	stored.rows = t.TempDir()
+	for _, ctx := range []context.Context{context.Background(), canceled()} {
+		var got bytes.Buffer
+		if err := run(ctx, stored, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("sweep over a row store printed:\n%s\nwant the local run's:\n%s", got.String(), want.String())
+		}
 	}
-	resumed := testOptions()
-	resumed.journalPath, resumed.resume = filepath.Join(t.TempDir(), "serve.ckpt"), true
-	if err := os.WriteFile(resumed.journalPath, committed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(context.Background(), resumed, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("resumed -serve journal printed:\n%s\nwant the local run's:\n%s", got.String(), want.String())
-	}
-	after, err := os.ReadFile(resumed.journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, committed) {
-		t.Fatal("resuming the -serve journal appended to it: a case was simulated again")
+	if files, _ := filepath.Glob(filepath.Join(stored.rows, "*.csv")); len(files) != 1 {
+		t.Fatalf("row store holds %v, want one stage file", files)
 	}
 }

@@ -197,7 +197,7 @@ func (ks KernelSpec) baselineKey() string {
 // functional options (WithGPU, WithWindow, WithQoSOptions,
 // WithPowerCosts). Sessions are constructed with NewSession(opts...);
 // Config exists as a value type so Session.Config() can expose the
-// resolved settings for hashing (checkpoint journals, the qosd job log)
+// resolved settings for hashing (sweep row-file keys, the qosd job log)
 // and inspection.
 type Config struct {
 	// GPU is the device configuration; the zero value means
@@ -264,10 +264,9 @@ func NewSession(opts ...Option) (*Session, error) {
 // GPUConfig returns the session's device configuration.
 func (s *Session) GPUConfig() config.GPU { return s.cfg.GPU }
 
-// Config returns a copy of the session's resolved configuration. The
-// checkpoint journal hashes it (together with the seed) to key sweep
-// stages, so a resumed study can never splice in results produced under
-// different settings.
+// Config returns a copy of the session's resolved configuration. Sweep
+// stage keys hash it (together with the seed) to name row files, so a
+// study can never read rows produced under different settings.
 func (s *Session) Config() Config { return s.cfg }
 
 // Window returns the measurement window in cycles.

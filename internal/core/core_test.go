@@ -61,8 +61,8 @@ func TestNewSessionRejectsShortWindow(t *testing.T) {
 }
 
 // TestSessionConfigExposesResolvedSettings checks Session.Config returns
-// the post-validation configuration (the value the checkpoint journal
-// and the qosd job log hash), including applied defaults.
+// the post-validation configuration (the value sweep stage keys and the
+// qosd job log hash), including applied defaults.
 func TestSessionConfigExposesResolvedSettings(t *testing.T) {
 	cfg := config.Base()
 	cfg.NumSMs = 4

@@ -1,46 +1,16 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/journal"
 	"repro/internal/workloads"
 )
-
-// journalCaseLines counts the case records in a journal file, so a case
-// appended twice is visible even though Journal.Len deduplicates.
-func journalCaseLines(t *testing.T, path string) int {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i := bytes.IndexByte(data, 0); i >= 0 {
-		data = data[:i] // the NUL pad ends the log
-	}
-	n := 0
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := journal.Decode(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.Header {
-			n++
-		}
-	}
-	return n
-}
 
 // epochSweep declares the study's Rollover pair grid at one quota epoch
 // length, on a derived runner.
@@ -52,12 +22,12 @@ func epochSweep(st Study, l int64) Sweep {
 }
 
 // simulated counts the cases a row's sweep simulated this run (0 for a
-// reused sweep).
+// reused or read sweep).
 func simulated(row SweepRow) int {
 	if row.Report == nil {
 		return 0
 	}
-	return row.Report.Total - row.Report.Skipped
+	return row.Report.Total
 }
 
 // byStage indexes Collect's rows by sweep name.
@@ -69,23 +39,26 @@ func byStage(rows []SweepRow) map[string]SweepRow {
 	return m
 }
 
-// TestCollectDeduplicatesAgainstJournal runs two overlapping sweep lists
-// through one journal. The first Collect simulates and appends every
-// unique case exactly once: a repeated sweep, the same grid under another
-// name and a derived runner whose options change nothing are all reused.
-// The second Collect, in a fresh runner over the reopened journal,
-// simulates nothing and returns identical cases.
-func TestCollectDeduplicatesAgainstJournal(t *testing.T) {
+// TestCollectDeduplicatesAgainstRows runs two overlapping sweep lists
+// over one row store. The first Collect simulates every unique case
+// exactly once and writes one file per unique stage: a repeated sweep,
+// the same grid under another name and a derived runner whose options
+// change nothing are all reused. The second Collect, in a fresh study
+// over the same directory and under a canceled context, simulates nothing
+// and returns the same cases.
+func TestCollectDeduplicatesAgainstRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	study := func(j *journal.Journal) Study {
+	dir := t.TempDir()
+	study := func() Study {
 		return Study{
-			Runner: testRunner(t, 2, WithFaultPolicy(FaultPolicy{Journal: j})),
+			Runner: testRunner(t, 2),
 			Pairs:  faultPairs[:2],
 			Trios:  []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}},
 			Goals:  []float64{0.4, 0.7},
 			Goals2: []float64{0.3},
+			Rows:   dir,
 		}
 	}
 	first := []Sweep{pairsOf(core.SchemeRollover), historyOff, triosOf(core.SchemeSpart, 2)}
@@ -97,15 +70,9 @@ func TestCollectDeduplicatesAgainstJournal(t *testing.T) {
 	}
 	const unique = 4 + 4 + 1 // Rollover pairs, history-off pairs, 2-QoS trio
 
-	path := filepath.Join(t.TempDir(), "study.journal")
-	j, err := journal.Create(path, "collect-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := study(j)
+	st := study()
 	second = append(second, epochSweep(st, st.Runner.GPUConfig().EpochLength)) // the base config again
 	rows, err := st.Collect(context.Background(), append(first, second...))
-	j.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,34 +87,29 @@ func TestCollectDeduplicatesAgainstJournal(t *testing.T) {
 		t.Fatalf("first run: %d rows, %d cases simulated, %d reused; want %d, %d, %d",
 			len(rows), ran, reused, len(first)+len(second), unique, len(second))
 	}
-	if n := journalCaseLines(t, path); n != unique {
-		t.Fatalf("journal holds %d case lines, want each of %d unique cases once", n, unique)
+	if files, _ := os.ReadDir(dir); len(files) != len(first) {
+		t.Fatalf("row store holds %d files, want one per unique stage, %d", len(files), len(first))
 	}
 	first1 := byStage(rows)
 	if got, want := first1["rollover-again"].Pairs, first1["Rollover"].Pairs; len(got) != 4 || !reflect.DeepEqual(got, want) {
 		t.Fatal("a reused sweep's cases differ from the sweep it reused")
 	}
 
-	j2, err := journal.Open(path, "collect-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	rows, err = study(j2).Collect(context.Background(), append(second, first...))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err = study().Collect(canceled, append(second, first...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
 		if n := simulated(row); n != 0 {
-			t.Fatalf("resumed run simulated %d cases for %s", n, row.Stage)
+			t.Fatalf("second run simulated %d cases for %s", n, row.Stage)
 		}
 	}
-	if n := journalCaseLines(t, path); n != unique {
-		t.Fatalf("resumed run appended to the journal: %d case lines, want %d", n, unique)
-	}
 	for name, row := range byStage(rows) {
-		if !reflect.DeepEqual(row.Pairs, first1[name].Pairs) || !reflect.DeepEqual(row.Trios, first1[name].Trios) {
-			t.Fatalf("%s: resumed cases differ from the first run's", name)
+		want := trimmed(first1[name])
+		if !reflect.DeepEqual(row.Pairs, want.Pairs) || !reflect.DeepEqual(row.Trios, want.Trios) {
+			t.Fatalf("%s: cases read back differ from the first run's", name)
 		}
 	}
 }

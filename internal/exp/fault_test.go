@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/journal"
 	"repro/internal/workloads"
 )
 
@@ -88,7 +87,7 @@ func TestSweepCaseTimeout(t *testing.T) {
 	// The deadline must be generous enough that healthy cases (fast, but
 	// ~10x slower under -race) never trip it, while still reaping the
 	// wedge quickly.
-	r := testRunner(t, 2, WithFaultPolicy(FaultPolicy{CaseTimeout: 5 * time.Second}))
+	r := testRunner(t, 2, WithCaseTimeout(5*time.Second))
 	r.interceptCases(func(ctx context.Context, i int) error {
 		if i != 1 {
 			return nil
@@ -117,84 +116,62 @@ func TestSweepCaseTimeout(t *testing.T) {
 	}
 }
 
-// TestSweepJournalResume is the acceptance test for crash recovery: run a
-// journaled sweep, kill it mid-flight (simulated crash via context
-// cancel), then resume into a fresh runner from the journal file. The
-// resumed sweep must skip the checkpointed cases and the merged results
-// must be bit-identical to an uninterrupted reference run.
-func TestSweepJournalResume(t *testing.T) {
+// TestRowStoreResume is the acceptance test for crash recovery over a
+// row store. A sweep killed mid-flight (simulated crash via context
+// cancel) leaves no file behind; a re-run in a fresh runner simulates the
+// stage, bit-identical to an uninterrupted reference run, and writes it.
+// A runner with another window over the same store finds no file: under
+// a canceled context its Collect fails rather than splicing in rows of a
+// foreign configuration.
+func TestRowStoreResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	g := Grid{Pairs: faultPairs, Goals: []float64{0.4, 0.7}}
 	scheme := core.SchemeElastic
-	hash := "exp-fault-test"
-
-	// Reference: uninterrupted, no journal.
 	want, _, err := testRunner(t, 3).Sweep(context.Background(), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// First run: journaled, "crashes" (ctx cancel) once ≥2 cases landed.
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j, err := journal.Create(path, hash)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	sweeps := []Sweep{{Name: "elastic", Scheme: scheme}}
+	study := func(r *Runner) Study { return Study{Runner: r, Pairs: g.Pairs, Goals: g.Goals, Rows: dir} }
 	ctx, cancel := context.WithCancel(context.Background())
-	r1 := testRunner(t, 2, WithFaultPolicy(FaultPolicy{Journal: j}))
-	_, _, err = r1.Sweep(ctx, g, scheme, func(p Progress) {
+	crashed := study(testRunner(t, 2))
+	crashed.Progress = func(p Progress) {
 		if p.Done >= 2 {
 			cancel()
 		}
-	})
-	if !errors.Is(err, context.Canceled) {
+	}
+	if _, err := crashed.Collect(ctx, sweeps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("crashed run: err = %v, want Canceled", err)
 	}
-	j.Close()
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("crashed run left %d files in the row store", len(left))
+	}
 
-	// Resume: reopen the journal (config hash must match) into a fresh
-	// runner, as a restarted process would.
-	j2, err := journal.Open(path, hash)
+	rows, err := study(testRunner(t, 3)).Collect(context.Background(), sweeps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if n := journalCaseLines(t, path); n < 2 {
-		t.Fatalf("journal holds %d cases after crash, want >= 2", n)
-	}
-	r2 := testRunner(t, 3, WithFaultPolicy(FaultPolicy{Journal: j2}))
-	got, rep, err := r2.Sweep(context.Background(), g, scheme, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("resumed sweep differs from the uninterrupted reference run")
-	}
-	if rep.Skipped < 2 || rep.Skipped+rep.Completed != rep.Total {
-		t.Fatalf("resume accounting wrong: %s", rep.Summary())
+	if rows[0].File == "" || !reflect.DeepEqual(rows[0].Pairs, want.Pairs) {
+		t.Fatal("re-run differs from the uninterrupted reference run or wrote no file")
 	}
 
-	// A journal written under a different session config must not be
-	// spliced in: a runner with another window derives a different stage
-	// key and re-runs everything.
 	r3, err := NewRunner(2,
 		WithSessionOptions(core.WithGPU(func() config.GPU {
 			c := config.Base()
 			c.NumSMs = 4
 			return c
-		}()), core.WithWindow(20_000)),
-		WithFaultPolicy(FaultPolicy{Journal: j2}))
+		}()), core.WithWindow(20_000)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err = r3.Sweep(context.Background(), g, scheme, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Skipped != 0 {
-		t.Fatalf("foreign-config runner resumed %d cases from the journal", rep.Skipped)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rows, err := study(r3).Collect(canceled, sweeps); !errors.Is(err, context.Canceled) || len(rows) != 0 {
+		t.Fatalf("foreign-config runner: %d rows, err = %v; want no file found and the simulation canceled", len(rows), err)
 	}
 }
 

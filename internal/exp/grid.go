@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -34,7 +33,7 @@ func (g Grid) Check() error {
 	return nil
 }
 
-// kind is the grid's journal stage-key prefix.
+// kind is the grid's stage-key prefix.
 func (g Grid) kind() string {
 	if g.NQoS == 0 {
 		return "pairs"
@@ -85,7 +84,6 @@ func (g Grid) specs(i int) []core.KernelSpec {
 }
 
 // Case returns case i's outcome under scheme — a PairCase or a TrioCase.
-// Its JSON encoding is the case's journal payload.
 func (g Grid) Case(i int, scheme core.Scheme, res *core.Result) any {
 	if g.NQoS == 0 {
 		return PairCase{Pair: g.Pairs[i/len(g.Goals)], Goal: g.goal(i), Scheme: scheme, Res: res}
@@ -96,7 +94,8 @@ func (g Grid) Case(i int, scheme core.Scheme, res *core.Result) any {
 }
 
 // pairGrid and trioGrid are the hashed identities of a grid; their JSON
-// shape fixes every journal stage key ever written, so it must not change.
+// shape fixes every stage key, and so every row file name, ever written:
+// it must not change.
 type (
 	pairGrid struct {
 		Pairs []workloads.Pair
@@ -109,11 +108,11 @@ type (
 	}
 )
 
-// StageKey derives the journal key of a sweep of g under scheme on a
-// session with the given configuration and seed: a readable prefix plus
-// hashes of the session and of the grid. Two sweeps share journaled cases
-// only when both hashes agree, so derived runners and differently
-// subsampled studies never splice each other's results.
+// StageKey derives the key of a sweep of g under scheme on a session
+// with the given configuration and seed: a readable prefix plus hashes of
+// the session and of the grid. It names the sweep's row file (rows.go).
+// Two sweeps share a key only when both hashes agree, so derived runners
+// and differently subsampled studies never read each other's rows.
 func (g Grid) StageKey(cfg core.Config, seed uint64, scheme core.Scheme) (string, error) {
 	sess, err := journal.Hash(struct {
 		Config core.Config
@@ -146,24 +145,6 @@ func (g Grid) Cases() Cases {
 		return Cases{Pairs: make([]PairCase, g.Len())}
 	}
 	return Cases{Trios: make([]TrioCase, g.Len())}
-}
-
-// Restore decodes a journal payload into case i. It reports false, and
-// leaves the case as it was, when raw is not a completed case.
-func (c Cases) Restore(i int, raw json.RawMessage) bool {
-	if c.Pairs != nil {
-		return restore(&c.Pairs[i], raw)
-	}
-	return restore(&c.Trios[i], raw)
-}
-
-func restore[C gridCase](dst *C, raw json.RawMessage) bool {
-	var c C
-	if json.Unmarshal(raw, &c) != nil || c.result() == nil {
-		return false
-	}
-	*dst = c
-	return true
 }
 
 // set stores a case value returned by Grid.Case at index i.

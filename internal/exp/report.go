@@ -2,13 +2,14 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"time"
 )
 
 // CaseError is one failed sweep case with its full coordinates, so a
-// failure is attributable (which pair/trio, which goal) without
-// consulting the journal.
+// failure is attributable (which pair/trio, which goal) from its message
+// alone.
 type CaseError struct {
 	// Stage is the sweep stage label (usually the scheme name).
 	Stage string
@@ -30,23 +31,19 @@ func (e *CaseError) Error() string {
 
 func (e *CaseError) Unwrap() error { return e.Err }
 
-// SweepReport summarizes how one sweep stage fared under the fault
-// policy. Total = Completed + Skipped + len(Failed) always holds for a
-// sweep that ran to the end (canceled sweeps return an error instead of a
-// report).
+// SweepReport summarizes how one sweep stage fared. Total = Completed +
+// len(Failed) always holds for a sweep that ran to the end (canceled
+// sweeps return an error instead of a report).
 type SweepReport struct {
 	// Stage labels the sweep (usually the scheme name).
 	Stage string
-	// Total counts grid cases.
+	// Total counts the cases the sweep was asked to run.
 	Total int
-	// Completed counts cases that produced a result this run.
+	// Completed counts cases that produced a result.
 	Completed int
-	// Skipped counts cases restored from the checkpoint journal.
-	Skipped int
 	// Failed lists the cases that failed, in ascending case-index order.
 	Failed []*CaseError
-	// Wall is the sweep's wall time. Total - Skipped cases were
-	// simulated in it (journal-restored cases cost no simulation time).
+	// Wall is the sweep's wall time; all Total cases were simulated in it.
 	Wall time.Duration
 }
 
@@ -61,14 +58,36 @@ func (r *SweepReport) Err() error {
 
 // Summary renders a one-line account of the sweep for logs.
 func (r *SweepReport) Summary() string {
-	s := fmt.Sprintf("%d/%d cases ok", r.Completed+r.Skipped, r.Total)
-	if r.Skipped > 0 {
-		s += fmt.Sprintf(", %d resumed from journal", r.Skipped)
-	}
+	s := fmt.Sprintf("%d/%d cases ok", r.Completed, r.Total)
 	if len(r.Failed) > 0 {
 		s += fmt.Sprintf(", %d FAILED", len(r.Failed))
 	}
 	return s
+}
+
+// PrintRows writes the end-of-run account of every declared sweep to w,
+// one line each: cases simulated and their rate, failures, the row file
+// read or written, or which earlier sweep it reused.
+func PrintRows(w io.Writer, rows []SweepRow) {
+	for _, row := range rows {
+		switch rep := row.Report; {
+		case row.Reused != "":
+			fmt.Fprintf(w, "sweep %-24s reused %s\n", row.Stage, row.Reused)
+		case rep == nil:
+			fmt.Fprintf(w, "sweep %-24s    0 cases simulated; %d read from %s\n",
+				row.Stage, len(row.Pairs)+len(row.Trios), row.File)
+		default:
+			fmt.Fprintf(w, "sweep %-24s %4d cases simulated in %8s (%.1f case/s)",
+				row.Stage, rep.Total, rep.Wall.Round(time.Millisecond), float64(rep.Total)/rep.Wall.Seconds())
+			if len(rep.Failed) > 0 {
+				fmt.Fprintf(w, "; %s", rep.Summary())
+			}
+			if row.File != "" {
+				fmt.Fprintf(w, "; wrote %s", row.File)
+			}
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 // SweepError reports a sweep that finished with failed cases. The partial

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestCollectReadsAndWritesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0].Report != nil || again[0].File != first[0].File || !reflect.DeepEqual(again[0].Pairs, trimmed(first[0].Pairs)) {
+	if again[0].Report != nil || again[0].File != first[0].File || !reflect.DeepEqual(again[0].Pairs, trimmed(first[0]).Pairs) {
 		t.Fatal("second collect did not read back the first one's cases from its file")
 	}
 	data, err := os.ReadFile(first[0].File)
@@ -132,22 +133,27 @@ func TestCollectReadsAndWritesRows(t *testing.T) {
 	}
 }
 
-// trimmed drops what a row does not carry from simulated cases: the
-// results' cycle counts, isolated IPCs and statistics, which no reducer
-// reads.
-func trimmed(cases []PairCase) []PairCase {
-	out := make([]PairCase, len(cases))
-	for i, c := range cases {
-		res := &core.Result{Scheme: c.Res.Scheme, AllReached: c.Res.AllReached}
-		res.Power.InstrPerWatt = c.Res.Power.InstrPerWatt
-		for _, k := range c.Res.Kernels {
+// trimmed drops what a row does not carry from a sweep's simulated
+// cases: the results' cycle counts, isolated IPCs and statistics, which
+// no reducer reads.
+func trimmed(row SweepRow) SweepRow {
+	trim := func(r *core.Result) *core.Result {
+		res := &core.Result{Scheme: r.Scheme, AllReached: r.AllReached}
+		res.Power.InstrPerWatt = r.Power.InstrPerWatt
+		for _, k := range r.Kernels {
 			res.Kernels = append(res.Kernels, core.KernelResult{Name: k.Name, IsQoS: k.IsQoS, GoalIPC: k.GoalIPC,
 				IPC: k.IPC, Reached: k.Reached, NormThroughput: k.NormThroughput, GoalRatio: k.GoalRatio})
 		}
-		c.Res = res
-		out[i] = c
+		return res
 	}
-	return out
+	row.Pairs, row.Trios = slices.Clone(row.Pairs), slices.Clone(row.Trios)
+	for i := range row.Pairs {
+		row.Pairs[i].Res = trim(row.Pairs[i].Res)
+	}
+	for i := range row.Trios {
+		row.Trios[i].Res = trim(row.Trios[i].Res)
+	}
+	return row
 }
 
 // FuzzDecodeRows feeds arbitrary bytes to the row decoder as a file of

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -14,21 +13,19 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
 // Progress is one event of the sweep progress stream. Events are emitted
-// after every resolved case (completed, failed or restored from the
-// journal); Done is monotonic even though cases finish out of order
-// across workers. Rate fields describe only progress reporting — they
-// never influence simulation results, which stay bit-identical to a
-// serial run.
+// after every resolved case (completed or failed); Done is monotonic even
+// though cases finish out of order across workers. Rate fields describe
+// only progress reporting — they never influence simulation results,
+// which stay bit-identical to a serial run.
 type Progress struct {
 	// Stage labels the sweep (usually the scheme name; Study.Collect
 	// relabels it with the declared sweep's name).
 	Stage string
-	// Done and Total count cases.
+	// Done and Total count the cases the sweep was asked to run.
 	Done, Total int
 	// Elapsed is wall time since the sweep started.
 	Elapsed time.Duration
@@ -43,25 +40,6 @@ type Progress struct {
 // implementations need no locking.
 type ProgressFunc func(Progress)
 
-// FaultPolicy configures how a Runner treats failing cases. The zero
-// value reproduces a study run with no safety nets beyond isolation:
-// panics and errors are collected into the SweepReport instead of
-// aborting the sweep, and nothing is journaled. A failed case is not
-// retried: it is a pure function of its inputs and would fail again.
-type FaultPolicy struct {
-	// CaseTimeout bounds each case; the deadline propagates into
-	// gpu.RunCtx, which polls it at sub-epoch granularity, so a case
-	// that stops progressing is reaped instead of pinning a worker slot.
-	// 0 means no per-case deadline.
-	CaseTimeout time.Duration
-	// Journal, when non-nil, records every completed case and is
-	// consulted before sweeping to skip cases a previous (interrupted)
-	// run already completed. Stage keys embed hashes of the session
-	// configuration and the case grid, so one journal can safely back
-	// several studies and derived (With) runners.
-	Journal *journal.Journal
-}
-
 // Runner is the parallel sweep engine: a fixed pool of workers, each
 // owning an independent core.Session, over which pair/trio case grids are
 // fanned out. All sessions share one singleflight isolated-IPC cache, so
@@ -74,15 +52,17 @@ type FaultPolicy struct {
 //
 // The runner is also the fault boundary of a study: each case executes
 // under core.Guard, which converts a panic into a *core.PanicError and
-// applies the FaultPolicy's per-case deadline, and behind the checkpoint
-// journal — so one sick case costs one case, not the sweep.
+// applies the per-case deadline (WithCaseTimeout), so one sick case costs
+// one case, not the sweep: its error is collected into the SweepReport.
+// A failed case is not retried: it is a pure function of its inputs and
+// would fail again.
 type Runner struct {
 	workers  int
 	opts     []core.Option
 	sessions []*core.Session
 	// slots is the session pool every case borrows its session from.
-	slots chan *core.Session
-	fault FaultPolicy
+	slots       chan *core.Session
+	caseTimeout time.Duration
 	// caseRun executes one case (runCase); tests wrap it to fail chosen
 	// case indices.
 	caseRun func(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error)
@@ -98,7 +78,7 @@ type Runner struct {
 // before validation.
 type runnerSettings struct {
 	session     []core.Option
-	fault       FaultPolicy
+	caseTimeout time.Duration
 	traceDir    string
 	traceFormat trace.Format
 }
@@ -116,10 +96,12 @@ func WithSessionOptions(opts ...core.Option) Option {
 	return func(s *runnerSettings) { s.session = append(s.session, opts...) }
 }
 
-// WithFaultPolicy installs the fault policy governing sweeps: the
-// per-case deadline and the checkpoint journal.
-func WithFaultPolicy(p FaultPolicy) Option {
-	return func(s *runnerSettings) { s.fault = p }
+// WithCaseTimeout bounds each sweep case; the deadline propagates into
+// gpu.RunCtx, which polls it at sub-epoch granularity, so a case that
+// stops progressing is reaped instead of pinning a worker slot. 0 means
+// no per-case deadline.
+func WithCaseTimeout(d time.Duration) Option {
+	return func(s *runnerSettings) { s.caseTimeout = d }
 }
 
 // WithTraceDir enables per-case event tracing: every case runs with its
@@ -132,7 +114,7 @@ func WithTraceDir(dir string, f trace.Format) Option {
 
 // NewRunner builds a Runner with the given worker count (0 or negative
 // means runtime.GOMAXPROCS(0)), configured by runner options
-// (WithSessionOptions, WithFaultPolicy, WithTraceDir). All worker
+// (WithSessionOptions, WithCaseTimeout, WithTraceDir). All worker
 // sessions share one singleflight isolated-IPC cache.
 func NewRunner(workers int, opts ...Option) (*Runner, error) {
 	if workers <= 0 {
@@ -151,7 +133,7 @@ func NewRunner(workers int, opts ...Option) (*Runner, error) {
 		workers:     workers,
 		opts:        append([]core.Option(nil), st.session...),
 		slots:       make(chan *core.Session, workers),
-		fault:       st.fault,
+		caseTimeout: st.caseTimeout,
 		traceDir:    st.traceDir,
 		traceFormat: st.traceFormat,
 	}
@@ -169,7 +151,7 @@ func NewRunner(workers int, opts ...Option) (*Runner, error) {
 	return r, nil
 }
 
-// With derives a Runner with the same worker count, fault policy and base
+// With derives a Runner with the same worker count, case timeout and base
 // session options plus extra ones (later options override earlier, so
 // e.g. core.WithQoSOptions replaces the base tuning). The derived runner
 // gets a fresh isolated cache: changed options may change baselines.
@@ -177,7 +159,7 @@ func (r *Runner) With(extra ...core.Option) (*Runner, error) {
 	session := append(append([]core.Option(nil), r.opts...), extra...)
 	return NewRunner(r.workers,
 		WithSessionOptions(session...),
-		WithFaultPolicy(r.fault),
+		WithCaseTimeout(r.caseTimeout),
 		WithTraceDir(r.traceDir, r.traceFormat))
 }
 
@@ -202,9 +184,8 @@ func (r *Runner) runCase(ctx context.Context, s *core.Session, g Grid, i int, sc
 }
 
 // do borrows one worker session from the pool and runs fn on it under
-// core.Guard with the fault policy's per-case deadline. It blocks while
-// every session is busy and returns ctx's error if ctx is canceled before
-// one frees up.
+// core.Guard with the per-case deadline. It blocks while every session
+// is busy and returns ctx's error if ctx is canceled before one frees up.
 func (r *Runner) do(ctx context.Context, fn func(ctx context.Context, s *core.Session) error) error {
 	var s *core.Session
 	select {
@@ -213,7 +194,7 @@ func (r *Runner) do(ctx context.Context, fn func(ctx context.Context, s *core.Se
 		return ctx.Err()
 	}
 	defer func() { r.slots <- s }()
-	return core.Guard(ctx, r.fault.CaseTimeout, func(ctx context.Context) error { return fn(ctx, s) })
+	return core.Guard(ctx, r.caseTimeout, func(ctx context.Context) error { return fn(ctx, s) })
 }
 
 // Workers returns the pool size.
@@ -236,12 +217,12 @@ func (r *Runner) Window() int64 { return r.sessions[0].Window() }
 // for one that failed. Every case runs through do's fault boundary.
 //
 // done is called from the pool's goroutines, concurrently for different
-// cases; an error from it aborts the run. Progress events are serialized,
-// and cases outside todo count as already resolved. External
-// cancellation aborts the run and surfaces ctx's error.
+// cases; an error from it aborts the run. Progress events are serialized
+// and count the cases of todo, as does the report. External cancellation
+// aborts the run and surfaces ctx's error.
 func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []int, done func(i int, res *core.Result, ce *CaseError) error, progress ProgressFunc) (*SweepReport, error) {
 	stage := scheme.String()
-	rep := &SweepReport{Stage: stage, Total: g.Len(), Skipped: g.Len() - len(todo)}
+	rep := &SweepReport{Stage: stage, Total: len(todo)}
 	if err := parent.Err(); err != nil {
 		return nil, err
 	}
@@ -254,7 +235,7 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		resolved = rep.Skipped
+		resolved int
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -342,51 +323,24 @@ feed:
 
 // Sweep runs every case of g under scheme across the worker pool and
 // returns them in case order — identical, case for case, to the serial
-// PairSweep/TrioSweep — with the report of how the sweep went. With a
-// journal in the fault policy, cases it holds for this stage are
-// restored instead of run, and every completed case is appended to it.
+// PairSweep/TrioSweep — with the report of how the sweep went.
 //
-// Under the fault policy, failed cases are left empty in the returned
-// Cases (nil Res) and reported via a *SweepError; callers that can use
-// partial grids inspect its Report, others treat it as fatal. The report
-// is nil when the sweep did not run to the end.
+// Failed cases are left empty in the returned Cases (nil Res) and
+// reported via a *SweepError; callers that can use partial grids inspect
+// its Report, others treat it as fatal. The report is nil when the sweep
+// did not run to the end.
 func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress ProgressFunc) (Cases, *SweepReport, error) {
 	if err := g.Check(); err != nil {
 		return Cases{}, nil, err
 	}
 	out := g.Cases()
-	var (
-		key      string
-		restored map[int]json.RawMessage
-		todo     []int
-	)
-	j := r.fault.Journal
-	if j != nil {
-		var err error
-		if key, err = r.stageKey(g, scheme); err != nil {
-			return Cases{}, nil, err
-		}
-		restored = j.Completed(key)
-	}
-	for i := 0; i < g.Len(); i++ {
-		if raw, ok := restored[i]; !ok || !out.Restore(i, raw) {
-			todo = append(todo, i)
-		}
+	todo := make([]int, g.Len())
+	for i := range todo {
+		todo[i] = i
 	}
 	rep, err := r.Run(ctx, g, scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
-		if ce != nil {
-			return nil
-		}
-		c := g.Case(i, scheme, res)
-		out.set(i, c)
-		if j == nil {
-			return nil
-		}
-		if err := j.Append(key, i, c); err != nil {
-			// A broken checkpoint journal means completed work is
-			// silently unprotected; stop rather than let the operator
-			// find out after the next crash.
-			return fmt.Errorf("exp: journal %s case %d: %w", scheme, i, err)
+		if ce == nil {
+			out.set(i, g.Case(i, scheme, res))
 		}
 		return nil
 	}, progress)
@@ -396,7 +350,7 @@ func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress
 	return out, rep, rep.Err()
 }
 
-// stageKey derives the journal key for one of this runner's sweep stages.
+// stageKey derives the row-file key of one of this runner's sweep stages.
 func (r *Runner) stageKey(g Grid, scheme core.Scheme) (string, error) {
 	return g.StageKey(r.Session().Config(), r.Session().Seed(), scheme)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // testRunner builds a small-device runner sized for CI; extra runner
-// options (WithFaultPolicy, WithTraceDir) apply after the base ones.
+// options (WithCaseTimeout, WithTraceDir) apply after the base ones.
 func testRunner(t *testing.T, workers int, ropts ...Option) *Runner {
 	t.Helper()
 	cfg := config.Base()
@@ -140,7 +140,7 @@ func TestPairSweepProgress(t *testing.T) {
 	if last.CasesPerSec <= 0 || last.ETA != 0 {
 		t.Fatalf("final event rate/ETA: %+v", last)
 	}
-	if rep.Total-rep.Skipped != 3 || rep.Stage != core.SchemeRollover.String() || rep.Wall <= 0 {
+	if rep.Total != 3 || rep.Completed != 3 || rep.Stage != core.SchemeRollover.String() || rep.Wall <= 0 {
 		t.Fatalf("report = %+v", rep)
 	}
 }
@@ -305,10 +305,10 @@ func TestRunnerSharesIsolatedCache(t *testing.T) {
 	}
 }
 
-// TestStageKeysArePinned holds the keys journals have always been written
-// under: a pair and a trio grid on the 4-SM, 30k-cycle test device. A key
-// that moves orphans every journaled case of its grid, which then quietly
-// re-simulates on -resume.
+// TestStageKeysArePinned holds the stage keys row files have always been
+// named by: a pair and a trio grid on the 4-SM, 30k-cycle test device. A
+// key that moves orphans every row file of its grid, which then quietly
+// re-simulates.
 func TestStageKeysArePinned(t *testing.T) {
 	s := testRunner(t, 1).Session()
 	for _, tc := range []struct {
@@ -325,7 +325,7 @@ func TestStageKeysArePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != tc.want {
-			t.Errorf("%s stage key %q, journals hold %q", tc.g.kind(), got, tc.want)
+			t.Errorf("%s stage key %q, row files are named by %q", tc.g.kind(), got, tc.want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package journal implements the sweep checkpoint journal: a JSON-lines
-// file that records every completed case of a study so an interrupted
-// sweep (crash, Ctrl-C, power loss) resumes where it stopped instead of
-// rerunning hundreds of simulations.
+// Package journal implements the daemons' decision log: a JSON-lines file
+// that records every /v1 admission decision and release, and every fleet
+// node decision and placement, so a restarted daemon (crash, Ctrl-C,
+// power loss) rebuilds its state instead of forgetting what it admitted.
+// Hash also fingerprints the configurations sweep row files are named by.
 //
 // The file is a log followed by a pad: the intact prefix of CRC'd lines,
 // then NUL bytes up to the end of the file, which is a multiple of one
@@ -19,8 +20,8 @@
 //     file.
 //   - The first line is a header carrying the schema Version and a
 //     configuration hash; Open refuses a journal whose hash differs from
-//     the resuming study's, so a stale journal cannot silently splice
-//     results from a different configuration into a new study.
+//     the restarting daemon's, so a stale journal cannot silently splice
+//     records from a different configuration into a new run.
 //   - A line is durable once a Sync (or the Append that wrote it)
 //     returns; Synced reports where that prefix ends. A crash may lose
 //     any line written after it, or keep a later one while losing (or
@@ -54,9 +55,9 @@
 // cuts the pad on its next Append; a file written before it has no pad and
 // gets one on its first Write here.
 //
-// Case payloads are opaque JSON produced by the sweep engine. Go's JSON
-// encoding of float64 is round-trip exact, so a case restored from the
-// journal is bit-identical to the run that produced it.
+// Case payloads are opaque JSON produced by the caller (a decision, a
+// placement). Go's JSON encoding of float64 is round-trip exact, so a
+// record restored from the journal is bit-identical to the one written.
 //
 // The codec passes over a payload once each way: a case line is written
 // around json.Marshal's output rather than marshaled again, and read back
@@ -260,9 +261,9 @@ func encode(l line) ([]byte, error) {
 }
 
 // Hash fingerprints a configuration value: SHA-256 over its JSON
-// encoding, hex-encoded. Callers hash everything that determines sweep
+// encoding, hex-encoded. Callers hash everything that determines their
 // results (device config, window, seed, grids) so Open can reject stale
-// journals. Struct fields encode in declaration order and maps sort by
+// journals and sweep row files are named by their configuration. Struct fields encode in declaration order and maps sort by
 // key, so equal values always hash equal.
 func Hash(v any) (string, error) {
 	b, err := json.Marshal(v)
@@ -284,8 +285,7 @@ const segment = 256 << 10
 // zeros is what the pad is written from, so growing allocates nothing.
 var zeros [segment]byte
 
-// Journal is an open checkpoint journal. All methods are safe for
-// concurrent use; the sweep engine appends from every worker goroutine.
+// Journal is an open journal. All methods are safe for concurrent use.
 type Journal struct {
 	mu        sync.Mutex
 	path      string
@@ -391,7 +391,7 @@ func nulRun(b []byte) int {
 
 // Open loads an existing journal for resume, verifying the schema version
 // and that its header hash matches configHash. A missing file starts a
-// fresh journal (resuming a study that never checkpointed is legal).
+// fresh journal (restarting a daemon that never journaled is legal).
 // Recovery stops at the first damaged line — one that fails Decode, runs
 // past maxLine, or is last and lacks its newline — or at the pad;
 // everything before it is intact by construction. The pad is read in

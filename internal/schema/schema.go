@@ -1,5 +1,5 @@
 // Package schema pins the single on-disk/on-wire schema version shared
-// by every serialized artifact the system produces: the checkpoint
+// by every serialized artifact the system produces: the decision
 // journal's header (internal/journal), the JSONL trace export's header
 // line (internal/trace), and the `/v1` API responses of the qosd
 // admission daemon (internal/server). One constant means one bump

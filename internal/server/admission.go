@@ -68,8 +68,12 @@ func (s *Server) decisionLoop() {
 			// making queue-overflow (429) behavior deterministic.
 			<-s.gate
 		}
-		s.evaluate(j)
+		state, v, err := s.evaluate(j)
+		// The loop is idle once a verdict is visible: clear the mark
+		// before finish wakes the job's waiters, so a client that reads
+		// /healthz right after its verdict never sees it in flight.
 		s.markProgress()
+		j.finish(state, v, err)
 	}
 }
 
@@ -100,11 +104,12 @@ func (s *Server) waitSlot() error {
 
 // evaluate decides one job through the tiered path (verdict.Decider):
 // exact verdict cache, then on a miss the guarded what-if co-run
-// (admitted mix + candidate) on the daemon's session. A failed
+// (admitted mix + candidate) on the daemon's session. It returns the
+// job's final state for the caller to finish it with. A failed
 // evaluation — a simulator error, a panic or an expired EvalTimeout —
 // fails the job and writes no record: the daemon's state, journal and
 // cache are what they would be had the job never arrived.
-func (s *Server) evaluate(j *job) {
+func (s *Server) evaluate(j *job) (JobState, *Verdict, error) {
 	start := time.Now()
 	j.setState(JobEvaluating)
 	s.mixMu.Lock()
@@ -134,9 +139,8 @@ func (s *Server) evaluate(j *job) {
 		s.count("verdict_cache_misses", 1)
 	}
 	if err != nil {
-		j.finish(JobFailed, nil, err)
 		s.count("jobs_failed", 1)
-		return
+		return JobFailed, nil, err
 	}
 	s.count("verdicts_tier_"+v.Tier, 1)
 	d.Admitted, d.Verdict = v.IsAdmitted(), v
@@ -149,11 +153,10 @@ func (s *Server) evaluate(j *job) {
 		s.mixMu.Unlock()
 		s.gauge("mix_size", float64(n))
 		s.count("jobs_admitted", 1)
-		j.finish(JobAdmitted, v, nil)
-		return
+		return JobAdmitted, v, nil
 	}
 	s.count("jobs_rejected", 1)
-	j.finish(JobRejected, v, fmt.Errorf("%w: %s", ErrAdmissionRejected, v.Reason))
+	return JobRejected, v, fmt.Errorf("%w: %s", ErrAdmissionRejected, v.Reason)
 }
 
 // release frees an admitted job's mix slot (DELETE /v1/jobs/{id}). Only
