@@ -16,8 +16,9 @@
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
 # the decision-journal line decoder and encoder, journal recovery, the
-# goal-union decoder, the /v1 + /v2 submission bodies and the
-# arrival-trace decoder),
+# goal-union decoder, the fast paths of the fleet and /v1 journal
+# records, the /v1 + /v2 submission bodies, the arrival-trace decoder
+# and the row decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
 # still happen), and `make bench-check`: every benchmark workload's
 # verification checks and golden result digests. Nothing in `make ci`
@@ -77,14 +78,19 @@ bench-check:
 # record into a fresh journal, five runs of 2000 each: µs per Append, how
 # many Appends grew the file, the bytes per Append the handle retains and,
 # with -benchmem, what each Append allocates. Then recovery: Open + Each
-# over 10⁴ such records, five runs of five, µs per record recovered. The
-# journal is the layer a warm admission waits on (journal.append_p50_us in
-# `make bench`'s traced passes) and the bulk of a restart, so a change to
-# it starts and ends here, before and after on the same machine. It
-# measures the file system under $TMPDIR.
+# over 10⁴ such records, five runs of five, µs per record recovered. Then
+# a whole fleet restart, fleet.New over the journals of 200 arrivals on
+# the benchmark's four-node fleet (decided by a stub, not the simulator):
+# records decoded, verdict caches replayed, placements rebuilt, five runs
+# of twenty, µs and allocations per record recovered. The journal is the
+# layer a warm admission waits on (journal.append_p50_us in `make bench`'s
+# traced passes) and the bulk of a restart, so a change to it starts and
+# ends here, before and after on the same machine. It measures the file
+# system under $TMPDIR.
 bench-journal:
 	$(GO) test -run='^$$' -bench=BenchmarkJournalAppend -benchtime=2000x -count=5 -benchmem ./internal/journal
 	$(GO) test -run='^$$' -bench=BenchmarkJournalRecover -benchtime=5x -count=5 -benchmem ./internal/journal
+	$(GO) test -run='^$$' -bench=BenchmarkFleetRecover -benchtime=20x -count=5 -benchmem ./internal/fleet
 
 # Two inlinings are load-bearing and nothing else would notice them go:
 # sm.(*SM).Cycle into gpu.RunCtx's sweeps (an idle SM-cycle is a compare
@@ -149,9 +155,11 @@ bench-trace:
 # against the full decoder), the case-line encoder (against encoding the
 # line struct), journal recovery over a damaged file (Open -> Append ->
 # Open), the schema.Goal JSON union (against the two-pass decoder),
-# the qosd submission path (body decoder + lowering to a kernel spec,
-# /v1 and /v2), the arrival-trace decoder `stream -mode replay` reads and
-# the row decoder qossim reads results/full through.
+# the record fast paths recovery reads a fleet node's decisions, the
+# placement journal and the /v1 job log through (each against
+# json.Unmarshal), the qosd submission path (body decoder + lowering to
+# a kernel spec, /v1 and /v2), the arrival-trace decoder `stream -mode
+# replay` reads and the row decoder qossim reads results/full through.
 # The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
 # new input that large byte by byte would take the whole time box, so
 # its minimization is capped by count.
@@ -160,6 +168,9 @@ fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzEncodeCase -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
+	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzNodeDecision -fuzztime=10s
+	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzPlacementRecord -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzV1Decision -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
 	$(GO) test ./internal/exp -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=10s

@@ -22,3 +22,15 @@ func InterceptSims(f *Fleet, hook func(ctx context.Context, specs []core.KernelS
 		}
 	}
 }
+
+// StubSims replaces every node's what-if simulation with stub, which
+// answers at once and never fails: a journal of hundreds of decisions
+// (the recovery benchmark's, the fast-path tests') then costs no
+// simulation. Call it before the first submission.
+func StubSims(f *Fleet, stub func(specs []core.KernelSpec, scheme core.Scheme) *core.Result) {
+	for _, n := range f.nodes {
+		n.sim = func(_ context.Context, specs []core.KernelSpec, scheme core.Scheme) (*core.Result, error) {
+			return stub(specs, scheme), nil
+		}
+	}
+}

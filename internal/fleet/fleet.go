@@ -88,6 +88,9 @@ const (
 	KindMigrate = "migrate"
 	KindReject  = "reject"
 	KindRelease = "release"
+	// KindFail records a job whose every what-if failed: its job id and
+	// sequence only, so a restarted fleet never issues the id again.
+	KindFail = "fail"
 )
 
 const placementStage = "placements"
@@ -144,11 +147,11 @@ type Config struct {
 
 // Placement is one fleet placement decision, the unit the GET
 // /v2/placements API serves, always whole: a place or migrate carries
-// its verdict and a release its request and shares. Its journal record
-// (placementRecord) leaves out what the node journals and the job
-// already hold, and recovery puts it back. Index is the deterministic
-// sequence number; replaying records in index order reconstructs every
-// node's resident mix.
+// its verdict and a release its request and shares; a fail is its job
+// id and sequence alone. Its journal record (placementRecord) leaves out
+// what the node journals and the job already hold, and recovery puts it
+// back. Index is the deterministic sequence number; replaying records in
+// index order reconstructs every node's resident mix.
 type Placement struct {
 	Index  int    `json:"index"`
 	Kind   string `json:"kind"`
@@ -189,7 +192,7 @@ type placementRecord struct {
 // record is p's placement journal record.
 func (p Placement) record() placementRecord {
 	r := placementRecord{Index: p.Index, Kind: p.Kind, JobID: p.JobID, JobSeq: p.JobSeq, Node: p.Node}
-	if p.Kind == KindRelease {
+	if p.Kind == KindRelease || p.Kind == KindFail {
 		return r
 	}
 	r.From, r.Decision, r.Reason = p.From, p.Decision, p.Reason
@@ -198,6 +201,30 @@ func (p Placement) record() placementRecord {
 		r.Verdict = p.Verdict
 	}
 	return r
+}
+
+// readPlacement reads a placementRecord, or a whole Placement, on the
+// schema.Cursor fast path into the Placement it records, what a slim
+// record leaves out still zero: both write the same keys in one order.
+func readPlacement(c *schema.Cursor) Placement {
+	var p Placement
+	c.Open()
+	p.Index = c.Key("index").Int()
+	p.Kind = c.Key("kind").String()
+	p.JobID = c.Key("job_id").String()
+	p.JobSeq = c.Key("job_seq").Int()
+	p.Node = c.Opt("node").String()
+	p.From = c.Opt("from").String()
+	if d := c.Opt("decision"); d != nil {
+		decision := d.Int()
+		p.Decision = &decision
+	}
+	p.Request = readRequest(c.Opt("request"))
+	p.Shares = readShares(c.Opt("shares"))
+	p.Verdict = schema.ReadVerdict(c.Opt("verdict"))
+	p.Reason = c.Opt("reason").String()
+	c.Close()
+	return p
 }
 
 // Counters are a fleet's work counts since New, for /metrics. They are
@@ -454,15 +481,16 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config,
 }
 
 // recoverPlacements replays the placement journal in index order,
-// rebuilding jobs, node mixes and the id counter, and every node decision
-// record a place or migrate record carries that its node journal lost.
+// rebuilding jobs, node mixes and the id counter (a failed job's id
+// included, though not the job), and every node decision record a place
+// or migrate record carries that its node journal lost.
 // What a slim record leaves out it puts back: a place or migrate record's
 // verdict from its node's replay (node.carried), a release's request and
 // shares from its job, so Placements reads as the fleet that wrote it.
 func (f *Fleet) recoverPlacements() error {
 	return f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
-		var p Placement
-		if err := json.Unmarshal(raw, &p); err != nil {
+		p, err := schema.Decode(raw, readPlacement)
+		if err != nil {
 			return fmt.Errorf("fleet: placement %d: %w", i, err)
 		}
 		// carried sets p's verdict from the decision record p carries,
@@ -530,6 +558,8 @@ func (f *Fleet) recoverPlacements() error {
 		case KindReject:
 			j := f.store.adopt(p.JobSeq, p.Request, p.Shares)
 			j.finish(StateRejected, p.Reason)
+		case KindFail:
+			f.store.reserve(p.JobSeq)
 		default:
 			return fmt.Errorf("fleet: placement %d: unknown kind %q", i, p.Kind)
 		}

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -36,9 +37,11 @@ func guardGPU() config.GPU {
 // TestWhatIfGuardV2 is internal/server TestWhatIfGuardV1 through /v2: a
 // node's what-if that panics, or wedges until EvalTimeout, fails the job
 // with the same typed error as on /v1, and qosd keeps serving /healthz,
-// /v1 and /v2. The failed evaluation writes no node or placement record,
-// so the journals are byte-identical to those of a fleet that never saw
-// the arrival, and a restart from them recovers the same placements.
+// /v1 and /v2. The failed evaluation writes no node record and one fail
+// placement record, its job id alone, so the journals are those of a
+// fleet that never saw the arrival plus that record, and a restart from
+// them recovers the same placements plus the fail and issues the next
+// id, not the failed job's again.
 func TestWhatIfGuardV2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -118,11 +121,25 @@ func TestWhatIfGuardV2(t *testing.T) {
 				t.Fatalf("next /v2 arrival = %+v, want placed", j)
 			}
 
-			// A fleet that never saw the failing arrival journals the same bytes.
+			// A fleet that never saw the failing arrival journals the same
+			// bytes but for the fail record.
 			ref := newFleet("ref")
 			v2Decide(t, daemon(ref), placed)
-			if want := readDir(t, filepath.Join(root, "ref")); !reflect.DeepEqual(failed, want) {
-				t.Fatalf("journals after the failure differ from those of a fleet that never saw it")
+			want := readDir(t, filepath.Join(root, "ref"))
+			fail := fleet.Placement{Index: 1, Kind: fleet.KindFail, JobID: "vjob-000001", JobSeq: 1}
+			for name, b := range want {
+				got := failed[name]
+				if name == "placements.jnl" {
+					wantTail := `"data":{"index":1,"kind":"fail","job_id":"vjob-000001","job_seq":1},"crc":`
+					tail, ok := strings.CutPrefix(string(lines(got)), string(lines(b)))
+					if !ok || !strings.Contains(tail, wantTail) || strings.Count(tail, "\n") != 1 {
+						t.Fatalf("placement journal after the failure is not the one that never saw it plus %s:\n%s", wantTail, lines(got))
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, b) {
+					t.Fatalf("%s after the failure differs from that of a fleet that never saw it", name)
+				}
 			}
 			restartDir := filepath.Join(root, "restart")
 			if err := os.Mkdir(restartDir, 0o755); err != nil {
@@ -134,9 +151,13 @@ func TestWhatIfGuardV2(t *testing.T) {
 				}
 			}
 			restarted := newFleet("restart")
-			daemon(restarted) // owns the shutdown
-			if got, want := restarted.Placements(), ref.Placements(); !reflect.DeepEqual(got, want) {
+			restartedTS := daemon(restarted) // owns the shutdown
+			if got, want := restarted.Placements(), append(ref.Placements(), fail); !reflect.DeepEqual(got, want) {
 				t.Fatalf("restart recovered %+v, want %+v", got, want)
+			}
+			// The failed job was the last arrival: its id stays taken.
+			if j := v2Decide(t, restartedTS, `{"workload":"lbm","gpu_fraction":0.2}`); j.ID != "vjob-000002" {
+				t.Fatalf("after the restart the next arrival is %s, want vjob-000002", j.ID)
 			}
 		})
 	}
@@ -202,4 +223,12 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 		out[e.Name()] = b
 	}
 	return out
+}
+
+// lines is a journal's text: its lines up to the NUL pad.
+func lines(b []byte) []byte {
+	if i := bytes.IndexByte(b, 0); i >= 0 {
+		return b[:i]
+	}
+	return b
 }

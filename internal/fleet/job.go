@@ -167,6 +167,16 @@ func (s *jobStore) adopt(seq int, req Request, shares Shares) *Job {
 	return j
 }
 
+// reserve advances the id counter past seq without registering a job:
+// recovery calls it for a failed job, whose id must not come back.
+func (s *jobStore) reserve(seq int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq >= s.next {
+		s.next = seq + 1
+	}
+}
+
 // get looks up a job by id.
 func (s *jobStore) get(id string) (*Job, bool) {
 	s.mu.Lock()

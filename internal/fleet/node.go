@@ -38,6 +38,18 @@ type NodeDecision struct {
 	Verdict   *schema.Verdict `json:"verdict,omitempty"`
 }
 
+// readNodeDecision reads a NodeDecision on the schema.Cursor fast path.
+func readNodeDecision(c *schema.Cursor) NodeDecision {
+	var d NodeDecision
+	c.Open()
+	d.JobID = c.Key("job_id").String()
+	d.Mix = schema.ReadArray(c.Opt("mix"), verdict.ReadMixEntry)
+	d.Candidate = verdict.ReadMixEntry(c.Key("candidate"))
+	d.Verdict = schema.ReadVerdict(c.Opt("verdict"))
+	c.Close()
+	return d
+}
+
 // placedEntry is one job resident on a node.
 type placedEntry struct {
 	job    *Job
@@ -188,8 +200,8 @@ func (n *node) recover() error {
 	}
 	n.replayed = make(map[int]*schema.Verdict)
 	return n.jnl.Each(decisionStage, func(i int, raw json.RawMessage) error {
-		var d NodeDecision
-		if err := json.Unmarshal(raw, &d); err != nil {
+		d, err := schema.Decode(raw, readNodeDecision)
+		if err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
 		specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)

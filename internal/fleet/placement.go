@@ -93,7 +93,7 @@ func (f *Fleet) place(j *Job) {
 	if len(cands) > 0 && rejected == 0 && evalErr != nil {
 		// Every feasible node failed to evaluate (simulator error, not
 		// a QoS rejection): the job failed, it was not crowded out.
-		j.finish(StateFailed, evalErr.Error())
+		f.fail(j, evalErr)
 		return
 	}
 
@@ -117,6 +117,16 @@ func (f *Fleet) place(j *Job) {
 		return
 	}
 	j.finish(StateRejected, reason)
+}
+
+// fail ends a job whose what-ifs failed with cause. Its fail record
+// carries the job's id and sequence alone, so a restarted fleet never
+// issues the id again; no node record or capacity changes.
+func (f *Fleet) fail(j *Job, cause error) {
+	if err := f.appendPlacement(Placement{Kind: KindFail, JobID: j.id, JobSeq: j.seq}); err != nil {
+		cause = errors.Join(cause, err)
+	}
+	j.finish(StateFailed, cause.Error())
 }
 
 // repartition runs the single-move search: find an admitted job m on a

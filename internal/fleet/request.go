@@ -55,6 +55,42 @@ type Shares struct {
 	Mem float64 `json:"mem"`
 }
 
+// readRequest reads a Request on the schema.Cursor fast path; c is nil
+// for an absent one.
+func readRequest(c *schema.Cursor) Request {
+	if c == nil {
+		return Request{}
+	}
+	var r Request
+	c.Open()
+	r.Name = c.Opt("name").String()
+	r.Workload = c.Key("workload").String()
+	if g := c.Opt("goal"); g != nil {
+		goal := schema.ReadGoal(g)
+		r.Goal = &goal
+	}
+	r.GPUFraction = c.Opt("gpu_fraction").Float()
+	r.VGPUCores = c.Opt("vgpu_cores").Float()
+	r.VGPUMemory = c.Opt("vgpu_memory").Float()
+	r.Scheme = c.Opt("scheme").String()
+	c.Close()
+	return r
+}
+
+// readShares reads Shares on the schema.Cursor fast path; c is nil for
+// absent ones.
+func readShares(c *schema.Cursor) Shares {
+	if c == nil {
+		return Shares{}
+	}
+	var s Shares
+	c.Open()
+	s.SM = c.Key("sm").Float()
+	s.Mem = c.Key("mem").Float()
+	c.Close()
+	return s
+}
+
 // shares validates the fractional vocabulary and lowers it.
 func (r Request) shares() (Shares, error) {
 	if r.GPUFraction != 0 {

@@ -546,11 +546,9 @@ func encodeCase(stage string, index int, v any) ([]byte, error) {
 // appendString appends s quoted as json.Marshal quotes it: as it is when
 // it needs no escape, else by json.Marshal.
 func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
+	if !schema.PlainString(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
 	}
 	b = append(b, '"')
 	b = append(b, s...)

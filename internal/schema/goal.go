@@ -288,3 +288,52 @@ func (g *Goal) unmarshalObject(b []byte) error {
 	}
 	return nil
 }
+
+// ReadGoal reads a goal in the layout MarshalJSON writes (a bare number,
+// or a one-key object of its form) on the Cursor's fast path; c is nil
+// for an absent goal. The none form's null is left to json.Unmarshal.
+func ReadGoal(c *Cursor) Goal {
+	if c == nil || c.bad {
+		return Goal{}
+	}
+	if c.peek() != '{' {
+		return FracGoal(c.Float())
+	}
+	var g Goal
+	c.Open()
+	if o := c.Opt("frac"); o != nil {
+		g = FracGoal(o.Float())
+	} else if o := c.Opt("ipc"); o != nil {
+		g = IPCGoal(o.Float())
+	} else if o := c.Opt("deadline"); o != nil {
+		o.Open()
+		g = DeadlineGoal(Deadline{
+			Instrs:        o.Key("instrs").Int64(),
+			Seconds:       o.Key("seconds").Float(),
+			TransferBytes: o.Opt("transfer_bytes").Int64(),
+			PCIeGbps:      o.Opt("pcie_gbps").Float(),
+			PCIeLatency:   o.Opt("pcie_latency_s").Float(),
+		})
+		o.Close()
+	} else if o := c.Opt("latency"); o != nil {
+		o.Open()
+		g = LatencyGoal(Latency{
+			Instrs:     o.Key("instrs").Int64(),
+			Seconds:    o.Key("seconds").Float(),
+			Percentile: o.Opt("percentile").Float(),
+		})
+		o.Close()
+	} else if o := c.Opt("periodic"); o != nil {
+		o.Open()
+		g = PeriodicGoal(Periodic{
+			Instrs:    o.Key("instrs").Int64(),
+			PeriodS:   o.Key("period_s").Float(),
+			DeadlineS: o.Opt("deadline_s").Float(),
+		})
+		o.Close()
+	} else {
+		c.bad = true
+	}
+	c.Close()
+	return g
+}

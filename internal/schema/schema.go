@@ -65,3 +65,16 @@ func DecodeStrict(b []byte, v any) error {
 	}
 	return nil
 }
+
+// PlainString reports whether json.Marshal writes s as it is between
+// quotes: no control character, quote, backslash, HTML-escaped <, > or
+// &, and no byte outside ASCII. Encoders that append JSON by hand fall
+// back to json.Marshal for any other string.
+func PlainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}

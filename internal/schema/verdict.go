@@ -80,3 +80,48 @@ type Verdict struct {
 
 // IsAdmitted reports whether the verdict admits the candidate.
 func (v *Verdict) IsAdmitted() bool { return v.Decision == DecisionAdmit }
+
+// ReadVerdict reads a verdict on the Cursor's fast path; c is nil for an
+// absent one.
+func ReadVerdict(c *Cursor) *Verdict {
+	if c == nil {
+		return nil
+	}
+	v := &Verdict{}
+	c.Open()
+	v.Decision = c.Key("decision").String()
+	v.Tier = c.Key("tier").String()
+	v.Confidence = c.Key("confidence").Float()
+	v.ModelVersion = c.Opt("model_version").String()
+	v.EvidenceRef = c.Opt("evidence_ref").String()
+	v.Reason = c.Key("reason").String()
+	v.Scheme = c.Key("scheme").String()
+	if !c.Key("mix_before").Null() {
+		v.MixBefore = ReadArray(c, (*Cursor).String)
+	}
+	v.Candidate = ReadKernelOutcome(c.Key("candidate"))
+	v.Incumbents = ReadArray(c.Opt("incumbents"), ReadKernelOutcome)
+	v.Cycles = c.Key("cycles").Int64()
+	c.Close()
+	return v
+}
+
+// ReadKernelOutcome reads a kernel outcome on the Cursor's fast path.
+func ReadKernelOutcome(c *Cursor) KernelOutcome {
+	if c == nil {
+		return KernelOutcome{}
+	}
+	var o KernelOutcome
+	c.Open()
+	o.JobID = c.Opt("job_id").String()
+	o.Workload = c.Key("workload").String()
+	o.IsQoS = c.Key("is_qos").Bool()
+	o.GoalIPC = c.Opt("goal_ipc").Float()
+	o.IPC = c.Key("ipc").Float()
+	o.IsolatedIPC = c.Key("isolated_ipc").Float()
+	o.Reached = c.Key("reached").Bool()
+	o.GoalRatio = c.Opt("goal_ratio").Float()
+	o.NormThroughput = c.Opt("norm_throughput").Float()
+	c.Close()
+	return o
+}

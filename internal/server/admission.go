@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/verdict"
 )
@@ -31,10 +32,12 @@ func mixEntry(j *job) MixEntry {
 // Decision is one entry of the decision log — the daemon's crash-safe
 // record of every admission verdict and release, journaled under stage
 // "jobs" keyed by Index. Kind "decision" entries carry the full what-if
-// evidence; Kind "release" entries free the job's mix slot.
+// evidence; Kind "release" entries free the job's mix slot; Kind
+// "failed" entries name a job whose what-if failed (no verdict), so a
+// restarted daemon never issues its id again.
 type Decision struct {
 	Index     int        `json:"index"`
-	Kind      string     `json:"kind"` // "decision" | "release"
+	Kind      string     `json:"kind"` // "decision" | "release" | "failed"
 	JobID     string     `json:"job_id"`
 	JobSeq    uint64     `json:"job_seq"`
 	Name      string     `json:"name,omitempty"`
@@ -42,6 +45,23 @@ type Decision struct {
 	Mix       []MixEntry `json:"mix,omitempty"`
 	Admitted  bool       `json:"admitted,omitempty"`
 	Verdict   *Verdict   `json:"verdict,omitempty"`
+}
+
+// readDecision reads a Decision on the schema.Cursor fast path.
+func readDecision(c *schema.Cursor) Decision {
+	var d Decision
+	c.Open()
+	d.Index = c.Key("index").Int()
+	d.Kind = c.Key("kind").String()
+	d.JobID = c.Key("job_id").String()
+	d.JobSeq = c.Key("job_seq").Uint64()
+	d.Name = c.Opt("name").String()
+	d.Candidate = verdict.ReadMixEntry(c.Key("candidate"))
+	d.Mix = schema.ReadArray(c.Opt("mix"), verdict.ReadMixEntry)
+	d.Admitted = c.Opt("admitted").Bool()
+	d.Verdict = schema.ReadVerdict(c.Opt("verdict"))
+	c.Close()
+	return d
 }
 
 // decisionLoop is the admission controller: it serializes every decision
@@ -107,8 +127,9 @@ func (s *Server) waitSlot() error {
 // (admitted mix + candidate) on the daemon's session. It returns the
 // job's final state for the caller to finish it with. A failed
 // evaluation — a simulator error, a panic or an expired EvalTimeout —
-// fails the job and writes no record: the daemon's state, journal and
-// cache are what they would be had the job never arrived.
+// fails the job and records only that: a "failed" entry with the job's
+// id and candidate, which holds the id against reuse after a restart.
+// Mix and cache are what they would be had the job never arrived.
 func (s *Server) evaluate(j *job) (JobState, *Verdict, error) {
 	start := time.Now()
 	j.setState(JobEvaluating)
@@ -140,6 +161,7 @@ func (s *Server) evaluate(j *job) (JobState, *Verdict, error) {
 	}
 	if err != nil {
 		s.count("jobs_failed", 1)
+		s.record(Decision{Kind: "failed", JobID: j.id, JobSeq: j.seq, Candidate: mixEntry(j)})
 		return JobFailed, nil, err
 	}
 	s.count("verdicts_tier_"+v.Tier, 1)
@@ -220,7 +242,7 @@ func (s *Server) Decisions() []Decision {
 	return append([]Decision(nil), s.decisions...)
 }
 
-// jobStage keys the daemon's entries inside the checkpoint journal.
+// jobStage keys the daemon's entries inside the decision journal.
 const jobStage = "jobs"
 
 // recoverJournal rebuilds the admitted mix and the verdict cache from a
@@ -230,13 +252,15 @@ const jobStage = "jobs"
 // every logged verdict is restored into the decider, so what comes next
 // is decided by the same tier, and journaled as the same bytes, as in a
 // daemon that never stopped. Queued-but-undecided jobs, and jobs whose
-// evaluation failed, are not recovered — they never received a verdict.
+// evaluation failed, are not recovered — they never received a verdict —
+// but every logged entry's sequence is reserved, a failed job's
+// included, so no id is issued twice.
 func (s *Server) recoverJournal() error {
 	admitted := make(map[string]Decision)
 	var order []string
 	err := s.jnl.Each(jobStage, func(i int, raw json.RawMessage) error {
-		var d Decision
-		if err := json.Unmarshal(raw, &d); err != nil {
+		d, err := schema.Decode(raw, readDecision)
+		if err != nil {
 			return fmt.Errorf("server: job log entry %d: %w", i, err)
 		}
 		s.decisions = append(s.decisions, d)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,9 +47,10 @@ var guardCases = []struct {
 // EvalTimeout, fails its job with one typed error and the daemon keeps
 // serving: /healthz answers 200 while the what-if is stuck and after it
 // failed, and the next arrival is decided normally. The failed
-// evaluation writes no record, so the journal is byte-identical to that
-// of a daemon that never saw the arrival, and a restart from it recovers
-// the same decisions.
+// evaluation writes one "failed" entry and nothing else, so the journal
+// is that of a daemon that never saw the arrival plus that entry, and a
+// restart from it recovers the same decisions and issues the next id,
+// not the failed job's again.
 func TestWhatIfGuardV1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -107,24 +109,31 @@ func TestWhatIfGuardV1(t *testing.T) {
 				t.Fatalf("next arrival = %+v, want a verdict", v)
 			}
 
-			// A daemon that never saw the failing arrival journals the same bytes.
+			// A daemon that never saw the failing arrival journals the same
+			// bytes but for the failed entry.
 			ref, refTS := daemon("ref.log")
 			decide(refTS, admitted)
 			want, err := os.ReadFile(filepath.Join(dir, "ref.log"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(failed, want) {
-				t.Fatalf("journal after the failure differs from one that never saw it:\n%q\nwant\n%q", logLines(failed), logLines(want))
+			fail := Decision{Index: 1, Kind: "failed", JobID: jr.Job.ID, JobSeq: jr.Job.Seq, Candidate: MixEntry{JobID: jr.Job.ID, Workload: "mri-q", GoalFrac: 0.5}}
+			tail, ok := strings.CutPrefix(logLines(failed), logLines(want))
+			if !ok || !strings.Contains(tail, string(mustJSON(t, fail))) || strings.Count(tail, "\n") != 1 {
+				t.Fatalf("journal after the failure is not the one that never saw it plus the failed entry:\n%q\nwant\n%q + %s", logLines(failed), logLines(want), mustJSON(t, fail))
 			}
 			if err := os.WriteFile(filepath.Join(dir, "restart.log"), failed, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			restarted, _ := daemon("restart.log")
+			restarted, restartedTS := daemon("restart.log")
 			got, _ := json.Marshal(restarted.Decisions())
-			wantDec, _ := json.Marshal(ref.Decisions())
+			wantDec, _ := json.Marshal(append(ref.Decisions(), fail))
 			if !bytes.Equal(got, wantDec) {
 				t.Fatalf("restart recovered %s, want %s", got, wantDec)
+			}
+			// The failed job was the last arrival: its id stays taken.
+			if next := decide(restartedTS, `{"kernel":{"workload":"lbm"}}`); next.Seq != jr.Job.Seq+1 {
+				t.Fatalf("after the restart the next arrival is %s, want the id after the failed %s", next.ID, jr.Job.ID)
 			}
 		})
 	}
@@ -136,4 +145,14 @@ func logLines(b []byte) string {
 		b = b[:i]
 	}
 	return string(b)
+}
+
+// mustJSON is v's JSON encoding.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -226,8 +226,8 @@ func (st *jobStore) adopt(j *job) {
 }
 
 // reserve advances the sequence counter past seq without registering a
-// job. Recovery calls it for decided-but-not-admitted log entries so a
-// restarted daemon never reissues their ids.
+// job. Recovery calls it for every log entry, a failed job's included,
+// so a restarted daemon never reissues an id.
 func (st *jobStore) reserve(seq uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -454,7 +454,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "qosd_fleet_asks %d\n", c.Asks)
 	fmt.Fprintf(w, "qosd_fleet_node_records %d\n", c.NodeRecords)
 	fmt.Fprintf(w, "qosd_fleet_flushes %d\n", c.Flushes)
-	for _, kind := range []string{fleet.KindPlace, fleet.KindMigrate, fleet.KindReject, fleet.KindRelease} {
+	for _, kind := range []string{fleet.KindPlace, fleet.KindMigrate, fleet.KindReject, fleet.KindRelease, fleet.KindFail} {
 		fmt.Fprintf(w, "qosd_fleet_placements_%s %d\n", kind, c.Placements[kind])
 	}
 }

@@ -60,9 +60,9 @@ func NewReplayer(sess *core.Session, cfg Config) (*Replayer, error) {
 	return &Replayer{sess: sess, dec: dec}, nil
 }
 
-// Replay decides one log entry. Kind "release" entries return (nil,
-// nil): releases carry no verdict, and the mix each decision saw is
-// snapshotted on the decision itself.
+// Replay decides one log entry. Kind "release" and "failed" entries
+// return (nil, nil): neither carries a verdict, and the mix each
+// decision saw is snapshotted on the decision itself.
 func (r *Replayer) Replay(ctx context.Context, d Decision) (*Verdict, error) {
 	if d.Kind != "decision" {
 		return nil, nil

@@ -227,6 +227,21 @@ func (m MixEntry) Spec() core.KernelSpec {
 	return core.KernelSpec{Workload: m.Workload, GoalFrac: m.GoalFrac, GoalIPC: m.GoalIPC}
 }
 
+// ReadMixEntry reads a mix entry on the schema.Cursor fast path.
+func ReadMixEntry(c *schema.Cursor) MixEntry {
+	if c == nil {
+		return MixEntry{}
+	}
+	var m MixEntry
+	c.Open()
+	m.JobID = c.Key("job_id").String()
+	m.Workload = c.Key("workload").String()
+	m.GoalFrac = c.Opt("goal_frac").Float()
+	m.GoalIPC = c.Opt("goal_ipc").Float()
+	c.Close()
+	return m
+}
+
 // MixSpecs lowers a journaled decision — the mix it saw, then its
 // candidate — to the ordered specs and ids Decide and Restore take.
 func MixSpecs(mix []MixEntry, candidate MixEntry) ([]core.KernelSpec, []string) {

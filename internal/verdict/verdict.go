@@ -39,6 +39,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
+	"strconv"
 	"sync"
 
 	"repro/internal/schema"
@@ -85,7 +87,59 @@ func Canonical(sigs []KernelSig) []int {
 // collide by construction, although kernel order (unlike job identity)
 // can change the simulated outcome; mixes under different
 // configurations or schemes never do (the hash input differs).
+//
+// The hash input is the JSON encoding of
+//
+//	{"kernels":[{"w":…,"gf":…,"gi":…},…],"scheme":…,"config":…}
+//
+// (gf and gi omitted when zero), appended directly rather than through
+// json.Marshal, which it equals byte for byte; a string that needs an
+// escape, or a goal JSON cannot encode, takes json.Marshal's path.
 func Signature(sigs []KernelSig, scheme, configHash string) string {
+	var buf [512]byte
+	b, ok := appendSigInput(buf[:0], sigs, scheme, configHash)
+	if !ok {
+		b = marshalSigInput(sigs, scheme, configHash)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendSigInput appends Signature's hash input to b, and reports false
+// when a string needs an escape or a goal is not finite.
+func appendSigInput(b []byte, sigs []KernelSig, scheme, configHash string) ([]byte, bool) {
+	b = append(b, `{"kernels":[`...)
+	for i, p := range Canonical(sigs) {
+		k := sigs[p]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if !schema.PlainString(k.Workload) || !finite(k.GoalFrac) || !finite(k.GoalIPC) {
+			return b, false
+		}
+		b = append(b, `{"w":"`...)
+		b = append(b, k.Workload...)
+		b = append(b, '"')
+		if k.GoalFrac != 0 {
+			b = appendFloat(append(b, `,"gf":`...), k.GoalFrac)
+		}
+		if k.GoalIPC != 0 {
+			b = appendFloat(append(b, `,"gi":`...), k.GoalIPC)
+		}
+		b = append(b, '}')
+	}
+	if !schema.PlainString(scheme) || !schema.PlainString(configHash) {
+		return b, false
+	}
+	b = append(b, `],"scheme":"`...)
+	b = append(b, scheme...)
+	b = append(b, `","config":"`...)
+	b = append(b, configHash...)
+	return append(b, `"}`...), true
+}
+
+// marshalSigInput is Signature's hash input by json.Marshal.
+func marshalSigInput(sigs []KernelSig, scheme, configHash string) []byte {
 	sorted := make([]KernelSig, len(sigs))
 	for i, p := range Canonical(sigs) {
 		sorted[i] = sigs[p]
@@ -96,11 +150,33 @@ func Signature(sigs []KernelSig, scheme, configHash string) string {
 		Config  string      `json:"config"`
 	}{sorted, scheme, configHash})
 	if err != nil {
-		// KernelSig marshals unconditionally; keep the signature total.
+		// A NaN or infinite goal does not marshal; keep the signature
+		// total.
 		b = []byte(err.Error())
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
+}
+
+// finite reports whether json.Marshal encodes f (it refuses NaN and ±Inf).
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendFloat appends f as json.Marshal writes a float64: the shortest
+// representation that round-trips, in %f form, except below 1e-6 or from
+// 1e21 up in magnitude, which take %e form with a two-digit negative
+// exponent shortened (1e-07 is written 1e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // Cached is one stored sim verdict, with per-kernel outcomes in

@@ -1,7 +1,12 @@
 package verdict
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -192,6 +197,62 @@ func TestCanonicalMatchesStableSort(t *testing.T) {
 		})
 		if got := Canonical(sigs); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("Canonical(%v) = %v, stable sort %v", sigs, got, want)
+		}
+	}
+}
+
+// TestSignatureMatchesMarshal is the property Signature's appended hash
+// input rests on: over random sigs it is json.Marshal's encoding of the
+// canonical mix byte for byte, so every signature (and evidence ref)
+// ever written keeps its value. Goals take the values where
+// encoding/json's float format turns (1e-6 and 1e21, either side),
+// negative zero, the tiniest subnormal and random magnitudes; names take
+// the characters json.Marshal escapes, which leave the fast path for
+// json.Marshal's own; a NaN or infinite goal hashes json.Marshal's
+// error, as it always did.
+func TestSignatureMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	specials := []float64{
+		0, math.Copysign(0, -1), 1e21, math.Nextafter(1e21, 0), 1e20, 123456789e12,
+		1e-6, math.Nextafter(1e-6, 0), 1e-7, 1.5e-7, 9.99e-10, 5e-324, math.MaxFloat64,
+		-1e-7, -1e21, 0.1, 1.0 / 3, 0.95, 3.25, 1e-300,
+	}
+	goal := func() float64 {
+		switch k := rng.Intn(8); {
+		case k < 3:
+			return specials[rng.Intn(len(specials))]
+		case k == 3:
+			return 0
+		case k == 4 && rng.Intn(20) == 0:
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+		}
+		return (rng.Float64() - 0.2) * math.Pow(10, float64(rng.Intn(60)-30))
+	}
+	names := []string{"sgemm", "lbm", "histo", "mri-q", "a<b", `q"x`, "é", "tab\t", "", "&", `back\slash`}
+	for trial := 0; trial < 20_000; trial++ {
+		sigs := make([]KernelSig, 1+rng.Intn(4))
+		for i := range sigs {
+			sigs[i] = KernelSig{Workload: names[rng.Intn(len(names))], GoalFrac: goal(), GoalIPC: goal()}
+		}
+		scheme, cfg := []string{"rollover", "spart", "none"}[rng.Intn(3)], []string{"cfg", "c>fg"}[rng.Intn(2)]
+		sorted := make([]KernelSig, len(sigs))
+		for i, p := range Canonical(sigs) {
+			sorted[i] = sigs[p]
+		}
+		want, err := json.Marshal(struct {
+			Kernels []KernelSig `json:"kernels"`
+			Scheme  string      `json:"scheme"`
+			Config  string      `json:"config"`
+		}{sorted, scheme, cfg})
+		if err != nil {
+			want = []byte(err.Error())
+		}
+		if b, ok := appendSigInput(nil, sigs, scheme, cfg); ok && !bytes.Equal(b, want) {
+			t.Fatalf("appended hash input\n%s\njson.Marshal\n%s", b, want)
+		}
+		sum := sha256.Sum256(want)
+		if got := Signature(sigs, scheme, cfg); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("Signature of %+v under %q, %q is not the hash of %s", sigs, scheme, cfg, want)
 		}
 	}
 }
