@@ -15,8 +15,8 @@
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
-# the decision-journal line decoder and encoder, journal recovery, the
-# goal-union decoder, the fast paths of the fleet and /v1 journal
+# the decision-journal line decoder and encoder, its payload validator,
+# journal recovery, the goal-union decoder, the fast paths of the fleet and /v1 journal
 # records, the /v1 + /v2 submission bodies, the arrival-trace decoder
 # and the row decoder),
 # `make inline-check` (the two inlinings the simulator's hot loop rests on
@@ -82,7 +82,10 @@ bench-check:
 # a whole fleet restart, fleet.New over the journals of 200 arrivals on
 # the benchmark's four-node fleet (decided by a stub, not the simulator):
 # records decoded, verdict caches replayed, placements rebuilt, five runs
-# of twenty, µs and allocations per record recovered. The journal is the
+# of twenty, µs and allocations per record recovered, with the mix of
+# node records that sets what one costs (% with a verdict, key-only
+# admits, key-only rejects), so a figure compares across changes only
+# at the same mix. The journal is the
 # layer a warm admission waits on (journal.append_p50_us in `make bench`'s
 # traced passes) and the bulk of a restart, so a change to it starts and
 # ends here, before and after on the same machine. It measures the file
@@ -153,8 +156,8 @@ bench-trace:
 # Time-boxed fuzz passes over the code that parses bytes from disk or
 # the network: the decision-journal line decoder (its one-pass fast path
 # against the full decoder), the case-line encoder (against encoding the
-# line struct), journal recovery over a damaged file (Open -> Append ->
-# Open), the schema.Goal JSON union (against the two-pass decoder),
+# line struct), the fast path's payload validator (against json.Valid),
+# journal recovery over a damaged file (Open -> Append -> Open), the schema.Goal JSON union (against the two-pass decoder),
 # the record fast paths recovery reads a fleet node's decisions, the
 # placement journal and the /v1 job log through (each against
 # json.Unmarshal), the qosd submission path (body decoder + lowering to
@@ -166,6 +169,7 @@ bench-trace:
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzEncodeCase -fuzztime=10s
+	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzCompactValid -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalOpen -fuzztime=10s
 	$(GO) test ./internal/schema -run='^$$' -fuzz=FuzzGoalJSON -fuzztime=10s
 	$(GO) test ./internal/fleet -run='^$$' -fuzz=FuzzNodeDecision -fuzztime=10s

@@ -301,7 +301,7 @@ func keyOnlyTail(img map[string][]byte, want map[string]string) bool {
 }
 
 // headerHash reads the configuration hash from a journal's header line.
-func headerHash(t *testing.T, path string) string {
+func headerHash(t testing.TB, path string) string {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -435,6 +435,22 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	}
 	slim := f.Placements()[slimAt]
 
+	// The place or migrate record that carries the first record of a
+	// node's carried tail, to be lost and rebuilt from a forged reject.
+	var lost Placement
+	for _, n := range f.nodes {
+		if at, ok := tails[n.id]; ok && lost.JobID == "" {
+			for _, p := range f.Placements() {
+				if p.Node == n.id && p.Decision != nil && *p.Decision == at {
+					lost = p
+				}
+			}
+		}
+	}
+	if lost.JobID == "" {
+		t.Fatal("the fixture stream no longer places a job by a record of a node's carried tail")
+	}
+
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
@@ -475,6 +491,14 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 			recs[slimAt].Decision = &notAdmit
 			rewriteJournal(t, placementsPath(dir), placementStage, recs)
 		}, want: fmt.Sprintf("fleet: placement %d: node %s: decision %d is not a replayed admit of job %s", slimAt, slim.Node, notAdmit, slim.JobID)},
+		{name: "lost carried record rebuilds a reject", damage: func(t *testing.T, dir string) {
+			recs := placementRecords(t, dir)
+			v := *lost.Verdict
+			v.Decision, v.Tier = schema.DecisionReject, schema.TierSim
+			recs[lost.Index].Verdict = &v
+			rewriteJournal(t, placementsPath(dir), placementStage, recs)
+			cutNodeJournal(t, dir, lost.Node, *lost.Decision)
+		}, want: fmt.Sprintf("fleet: placement %d: node %s: rebuild decision %d: it rejects job %s", lost.Index, lost.Node, *lost.Decision, lost.JobID)},
 		{name: "placement records without decisions", damage: func(t *testing.T, dir string) {
 			// A full-verdict log: the slim records a fleet writes today
 			// need their decision indexes.

@@ -332,99 +332,100 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 
-	// Build every node and recover its decision journal (cache state)
-	// concurrently: a node's recovery reads only its own journal and
-	// writes only its own decider and counters. Then the placement
-	// journal (mixes and jobs), whose replay needs every node's recovered
-	// count and re-resolves each job's spec against its journaled node,
-	// which must succeed because the journal header pins the node
-	// configurations.
-	bindings, err := f.recoverNodes(ctx, cfg)
+	// Build every node, then recover the journals concurrently (see
+	// recoverJournals), then replay the placement records (mixes and
+	// jobs), which needs every node's recovered count and re-resolves
+	// each job's spec against its journaled node, which must succeed
+	// because the journal header pins the node configurations.
+	bindings, err := f.buildNodes(ctx, cfg)
+	var recs []loggedPlacement
+	if err == nil && cfg.JournalDir != "" {
+		recs, err = f.recoverJournals(cfg, bindings)
+	}
+	if err == nil {
+		err = f.recoverPlacements(recs)
+	}
+	for _, n := range f.nodes {
+		n.replayed = nil
+	}
 	if err != nil {
 		f.closeJournals()
 		cancel()
 		return nil, err
-	}
-	if cfg.JournalDir != "" {
-		hash, err := journal.Hash(fleetBinding{
-			Nodes:         bindings,
-			FirstFit:      cfg.FirstFit,
-			NoRepartition: cfg.NoRepartition,
-			QueueDepth:    cfg.QueueDepth,
-		})
-		if err != nil {
-			f.closeJournals()
-			cancel()
-			return nil, err
-		}
-		f.pj, err = journal.Open(filepath.Join(cfg.JournalDir, "placements.jnl"), hash)
-		if err != nil {
-			f.closeJournals()
-			cancel()
-			return nil, err
-		}
-		err = f.recoverPlacements()
-		for _, n := range f.nodes {
-			n.replayed = nil
-		}
-		if err != nil {
-			f.closeJournals()
-			cancel()
-			return nil, err
-		}
 	}
 
 	go f.loop()
 	return f, nil
 }
 
-// recoverNodes builds and recovers every node, one goroutine each, and
-// waits for all of them. The fleet keeps every node that was built, so
-// closeJournals reaches every journal that was opened; on failure the
-// error is the lowest-index node's, whichever failed first.
+// buildNodes builds every node in config order, keeping each on the
+// fleet, and returns the bindings their journals open under. It stops at
+// the first node that cannot be built, before any journal is opened.
 //
 // Nodes with the same device share one isolated-baseline cache: a
 // baseline depends only on the device, the window and the seed, and the
 // last two are fleet-wide, so three identical nodes measure each
 // workload's baseline once between them. Verdict caches stay per node.
-func (f *Fleet) recoverNodes(ctx context.Context, cfg Config) ([]nodeBinding, error) {
-	nodes := make([]*node, len(cfg.Nodes))
+func (f *Fleet) buildNodes(ctx context.Context, cfg Config) ([]nodeBinding, error) {
 	bindings := make([]nodeBinding, len(cfg.Nodes))
-	errs := make([]error, len(cfg.Nodes))
 	baselines := make(map[config.GPU]*core.IsolatedCache)
-	for _, ns := range cfg.Nodes {
+	for i, ns := range cfg.Nodes {
 		if baselines[ns.GPU] == nil {
 			baselines[ns.GPU] = core.NewIsolatedCache()
 		}
+		n, bind, err := f.buildNode(ctx, i, ns, cfg, baselines[ns.GPU])
+		if err != nil {
+			return nil, err
+		}
+		f.nodes, bindings[i] = append(f.nodes, n), bind
 	}
+	return bindings, nil
+}
+
+// recoverJournals recovers every node's decision journal (its verdict
+// cache), one goroutine each — a node's recovery reads only its own
+// journal and writes only its own decider and counters — while one more
+// opens the placement journal and decodes its records, which needs no
+// node, and waits for all of them. Every journal opened is on the fleet,
+// for closeJournals. On failure the error is the lowest-index node's,
+// whichever failed first, else the placement journal's.
+func (f *Fleet) recoverJournals(cfg Config, bindings []nodeBinding) ([]loggedPlacement, error) {
+	errs := make([]error, len(f.nodes))
+	var recs []loggedPlacement
+	var perr error
 	var wg sync.WaitGroup
-	for i, ns := range cfg.Nodes {
+	for i, n := range f.nodes {
 		wg.Add(1)
-		go func(i int, ns NodeSpec) {
+		go func() {
 			defer wg.Done()
-			n, bind, err := f.buildNode(ctx, i, ns, cfg, baselines[ns.GPU])
+			hash, err := journal.Hash(bindings[i])
+			if err == nil {
+				if n.jnl, err = journal.Open(filepath.Join(cfg.JournalDir, n.id+".jnl"), hash); err != nil {
+					err = fmt.Errorf("fleet: node %d journal: %w", i, err)
+				}
+			}
 			if err == nil {
 				err = n.recover()
 			}
-			nodes[i], bindings[i], errs[i] = n, bind, err
-		}(i, ns)
+			errs[i] = err
+		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		recs, perr = f.readPlacements(cfg, bindings)
+	}()
 	wg.Wait()
-	for _, n := range nodes {
-		if n != nil {
-			f.nodes = append(f.nodes, n)
-		}
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return bindings, nil
+	return recs, perr
 }
 
 // buildNode assembles one node (session over the baselines cache,
-// decider, journal).
+// decider) and the binding its journal opens under.
 func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config, baselines *core.IsolatedCache) (*node, nodeBinding, error) {
 	opts := []core.Option{core.WithGPU(ns.GPU), core.WithIsolatedCache(baselines)}
 	if cfg.Window > 0 {
@@ -467,31 +468,59 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config,
 		Band:       bindingBand,
 		CacheSize:  dec.CacheCap(),
 	}
-	if cfg.JournalDir != "" {
-		hash, err := journal.Hash(bind)
-		if err != nil {
-			return nil, nodeBinding{}, err
-		}
-		n.jnl, err = journal.Open(filepath.Join(cfg.JournalDir, n.id+".jnl"), hash)
-		if err != nil {
-			return nil, nodeBinding{}, fmt.Errorf("fleet: node %d journal: %w", idx, err)
-		}
-	}
 	return n, bind, nil
 }
 
-// recoverPlacements replays the placement journal in index order,
-// rebuilding jobs, node mixes and the id counter (a failed job's id
-// included, though not the job), and every node decision record a place
-// or migrate record carries that its node journal lost.
+// loggedPlacement is one placement journal record as read, ahead of its
+// replay: its index, and the record, or why it does not decode.
+type loggedPlacement struct {
+	index int
+	p     Placement
+	err   error
+}
+
+// readPlacements opens the placement journal under the fleet's binding
+// and decodes its records in index order, through the first that does
+// not decode, which recoverPlacements then fails on once it has replayed
+// every record before it.
+func (f *Fleet) readPlacements(cfg Config, bindings []nodeBinding) ([]loggedPlacement, error) {
+	hash, err := journal.Hash(fleetBinding{
+		Nodes:         bindings,
+		FirstFit:      cfg.FirstFit,
+		NoRepartition: cfg.NoRepartition,
+		QueueDepth:    cfg.QueueDepth,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if f.pj, err = journal.Open(filepath.Join(cfg.JournalDir, "placements.jnl"), hash); err != nil {
+		return nil, err
+	}
+	var recs []loggedPlacement
+	// Each stops at the record that does not decode, and recs keeps why.
+	_ = f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
+		p, err := schema.Decode(raw, readPlacement)
+		recs = append(recs, loggedPlacement{i, p, err})
+		return err
+	})
+	return recs, nil
+}
+
+// recoverPlacements replays the placement journal's records in index
+// order, rebuilding jobs, node mixes and the id counter (a failed job's
+// id included, though not the job), and every node decision record a
+// place or migrate record carries that its node journal lost.
 // What a slim record leaves out it puts back: a place or migrate record's
 // verdict from its node's replay (node.carried), a release's request and
 // shares from its job, so Placements reads as the fleet that wrote it.
-func (f *Fleet) recoverPlacements() error {
-	return f.pj.Each(placementStage, func(i int, raw json.RawMessage) error {
-		p, err := schema.Decode(raw, readPlacement)
-		if err != nil {
-			return fmt.Errorf("fleet: placement %d: %w", i, err)
+func (f *Fleet) recoverPlacements(recs []loggedPlacement) error {
+	// Sized once: growing it record by record copies every Placement,
+	// a large struct, about twice over.
+	f.placements = make([]Placement, 0, len(recs))
+	for _, r := range recs {
+		i, p := r.index, r.p
+		if r.err != nil {
+			return fmt.Errorf("fleet: placement %d: %w", i, r.err)
 		}
 		// carried sets p's verdict from the decision record p carries,
 		// rebuilding that record if it was lost, against n's mix before p
@@ -565,8 +594,8 @@ func (f *Fleet) recoverPlacements() error {
 		}
 		f.placements = append(f.placements, p)
 		f.nextPlace = i + 1
-		return nil
-	})
+	}
+	return nil
 }
 
 // Submit validates and enqueues one job for placement. It returns as

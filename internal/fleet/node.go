@@ -193,7 +193,7 @@ func (n *node) flush() error {
 // re-evolving the verdict cache (verdict.Decider.Restore), and keeps
 // each admit's verdict in replayed. A record without a verdict is a
 // cache hit, whose key must be in the cache the replay has re-evolved so
-// far. No simulation runs.
+// far; a rejecting one's verdict is never built. No simulation runs.
 func (n *node) recover() error {
 	if n.jnl == nil {
 		return nil
@@ -205,14 +205,14 @@ func (n *node) recover() error {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
 		specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
-		v, err := n.dec.Restore(specs, ids, d.Verdict)
+		v, tier, err := n.dec.Restore(specs, ids, d.Verdict)
 		if err != nil {
 			return fmt.Errorf("node %s: decision %d: %w", n.id, i, err)
 		}
-		if v.IsAdmitted() {
+		if v != nil && v.IsAdmitted() {
 			n.replayed[i] = v
 		}
-		n.count(v.Tier)
+		n.count(tier)
 		n.nextDec = i + 1
 		return nil
 	})
@@ -252,14 +252,18 @@ func (n *node) carried(idx int, candidate core.KernelSpec, jobID string, v *sche
 // cache hit (v of the cache tier, or nil from a slim record) its key
 // alone, as evaluate wrote it. It is restored into the cache through
 // that record, journaled, flushed, at its index, byte-identical to the
-// one that was lost, and rebuild returns the verdict it gave.
+// one that was lost, and rebuild returns the verdict it gave, which must
+// admit: a placement carries only admits.
 func (n *node) rebuild(idx int, candidate core.KernelSpec, jobID string, v *schema.Verdict) (*schema.Verdict, error) {
 	specs, ids := n.mixSnapshot("")
 	specs, ids = append(specs, candidate), append(ids, jobID)
 	if v != nil && v.Tier == schema.TierCache {
 		v = nil
 	}
-	v, err := n.dec.Restore(specs, ids, v)
+	v, _, err := n.dec.Restore(specs, ids, v)
+	if err == nil && (v == nil || !v.IsAdmitted()) {
+		err = fmt.Errorf("it rejects job %s, which a placement record placed", jobID)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("node %s: rebuild decision %d: %w", n.id, idx, err)
 	}

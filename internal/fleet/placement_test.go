@@ -146,8 +146,10 @@ func withoutDecisions(ps []Placement) []Placement {
 // fresh decider, in index order, and returns its records, each with the
 // verdict it decided: its own, or for a cache hit journaled by its key
 // alone (keyOnly), the verdict the replayed cache gives for its mix and
-// candidate. A key-only record whose key the cache lacks fails the test.
-func replayedRecords(t *testing.T, cfg Config, i int) (recs []NodeDecision, keyOnly []bool) {
+// candidate — asked through Decide, which, unlike Restore, builds a
+// reject's too. A key-only record whose key the cache lacks fails the
+// test.
+func replayedRecords(t testing.TB, cfg Config, i int) (recs []NodeDecision, keyOnly []bool) {
 	t.Helper()
 	path := filepath.Join(cfg.JournalDir, fmt.Sprintf("node-%d.jnl", i))
 	j, err := journal.Open(path, headerHash(t, path))
@@ -170,11 +172,18 @@ func replayedRecords(t *testing.T, cfg Config, i int) (recs []NodeDecision, keyO
 			t.Fatalf("%s decision %d: %v", n.id, k, err)
 		}
 		specs, ids := verdict.MixSpecs(recs[k].Mix, recs[k].Candidate)
-		v, err := n.dec.Restore(specs, ids, recs[k].Verdict)
+		v := recs[k].Verdict
+		if keyOnly[k] = v == nil; keyOnly[k] {
+			v, _, err = n.dec.Decide(context.Background(), specs, ids, func(context.Context, core.Scheme) (*core.Result, error) {
+				return nil, errors.New("not in the replayed cache")
+			})
+		} else {
+			_, _, err = n.dec.Restore(specs, ids, v)
+		}
 		if err != nil {
 			t.Fatalf("%s decision %d: %v", n.id, k, err)
 		}
-		recs[k].Verdict, keyOnly[k] = v, recs[k].Verdict == nil
+		recs[k].Verdict = v
 	}
 	return recs, keyOnly
 }

@@ -137,12 +137,29 @@ func genJournals(tb testing.TB, dir string, n int) int {
 // genJournals' 200 arrivals on the benchmark's four-node fleet (≈ 1 250
 // records): node journals replayed into each node's verdict cache, then
 // the placement journal. It reports µs and allocations per record
-// recovered; the files are read from the page cache. `make
-// bench-journal` runs it.
+// recovered, and the mix of node records that sets what one costs: the
+// percentage that carry a verdict, and of key-only cache hits that admit
+// (their verdict is rebuilt) and that reject (it is not). The files are
+// read from the page cache. `make bench-journal` runs it.
 func BenchmarkFleetRecover(b *testing.B) {
 	dir := b.TempDir()
 	records := genJournals(b, dir, 200)
 	cfg := recoverConfig(dir)
+	var withVerdict, keyAdmits, keyRejects int
+	for i := range cfg.Nodes {
+		recs, keyOnly := replayedRecords(b, cfg, i)
+		for k, r := range recs {
+			switch {
+			case !keyOnly[k]:
+				withVerdict++
+			case r.Verdict.IsAdmitted():
+				keyAdmits++
+			default:
+				keyRejects++
+			}
+		}
+	}
+	nodeRecords := float64(withVerdict + keyAdmits + keyRejects)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -161,4 +178,7 @@ func BenchmarkFleetRecover(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/per, "us/record")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/record")
 	b.ReportMetric(float64(records), "records")
+	b.ReportMetric(100*float64(withVerdict)/nodeRecords, "%verdict")
+	b.ReportMetric(100*float64(keyAdmits)/nodeRecords, "%key-admit")
+	b.ReportMetric(100*float64(keyRejects)/nodeRecords, "%key-reject")
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/schema"
 )
 
 // recordedLines returns the lines of every journal under testdata: a qosd
@@ -106,7 +108,9 @@ func TestWriteRefusesUnreadableCase(t *testing.T) {
 
 // FuzzEncodeCase: for any stage, index and JSON value, encodeCase writes
 // exactly what encoding the line struct would, newline included, or
-// refuses a case Decode would refuse; and Decode reads back what it wrote.
+// refuses a case Decode would refuse; Decode reads back what it wrote,
+// on the fast path whenever the stage is plain and the value nests at
+// most maxDepth deep.
 func FuzzEncodeCase(f *testing.F) {
 	f.Add("pairs/rollover", 3, []byte(`{"x":1.5}`))
 	f.Add("jobs", 0, []byte(` [1, "<a&b>", null] `))
@@ -145,7 +149,11 @@ func FuzzEncodeCase(f *testing.F) {
 		if want = append(want, '\n'); !bytes.Equal(got, want) {
 			t.Fatalf("encodeCase differs from encode:\ngot:  %q\nwant: %q", got, want)
 		}
-		rec, err := Decode(bytes.TrimSuffix(got, []byte("\n")))
+		b := bytes.TrimSuffix(got, []byte("\n"))
+		if _, ok := decodeCase(b); !ok && schema.PlainString(stage) && nesting(m) <= maxDepth {
+			t.Fatalf("the fast path declines what encodeCase wrote: %s", got)
+		}
+		rec, err := Decode(b)
 		if err != nil {
 			t.Fatalf("Decode refuses what encodeCase wrote: %v\n%s", err, got)
 		}
@@ -169,9 +177,20 @@ func checkFastPath(t *testing.T, b []byte, fast Record) {
 	}
 }
 
+// notJSON are payloads json.Valid refuses, each a byte away from one it
+// accepts: a trailing comma, a leading zero, bad escapes, a raw control
+// byte.
+var notJSON = []string{`{"a":1,}`, `[1,]`, `{"a":01}`, `{"a":"\x"}`, `{"a":"\u12"}`, `{"a":"` + "\x01" + `"}`}
+
+// forgedLine is case s/7 in encodeCase's layout around data, with data's
+// CRC, whether or not data is JSON.
+func forgedLine(data string) string {
+	return fmt.Sprintf(`{"v":%d,"kind":"case","stage":"s","index":7,"data":%s,"crc":%d}`, Version, data, crc32.ChecksumIEEE([]byte(data)))
+}
+
 // fastPathSeeds are lines near the fast path's edges: canonical ones it
 // reads, and ones a byte away from them that it leaves to the full
-// decoder — the last a CRC-forged payload that is not JSON.
+// decoder — the last ones CRC-forged payloads that are not JSON.
 func fastPathSeeds() (fast, slow []string) {
 	crcOf := func(data string) string {
 		l, _ := encodeCase("s", 7, json.RawMessage(data))
@@ -200,7 +219,44 @@ func fastPathSeeds() (fast, slow []string) {
 		`{"v":3,"kind":"case","stage":"","data":1,"crc":2212294583}`,
 		fmt.Sprintf(`{"v":3,"kind":"case","stage":"s","data":{"a":,"crc":%d}`, crc32.ChecksumIEEE([]byte(`{"a":`))),
 	}
+	for _, data := range notJSON {
+		slow = append(slow, forgedLine(data))
+	}
 	return fast, slow
+}
+
+// TestOpenCutsForgedNonJSON: a line whose CRC matches but whose payload
+// is not JSON is damage, so Open keeps the case before it and drops the
+// valid one after it.
+func TestOpenCutsForgedNonJSON(t *testing.T) {
+	after, err := encodeCase("s", 8, fakeCase{N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range notJSON {
+		path := tmpJournal(t)
+		j, err := Create(path, "cfg")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append("s", 0, fakeCase{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := append(splitPad(t, raw), forgedLine(data)+"\n"...)
+		if err := os.WriteFile(path, append(file, after...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := recoveredFrom(t, path); len(got) != 1 || got[entryKey{"s", 0}] == "" {
+			t.Fatalf("forged payload %q: recovered %v, want case s/0 alone", data, got)
+		}
+	}
 }
 
 // TestFastPathAgrees: on every recorded line and every edge seed, a line

@@ -61,8 +61,12 @@
 //
 // The codec passes over a payload once each way: a case line is written
 // around json.Marshal's output rather than marshaled again, and read back
-// by a fast path that checks its exact layout, CRC and JSON validity in
-// one pass, leaving every other line to the full JSON decoder.
+// by a fast path that checks its exact layout and CRC and validates the
+// payload with compactValid, an allocation-free one-pass reader of the
+// JSON grammar as json.Marshal writes it (no whitespace between tokens).
+// Every other line, and every payload the validator declines (spaced,
+// or nested past maxDepth), goes to the full JSON decoder, so a CRC-valid
+// line that is not JSON still ends recovery.
 package journal
 
 import (
@@ -137,9 +141,10 @@ type Record struct {
 // Decode parses and validates one journal line: JSON shape, schema
 // version, field sanity and payload CRC. It is the single entry point for
 // untrusted bytes (FuzzJournalDecode fuzzes it). A case line exactly as
-// encodeCase writes it is read in one pass (decodeCase); every other line
-// goes to decodeFull, which decides it as json.Unmarshal reads it. Both
-// return the same Record for any line decodeCase accepts.
+// encodeCase writes it is read in one pass (decodeCase), its payload
+// checked by compactValid; every other line goes to decodeFull, which
+// decides it as json.Unmarshal reads it. Both return the same Record for
+// any line decodeCase accepts.
 func Decode(b []byte) (Record, error) {
 	if rec, ok := decodeCase(b); ok {
 		return rec, nil
@@ -192,9 +197,11 @@ var (
 // decodeCase is Decode's fast path. It accepts only a valid case line in
 // encodeCase's exact layout — that prefix, a stage of plain ASCII with no
 // escapes, index digits, data running to the last ,"crc": and the crc
-// digits closing the line — whose CRC matches and whose data is one JSON
-// value with no surrounding whitespace. It reports false for anything
-// else, valid or not, and leaves that line to decodeFull.
+// digits closing the line — whose CRC matches and whose data compactValid
+// accepts: one JSON value with no whitespace between its tokens, nested at
+// most maxDepth deep, as every record the daemons journal is. It reports
+// false for anything else, valid or not, and leaves that line to
+// decodeFull.
 func decodeCase(b []byte) (Record, bool) {
 	rest, ok := bytes.CutPrefix(b, caseHead)
 	if !ok || len(rest) == 0 || rest[0] != '"' {
@@ -229,8 +236,7 @@ func decodeCase(b []byte) (Record, bool) {
 	data, tail := rest[:k], rest[k+len(caseCRC):]
 	crc, n := uintAt(tail)
 	if n == 0 || crc > math.MaxUint32 || len(tail) != n+1 || tail[n] != '}' ||
-		isSpace(data[0]) || isSpace(data[len(data)-1]) ||
-		crc32.ChecksumIEEE(data) != uint32(crc) || !json.Valid(data) {
+		crc32.ChecksumIEEE(data) != uint32(crc) || !compactValid(data) {
 		return Record{}, false
 	}
 	return Record{Stage: string(stage), Index: int(index), Data: append(json.RawMessage(nil), data...)}, true
@@ -249,9 +255,6 @@ func uintAt(b []byte) (v uint64, n int) {
 	}
 	return v, n
 }
-
-// isSpace reports whether c is JSON whitespace.
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // encode stamps version and CRC and serializes the line.
 func encode(l line) ([]byte, error) {

@@ -269,7 +269,7 @@ func (s *Server) recoverJournal() error {
 		case "decision":
 			if d.Verdict != nil {
 				specs, ids := verdict.MixSpecs(d.Mix, d.Candidate)
-				if _, err := s.dec.Restore(specs, ids, d.Verdict); err != nil {
+				if _, _, err := s.dec.Restore(specs, ids, d.Verdict); err != nil {
 					return fmt.Errorf("server: job log entry %d: %w", i, err)
 				}
 			}

@@ -30,8 +30,9 @@ import (
 // evolves an identical cache and reproduces every verdict — and its
 // deciding tier — bit for bit. Restore is the same evolution without
 // the deciding: recovery feeds it the logged verdicts, or for a cache hit
-// only its key, and gets back the verdict each decision gave, so a
-// restarted owner continues with the cache the stopped one had.
+// only its key, and gets back each decision's tier and, for an admit or a
+// logged verdict, the verdict it gave, so a restarted owner continues
+// with the cache the stopped one had.
 
 // DefaultCacheSize bounds the exact-verdict cache when the fast path is
 // enabled and DeciderConfig.CacheSize is zero.
@@ -152,37 +153,42 @@ func (d *Decider) Decide(ctx context.Context, specs []core.KernelSpec, ids []str
 }
 
 // Restore replays one logged decision into the cache exactly as
-// deciding it did, and returns the verdict the decision gave (ids names
-// the mix's jobs, as for Decide): a sim-tier verdict is stored; a
-// cache-tier verdict was a hit, so it refreshes the entry's LRU recency;
-// either is returned as logged. A nil verdict is a hit logged by its key
-// alone: in-order replay has re-evolved the cache that answered it, so
-// its signature must be there, and the cached verdict, re-mapped to ids
-// as Decide would have, is returned; a miss is an error, because the
-// cached verdict was the record's only copy. The mix is signed once and
-// nothing simulates. Journal recovery calls it per decision, in log
-// order.
-func (d *Decider) Restore(specs []core.KernelSpec, ids []string, v *schema.Verdict) (*schema.Verdict, error) {
+// deciding it did (ids names the mix's jobs, as for Decide) and returns
+// the decision's deciding tier and its verdict: a sim-tier verdict is
+// stored; a cache-tier verdict was a hit, so it refreshes the entry's LRU
+// recency; either is returned as logged. A nil verdict is a hit logged by
+// its key alone: in-order replay has re-evolved the cache that answered
+// it, so its signature must be there, and Gets it as the hit did. An
+// admit comes back as the cached verdict re-mapped to ids, as Decide
+// would have given it; a reject comes back as a nil verdict of the cache
+// tier, its verdict not rebuilt, because recovery keeps only an admit's.
+// A miss is an error, because the cached verdict was the record's only
+// copy. The mix is signed once and nothing simulates. Journal recovery
+// calls it per decision, in log order.
+func (d *Decider) Restore(specs []core.KernelSpec, ids []string, v *schema.Verdict) (*schema.Verdict, string, error) {
 	if !d.enabled {
 		if v == nil {
-			return nil, errors.New("cache hit logged by its key, but the verdict cache is off")
+			return nil, "", errors.New("cache hit logged by its key, but the verdict cache is off")
 		}
-		return v, nil
+		return v, v.Tier, nil
 	}
 	_, sigs, sig := d.sign(specs)
 	switch {
 	case v == nil:
 		cv, ok := d.cache.Get(sig)
 		if !ok {
-			return nil, fmt.Errorf("cache hit %s is not in the replayed cache", evidenceRef(sig))
+			return nil, "", fmt.Errorf("cache hit %s is not in the replayed cache", evidenceRef(sig))
 		}
-		return cachedVerdict(cv, sigs, ids, sig), nil
+		if !cv.Admitted {
+			return nil, schema.TierCache, nil
+		}
+		return cachedVerdict(cv, sigs, ids, sig), schema.TierCache, nil
 	case v.Tier == schema.TierCache:
 		d.cache.Get(sig)
 	default:
 		d.store(sig, v, sigs)
 	}
-	return v, nil
+	return v, v.Tier, nil
 }
 
 // sign lowers a hypothetical mix to what keys it: the effective scheme,
@@ -333,8 +339,8 @@ func verdictReason(admitted bool, outs []schema.KernelOutcome) string {
 
 // missedList names every QoS kernel below goal, in request order, as
 // "job (workload) at R% of goal" with R to one decimal, ", "-separated.
-// It appends instead of formatting: recovery builds a reason for every
-// rejecting cache hit it replays.
+// It appends instead of formatting: Decide builds a reason for every
+// rejecting cache hit it answers.
 func missedList(outs []schema.KernelOutcome) string {
 	var b strings.Builder
 	var num [32]byte

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -280,8 +281,9 @@ type loggedDecision struct {
 // that Restores the first k decisions of another's log must decide the
 // following ones exactly as the other did — same verdict bytes, deciding
 // tier included, and the same decisions reaching the simulator — and
-// Restore must give back each logged verdict byte for byte, a hit logged
-// by its key alone re-mapped from the replayed cache. It is
+// Restore must give back each decision's tier and each logged verdict
+// byte for byte, an admit logged by its key alone re-mapped from the
+// replayed cache, and no verdict for a reject logged so. It is
 // checked at every cut of a log long enough, over few enough mixes, that
 // a 4-entry cache hits, misses and evicts throughout (an LRU forgets a
 // wrong recency within a few decisions, so one cut would see little).
@@ -347,9 +349,18 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 				if keyOnly && v.Tier == schema.TierCache {
 					v = nil
 				}
-				got, err := b.Restore(specs, ids, v)
+				got, tier, err := b.Restore(specs, ids, v)
 				if err != nil {
 					t.Fatalf("key only %v, cut %d: restore %d: %v", keyOnly, k, i, err)
+				}
+				if tier != ld.Verdict.Tier {
+					t.Fatalf("key only %v, cut %d: restore %d gave tier %s, logged %s", keyOnly, k, i, tier, ld.Verdict.Tier)
+				}
+				if v == nil && !ld.Verdict.IsAdmitted() {
+					if got != nil {
+						t.Fatalf("key only, cut %d: restore %d built the verdict of a key-only reject: %+v", k, i, got)
+					}
+					continue
 				}
 				if gb, _ := json.Marshal(got); !bytes.Equal(gb, want[i]) {
 					t.Fatalf("key only %v, cut %d: restore %d gave\n %s\nlogged\n %s", keyOnly, k, i, gb, want[i])
@@ -371,6 +382,109 @@ func TestRestoreContinuesIdentically(t *testing.T) {
 	}
 }
 
+// restoreFull is Restore without its reject shortcut: a hit logged by its
+// key alone comes back as cachedVerdict builds it, admit or reject.
+func restoreFull(t *testing.T, d *Decider, specs []core.KernelSpec, ids []string, v *schema.Verdict) *schema.Verdict {
+	t.Helper()
+	_, sigs, sig := d.sign(specs)
+	switch {
+	case v == nil:
+		cv, ok := d.cache.Get(sig)
+		if !ok {
+			t.Fatalf("cache hit %s is not in the replayed cache", evidenceRef(sig))
+		}
+		return cachedVerdict(cv, sigs, ids, sig)
+	case v.Tier == schema.TierCache:
+		d.cache.Get(sig)
+	default:
+		d.store(sig, v, sigs)
+	}
+	return v
+}
+
+// recency lists a decider's cached signatures, most recently used first.
+func recency(d *Decider) []string {
+	var sigs []string
+	for el := d.cache.order.Front(); el != nil; el = el.Next() {
+		sigs = append(sigs, el.Value.(*cacheEntry).key)
+	}
+	return sigs
+}
+
+// TestRestoreRejectShortcut: replaying a log that journals every cache
+// hit by its key alone, through an 8-entry cache that evicts throughout,
+// Restore gives each key-only reject no verdict but the tier and decision
+// cachedVerdict would have, and leaves the cache's entries in the same
+// recency order, after every record, as a replay that builds every
+// verdict: the shortcut still Gets the reject's signature.
+func TestRestoreRejectShortcut(t *testing.T) {
+	dc := DeciderConfig{FastPath: true, CacheSize: 8}
+	alphabet := []core.KernelSpec{
+		{Workload: "sgemm", GoalFrac: 0.5},
+		{Workload: "sgemm", GoalFrac: 0.3},
+		{Workload: "lbm"},
+		{Workload: "histo", GoalIPC: 20},
+		{Workload: "spmv", GoalFrac: 0.4},
+	}
+	rng := rand.New(rand.NewSource(2))
+	entry := func(i int) MixEntry {
+		sp := alphabet[rng.Intn(len(alphabet))]
+		return MixEntry{JobID: fmt.Sprintf("job-%04d", i), Workload: sp.Workload, GoalFrac: sp.GoalFrac, GoalIPC: sp.GoalIPC}
+	}
+
+	var sim fakeSim
+	a := testDecider(t, dc)
+	log := make([]loggedDecision, 400)
+	signed := map[string]bool{}
+	evicted, keyAdmits, keyRejects := 0, 0, 0
+	for i := range log {
+		if rng.Intn(3) > 0 {
+			log[i].Mix = []MixEntry{entry(2 * i)}
+		}
+		log[i].Candidate = entry(2*i + 1)
+		specs, ids := MixSpecs(log[i].Mix, log[i].Candidate)
+		v, _, err := a.Decide(ctx, specs, ids, sim.over(specs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch _, _, sig := a.sign(specs); {
+		case v.Tier == schema.TierSim:
+			if signed[sig] {
+				evicted++
+			}
+			signed[sig] = true
+			log[i].Verdict = v
+		case v.IsAdmitted():
+			keyAdmits++
+		default:
+			keyRejects++
+		}
+	}
+	if evicted < 20 || keyAdmits < 20 || keyRejects < 20 {
+		t.Fatalf("log too tame: %d re-simulated after eviction, %d key-only admits, %d key-only rejects", evicted, keyAdmits, keyRejects)
+	}
+
+	short, full := testDecider(t, dc), testDecider(t, dc)
+	for i, ld := range log {
+		specs, ids := MixSpecs(ld.Mix, ld.Candidate)
+		got, tier, err := short.Restore(specs, ids, ld.Verdict)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		want := restoreFull(t, full, specs, ids, ld.Verdict)
+		admitted := got != nil && got.IsAdmitted()
+		if tier != want.Tier || admitted != want.IsAdmitted() {
+			t.Fatalf("record %d: Restore gave tier %s, admit %v; cachedVerdict %s, admit %v", i, tier, admitted, want.Tier, want.IsAdmitted())
+		}
+		if ld.Verdict == nil && !want.IsAdmitted() && got != nil {
+			t.Fatalf("record %d: Restore built the verdict of a key-only reject", i)
+		}
+		if gs, fs := recency(short), recency(full); !slices.Equal(gs, fs) {
+			t.Fatalf("record %d: cache recency after the shortcut\n %v\nafter building every verdict\n %v", i, gs, fs)
+		}
+	}
+}
+
 // TestRestoreKeyOnlyMissFails: a cache hit logged by its key alone has
 // no verdict to fall back on, so a key the replayed cache lacks, or a
 // decider with the cache off, fails its Restore instead of guessing.
@@ -378,14 +492,14 @@ func TestRestoreKeyOnlyMissFails(t *testing.T) {
 	specs := []core.KernelSpec{{Workload: "sgemm", GoalFrac: 0.5}, {Workload: "lbm"}}
 	on := testDecider(t, DeciderConfig{FastPath: true})
 	ids := []string{"a", "b"}
-	if _, err := on.Restore(specs, ids, nil); err == nil || !strings.Contains(err.Error(), "not in the replayed cache") {
+	if _, _, err := on.Restore(specs, ids, nil); err == nil || !strings.Contains(err.Error(), "not in the replayed cache") {
 		t.Fatalf("key-only restore of an unknown mix: %v", err)
 	}
 	if n := on.CacheLen(); n != 0 {
 		t.Fatalf("a failed restore left %d cache entries", n)
 	}
 	off := testDecider(t, DeciderConfig{})
-	if _, err := off.Restore(specs, ids, nil); err == nil {
+	if _, _, err := off.Restore(specs, ids, nil); err == nil {
 		t.Fatal("key-only restore succeeded with the cache off")
 	}
 }
