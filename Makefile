@@ -10,8 +10,11 @@
 # including TestRestartFromFlushedBytes: every answered /v2 arrival
 # survives a crash that keeps only the journal bytes flushed before it),
 # the full test suite — which includes the daemon's
-# httptest smoke, the 50-client concurrent-admission soak and the
-# wheel-vs-per-cycle equivalence suite — the stream-replay
+# httptest smoke, the 50-client concurrent-admission soak, the
+# wheel-vs-per-cycle equivalence suite and the exports rule
+# (TestNoExportOnlyTestsCall: every exported name under internal/ is
+# referenced by production code or carries an allow-list reason) — the
+# stream-replay
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh
 # drives), a trace-emit benchmark smoke, `make fuzz` (short fuzz runs over
@@ -207,8 +210,9 @@ arch-check:
 
 # Fleet smoke: the multi-node placement acceptance suite — deterministic
 # placements with byte-identical journal recovery on the heterogeneous
-# 4-node fleet, the repartition-beats-first-fit scenario, policy-ordered
-# asking against the ask-every-node reference placer, the pinned journal
+# 4-node fleet, a job that fits on no node placed through the repartition
+# search, best-fit-ordered asking against the ask-every-node reference
+# placer, the pinned journal
 # header hashes, the one-flush commit rule (a restart from only the bytes
 # flushed before a crash after every answered arrival, ≈ 10 s raced on 2
 # cores, and recovery that rebuilds a carried decision record or refuses a
@@ -221,7 +225,7 @@ arch-check:
 # fails one job on /v2 and /v1 while qosd keeps serving), and the /v2 HTTP
 # surface — raced and uncached.
 fleet:
-	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFirstFitRejects|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestParallelRecoveryNamesLowestNode|TestSameConfigNodesShareBaselines|TestWhatIfGuardV2' ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestFleetPlacementDeterminism|TestRepartitionPlacesWhatFitsNowhere|TestPlacementMatchesAskEveryNode|TestJournalHeadersPinned|TestRestartFromFlushedBytes|TestRecoveryRebuildsOrRefuses|TestParallelRecoveryNamesLowestNode|TestSameConfigNodesShareBaselines|TestWhatIfGuardV2' ./internal/fleet
 	$(GO) test -race -count=1 -run 'TestV2|TestWhatIfGuardV1' ./internal/server
 
 # Stream-replay determinism gate: the committed golden arrival trace

@@ -4,12 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/schema"
 )
 
 // TestCoRun runs a QoS kernel next to a best-effort one under Rollover and
@@ -48,7 +49,13 @@ func TestLoneKernelTraced(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatal("empty trace file")
 	}
-	if err := trace.CheckJSONLHeader(sc.Bytes()); err != nil {
+	var head struct {
+		Schema int `json:"schema"`
+	}
+	if err := json.Unmarshal(sc.Bytes(), &head); err != nil {
+		t.Fatalf("trace header %s: %v", sc.Bytes(), err)
+	}
+	if err := schema.Check(head.Schema); err != nil {
 		t.Fatal(err)
 	}
 

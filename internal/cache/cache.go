@@ -31,7 +31,7 @@ type Cache struct {
 
 	// ways[set*assoc+way], set-major: a probe reads one set's ways side by
 	// side. The full line number doubles as the tag. tick is the last-touch
-	// timestamp; 0 marks a way never filled or flushed, which no access
+	// timestamp; 0 marks a way never filled, which no access
 	// hits and which, being lower than any real tick, is also the first
 	// choice of victim. A uint32 tick would wrap after 4G accesses per
 	// cache; uint64 keeps replacement exact.
@@ -95,13 +95,6 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	*victim = way{tag: line, tick: c.tick}
 	return false
-}
-
-// Flush invalidates every line. Statistics are preserved.
-func (c *Cache) Flush() {
-	for i := range c.ways {
-		c.ways[i].tick = 0
-	}
 }
 
 // CheckInvariants verifies structural invariants: no duplicate tags within

@@ -64,23 +64,6 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := small()
-	for i := uint64(0); i < 16; i++ {
-		c.Access(i * 128)
-	}
-	if c.Resident() == 0 {
-		t.Fatal("nothing resident after fills")
-	}
-	c.Flush()
-	if c.Resident() != 0 {
-		t.Fatal("lines survive Flush")
-	}
-	if c.Access(0) {
-		t.Fatal("hit after Flush")
-	}
-}
-
 func TestCapacityBound(t *testing.T) {
 	c := small()
 	for i := uint64(0); i < 1000; i++ {
@@ -207,7 +190,7 @@ func (m *lruModel) resident() int {
 
 // TestTagStoreAgainstModel drives the set-major tag store and the list
 // model with the same seeded streams — accesses over four times the
-// capacity with a hot half-capacity region, probes, the odd flush — at the
+// capacity with a hot half-capacity region, and probes — at the
 // L1 and L2 geometries, direct-mapped and fully associative, and compares
 // every answer and the final counters.
 func TestTagStoreAgainstModel(t *testing.T) {
@@ -230,9 +213,6 @@ func TestTagStoreAgainstModel(t *testing.T) {
 					addr %= uint64(g.geo.SizeBytes / 2)
 				}
 				switch r := src.Intn(5000); {
-				case r == 0:
-					c.Flush()
-					m.sets = make([][]uint64, len(m.sets))
 				case r < 500:
 					_, _, at := m.find(addr)
 					if got, want := c.Probe(addr), at >= 0; got != want {
@@ -252,30 +232,5 @@ func TestTagStoreAgainstModel(t *testing.T) {
 				t.Fatalf("%s seed %d: %s", g.name, seed, msg)
 			}
 		}
-	}
-}
-
-// TestFlushedWayIsNotAnEviction fills a set, flushes and refills it: a
-// flushed way still holds its old tag, but taking it evicts nothing, and
-// its old line does not hit.
-func TestFlushedWayIsNotAnEviction(t *testing.T) {
-	c, m := small(), newModel(config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 2})
-	for _, a := range []uint64{0, 1024} { // both ways of set 0
-		c.Access(a)
-		m.access(a)
-	}
-	c.Flush()
-	m.sets = make([][]uint64, len(m.sets))
-	for _, a := range []uint64{1024, 2048} { // refill: an old line, a new one
-		if c.Access(a) || m.access(a) {
-			t.Fatalf("Access(%#x) hit in a flushed set", a)
-		}
-	}
-	if c.Stats.Evicts != 0 || c.Stats != m.stats {
-		t.Fatalf("stats %+v after refilling a flushed set, the model has %+v", c.Stats, m.stats)
-	}
-	if c.Access(3072); c.Stats.Evicts != 1 || c.Probe(1024) || !c.Probe(2048) {
-		t.Fatalf("a third line in the full set: evicts %d, LRU line resident %v, MRU line resident %v",
-			c.Stats.Evicts, c.Probe(1024), c.Probe(2048))
 	}
 }

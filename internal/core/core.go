@@ -195,7 +195,7 @@ func (ks KernelSpec) baselineKey() string {
 
 // Config is a Session's resolved configuration, assembled by the
 // functional options (WithGPU, WithWindow, WithQoSOptions,
-// WithPowerCosts). Sessions are constructed with NewSession(opts...);
+// WithEventWheel). Sessions are constructed with NewSession(opts...);
 // Config exists as a value type so Session.Config() can expose the
 // resolved settings for hashing (sweep row-file keys, the qosd job log)
 // and inspection.
@@ -209,8 +209,12 @@ type Config struct {
 	WindowCycles int64
 	// QoSOptions tunes the QoS manager (ablations).
 	QoSOptions qos.Options
-	// PowerCosts overrides the energy table; nil means defaults.
-	PowerCosts *power.Costs
+	// PowerCosts is always nil: the power model always prices events
+	// with power.DefaultCosts(). The field stays only so that a Config
+	// still marshals to "PowerCosts":null, keeping every hash of one —
+	// sweep stage keys, the verdict config hash, journal headers — and so
+	// every committed row file and journal valid.
+	PowerCosts *struct{}
 	// DisableEventWheel pins the stepper to per-cycle ticking instead of
 	// event-wheel skipping (gpu.SetEventWheel). Wheel runs are
 	// bit-identical to per-cycle runs, so the switch is excluded from
@@ -408,15 +412,11 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		}
 	}
 
-	costs := power.DefaultCosts()
-	if s.cfg.PowerCosts != nil {
-		costs = *s.cfg.PowerCosts
-	}
 	res := &Result{
 		Scheme:     scheme,
 		Cycles:     g.Now,
 		AllReached: true,
-		Power:      power.Measure(g, costs),
+		Power:      power.Measure(g, power.DefaultCosts()),
 	}
 	for i, spec := range specs {
 		kr := KernelResult{

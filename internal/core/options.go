@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/config"
-	"repro/internal/power"
 	"repro/internal/qos"
 	"repro/internal/workloads"
 )
@@ -36,11 +35,6 @@ func WithWindow(cycles int64) Option {
 // WithQoSOptions tunes the QoS manager (used by the ablation studies).
 func WithQoSOptions(opts qos.Options) Option {
 	return func(s *settings) { s.cfg.QoSOptions = opts }
-}
-
-// WithPowerCosts overrides the event-energy table of the power model.
-func WithPowerCosts(costs power.Costs) Option {
-	return func(s *settings) { s.cfg.PowerCosts = &costs }
 }
 
 // WithEventWheel turns event-wheel stepping on or off for every run of

@@ -47,9 +47,6 @@ type PairCase struct {
 // QoSKernel returns the QoS kernel's result.
 func (c PairCase) QoSKernel() core.KernelResult { return c.Res.Kernels[0] }
 
-// NonQoSKernel returns the non-QoS kernel's result.
-func (c PairCase) NonQoSKernel() core.KernelResult { return c.Res.Kernels[1] }
-
 // PairSpecs builds the two-kernel spec list for one pair case. It is
 // the single definition of how a (pair, goal) grid coordinate becomes
 // simulator input, shared by the serial sweeps and Grid, through which

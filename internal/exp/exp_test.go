@@ -166,7 +166,7 @@ func TestPairSweepSmoke(t *testing.T) {
 	if len(cases) != 1 {
 		t.Fatalf("%d cases", len(cases))
 	}
-	if cases[0].QoSKernel().Name != "sgemm" || cases[0].NonQoSKernel().Name != "lbm" {
+	if cases[0].QoSKernel().Name != "sgemm" || cases[0].Res.Kernels[1].Name != "lbm" {
 		t.Fatal("case kernels mislabeled")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 )
 
 // A study's row store is a directory of row files, one per completed
@@ -41,29 +42,11 @@ func readRows(path string, g Grid, scheme core.Scheme) (c Cases, found bool, err
 }
 
 // writeRows writes the complete cases of g as the row file at path,
-// atomically: into a temporary file beside it, synced, then renamed over
-// it, so a killed run leaves either the whole stage or nothing.
+// atomically (journal.WriteFile), so a killed run leaves either the whole
+// stage or nothing.
 func writeRows(path string, g Grid, c Cases) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".rows-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // a no-op once renamed
-	_, err = f.Write(g.encodeRows(c))
-	if err == nil {
-		err = f.Chmod(0o644)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	return err
+	return journal.WriteFile(path, g.encodeRows(c))
 }

@@ -197,9 +197,6 @@ func (r *Runner) do(ctx context.Context, fn func(ctx context.Context, s *core.Se
 	return core.Guard(ctx, r.caseTimeout, func(ctx context.Context) error { return fn(ctx, s) })
 }
 
-// Workers returns the pool size.
-func (r *Runner) Workers() int { return r.workers }
-
 // Session exposes one of the pool's sessions for serial work outside a
 // sweep: isolated measurements, one-off runs, and the /v1 admission
 // loop's what-ifs.

@@ -29,8 +29,8 @@ func testRunner(t *testing.T, workers int, ropts ...Option) *Runner {
 
 func TestNewRunnerDefaults(t *testing.T) {
 	r := testRunner(t, 0)
-	if r.Workers() < 1 {
-		t.Fatalf("Workers() = %d", r.Workers())
+	if r.workers < 1 {
+		t.Fatalf("workers = %d", r.workers)
 	}
 	if r.GPUConfig().NumSMs != 4 || r.Window() != 30_000 {
 		t.Fatal("runner did not propagate options to sessions")
@@ -218,7 +218,7 @@ func TestRunnerWith(t *testing.T) {
 	if d.GPUConfig().NumSMs != 16 {
 		t.Fatalf("derived runner has %d SMs, want 16", d.GPUConfig().NumSMs)
 	}
-	if d.Workers() != r.Workers() {
+	if d.workers != r.workers {
 		t.Fatal("derived runner changed worker count")
 	}
 	if r.GPUConfig().NumSMs != 4 {
@@ -265,14 +265,14 @@ func TestRunnerDo(t *testing.T) {
 	// With every slot held, Do must block until ctx cancels.
 	hold := make(chan struct{})
 	release := make(chan struct{})
-	for i := 0; i < r.Workers(); i++ {
+	for i := 0; i < r.workers; i++ {
 		go r.do(ctx, func(context.Context, *core.Session) error {
 			hold <- struct{}{}
 			<-release
 			return nil
 		})
 	}
-	for i := 0; i < r.Workers(); i++ {
+	for i := 0; i < r.workers; i++ {
 		<-hold
 	}
 	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)

@@ -16,9 +16,41 @@ import (
 var stale = flag.Bool("stale", false, "re-simulate a sample of the committed rows in results/full and require byte-equal rows")
 
 // committedIDs are the experiments whose every sweep results/full holds
-// at the full grid.
+// at the full grid (TestCommittedIDsAreTheFullGrid). The others are
+// committed as the subsample-6 study, which the root TestFiguresGolden
+// reads and TestOptionSweepsGolden simulates on a micro study.
 var committedIDs = []string{"fig5", "fig6a", "fig6b", "fig6c", "fig7", "fig8a", "fig8b", "fig8c",
 	"fig9", "fig10", "fig11", "fig14", "ablate-history"}
+
+// TestCommittedIDsAreTheFullGrid pins committedIDs to results/full: an
+// experiment is on it exactly when every sweep it declares is committed
+// there at the full grid, so rows-check cannot silently skip one.
+func TestCommittedIDsAreTheFullGrid(t *testing.T) {
+	r, err := NewRunner(1, WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(CommittedWindow)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStudy(r, 1)
+	for _, e := range Experiments() {
+		sweeps := e.Sweeps(st)
+		if len(sweeps) == 0 {
+			continue // table1 simulates nothing
+		}
+		full := true
+		for _, sw := range sweeps {
+			p, err := st.plan(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(rowFile("../../results/full", p.key)); err != nil {
+				full = false
+			}
+		}
+		if listed := slices.Contains(committedIDs, e.ID); full != listed {
+			t.Errorf("%s: every sweep committed at the full grid = %v, on committedIDs = %v", e.ID, full, listed)
+		}
+	}
+}
 
 // staleSample picks the cases of a committed stage to re-simulate, fixed
 // by the stage's position s: one pair per QoS+non-QoS class stratum (C+C,

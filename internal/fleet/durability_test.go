@@ -60,8 +60,8 @@ type flushed struct {
 	synced int
 }
 
-// liveJournals reads f's journal files as they stand.
-func liveJournals(t *testing.T, f *Fleet) map[string]flushed {
+// liveJournals reads f's journal files in dir as they stand.
+func liveJournals(t *testing.T, dir string, f *Fleet) map[string]flushed {
 	t.Helper()
 	jnls := map[string]*journal.Journal{"placements.jnl": f.pj}
 	for _, n := range f.nodes {
@@ -69,7 +69,7 @@ func liveJournals(t *testing.T, f *Fleet) map[string]flushed {
 	}
 	out := make(map[string]flushed)
 	for name, j := range jnls {
-		b, err := os.ReadFile(j.Path())
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,20 +156,19 @@ func TestRestartFromFlushedBytes(t *testing.T) {
 		ops  []placeOp
 	}
 	var scenarios []scenario
-	for _, firstFit := range []bool{false, true} {
-		for _, seed := range []uint64{1, 2, 3, 4} {
-			firstFit := firstFit
-			scenarios = append(scenarios, scenario{
-				name: fmt.Sprintf("firstFit=%v seed %d", firstFit, seed),
-				cfg:  func(dir string) Config { return askFleet(firstFit, true, dir) },
-				ops:  placeStream(seed, 24),
-			})
-		}
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		// The name keeps first_fit=false, what every placement journal
+		// header records of the one policy.
+		scenarios = append(scenarios, scenario{
+			name: fmt.Sprintf("firstFit=false seed %d", seed),
+			cfg:  func(dir string) Config { return askFleet(true, dir) },
+			ops:  placeStream(seed, 24),
+		})
 	}
 	// Under SchemeNone every question admits, so the repartition is a
 	// matter of capacity alone and tiny devices make it cheap.
 	repart := scenario{name: "repartition", cfg: func(dir string) Config {
-		c := repartFleetConfig(false, false)
+		c := repartFleetConfig()
 		for i := range c.Nodes {
 			c.Nodes[i].GPU = tinyGPU(2)
 		}
@@ -218,7 +217,7 @@ func crashAfterEveryAnswer(t *testing.T, cfg func(dir string) Config, ops []plac
 		if !applyOp(t, live, op, &placed) {
 			continue
 		}
-		want, files := fleetJSON(live.Placements(), live), liveJournals(t, live)
+		want, files := fleetJSON(live.Placements(), live), liveJournals(t, liveDir, live)
 		wantLogs := make(map[string]string)
 		for name, lf := range files {
 			wantLogs[name] = string(lf.log)
@@ -351,7 +350,7 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		t.Skip("multi-node simulation in -short")
 	}
 	base := t.TempDir()
-	f, err := New(askFleet(false, true, base))
+	f, err := New(askFleet(true, base))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +403,7 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 	// journal as a fleet that copied every verdict would have written it.
 	hitNode, hitAt := -1, -1
 	for i := range f.nodes {
-		_, keyOnly := replayedRecords(t, askFleet(false, true, base), i)
+		_, keyOnly := replayedRecords(t, askFleet(true, base), i)
 		for k, ko := range keyOnly {
 			if ko && hitNode < 0 {
 				hitNode, hitAt = i, k
@@ -422,7 +421,7 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		if p.Kind != KindPlace || p.Verdict.Tier != schema.TierCache || slimAt >= 0 {
 			continue
 		}
-		recs, _ := replayedRecords(t, askFleet(false, true, base), slices.IndexFunc(f.nodes, func(n *node) bool { return n.id == p.Node }))
+		recs, _ := replayedRecords(t, askFleet(true, base), slices.IndexFunc(f.nodes, func(n *node) bool { return n.id == p.Node }))
 		for k := 0; k < *p.Decision; k++ {
 			if !recs[k].Verdict.IsAdmitted() {
 				slimAt, notAdmit = p.Index, k
@@ -461,12 +460,12 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 		{name: "clean"},
 		{name: "node records with every verdict", damage: func(t *testing.T, dir string) {
 			for i, n := range f.nodes {
-				recs, _ := replayedRecords(t, askFleet(false, true, dir), i)
+				recs, _ := replayedRecords(t, askFleet(true, dir), i)
 				rewriteNodeJournal(t, dir, n.id, recs)
 			}
 		}, asRead: true},
 		{name: "cache hit not in the cache", damage: func(t *testing.T, dir string) {
-			recs, _ := replayedRecords(t, askFleet(false, true, dir), hitNode)
+			recs, _ := replayedRecords(t, askFleet(true, dir), hitNode)
 			recs = recs[:hitAt+1]
 			recs[hitAt].Verdict = nil
 			recs[hitAt].Candidate.GoalFrac = 0.123 // a mix no record decided
@@ -519,7 +518,7 @@ func TestRecoveryRebuildsOrRefuses(t *testing.T) {
 			if tc.asRead {
 				wantLogs = logs(t, dir)
 			}
-			f, err := New(askFleet(false, true, dir))
+			f, err := New(askFleet(true, dir))
 			if tc.want != "" {
 				if err == nil {
 					f.Close()

@@ -10,7 +10,7 @@
 // full simulation — the same evidence path the single-GPU daemon uses,
 // via verdict.Decider). A single placement
 // goroutine owns all capacity state and asks every question, serially:
-// it asks the candidates in policy order (tightest fit first) and stops
+// it asks the candidates in best-fit order (tightest fit first) and stops
 // at the first that admits, so the placement sequence for a given
 // submission stream is deterministic and nodes past the chosen one
 // write no decision record.
@@ -132,12 +132,6 @@ type Config struct {
 	// JournalDir, when set, holds one decision journal per node plus
 	// the fleet placement journal; an existing directory is recovered.
 	JournalDir string
-	// FirstFit switches placement from best-fit (min leftover capacity)
-	// to first-fit (lowest admitting node index) — the baseline policy.
-	FirstFit bool
-	// NoRepartition disables the repartitioning search, so jobs that do
-	// not place outright are rejected immediately.
-	NoRepartition bool
 	// EvalTimeout bounds each node's what-if simulation (0 = no
 	// deadline). A node whose evaluation fails — an error, a panic, an
 	// expired deadline — writes no record and is not an admit; a job every
@@ -257,8 +251,6 @@ type op struct {
 // Fleet is the node registry plus the placement scheduler.
 type Fleet struct {
 	scheme   core.Scheme
-	firstFit bool
-	noRepart bool
 	nodes    []*node
 	store    *jobStore
 	queue    chan op
@@ -293,7 +285,10 @@ type nodeBinding struct {
 // hashed it by default, kept so existing node journals still open.
 const bindingBand = "0.050000"
 
-// fleetBinding is hashed into the placement journal header.
+// fleetBinding is hashed into the placement journal header. FirstFit and
+// NoRepartition are always false, the one policy there is (best fit,
+// then the repartition search), kept so existing placement journals
+// still open.
 type fleetBinding struct {
 	Nodes         []nodeBinding `json:"nodes"`
 	FirstFit      bool          `json:"first_fit"`
@@ -317,8 +312,6 @@ func New(cfg Config) (*Fleet, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fleet{
 		scheme:   cfg.Scheme,
-		firstFit: cfg.FirstFit,
-		noRepart: cfg.NoRepartition,
 		store:    newJobStore(),
 		queue:    make(chan op, cfg.QueueDepth),
 		cancel:   cancel,
@@ -484,12 +477,7 @@ type loggedPlacement struct {
 // not decode, which recoverPlacements then fails on once it has replayed
 // every record before it.
 func (f *Fleet) readPlacements(cfg Config, bindings []nodeBinding) ([]loggedPlacement, error) {
-	hash, err := journal.Hash(fleetBinding{
-		Nodes:         bindings,
-		FirstFit:      cfg.FirstFit,
-		NoRepartition: cfg.NoRepartition,
-		QueueDepth:    cfg.QueueDepth,
-	})
+	hash, err := journal.Hash(fleetBinding{Nodes: bindings, QueueDepth: cfg.QueueDepth})
 	if err != nil {
 		return nil, err
 	}

@@ -199,9 +199,10 @@ func keys(m map[string][]byte) []string {
 	return out
 }
 
-// repartFleetConfig is the minimal scenario where repartitioning beats
-// first-fit: two identical nodes, two mix slots each.
-func repartFleetConfig(firstFit, noRepart bool) Config {
+// repartFleetConfig is the minimal scenario where a job places only
+// through the repartition search: two identical nodes, two mix slots
+// each.
+func repartFleetConfig() Config {
 	return Config{
 		Nodes: []NodeSpec{
 			{Name: "n0", GPU: config.Base()},
@@ -211,8 +212,6 @@ func repartFleetConfig(firstFit, noRepart bool) Config {
 		Window:        20_000,
 		MaxMixPerNode: 2,
 		FastPath:      true,
-		FirstFit:      firstFit,
-		NoRepartition: noRepart,
 	}
 }
 
@@ -228,63 +227,38 @@ func repartStream() []Request {
 	}
 }
 
-// TestRepartitionPlacesWhatFirstFitRejects is the issue's second
-// acceptance scenario: at least one pending job is placed via the
-// repartitioning search that the greedy baseline rejects.
-func TestRepartitionPlacesWhatFirstFitRejects(t *testing.T) {
+// TestRepartitionPlacesWhatFitsNowhere: job d fits on no node outright,
+// so it places only through the repartition search, which migrates one
+// small job first. Repartitions counts the one search, and the migrate
+// record comes before d's place record.
+func TestRepartitionPlacesWhatFitsNowhere(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node simulation in -short")
 	}
-	stream := repartStream()
-
-	// Greedy baseline: first-fit, no repartitioning → job d is rejected.
-	fb, err := New(repartFleetConfig(true, true))
+	f, err := New(repartFleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitAll(t, fb, stream)
-	d, err := fb.Job("vjob-000003")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.State != StateRejected {
-		t.Fatalf("first-fit baseline: job d state = %s, want rejected", d.State)
-	}
-	if got := fb.Repartitions(); got != 0 {
-		t.Fatalf("baseline repartitions = %d, want 0", got)
-	}
-	mustShutdown(t, fb)
-
-	// Full scheduler: the repartition search migrates a small job and
-	// places d.
-	f, err := New(repartFleetConfig(false, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, f, stream)
-	d, err = f.Job("vjob-000003")
+	defer mustShutdown(t, f)
+	submitAll(t, f, repartStream())
+	d, err := f.Job("vjob-000003")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.State != StatePlaced {
-		t.Fatalf("repartitioning scheduler: job d state = %s (%s), want placed", d.State, d.Error)
+		t.Fatalf("job d state = %s (%s), want placed", d.State, d.Error)
 	}
 	if got := f.Repartitions(); got != 1 {
 		t.Fatalf("repartitions = %d, want 1", got)
 	}
-	var migrates, places int
+	var kinds []string
 	for _, p := range f.Placements() {
-		switch p.Kind {
-		case KindMigrate:
-			migrates++
-		case KindPlace:
-			places++
-		}
+		kinds = append(kinds, p.Kind+" "+p.JobID)
 	}
-	if migrates != 1 || places != 4 {
-		t.Fatalf("placement kinds: %d migrates, %d places; want 1 and 4", migrates, places)
+	want := []string{"place vjob-000000", "place vjob-000001", "place vjob-000002", "migrate vjob-000000", "place vjob-000003"}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("placement records %q, want %q", kinds, want)
 	}
-	mustShutdown(t, f)
 }
 
 // TestSharesValidation covers the fractional request vocabulary.
@@ -374,7 +348,6 @@ func TestReleaseFreesCapacity(t *testing.T) {
 		Scheme:        core.SchemeNone,
 		Window:        20_000,
 		MaxMixPerNode: 2,
-		NoRepartition: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -544,8 +517,9 @@ func TestParallelRecoveryNamesLowestNode(t *testing.T) {
 
 // TestSameConfigNodesShareBaselines: the three base nodes of a
 // 3×base + scale56 fleet share one isolated-baseline cache, and the
-// scale56 node keeps its own. First-fit sends every arrival to node-0
-// until it is full, then to node-1; node-2 and node-3 simulate nothing.
+// scale56 node keeps its own. Best fit sends every arrival to node-0, the
+// tightest fit, until its mix is full, then to node-1, the lowest index
+// of the equal rest; node-2 and node-3 simulate nothing.
 // After the drive, every base node holds each workload's baseline — a
 // probe under a canceled context, which cannot simulate, finds it — and
 // the scale56 node holds none.
@@ -560,7 +534,6 @@ func TestSameConfigNodesShareBaselines(t *testing.T) {
 		Scheme:   core.SchemeRollover,
 		Window:   20_000,
 		FastPath: true,
-		FirstFit: true,
 	})
 	if err != nil {
 		t.Fatal(err)

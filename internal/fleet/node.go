@@ -60,7 +60,7 @@ type placedEntry struct {
 // node is one simulated GPU in the fleet: its own simulator session,
 // tiered verdict decider and crash-safe decision journal. It needs no
 // goroutine of its own: the placement goroutine is the only caller of
-// evaluate and asks one question at a time (place in policy order,
+// evaluate and asks one question at a time (place in best-fit order,
 // repartition in scan order), so a node's evaluations are serial and
 // its journal order fixed.
 type node struct {

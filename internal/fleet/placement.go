@@ -13,7 +13,7 @@ import (
 // ledgers, the job store and the placement journal, which is what
 // makes the placement sequence deterministic for a given submission
 // order. It also asks every what-if question itself, serially: place
-// asks the capacity-feasible nodes in policy order and stops at the
+// asks the capacity-feasible nodes in best-fit order and stops at the
 // first that admits.
 func (f *Fleet) loop() {
 	defer close(f.loopDone)
@@ -34,12 +34,11 @@ type candidate struct {
 }
 
 // place decides one pending job: capacity filter, then the candidates'
-// what-if checks in policy order (best-fit: least leftover capacity
-// first, ties to the lower node index; first-fit: node order) until one
-// admits, then the repartition fallback, then rejection. The node that
-// admits first in policy order is the one the policy would pick among
-// all admitting nodes, so asking the rest would only cost them a
-// decision record each.
+// what-if checks in best-fit order (least leftover capacity first, ties
+// to the lower node index) until one admits, then the repartition
+// search, then rejection. The node that admits first in that order is
+// the one best fit would pick among all admitting nodes, so asking the
+// rest would only cost them a decision record each.
 func (f *Fleet) place(j *Job) {
 	j.setState(StatePlacing)
 
@@ -65,10 +64,8 @@ func (f *Fleet) place(j *Job) {
 		j.finish(StateFailed, specErr.Error())
 		return
 	}
-	if !f.firstFit {
-		// Stable: leftovers within capEps keep node order.
-		sort.SliceStable(cands, func(a, b int) bool { return cands[a].left < cands[b].left-capEps })
-	}
+	// Stable: leftovers within capEps keep node order.
+	sort.SliceStable(cands, func(a, b int) bool { return cands[a].left < cands[b].left-capEps })
 
 	var evalErr error
 	rejected := 0
@@ -97,7 +94,7 @@ func (f *Fleet) place(j *Job) {
 		return
 	}
 
-	if !f.noRepart && f.repartition(j) {
+	if f.repartition(j) {
 		return
 	}
 

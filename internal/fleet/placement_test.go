@@ -19,12 +19,12 @@ import (
 	"repro/internal/verdict"
 )
 
-// refPlace is the placement rule the serial policy-ordered ask must
-// reproduce: every capacity-feasible node evaluates the job, then the
-// policy picks among the admitting ones (best-fit: least leftover
-// capacity, the earlier node on ties within capEps; first-fit: the
-// lowest index), then the repartition fallback, then rejection. It runs
-// on the test goroutine against a fleet whose loop is never sent work.
+// refPlace is the placement rule the serial best-fit-ordered ask must
+// reproduce: every capacity-feasible node evaluates the job, then best
+// fit picks among the admitting ones (least leftover capacity, the
+// earlier node on ties within capEps), then the repartition search, then
+// rejection. It runs on the test goroutine against a fleet whose loop is
+// never sent work.
 func refPlace(t *testing.T, f *Fleet, j *Job) {
 	t.Helper()
 	type answer struct {
@@ -52,7 +52,7 @@ func refPlace(t *testing.T, f *Fleet, j *Job) {
 			rejected++
 			continue
 		}
-		if pick == nil || (!f.firstFit && n.leftover(j.shares) < pick.n.leftover(j.shares)-capEps) {
+		if pick == nil || n.leftover(j.shares) < pick.n.leftover(j.shares)-capEps {
 			pick = &answer{n: n, spec: spec, v: v, idx: idx}
 		}
 	}
@@ -62,7 +62,7 @@ func refPlace(t *testing.T, f *Fleet, j *Job) {
 		}
 		return
 	}
-	if !f.noRepart && f.repartition(j) {
+	if f.repartition(j) {
 		return
 	}
 	reason := "no node with free fractional capacity"
@@ -116,8 +116,8 @@ func placeStream(seed uint64, n int) []placeOp {
 }
 
 // askFleet is the three-node fleet the seeded place/release streams run
-// on: two policies, two mix slots per node.
-func askFleet(firstFit, cache bool, dir string) Config {
+// on, two mix slots per node.
+func askFleet(cache bool, dir string) Config {
 	return Config{
 		Nodes: []NodeSpec{
 			{Name: "four", GPU: tinyGPU(4)},
@@ -127,7 +127,6 @@ func askFleet(firstFit, cache bool, dir string) Config {
 		Scheme:        core.SchemeRollover,
 		Window:        10_000,
 		MaxMixPerNode: 2,
-		FirstFit:      firstFit,
 		FastPath:      cache,
 		JournalDir:    dir,
 	}
@@ -271,11 +270,10 @@ func placementRecords(t *testing.T, dir string) []placementRecord {
 	return recs
 }
 
-// TestPlacementMatchesAskEveryNode: asking candidates in policy order
+// TestPlacementMatchesAskEveryNode: asking candidates in best-fit order
 // and stopping at the first admit places exactly as evaluating every
-// candidate and then picking, under both policies, while writing fewer
-// node decisions, and every place record names the node decision whose
-// verdict it carries. The verdict cache is off so that a node's answer
+// candidate and then picking, while writing fewer node decisions, and
+// every place record names the node decision whose verdict it carries. The verdict cache is off so that a node's answer
 // does not depend on which questions it was asked before.
 func TestPlacementMatchesAskEveryNode(t *testing.T) {
 	if testing.Short() {
@@ -288,74 +286,72 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 		}
 		return sum
 	}
-	for _, firstFit := range []bool{false, true} {
-		fewer := false
-		for _, seed := range []uint64{1, 2, 3, 4} {
-			cfg := askFleet(firstFit, false, t.TempDir())
-			got, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := New(askFleet(firstFit, false, ""))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var placed []string
-			for _, op := range placeStream(seed, 24) {
-				if op.req.Workload == "" {
-					if len(placed) == 0 {
-						continue
-					}
-					k := op.pick % len(placed)
-					id := placed[k]
-					placed = append(placed[:k], placed[k+1:]...)
-					if err := got.Release(id); err != nil {
-						t.Fatalf("release %s: %v", id, err)
-					}
-					if err := ref.release(id); err != nil {
-						t.Fatalf("reference release %s: %v", id, err)
-					}
+	fewer := false
+	for _, seed := range []uint64{1, 2, 3, 4} {
+		cfg := askFleet(false, t.TempDir())
+		got, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := New(askFleet(false, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var placed []string
+		for _, op := range placeStream(seed, 24) {
+			if op.req.Workload == "" {
+				if len(placed) == 0 {
 					continue
 				}
-				j, err := got.Submit(op.req)
-				if err != nil {
-					t.Fatal(err)
+				k := op.pick % len(placed)
+				id := placed[k]
+				placed = append(placed[:k], placed[k+1:]...)
+				if err := got.Release(id); err != nil {
+					t.Fatalf("release %s: %v", id, err)
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-				v, err := got.Wait(ctx, j.ID())
-				cancel()
-				if err != nil && !errors.Is(err, ErrNoPlacement) {
-					t.Fatal(err)
+				if err := ref.release(id); err != nil {
+					t.Fatalf("reference release %s: %v", id, err)
 				}
-				if v.State == StatePlaced {
-					placed = append(placed, v.ID)
-				}
-				shares, err := ref.validate(op.req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refPlace(t, ref, ref.store.create(op.req, shares))
+				continue
 			}
-			if g, w := withoutDecisions(got.Placements()), withoutDecisions(ref.Placements()); !reflect.DeepEqual(g, w) {
-				i := 0
-				for i < len(g) && i < len(w) && reflect.DeepEqual(g[i], w[i]) {
-					i++
-				}
-				t.Fatalf("firstFit=%v seed %d: placement %d differs from asking every node:\ngot:  %s\nwant: %s", firstFit, seed, i, recordAt(g, i), recordAt(w, i))
+			j, err := got.Submit(op.req)
+			if err != nil {
+				t.Fatal(err)
 			}
-			dg, dr := decisions(got), decisions(ref)
-			if dg > dr {
-				t.Fatalf("firstFit=%v seed %d: %d node decisions, asking every node took %d", firstFit, seed, dg, dr)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			v, err := got.Wait(ctx, j.ID())
+			cancel()
+			if err != nil && !errors.Is(err, ErrNoPlacement) {
+				t.Fatal(err)
 			}
-			fewer = fewer || dg < dr
-			t.Logf("firstFit=%v seed %d: %d placement records, node decisions %d (ask every node: %d)", firstFit, seed, len(got.Placements()), dg, dr)
-			mustShutdown(t, got)
-			mustShutdown(t, ref)
-			checkCarried(t, got, cfg)
+			if v.State == StatePlaced {
+				placed = append(placed, v.ID)
+			}
+			shares, err := ref.validate(op.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refPlace(t, ref, ref.store.create(op.req, shares))
 		}
-		if !fewer {
-			t.Errorf("firstFit=%v: no seed asked fewer nodes than asking every node", firstFit)
+		if g, w := withoutDecisions(got.Placements()), withoutDecisions(ref.Placements()); !reflect.DeepEqual(g, w) {
+			i := 0
+			for i < len(g) && i < len(w) && reflect.DeepEqual(g[i], w[i]) {
+				i++
+			}
+			t.Fatalf("seed %d: placement %d differs from asking every node:\ngot:  %s\nwant: %s", seed, i, recordAt(g, i), recordAt(w, i))
 		}
+		dg, dr := decisions(got), decisions(ref)
+		if dg > dr {
+			t.Fatalf("seed %d: %d node decisions, asking every node took %d", seed, dg, dr)
+		}
+		fewer = fewer || dg < dr
+		t.Logf("seed %d: %d placement records, node decisions %d (ask every node: %d)", seed, len(got.Placements()), dg, dr)
+		mustShutdown(t, got)
+		mustShutdown(t, ref)
+		checkCarried(t, got, cfg)
+	}
+	if !fewer {
+		t.Error("no seed asked fewer nodes than asking every node")
 	}
 }
 

@@ -109,7 +109,7 @@ type GPU struct {
 
 // New builds a GPU for the configuration and co-running kernels. The
 // returned GPU has every kernel allowed on every SM (fine-grained default)
-// with no TB caps and no controller; use the setters before Run.
+// with no TB caps and no controller; use the setters before RunCtx.
 func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -68,7 +69,7 @@ func TestIsolatedRunProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run(5_000)
+	g.RunCtx(context.Background(), 5_000)
 	if g.IPC(0) <= 0 {
 		t.Fatal("no progress in isolated run")
 	}
@@ -80,7 +81,7 @@ func TestIsolatedRunProgress(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, int64) {
 		g, _ := New(smallCfg(), buildKernels(t, "a", "b"))
-		g.Run(20_000)
+		g.RunCtx(context.Background(), 20_000)
 		return g.Stats[0].ThreadInstrs, g.Stats[1].ThreadInstrs
 	}
 	a1, b1 := run()
@@ -93,7 +94,7 @@ func TestDeterminism(t *testing.T) {
 func TestIPCBoundedByPeak(t *testing.T) {
 	cfg := smallCfg()
 	g, _ := New(cfg, buildKernels(t, "a"))
-	g.Run(10_000)
+	g.RunCtx(context.Background(), 10_000)
 	peak := float64(cfg.PeakIssuePerCycle() * cfg.WarpSize)
 	if g.IPC(0) > peak {
 		t.Fatalf("IPC %v exceeds architectural peak %v", g.IPC(0), peak)
@@ -102,7 +103,7 @@ func TestIPCBoundedByPeak(t *testing.T) {
 
 func TestKernelRelaunch(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
-	g.Run(200_000)
+	g.RunCtx(context.Background(), 200_000)
 	if g.Stats[0].Launches < 2 {
 		t.Fatalf("kernel never relaunched (launches = %d)", g.Stats[0].Launches)
 	}
@@ -118,7 +119,7 @@ func TestMaskRestrictsPlacement(t *testing.T) {
 	// Check placement every cycle: TBs of a kernel must never appear
 	// outside its mask, including across relaunches.
 	for i := 0; i < 40; i++ {
-		g.Run(50)
+		g.RunCtx(context.Background(), 50)
 		if g.SMs[2].ResidentTBs(0)+g.SMs[3].ResidentTBs(0) != 0 {
 			t.Fatal("kernel 0 placed outside its mask")
 		}
@@ -133,7 +134,7 @@ func TestMaskRestrictsPlacement(t *testing.T) {
 
 func TestBalancedDispatch(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
-	g.Run(100)
+	g.RunCtx(context.Background(), 100)
 	min, max := 1<<30, 0
 	for _, s := range g.SMs {
 		n := s.ResidentTBs(0)
@@ -151,7 +152,7 @@ func TestBalancedDispatch(t *testing.T) {
 
 func TestPreemptOneTBAndResume(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a", "b"))
-	g.Run(500)
+	g.RunCtx(context.Background(), 500)
 	before := g.SMs[0].ResidentTBs(0)
 	if before == 0 {
 		t.Skip("no TBs of kernel 0 on SM0")
@@ -166,7 +167,7 @@ func TestPreemptOneTBAndResume(t *testing.T) {
 		t.Fatal(msg)
 	}
 	// The saved context resumes and the kernel still completes its grid.
-	g.Run(300_000)
+	g.RunCtx(context.Background(), 300_000)
 	if g.Stats[0].Launches < 2 {
 		t.Fatal("kernel with preempted TB never completed a launch")
 	}
@@ -174,7 +175,7 @@ func TestPreemptOneTBAndResume(t *testing.T) {
 
 func TestDrainSM(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
-	g.Run(500)
+	g.RunCtx(context.Background(), 500)
 	g.DrainSM(500, 1)
 	if g.SMs[1].ResidentTBs(0) != 0 {
 		t.Fatal("SM not empty after drain")
@@ -189,7 +190,7 @@ func TestDrainSM(t *testing.T) {
 
 func TestIdleWarpAveragesReset(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
-	g.Run(12_000)
+	g.RunCtx(context.Background(), 12_000)
 	first := g.IdleWarpAverages()
 	if len(first) != 4 {
 		t.Fatalf("averages for %d SMs", len(first))
@@ -208,7 +209,7 @@ func TestControllerHooksFire(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
 	c := &countingController{}
 	g.SetController(c)
-	g.Run(25_000)
+	g.RunCtx(context.Background(), 25_000)
 	if c.cycles == 0 {
 		t.Fatal("OnCycle never fired")
 	}
@@ -234,7 +235,7 @@ func TestEpochRecorder(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
 	tr := trace.New(trace.DefaultRingSize)
 	g.SetTracer(tr)
-	g.Run(35_000)
+	g.RunCtx(context.Background(), 35_000)
 	if tr.Dropped() != 0 {
 		t.Fatalf("trace dropped %d events", tr.Dropped())
 	}
@@ -255,10 +256,10 @@ func TestEpochRecorder(t *testing.T) {
 
 func TestRunIsResumable(t *testing.T) {
 	g1, _ := New(smallCfg(), buildKernels(t, "a"))
-	g1.Run(10_000)
-	g1.Run(10_000)
+	g1.RunCtx(context.Background(), 10_000)
+	g1.RunCtx(context.Background(), 10_000)
 	g2, _ := New(smallCfg(), buildKernels(t, "a"))
-	g2.Run(20_000)
+	g2.RunCtx(context.Background(), 20_000)
 	if g1.Stats[0].ThreadInstrs != g2.Stats[0].ThreadInstrs {
 		t.Fatal("split Run differs from a single Run of the same length")
 	}
@@ -266,7 +267,7 @@ func TestRunIsResumable(t *testing.T) {
 
 func TestTotalThreadInstrs(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a", "b"))
-	g.Run(10_000)
+	g.RunCtx(context.Background(), 10_000)
 	if g.TotalThreadInstrs() != g.Stats[0].ThreadInstrs+g.Stats[1].ThreadInstrs {
 		t.Fatal("TotalThreadInstrs does not sum per-kernel counters")
 	}

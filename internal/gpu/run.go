@@ -2,24 +2,19 @@ package gpu
 
 import "context"
 
-// Run advances the GPU for the given number of cycles, driving the TB
+// RunCtx advances the GPU for the given number of cycles, driving the TB
 // scheduler, the SMs, idle-warp sampling and the controller hooks. It can
-// be called repeatedly to extend a simulation.
-func (g *GPU) Run(cycles int64) {
-	// context.Background never cancels, so the error can't happen.
-	_ = g.RunCtx(context.Background(), cycles)
-}
-
-// RunCtx is Run with cooperative cancellation: the context is checked
-// once per quota epoch (the natural consistency point — counters have
-// just been rolled and the controller consulted), so a cancel mid-window
-// returns within one epoch of simulated work rather than after the full
-// window. When the context carries a deadline — the sweep engine's
-// per-case timeout — it is additionally polled at every idle-warp sample
-// boundary, so a case that stops making progress (for example an epoch
-// whose simulated work degenerates) is reaped at sub-epoch granularity
-// instead of pinning its worker slot for a whole epoch. It returns the
-// context's error when canceled, nil otherwise.
+// be called repeatedly to extend a simulation. Cancellation is
+// cooperative: the context is checked once per quota epoch (the natural
+// consistency point — counters have just been rolled and the controller
+// consulted), so a cancel mid-window returns within one epoch of
+// simulated work rather than after the full window. When the context
+// carries a deadline — the sweep engine's per-case timeout — it is
+// additionally polled at every idle-warp sample boundary, so a case that
+// stops making progress (for example an epoch whose simulated work
+// degenerates) is reaped at sub-epoch granularity instead of pinning its
+// worker slot for a whole epoch. It returns the context's error when
+// canceled, nil otherwise.
 func (g *GPU) RunCtx(ctx context.Context, cycles int64) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -67,8 +68,8 @@ func TestWheelIdleAccountingEquivalence(t *testing.T) {
 	on, off := build(), build()
 	off.SetEventWheel(false)
 	for chunk := 0; chunk < 3; chunk++ {
-		on.Run(20_000)
-		off.Run(20_000)
+		on.RunCtx(context.Background(), 20_000)
+		off.RunCtx(context.Background(), 20_000)
 		av, bv := on.IdleWarpAverages(), off.IdleWarpAverages()
 		if !reflect.DeepEqual(av, bv) {
 			t.Fatalf("chunk %d: sampled idle-warp averages diverged\nwheel:  %v\nlegacy: %v", chunk, av, bv)
@@ -155,7 +156,7 @@ func TestWheelSameCycleEventOrder(t *testing.T) {
 		i++
 		return g
 	}
-	on, off := wheelPair(t, 30_000, build, func(g *GPU, n int64) { g.Run(n) })
+	on, off := wheelPair(t, 30_000, build, func(g *GPU, n int64) { g.RunCtx(context.Background(), n) })
 	if !reflect.DeepEqual(ctls[0].Hits, events) {
 		t.Fatalf("wheel run fired actions at %v, want %v", ctls[0].Hits, events)
 	}
@@ -216,7 +217,7 @@ func TestWheelCurrentCycleEventNotLost(t *testing.T) {
 		c := &chainController{pending: first, left: links}
 		g.SetController(c)
 		g.SetEventWheel(wheel)
-		g.Run(20_000)
+		g.RunCtx(context.Background(), 20_000)
 		return c
 	}
 	want := make([]int64, links+1)
@@ -252,7 +253,7 @@ func TestWheelWakeAllDuringDrain(t *testing.T) {
 		g := coRun(t)
 		g.SetController(&scriptedController{g: g, events: events, act: act})
 		g.SetEventWheel(wheel)
-		g.Run(cycles)
+		g.RunCtx(context.Background(), cycles)
 		return g
 	}
 	ref, g := run(false), run(true)

@@ -45,9 +45,6 @@ func (o Op) String() string {
 // IsGlobalMem reports whether the op accesses device (global) memory.
 func (o Op) IsGlobalMem() bool { return o == OpLdGlobal || o == OpStGlobal }
 
-// IsSharedMem reports whether the op accesses the SM scratchpad.
-func (o Op) IsSharedMem() bool { return o == OpLdShared || o == OpStShared }
-
 // Instr is one instruction descriptor in a kernel's loop body.
 //
 // Memory instructions generate addresses as a pure function of

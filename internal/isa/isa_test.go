@@ -4,31 +4,25 @@ import "testing"
 
 func TestOpPredicates(t *testing.T) {
 	cases := []struct {
-		op                          Op
-		globalMem, sharedMem, store bool
+		op               Op
+		globalMem, store bool
 	}{
-		{OpIAlu, false, false, false},
-		{OpFAlu, false, false, false},
-		{OpSFU, false, false, false},
-		{OpLdGlobal, true, false, false},
-		{OpStGlobal, true, false, true},
-		{OpLdShared, false, true, false},
-		{OpStShared, false, true, true},
-		{OpBarrier, false, false, false},
-		{OpBranch, false, false, false},
+		{OpIAlu, false, false},
+		{OpFAlu, false, false},
+		{OpSFU, false, false},
+		{OpLdGlobal, true, false},
+		{OpStGlobal, true, true},
+		{OpLdShared, false, false},
+		{OpStShared, false, true},
+		{OpBarrier, false, false},
+		{OpBranch, false, false},
 	}
 	for _, c := range cases {
 		if got := c.op.IsGlobalMem(); got != c.globalMem {
 			t.Errorf("%v.IsGlobalMem() = %v", c.op, got)
 		}
-		if got := c.op.IsSharedMem(); got != c.sharedMem {
-			t.Errorf("%v.IsSharedMem() = %v", c.op, got)
-		}
 		if got := c.op.IsStore(); got != c.store {
 			t.Errorf("%v.IsStore() = %v", c.op, got)
-		}
-		if got := c.op.IsMem(); got != (c.globalMem || c.sharedMem) {
-			t.Errorf("%v.IsMem() = %v", c.op, got)
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // that records every /v1 admission decision and release, and every fleet
 // node decision and placement, so a restarted daemon (crash, Ctrl-C,
 // power loss) rebuilds its state instead of forgetting what it admitted.
-// Hash also fingerprints the configurations sweep row files are named by.
+// Hash also fingerprints the configurations sweep row files are named by,
+// and WriteFile is the atomic replace those row files are written with.
 //
 // The file is a log followed by a pad: the intact prefix of CRC'd lines,
 // then NUL bytes up to the end of the file, which is a multiple of one
@@ -291,7 +292,6 @@ var zeros [segment]byte
 // Journal is an open journal. All methods are safe for concurrent use.
 type Journal struct {
 	mu        sync.Mutex
-	path      string
 	f         *os.File                           // write descriptor; nil once closed
 	size      int64                              // end of the intact prefix: every byte before it is a whole valid line
 	synced    int64                              // end of the durable prefix: every line before it was fsynced (or found by Open)
@@ -302,8 +302,7 @@ type Journal struct {
 
 // Create starts a fresh journal at path, replacing any existing file,
 // and durably writes the header, padded to the end of the first segment.
-// The file is written beside path and renamed over it, so path never
-// holds a partial header.
+// It is written with WriteFile, so path never holds a partial header.
 func Create(path, configHash string) (*Journal, error) {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -314,14 +313,31 @@ func Create(path, configHash string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	hl = append(hl, '\n')
+	if err := WriteFile(path, hl, zeros[:segment-len(hl)%segment]); err != nil {
 		return nil, err
 	}
-	hl = append(hl, '\n')
-	if _, err = f.Write(hl); err == nil {
-		_, err = f.Write(zeros[:segment-len(hl)%segment])
+	return Open(path, configHash)
+}
+
+// WriteFile replaces path with parts, written in order, atomically and
+// durably: into a temporary file beside it, synced, renamed over it, and
+// the directory synced, so a crash leaves the old file or the whole new
+// one under path, never an empty or partial one. Journal headers, sweep
+// row files and stream traces are all written this way.
+func WriteFile(path string, parts ...[]byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name()) // a no-op once renamed
+	for _, p := range parts {
+		if err == nil {
+			_, err = f.Write(p)
+		}
+	}
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -330,16 +346,12 @@ func Create(path, configHash string) (*Journal, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
-	if err != nil {
-		os.Remove(tmp)
-		return nil, err
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return nil, err
-	}
-	return Open(path, configHash)
+	return err
 }
 
 // syncDir fsyncs a directory, which makes a rename inside it durable.
@@ -413,7 +425,7 @@ func Open(path, configHash string) (*Journal, error) {
 	}
 	defer f.Close()
 
-	j := &Journal{path: path, recovered: make(map[string]map[int]json.RawMessage)}
+	j := &Journal{recovered: make(map[string]map[int]json.RawMessage)}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLine)
 	sc.Split(scanLine)
@@ -660,9 +672,6 @@ func (j *Journal) Each(stage string, fn func(index int, data json.RawMessage) er
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close flushes what is unflushed, as Sync does, and releases the
 // journal's descriptor, returning the first error of the two. It is

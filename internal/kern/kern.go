@@ -261,15 +261,6 @@ func (k *Kernel) Boosted(iter int) bool {
 	return p.PhasePeriod > 0 && (iter/p.PhasePeriod)%2 == 1
 }
 
-// BodyFor returns the instruction body a warp executes on the given loop
-// iteration, honouring the kernel's phase behaviour.
-func (k *Kernel) BodyFor(iter int) []isa.Instr {
-	if k.Boosted(iter) {
-		return k.BodyAlt
-	}
-	return k.Body
-}
-
 // TBResources returns the static per-TB demand.
 func (k *Kernel) TBResources() Resources {
 	p := &k.Profile
@@ -279,16 +270,6 @@ func (k *Kernel) TBResources() Resources {
 		ShmBytes: p.SharedMemPerTB,
 		CtxBytes: p.ThreadsPerTB * (p.RegsPerThread*4 + 16), // regs + PC/pred metadata
 	}
-}
-
-// InstrsPerThread returns the total dynamic thread-instruction count of
-// one thread over the whole kernel (used for QoS goal translation and
-// sanity checks; barriers are counted like the paper counts them, as
-// executed instructions).
-func (k *Kernel) InstrsPerThread() int64 {
-	// Phases alternate between two bodies of equal length, so either
-	// body's length is exact.
-	return int64(len(k.Body)) * int64(k.Profile.Iterations)
 }
 
 // AddrBase returns the base of this kernel's address space. Kernels get

@@ -103,7 +103,7 @@ func TestBodyMixConvergence(t *testing.T) {
 		if in.Op.IsGlobalMem() {
 			mem++
 		}
-		if in.Op.IsSharedMem() {
+		if in.Op == isa.OpLdShared || in.Op == isa.OpStShared {
 			shared++
 		}
 	}
@@ -222,24 +222,16 @@ func TestPhaseBodies(t *testing.T) {
 		}
 		return float64(n) / float64(len(body))
 	}
-	base := memFrac(k.BodyFor(0))
-	boost := memFrac(k.BodyFor(2))
+	base := memFrac(k.Body)
+	boost := memFrac(k.BodyAlt)
 	if boost <= base+0.15 {
 		t.Fatalf("phase boost too small: base %v boosted %v", base, boost)
 	}
-	if &k.BodyFor(0)[0] != &k.BodyFor(1)[0] {
-		t.Fatal("iterations 0 and 1 should share the base body")
+	if k.Boosted(0) || k.Boosted(1) {
+		t.Fatal("iterations 0 and 1 should run the base body")
 	}
-	if &k.BodyFor(0)[0] == &k.BodyFor(2)[0] {
-		t.Fatal("iteration 2 should use the boosted body")
-	}
-}
-
-func TestInstrsPerThread(t *testing.T) {
-	k, _ := Build(0, testProfile(), 1)
-	want := int64(len(k.Body)) * int64(k.Profile.Iterations)
-	if got := k.InstrsPerThread(); got != want {
-		t.Fatalf("InstrsPerThread = %d, want %d", got, want)
+	if !k.Boosted(2) {
+		t.Fatal("iteration 2 should run the boosted body")
 	}
 }
 

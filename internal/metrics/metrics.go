@@ -58,16 +58,6 @@ type KernelStats struct {
 	LastIssueCycle  int64 // cycle of the most recent issued warp instruction
 }
 
-// IPC returns the kernel's cumulative thread-IPC over elapsed cycles.
-// This dilutes kernels that launched late or drained early; ActiveIPC is
-// the window-corrected form the QoS controllers use.
-func (k *KernelStats) IPC(cycles int64) float64 {
-	if cycles <= 0 {
-		return 0
-	}
-	return float64(k.ThreadInstrs) / float64(cycles)
-}
-
 // NoteIssue records an issued warp instruction at the given cycle for
 // active-window accounting. The SM issue path calls this once per issue.
 func (k *KernelStats) NoteIssue(now int64) {

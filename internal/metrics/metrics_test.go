@@ -2,16 +2,6 @@ package metrics
 
 import "testing"
 
-func TestIPC(t *testing.T) {
-	k := &KernelStats{ThreadInstrs: 3200}
-	if got := k.IPC(100); got != 32 {
-		t.Fatalf("IPC = %v, want 32", got)
-	}
-	if k.IPC(0) != 0 {
-		t.Fatal("IPC with zero cycles should be 0")
-	}
-}
-
 func TestBeginEpoch(t *testing.T) {
 	k := &KernelStats{}
 	k.ThreadInstrs = 100

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -32,7 +33,7 @@ func run(t *testing.T, cycles int64, memHeavy bool) *gpu.GPU {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run(cycles)
+	g.RunCtx(context.Background(), cycles)
 	return g
 }
 

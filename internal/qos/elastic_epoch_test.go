@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ func TestElasticEpochRecordsMatchElasticNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Install()
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 
 	if m.ElasticNew == 0 {
 		t.Fatal("elastic never restarted an epoch early; test needs a forced roll")
@@ -87,7 +88,7 @@ func TestForcedRollDefersScheduledRoll(t *testing.T) {
 	if g.NextEpochAt() != epochLen {
 		t.Fatalf("fresh GPU schedules first roll at %d, want %d", g.NextEpochAt(), epochLen)
 	}
-	g.Run(100) // mid-epoch
+	g.RunCtx(context.Background(), 100) // mid-epoch
 	before := g.EpochIndex()
 	g.ForceEpochRoll(g.Now)
 	if g.EpochIndex() != before+1 {

@@ -194,17 +194,11 @@ func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options) (*Manager, er
 	return m, nil
 }
 
-// Scheme returns the active scheme.
-func (m *Manager) Scheme() Scheme { return m.scheme }
-
-// Goal returns the absolute IPC goal of slot (0 for non-QoS).
-func (m *Manager) Goal(slot int) float64 { return m.goals[slot] }
-
 // Alpha returns the current history adjustment of slot.
 func (m *Manager) Alpha(slot int) float64 { return m.alpha[slot] }
 
 // Install wires the manager into the GPU as controller and quota gate and
-// performs the first epoch's quota allocation. Call once before Run.
+// performs the first epoch's quota allocation. Call once before RunCtx.
 func (m *Manager) Install() {
 	m.g.SetController(m)
 	m.g.SetGate(m)

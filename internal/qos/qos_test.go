@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +65,7 @@ func newGPU(t *testing.T, names ...string) *gpu.GPU {
 // isolatedIPC measures the small profile alone on the small GPU.
 func isolatedIPC(t *testing.T, cycles int64) float64 {
 	g := newGPU(t, "iso")
-	g.Run(cycles)
+	g.RunCtx(context.Background(), cycles)
 	return g.IPC(0)
 }
 
@@ -86,7 +87,7 @@ func TestNewValidation(t *testing.T) {
 	if !m.isQoS[0] || m.isQoS[1] {
 		t.Fatal("QoS classification wrong")
 	}
-	if m.Goal(0) != 50 || m.Goal(1) != 0 {
+	if m.goals[0] != 50 || m.goals[1] != 0 {
 		t.Fatal("goals not retained")
 	}
 }
@@ -157,7 +158,7 @@ func TestQoSGoalReached(t *testing.T) {
 		SetupFineGrained(g, goals, []float64{0.5, 0})
 		m, _ := New(g, scheme, goals, Options{})
 		m.Install()
-		g.Run(60_000)
+		g.RunCtx(context.Background(), 60_000)
 		if got := g.IPC(0); got < goals[0]*0.97 {
 			t.Errorf("%v: QoS kernel at %.1f, goal %.1f", scheme, got, goals[0])
 		}
@@ -174,7 +175,7 @@ func TestRolloverThrottlesAtGoal(t *testing.T) {
 	SetupFineGrained(g, goals, []float64{0.4, 0})
 	m, _ := New(g, Rollover, goals, Options{})
 	m.Install()
-	g.Run(60_000)
+	g.RunCtx(context.Background(), 60_000)
 	// The QoS kernel must not grossly exceed its goal: excess cycles
 	// belong to the non-QoS kernel (Figure 9: Rollover ~2.8% over).
 	if ratio := g.IPC(0) / goals[0]; ratio > 1.10 {
@@ -192,7 +193,7 @@ func TestNonQoSRunsInSlack(t *testing.T) {
 	SetupFineGrained(g, goals, []float64{0.3, 0})
 	m, _ := New(g, Rollover, goals, Options{})
 	m.Install()
-	g.Run(60_000)
+	g.RunCtx(context.Background(), 60_000)
 	if g.IPC(1) <= 0 {
 		t.Fatal("non-QoS kernel made no progress despite slack")
 	}
@@ -208,7 +209,7 @@ func TestElasticStartsEpochsEarly(t *testing.T) {
 	SetupFineGrained(g, goals, []float64{0.3, 0})
 	m, _ := New(g, Elastic, goals, Options{})
 	m.Install()
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 	if m.ElasticNew == 0 {
 		t.Fatal("elastic epoch never restarted early despite an easy goal")
 	}
@@ -223,7 +224,7 @@ func TestAlphaRisesWhenBehind(t *testing.T) {
 	SetupFineGrained(g, goals, []float64{0.99, 0})
 	m, _ := New(g, Rollover, goals, Options{})
 	m.Install()
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 	if m.Alpha(0) <= 1 {
 		t.Fatalf("α = %v for an unreachable goal, want > 1", m.Alpha(0))
 	}
@@ -239,7 +240,7 @@ func TestDisableHistoryKeepsAlphaOne(t *testing.T) {
 	SetupFineGrained(g, goals, []float64{0.99, 0})
 	m, _ := New(g, Rollover, goals, Options{DisableHistory: true})
 	m.Install()
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 	if m.Alpha(0) != 1 {
 		t.Fatalf("α = %v with history disabled", m.Alpha(0))
 	}
@@ -309,7 +310,7 @@ func TestStaticAdjusterGrowsStarvedQoSKernel(t *testing.T) {
 	}
 	m, _ := New(g, Rollover, goals, Options{})
 	m.Install()
-	g.Run(100_000)
+	g.RunCtx(context.Background(), 100_000)
 	grew := false
 	for _, s := range g.SMs {
 		if cap := s.TBCap(0); cap < 0 || cap > 2 {
@@ -332,7 +333,7 @@ func TestDisableStaticAdjustFreezesCaps(t *testing.T) {
 	}
 	m, _ := New(g, Rollover, goals, Options{DisableStaticAdjust: true})
 	m.Install()
-	g.Run(60_000)
+	g.RunCtx(context.Background(), 60_000)
 	for i, s := range g.SMs {
 		if s.TBCap(0) != caps[i] {
 			t.Fatal("caps moved with the static adjuster disabled")
@@ -371,7 +372,7 @@ func TestTbsToEvict(t *testing.T) {
 
 func TestQosExhaustedEverywhere(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	g.Run(100) // dispatch some TBs
+	g.RunCtx(context.Background(), 100) // dispatch some TBs
 	m, _ := New(g, Rollover, []float64{1000, 0}, Options{})
 	m.Install()
 	if m.qosExhaustedEverywhere() {

@@ -94,14 +94,11 @@ type JobRequest struct {
 	Scheme string `json:"scheme,omitempty"`
 }
 
-// KernelOutcome and Verdict are the schema-owned first-class decision
-// types (internal/schema), shared verbatim by job responses, SSE
-// "verdict" events and the decision journal. The aliases keep the
-// package-local names the rest of the server (and its tests) use.
-type (
-	KernelOutcome = schema.KernelOutcome
-	Verdict       = schema.Verdict
-)
+// Verdict is the schema-owned first-class decision type (internal/schema),
+// shared verbatim by job responses, SSE "verdict" events and the decision
+// journal. The alias keeps the package-local name the rest of the server
+// (and its tests) use.
+type Verdict = schema.Verdict
 
 // JobView is the wire form of one job.
 type JobView struct {

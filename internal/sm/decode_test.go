@@ -60,7 +60,11 @@ func TestDecodeIsTheText(t *testing.T) {
 				t.Errorf("%s/%s: PhasePeriod %d, but alt is body: %v", cfgName, p.Name, p.PhasePeriod, &prog.alt[0] == &prog.body[0])
 			}
 			for iter := 0; iter < 3*p.PhasePeriod+2; iter++ {
-				if &prog.bodyFor(iter)[0] != &decodedOf(prog, k.BodyFor(iter))[0] {
+				text := k.Body
+				if k.Boosted(iter) {
+					text = k.BodyAlt
+				}
+				if &prog.bodyFor(iter)[0] != &decodedOf(prog, text)[0] {
 					t.Fatalf("%s/%s: iteration %d runs the wrong decoded body", cfgName, p.Name, iter)
 				}
 			}
@@ -96,7 +100,7 @@ func TestDecodeIsTheText(t *testing.T) {
 							sawTooLong = sawTooLong || want > wheelSlots
 							sawAtHorizon = sawAtHorizon || want == wheelSlots
 							want = 0
-						} else if in.Op.IsSharedMem() && cfgName == "shm40" {
+						} else if (in.Op == isa.OpLdShared || in.Op == isa.OpStShared) && cfgName == "shm40" {
 							sawShortShared = true
 						}
 					}

@@ -450,7 +450,7 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 				if seed == 5 {
 					slow := false
 					for _, d := range s.kernels[0].body[:len(s.kernels[0].body)-1] {
-						slow = slow || (d.Op.IsSharedMem() && d.delay == 0)
+						slow = slow || ((d.Op == isa.OpLdShared || d.Op == isa.OpStShared) && d.delay == 0)
 					}
 					if !slow || stats[0].SharedInstrs == 0 {
 						t.Fatal("no shared-memory op took the general path")

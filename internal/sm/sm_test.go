@@ -130,7 +130,9 @@ func TestKernelRunsToCompletion(t *testing.T) {
 	if completed != 4 {
 		t.Fatalf("%d TBs completed, want 4", completed)
 	}
-	wantInstrs := ks[0].InstrsPerThread() * int64(ks[0].Profile.ThreadsPerTB) * 4
+	// Phases alternate between two bodies of equal length, so Body's
+	// length is exact per iteration.
+	wantInstrs := int64(len(ks[0].Body)) * int64(ks[0].Profile.Iterations) * int64(ks[0].Profile.ThreadsPerTB) * 4
 	if stats[0].ThreadInstrs != wantInstrs {
 		t.Fatalf("executed %d thread instrs, want %d", stats[0].ThreadInstrs, wantInstrs)
 	}

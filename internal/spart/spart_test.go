@@ -1,6 +1,7 @@
 package spart
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -105,7 +106,7 @@ func TestEveryKernelKeepsOneSM(t *testing.T) {
 	if c.SMsOf(1) < 1 {
 		t.Fatal("non-QoS kernel left without any SM")
 	}
-	g.Run(100_000)
+	g.RunCtx(context.Background(), 100_000)
 	if c.SMsOf(1) < 1 {
 		t.Fatal("hill climbing starved the non-QoS kernel of its last SM")
 	}
@@ -119,7 +120,7 @@ func TestHillClimbMovesTowardNeedyKernel(t *testing.T) {
 	c, _ := New(g, []float64{0.9 * iso, 0}, nil)
 	c.Install()
 	start := c.SMsOf(0)
-	g.Run(120_000)
+	g.RunCtx(context.Background(), 120_000)
 	if c.SMsOf(0) <= start {
 		t.Fatalf("needy QoS kernel still at %d SMs (started with %d), moves=%d",
 			c.SMsOf(0), start, c.Moves)
@@ -131,7 +132,7 @@ func TestHillClimbMovesTowardNeedyKernel(t *testing.T) {
 
 func isolated(t *testing.T) float64 {
 	g := newGPU(t, "solo")
-	g.Run(60_000)
+	g.RunCtx(context.Background(), 60_000)
 	return g.IPC(0)
 }
 
@@ -151,7 +152,7 @@ func TestGiveBackWhenOverProvisioned(t *testing.T) {
 	}
 	c.applyMasks()
 	g.SetController(c)
-	g.Run(120_000)
+	g.RunCtx(context.Background(), 120_000)
 	if c.GiveBacks == 0 {
 		t.Fatal("controller never returned surplus SMs")
 	}
@@ -165,7 +166,7 @@ func TestOwnershipConsistentAfterRun(t *testing.T) {
 	iso := isolated(t)
 	c, _ := New(g, []float64{0.6 * iso, 0}, []float64{iso, iso})
 	c.Install()
-	g.Run(100_000)
+	g.RunCtx(context.Background(), 100_000)
 	for i := 0; i < g.Cfg.NumSMs; i++ {
 		owner := c.Owner(i)
 		for slot := 0; slot < 2; slot++ {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/journal"
 	"repro/internal/schema"
 )
 
@@ -111,18 +112,15 @@ func Decode(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// WriteFile atomically writes the serialized trace (tmp + rename, like
-// the journals).
+// WriteFile writes the serialized trace at path, atomically and durably
+// (journal.WriteFile), so a crash leaves the old file or the whole new
+// trace, never an empty or partial one under path.
 func (tr *Trace) WriteFile(path string) error {
 	b, err := tr.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return journal.WriteFile(path, b)
 }
 
 // ReadFile reads and decodes a trace file.

@@ -63,8 +63,8 @@ func TestStreamTraceFileRoundTrip(t *testing.T) {
 	if len(got.Events) != len(tr.Events) {
 		t.Fatalf("got %d events, want %d", len(got.Events), len(tr.Events))
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temporary file left behind")
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Errorf("WriteFile left %d files, want the trace only", len(entries))
 	}
 }
 

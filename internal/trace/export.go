@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -85,19 +84,6 @@ func WriteFile(path string, t *Tracer, f Format) error {
 // different release before misreading a single event.
 type jsonlHeader struct {
 	Schema int `json:"schema"`
-}
-
-// CheckJSONLHeader validates the first line of a JSONL trace export:
-// it must be a header object whose schema version matches this build's.
-// A mismatch returns an error wrapping schema.ErrVersion.
-func CheckJSONLHeader(firstLine []byte) error {
-	var h struct {
-		Schema *int `json:"schema"`
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(firstLine), &h); err != nil || h.Schema == nil {
-		return fmt.Errorf("trace: missing JSONL schema header")
-	}
-	return schema.Check(*h.Schema)
 }
 
 // jsonlEvent is the JSONL line schema. Field order is the struct order

@@ -8,12 +8,13 @@
 // α factor, preemption and stall), exportable as JSONL or as a Chrome
 // `trace_event` file that chrome://tracing and Perfetto load directly.
 //
-// Tracing is off by default and costs near zero when off: every emit
-// helper is a method on *Tracer that is nil-safe and returns immediately
-// when the tracer is nil or disabled, so the hot path pays one pointer
-// test per (rare) emit site and no allocation ever. Events are fixed-size
-// structs collected into a pre-allocated ring buffer; when the ring
-// wraps, the oldest events are dropped and counted, never reallocated.
+// Tracing is off by default and costs near zero when off: a nil *Tracer
+// is the one off state, and every emit helper is a method on *Tracer that
+// is nil-safe and returns immediately on nil, so the hot path pays one
+// pointer test per (rare) emit site and no allocation ever. Events are
+// fixed-size structs collected into a pre-allocated ring buffer; when the
+// ring wraps, the oldest events are dropped and counted, never
+// reallocated.
 //
 // A Tracer is intentionally not synchronized: one simulation (one
 // gpu.GPU) owns one Tracer, matching the simulator's single-threaded
@@ -148,16 +149,15 @@ type Event struct {
 }
 
 // Tracer collects events into a fixed-capacity ring buffer and owns a
-// counter registry. The zero Tracer and the nil *Tracer are both valid,
-// permanently disabled collectors: every method is nil-safe, so emit
-// sites never test for tracing themselves.
+// counter registry. Make one with New; the nil *Tracer is the disabled
+// collector: every method is nil-safe, so emit sites never test for
+// tracing themselves.
 type Tracer struct {
 	ring    []Event
 	next    int   // ring write cursor
 	filled  bool  // ring has wrapped at least once
 	dropped int64 // events overwritten after wrap
 	epoch   int32 // current epoch index, stamped into events
-	enabled bool
 
 	reg Registry
 }
@@ -167,25 +167,17 @@ type Tracer struct {
 // traced run.
 const DefaultRingSize = 1 << 16
 
-// New returns an enabled Tracer with the given ring capacity (<=0 means
+// New returns a Tracer with the given ring capacity (<=0 means
 // DefaultRingSize).
 func New(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Tracer{ring: make([]Event, ringSize), enabled: true}
+	return &Tracer{ring: make([]Event, ringSize)}
 }
 
-// Enabled reports whether emits are collected. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
-
-// SetEnabled toggles collection at run time (a disabled tracer keeps its
-// buffered events). Nil-safe no-op on a nil tracer.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled = on && t.ring != nil
-	}
-}
+// Enabled reports whether emits are collected: whether t is not nil.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetEpoch stamps subsequent events with the given epoch index. The GPU
 // loop calls this at every epoch roll. Nil-safe.
@@ -197,7 +189,7 @@ func (t *Tracer) SetEpoch(epoch int) {
 
 // emit is the internal fast path shared by the typed helpers.
 func (t *Tracer) emit(cycle int64, kind Kind, sm, slot int, a, b float64) {
-	if t == nil || !t.enabled {
+	if t == nil {
 		return
 	}
 	if t.filled {
@@ -212,7 +204,7 @@ func (t *Tracer) emit(cycle int64, kind Kind, sm, slot int, a, b float64) {
 }
 
 // Typed emit helpers — one per Kind, so call sites stay readable and the
-// no-op path is a single nil/enabled test with no argument boxing.
+// no-op path is a single nil test with no argument boxing.
 
 // EpochRoll records one kernel slot's closed epoch.
 func (t *Tracer) EpochRoll(cycle int64, slot int, instrs int64, tbsHeld int) {
@@ -303,7 +295,7 @@ func (t *Tracer) KernelRelaunch(cycle int64, slot int, launches int64) {
 // Events returns the buffered events in emission order (oldest first).
 // Nil-safe: a nil tracer returns nil.
 func (t *Tracer) Events() []Event {
-	if t == nil || t.ring == nil {
+	if t == nil {
 		return nil
 	}
 	if !t.filled {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -41,7 +42,7 @@ func calibrationIPC(t *testing.T, p kern.Profile, tbCap int) float64 {
 			s.SetTBCap(0, tbCap)
 		}
 	}
-	g.Run(calibrationWindow)
+	g.RunCtx(context.Background(), calibrationWindow)
 	return g.IPC(0)
 }
 

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/config"
@@ -20,7 +21,7 @@ func microIPC(t *testing.T, p kern.Profile) (float64, *gpu.GPU) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 	return g.IPC(0), g
 }
 
@@ -51,7 +52,7 @@ func TestMicroStreamSaturatesBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Run(40_000)
+	g.RunCtx(context.Background(), 40_000)
 	lines := float64(g.Stats[0].MemTxns) / float64(g.Now)
 	// 4 MCs accepting ~1 line/cycle each (half that effective for
 	// DRAM-bound streams): the streamer must keep them busy.

@@ -158,16 +158,6 @@ func ByName(name string) (kern.Profile, error) {
 	return kern.Profile{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
-// Kernel builds the kernel for the named benchmark with the given runtime
-// kernel ID (IDs separate address spaces of co-running kernels).
-func Kernel(name string, id int) (*kern.Kernel, error) {
-	p, err := ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return kern.Build(id, p, Seed)
-}
-
 // Pair is one evaluation case: a QoS kernel co-running with a non-QoS one.
 type Pair struct {
 	QoS    string

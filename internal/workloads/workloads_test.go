@@ -59,11 +59,15 @@ func TestByName(t *testing.T) {
 }
 
 func TestKernelBuildsWithSlotID(t *testing.T) {
-	k0, err := Kernel("lbm", 0)
+	p, err := ByName("lbm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := Kernel("lbm", 1)
+	k0, err := kern.Build(0, p, Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, err := kern.Build(1, p, Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

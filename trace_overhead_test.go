@@ -16,7 +16,8 @@ import (
 //
 // where E is the number of emit calls one window actually makes (counted
 // by running the same co-run with tracing ON), t_emit is the measured
-// cost of a disabled emit (a nil/enabled check, no argument boxing), and
+// cost of an emit on the nil tracer, the one off state and what the
+// untraced path passes (a nil check, no argument boxing), and
 // t_sim is the measured time to simulate the window. E × t_emit must
 // stay under 2% of t_sim with a wide margin.
 func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
@@ -43,9 +44,8 @@ func TestDisabledTracerOverheadUnderTwoPercent(t *testing.T) {
 	}
 	emits := tr.Len()
 
-	// Cost of one disabled emit.
-	off := trace.New(8)
-	off.SetEnabled(false)
+	// Cost of one emit with tracing off.
+	var off *trace.Tracer
 	bEmit := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			off.QuotaGrant(int64(i), 0, 1, 1)
