@@ -182,11 +182,12 @@ fuzz:
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
 	$(GO) test ./internal/exp -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=10s
 
-# Staleness gate over the committed rows: 40 class-stratified cases of
-# results/full's 11 full-grid stages re-simulate through Runner.Run's
-# case subset and must render byte-equal rows (about half a minute on two
-# cores). A change that moves a simulated result fails here, and re-runs
-# the committed study (EXPERIMENTS.md) as it re-runs -update-golden.
+# Staleness gate over the committed rows: 52 class-stratified cases of
+# results/full's 23 stages (40 of the 11 full-grid ones, one of each of
+# the 12 subsample-6 ones) re-simulate through Runner.Run's case subset
+# and must render byte-equal rows (about 35 s on two cores). A change
+# that moves a simulated result fails here, and re-runs the committed
+# study (EXPERIMENTS.md) as it re-runs -update-golden.
 rows-check:
 	$(GO) test -count=1 -run '^TestCommittedRowsAreCurrent$$' ./internal/exp -stale
 

@@ -4,7 +4,7 @@
 // once, deduplicated, before any table prints.
 //
 // Rows come from a row store (-rows, default results/full: the committed
-// full-grid study at the committed window). A sweep whose stage file is
+// study at the committed window). A sweep whose stage file is
 // there is read, not simulated; a missing one is simulated on a parallel
 // worker pool (-workers, default one per CPU), bit-identical to a serial
 // run, and written there when it completes. So the store is also the
@@ -21,20 +21,21 @@
 //
 // Usage:
 //
-//	qossim -exp fig6a                # from results/full, simulates nothing
-//	qossim -exp fig12 -subsample 6   # the committed Scale56 subsample
+//	qossim -exp all                  # from results/full, simulates nothing
 //	qossim -exp all -window 100000 -subsample 9 -rows /tmp/rows
 //	qossim -exp fig6a -rows "" -subsample 30 -window 60000  # quick, unstored
 //
 // -exp takes an id of exp.Experiments (table1, fig5 … fig14,
 // ablate-history/-static/-preempt/-epoch/-nqinit) or all. -subsample k
-// takes every k-th pair and trio, at every goal.
+// takes every max(k, s)-th pair and trio, at every goal, where s is the
+// stride the experiment's rows are committed at (exp.Experiment.Stride).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,7 +63,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.expName, "exp", "fig6a", "experiment to run (or 'all')")
-	flag.IntVar(&o.subsample, "subsample", 1, "take every k-th pair/trio (1 = the full grid)")
+	flag.IntVar(&o.subsample, "subsample", 1, "take every k-th pair/trio, or every committed-stride-th if sparser (1 = as committed)")
 	flag.Int64Var(&o.window, "window", exp.CommittedWindow, "measurement window in cycles")
 	flag.IntVar(&o.workers, "workers", 0, "parallel sweep workers (0 = one per CPU)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress progress output")
@@ -75,7 +76,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, o); err != nil {
+	if err := run(ctx, o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "qossim:", err)
 		os.Exit(1)
 	}
@@ -118,7 +119,7 @@ func newStudy(o options) (exp.Study, error) {
 	return st, nil
 }
 
-func run(ctx context.Context, o options) error {
+func run(ctx context.Context, o options, stdout io.Writer) error {
 	var selected []exp.Experiment
 	for _, e := range exp.Experiments() {
 		if e.ID == o.expName || o.expName == "all" {
@@ -139,12 +140,8 @@ func run(ctx context.Context, o options) error {
 	if err != nil {
 		return err
 	}
-	for i, t := range tables {
-		if selected[i].ID == "table1" { // a parameter list, not a figure: text, no spacer
-			fmt.Print(t)
-		} else {
-			fmt.Println(t)
-		}
+	for _, t := range tables {
+		fmt.Fprintln(stdout, t)
 	}
 	return nil
 }

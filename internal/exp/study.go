@@ -26,10 +26,11 @@ type Study struct {
 	Rows string
 	// Progress receives sweep progress events for long runs (may be nil).
 	Progress ProgressFunc
+	stride   int // NewStudy's k; 0 for a study whose pairs are spelled out
 }
 
 // NewStudy returns the paper's evaluation on every k-th pair and trio
-// (k <= 1: all of them) at every goal.
+// (k <= 1: all of them) at every goal, thinned per experiment by at.
 func NewStudy(r *Runner, k int) Study {
 	k = max(k, 1)
 	return Study{
@@ -38,7 +39,17 @@ func NewStudy(r *Runner, k int) Study {
 		Trios:  every(workloads.Trios(), k),
 		Goals:  Goals(),
 		Goals2: TwoQoSGoals(),
+		stride: k,
 	}
+}
+
+// at is the study e is collected at: every max(k, e.Stride)-th pair and
+// trio of a NewStudy(r, k) study, any other study as it is.
+func (st Study) at(e Experiment) Study {
+	if st.stride > 0 && e.Stride > st.stride {
+		st.stride, st.Pairs, st.Trios = e.Stride, every(workloads.Pairs(), e.Stride), every(workloads.Trios(), e.Stride)
+	}
+	return st
 }
 
 func every[T any](in []T, k int) []T {
@@ -65,6 +76,8 @@ type Sweep struct {
 	// Session lists extra session options: non-empty means the sweep runs
 	// on a runner derived with Runner.With.
 	Session []core.Option
+	// study, when set, is the study the sweep is planned on (Tables).
+	study *Study
 }
 
 // pairsOf declares the study's pair grid under one scheme.
@@ -111,6 +124,9 @@ type plannedSweep struct {
 // plan resolves one declared sweep: it checks the grid, builds the
 // derived runner and derives the sweep's stage key.
 func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
+	if sw.study != nil {
+		st = *sw.study
+	}
 	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}}
 	if p.grid.Pairs == nil {
 		p.grid.Pairs = st.Pairs
@@ -206,7 +222,8 @@ type Reducer func(Study, []SweepRow) (*Table, error)
 // Experiment is one reproduced table or figure: the sweeps it needs and a
 // pure reduction of their cases into its table.
 type Experiment struct {
-	ID string
+	ID     string
+	Stride int // rows committed in results/full at every Stride-th pair and trio
 	// Sweeps declares the case grids the table reduces.
 	Sweeps func(Study) []Sweep
 	Table  Reducer
@@ -227,27 +244,27 @@ func Experiments() []Experiment {
 			Session: []core.Option{core.WithQoSOptions(qos.Options{NonQoSInitIPC: init})}})
 	}
 	return []Experiment{
-		{"table1", fixed(), func(Study, []SweepRow) (*Table, error) { return Table1(config.Base()), nil }},
-		{"fig5", fixed(pairsOf(core.SchemeNaiveHistory)), Fig5},
-		{"fig6a", fixed(pairsOf(core.SchemeSpart), pairsOf(core.SchemeNaive), pairsOf(core.SchemeElastic),
+		{"table1", 1, fixed(), func(Study, []SweepRow) (*Table, error) { return Table1(config.Base()), nil }},
+		{"fig5", 1, fixed(pairsOf(core.SchemeNaiveHistory)), Fig5},
+		{"fig6a", 1, fixed(pairsOf(core.SchemeSpart), pairsOf(core.SchemeNaive), pairsOf(core.SchemeElastic),
 			pairsOf(core.SchemeRollover)), Fig6a},
-		{"fig6b", trios(1), Fig6b},
-		{"fig6c", trios(2), Fig6c},
-		{"fig7", spartRollover, Fig7},
-		{"fig8a", spartRollover, Fig8a},
-		{"fig8b", trios(1), Fig8b},
-		{"fig8c", trios(2), Fig8c},
-		{"fig9", spartRollover, Fig9},
-		{"fig10", rolloverTime, Fig10},
-		{"fig11", rolloverTime, Fig11},
-		{"fig12", scale56, Fig12},
-		{"fig13", scale56, Fig13},
-		{"fig14", spartRollover, Fig14},
-		{"ablate-history", fixed(pairsOf(core.SchemeRollover), historyOff), AblateHistory},
-		{"ablate-static", staticSweeps, AblateStatic},
-		{"ablate-preempt", preemptSweeps, AblatePreemption},
-		{"ablate-epoch", epochSweeps, AblateEpochLength},
-		{"ablate-nqinit", fixed(nqInit...), AblateNonQoSInit},
+		{"fig6b", 1, trios(1), Fig6b},
+		{"fig6c", 1, trios(2), Fig6c},
+		{"fig7", 1, spartRollover, Fig7},
+		{"fig8a", 1, spartRollover, Fig8a},
+		{"fig8b", 1, trios(1), Fig8b},
+		{"fig8c", 1, trios(2), Fig8c},
+		{"fig9", 1, spartRollover, Fig9},
+		{"fig10", 1, rolloverTime, Fig10},
+		{"fig11", 1, rolloverTime, Fig11},
+		{"fig12", 6, scale56, Fig12},
+		{"fig13", 6, scale56, Fig13},
+		{"fig14", 1, spartRollover, Fig14},
+		{"ablate-history", 1, fixed(pairsOf(core.SchemeRollover), historyOff), AblateHistory},
+		{"ablate-static", 6, staticSweeps, AblateStatic},
+		{"ablate-preempt", 6, preemptSweeps, AblatePreemption},
+		{"ablate-epoch", 6, epochSweeps, AblateEpochLength},
+		{"ablate-nqinit", 6, fixed(nqInit...), AblateNonQoSInit},
 	}
 }
 
@@ -256,14 +273,18 @@ func fixed(sweeps ...Sweep) func(Study) []Sweep {
 	return func(Study) []Sweep { return sweeps }
 }
 
-// Tables collects every sweep the experiments declare in one Collect and
-// reduces each experiment's rows to its table, in order.
+// Tables collects every sweep the experiments declare, each experiment at
+// its study (at), in one Collect and reduces each experiment's rows to
+// its table, in order.
 func (st Study) Tables(ctx context.Context, exps []Experiment) ([]*Table, []SweepRow, error) {
 	var sweeps []Sweep
-	counts := make([]int, len(exps))
+	studies, counts := make([]Study, len(exps)), make([]int, len(exps))
 	for i, e := range exps {
-		declared := e.Sweeps(st)
-		sweeps, counts[i] = append(sweeps, declared...), len(declared)
+		studies[i] = st.at(e)
+		for _, sw := range e.Sweeps(studies[i]) {
+			sw.study = &studies[i]
+			sweeps, counts[i] = append(sweeps, sw), counts[i]+1
+		}
 	}
 	rows, err := st.Collect(ctx, sweeps)
 	if err != nil {
@@ -271,7 +292,7 @@ func (st Study) Tables(ctx context.Context, exps []Experiment) ([]*Table, []Swee
 	}
 	tables, rest := make([]*Table, len(exps)), rows
 	for i, e := range exps {
-		if tables[i], err = e.Table(st, rest[:counts[i]]); err != nil {
+		if tables[i], err = e.Table(studies[i], rest[:counts[i]]); err != nil {
 			return nil, rows, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		rest = rest[counts[i]:]

@@ -14,17 +14,17 @@ import (
 )
 
 // committedRows collects the sweeps of the experiments named by ids from
-// the committed rows in results/full of the study at subsample (1 for
-// the full grid), under a canceled context so that any sweep missing
-// there fails instead of simulating. It returns the study, the
+// the committed rows in results/full, each experiment at the stride the
+// registry declares, under a canceled context so that any sweep missing
+// there fails instead of simulating. It returns the full-grid study, the
 // experiments' tables and their sweeps' cases by stage name.
-func committedRows(t *testing.T, subsample int, ids ...string) (exp.Study, []*exp.Table, map[string]exp.SweepRow) {
+func committedRows(t *testing.T, ids ...string) (exp.Study, []*exp.Table, map[string]exp.SweepRow) {
 	t.Helper()
 	r, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(exp.CommittedWindow)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := exp.NewStudy(r, subsample)
+	st := exp.NewStudy(r, 1)
 	st.Rows = filepath.Join("results", "full")
 	var exps []exp.Experiment
 	for _, e := range exp.Experiments() {
@@ -36,7 +36,7 @@ func committedRows(t *testing.T, subsample int, ids ...string) (exp.Study, []*ex
 	cancel()
 	tables, rows, err := st.Tables(ctx, exps)
 	if err != nil {
-		t.Fatalf("%v: not committed in results/full at subsample %d", err, subsample)
+		t.Fatalf("%v: not committed in results/full", err)
 	}
 	by := map[string]exp.SweepRow{}
 	for _, row := range rows {
@@ -71,7 +71,7 @@ func reach(row exp.SweepRow, goals []float64) (byGoal []float64, avg float64) {
 // the relation that was measured, and says why beside it.
 // EXPERIMENTS.md prints the tables these come from.
 func TestReproductionShape(t *testing.T) {
-	st, _, rows := committedRows(t, 1, "fig5", "fig6a", "fig6b", "fig6c", "fig9", "fig11", "ablate-history")
+	st, _, rows := committedRows(t, "fig5", "fig6a", "fig6b", "fig6c", "fig9", "fig11", "ablate-history")
 	goals, goals2 := st.Goals, st.Goals2
 
 	// Figure 5: Naive+History reaches far fewer goals than Rollover, and
