@@ -28,8 +28,9 @@
 # compares a speed: results are checked here, on any runner; speed is
 # judged by `benchmark/` (`make bench`), parent against change on one
 # machine, within the bounds BENCHMARK.json fixes. `make profile` is where
-# a hot-path change starts: a CPU profile of the pinned scheduler co-runs
-# (TestSchedResultsPinned), top 25 functions, nothing to patch.
+# a hot-path or allocation change starts: a CPU and an allocation profile
+# of the pinned scheduler co-runs (TestSchedResultsPinned), the top 25
+# functions and the top 15 allocation sites, nothing to patch.
 
 GO ?= go
 
@@ -110,15 +111,20 @@ inline-check:
 	@$(GO) build -gcflags=-m ./internal/sm 2>&1 | grep -q 'inlining call to (\*timeHeap).push' \
 		|| { echo "inline-check: sm.(*timeHeap).push no longer inlines; every completion filed pays a call" >&2; exit 1; }
 
-# Where simulator time goes: the pinned-results test (28 seeded co-runs,
-# every scheme, both configurations) under the CPU profiler. The profile
-# and the test binary pprof reads symbols from land in benchmark/out/
-# (git-ignored); `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
-# benchmark/out/sim.prof` digs further.
+# Where simulator time and memory go: the pinned-results test (28 seeded
+# co-runs, every scheme, both configurations) under the CPU and the
+# allocation profiler, one run for both. The profiles and the test binary
+# pprof reads symbols from land in benchmark/out/ (git-ignored); it prints
+# the top 25 functions by CPU and the top 15 allocation sites by bytes
+# allocated, sampled every 4 KiB (the default 512 KiB would leave a few
+# dozen samples of the run's ≈ 40 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
+# benchmark/out/sim.prof` (or `-sample_index=alloc_space ... sim.mem`)
+# digs further.
 profile:
 	@mkdir -p benchmark/out
-	$(GO) test -count=1 -run '^TestSchedResultsPinned$$' -cpuprofile benchmark/out/sim.prof -o benchmark/out/sim.test .
+	$(GO) test -count=1 -run '^TestSchedResultsPinned$$' -cpuprofile benchmark/out/sim.prof -memprofile benchmark/out/sim.mem -memprofilerate=4096 -o benchmark/out/sim.test .
 	$(GO) tool pprof -top -nodecount=25 benchmark/out/sim.test benchmark/out/sim.prof
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space benchmark/out/sim.test benchmark/out/sim.mem
 
 # The race-pass package list is derived, not hand-maintained: a package
 # is raced iff it (or its tests) imports sync or sync/atomic — the

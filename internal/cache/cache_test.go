@@ -192,17 +192,24 @@ func (m *lruModel) resident() int {
 // model with the same seeded streams — accesses over four times the
 // capacity with a hot half-capacity region, and probes — at the
 // L1 and L2 geometries, direct-mapped and fully associative, and compares
-// every answer and the final counters.
+// every answer and the final counters. Two inputs aim at the one-word
+// way: an L1 stream whose addresses also differ in their top three bits,
+// which only the tag above the tick field tells apart, and a 4-set,
+// 16-way geometry of 16 B lines whose 6-bit ticks make each set renumber
+// every 47 accesses, over a thousand times a stream.
 func TestTagStoreAgainstModel(t *testing.T) {
 	base := config.Base()
 	for _, g := range []struct {
 		name string
 		geo  config.Cache
+		top  bool // set the top three address bits at random
 	}{
-		{"L1", base.L1},
-		{"L2", base.L2},
-		{"direct-mapped", config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 1}},
-		{"fully-associative", config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 16}},
+		{"L1", base.L1, false},
+		{"L2", base.L2, false},
+		{"direct-mapped", config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 1}, false},
+		{"fully-associative", config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 16}, false},
+		{"L1 top bits", base.L1, true},
+		{"tick overflow", config.Cache{SizeBytes: 1024, LineBytes: 16, Assoc: 16}, false},
 	} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			c, m := New(g.geo), newModel(g.geo)
@@ -211,6 +218,9 @@ func TestTagStoreAgainstModel(t *testing.T) {
 				addr := src.Uint64() % uint64(4*g.geo.SizeBytes)
 				if src.Intn(2) == 0 {
 					addr %= uint64(g.geo.SizeBytes / 2)
+				}
+				if g.top {
+					addr |= uint64(src.Intn(8)) << 61
 				}
 				switch r := src.Intn(5000); {
 				case r < 500:

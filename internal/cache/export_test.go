@@ -12,7 +12,7 @@ func (s Stats) HitRate() float64 {
 func (c *Cache) Resident() int {
 	n := 0
 	for _, w := range c.ways {
-		if w.tick != 0 {
+		if w != 0 {
 			n++
 		}
 	}
@@ -22,9 +22,9 @@ func (c *Cache) Resident() int {
 // Probe reports whether addr is resident without updating LRU state or
 // filling.
 func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineShift
-	for _, w := range c.set(line) {
-		if w.tag == line && w.tick != 0 {
+	s, key := c.locate(addr)
+	for _, w := range c.set(s) {
+		if c.holds(w, key) {
 			return true
 		}
 	}

@@ -10,6 +10,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Cache describes one set-associative cache.
@@ -33,6 +34,13 @@ func (c Cache) Validate() error {
 		return fmt.Errorf("config: size %d not divisible by line*assoc", c.SizeBytes)
 	case c.Sets()&(c.Sets()-1) != 0:
 		return fmt.Errorf("config: set count %d is not a power of two", c.Sets())
+	}
+	// internal/cache keeps each way's LRU tick in the address bits its
+	// tag does not need, the line offset and set index (at most 32 of
+	// them). They must hold tick 0 (invalid), a tick per way and one more
+	// for the access after a renumbering.
+	if tickBits := min(bits.TrailingZeros(uint(c.LineBytes*c.Sets())), 32); tickBits < 32 && 1<<tickBits < c.Assoc+2 {
+		return fmt.Errorf("config: %d sets of %d-byte lines leave a %d-bit LRU tick, too few for %d ways", c.Sets(), c.LineBytes, tickBits, c.Assoc)
 	}
 	return nil
 }

@@ -92,6 +92,14 @@ func TestCacheGeometry(t *testing.T) {
 	if got := c.Sets(); got != 64 {
 		t.Fatalf("Sets() = %d, want 64", got)
 	}
+	// A way's LRU tick lives in its line-offset and set-index bits, which
+	// must hold assoc+2 values: 2 bits hold 4, enough for 2 ways, not 3.
+	if err := (Cache{SizeBytes: 8, LineBytes: 4, Assoc: 2}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := (Cache{SizeBytes: 12, LineBytes: 4, Assoc: 3}).Validate(); err == nil {
+		t.Fatal("Validate accepted 3 ways with a 2-bit tick")
+	}
 }
 
 func TestDerivedLimits(t *testing.T) {

@@ -72,12 +72,12 @@ func PrintRows(w io.Writer, rows []SweepRow) {
 	for _, row := range rows {
 		switch rep := row.Report; {
 		case row.Reused != "":
-			fmt.Fprintf(w, "sweep %-24s reused %s\n", row.Stage, row.Reused)
+			fmt.Fprintf(w, "sweep %-30s reused %s\n", row.Stage, row.Reused)
 		case rep == nil:
-			fmt.Fprintf(w, "sweep %-24s    0 cases simulated; %d read from %s\n",
+			fmt.Fprintf(w, "sweep %-30s    0 cases simulated; %d read from %s\n",
 				row.Stage, len(row.Pairs)+len(row.Trios), row.File)
 		default:
-			fmt.Fprintf(w, "sweep %-24s %4d cases simulated in %8s (%.1f case/s)",
+			fmt.Fprintf(w, "sweep %-30s %4d cases simulated in %8s (%.1f case/s)",
 				row.Stage, rep.Total, rep.Wall.Round(time.Millisecond), float64(rep.Total)/rep.Wall.Seconds())
 			if len(rep.Failed) > 0 {
 				fmt.Fprintf(w, "; %s", rep.Summary())

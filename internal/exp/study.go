@@ -97,7 +97,9 @@ func scale56Of(sc core.Scheme) Sweep {
 // SweepRow is one declared sweep of a Collect call: its cases and how
 // they were obtained.
 type SweepRow struct {
-	// Stage is the sweep's declared name.
+	// Stage is the sweep's declared name and, when its study takes every
+	// k-th pair and trio for a k above 1, that stride: "Rollover" for the
+	// full grid, "Rollover (stride 6)" for every sixth pair.
 	Stage string
 	// Reused names the earlier sweep of the same Collect with the same
 	// stage key, whose cases this one shares; empty otherwise.
@@ -112,13 +114,14 @@ type SweepRow struct {
 	Trios  []TrioCase // a trio sweep's cases
 }
 
-// plannedSweep is a declared sweep resolved to its runner, case grid and
-// stage key.
+// plannedSweep is a declared sweep resolved to its runner, case grid,
+// stage key and stage label.
 type plannedSweep struct {
 	Sweep
 	runner *Runner
 	grid   Grid
 	key    string
+	stage  string // SweepRow.Stage
 }
 
 // plan resolves one declared sweep: it checks the grid, builds the
@@ -127,7 +130,10 @@ func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
 	if sw.study != nil {
 		st = *sw.study
 	}
-	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}}
+	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}, stage: sw.Name}
+	if st.stride > 1 {
+		p.stage = fmt.Sprintf("%s (stride %d)", sw.Name, st.stride)
+	}
 	if p.grid.Pairs == nil {
 		p.grid.Pairs = st.Pairs
 	}
@@ -171,7 +177,7 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 	done := map[string]SweepRow{} // stage key -> the row that obtained it
 	for _, p := range plans {
 		if first, ok := done[p.key]; ok {
-			rows = append(rows, SweepRow{Stage: p.Name, Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
+			rows = append(rows, SweepRow{Stage: p.stage, Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
 			continue
 		}
 		row, err := st.obtain(ctx, p)
@@ -179,7 +185,7 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 			rows = append(rows, row)
 		}
 		if err != nil {
-			return rows, fmt.Errorf("%s: %w", p.Name, err)
+			return rows, fmt.Errorf("%s: %w", p.stage, err)
 		}
 		done[p.key] = row
 	}
@@ -189,7 +195,7 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 // obtain reads one planned sweep from the row store, or simulates it and
 // writes its file once every case has completed.
 func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
-	row := SweepRow{Stage: p.Name}
+	row := SweepRow{Stage: p.stage}
 	var path string
 	if st.Rows != "" {
 		path = rowFile(st.Rows, p.key)
@@ -202,8 +208,8 @@ func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
 		}
 	}
 	progress := st.Progress
-	if progress != nil { // relabel the sweep's events with its declared name
-		progress = func(e Progress) { e.Stage = p.Name; st.Progress(e) }
+	if progress != nil { // relabel the sweep's events with its stage label
+		progress = func(e Progress) { e.Stage = p.stage; st.Progress(e) }
 	}
 	cases, rep, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
 	row.Report, row.Pairs, row.Trios = rep, cases.Pairs, cases.Trios

@@ -146,7 +146,7 @@ func (s *Server) evaluate(j *job) (JobState, *Verdict, error) {
 	// counters absorbed and the candidate's epoch-level evidence
 	// forwarded to the job's SSE stream.
 	v, cacheMiss, err := s.dec.Decide(s.baseCtx, specs, ids, func(ctx context.Context, scheme core.Scheme) (*core.Result, error) {
-		tr := trace.New(1 << 12)
+		tr := trace.New(trace.DefaultRingSize)
 		s.count("evaluations", 1)
 		res, err := s.sim(ctx, specs, scheme, tr)
 		if err != nil {
@@ -310,7 +310,7 @@ func (s *Server) absorbRun(tr *trace.Tracer, res *core.Result) {
 		s.reg.Counter("sim_" + c.Name()).Add(c.Value())
 	}
 	s.reg.Counter("sim_cycles").Add(res.Cycles)
-	s.reg.Counter("sim_trace_events").Add(int64(tr.Len()))
+	s.reg.Counter("sim_trace_events").Add(int64(tr.Len()) + tr.Dropped())
 }
 
 // maxForwardedEvents caps the epoch-level evidence forwarded onto a

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/trace"
 )
 
 // submitWait drives one admission decision through the internal API and
@@ -273,4 +275,51 @@ func TestRestartContinuesByteIdentical(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("journal across a restart (%d bytes) differs from the uninterrupted daemon's (%d bytes)", len(got), len(want))
 	}
+}
+
+// TestWhatIfTraceKeepsWholeWindow: at qosd's default 200 K-cycle window
+// a tpacf candidate beside sgemm:0.7 and lbm emits 15 235 trace events,
+// almost four times what a 4 096-event ring holds. The what-if's ring
+// keeps every one, so the candidate's SSE evidence starts at epoch 0's
+// quota grant and sim_trace_events counts everything the run emitted.
+func TestWhatIfTraceKeepsWholeWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	s := testServer(t, Config{}, exp.WithSessionOptions(core.WithWindow(200_000)))
+	var last *trace.Tracer
+	sim := s.sim
+	s.sim = func(ctx context.Context, specs []core.KernelSpec, scheme core.Scheme, tr *trace.Tracer) (*core.Result, error) {
+		last = tr
+		return sim(ctx, specs, scheme, tr)
+	}
+	for _, req := range []JobRequest{qos("sgemm", 0.7), be("lbm")} {
+		if j := submitWait(t, s, req); j.view().State != string(JobAdmitted) {
+			t.Fatalf("%s = %+v, want admitted", req.Kernel.Workload, j.view())
+		}
+	}
+	before := counter(s, "sim_trace_events")
+	j := submitWait(t, s, be("tpacf"))
+
+	emitted := int64(last.Len()) + last.Dropped()
+	if last.Dropped() != 0 || emitted <= 1<<12 {
+		t.Fatalf("the what-if emitted %d events and its ring dropped %d; want more than 4096, none dropped", emitted, last.Dropped())
+	}
+	if got := counter(s, "sim_trace_events") - before; got != emitted {
+		t.Fatalf("sim_trace_events grew by %d, the what-if emitted %d", got, emitted)
+	}
+	for _, ev := range j.subscribe(make(chan Event)) {
+		if ev.Type == "state" || ev.Type == "verdict" {
+			continue
+		}
+		var data struct{ Epoch int }
+		if err := json.Unmarshal(ev.Data(), &data); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type != trace.KindQuotaGrant.String() || data.Epoch != 0 {
+			t.Fatalf("first forwarded evidence is %s of epoch %d, want epoch 0's %s", ev.Type, data.Epoch, trace.KindQuotaGrant)
+		}
+		return
+	}
+	t.Fatal("the candidate's stream holds no trace evidence")
 }

@@ -6,8 +6,8 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
+	t.ring = t.ring[:0]
 	t.next = 0
-	t.filled = false
 	t.dropped = 0
 	t.epoch = 0
 }

@@ -12,9 +12,9 @@
 // is the one off state, and every emit helper is a method on *Tracer that
 // is nil-safe and returns immediately on nil, so the hot path pays one
 // pointer test per (rare) emit site and no allocation ever. Events are
-// fixed-size structs collected into a pre-allocated ring buffer; when the
-// ring wraps, the oldest events are dropped and counted, never
-// reallocated.
+// fixed-size structs collected into a ring buffer that grows as events
+// arrive, up to the capacity New sets, and only then wraps: the oldest
+// events are dropped and counted, never reallocated.
 //
 // A Tracer is intentionally not synchronized: one simulation (one
 // gpu.GPU) owns one Tracer, matching the simulator's single-threaded
@@ -22,6 +22,8 @@
 // so concurrent sweeps never share one (enforced by a race-detector test
 // in internal/exp).
 package trace
+
+import "slices"
 
 // Kind identifies the event type. The zero value is reserved so a
 // forgotten Kind is visible in exports.
@@ -148,32 +150,32 @@ type Event struct {
 	A, B  float64
 }
 
-// Tracer collects events into a fixed-capacity ring buffer and owns a
-// counter registry. Make one with New; the nil *Tracer is the disabled
+// Tracer collects events into a bounded ring buffer and owns a counter
+// registry. Make one with New; the nil *Tracer is the disabled
 // collector: every method is nil-safe, so emit sites never test for
 // tracing themselves.
 type Tracer struct {
-	ring    []Event
-	next    int   // ring write cursor
-	filled  bool  // ring has wrapped at least once
-	dropped int64 // events overwritten after wrap
-	epoch   int32 // current epoch index, stamped into events
+	ring    []Event // appended to until it holds size events, then overwritten in place
+	size    int     // the ring's capacity
+	next    int     // oldest event once the ring is full: the next to overwrite; 0 before
+	dropped int64   // events overwritten after the ring filled
+	epoch   int32   // current epoch index, stamped into events
 
 	reg Registry
 }
 
-// DefaultRingSize is the default event capacity (fixed at construction;
-// the ring never grows). At ~40 bytes per event this is ~2.6 MB per
-// traced run.
+// DefaultRingSize is the default event capacity. The ring grows to it
+// only as events arrive (~40 bytes each), so a run that records few
+// events pays for few; a full ring is ~2.6 MB.
 const DefaultRingSize = 1 << 16
 
-// New returns a Tracer with the given ring capacity (<=0 means
-// DefaultRingSize).
+// New returns a Tracer whose ring holds at most ringSize events (<=0
+// means DefaultRingSize); it allocates none of them yet.
 func New(ringSize int) *Tracer {
 	if ringSize <= 0 {
 		ringSize = DefaultRingSize
 	}
-	return &Tracer{ring: make([]Event, ringSize)}
+	return &Tracer{size: ringSize}
 }
 
 // Enabled reports whether emits are collected: whether t is not nil.
@@ -192,14 +194,15 @@ func (t *Tracer) emit(cycle int64, kind Kind, sm, slot int, a, b float64) {
 	if t == nil {
 		return
 	}
-	if t.filled {
-		t.dropped++ // overwriting the oldest event
+	ev := Event{Cycle: cycle, Kind: kind, SM: int16(sm), Slot: int16(slot), Epoch: t.epoch, A: a, B: b}
+	if len(t.ring) < t.size {
+		t.ring = append(t.ring, ev)
+		return
 	}
-	t.ring[t.next] = Event{Cycle: cycle, Kind: kind, SM: int16(sm), Slot: int16(slot), Epoch: t.epoch, A: a, B: b}
-	t.next++
-	if t.next == len(t.ring) {
+	t.dropped++ // overwriting the oldest event
+	t.ring[t.next] = ev
+	if t.next++; t.next == t.size {
 		t.next = 0
-		t.filled = true
 	}
 }
 
@@ -298,13 +301,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.filled {
-		return append([]Event(nil), t.ring[:t.next]...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return slices.Concat(t.ring[t.next:], t.ring[:t.next])
 }
 
 // Len returns the number of buffered events. Nil-safe.
@@ -312,10 +309,7 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	if t.filled {
-		return len(t.ring)
-	}
-	return t.next
+	return len(t.ring)
 }
 
 // Dropped returns how many events were overwritten after the ring

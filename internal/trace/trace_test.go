@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -89,6 +90,64 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
+	}
+}
+
+// fixedRing is the tracer's ring as it was when New allocated all of
+// it: a write cursor over size slots that wraps, overwriting the oldest
+// event and counting it dropped.
+type fixedRing struct {
+	ring    []Event
+	next    int
+	filled  bool
+	dropped int64
+}
+
+func (f *fixedRing) emit(ev Event) {
+	if f.filled {
+		f.dropped++
+	}
+	f.ring[f.next] = ev
+	if f.next++; f.next == len(f.ring) {
+		f.next, f.filled = 0, true
+	}
+}
+
+func (f *fixedRing) events() []Event {
+	if !f.filled {
+		return append([]Event(nil), f.ring[:f.next]...)
+	}
+	return append(append([]Event(nil), f.ring[f.next:]...), f.ring[:f.next]...)
+}
+
+func (f *fixedRing) len() int {
+	if f.filled {
+		return len(f.ring)
+	}
+	return f.next
+}
+
+// TestGrowingRingMatchesFixedRing: a ring that grows as events arrive
+// answers Events, Len and Dropped exactly as a ring allocated whole at
+// New did, below, at, one past and three times its capacity.
+func TestGrowingRingMatchesFixedRing(t *testing.T) {
+	for _, size := range []int{1, 7, 256, 1000} {
+		for _, n := range []int{size - 1, size, size + 1, 3 * size} {
+			tr, ref := New(size), &fixedRing{ring: make([]Event, size)}
+			for i := 0; i < n; i++ {
+				tr.SetEpoch(i / 3)
+				tr.GateStall(int64(i), i%5, i%2, float64(i))
+				ref.emit(Event{Cycle: int64(i), Kind: KindGateStall, SM: int16(i % 5), Slot: int16(i % 2), Epoch: int32(i / 3), A: float64(i)})
+			}
+			if got, want := tr.Events(), ref.events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("capacity %d, %d events: Events() = %d events from %v, the fixed ring holds %d from %v",
+					size, n, len(got), got[:min(1, len(got))], len(want), want[:min(1, len(want))])
+			}
+			if tr.Len() != ref.len() || tr.Dropped() != ref.dropped {
+				t.Fatalf("capacity %d, %d events: Len %d, Dropped %d; the fixed ring says %d, %d",
+					size, n, tr.Len(), tr.Dropped(), ref.len(), ref.dropped)
+			}
+		}
 	}
 }
 

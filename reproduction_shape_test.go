@@ -17,7 +17,8 @@ import (
 // the committed rows in results/full, each experiment at the stride the
 // registry declares, under a canceled context so that any sweep missing
 // there fails instead of simulating. It returns the full-grid study, the
-// experiments' tables and their sweeps' cases by stage name.
+// experiments' tables and their sweeps' cases by stage label (the sweep's
+// name, and its stride when above 1).
 func committedRows(t *testing.T, ids ...string) (exp.Study, []*exp.Table, map[string]exp.SweepRow) {
 	t.Helper()
 	r, err := exp.NewRunner(1, exp.WithSessionOptions(core.WithGPU(config.Base()), core.WithWindow(exp.CommittedWindow)))
@@ -46,6 +47,22 @@ func committedRows(t *testing.T, ids ...string) (exp.Study, []*exp.Table, map[st
 		by[row.Stage] = row
 	}
 	return st, tables, by
+}
+
+// TestCommittedRowsKeepEveryStride asks for a full-grid experiment and a
+// stride-6 one that both declare the Rollover pair sweep: the two stages
+// keep their own rows under their own labels, 900 and 150 cases, and a
+// stride-6 sweep that reuses one names that stage.
+func TestCommittedRowsKeepEveryStride(t *testing.T) {
+	_, _, rows := committedRows(t, "fig6a", "ablate-static", "ablate-preempt")
+	for stage, want := range map[string]int{"Rollover": 900, "Rollover (stride 6)": 150} {
+		if got := len(rows[stage].Pairs); got != want {
+			t.Errorf("stage %q has %d cases, want %d", stage, got, want)
+		}
+	}
+	if r := rows["Rollover (stride 6)"]; r.Reused != "Rollover (stride 6)" {
+		t.Errorf("the second stride-6 Rollover sweep reused %q", r.Reused)
+	}
 }
 
 // reach returns a sweep's QoSreach per goal, in goal order, and over all
