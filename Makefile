@@ -117,7 +117,7 @@ inline-check:
 # pprof reads symbols from land in benchmark/out/ (git-ignored); it prints
 # the top 25 functions by CPU and the top 15 allocation sites by bytes
 # allocated, sampled every 4 KiB (the default 512 KiB would leave a few
-# dozen samples of the run's ≈ 40 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
+# dozen samples of the run's ≈ 32 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
 # benchmark/out/sim.prof` (or `-sample_index=alloc_space ... sim.mem`)
 # digs further.
 profile:
@@ -201,10 +201,12 @@ rows-check:
 # GOARCH=386 runs natively on amd64, so the whole tree is vetted for it
 # (an int constant past 32 bits fails to compile there) and the packages
 # that pin results in goldens — figures, scheduler results and the trace
-# (root), the arrival streams, the journal codec — run their tests on it.
+# (root), the arrival streams, the journal codec — run their tests on it,
+# as does internal/sm: its narrowed warp-context fields, the 64-byte
+# layout bound, refScheduler and the mask invariants on a 32-bit target.
 arch386:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal
+	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm
 
 # Fused multiply-add guard: Go may fuse x*y + z into one rounding on
 # arm64, riscv64, ppc64le and loong64, never on amd64, so no amd64 run

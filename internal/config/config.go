@@ -169,6 +169,8 @@ func (g GPU) Validate() error {
 		return errors.New("config: NumSMs must be positive")
 	case g.WarpSchedulers <= 0:
 		return errors.New("config: WarpSchedulers must be positive")
+	case g.WarpSchedulers > maxWarpContexts:
+		return fmt.Errorf("config: %d warp schedulers per SM exceed the limit of %d", g.WarpSchedulers, maxWarpContexts)
 	case g.WarpSize <= 0 || g.WarpSize > 64:
 		return fmt.Errorf("config: WarpSize %d out of range", g.WarpSize)
 	case g.MaxThreadsPerSM%g.WarpSize != 0:
@@ -214,6 +216,8 @@ func (g GPU) Validate() error {
 // maxWarpContexts bounds MaxWarpsPerSM: a warp scheduler (internal/sm)
 // keeps its scheduling state as 64-bit masks with one bit per warp
 // context, and in the worst case one scheduler holds every warp of its SM.
+// It also bounds WarpSchedulers, so a warp context's one-byte scheduler
+// index always fits (more schedulers than warp contexts would idle anyway).
 const maxWarpContexts = 64
 
 // MaxWarpsPerSM returns the warp-context limit implied by the thread limit.

@@ -51,6 +51,7 @@ func TestValidateRejectsBadFields(t *testing.T) {
 	}{
 		{"zero SMs", func(g *GPU) { g.NumSMs = 0 }},
 		{"zero schedulers", func(g *GPU) { g.WarpSchedulers = 0 }},
+		{"65 schedulers", func(g *GPU) { g.WarpSchedulers = maxWarpContexts + 1 }},
 		{"warp size 0", func(g *GPU) { g.WarpSize = 0 }},
 		{"warp size 128", func(g *GPU) { g.WarpSize = 128 }},
 		{"threads not warp multiple", func(g *GPU) { g.MaxThreadsPerSM = 2047 }},

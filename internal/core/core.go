@@ -26,6 +26,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/qos"
+	"repro/internal/sm"
 	"repro/internal/spart"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -371,6 +372,10 @@ func (s *Session) Run(ctx context.Context, specs []KernelSpec, scheme Scheme) (*
 func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Scheme, tr *trace.Tracer) (*Result, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("core: no kernels")
+	}
+	if len(specs) > sm.MaxKernels {
+		// Refused before any device, baseline runs included, is built.
+		return nil, fmt.Errorf("core: %d kernels, at most %d can co-run", len(specs), sm.MaxKernels)
 	}
 	lone := len(specs) == 1 && scheme == SchemeNone && specs[0].GoalFrac == 0
 	kernels := make([]*kern.Kernel, len(specs))

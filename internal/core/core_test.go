@@ -11,6 +11,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/kern"
 	"repro/internal/schema"
+	"repro/internal/sm"
 )
 
 // fastOpts is a small device + short window for facade tests.
@@ -221,6 +222,17 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := s.Run(ctx, []KernelSpec{{}}, SchemeRollover); err == nil {
 		t.Fatal("accepted spec without workload or profile")
+	}
+	// A warp context names its kernel slot in one byte: more kernels
+	// than sm.MaxKernels are an error, not a panic or a wrapped slot,
+	// and no device is built for them, not even a baseline.
+	builds := countDeviceBuilds(s)
+	many := make([]KernelSpec, sm.MaxKernels+1)
+	for i := range many {
+		many[i] = KernelSpec{Profile: customProfile("a")}
+	}
+	if _, err := s.Run(ctx, many, SchemeRollover); err == nil || builds.Load() != 0 {
+		t.Fatalf("%d kernels: err %v after %d device builds, want an error before any", len(many), err, builds.Load())
 	}
 	if _, err := s.Run(ctx, []KernelSpec{
 		{Profile: customProfile("a"), GoalFrac: 1.5},

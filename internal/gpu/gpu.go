@@ -117,6 +117,10 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("gpu: need at least one kernel")
 	}
+	progs, err := sm.Decode(cfg, kernels)
+	if err != nil {
+		return nil, err
+	}
 	g := &GPU{
 		Cfg:     cfg,
 		Mem:     mem.New(cfg),
@@ -126,10 +130,6 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	g.Stats = make([]*metrics.KernelStats, len(kernels))
 	for i := range g.Stats {
 		g.Stats[i] = &metrics.KernelStats{}
-	}
-	progs, err := sm.Decode(cfg, kernels)
-	if err != nil {
-		return nil, err
 	}
 	g.SMs = make([]*sm.SM, cfg.NumSMs)
 	for i := range g.SMs {

@@ -11,6 +11,7 @@ package kern
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -104,6 +105,9 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("kern: %s: BodyInstrs %d < 2", p.Name, p.BodyInstrs)
 	case p.Iterations <= 0:
 		return fmt.Errorf("kern: %s: Iterations must be positive", p.Name)
+	case int64(p.Iterations) > math.MaxInt32 || int64(p.BodyInstrs) > math.MaxInt32 || p.bodyLen() > math.MaxInt32:
+		// A warp context (internal/sm) keeps its iteration and pc in 32 bits.
+		return fmt.Errorf("kern: %s: Iterations %d or body length %d past %d", p.Name, p.Iterations, p.bodyLen(), math.MaxInt32)
 	case p.FracGlobalMem < 0 || p.FracShared < 0 || p.FracSFU < 0:
 		return fmt.Errorf("kern: %s: negative mix fraction", p.Name)
 	case p.FracGlobalMem+p.FracShared+p.FracSFU > 0.95:
@@ -134,6 +138,16 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("kern: %s: phase parameters must be >= 0", p.Name)
 	}
 	return nil
+}
+
+// bodyLen is the length of the loop body generateBody builds: BodyInstrs
+// instructions with a barrier before every BarrierEvery-th one after the first.
+func (p Profile) bodyLen() int64 {
+	n := int64(p.BodyInstrs)
+	if p.BarrierEvery > 0 {
+		n += int64(p.BodyInstrs-1) / int64(p.BarrierEvery)
+	}
+	return n
 }
 
 // Resources is the static per-TB resource demand used by SM admission.

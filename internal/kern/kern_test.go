@@ -1,6 +1,7 @@
 package kern
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +29,9 @@ func TestBuildValidProfile(t *testing.T) {
 	}
 	if len(k.Body) < 20 {
 		t.Fatalf("body has %d instrs, want >= BodyInstrs", len(k.Body))
+	}
+	if int64(len(k.Body)) != testProfile().bodyLen() {
+		t.Fatalf("body has %d instrs, bodyLen says %d", len(k.Body), testProfile().bodyLen())
 	}
 	for i, in := range k.Body {
 		if err := in.Validate(); err != nil {
@@ -86,6 +90,34 @@ func TestValidateRejections(t *testing.T) {
 		m.mut(&p)
 		if _, err := Build(0, p, 1); err == nil {
 			t.Errorf("%s: Build accepted invalid profile", m.name)
+		}
+	}
+}
+
+// TestValidateBoundsWarpCounters: a warp context keeps its iteration and
+// pc in 32 bits, so Validate refuses a profile that could overflow either.
+// Validate is called alone: Build without the bound would generate the
+// 2³¹-instruction body.
+func TestValidateBoundsWarpCounters(t *testing.T) {
+	// Past int32 on a 64-bit int; on a 32-bit one the conversion wraps
+	// negative, which Validate rejects as well.
+	pastInt32 := int64(math.MaxInt32)
+	pastInt32++
+	muts := []struct {
+		name string
+		mut  func(*Profile)
+	}{
+		{"iterations past int32", func(p *Profile) { p.Iterations = int(pastInt32) }},
+		// bodyLen would overflow int64 here on a 64-bit int.
+		{"body instructions at MaxInt", func(p *Profile) { p.BodyInstrs = math.MaxInt; p.BarrierEvery = 1 }},
+		// MaxInt32 instructions plus a barrier before every other one.
+		{"body past int32", func(p *Profile) { p.BodyInstrs = math.MaxInt32; p.BarrierEvery = 2 }},
+	}
+	for _, m := range muts {
+		p := testProfile()
+		m.mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a profile a warp context cannot count", m.name)
 		}
 	}
 }

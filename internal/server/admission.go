@@ -322,17 +322,14 @@ const maxForwardedEvents = 32
 // client watches its kernel's QoS trajectory inside the what-if run.
 func (s *Server) forwardTrace(j *job, tr *trace.Tracer, slot int) {
 	n := 0
-	for _, ev := range tr.Events() {
+	tr.Each(func(ev trace.Event) bool {
 		if int(ev.Slot) != slot {
-			continue
+			return true
 		}
 		switch ev.Kind {
 		case trace.KindEpochRoll, trace.KindQuotaGrant, trace.KindGoalCheck:
 		default:
-			continue
-		}
-		if n++; n > maxForwardedEvents {
-			break
+			return true
 		}
 		j.emit(Event{Type: ev.Kind.String(), data: encodeEvent(map[string]any{
 			"cycle": ev.Cycle,
@@ -340,5 +337,7 @@ func (s *Server) forwardTrace(j *job, tr *trace.Tracer, slot int) {
 			"a":     ev.A,
 			"b":     ev.B,
 		})})
-	}
+		n++
+		return n < maxForwardedEvents
+	})
 }

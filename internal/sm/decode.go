@@ -30,12 +30,15 @@ type Program struct {
 	body, alt []decoded // kernel.Body, kernel.BodyAlt
 }
 
+// MaxKernels is how many kernels can co-run: a completion tag is slot+1 in
+// 8 bits, so a slot also fits a warp context's one-byte field.
+const MaxKernels = tagMask
+
 // Decode prepares the co-running kernels for SMs of the given
-// configuration (SM.Configure). It fails when there are more kernels than
-// a completion tag can name.
+// configuration (SM.Configure). It fails past MaxKernels.
 func Decode(cfg config.GPU, kernels []*kern.Kernel) ([]*Program, error) {
-	if len(kernels) > tagMask {
-		return nil, fmt.Errorf("sm: %d co-running kernels, at most %d supported", len(kernels), tagMask)
+	if len(kernels) > MaxKernels {
+		return nil, fmt.Errorf("sm: %d co-running kernels, at most %d supported", len(kernels), MaxKernels)
 	}
 	progs := make([]*Program, len(kernels))
 	for i, k := range kernels {

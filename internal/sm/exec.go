@@ -102,7 +102,7 @@ func (s *SM) cycle(now int64) {
 		sch.ld &^= win
 		sch.st &^= win
 		in := &w.body[w.pc]
-		lanes := w.activeLanes
+		lanes := int(w.activeLanes)
 		ks := &s.kernels[w.slot]
 		st := ks.stats
 		st.WarpInstrs++
@@ -111,7 +111,7 @@ func (s *SM) cycle(now int64) {
 		*ks.byOp[in.Op]++
 		s.IssuedWarpInstrs++
 		if s.gate != nil {
-			s.gate.OnIssue(s.ID, w.slot, lanes)
+			s.gate.OnIssue(s.ID, int(w.slot), lanes)
 		}
 		sch.last = win
 		issued = true
@@ -360,13 +360,13 @@ func (s *SM) execute(now int64, sch *scheduler, w *Warp, in *decoded, lanes int)
 			// lanes until reconvergence at the loop back-edge.
 			w.divState = rng.Hash64(w.divState)
 			u := float64(w.divState>>11) / (1 << 53) // [0,1)
-			frac := w.kernel.Profile.DivergenceFrac * 2 * u
+			frac := w.tb.Kernel.Profile.DivergenceFrac * 2 * u
 			drop := int(frac * float64(s.cfg.WarpSize))
-			if drop >= w.activeLanes {
-				drop = w.activeLanes - 1
+			if drop >= int(w.activeLanes) {
+				drop = int(w.activeLanes) - 1
 			}
 			if drop > 0 {
-				w.activeLanes -= drop
+				w.activeLanes -= uint8(drop)
 			}
 		}
 		// Result latency: the warp stalls for all of it only if the next
@@ -386,11 +386,11 @@ func (s *SM) execute(now int64, sch *scheduler, w *Warp, in *decoded, lanes int)
 // nextDepends reports whether the instruction after w.pc depends on the
 // current one (wrapping across the loop back-edge).
 func (s *SM) nextDepends(w *Warp) bool {
-	if w.pc+1 < len(w.body) {
+	if int(w.pc)+1 < len(w.body) {
 		return w.body[w.pc+1].DependsOnPrev
 	}
-	next := s.kernels[w.slot].bodyFor(w.iter + 1)
-	return w.iter+1 < w.kernel.Profile.Iterations && next[0].DependsOnPrev
+	next := s.kernels[w.slot].bodyFor(int(w.iter) + 1)
+	return int(w.iter)+1 < w.tb.Kernel.Profile.Iterations && next[0].DependsOnPrev
 }
 
 // globalAccess performs the coalesced transactions of a global memory
@@ -405,14 +405,14 @@ func (s *SM) globalAccess(now int64, w *Warp, in *decoded, lanes int, kind mem.A
 	done := now + s.cfg.L1HitLatency
 	missed := false
 	for t := 0; t < n; t++ {
-		addr := w.kernel.GlobalAddr(w.gid, w.iter, w.pc, t, in.Reuse)
+		addr := w.tb.Kernel.GlobalAddr(w.gid(), int(w.iter), int(w.pc), t, in.Reuse)
 		st.MemTxns++
 		if kind == mem.Write {
 			// Write-through, no-allocate: writes bypass the L1 tag
 			// array and consume partition bandwidth (and a credit
 			// until the write drains).
 			c := s.memSys.Access(now, addr, mem.Write)
-			s.holdTxn(w.slot, c)
+			s.holdTxn(int(w.slot), c)
 			continue
 		}
 		st.L1Accesses++
@@ -422,7 +422,7 @@ func (s *SM) globalAccess(now int64, w *Warp, in *decoded, lanes int, kind mem.A
 		st.L1Misses++
 		missed = true
 		c := s.memSys.Access(now, addr, mem.Read)
-		s.holdTxn(w.slot, c)
+		s.holdTxn(int(w.slot), c)
 		if c > done {
 			done = c
 		}
@@ -438,17 +438,17 @@ func (s *SM) globalAccess(now int64, w *Warp, in *decoded, lanes int, kind mem.A
 // back-edge, phase changes, reconvergence and warp completion.
 func (s *SM) advance(now int64, w *Warp) {
 	w.pc++
-	if w.pc < len(w.body) {
+	if int(w.pc) < len(w.body) {
 		return
 	}
 	w.pc = 0
 	w.iter++
-	if w.iter >= w.kernel.Profile.Iterations {
+	if int(w.iter) >= w.tb.Kernel.Profile.Iterations {
 		s.warpDone(now, w)
 		return
 	}
-	w.body = s.kernels[w.slot].bodyFor(w.iter)
-	w.activeLanes = s.cfg.WarpSize // reconverge at the back-edge
+	w.body = s.kernels[w.slot].bodyFor(int(w.iter))
+	w.activeLanes = uint8(s.cfg.WarpSize) // reconverge at the back-edge
 }
 
 // releaseBarrier wakes every warp of tb waiting at the barrier. The wait
@@ -456,7 +456,8 @@ func (s *SM) advance(now int64, w *Warp) {
 // and a stale counter could otherwise re-trigger the release.
 func (s *SM) releaseBarrier(now int64, tb *TB) {
 	tb.BarrierWait = 0
-	for _, w := range tb.Warps {
+	for i := range tb.Warps {
+		w := &tb.Warps[i]
 		if !w.atBarrier {
 			continue
 		}

@@ -64,7 +64,7 @@ func walkIdleWarps(s *SM, now int64, out []int64) []int {
 	total := 0
 	for i := range s.scheds {
 		for _, w := range s.scheds[i].warps {
-			if w.done || w.atBarrier || w.readyAt > now || !s.gate.CanIssue(s.ID, w.slot) {
+			if w.done || w.atBarrier || w.readyAt > now || !s.gate.CanIssue(s.ID, int(w.slot)) {
 				continue
 			}
 			ready[w.slot]++
@@ -125,7 +125,7 @@ func checkScheduler(s *SM, si int, sch *scheduler) string {
 	}
 	for i, w := range sch.warps {
 		bit := uint64(1) << i
-		if int(w.pos) != i || w.schedIdx != si {
+		if int(w.pos) != i || int(w.schedIdx) != si {
 			return fmt.Sprintf("warps[%d] believes it is scheduler %d position %d", i, w.schedIdx, w.pos)
 		}
 		if w.done {
@@ -202,7 +202,7 @@ type refScheduler struct {
 // warpMark is where a listed warp stood before the cycle.
 type warpMark struct {
 	w         *Warp
-	pc, iter  int
+	pc, iter  int32
 	atBarrier bool
 	op        isa.Op
 }
@@ -271,7 +271,7 @@ func (r *refScheduler) issued() *Warp {
 }
 
 func (w *Warp) String() string {
-	return fmt.Sprintf("slot %d warp %d (pc %d, iter %d, readyAt %d)", w.slot, w.gid, w.pc, w.iter, w.readyAt)
+	return fmt.Sprintf("slot %d warp %d (pc %d, iter %d, readyAt %d)", w.slot, w.gid(), w.pc, w.iter, w.readyAt)
 }
 
 // flipGate is a QuotaGate whose per-slot answer the test flips.

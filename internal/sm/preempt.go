@@ -38,11 +38,12 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 		GridIdx: victim.GridIdx,
 		Warps:   make([]WarpState, len(victim.Warps)),
 	}
-	for i, w := range victim.Warps {
+	for i := range victim.Warps {
+		w := &victim.Warps[i]
 		ctx.Warps[i] = WarpState{
-			PC:          w.pc,
-			Iter:        w.iter,
-			ActiveLanes: w.activeLanes,
+			PC:          int(w.pc),
+			Iter:        int(w.iter),
+			ActiveLanes: int(w.activeLanes),
 			AtBarrier:   w.atBarrier,
 			Done:        w.done,
 			DivState:    w.divState,
@@ -67,8 +68,8 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 
 // tbIdle reports whether no warp of tb can issue right now.
 func (s *SM) tbIdle(now int64, tb *TB) bool {
-	for _, w := range tb.Warps {
-		if !w.done && !w.atBarrier && w.readyAt <= now {
+	for i := range tb.Warps {
+		if w := &tb.Warps[i]; !w.done && !w.atBarrier && w.readyAt <= now {
 			return false
 		}
 	}

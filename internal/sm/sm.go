@@ -4,8 +4,9 @@
 // accounting for thread blocks, and the quota gate that makes the warp
 // scheduler QoS-aware (the paper's Enhanced Warp Scheduler, Section 3.3).
 //
-// The SM is deliberately single-threaded, and its issue path allocates only
-// when a heap grows: done and the wakeQs append ≈ 0.85 MB over a benchmark
+// A TB's warp contexts are one block of at most 64 bytes each. The SM is
+// deliberately single-threaded, and its issue path allocates only when a
+// heap grows: done and the wakeQs append ≈ 0.85 MB over a benchmark
 // sim-dense pass, and pre-sized to their bounds would cost ≈ 1.4 MB up
 // front. A whole-GPU cycle advances every SM in a deterministic order.
 package sm
@@ -35,26 +36,27 @@ type QuotaGate interface {
 	OnIssue(smID, slot int, threadInstrs int)
 }
 
-// Warp is one 32-thread warp context.
+// Warp is one warp context, at most 64 bytes (a cache line): the kernel and
+// gid derive from tb, and each narrowed field is bounded where its input
+// arrives (config.GPU.Validate, kern.Profile.Validate, Decode).
 type Warp struct {
-	kernel *kern.Kernel
-	slot   int
-	tb     *TB
-	gid    uint64 // stable global warp id (grid TB index * warpsPerTB + lane)
+	body     []decoded
+	tb       *TB
+	readyAt  int64
+	divState uint64 // per-warp divergence stream
+	pc, iter int32
 
-	body        []decoded
-	pc          int
-	iter        int
-	readyAt     int64
+	lane        uint8 // index in tb.Warps
+	activeLanes uint8
+	slot        uint8
+	schedIdx    uint8 // owning scheduler index
+	pos         uint8 // index in the scheduler's warp list = bit in its masks
 	atBarrier   bool
 	done        bool
-	activeLanes int
-	divState    uint64 // per-warp divergence stream
-
-	// Scheduler bookkeeping.
-	schedIdx int   // owning scheduler index
-	pos      uint8 // index in the scheduler's warp list = bit in its masks
 }
+
+// gid is the warp's stable global id: grid TB index * warps per TB + lane.
+func (w *Warp) gid() uint64 { return uint64(w.tb.GridIdx)*uint64(len(w.tb.Warps)) + uint64(w.lane) }
 
 // WarpState is the architectural state saved by a partial context switch.
 type WarpState struct {
@@ -72,11 +74,9 @@ type TB struct {
 	Slot    int
 	GridIdx int
 
-	Warps       []*Warp
+	Warps       []Warp // one block, allocated at dispatch
 	LiveWarps   int
 	BarrierWait int
-
-	dispatchedAt int64
 }
 
 // TBContext is the saved state of a preempted thread block, sufficient to
@@ -345,7 +345,8 @@ func (s *SM) FreeTBSlots() int { return s.cfg.MaxTBsPerSM - s.usedTBSlots }
 
 // Dispatch places one TB of the slot's kernel on this SM, optionally
 // resuming a previously preempted context. It panics if FreeFor is false;
-// callers are expected to check admission first.
+// callers are expected to check admission first. It allocates the TB and
+// one block of its warp contexts, nothing more once the lists have grown.
 func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	if !s.FreeFor(slot) {
 		panic(fmt.Sprintf("sm%d: dispatch without room for slot %d", s.ID, slot))
@@ -374,28 +375,21 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 		s.tracer.TBDispatch(now, s.ID, slot, gridIdx)
 	}
 
-	warpsPerTB := k.WarpsPerTB()
-	tb := &TB{Kernel: k, Slot: slot, GridIdx: gridIdx, dispatchedAt: now}
-	tb.Warps = make([]*Warp, warpsPerTB)
-	// One contiguous allocation for the TB's warp contexts: the issue
-	// path walks them constantly, and per-warp allocations cost dispatch
-	// time and scatter the contexts across the heap. The block is not
-	// recycled when the TB retires — scheduler lists may still hold
-	// references until compaction drops them.
-	block := make([]Warp, warpsPerTB)
-	for i := 0; i < warpsPerTB; i++ {
-		w := &block[i]
-		w.kernel = k
-		w.slot = slot
+	// The block is not recycled when the TB retires: scheduler lists may
+	// still hold its warps until compaction drops them.
+	tb := &TB{Kernel: k, Slot: slot, GridIdx: gridIdx, Warps: make([]Warp, k.WarpsPerTB())}
+	for i := range tb.Warps {
+		w := &tb.Warps[i]
+		w.slot = uint8(slot)
 		w.tb = tb
-		w.gid = uint64(gridIdx)*uint64(warpsPerTB) + uint64(i)
-		w.activeLanes = s.cfg.WarpSize
+		w.lane = uint8(i)
+		w.activeLanes = uint8(s.cfg.WarpSize)
 		w.readyAt = now
-		w.divState = rng.Mix(uint64(k.ID)<<20, w.gid)
+		w.divState = rng.Mix(uint64(k.ID)<<20, w.gid())
 		if resume != nil {
 			st := resume.Warps[i]
-			w.pc, w.iter = st.PC, st.Iter
-			w.activeLanes = st.ActiveLanes
+			w.pc, w.iter = int32(st.PC), int32(st.Iter)
+			w.activeLanes = uint8(st.ActiveLanes)
 			w.atBarrier = st.AtBarrier
 			w.done = st.Done
 			w.divState = st.DivState
@@ -403,9 +397,8 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 				tb.BarrierWait++
 			}
 		}
-		w.body = ks.bodyFor(w.iter)
-		tb.Warps[i] = w
-		w.schedIdx = s.nextSch
+		w.body = ks.bodyFor(int(w.iter))
+		w.schedIdx = uint8(s.nextSch)
 		sch := &s.scheds[s.nextSch]
 		s.nextSch = (s.nextSch + 1) % len(s.scheds)
 		if sch.nextWake > now {
@@ -450,7 +443,8 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 // filed warp is taken out under its old readyAt and filed again under the
 // new one: ready must never hold a warp whose time has not come.
 func (s *SM) DeferTB(tb *TB, until int64) {
-	for _, w := range tb.Warps {
+	for i := range tb.Warps {
+		w := &tb.Warps[i]
 		if w.done || w.readyAt >= until {
 			continue
 		}

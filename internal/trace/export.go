@@ -120,13 +120,16 @@ func exportJSONL(w io.Writer, t *Tracer) error {
 	if err := enc.Encode(jsonlHeader{Schema: schema.Version}); err != nil {
 		return err
 	}
-	for _, ev := range t.Events() {
-		if err := enc.Encode(jsonlEvent{
+	var err error
+	t.Each(func(ev Event) bool {
+		err = enc.Encode(jsonlEvent{
 			Cycle: ev.Cycle, Epoch: ev.Epoch, Kind: ev.Kind.String(),
 			SM: ev.SM, Slot: ev.Slot, A: ev.A, B: ev.B,
-		}); err != nil {
-			return err
-		}
+		})
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, c := range t.Registry().Counters() {
 		if err := enc.Encode(jsonlCounter{Counter: c.Name(), Value: c.Value()}); err != nil {
@@ -229,14 +232,15 @@ func exportChrome(w io.Writer, t *Tracer) error {
 	// tids.
 	slots := map[int16]bool{}
 	sms := map[int16]bool{}
-	for _, ev := range t.Events() {
+	t.Each(func(ev Event) bool {
 		if ev.Slot >= 0 {
 			slots[ev.Slot] = true
 		}
 		if ev.SM >= 0 {
 			sms[ev.SM] = true
 		}
-	}
+		return true
+	})
 	meta := func(pid, tid int, name, value string) error {
 		return write(chromeEvent{Name: name, Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": value}})
@@ -262,18 +266,23 @@ func exportChrome(w io.Writer, t *Tracer) error {
 		}
 	}
 
-	for _, ev := range t.Events() {
+	// Run-level counters and gauges appear after the events as a final
+	// counter sample at the last event's timestamp.
+	var lastTs int64
+	var err error
+	t.Each(func(ev Event) bool {
+		lastTs = ev.Cycle
 		pid, tid := chromePidDevice, 0
 		if ev.SM >= 0 {
 			pid, tid = chromePidSMs, int(ev.SM)
 		} else if ev.Slot >= 0 {
 			tid = int(ev.Slot)
 		}
-		if err := write(chromeEvent{
+		if err = write(chromeEvent{
 			Name: ev.Kind.String(), Ph: "i", Ts: ev.Cycle, Pid: pid, Tid: tid,
 			S: "t", Args: chromeArgs(ev),
 		}); err != nil {
-			return err
+			return false
 		}
 		// The per-slot quota trajectory additionally renders as counter
 		// tracks, the Chrome-native way to see grant/carry/consumed per
@@ -285,21 +294,16 @@ func exportChrome(w io.Writer, t *Tracer) error {
 				KindQuotaCarry:    "carry",
 				KindQuotaConsumed: "consumed",
 			}[ev.Kind]
-			if err := write(chromeEvent{
+			err = write(chromeEvent{
 				Name: fmt.Sprintf("quota slot %d", ev.Slot), Ph: "C",
 				Ts: ev.Cycle, Pid: chromePidDevice, Tid: int(ev.Slot),
 				Args: map[string]any{series: ev.A},
-			}); err != nil {
-				return err
-			}
+			})
 		}
-	}
-
-	// Run-level counters and gauges appear as a final counter sample at
-	// the last event's timestamp.
-	var lastTs int64
-	if evs := t.Events(); len(evs) > 0 {
-		lastTs = evs[len(evs)-1].Cycle
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, c := range t.Registry().Counters() {
 		if err := write(chromeEvent{Name: c.Name(), Ph: "C", Ts: lastTs,

@@ -304,6 +304,22 @@ func (t *Tracer) Events() []Event {
 	return slices.Concat(t.ring[t.next:], t.ring[:t.next])
 }
 
+// Each calls f on the buffered events in emission order (oldest first)
+// until f returns false, reading the ring in place. Nil-safe: a nil
+// tracer calls f on nothing.
+func (t *Tracer) Each(f func(Event) bool) {
+	if t == nil {
+		return
+	}
+	for _, part := range [2][]Event{t.ring[t.next:], t.ring[:t.next]} {
+		for _, ev := range part {
+			if !f(ev) {
+				return
+			}
+		}
+	}
+}
+
 // Len returns the number of buffered events. Nil-safe.
 func (t *Tracer) Len() int {
 	if t == nil {

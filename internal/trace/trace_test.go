@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +39,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer holds state")
 	}
+	tr.Each(func(Event) bool { t.Fatal("nil tracer visited an event"); return false })
 	// Registry handles from a nil tracer are no-op sinks.
 	c := tr.Registry().Counter("x")
 	c.Inc()
@@ -129,7 +131,8 @@ func (f *fixedRing) len() int {
 
 // TestGrowingRingMatchesFixedRing: a ring that grows as events arrive
 // answers Events, Len and Dropped exactly as a ring allocated whole at
-// New did, below, at, one past and three times its capacity.
+// New did, below, at, one past and three times its capacity, and Each
+// walks the same events as Events and stops when told to.
 func TestGrowingRingMatchesFixedRing(t *testing.T) {
 	for _, size := range []int{1, 7, 256, 1000} {
 		for _, n := range []int{size - 1, size, size + 1, 3 * size} {
@@ -146,6 +149,19 @@ func TestGrowingRingMatchesFixedRing(t *testing.T) {
 			if tr.Len() != ref.len() || tr.Dropped() != ref.dropped {
 				t.Fatalf("capacity %d, %d events: Len %d, Dropped %d; the fixed ring says %d, %d",
 					size, n, tr.Len(), tr.Dropped(), ref.len(), ref.dropped)
+			}
+			var each []Event
+			tr.Each(func(ev Event) bool { each = append(each, ev); return true })
+			if evs := tr.Events(); !slices.Equal(each, evs) {
+				t.Fatalf("capacity %d, %d events: Each visits %d events from %v, Events() holds %d from %v",
+					size, n, len(each), each[:min(1, len(each))], len(evs), evs[:min(1, len(evs))])
+			}
+			// An early stop ends the walk: false on the third event
+			// leaves exactly the three oldest visited.
+			var first []Event
+			tr.Each(func(ev Event) bool { first = append(first, ev); return len(first) < 3 })
+			if want := each[:min(3, len(each))]; !slices.Equal(first, want) {
+				t.Fatalf("capacity %d, %d events: Each stopped after %d events %v, want the oldest %d", size, n, len(first), first, len(want))
 			}
 		}
 	}
