@@ -117,7 +117,7 @@ inline-check:
 # pprof reads symbols from land in benchmark/out/ (git-ignored); it prints
 # the top 25 functions by CPU and the top 15 allocation sites by bytes
 # allocated, sampled every 4 KiB (the default 512 KiB would leave a few
-# dozen samples of the run's ≈ 32 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
+# dozen samples of the run's ≈ 24 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
 # benchmark/out/sim.prof` (or `-sample_index=alloc_space ... sim.mem`)
 # digs further.
 profile:
@@ -203,10 +203,13 @@ rows-check:
 # that pin results in goldens — figures, scheduler results and the trace
 # (root), the arrival streams, the journal codec — run their tests on it,
 # as does internal/sm: its narrowed warp-context fields, the 64-byte
-# layout bound, refScheduler and the mask invariants on a 32-bit target.
+# layout bound, refScheduler and the mask invariants on a 32-bit target;
+# and internal/cache and internal/mem, whose set index is an int shift of
+# the address and int is 32 bits there: the tag store against its model
+# and the partition slices against full ones.
 arch386:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm
+	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm ./internal/cache ./internal/mem
 
 # Fused multiply-add guard: Go may fuse x*y + z into one rounding on
 # arm64, riscv64, ppc64le and loong64, never on amd64, so no amd64 run

@@ -25,12 +25,12 @@ type Stats struct {
 // replacement. It is not safe for concurrent use; the simulator is
 // single-threaded by design (deterministic cycle loop).
 type Cache struct {
-	assoc     int
-	lineShift uint
-	setMask   int
-	tagShift  uint   // addr >> tagShift is a line's tag: its line number without the set bits
-	tickBits  uint   // min(tagShift, 32): a way's low bits, below its tag
-	tickMask  uint64 // 1<<tickBits - 1, the largest tick
+	assoc    int
+	setShift uint // addr >> setShift & setMask is the stored set: the line bits above the fixed ones
+	setMask  int
+	tagShift uint   // addr >> tagShift is a line's tag: its line number without the set bits
+	tickBits uint   // min(tagShift, 32): a way's low bits, below its tag
+	tickMask uint64 // 1<<tickBits - 1, the largest tick
 
 	// ways[set*assoc+way], set-major: a probe reads one set's ways side by
 	// side. A way is one word, tag<<tickBits | tick: the tag needs only
@@ -50,32 +50,34 @@ type Cache struct {
 	Stats Stats
 }
 
-// New builds a cache from its geometry. It panics on invalid geometry;
-// config.Validate should have been called first.
-func New(cfg config.Cache) *Cache {
+// New builds a cache from its geometry. The caller guarantees that the low
+// fixed bits (at most the index width) of every address's set index are
+// equal, so only sets>>fixed sets are stored. It panics on invalid geometry.
+func New(cfg config.Cache, fixed uint) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cache: %v", err))
 	}
-	sets := cfg.Sets()
 	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
-	tagShift := lineShift + uint(bits.TrailingZeros(uint(sets)))
+	tagShift := lineShift + uint(bits.TrailingZeros(uint(cfg.Sets())))
+	setShift := min(lineShift+fixed, tagShift)
 	tickBits := min(tagShift, 32)
+	sets := cfg.Sets() >> (setShift - lineShift)
 	return &Cache{
-		assoc:     cfg.Assoc,
-		lineShift: lineShift,
-		setMask:   sets - 1,
-		tagShift:  tagShift,
-		tickBits:  tickBits,
-		tickMask:  1<<tickBits - 1,
-		ways:      make([]uint64, sets*cfg.Assoc),
-		clock:     make([]uint32, sets),
+		assoc:    cfg.Assoc,
+		setShift: setShift,
+		setMask:  sets - 1,
+		tagShift: tagShift,
+		tickBits: tickBits,
+		tickMask: 1<<tickBits - 1,
+		ways:     make([]uint64, sets*cfg.Assoc),
+		clock:    make([]uint32, sets),
 	}
 }
 
 // locate returns the set index addr maps to and its line's tag in place
 // above the tick field.
 func (c *Cache) locate(addr uint64) (set int, key uint64) {
-	return int(addr>>c.lineShift) & c.setMask, addr >> c.tagShift << c.tickBits
+	return int(addr>>c.setShift) & c.setMask, addr >> c.tagShift << c.tickBits
 }
 
 // set returns the ways of set s.

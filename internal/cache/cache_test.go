@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,7 @@ import (
 )
 
 func small() *Cache {
-	return New(config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 2}) // 8 sets
+	return New(config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 2}, 0) // 8 sets
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -90,7 +91,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestWorkingSetFitsAllHitsSteadyState(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 32 << 10, LineBytes: 128, Assoc: 4})
+	c := New(config.Cache{SizeBytes: 32 << 10, LineBytes: 128, Assoc: 4}, 0)
 	// 16KB working set in a 32KB cache: after the first pass, all hits.
 	for pass := 0; pass < 3; pass++ {
 		for a := uint64(0); a < 16<<10; a += 128 {
@@ -104,7 +105,7 @@ func TestWorkingSetFitsAllHitsSteadyState(t *testing.T) {
 }
 
 func TestInvariantsUnderRandomStream(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4})
+	c := New(config.Cache{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4}, 0)
 	src := rng.New(2024)
 	for i := 0; i < 50000; i++ {
 		c.Access(src.Uint64() % (1 << 20))
@@ -120,7 +121,7 @@ func TestInvariantsUnderRandomStream(t *testing.T) {
 }
 
 func TestQuickHitAfterFill(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8})
+	c := New(config.Cache{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8}, 0)
 	f := func(addr uint64) bool {
 		addr %= 1 << 40
 		c.Access(addr)
@@ -137,7 +138,7 @@ func TestNewPanicsOnInvalidGeometry(t *testing.T) {
 			t.Fatal("New accepted invalid geometry")
 		}
 	}()
-	New(config.Cache{SizeBytes: 1000, LineBytes: 100, Assoc: 3})
+	New(config.Cache{SizeBytes: 1000, LineBytes: 100, Assoc: 3}, 0)
 }
 
 // lruModel is the tag store as a list: per set, the resident lines in
@@ -192,28 +193,50 @@ func (m *lruModel) resident() int {
 // model with the same seeded streams — accesses over four times the
 // capacity with a hot half-capacity region, and probes — at the
 // L1 and L2 geometries, direct-mapped and fully associative, and compares
-// every answer and the final counters. Two inputs aim at the one-word
-// way: an L1 stream whose addresses also differ in their top three bits,
-// which only the tag above the tick field tells apart, and a 4-set,
-// 16-way geometry of 16 B lines whose 6-bit ticks make each set renumber
-// every 47 accesses, over a thousand times a stream.
+// every answer and the counters after every access, so the hit, miss
+// and evict sequences. Two inputs aim at the one-word way: an L1 stream
+// whose addresses also differ in their top three bits, which only the
+// tag above the tick field tells apart, and a 4-set, 16-way geometry of
+// 16 B lines whose 6-bit ticks make each set renumber every 47
+// accesses, over a thousand times a stream. The rest aim at a
+// store of fewer sets, New(geo, fixed): each stream draws one value for
+// the low fixed bits of its set index, as an L2 slice's partition fixes
+// them, and the store must answer as the full geometry's model does,
+// with fixed at 1, 2, 3, the index width and past it.
 func TestTagStoreAgainstModel(t *testing.T) {
 	base := config.Base()
+	tick := config.Cache{SizeBytes: 1024, LineBytes: 16, Assoc: 16}
 	for _, g := range []struct {
-		name string
-		geo  config.Cache
-		top  bool // set the top three address bits at random
+		name  string
+		geo   config.Cache
+		top   bool // set the top three address bits at random
+		fixed uint // the low set-index bits one stream holds at one value
 	}{
-		{"L1", base.L1, false},
-		{"L2", base.L2, false},
-		{"direct-mapped", config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 1}, false},
-		{"fully-associative", config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 16}, false},
-		{"L1 top bits", base.L1, true},
-		{"tick overflow", config.Cache{SizeBytes: 1024, LineBytes: 16, Assoc: 16}, false},
+		{"L1", base.L1, false, 0},
+		{"L2", base.L2, false, 0},
+		{"direct-mapped", config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 1}, false, 0},
+		{"fully-associative", config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 16}, false, 0},
+		{"L1 top bits", base.L1, true, 0},
+		{"tick overflow", tick, false, 0},
+		{"L2 fixed 1", base.L2, true, 1},
+		{"L2 fixed 2", base.L2, true, 2},
+		{"L2 fixed 3", base.L2, true, 3},
+		{"L2 fixed whole index", base.L2, true, 9},
+		{"L2 fixed past index", base.L2, true, 40},
+		{"direct-mapped fixed 2", config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 1}, true, 2},
+		{"tick overflow fixed 1", tick, true, 1},
 	} {
+		lineShift := bits.TrailingZeros(uint(g.geo.LineBytes))
+		fixed := min(int(g.fixed), bits.TrailingZeros(uint(g.geo.Sets())))
 		for seed := uint64(1); seed <= 3; seed++ {
-			c, m := New(g.geo), newModel(g.geo)
+			c, m := New(g.geo, g.fixed), newModel(g.geo)
+			if got, want := len(c.clock), g.geo.Sets()>>fixed; got != want {
+				t.Fatalf("%s: New stores %d sets, want %d", g.name, got, want)
+			}
 			src := rng.New(rng.Mix(seed, uint64(g.geo.SizeBytes)))
+			mask := uint64(1)<<fixed - 1
+			held := (rng.Mix(seed, uint64(fixed)) & mask) << lineShift
+			mask <<= lineShift
 			for i := 0; i < 60_000; i++ {
 				addr := src.Uint64() % uint64(4*g.geo.SizeBytes)
 				if src.Intn(2) == 0 {
@@ -222,6 +245,7 @@ func TestTagStoreAgainstModel(t *testing.T) {
 				if g.top {
 					addr |= uint64(src.Intn(8)) << 61
 				}
+				addr = addr&^mask | held
 				switch r := src.Intn(5000); {
 				case r < 500:
 					_, _, at := m.find(addr)
@@ -229,8 +253,9 @@ func TestTagStoreAgainstModel(t *testing.T) {
 						t.Fatalf("%s seed %d op %d: Probe(%#x) = %v, the model says %v", g.name, seed, i, addr, got, want)
 					}
 				default:
-					if got, want := c.Access(addr), m.access(addr); got != want {
-						t.Fatalf("%s seed %d op %d: Access(%#x) hit = %v, the model says %v", g.name, seed, i, addr, got, want)
+					if got, want := c.Access(addr), m.access(addr); got != want || c.Stats != m.stats {
+						t.Fatalf("%s seed %d op %d: Access(%#x) hit = %v with stats %+v, the model says %v with %+v",
+							g.name, seed, i, addr, got, c.Stats, want, m.stats)
 					}
 				}
 			}

@@ -12,6 +12,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -55,17 +56,16 @@ type System struct {
 	lineShift uint
 }
 
-// New builds the memory system for a GPU configuration.
+// New builds the memory system for a GPU configuration. Slice p sees only
+// lines ≡ p mod n, so the low k bits of its set index, 2^k = gcd(n, sets),
+// are fixed: k is TrailingZeros(n), capped by cache.New at the index width.
 func New(cfg config.GPU) *System {
-	shift := uint(0)
-	for 1<<shift < cfg.L2.LineBytes {
-		shift++
-	}
-	s := &System{cfg: cfg, lineShift: shift}
+	s := &System{cfg: cfg, lineShift: uint(bits.TrailingZeros(uint(cfg.L2.LineBytes)))}
+	fixed := uint(bits.TrailingZeros(uint(cfg.NumMemControllers)))
 	s.parts = make([]*partition, cfg.NumMemControllers)
 	for i := range s.parts {
 		s.parts[i] = &partition{
-			l2:      cache.New(cfg.L2),
+			l2:      cache.New(cfg.L2, fixed),
 			openRow: make([]uint64, cfg.DRAMBanksPerMC),
 		}
 	}
@@ -88,10 +88,7 @@ func (s *System) Access(now int64, addr uint64, kind AccessKind) int64 {
 	p.stats.Requests++
 
 	arrival := now + s.cfg.InterconnectDelay
-	start := arrival
-	if p.nextFree > start {
-		start = p.nextFree
-	}
+	start := max(arrival, p.nextFree)
 	p.stats.StallCycles += start - arrival
 	p.nextFree = start + s.cfg.MCServiceInterval
 

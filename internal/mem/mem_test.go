@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/config"
+	"repro/internal/rng"
 )
 
 func sys() *System { return New(config.Base()) }
@@ -128,5 +129,61 @@ func TestQuickCompletionAfterNow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSlicesStoreOnlyReachableSets builds the memory system at 1, 3, 4, 6
+// and 8 controllers, Scale56, and a 2-set L2 under 8 controllers, where
+// the interleave fixes more bits than the set index has. Each slice must
+// store only the sets its partition reaches (sets >> k of them, 2^k =
+// gcd(controllers, sets)), and a seeded stream of reads and writes, some
+// with their top address bits set, must get every completion time and
+// every partition counter of a system whose slices store all the sets.
+func TestSlicesStoreOnlyReachableSets(t *testing.T) {
+	withMCs := func(cfg config.GPU, n int) config.GPU {
+		cfg.NumMemControllers = n
+		return cfg
+	}
+	tiny := config.Base()
+	tiny.L2 = config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 4} // 2 sets
+	for _, c := range []struct {
+		name string
+		cfg  config.GPU
+		sets int // stored per slice
+	}{
+		{"1 MC", withMCs(config.Base(), 1), 512},
+		{"3 MCs", withMCs(config.Base(), 3), 512},
+		{"Base", config.Base(), 128},
+		{"6 MCs", withMCs(config.Base(), 6), 256},
+		{"8 MCs", withMCs(config.Base(), 8), 64},
+		{"Scale56", config.Scale56(), 64},
+		{"2-set L2, 8 MCs", withMCs(tiny, 8), 1},
+	} {
+		s, ref := New(c.cfg), newFullSlices(c.cfg)
+		for p := range s.parts {
+			if got, want := s.sliceWays(p), c.sets*c.cfg.L2.Assoc; got != want {
+				t.Fatalf("%s: slice %d stores %d ways, want %d", c.name, p, got, want)
+			}
+		}
+		src := rng.New(rng.Mix(7, uint64(c.cfg.NumMemControllers)))
+		for i := 0; i < 200_000; i++ {
+			line := src.Uint64() % (1 << 16) // 8 MB of lines, four times the largest L2
+			if src.Intn(2) == 0 {
+				line %= 1 << 12
+			}
+			addr := line<<7 | uint64(src.Intn(128))
+			if src.Intn(16) == 0 {
+				addr |= uint64(src.Intn(8)) << 61
+			}
+			kind, now := AccessKind(src.Intn(2)), int64(i*4)
+			if got, want := s.Access(now, addr, kind), ref.Access(now, addr, kind); got != want {
+				t.Fatalf("%s access %d: Access(%d, %#x, %d) = %d, the full slices say %d", c.name, i, now, addr, kind, got, want)
+			}
+		}
+		for p := range s.parts {
+			if got, want := s.partStats(p), ref.partStats(p); got != want || got.L2Hits == 0 {
+				t.Fatalf("%s: partition %d counters %+v, the full slices say %+v", c.name, p, got, want)
+			}
+		}
 	}
 }

@@ -247,7 +247,7 @@ func New(id int, cfg config.GPU, memSys *mem.System) *SM {
 		ID:     id,
 		cfg:    cfg,
 		memSys: memSys,
-		l1:     cache.New(cfg.L1),
+		l1:     cache.New(cfg.L1, 0),
 		scheds: make([]scheduler, cfg.WarpSchedulers),
 		done:   timeHeap{top: noWake},
 	}
