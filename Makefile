@@ -11,9 +11,12 @@
 # survives a crash that keeps only the journal bytes flushed before it),
 # the full test suite — which includes the daemon's
 # httptest smoke, the 50-client concurrent-admission soak, the
-# wheel-vs-per-cycle equivalence suite and the exports rule
+# wheel-vs-per-cycle equivalence suite, the exports rule
 # (TestNoExportOnlyTestsCall: every exported name under internal/ is
-# referenced by production code or carries an allow-list reason) — the
+# referenced by production code or carries an allow-list reason) and the
+# doc rule (TestDocsDescribeTheTree: every Go name, binary flag, make
+# target and path the docs cite exists, and every -run, -bench and
+# -fuzz alternative below selects a function) — the
 # stream-replay
 # determinism gate (`make stream-replay`: the committed golden arrival
 # trace must yield byte-identical qosd decision journals across two fresh

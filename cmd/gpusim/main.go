@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -133,7 +135,12 @@ func run(ctx context.Context, w io.Writer, kernels, schemeName string, window in
 		return err
 	}
 	if tracePath != "" {
-		if err := trace.WriteFile(tracePath, tr, traceFmtVal); err != nil {
+		var buf bytes.Buffer
+		err := trace.Export(&buf, tr, traceFmtVal)
+		if err == nil {
+			err = journal.WriteFile(tracePath, buf.Bytes())
+		}
+		if err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events (%d dropped) -> %s\n",

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -116,8 +117,24 @@ type module struct {
 	std      types.Importer
 }
 
+// moduleOnce type-checks the module once per test binary: the exports
+// rule and the doc rule read the same result.
+var (
+	moduleOnce sync.Once
+	moduleVal  *module
+	moduleErr  error
+)
+
 func checkModule(t *testing.T) *module {
 	t.Helper()
+	moduleOnce.Do(func() { moduleVal, moduleErr = loadModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleVal
+}
+
+func loadModule() (*module, error) {
 	m := &module{
 		fset: token.NewFileSet(),
 		info: &types.Info{
@@ -149,7 +166,7 @@ func checkModule(t *testing.T) *module {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
 	// One go list for every standard library package the module imports:
@@ -170,7 +187,7 @@ func checkModule(t *testing.T) *module {
 	}
 	out, err := exec.Command("go", args...).Output()
 	if err != nil {
-		t.Fatalf("go list -export: %v", err)
+		return nil, fmt.Errorf("go list -export: %v", err)
 	}
 	exports := make(map[string]string) // import path -> export data file
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
@@ -193,13 +210,13 @@ func checkModule(t *testing.T) *module {
 	for _, p := range paths {
 		pkg, err := m.Import(p)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		if strings.HasPrefix(p, "repro/internal/") {
 			m.internal = append(m.internal, pkg)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // Import type-checks a package of this module and hands every other

@@ -360,8 +360,8 @@ func (s *Session) Run(ctx context.Context, specs []KernelSpec, scheme Scheme) (*
 // RunTraced is Run with an observability tracer attached to the simulated
 // device for the whole co-run: every layer (TB scheduler, SMs, QoS
 // manager, spatial controller) emits its control decisions into tr, which
-// the caller exports afterwards (trace.Export / trace.WriteFile). A nil
-// tracer makes RunTraced identical to Run.
+// the caller exports afterwards (trace.Export). A nil tracer makes
+// RunTraced identical to Run.
 //
 // A lone unmanaged run — one spec, SchemeNone, GoalFrac 0, so no goal
 // needs the baseline before cycle 0 — is the kernel's isolated

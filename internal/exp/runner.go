@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
@@ -177,7 +179,12 @@ func (r *Runner) runCase(ctx context.Context, s *core.Session, g Grid, i int, sc
 		return nil, err
 	}
 	path := filepath.Join(r.traceDir, g.traceName(i, scheme)+r.traceFormat.Ext())
-	if werr := trace.WriteFile(path, tr, r.traceFormat); werr != nil {
+	var buf bytes.Buffer
+	werr := trace.Export(&buf, tr, r.traceFormat)
+	if werr == nil {
+		werr = journal.WriteFile(path, buf.Bytes())
+	}
+	if werr != nil {
 		return nil, fmt.Errorf("exp: write trace %s: %w", path, werr)
 	}
 	return res, nil

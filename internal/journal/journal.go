@@ -3,7 +3,7 @@
 // node decision and placement, so a restarted daemon (crash, Ctrl-C,
 // power loss) rebuilds its state instead of forgetting what it admitted.
 // Hash also fingerprints the configurations sweep row files are named by,
-// and WriteFile is the atomic replace those row files are written with.
+// and WriteFile is the atomic replace every file artifact is written with.
 //
 // The file is a log followed by a pad: the intact prefix of CRC'd lines,
 // then NUL bytes up to the end of the file, which is a multiple of one
@@ -323,8 +323,8 @@ func Create(path, configHash string) (*Journal, error) {
 // WriteFile replaces path with parts, written in order, atomically and
 // durably: into a temporary file beside it, synced, renamed over it, and
 // the directory synced, so a crash leaves the old file or the whole new
-// one under path, never an empty or partial one. Journal headers, sweep
-// row files and stream traces are all written this way.
+// one under path, never an empty or partial one. Journal headers, row
+// files, arrival traces and event traces are all written this way.
 func WriteFile(path string, parts ...[]byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {

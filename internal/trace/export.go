@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/schema"
@@ -61,21 +60,6 @@ func Export(w io.Writer, t *Tracer, f Format) error {
 		return exportChrome(w, t)
 	}
 	return exportJSONL(w, t)
-}
-
-// WriteFile exports to path, creating parent-less files atomically
-// enough for inspection tooling (plain create+write; traces are
-// artifacts, not checkpoints).
-func WriteFile(path string, t *Tracer, f Format) error {
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = Export(file, t, f)
-	if cerr := file.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // jsonlHeader is the first line of every JSONL export: the schema
