@@ -119,8 +119,9 @@ inline-check:
 # allocation profiler, one run for both. The profiles and the test binary
 # pprof reads symbols from land in benchmark/out/ (git-ignored); it prints
 # the top 25 functions by CPU and the top 15 allocation sites by bytes
-# allocated, sampled every 4 KiB (the default 512 KiB would leave a few
-# dozen samples of the run's ≈ 24 MB). `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
+# allocated, sampled every 4 KiB (the default 512 KiB would leave about
+# ten samples of the run's ≈ 5 MB, half of it the profiler's own).
+# `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
 # benchmark/out/sim.prof` (or `-sample_index=alloc_space ... sim.mem`)
 # digs further.
 profile:
@@ -209,10 +210,12 @@ rows-check:
 # layout bound, refScheduler and the mask invariants on a 32-bit target;
 # and internal/cache and internal/mem, whose set index is an int shift of
 # the address and int is 32 bits there: the tag store against its model
-# and the partition slices against full ones.
+# and the partition slices against full ones; and internal/core, whose
+# sessions rebuild their last device in place: reused devices against
+# fresh ones, and the second run's allocation bound.
 arch386:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm ./internal/cache ./internal/mem
+	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm ./internal/cache ./internal/mem ./internal/core
 
 # Fused multiply-add guard: Go may fuse x*y + z into one rounding on
 # arm64, riscv64, ppc64le and loong64, never on amd64, so no amd64 run

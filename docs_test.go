@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,6 +188,10 @@ var (
 //     checked.
 //   - A -flag after a binary (qosd, ./cmd/qosd, ./benchmark) on a
 //     command line is a flag that binary defines.
+//   - The -flag in the first cell of a row of a table headed | Flag | is
+//     a flag of each binary the row's Tools cell names ("all three" is
+//     gpusim, qossim and sweep) or, in a table without a Tools column,
+//     of the binary its section's heading names.
 //   - make X names a Makefile target.
 //   - A path under internal/, cmd/, testdata/, results/, scripts/ or
 //     benchmark/ exists (<name> placeholders and * match anything), or
@@ -206,6 +211,7 @@ func TestDocsDescribeTheTree(t *testing.T) {
 	targets, ignored := makeTargets(texts["Makefile"]), gitIgnored(t)
 
 	for _, doc := range checkedDocs {
+		checkFlagTables(t, doc, texts[doc], flags)
 		for _, s := range snippets(texts[doc]) {
 			where := doc + ":" + strconv.Itoa(s.line)
 			for _, q := range qualified.FindAllStringSubmatch(s.text, -1) {
@@ -279,6 +285,71 @@ func checkFlags(t *testing.T, where, seg string, flags map[string]map[string]boo
 			}
 		}
 		return
+	}
+}
+
+// checkFlagTables holds each row of doc's | Flag | tables, outside its
+// history sections, to the flags of the binaries the row documents.
+func checkFlagTables(t *testing.T, doc, text string, flags map[string]map[string]bool) {
+	t.Helper()
+	span := regexp.MustCompile("`([^`]*)`")
+	binaries := func(cell string) (out []string) {
+		if strings.Contains(cell, "all three") {
+			out = []string{"gpusim", "qossim", "sweep"}
+		}
+		for _, m := range span.FindAllStringSubmatch(cell, -1) {
+			if flags[m[1]] != nil {
+				out = append(out, m[1])
+			}
+		}
+		return out
+	}
+	var heading string
+	history, table, tools, about := false, false, -1, []string(nil)
+	for i, line := range strings.Split(text, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			heading, history = h, historySections[strings.TrimSpace(h)]
+		}
+		if history || !strings.HasPrefix(line, "|") {
+			table = false
+			continue
+		}
+		where := doc + ":" + strconv.Itoa(i+1)
+		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, ""), "|"), "|")
+		for c := range cells {
+			cells[c] = strings.TrimSpace(cells[c])
+		}
+		switch {
+		case !table && cells[0] == "Flag": // a header
+			table, tools = true, slices.Index(cells, "Tools")
+			if about = binaries(heading); tools < 0 && len(about) == 0 {
+				t.Errorf("%s: a | Flag | table without a Tools column under a heading that names no binary", where)
+			}
+			continue
+		case !table || strings.Trim(cells[0], "-:") == "": // another table, or the rule below a header
+			continue
+		}
+		var name string
+		if m := span.FindStringSubmatch(cells[0]); m != nil && len(strings.Fields(m[1])) > 0 {
+			if fm := cmdFlag.FindStringSubmatch(strings.Fields(m[1])[0]); fm != nil {
+				name = fm[1]
+			}
+		}
+		if name == "" {
+			t.Errorf("%s: a | Flag | row whose first cell holds no `-flag`", where)
+			continue
+		}
+		of := about
+		if tools >= 0 && tools < len(cells) {
+			if of = binaries(cells[tools]); len(of) == 0 {
+				t.Errorf("%s: -%s: the Tools cell names no binary", where, name)
+			}
+		}
+		for _, b := range of {
+			if !flags[b][name] {
+				t.Errorf("%s: | -%s |: %s defines no flag -%s", where, name, b, name)
+			}
+		}
 	}
 }
 

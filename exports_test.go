@@ -29,6 +29,7 @@ var testOnlyExports = map[string]string{
 	"core.(*IsolatedCache).Len":      "the core tests count the baselines a fill leaves: a failed, canceled or panicked measurement must leave none",
 	"gpu.(*GPU).EpochIndex":          "the qos elastic-epoch tests hold traced epoch rolls and the epoch counters to the device's own roll count",
 	"gpu.(*GPU).NextEpochAt":         "the qos tests check that a forced roll pushes the next scheduled roll a full epoch out",
+	"gpu.New":                        "gpu.Rebuild's nil case: a fresh device for the gpu, qos, spart, power and workloads tests",
 	"isa.Instr.Validate":             "the kern tests validate every generated instruction against the ISA's encoding rules",
 	"journal.(*Journal).Synced":      "the fleet restart test cuts journals where their flushed prefix ends",
 	"kern.MustBuild":                 "builds fixed profiles in the kern and sm tests, where a build error is a bug",

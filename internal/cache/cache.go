@@ -50,10 +50,12 @@ type Cache struct {
 	Stats Stats
 }
 
-// New builds a cache from its geometry. The caller guarantees that the low
-// fixed bits (at most the index width) of every address's set index are
-// equal, so only sets>>fixed sets are stored. It panics on invalid geometry.
-func New(cfg config.Cache, fixed uint) *Cache {
+// New builds a cache from its geometry, or rebuilds prev in place when it
+// is not nil: every way invalid and every clock zero, in prev's tag store
+// where it is large enough. The caller guarantees that the low fixed bits
+// (at most the index width) of every address's set index are equal, so
+// only sets>>fixed sets are stored. It panics on invalid geometry.
+func New(cfg config.Cache, fixed uint, prev *Cache) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("cache: %v", err))
 	}
@@ -62,16 +64,20 @@ func New(cfg config.Cache, fixed uint) *Cache {
 	setShift := min(lineShift+fixed, tagShift)
 	tickBits := min(tagShift, 32)
 	sets := cfg.Sets() >> (setShift - lineShift)
-	return &Cache{
+	if prev == nil {
+		prev = new(Cache)
+	}
+	*prev = Cache{
 		assoc:    cfg.Assoc,
 		setShift: setShift,
 		setMask:  sets - 1,
 		tagShift: tagShift,
 		tickBits: tickBits,
 		tickMask: 1<<tickBits - 1,
-		ways:     make([]uint64, sets*cfg.Assoc),
-		clock:    make([]uint32, sets),
+		ways:     append(prev.ways[:0], make([]uint64, sets*cfg.Assoc)...),
+		clock:    append(prev.clock[:0], make([]uint32, sets)...),
 	}
+	return prev
 }
 
 // locate returns the set index addr maps to and its line's tag in place

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func small() *Cache {
-	return New(config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 2}, 0) // 8 sets
+	return New(config.Cache{SizeBytes: 2048, LineBytes: 128, Assoc: 2}, 0, nil) // 8 sets
 }
 
 func TestColdMissThenHit(t *testing.T) {
@@ -91,7 +92,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestWorkingSetFitsAllHitsSteadyState(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 32 << 10, LineBytes: 128, Assoc: 4}, 0)
+	c := New(config.Cache{SizeBytes: 32 << 10, LineBytes: 128, Assoc: 4}, 0, nil)
 	// 16KB working set in a 32KB cache: after the first pass, all hits.
 	for pass := 0; pass < 3; pass++ {
 		for a := uint64(0); a < 16<<10; a += 128 {
@@ -105,7 +106,7 @@ func TestWorkingSetFitsAllHitsSteadyState(t *testing.T) {
 }
 
 func TestInvariantsUnderRandomStream(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4}, 0)
+	c := New(config.Cache{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4}, 0, nil)
 	src := rng.New(2024)
 	for i := 0; i < 50000; i++ {
 		c.Access(src.Uint64() % (1 << 20))
@@ -121,7 +122,7 @@ func TestInvariantsUnderRandomStream(t *testing.T) {
 }
 
 func TestQuickHitAfterFill(t *testing.T) {
-	c := New(config.Cache{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8}, 0)
+	c := New(config.Cache{SizeBytes: 64 << 10, LineBytes: 128, Assoc: 8}, 0, nil)
 	f := func(addr uint64) bool {
 		addr %= 1 << 40
 		c.Access(addr)
@@ -138,7 +139,7 @@ func TestNewPanicsOnInvalidGeometry(t *testing.T) {
 			t.Fatal("New accepted invalid geometry")
 		}
 	}()
-	New(config.Cache{SizeBytes: 1000, LineBytes: 100, Assoc: 3}, 0)
+	New(config.Cache{SizeBytes: 1000, LineBytes: 100, Assoc: 3}, 0, nil)
 }
 
 // lruModel is the tag store as a list: per set, the resident lines in
@@ -229,7 +230,7 @@ func TestTagStoreAgainstModel(t *testing.T) {
 		lineShift := bits.TrailingZeros(uint(g.geo.LineBytes))
 		fixed := min(int(g.fixed), bits.TrailingZeros(uint(g.geo.Sets())))
 		for seed := uint64(1); seed <= 3; seed++ {
-			c, m := New(g.geo, g.fixed), newModel(g.geo)
+			c, m := New(g.geo, g.fixed, nil), newModel(g.geo)
 			if got, want := len(c.clock), g.geo.Sets()>>fixed; got != want {
 				t.Fatalf("%s: New stores %d sets, want %d", g.name, got, want)
 			}
@@ -266,6 +267,28 @@ func TestTagStoreAgainstModel(t *testing.T) {
 			if msg := c.CheckInvariants(); msg != "" {
 				t.Fatalf("%s seed %d: %s", g.name, seed, msg)
 			}
+		}
+	}
+}
+
+// TestRebuildIsNew: a cache rebuilt over a used one, at its own geometry
+// or another, is field for field the cache New builds fresh: no valid
+// way, no ticked clock, no counts. A stale clock alone moves no result
+// (the ticks keep a set's recency order from any start), so only this
+// comparison sees it.
+func TestRebuildIsNew(t *testing.T) {
+	src := rng.New(5)
+	c := New(config.Cache{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4}, 1, nil)
+	for _, geo := range []config.Cache{
+		{SizeBytes: 8 << 10, LineBytes: 128, Assoc: 4},
+		{SizeBytes: 2 << 10, LineBytes: 128, Assoc: 2},
+		{SizeBytes: 32 << 10, LineBytes: 128, Assoc: 8},
+	} {
+		for i := 0; i < 20_000; i++ {
+			c.Access(src.Uint64() & (1<<20 - 1))
+		}
+		if got, want := New(geo, 1, c), New(geo, 1, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: the rebuilt cache differs from a new one", geo)
 		}
 	}
 }

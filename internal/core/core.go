@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"weak"
 
 	"repro/internal/config"
 	"repro/internal/gpu"
@@ -229,13 +231,21 @@ type Config struct {
 // parallel sweep runner nevertheless gives each worker its own Session
 // (sharing only the synchronized isolated-IPC cache) so no simulation
 // state is ever shared between goroutines.
+//
+// A session keeps the device of its last completed run and rebuilds it in
+// place for the next one (gpu.Rebuild), so a run allocates only what it
+// needs beyond the previous runs. The idle device is held weakly: the
+// garbage collector may reclaim it, and the next run then builds afresh.
 type Session struct {
 	cfg      Config
 	seed     uint64
 	isolated *IsolatedCache
-	// newGPU builds every device the session runs (gpu.New); tests wrap
-	// it to count builds.
-	newGPU func(config.GPU, []*kern.Kernel) (*gpu.GPU, error)
+	// newGPU builds or rebuilds every device the session runs
+	// (gpu.Rebuild); tests wrap it to count builds.
+	newGPU func(*gpu.GPU, config.GPU, []*kern.Kernel) (*gpu.GPU, error)
+
+	mu   sync.Mutex
+	idle weak.Pointer[gpu.GPU] // the last completed run's device; no run holds it
 }
 
 // NewSession applies the options, validates the resulting configuration
@@ -263,7 +273,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cache == nil {
 		cache = NewIsolatedCache()
 	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: gpu.New}, nil
+	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: gpu.Rebuild}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -315,7 +325,9 @@ func (s *Session) IsolatedIPC(ctx context.Context, spec KernelSpec) (float64, er
 		if err != nil {
 			return 0, err
 		}
-		return g.IPC(0), nil
+		ipc := g.IPC(0)
+		s.release(g)
+		return ipc, nil
 	})
 }
 
@@ -445,17 +457,25 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		res.TotalIPC += kr.IPC
 		res.Kernels = append(res.Kernels, kr)
 	}
+	s.release(g)
 	return res, nil
 }
 
 // simulate builds a device over kernels, installs scheme and runs it for
 // the session window: every simulation the session makes, the isolated
-// measurement included. It selects the event wheel, or the per-cycle
-// reference loop when a test asked for it, and attaches tr (nil for
-// none) before the scheme installs, so the first quota allocation
-// (epoch 0, cycle 0) is captured too.
+// measurement included. It rebuilds the session's idle device when there
+// is one; the caller hands the device back with release once it has read
+// the run's results, and a run that fails or panics never does. It
+// selects the event wheel, or the per-cycle reference loop when a test
+// asked for it, and attaches tr (nil for none) before the scheme
+// installs, so the first quota allocation (epoch 0, cycle 0) is captured
+// too.
 func (s *Session) simulate(ctx context.Context, kernels []*kern.Kernel, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*gpu.GPU, error) {
-	g, err := s.newGPU(s.cfg.GPU, kernels)
+	s.mu.Lock()
+	prev := s.idle.Value()
+	s.idle = weak.Pointer[gpu.GPU]{}
+	s.mu.Unlock()
+	g, err := s.newGPU(prev, s.cfg.GPU, kernels)
 	if err != nil {
 		return nil, err
 	}
@@ -470,6 +490,13 @@ func (s *Session) simulate(ctx context.Context, kernels []*kern.Kernel, scheme S
 		return nil, err
 	}
 	return g, nil
+}
+
+// release makes g, whose run has been read, the session's idle device.
+func (s *Session) release(g *gpu.GPU) {
+	s.mu.Lock()
+	s.idle = weak.Make(g)
+	s.mu.Unlock()
 }
 
 // installScheme wires the chosen management policy into the GPU.

@@ -9,13 +9,13 @@ import (
 )
 
 // countDeviceBuilds wraps s's device constructor and returns the number
-// of devices s has built since.
+// of devices s has built or rebuilt since.
 func countDeviceBuilds(s *Session) *atomic.Int64 {
 	var n atomic.Int64
 	build := s.newGPU
-	s.newGPU = func(cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
+	s.newGPU = func(prev *gpu.GPU, cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
 		n.Add(1)
-		return build(cfg, kernels)
+		return build(prev, cfg, kernels)
 	}
 	return &n
 }

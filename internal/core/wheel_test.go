@@ -32,8 +32,8 @@ func TestGoalOnlyPairLetsTheWheelSkip(t *testing.T) {
 			t.Fatal(err)
 		}
 		build := s.newGPU
-		s.newGPU = func(cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
-			g, err = build(cfg, kernels) // the last device built is the co-run's
+		s.newGPU = func(prev *gpu.GPU, cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
+			g, err = build(prev, cfg, kernels) // the last device built is the co-run's
 			return g, err
 		}
 		tr := trace.New(trace.DefaultRingSize)

@@ -14,6 +14,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/kern"
@@ -110,7 +111,14 @@ type GPU struct {
 // New builds a GPU for the configuration and co-running kernels. The
 // returned GPU has every kernel allowed on every SM (fine-grained default)
 // with no TB caps and no controller; use the setters before RunCtx.
-func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
+func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) { return Rebuild(nil, cfg, kernels) }
+
+// Rebuild is New over prev's storage: a nil prev builds a fresh device,
+// any other is rebuilt in place for the new co-run, exactly as New would
+// build it, reusing its buffers, caches and TB store wherever they are
+// large enough. Whatever the caller still reads of prev's last run (Now,
+// Stats, IPC) must be read first. On error prev is left as it was.
+func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,48 +129,60 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &GPU{
-		Cfg:     cfg,
-		Mem:     mem.New(cfg),
-		Engine:  preempt.New(cfg),
-		Kernels: kernels,
-	}
-	g.Stats = make([]*metrics.KernelStats, len(kernels))
-	for i := range g.Stats {
-		g.Stats[i] = &metrics.KernelStats{}
-	}
-	g.SMs = make([]*sm.SM, cfg.NumSMs)
-	for i := range g.SMs {
-		s := sm.New(i, cfg, g.Mem)
-		s.Configure(progs, g.Stats, nil)
-		s.OnTBComplete = g.onTBComplete
-		g.SMs[i] = s
-	}
-	g.masks = make([][]bool, len(kernels))
-	for s := range g.masks {
-		g.masks[s] = make([]bool, cfg.NumSMs)
-		for i := range g.masks[s] {
-			g.masks[s][i] = true
-		}
+	g := prev
+	if g == nil {
+		g = new(GPU)
 	}
 	n := len(kernels)
-	g.nextGridIdx = make([]int, n)
-	g.outstanding = make([]int, n)
-	g.savedCtxs = make([][]*sm.TBContext, n)
-	g.ctxReadyAt = make([][]int64, n)
-	g.launchGateAt = make([]int64, n)
-	for i := range kernels {
-		g.Stats[i].Launches = 1
+	stats := keep(g.Stats, n)
+	for i, st := range stats {
+		if st == nil {
+			stats[i] = new(metrics.KernelStats)
+		}
+		*stats[i] = metrics.KernelStats{Launches: 1}
 	}
-	g.idleAcc = make([][]int64, cfg.NumSMs)
-	for i := range g.idleAcc {
-		g.idleAcc[i] = make([]int64, n)
+	memSys := mem.New(cfg, g.Mem)
+	sms := keep(g.SMs, cfg.NumSMs)
+	for i := range sms {
+		sms[i] = sm.New(i, cfg, memSys, progs, stats, sms[i])
+		sms[i].OnTBComplete = g.onTBComplete
 	}
-	g.needDispatch = true
-	g.lastDispatchAt = -1
-	g.nextEpochAt = cfg.EpochLength
+	masks, savedCtxs, ctxReadyAt := keep(g.masks, n), keep(g.savedCtxs, n), keep(g.ctxReadyAt, n)
+	for slot := range masks {
+		masks[slot] = append(masks[slot][:0], make([]bool, cfg.NumSMs)...)
+		for i := range masks[slot] {
+			masks[slot][i] = true
+		}
+		savedCtxs[slot], ctxReadyAt[slot] = savedCtxs[slot][:0], ctxReadyAt[slot][:0]
+	}
+	idleAcc := keep(g.idleAcc, cfg.NumSMs)
+	for i := range idleAcc {
+		idleAcc[i] = append(idleAcc[i][:0], make([]int64, n)...)
+	}
+	*g = GPU{
+		Cfg:            cfg,
+		SMs:            sms,
+		Mem:            memSys,
+		Engine:         preempt.New(cfg, g.Engine),
+		Kernels:        kernels,
+		Stats:          stats,
+		masks:          masks,
+		nextGridIdx:    append(g.nextGridIdx[:0], make([]int, n)...),
+		outstanding:    append(g.outstanding[:0], make([]int, n)...),
+		savedCtxs:      savedCtxs,
+		ctxReadyAt:     ctxReadyAt,
+		launchGateAt:   append(g.launchGateAt[:0], make([]int64, n)...),
+		idleAcc:        idleAcc,
+		needDispatch:   true,
+		lastDispatchAt: -1,
+		nextEpochAt:    cfg.EpochLength,
+	}
 	return g, nil
 }
+
+// keep returns s resized to n, with every element within its capacity
+// kept and any beyond it zero.
+func keep[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
 
 // SetController installs the run controller (may be nil).
 func (g *GPU) SetController(c Controller) { g.controller = c }

@@ -19,12 +19,12 @@ func (s *System) sliceWays(p int) int {
 func (s *System) partStats(p int) PartitionStats { return s.parts[p].stats }
 
 // newFullSlices builds the memory system with every L2 slice storing the
-// whole geometry, cache.New(cfg.L2, 0): the reference a slice that stores
+// whole geometry, cache.New(cfg.L2, 0, nil): the reference a slice that stores
 // only its partition's sets must match.
 func newFullSlices(cfg config.GPU) *System {
-	s := New(cfg)
-	for _, p := range s.parts {
-		p.l2 = cache.New(cfg.L2, 0)
+	s := New(cfg, nil)
+	for i := range s.parts {
+		s.parts[i].l2 = cache.New(cfg.L2, 0, nil)
 	}
 	return s
 }

@@ -13,6 +13,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -52,24 +53,27 @@ type partition struct {
 // System is the complete memory system shared by all SMs.
 type System struct {
 	cfg       config.GPU
-	parts     []*partition
+	parts     []partition
 	lineShift uint
 }
 
-// New builds the memory system for a GPU configuration. Slice p sees only
-// lines ≡ p mod n, so the low k bits of its set index, 2^k = gcd(n, sets),
-// are fixed: k is TrailingZeros(n), capped by cache.New at the index width.
-func New(cfg config.GPU) *System {
-	s := &System{cfg: cfg, lineShift: uint(bits.TrailingZeros(uint(cfg.L2.LineBytes)))}
-	fixed := uint(bits.TrailingZeros(uint(cfg.NumMemControllers)))
-	s.parts = make([]*partition, cfg.NumMemControllers)
-	for i := range s.parts {
-		s.parts[i] = &partition{
-			l2:      cache.New(cfg.L2, fixed),
-			openRow: make([]uint64, cfg.DRAMBanksPerMC),
-		}
+// New builds the memory system for a GPU configuration, or rebuilds prev
+// in place when it is not nil (idle controllers, closed rows, cold L2
+// slices). Slice p sees only lines ≡ p mod n, so the low k bits of its set
+// index, 2^k = gcd(n, sets), are fixed: k is TrailingZeros(n), capped by
+// cache.New at the index width.
+func New(cfg config.GPU, prev *System) *System {
+	if prev == nil {
+		prev = new(System)
 	}
-	return s
+	fixed := uint(bits.TrailingZeros(uint(cfg.NumMemControllers)))
+	parts := slices.Grow(prev.parts[:0], cfg.NumMemControllers)[:cfg.NumMemControllers]
+	for i := range parts {
+		p := &parts[i]
+		*p = partition{l2: cache.New(cfg.L2, fixed, p.l2), openRow: append(p.openRow[:0], make([]uint64, cfg.DRAMBanksPerMC)...)}
+	}
+	*prev = System{cfg: cfg, parts: parts, lineShift: uint(bits.TrailingZeros(uint(cfg.L2.LineBytes)))}
+	return prev
 }
 
 // PartitionOf returns the index of the partition servicing addr
@@ -84,7 +88,7 @@ func (s *System) PartitionOf(addr uint64) int {
 // caller should not block the warp on it beyond the configured
 // WriteLatency.
 func (s *System) Access(now int64, addr uint64, kind AccessKind) int64 {
-	p := s.parts[s.PartitionOf(addr)]
+	p := &s.parts[s.PartitionOf(addr)]
 	p.stats.Requests++
 
 	arrival := now + s.cfg.InterconnectDelay

@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-func sys() *System { return New(config.Base()) }
+func sys() *System { return New(config.Base(), nil) }
 
 func TestPartitionRouting(t *testing.T) {
 	s := sys()
@@ -27,7 +27,7 @@ func TestPartitionRouting(t *testing.T) {
 
 func TestReadLatencyComponents(t *testing.T) {
 	cfg := config.Base()
-	s := New(cfg)
+	s := New(cfg, nil)
 	done := s.Access(0, 0, Read)
 	// Cold read: interconnect + L2 lookup + DRAM row miss + interconnect.
 	min := cfg.InterconnectDelay*2 + cfg.L2HitLatency + cfg.DRAMRowHitLatency
@@ -44,7 +44,7 @@ func TestReadLatencyComponents(t *testing.T) {
 
 func TestWriteAcceptsEarly(t *testing.T) {
 	cfg := config.Base()
-	s := New(cfg)
+	s := New(cfg, nil)
 	accept := s.Access(0, 1<<20, Write)
 	read := s.Access(0, 2<<20, Read)
 	if accept >= read {
@@ -81,7 +81,7 @@ func TestQueueingUnderBurst(t *testing.T) {
 func TestRowBufferHitFaster(t *testing.T) {
 	cfg := config.Base()
 	cfg.L2 = config.Cache{SizeBytes: 1024, LineBytes: 128, Assoc: 2} // tiny L2: force DRAM
-	s := New(cfg)
+	s := New(cfg, nil)
 	base := uint64(1 << 30)
 	var times []int64
 	now := int64(0)
@@ -159,7 +159,7 @@ func TestSlicesStoreOnlyReachableSets(t *testing.T) {
 		{"Scale56", config.Scale56(), 64},
 		{"2-set L2, 8 MCs", withMCs(tiny, 8), 1},
 	} {
-		s, ref := New(c.cfg), newFullSlices(c.cfg)
+		s, ref := New(c.cfg, nil), newFullSlices(c.cfg)
 		for p := range s.parts {
 			if got, want := s.sliceWays(p), c.sets*c.cfg.L2.Assoc; got != want {
 				t.Fatalf("%s: slice %d stores %d ways, want %d", c.name, p, got, want)

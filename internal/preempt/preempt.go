@@ -28,13 +28,14 @@ type Engine struct {
 	Stats Stats
 }
 
-// New builds an engine for the configuration.
-func New(cfg config.GPU) *Engine {
-	return &Engine{
-		cfg:       cfg,
-		busyUntil: make([]int64, cfg.NumSMs),
-		Enabled:   true,
+// New builds an engine for the configuration, or rebuilds prev in place
+// when it is not nil: every SM's lane idle, no activity counted.
+func New(cfg config.GPU, prev *Engine) *Engine {
+	if prev == nil {
+		prev = new(Engine)
 	}
+	*prev = Engine{cfg: cfg, busyUntil: append(prev.busyUntil[:0], make([]int64, cfg.NumSMs)...), Enabled: true}
+	return prev
 }
 
 // MoveCost returns the cycles needed to move bytes of context.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMoveCost(t *testing.T) {
-	e := New(config.Base())
+	e := New(config.Base(), nil)
 	if got := e.MoveCost(0); got != 0 {
 		t.Fatalf("MoveCost(0) = %d", got)
 	}
@@ -21,7 +21,7 @@ func TestMoveCost(t *testing.T) {
 }
 
 func TestDisabledEngineIsFree(t *testing.T) {
-	e := New(config.Base())
+	e := New(config.Base(), nil)
 	e.Enabled = false
 	if e.MoveCost(1<<20) != 0 {
 		t.Fatal("disabled engine charges for moves")
@@ -33,7 +33,7 @@ func TestDisabledEngineIsFree(t *testing.T) {
 }
 
 func TestSwapSerializesPerSM(t *testing.T) {
-	e := New(config.Base())
+	e := New(config.Base(), nil)
 	d1 := e.BeginSwap(0, 0, 1024)
 	d2 := e.BeginSwap(0, 0, 1024)
 	if d2 <= d1 {
@@ -48,7 +48,7 @@ func TestSwapSerializesPerSM(t *testing.T) {
 
 func TestDrainIncludesPenalty(t *testing.T) {
 	cfg := config.Base()
-	e := New(cfg)
+	e := New(cfg, nil)
 	done := e.BeginDrain(0, 0, 0)
 	if done != cfg.SMDrainPenalty {
 		t.Fatalf("drain with no context finished at %d, want %d", done, cfg.SMDrainPenalty)
@@ -56,7 +56,7 @@ func TestDrainIncludesPenalty(t *testing.T) {
 }
 
 func TestPending(t *testing.T) {
-	e := New(config.Base())
+	e := New(config.Base(), nil)
 	if e.Pending(0) {
 		t.Fatal("fresh engine reports pending work")
 	}
@@ -73,7 +73,7 @@ func TestPending(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	e := New(config.Base())
+	e := New(config.Base(), nil)
 	e.BeginSwap(0, 0, 1000)
 	e.BeginDrain(0, 1, 2000)
 	if e.Stats.Swaps != 1 || e.Stats.SMDrains != 1 {

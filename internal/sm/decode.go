@@ -35,7 +35,7 @@ type Program struct {
 const MaxKernels = tagMask
 
 // Decode prepares the co-running kernels for SMs of the given
-// configuration (SM.Configure). It fails past MaxKernels.
+// configuration (New). It fails past MaxKernels.
 func Decode(cfg config.GPU, kernels []*kern.Kernel) ([]*Program, error) {
 	if len(kernels) > MaxKernels {
 		return nil, fmt.Errorf("sm: %d co-running kernels, at most %d supported", len(kernels), MaxKernels)

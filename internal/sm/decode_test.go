@@ -162,8 +162,7 @@ func TestDelayPathMatchesGeneralPath(t *testing.T) {
 					}
 				}
 				stats[side] = &metrics.KernelStats{}
-				sms[side] = New(0, cfg, mem.New(cfg))
-				sms[side].Configure(progs, []*metrics.KernelStats{stats[side]}, nil)
+				sms[side] = New(0, cfg, mem.New(cfg, nil), progs, []*metrics.KernelStats{stats[side]}, nil)
 				for tb := 0; sms[side].FreeFor(0) && tb < p.GridTBs; tb++ {
 					sms[side].Dispatch(0, 0, tb, nil)
 				}

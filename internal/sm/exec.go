@@ -324,7 +324,7 @@ func (s *SM) drop(w *Warp) {
 	sch.last &^= 1 << w.pos
 	sch.deadCnt++
 	if sch.deadCnt > 16 && sch.deadCnt > len(sch.warps)/2 {
-		sch.compact()
+		s.compact(sch)
 	}
 }
 
@@ -517,20 +517,33 @@ func (s *SM) freeTB(now int64, tb *TB) {
 			break
 		}
 	}
+	s.unref(tb)
+}
+
+// unref drops one reference to tb: its residency or one listed warp. The
+// last one puts it in the store, where Dispatch may hand its block to a
+// new TB.
+func (s *SM) unref(tb *TB) {
+	if tb.refs--; tb.refs == 0 {
+		s.free = append(s.free, tb)
+	}
 }
 
 // compact drops finished warps from a scheduler's list, preserving age
-// order. Survivors are renumbered, so every mask is squeezed the same
-// way and the wake heap is rebuilt from the entries that name a survivor.
-func (sch *scheduler) compact() {
+// order, and with each the reference its TB counts for it. Survivors are
+// renumbered, so every mask is squeezed the same way and the wake heap is
+// rebuilt from the entries that name a survivor.
+func (s *SM) compact(sch *scheduler) {
 	var live uint64
 	out := sch.warps[:0]
 	for i, w := range sch.warps {
-		if !w.done {
-			live |= 1 << i
-			w.pos = uint8(len(out))
-			out = append(out, w)
+		if w.done {
+			s.unref(w.tb)
+			continue
 		}
+		live |= 1 << i
+		w.pos = uint8(len(out))
+		out = append(out, w)
 	}
 	for i := len(out); i < len(sch.warps); i++ {
 		sch.warps[i] = nil

@@ -254,6 +254,15 @@ func (r *refScheduler) expect(s *SM, now int64, denied []bool) *Warp {
 	return nil
 }
 
+// forget drops the greedy target once that warp has finished or been
+// preempted, as drop clears the scheduler's last bit: the test calls it
+// before any dispatch, which may hand the warp's block to a new TB.
+func (r *refScheduler) forget() {
+	if r.last != nil && r.last.done {
+		r.last = nil
+	}
+}
+
 // issued returns the warp the cycle issued, nil for none: the one that was
 // not waiting at a barrier and whose pc, iteration or barrier flag moved (a
 // barrier release moves warps too, but those were waiting).
@@ -398,6 +407,7 @@ func TestSchedulerMaskInvariants(t *testing.T) {
 							s.DeferTB(s.tbs[src.Intn(len(s.tbs))], now+1+int64(src.Intn(100)))
 						}
 					}
+					ref.forget()
 					if place || now%64 == 0 {
 						place = false
 						fill(now)

@@ -132,8 +132,9 @@ func (s *SM) SampleIdleWarps(now int64, out []int64) {
 }
 
 // CheckInvariants validates SM-level structural invariants for tests:
-// resource accounting matches resident TBs and no freed warp remains
-// live. It returns a non-empty description on violation.
+// resource accounting matches resident TBs, no freed warp remains live,
+// and no TB in the store has a listed warp (a resident TB has its live
+// ones listed). It returns a non-empty description on violation.
 func (s *SM) CheckInvariants() string {
 	threads, regs, shm := 0, 0, 0
 	perKernel := make([]int, len(s.kernels))
@@ -167,9 +168,19 @@ func (s *SM) CheckInvariants() string {
 			return "per-kernel TB count mismatch"
 		}
 	}
+	stored := make(map[*TB]bool, len(s.free))
+	for _, tb := range s.free {
+		stored[tb] = true
+	}
+	for i := range s.scheds {
+		for _, w := range s.scheds[i].warps {
+			if stored[w.tb] {
+				return "a listed warp's TB is in the store"
+			}
+		}
+	}
 	for _, tb := range s.tbs {
-		live := 0
-		bar := 0
+		var live, bar int32
 		for _, w := range tb.Warps {
 			if !w.done {
 				live++

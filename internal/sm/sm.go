@@ -4,15 +4,18 @@
 // accounting for thread blocks, and the quota gate that makes the warp
 // scheduler QoS-aware (the paper's Enhanced Warp Scheduler, Section 3.3).
 //
-// A TB's warp contexts are one block of at most 64 bytes each. The SM is
-// deliberately single-threaded, and its issue path allocates only when a
-// heap grows: done and the wakeQs append ≈ 0.85 MB over a benchmark
-// sim-dense pass, and pre-sized to their bounds would cost ≈ 1.4 MB up
-// front. A whole-GPU cycle advances every SM in a deterministic order.
+// A TB's warp contexts are one block of at most 64 bytes each, which the
+// SM's store hands to a later TB once no scheduler list holds its warps.
+// The SM is deliberately single-threaded, and its issue path allocates
+// only when a heap grows past the largest it has been: a rebuilt SM (New
+// with its previous instance) keeps its heaps, lists and store, so a
+// session's co-runs grow them only beyond earlier runs' high-water mark.
+// A whole-GPU cycle advances every SM in a deterministic order.
 package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -68,15 +71,18 @@ type WarpState struct {
 	DivState    uint64
 }
 
-// TB is one resident thread block.
+// TB is one resident thread block, at most 64 bytes. Its warp contexts
+// are one block, which the SM's store hands to a later TB once no
+// scheduler list holds any of them.
 type TB struct {
 	Kernel  *kern.Kernel
 	Slot    int
 	GridIdx int
 
-	Warps       []Warp // one block, allocated at dispatch
-	LiveWarps   int
-	BarrierWait int
+	Warps       []Warp
+	LiveWarps   int32
+	BarrierWait int32
+	refs        int32 // listed warps, plus one while resident; 0 = in the store
 }
 
 // TBContext is the saved state of a preempted thread block, sufficient to
@@ -172,6 +178,7 @@ type SM struct {
 	nextSch int // round-robin warp placement cursor
 
 	tbs     []*TB
+	free    []*TB // the store: TBs whose blocks Dispatch may reuse
 	kernels []kernelState
 
 	// Static resource accounting.
@@ -241,50 +248,59 @@ type SM struct {
 	ActiveCycles     int64 // cycles with at least one issue
 }
 
-// New builds an SM. Kernels are registered later via Configure.
-func New(id int, cfg config.GPU, memSys *mem.System) *SM {
-	return &SM{
-		ID:     id,
-		cfg:    cfg,
-		memSys: memSys,
-		l1:     cache.New(cfg.L1, 0),
-		scheds: make([]scheduler, cfg.WarpSchedulers),
-		done:   timeHeap{top: noWake},
-	}
-}
-
-// Configure registers the co-running kernels, decoded for this SM's
-// configuration (Decode), and their (GPU-wide) stats sinks. Slot order
-// must match across all SMs of the GPU. Configure must run before any TB
-// is dispatched; use SetGate to change the quota gate later without
-// disturbing caps and residency accounting.
-func (s *SM) Configure(kernels []*Program, stats []*metrics.KernelStats, gate QuotaGate) {
+// New builds an SM running the co-run's kernels, decoded for this SM's
+// configuration (Decode), with their GPU-wide stats sinks; slot order must
+// match across all SMs of the GPU. A non-nil prev is rebuilt in place:
+// every TB it still holds goes to the store, and its lists, heaps and
+// per-kernel state are reused where large enough. Install a quota gate
+// with SetGate.
+func New(id int, cfg config.GPU, memSys *mem.System, kernels []*Program, stats []*metrics.KernelStats, prev *SM) *SM {
 	if len(kernels) != len(stats) {
 		panic("sm: kernels and stats length mismatch")
 	}
-	if len(s.tbs) > 0 {
-		panic("sm: Configure after dispatch")
+	if prev == nil {
+		prev = new(SM)
 	}
-	s.kernels = make([]kernelState, len(kernels))
-	s.gateOK = make([]bool, len(kernels))
-	s.txnFlight = make([]int, len(kernels))
-	s.gatedResident = make([]int32, 0, len(kernels))
+	for i := range prev.scheds {
+		for _, w := range prev.scheds[i].warps {
+			prev.unref(w.tb)
+		}
+	}
+	for _, tb := range prev.tbs {
+		prev.unref(tb)
+	}
+	n := len(kernels)
+	scheds := slices.Grow(prev.scheds[:0], cfg.WarpSchedulers)[:cfg.WarpSchedulers]
+	for i := range scheds {
+		sch := &scheds[i]
+		*sch = scheduler{warps: sch.warps[:0], slots: append(sch.slots[:0], make([]uint64, n)...), wakeQ: timeHeap{top: noWake, q: sch.wakeQ.q[:0]}}
+	}
+	*prev = SM{
+		ID:            id,
+		cfg:           cfg,
+		memSys:        memSys,
+		l1:            cache.New(cfg.L1, 0, prev.l1),
+		scheds:        scheds,
+		tbs:           prev.tbs[:0],
+		free:          prev.free,
+		kernels:       append(prev.kernels[:0], make([]kernelState, n)...),
+		done:          timeHeap{top: noWake, q: prev.done.q[:0]},
+		txnFlight:     append(prev.txnFlight[:0], make([]int, n)...),
+		gateOK:        append(prev.gateOK[:0], make([]bool, n)...),
+		gateDirty:     true,
+		gatedResident: slices.Grow(prev.gatedResident[:0], n),
+		sampleScratch: append(prev.sampleScratch[:0], make([]int, n)...),
+	}
 	for i, st := range stats {
-		s.kernels[i] = kernelState{Program: kernels[i], stats: st, cap: -1, byOp: [...]*int64{
+		prev.kernels[i] = kernelState{Program: kernels[i], stats: st, cap: -1, byOp: [...]*int64{
 			isa.OpIAlu: &st.ALUInstrs, isa.OpFAlu: &st.ALUInstrs, isa.OpSFU: &st.SFUInstrs,
 			isa.OpLdGlobal: &st.GlobalLoads, isa.OpStGlobal: &st.GlobalStores,
 			isa.OpLdShared: &st.SharedInstrs, isa.OpStShared: &st.SharedInstrs,
 			isa.OpBarrier: &st.Barriers, isa.OpBranch: &st.Branches,
 		}}
 	}
-	s.sampleScratch = make([]int, len(kernels))
-	for i := range s.scheds {
-		s.scheds[i].slots = make([]uint64, len(kernels))
-		s.scheds[i].wakeQ.top = noWake
-	}
-	s.gate = gate
-	s.gateDirty = true
-	s.refreshTxnCap()
+	prev.refreshTxnCap()
+	return prev
 }
 
 // SetGate replaces the quota gate, leaving caps and residency intact.
@@ -345,8 +361,9 @@ func (s *SM) FreeTBSlots() int { return s.cfg.MaxTBsPerSM - s.usedTBSlots }
 
 // Dispatch places one TB of the slot's kernel on this SM, optionally
 // resuming a previously preempted context. It panics if FreeFor is false;
-// callers are expected to check admission first. It allocates the TB and
-// one block of its warp contexts, nothing more once the lists have grown.
+// callers are expected to check admission first. The TB and its warp
+// block come from the store when it has one large enough, so once the
+// store and the lists have grown to peak residency it allocates nothing.
 func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	if !s.FreeFor(slot) {
 		panic(fmt.Sprintf("sm%d: dispatch without room for slot %d", s.ID, slot))
@@ -375,16 +392,15 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 		s.tracer.TBDispatch(now, s.ID, slot, gridIdx)
 	}
 
-	// The block is not recycled when the TB retires: scheduler lists may
-	// still hold its warps until compaction drops them.
-	tb := &TB{Kernel: k, Slot: slot, GridIdx: gridIdx, Warps: make([]Warp, k.WarpsPerTB())}
+	if len(s.free) == 0 {
+		s.free = append(s.free, new(TB))
+	}
+	tb := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	*tb = TB{Kernel: k, Slot: slot, GridIdx: gridIdx, Warps: slices.Grow(tb.Warps[:0], k.WarpsPerTB())[:k.WarpsPerTB()], refs: 1}
 	for i := range tb.Warps {
 		w := &tb.Warps[i]
-		w.slot = uint8(slot)
-		w.tb = tb
-		w.lane = uint8(i)
-		w.activeLanes = uint8(s.cfg.WarpSize)
-		w.readyAt = now
+		*w = Warp{tb: tb, readyAt: now, lane: uint8(i), activeLanes: uint8(s.cfg.WarpSize), slot: uint8(slot), schedIdx: uint8(s.nextSch)}
 		w.divState = rng.Mix(uint64(k.ID)<<20, w.gid())
 		if resume != nil {
 			st := resume.Warps[i]
@@ -398,7 +414,6 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 			}
 		}
 		w.body = ks.bodyFor(int(w.iter))
-		w.schedIdx = uint8(s.nextSch)
 		sch := &s.scheds[s.nextSch]
 		s.nextSch = (s.nextSch + 1) % len(s.scheds)
 		if sch.nextWake > now {
@@ -410,8 +425,9 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 			continue
 		}
 		tb.LiveWarps++
+		tb.refs++
 		if len(sch.warps) == maskBits {
-			sch.compact()
+			s.compact(sch)
 			if len(sch.warps) == maskBits {
 				panic(fmt.Sprintf("sm%d: scheduler %d already holds %d live warps, one per mask bit "+
 					"(unreachable with 32-thread warps: config.GPU.Validate bounds MaxWarpsPerSM by %d)",

@@ -48,7 +48,6 @@ func barrierProfile() kern.Profile {
 
 func newSM(t *testing.T, cfg config.GPU, profiles ...kern.Profile) (*SM, []*kern.Kernel, []*metrics.KernelStats) {
 	t.Helper()
-	s := New(0, cfg, mem.New(cfg))
 	kernels := make([]*kern.Kernel, len(profiles))
 	stats := make([]*metrics.KernelStats, len(profiles))
 	for i, p := range profiles {
@@ -63,8 +62,7 @@ func newSM(t *testing.T, cfg config.GPU, profiles ...kern.Profile) (*SM, []*kern
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Configure(progs, stats, nil)
-	return s, kernels, stats
+	return New(0, cfg, mem.New(cfg, nil), progs, stats, nil), kernels, stats
 }
 
 func runSM(s *SM, from, to int64) {
@@ -280,7 +278,7 @@ func TestPreemptMidBarrier(t *testing.T) {
 			if !ok {
 				t.Fatal("preempt failed mid-barrier")
 			}
-			bar := 0
+			var bar int32
 			for _, w := range ctx.Warps {
 				if w.AtBarrier {
 					bar++
@@ -368,17 +366,6 @@ func TestBlockedSMDoesNothing(t *testing.T) {
 	if stats[0].ThreadInstrs == 0 {
 		t.Fatal("SM never resumed after BlockedUntil")
 	}
-}
-
-func TestConfigureAfterDispatchPanics(t *testing.T) {
-	s, _, stats := newSM(t, tinyCfg(), computeProfile())
-	s.Dispatch(0, 0, 0, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Configure after dispatch did not panic")
-		}
-	}()
-	s.Configure([]*Program{s.kernels[0].Program}, stats, nil)
 }
 
 func TestHeapOrdering(t *testing.T) {
