@@ -1,7 +1,7 @@
-// Command qossim prints the paper's tables and figures, each next to a
-// note quoting the paper's own numbers. A table is a reduction over a
-// study's per-case rows: the selected experiments' sweeps are collected
-// once, deduplicated, before any table prints.
+// Command qossim prints the paper's tables and figures and a scoreboard
+// of every number the paper's Section 4 states against ours, each a
+// reduction over a study's per-case rows: the selected experiments'
+// sweeps are collected once, deduplicated, before any table prints.
 //
 // Rows come from a row store (-rows, default results/full: the committed
 // study at the committed window). A sweep whose stage file is
@@ -26,7 +26,7 @@
 //	qossim -exp fig6a -rows "" -subsample 30 -window 60000  # quick, unstored
 //
 // -exp takes an id of exp.Experiments (table1, fig5 … fig14,
-// ablate-history/-static/-preempt/-epoch/-nqinit) or all. -subsample k
+// ablate-history/-static/-preempt/-epoch/-nqinit, scoreboard) or all. -subsample k
 // takes every max(k, s)-th pair and trio, at every goal, where s is the
 // stride the experiment's rows are committed at (exp.Experiment.Stride).
 package main

@@ -28,7 +28,7 @@ func TestAllFromCommittedRows(t *testing.T) {
 			tables++
 		}
 	}
-	if want := len(exp.Experiments()); tables != want || want != 20 {
-		t.Fatalf("printed %d tables, want %d (the registry's 20)", tables, want)
+	if want := len(exp.Experiments()); tables != want || want != 21 {
+		t.Fatalf("printed %d tables, want %d (the registry's 21)", tables, want)
 	}
 }

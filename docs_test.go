@@ -20,7 +20,7 @@ import (
 // so the rule skips them.
 var (
 	checkedDocs     = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
-	historySections = map[string]bool{"Performance by PR": true, "Deletion records": true}
+	historySections = map[string]bool{"Deletion records": true}
 )
 
 // treeTexts reads every file the doc rules look at, by path: each Go

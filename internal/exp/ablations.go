@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/qos"
@@ -17,28 +16,7 @@ var historyOff = Sweep{Name: "history-off", Scheme: core.SchemeRollover,
 func AblateHistory(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Ablation 4.8b", Title: "History-based quota adjustment on/off (Rollover QoSreach)",
 		Header: []string{"Goal", "History on", "History off"}}
-	reachTable(t, st.Goals, cs)
-	if aOn, aOff := AvgReach(cs[0].Pairs), AvgReach(cs[1].Pairs); aOff > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("enabling history covers %.1f%% more cases (paper: +86.4%%)",
-			100*(aOn-aOff)/aOff))
-	}
-	return t, nil
-}
-
-// pairedTput adds two non-QoS throughput columns to t, a row per goal,
-// and returns their sums over the goals where both are positive.
-func pairedTput(t *Table, goals []float64, a, b []PairCase) (sa, sb float64, n int) {
-	ma := PairNonQoSThroughputByGoal(a, goals)
-	mb := PairNonQoSThroughputByGoal(b, goals)
-	for _, g := range goals {
-		t.Rows = append(t.Rows, []string{goalLabel(g), num(ma[g]), num(mb[g])})
-		if ma[g] > 0 && mb[g] > 0 {
-			sa += ma[g]
-			sb += mb[g]
-			n++
-		}
-	}
-	return sa, sb, n
+	return reachTable(t, st.Goals, cs), nil
 }
 
 func mmPairs(pairs []workloads.Pair) (mm []workloads.Pair) {
@@ -48,6 +26,16 @@ func mmPairs(pairs []workloads.Pair) (mm []workloads.Pair) {
 		}
 	}
 	return mm
+}
+
+// ofClass returns the cases whose pair is of class cls (C+C, C+M or M+M).
+func ofClass(cases []PairCase, cls string) (out []PairCase) {
+	for _, c := range cases {
+		if k, err := workloads.PairClass(c.Pair.QoS, c.Pair.NonQoS); err == nil && k == cls {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // staticPairs returns the M+M pairs the static ablation compares: the
@@ -75,25 +63,17 @@ func staticSweeps(st Study) []Sweep {
 
 // AblateStatic reproduces the Section 4.8 static-resource-management
 // ablation on M+M pairs: non-QoS throughput with and without run-time TB
-// adjustment (paper: +13.3% with).
+// adjustment. Adjustment on is the M+M cases of its sweep, which are
+// the cases of the pairs adjustment off runs.
 func AblateStatic(st Study, cs []SweepRow) (*Table, error) {
 	mm, borrowed := staticPairs(st)
-	var on []PairCase
-	for _, c := range cs[0].Pairs {
-		if slices.Contains(mm, c.Pair) {
-			on = append(on, c)
-		}
-	}
 	t := &Table{ID: "Ablation 4.8c", Title: "Static TB adjustment on/off, M+M pairs (non-QoS throughput)",
 		Header: []string{"Goal", "Adjust on", "Adjust off"}}
 	if borrowed {
 		t.Notes = append(t.Notes, fmt.Sprintf("the study has no M+M pair; compared on %s+%s from the full pair set",
 			mm[0].QoS, mm[0].NonQoS))
 	}
-	if s0, s1, n := pairedTput(t, st.Goals, on, cs[1].Pairs); n > 0 && s1 > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("measured M+M gain from static management: %+.1f%% (paper: +13.3%%)",
-			100*(s0/s1-1)))
-	}
+	tputTable(t, st.Goals, []SweepRow{{Pairs: ofClass(cs[0].Pairs, "M+M")}, cs[1]}, false)
 	return t, nil
 }
 
@@ -109,15 +89,11 @@ func preemptSweeps(st Study) []Sweep {
 }
 
 // AblatePreemption reproduces the Section 4.8 preemption-overhead study:
-// non-QoS throughput with real context-switch costs vs free preemption
-// (paper: 1.93% overhead).
+// non-QoS throughput with real context-switch costs vs free preemption.
 func AblatePreemption(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Ablation 4.8a", Title: "Preemption overhead on non-QoS throughput (Rollover)",
 		Header: []string{"Goal", "Real cost", "Free"}}
-	if s0, s1, n := pairedTput(t, st.Goals, cs[0].Pairs, cs[1].Pairs); n > 0 && s1 > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("measured preemption overhead: %.2f%% (paper: 1.93%%)",
-			100*(1-s0/s1)))
-	}
+	tputTable(t, st.Goals, cs, false)
 	return t, nil
 }
 

@@ -160,13 +160,11 @@ func PairOvershootByGoal(cases []PairCase, goals []float64) map[float64]float64 
 // MissBuckets is the Figure 5 histogram: how far failed cases missed the
 // goal, bucketed as 0-1%, 1-5%, 5-10%, 10-20% and 20+%.
 type MissBuckets struct {
-	Counts    [5]int
-	Total     int // all cases
-	Failures  int
-	Successes int
-	// MeanOvershoot is the average GoalRatio-1 over successes (the
-	// paper reports +1.3% for Naive+History).
-	MeanOvershoot float64
+	Counts        [5]int
+	Total         int // all cases
+	Failures      int
+	Successes     int
+	MeanOvershoot float64 // the average GoalRatio-1 over successes
 }
 
 // BucketLabels returns the figure's x-axis labels.
@@ -210,55 +208,43 @@ func Misses(cases []PairCase) MissBuckets {
 // TrioNonQoSThroughputByGoal averages normalized throughput of the trio's
 // non-QoS kernels over successful cases.
 func TrioNonQoSThroughputByGoal(cases []TrioCase, goals []float64) map[float64]float64 {
-	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 {
-		var vs []float64
-		for _, k := range r.Kernels {
-			if !k.IsQoS {
-				vs = append(vs, k.NormThroughput)
-			}
-		}
-		return vs
-	})
+	return successMeanByGoal(cases, goals, nonQoSThroughputs)
 }
 
-// ReachByQoSKernel computes per-benchmark QoSreach (Figure 7) plus the
-// C+C / C+M / M+M class summaries.
-func ReachByQoSKernel(cases []PairCase) (perKernel map[string]float64, perClass map[string]float64, err error) {
-	hits := make(map[string]int)
-	tot := make(map[string]int)
-	clsHits := make(map[string]int)
-	clsTot := make(map[string]int)
+// nonQoSThroughputs lists the normalized throughput of r's non-QoS kernels.
+func nonQoSThroughputs(r *core.Result) (vs []float64) {
+	for _, k := range r.Kernels {
+		if !k.IsQoS {
+			vs = append(vs, k.NormThroughput)
+		}
+	}
+	return vs
+}
+
+// ReachByQoSKernel computes per-benchmark QoSreach (Figure 7).
+func ReachByQoSKernel(cases []PairCase) map[string]float64 {
+	hits, tot := map[string]int{}, map[string]int{}
 	for _, c := range cases {
 		tot[c.Pair.QoS]++
-		cls, cerr := workloads.PairClass(c.Pair.QoS, c.Pair.NonQoS)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		clsTot[cls]++
 		if c.Res.AllReached {
 			hits[c.Pair.QoS]++
-			clsHits[cls]++
 		}
 	}
-	perKernel = make(map[string]float64, len(tot))
-	for k, t := range tot {
-		perKernel[k] = float64(hits[k]) / float64(t)
+	perKernel := make(map[string]float64, len(tot))
+	for k, n := range tot {
+		perKernel[k] = float64(hits[k]) / float64(n)
 	}
-	perClass = make(map[string]float64, len(clsTot))
-	for k, t := range clsTot {
-		perClass[k] = float64(clsHits[k]) / float64(t)
-	}
-	return perKernel, perClass, nil
+	return perKernel
 }
 
 // AvgReach averages QoSreach over all cases.
-func AvgReach(cases []PairCase) float64 {
+func AvgReach[C gridCase](cases []C) float64 {
 	if len(cases) == 0 {
 		return 0
 	}
 	hits := 0
 	for _, c := range cases {
-		if c.Res.AllReached {
+		if c.result().AllReached {
 			hits++
 		}
 	}

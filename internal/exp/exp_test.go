@@ -69,6 +69,32 @@ func TestPairReducers(t *testing.T) {
 	}
 }
 
+// TestScoreboardDirectionFlips hands the scoreboard tiny hand-made pair
+// sweeps, one where Rollover's cases reach and Spart's miss and one the
+// other way round: the Fig 6a direction row must read yes, then no.
+func TestScoreboardDirectionFlips(t *testing.T) {
+	r, err := NewRunner(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStudy(r, 1)
+	reach, miss := []PairCase{fakeCase(0.5, 1.01, 0.3)}, []PairCase{fakeCase(0.5, 0.9, 0)}
+	for _, tc := range []struct {
+		want            string
+		spart, rollover []PairCase
+	}{{"yes", miss, reach}, {"no", reach, miss}} {
+		by := map[string][]PairCase{"Spart": tc.spart, "Rollover": tc.rollover}
+		var rows []SweepRow
+		for _, sw := range scoreboardSweeps(st) {
+			rows = append(rows, SweepRow{Pairs: by[sw.Name]})
+		}
+		if c := Claims(st, rows)[5]; c.Text != "Rollover QoSreach, above Spart's" || c.Holds != tc.want {
+			t.Errorf("Spart reach %v, Rollover %v: %q holds %q, want %q",
+				AvgReach(tc.spart), AvgReach(tc.rollover), c.Text, c.Holds, tc.want)
+		}
+	}
+}
+
 func TestMissBuckets(t *testing.T) {
 	cases := []PairCase{
 		fakeCase(0.5, 1.013, 0),  // success, overshoot 1.3%
@@ -97,15 +123,11 @@ func TestReachByQoSKernel(t *testing.T) {
 		fakeCase(0.5, 1.02, 0),
 		fakeCase(0.7, 0.9, 0),
 	}
-	perK, perC, err := ReachByQoSKernel(cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perK["sgemm"] != 0.5 {
+	if perK := ReachByQoSKernel(cases); perK["sgemm"] != 0.5 {
 		t.Fatalf("per-kernel reach = %v", perK)
 	}
-	if perC["C+M"] != 0.5 {
-		t.Fatalf("per-class reach = %v", perC)
+	if perC := AvgReach(ofClass(cases, "C+M")); perC != 0.5 {
+		t.Fatalf("C+M reach = %v", perC)
 	}
 }
 

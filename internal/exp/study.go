@@ -271,6 +271,7 @@ func Experiments() []Experiment {
 		{"ablate-preempt", 6, preemptSweeps, AblatePreemption},
 		{"ablate-epoch", 6, epochSweeps, AblateEpochLength},
 		{"ablate-nqinit", 6, fixed(nqInit...), AblateNonQoSInit},
+		{"scoreboard", 1, scoreboardSweeps, Scoreboard}, // each read experiment at its own stride
 	}
 }
 
@@ -281,14 +282,16 @@ func fixed(sweeps ...Sweep) func(Study) []Sweep {
 
 // Tables collects every sweep the experiments declare, each experiment at
 // its study (at), in one Collect and reduces each experiment's rows to
-// its table, in order.
+// its table, in order. A sweep that names its own study keeps it.
 func (st Study) Tables(ctx context.Context, exps []Experiment) ([]*Table, []SweepRow, error) {
 	var sweeps []Sweep
 	studies, counts := make([]Study, len(exps)), make([]int, len(exps))
 	for i, e := range exps {
 		studies[i] = st.at(e)
 		for _, sw := range e.Sweeps(studies[i]) {
-			sw.study = &studies[i]
+			if sw.study == nil {
+				sw.study = &studies[i]
+			}
 			sweeps, counts[i] = append(sweeps, sw), counts[i]+1
 		}
 	}
