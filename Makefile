@@ -120,8 +120,11 @@ inline-check:
 # pprof reads symbols from land in benchmark/out/ (git-ignored); it prints
 # the top 25 functions by CPU and the top 15 allocation sites by bytes
 # allocated, sampled every 4 KiB (the default 512 KiB would leave about
-# ten samples of the run's ≈ 5 MB, half of it the profiler's own).
-# `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
+# ten samples of the run's ≈ 4.7 MB: half of it the profiler's own, most
+# of the rest devices built cold, as a fresh session's first co-run
+# builds one). Then what a warm co-run costs, one per scheme on a warm
+# session (BenchmarkWarmCoRun): B/op and allocs/op, nearly all of it
+# the Result. `go tool pprof -list 'sm.*cycle' benchmark/out/sim.test
 # benchmark/out/sim.prof` (or `-sample_index=alloc_space ... sim.mem`)
 # digs further.
 profile:
@@ -129,6 +132,7 @@ profile:
 	$(GO) test -count=1 -run '^TestSchedResultsPinned$$' -cpuprofile benchmark/out/sim.prof -memprofile benchmark/out/sim.mem -memprofilerate=4096 -o benchmark/out/sim.test .
 	$(GO) tool pprof -top -nodecount=25 benchmark/out/sim.test benchmark/out/sim.prof
 	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space benchmark/out/sim.test benchmark/out/sim.mem
+	$(GO) test -count=1 -run '^$$' -bench '^BenchmarkWarmCoRun$$' -benchtime=10x -benchmem ./internal/core
 
 # The race-pass package list is derived, not hand-maintained: a package
 # is raced iff it (or its tests) imports sync or sync/atomic — the

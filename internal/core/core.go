@@ -18,6 +18,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"weak"
@@ -184,6 +185,21 @@ func (ks KernelSpec) name() string {
 	return "?"
 }
 
+// profile resolves the spec's kernel profile.
+func (ks KernelSpec) profile() (kern.Profile, error) {
+	switch {
+	case ks.Workload != "":
+		p, err := workloads.ByName(ks.Workload)
+		if err != nil {
+			return kern.Profile{}, fmt.Errorf("%w %q", ErrUnknownWorkload, ks.Workload)
+		}
+		return p, nil
+	case ks.Profile != nil:
+		return *ks.Profile, nil
+	}
+	return kern.Profile{}, errors.New("core: spec needs Workload or Profile")
+}
+
 // baselineKey is the spec's IsolatedCache key. A suite workload is keyed
 // by its name; a custom profile by its name plus a hash of the whole
 // profile value, so two profiles that share a name but differ in any
@@ -233,16 +249,18 @@ type Config struct {
 // state is ever shared between goroutines.
 //
 // A session keeps the device of its last completed run and rebuilds it in
-// place for the next one (gpu.Rebuild), so a run allocates only what it
-// needs beyond the previous runs. The idle device is held weakly: the
-// garbage collector may reclaim it, and the next run then builds afresh.
+// place for the next one — its kernels, decoded programs, saved contexts
+// and controller included (rebuild) — so a run allocates only its Result
+// and what it needs beyond the previous runs. The idle device is held
+// weakly: the garbage collector may reclaim it, and the next run then
+// builds afresh.
 type Session struct {
 	cfg      Config
 	seed     uint64
 	isolated *IsolatedCache
-	// newGPU builds or rebuilds every device the session runs
-	// (gpu.Rebuild); tests wrap it to count builds.
-	newGPU func(*gpu.GPU, config.GPU, []*kern.Kernel) (*gpu.GPU, error)
+	// newGPU builds or rebuilds every device the session runs, its
+	// kernels included (rebuild); tests wrap it to count builds.
+	newGPU func(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error)
 
 	mu   sync.Mutex
 	idle weak.Pointer[gpu.GPU] // the last completed run's device; no run holds it
@@ -273,7 +291,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cache == nil {
 		cache = NewIsolatedCache()
 	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: gpu.Rebuild}, nil
+	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: rebuild}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -290,19 +308,25 @@ func (s *Session) Window() int64 { return s.cfg.WindowCycles }
 // Seed returns the profile-expansion seed.
 func (s *Session) Seed() uint64 { return s.seed }
 
-// buildKernel materializes a spec into a kernel with runtime slot id.
-func (s *Session) buildKernel(spec KernelSpec, slot int) (*kern.Kernel, error) {
-	if spec.Workload != "" {
-		p, err := workloads.ByName(spec.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("%w %q", ErrUnknownWorkload, spec.Workload)
+// rebuild builds the specs' kernels, slot i from specs[i], and a device
+// over them, both in prev's storage (kern.Build, gpu.Rebuild); a nil prev
+// builds afresh.
+func rebuild(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
+	var kernels []*kern.Kernel
+	if prev != nil {
+		kernels = prev.Kernels
+	}
+	kernels = slices.Grow(kernels[:0], len(specs))[:len(specs)]
+	for i, spec := range specs {
+		p, err := spec.profile()
+		if err == nil {
+			kernels[i], err = kern.Build(i, p, seed, kernels[i])
 		}
-		return kern.Build(slot, p, s.seed)
+		if err != nil {
+			return nil, err
+		}
 	}
-	if spec.Profile != nil {
-		return kern.Build(slot, *spec.Profile, s.seed)
-	}
-	return nil, errors.New("core: spec needs Workload or Profile")
+	return gpu.Rebuild(prev, cfg, kernels)
 }
 
 // IsolatedIPC measures (and caches) the kernel's thread-IPC when running
@@ -317,11 +341,7 @@ func (s *Session) buildKernel(spec KernelSpec, slot int) (*kern.Kernel, error) {
 // name and profile value.
 func (s *Session) IsolatedIPC(ctx context.Context, spec KernelSpec) (float64, error) {
 	return s.isolated.ipc(ctx, spec.baselineKey(), func() (float64, error) {
-		k, err := s.buildKernel(spec, 0)
-		if err != nil {
-			return 0, err
-		}
-		g, err := s.simulate(ctx, []*kern.Kernel{k}, SchemeNone, nil, nil, nil)
+		g, err := s.simulate(ctx, []KernelSpec{spec}, SchemeNone, nil, nil, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -390,15 +410,16 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		return nil, fmt.Errorf("core: %d kernels, at most %d can co-run", len(specs), sm.MaxKernels)
 	}
 	lone := len(specs) == 1 && scheme == SchemeNone && specs[0].GoalFrac == 0
-	kernels := make([]*kern.Kernel, len(specs))
 	goals := make([]float64, len(specs))
 	isolated := make([]float64, len(specs))
 	for i, spec := range specs {
-		k, err := s.buildKernel(spec, i)
+		p, err := spec.profile()
+		if err == nil {
+			err = p.Validate()
+		}
 		if err != nil {
 			return nil, err
 		}
-		kernels[i] = k
 		if spec.GoalFrac < 0 || spec.GoalIPC < 0 {
 			return nil, fmt.Errorf("%w: negative goal for %s", ErrBadGoal, spec.name())
 		}
@@ -418,7 +439,7 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		}
 	}
 
-	g, err := s.simulate(ctx, kernels, scheme, goals, isolated, tr)
+	g, err := s.simulate(ctx, specs, scheme, goals, isolated, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -434,6 +455,7 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		Cycles:     g.Now,
 		AllReached: true,
 		Power:      power.Measure(g, power.DefaultCosts()),
+		Kernels:    make([]KernelResult, 0, len(specs)),
 	}
 	for i, spec := range specs {
 		kr := KernelResult{
@@ -461,21 +483,21 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 	return res, nil
 }
 
-// simulate builds a device over kernels, installs scheme and runs it for
-// the session window: every simulation the session makes, the isolated
-// measurement included. It rebuilds the session's idle device when there
-// is one; the caller hands the device back with release once it has read
-// the run's results, and a run that fails or panics never does. It
-// selects the event wheel, or the per-cycle reference loop when a test
-// asked for it, and attaches tr (nil for none) before the scheme
-// installs, so the first quota allocation (epoch 0, cycle 0) is captured
-// too.
-func (s *Session) simulate(ctx context.Context, kernels []*kern.Kernel, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*gpu.GPU, error) {
+// simulate builds a device over the specs' kernels, installs scheme and
+// runs it for the session window: every simulation the session makes,
+// the isolated measurement included. It rebuilds the session's idle
+// device when there is one; the caller hands the device back with release
+// once it has read the run's results, and a run that fails or panics
+// never does. It selects the event wheel, or the per-cycle reference loop
+// when a test asked for it, and attaches tr (nil for none) before the
+// scheme installs, so the first quota allocation (epoch 0, cycle 0) is
+// captured too.
+func (s *Session) simulate(ctx context.Context, specs []KernelSpec, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*gpu.GPU, error) {
 	s.mu.Lock()
 	prev := s.idle.Value()
 	s.idle = weak.Pointer[gpu.GPU]{}
 	s.mu.Unlock()
-	g, err := s.newGPU(prev, s.cfg.GPU, kernels)
+	g, err := s.newGPU(prev, s.cfg.GPU, specs, s.seed)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +527,8 @@ func installScheme(g *gpu.GPU, scheme Scheme, goals, isolated []float64, opts qo
 	case SchemeNone:
 		return nil
 	case SchemeSpart:
-		c, err := spart.New(g, goals, isolated)
+		prev, _ := g.Retired().(*spart.Controller)
+		c, err := spart.New(g, goals, isolated, prev)
 		if err != nil {
 			return err
 		}
@@ -523,7 +546,8 @@ func installScheme(g *gpu.GPU, scheme Scheme, goals, isolated []float64, opts qo
 			}
 		}
 		qos.SetupFineGrained(g, goals, fracs)
-		m, err := qos.New(g, qs, goals, opts)
+		prev, _ := g.Retired().(*qos.Manager)
+		m, err := qos.New(g, qs, goals, opts, prev)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
-	"repro/internal/kern"
 )
 
 // countDeviceBuilds wraps s's device constructor and returns the number
@@ -13,9 +12,9 @@ import (
 func countDeviceBuilds(s *Session) *atomic.Int64 {
 	var n atomic.Int64
 	build := s.newGPU
-	s.newGPU = func(prev *gpu.GPU, cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
+	s.newGPU = func(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
 		n.Add(1)
-		return build(prev, cfg, kernels)
+		return build(prev, cfg, specs, seed)
 	}
 	return &n
 }

@@ -14,16 +14,15 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
-	"repro/internal/kern"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
-// freshDevices makes every device s runs a newly built one: the reference
-// a session that rebuilds its last device must match.
+// freshDevices makes every device s runs, kernels included, a newly built
+// one: the reference a session that rebuilds its last device must match.
 func freshDevices(s *Session) {
-	s.newGPU = func(_ *gpu.GPU, cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
-		return gpu.New(cfg, kernels)
+	s.newGPU = func(_ *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
+		return rebuild(nil, cfg, specs, seed)
 	}
 }
 
@@ -98,7 +97,10 @@ func reuseSequence(seed uint64, schemes []Scheme) []reuseStep {
 // for byte in Result JSON and exported trace, the same co-runs on fresh
 // sessions whose every device is newly built, isolated baselines included.
 // A run canceled mid-window sits between two others: it hands no device
-// back, and the run after it still matches.
+// back, and the run after it still matches. A fixed sequence moves sgemm
+// from slot 0 to slot 1 and back, so a kernel and its program are rebuilt
+// for another slot, and drains SMs in two Spart runs in a row whose saved
+// contexts resume, so the second saves into and resumes recycled ones.
 func TestReusedDeviceMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -108,27 +110,39 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 	}
 	all := []Scheme{SchemeNone, SchemeSpart, SchemeRollover, SchemeElastic, SchemeNaive,
 		SchemeNone, SchemeSpart, SchemeRolloverTime, SchemeNaiveHistory}
+	sgemm, sad := KernelSpec{Workload: "sgemm", GoalFrac: 0.6}, KernelSpec{Workload: "sad"}
+	moves := []reuseStep{
+		{specs: []KernelSpec{{Workload: "stencil", GoalFrac: 0.95}, {Workload: "spmv"}}, scheme: SchemeRollover}, // ends at α > 1
+		{specs: []KernelSpec{sgemm, {Workload: "spmv"}}, scheme: SchemeNaiveHistory, traced: true},
+		{specs: []KernelSpec{{Workload: "spmv", GoalFrac: 0.8}, {Workload: "sgemm"}}, scheme: SchemeRollover},
+		{specs: []KernelSpec{sgemm, sad}, scheme: SchemeSpart},
+		{specs: []KernelSpec{{Workload: "cutcp", GoalFrac: 0.6}, sad}, scheme: SchemeSpart, traced: true},
+	}
 	for _, tc := range []struct {
 		name    string
 		cfg     config.GPU
+		epochs  int64 // the window
 		wheel   bool
-		schemes []Scheme
+		steps   []reuseStep
 		cancel  int // index of the canceled step, -1 for none
+		drains  int // Spart steps that must preempt
+		resumes int // traced Spart steps that must resume a saved context
 	}{
-		{"base", config.Base(), true, all, 4},
-		{"base-per-cycle", config.Base(), false, []Scheme{SchemeSpart, SchemeNone, SchemeRollover}, -1},
-		{"scale56", config.Scale56(), true, []Scheme{SchemeSpart, SchemeElastic}, -1},
+		{"base", config.Base(), 2, true, reuseSequence(4, all), 4, 1, 0},
+		{"base-per-cycle", config.Base(), 2, false, reuseSequence(14, []Scheme{SchemeSpart, SchemeNone, SchemeRollover}), -1, 1, 0},
+		{"scale56", config.Scale56(), 2, true, reuseSequence(7, []Scheme{SchemeSpart, SchemeElastic}), -1, 1, 0},
+		{"slot-moves", config.Base(), 4, true, moves, -1, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := []Option{WithGPU(tc.cfg), WithWindow(2 * tc.cfg.EpochLength), WithEventWheel(tc.wheel)}
+			opts := []Option{WithGPU(tc.cfg), WithWindow(tc.epochs * tc.cfg.EpochLength), WithEventWheel(tc.wheel)}
 			s, err := NewSession(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			refCache := NewIsolatedCache()
-			steps := reuseSequence(uint64(len(tc.name)), tc.schemes)
-			drained := false
-			for i, st := range steps {
+			drains, resumes := 0, 0
+			var held *gpu.GPU // the idle device, held so no collection clears it
+			for i, st := range tc.steps {
 				if i == tc.cancel {
 					// Baselines first, so the cancel lands in the co-run.
 					for _, sp := range st.specs {
@@ -144,9 +158,14 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 					if s.idle.Value() != nil {
 						t.Fatalf("step %d: a canceled run handed its device back", i)
 					}
+					held = nil
 					continue
 				}
 				r, res, events := runStep(t, s, st)
+				if dev := s.idle.Value(); held != nil && dev != held {
+					t.Fatalf("step %d: ran on a new device, not the previous one rebuilt", i)
+				}
+				held = s.idle.Value()
 				ref, err := NewSession(append(opts, WithIsolatedCache(refCache))...)
 				if err != nil {
 					t.Fatal(err)
@@ -160,12 +179,16 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 				if !bytes.Equal(events, refEvents) {
 					t.Fatalf("step %d (%v %v): the reused device's trace differs from a fresh one's", i, st.scheme, st.specs)
 				}
-				for _, k := range r.Kernels {
-					drained = drained || st.scheme == SchemeSpart && k.Stats.TBsPreempted > 0
+				if st.scheme == SchemeSpart && slices.ContainsFunc(r.Kernels, func(k KernelResult) bool { return k.Stats.TBsPreempted > 0 }) {
+					drains++
+				}
+				if st.scheme == SchemeSpart && bytes.Contains(events, []byte(`"tb_restore"`)) {
+					resumes++
 				}
 			}
-			if !drained {
-				t.Fatal("no Spart run drained an SM: the sequence never left saved contexts or a blocked SM behind")
+			if drains < tc.drains || resumes < tc.resumes {
+				t.Fatalf("%d Spart runs drained an SM and %d traced ones resumed a context, want %d and %d: "+
+					"the sequence leaves too few saved contexts or blocked SMs behind", drains, resumes, tc.drains, tc.resumes)
 			}
 		})
 	}
@@ -260,4 +283,110 @@ func TestSecondRunAllocatesLittle(t *testing.T) {
 		t.Fatal("the session still holds its idle device after a collection: it would pin a device per session")
 	}
 	runtime.KeepAlive(s)
+}
+
+// warmCases is TestWarmCoRunAllocates' and BenchmarkWarmCoRun's co-runs:
+// every scheme on one pair (Spart's repartition drains SMs, so saved
+// contexts are recycled) and Rollover on one trio.
+func warmCases() []reuseStep {
+	pair := []KernelSpec{{Workload: "sgemm", GoalFrac: 0.6}, {Workload: "lbm"}}
+	var cases []reuseStep
+	for _, sc := range Schemes() {
+		cases = append(cases, reuseStep{specs: pair, scheme: sc})
+	}
+	trio := []KernelSpec{{Workload: "mri-q", GoalFrac: 0.7}, {Workload: "spmv"}, {Workload: "stencil"}}
+	return append(cases, reuseStep{specs: trio, scheme: SchemeRollover})
+}
+
+// warmSession returns a Base session at a two-epoch window that has run
+// every warm case twice: its idle device has grown to what they need.
+func warmSession(tb testing.TB) *Session {
+	s, err := NewSession(WithWindow(2 * config.Base().EpochLength))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for range 2 {
+		for _, c := range warmCases() {
+			if _, err := s.Run(context.Background(), c.specs, c.scheme); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// Ceilings of TestWarmCoRunAllocates, per warm co-run.
+const (
+	warmMaxBytes  = 4 << 10
+	warmMaxAllocs = 16
+)
+
+// TestWarmCoRunAllocates: a warm session's co-run allocates little more
+// than the Result it returns. Kernels, decoded programs, saved contexts,
+// idle-warp averages and the scheme's controller are all rebuilt in the
+// idle device's storage. Each case, an untraced co-run repeated on a
+// warm session with the collector off (which would clear the session's
+// weak hold on its device), stays under warmMaxBytes and warmMaxAllocs.
+func TestWarmCoRunAllocates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	if raceEnabled {
+		// A race build also turns off the compiler's append-of-make
+		// rewrite, so every buffer a rebuild zeroes allocates there.
+		t.Skip("one goroutine, and allocations a race build adds")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := warmSession(t)
+	ctx := context.Background()
+	for _, c := range warmCases() {
+		var res *Result
+		run := func() {
+			var err error
+			if res, err = s.Run(ctx, c.specs, c.scheme); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // growth from the previous case's needs
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 3
+		allocs := testing.AllocsPerRun(runs, run) // one more run first, unmeasured
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%v, %d kernels: %.0f allocations, %d B", c.scheme, len(c.specs), allocs, bytes)
+		if c.scheme == SchemeSpart && res.Kernels[0].Stats.TBsPreempted+res.Kernels[1].Stats.TBsPreempted == 0 {
+			t.Fatal("the Spart pair preempted nothing: no saved context was recycled")
+		}
+		if bytes > warmMaxBytes || allocs > warmMaxAllocs {
+			t.Errorf("%v %v: a warm co-run allocated %d B in %.0f allocations, over %d B or %d",
+				c.scheme, c.specs, bytes, allocs, warmMaxBytes, warmMaxAllocs)
+		}
+	}
+}
+
+// BenchmarkWarmCoRun reports what one co-run of each scheme costs on a
+// warm session: the pair of TestWarmCoRunAllocates, untraced, with the
+// collector off as there (the benchmark loop collects before each
+// measurement, so the device is rebuilt in two co-runs left unmeasured).
+func BenchmarkWarmCoRun(b *testing.B) {
+	s := warmSession(b)
+	for _, c := range warmCases()[:len(Schemes())] {
+		b.Run(c.scheme.Name(), func(b *testing.B) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			run := func() {
+				if _, err := s.Run(context.Background(), c.specs, c.scheme); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // as in TestWarmCoRunAllocates: rebuild, then settle
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				run()
+			}
+		})
+	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
-	"repro/internal/kern"
 	"repro/internal/trace"
 )
 
@@ -32,8 +31,8 @@ func TestGoalOnlyPairLetsTheWheelSkip(t *testing.T) {
 			t.Fatal(err)
 		}
 		build := s.newGPU
-		s.newGPU = func(prev *gpu.GPU, cfg config.GPU, kernels []*kern.Kernel) (*gpu.GPU, error) {
-			g, err = build(prev, cfg, kernels) // the last device built is the co-run's
+		s.newGPU = func(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
+			g, err = build(prev, cfg, specs, seed) // the last device built is the co-run's
 			return g, err
 		}
 		tr := trace.New(trace.DefaultRingSize)

@@ -13,6 +13,7 @@
 package gpu
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -57,8 +58,10 @@ type GPU struct {
 	Kernels []*kern.Kernel
 	Stats   []*metrics.KernelStats
 
+	progs      []*sm.Program // Kernels, decoded
 	controller Controller
 	gate       sm.QuotaGate
+	retired    Controller // the last controller before a Rebuild (Retired)
 
 	// Observability (nil-safe; nil when tracing is off).
 	tracer        *trace.Tracer
@@ -69,14 +72,20 @@ type GPU struct {
 	masks [][]bool
 
 	// Per-kernel launch state.
-	nextGridIdx  []int             // next fresh TB of the current launch
-	outstanding  []int             // dispatched but not yet completed TBs
-	savedCtxs    [][]*sm.TBContext // preempted contexts awaiting resume
-	ctxReadyAt   [][]int64         // earliest start for each saved context
-	launchGateAt []int64           // relaunch delay gate
+	nextGridIdx  []int        // next fresh TB of the current launch
+	outstanding  []int        // dispatched but not yet completed TBs
+	saved        [][]savedCtx // preempted contexts awaiting resume, oldest first
+	launchGateAt []int64      // relaunch delay gate
 
-	// Idle-warp sampling accumulators (smID x slot).
+	// contexts is the SMs' shared store of context storage (sm.SM's
+	// Contexts): a context leaves it when a TB is saved and returns when
+	// it is resumed, or when a rebuild drops it unresumed.
+	contexts []*sm.TBContext
+
+	// Idle-warp sampling accumulators and the averages IdleWarpAverages
+	// last returned (smID x slot).
 	idleAcc     [][]int64
+	idleAvg     [][]float64
 	idleSamples int64
 
 	needDispatch bool
@@ -108,6 +117,13 @@ type GPU struct {
 	nextEpochAt int64
 }
 
+// savedCtx is a preempted TB's context and the earliest cycle it may
+// resume.
+type savedCtx struct {
+	*sm.TBContext
+	readyAt int64
+}
+
 // New builds a GPU for the configuration and co-running kernels. The
 // returned GPU has every kernel allowed on every SM (fine-grained default)
 // with no TB caps and no controller; use the setters before RunCtx.
@@ -115,9 +131,11 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) { return Rebuild(
 
 // Rebuild is New over prev's storage: a nil prev builds a fresh device,
 // any other is rebuilt in place for the new co-run, exactly as New would
-// build it, reusing its buffers, caches and TB store wherever they are
-// large enough. Whatever the caller still reads of prev's last run (Now,
-// Stats, IPC) must be read first. On error prev is left as it was.
+// build it, reusing its buffers, decoded programs, caches, TB store and
+// saved contexts wherever they are large enough, and retiring its
+// controller (Retired). Whatever the caller still reads of prev's
+// last run (Now, Stats, IPC) must be read first. On error prev is left as
+// it was.
 func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -125,13 +143,13 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("gpu: need at least one kernel")
 	}
-	progs, err := sm.Decode(cfg, kernels)
-	if err != nil {
-		return nil, err
-	}
 	g := prev
 	if g == nil {
 		g = new(GPU)
+	}
+	progs, err := sm.Decode(cfg, kernels, g.progs)
+	if err != nil {
+		return nil, err
 	}
 	n := len(kernels)
 	stats := keep(g.Stats, n)
@@ -143,21 +161,30 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	}
 	memSys := mem.New(cfg, g.Mem)
 	sms := keep(g.SMs, cfg.NumSMs)
+	onTBComplete := g.onTBComplete
 	for i := range sms {
 		sms[i] = sm.New(i, cfg, memSys, progs, stats, sms[i])
-		sms[i].OnTBComplete = g.onTBComplete
+		sms[i].OnTBComplete = onTBComplete
+		sms[i].Contexts = &g.contexts
 	}
-	masks, savedCtxs, ctxReadyAt := keep(g.masks, n), keep(g.savedCtxs, n), keep(g.ctxReadyAt, n)
+	contexts := g.contexts
+	for slot, q := range g.saved { // unresumed contexts go back to the store
+		for _, sc := range q {
+			contexts = append(contexts, sc.TBContext)
+		}
+		g.saved[slot] = q[:0]
+	}
+	masks := keep(g.masks, n)
 	for slot := range masks {
 		masks[slot] = append(masks[slot][:0], make([]bool, cfg.NumSMs)...)
 		for i := range masks[slot] {
 			masks[slot][i] = true
 		}
-		savedCtxs[slot], ctxReadyAt[slot] = savedCtxs[slot][:0], ctxReadyAt[slot][:0]
 	}
-	idleAcc := keep(g.idleAcc, cfg.NumSMs)
+	idleAcc, idleAvg := keep(g.idleAcc, cfg.NumSMs), keep(g.idleAvg, cfg.NumSMs)
 	for i := range idleAcc {
 		idleAcc[i] = append(idleAcc[i][:0], make([]int64, n)...)
+		idleAvg[i] = append(idleAvg[i][:0], make([]float64, n)...)
 	}
 	*g = GPU{
 		Cfg:            cfg,
@@ -166,13 +193,16 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 		Engine:         preempt.New(cfg, g.Engine),
 		Kernels:        kernels,
 		Stats:          stats,
+		progs:          progs,
+		retired:        cmp.Or(g.controller, g.retired),
 		masks:          masks,
 		nextGridIdx:    append(g.nextGridIdx[:0], make([]int, n)...),
 		outstanding:    append(g.outstanding[:0], make([]int, n)...),
-		savedCtxs:      savedCtxs,
-		ctxReadyAt:     ctxReadyAt,
+		saved:          keep(g.saved, n),
 		launchGateAt:   append(g.launchGateAt[:0], make([]int64, n)...),
+		contexts:       contexts,
 		idleAcc:        idleAcc,
+		idleAvg:        idleAvg,
 		needDispatch:   true,
 		lastDispatchAt: -1,
 		nextEpochAt:    cfg.EpochLength,
@@ -183,6 +213,11 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 // keep returns s resized to n, with every element within its capacity
 // kept and any beyond it zero.
 func keep[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
+
+// Retired returns the controller the device last ran under before a
+// Rebuild (nil if none): storage a new controller of its type may be
+// rebuilt in.
+func (g *GPU) Retired() Controller { return g.retired }
 
 // SetController installs the run controller (may be nil).
 func (g *GPU) SetController(c Controller) { g.controller = c }
@@ -248,7 +283,7 @@ func (g *GPU) onTBComplete(smID, slot int) {
 	// benchmark ending before the measurement window is re-executed).
 	if g.outstanding[slot] == 0 &&
 		g.nextGridIdx[slot] >= g.Kernels[slot].Profile.GridTBs &&
-		len(g.savedCtxs[slot]) == 0 {
+		len(g.saved[slot]) == 0 {
 		g.nextGridIdx[slot] = 0
 		g.launchGateAt[slot] = g.Now + g.Cfg.KernelLaunchDelay
 		g.Stats[slot].Launches++
@@ -264,8 +299,7 @@ func (g *GPU) PreemptOneTB(now int64, smID, slot int) bool {
 		return false
 	}
 	doneAt := g.Engine.BeginSwap(now, smID, bytes)
-	g.savedCtxs[slot] = append(g.savedCtxs[slot], ctx)
-	g.ctxReadyAt[slot] = append(g.ctxReadyAt[slot], doneAt)
+	g.saved[slot] = append(g.saved[slot], savedCtx{ctx, doneAt})
 	g.outstanding[slot]--
 	g.needDispatch = true
 	return true
@@ -279,8 +313,7 @@ func (g *GPU) DrainSM(now int64, smID int) {
 	doneAt := g.Engine.BeginDrain(now, smID, bytes)
 	s.BlockedUntil = doneAt
 	for _, ctx := range ctxs {
-		g.savedCtxs[ctx.Slot] = append(g.savedCtxs[ctx.Slot], ctx)
-		g.ctxReadyAt[ctx.Slot] = append(g.ctxReadyAt[ctx.Slot], doneAt)
+		g.saved[ctx.Slot] = append(g.saved[ctx.Slot], savedCtx{ctx, doneAt})
 		g.outstanding[ctx.Slot]--
 	}
 	g.needDispatch = true
@@ -314,7 +347,7 @@ func (g *GPU) dispatch(now int64) {
 // contexts are always placeable — their warps simply start once the
 // context restore completes (deferred start).
 func (g *GPU) hasWork(now int64, slot int) bool {
-	if len(g.savedCtxs[slot]) > 0 {
+	if len(g.saved[slot]) > 0 {
 		return true
 	}
 	return g.nextGridIdx[slot] < g.Kernels[slot].Profile.GridTBs && now >= g.launchGateAt[slot]
@@ -339,16 +372,15 @@ func (g *GPU) pickSM(slot int) int {
 // when one is pending (restore cost defers the warps' first issue).
 func (g *GPU) placeTB(now int64, smID, slot int) {
 	s := g.SMs[smID]
-	if len(g.savedCtxs[slot]) > 0 {
-		ctx := g.savedCtxs[slot][0]
-		readyAt := g.ctxReadyAt[slot][0]
-		g.savedCtxs[slot] = g.savedCtxs[slot][1:]
-		g.ctxReadyAt[slot] = g.ctxReadyAt[slot][1:]
-		restoreDone := g.Engine.BeginSwap(now, smID, ctx.Kernel.TBResources().CtxBytes)
-		if readyAt > restoreDone {
-			restoreDone = readyAt
+	if len(g.saved[slot]) > 0 {
+		// Popped from the front in place, so the queue keeps its storage.
+		sc := g.saved[slot][0]
+		g.saved[slot] = slices.Delete(g.saved[slot], 0, 1)
+		restoreDone := g.Engine.BeginSwap(now, smID, sc.Kernel.TBResources().CtxBytes)
+		if sc.readyAt > restoreDone {
+			restoreDone = sc.readyAt
 		}
-		tb := s.Dispatch(now, slot, ctx.GridIdx, ctx)
+		tb := s.Dispatch(now, slot, sc.GridIdx, sc.TBContext)
 		s.DeferTB(tb, restoreDone)
 		g.outstanding[slot]++
 		return

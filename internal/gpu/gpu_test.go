@@ -32,7 +32,7 @@ func buildKernels(t *testing.T, names ...string) []*kern.Kernel {
 	t.Helper()
 	out := make([]*kern.Kernel, len(names))
 	for i, n := range names {
-		k, err := kern.Build(i, smallProfile(n), 13)
+		k, err := kern.Build(i, smallProfile(n), 13, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

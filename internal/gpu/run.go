@@ -219,19 +219,20 @@ func (g *GPU) NextEpochAt() int64 { return g.nextEpochAt }
 // IdleWarpAverages returns the mean sampled idle-warp count per SM and
 // kernel slot since the last call, then resets the accumulators. The
 // static resource manager consumes this once per epoch (Section 3.6).
+// The matrix is the device's own: it is valid until the next call.
 func (g *GPU) IdleWarpAverages() [][]float64 {
-	out := make([][]float64, len(g.idleAcc))
-	for i := range g.idleAcc {
-		out[i] = make([]float64, len(g.idleAcc[i]))
-		for j, v := range g.idleAcc[i] {
+	for i, acc := range g.idleAcc {
+		for j, v := range acc {
+			avg := 0.0
 			if g.idleSamples > 0 {
-				out[i][j] = float64(v) / float64(g.idleSamples)
+				avg = float64(v) / float64(g.idleSamples)
 			}
-			g.idleAcc[i][j] = 0
+			g.idleAvg[i][j] = avg
+			acc[j] = 0
 		}
 	}
 	g.idleSamples = 0
-	return out
+	return g.idleAvg
 }
 
 // IPC returns kernel slot's thread-IPC over its active window (first

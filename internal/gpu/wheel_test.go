@@ -35,7 +35,7 @@ func coRun(t *testing.T) *GPU {
 	t.Helper()
 	ks := make([]*kern.Kernel, 2)
 	for i, p := range []kern.Profile{smallProfile("a"), memProfile("b")} {
-		k, err := kern.Build(i, p, 13)
+		k, err := kern.Build(i, p, 13, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/rng"
@@ -174,20 +175,29 @@ type Kernel struct {
 
 // Build expands a profile into a Kernel. The body is generated with a
 // deterministic stream derived from seed, so identical (profile, seed)
-// pairs produce identical kernels.
-func Build(id int, p Profile, seed uint64) (*Kernel, error) {
+// pairs produce identical kernels. A non-nil prev is rebuilt in place,
+// its body storage reused where large enough, exactly as a fresh kernel
+// (nil) would be built; on error it is left as it was.
+func Build(id int, p Profile, seed uint64, prev *Kernel) (*Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	k := &Kernel{ID: id, Profile: p, seed: seed}
-	k.Body = generateBody(p, p.FracGlobalMem, rng.New(rng.Mix(seed, uint64(id)*2+1)))
+	k := prev
+	if k == nil {
+		k = new(Kernel)
+	}
+	// Body and BodyAlt share one buffer, BodyAlt after Body.
+	body := generateBody(p, p.FracGlobalMem, rng.New(rng.Mix(seed, uint64(id)*2+1)), k.Body[:0])
+	all := body
 	if p.PhasePeriod > 0 {
 		boosted := p.FracGlobalMem + p.PhaseMemBoost
 		if max := 0.95 - p.FracShared - p.FracSFU; boosted > max {
 			boosted = max
 		}
-		k.BodyAlt = generateBody(p, boosted, rng.New(rng.Mix(seed, uint64(id)*2+2)))
-	} else {
+		all = generateBody(p, boosted, rng.New(rng.Mix(seed, uint64(id)*2+2)), body)
+	}
+	*k = Kernel{ID: id, Profile: p, seed: seed, Body: all[:len(body)], BodyAlt: all[len(body):]}
+	if p.PhasePeriod == 0 {
 		k.BodyAlt = k.Body
 	}
 	return k, nil
@@ -196,18 +206,19 @@ func Build(id int, p Profile, seed uint64) (*Kernel, error) {
 // MustBuild is Build for static workload tables; it panics on invalid
 // profiles, which indicates a programming error in the table itself.
 func MustBuild(id int, p Profile, seed uint64) *Kernel {
-	k, err := Build(id, p, seed)
+	k, err := Build(id, p, seed, nil)
 	if err != nil {
 		panic(err)
 	}
 	return k
 }
 
-// generateBody lays out one loop iteration. Instruction kinds are placed
-// by thresholding a deterministic stream so the realized mix converges to
-// the profile's fractions; barriers are inserted at the configured cadence.
-func generateBody(p Profile, fracMem float64, src *rng.Source) []isa.Instr {
-	body := make([]isa.Instr, 0, p.BodyInstrs+4)
+// generateBody appends one loop iteration to body. Instruction kinds are
+// placed by thresholding a deterministic stream so the realized mix
+// converges to the profile's fractions; barriers are inserted at the
+// configured cadence.
+func generateBody(p Profile, fracMem float64, src *rng.Source, body []isa.Instr) []isa.Instr {
+	body = slices.Grow(body, int(p.bodyLen()))
 	for i := 0; i < p.BodyInstrs; i++ {
 		if p.BarrierEvery > 0 && i > 0 && i%p.BarrierEvery == 0 {
 			body = append(body, isa.Instr{Op: isa.OpBarrier})

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func testProfile() Profile {
 }
 
 func TestBuildValidProfile(t *testing.T) {
-	k, err := Build(0, testProfile(), 1)
+	k, err := Build(0, testProfile(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +41,33 @@ func TestBuildValidProfile(t *testing.T) {
 	}
 }
 
+// TestBuildInPlaceMatchesFresh: a kernel rebuilt over another, phased or
+// not either way, a longer body or a shorter one, equals a fresh build,
+// and its boosted body is its own storage exactly when it has phases.
+func TestBuildInPlaceMatchesFresh(t *testing.T) {
+	plain, phased, long := testProfile(), testProfile(), testProfile()
+	phased.PhasePeriod, phased.PhaseMemBoost = 2, 0.2
+	long.BodyInstrs, long.PhasePeriod, long.PhaseMemBoost = 90, 3, 0.3
+	profiles := []Profile{plain, phased, long, plain, long, phased, phased}
+	var k *Kernel
+	for i, p := range profiles {
+		var err error
+		if k, err = Build(i%3, p, uint64(i), k); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Build(i%3, p, uint64(i), nil)
+		if !reflect.DeepEqual(k, want) {
+			t.Fatalf("build %d: rebuilt in place differs from a fresh build", i)
+		}
+		if (p.PhasePeriod > 0) != (&k.BodyAlt[0] != &k.Body[0]) {
+			t.Fatalf("build %d: PhasePeriod %d, but BodyAlt is Body: %v", i, p.PhasePeriod, &k.BodyAlt[0] == &k.Body[0])
+		}
+	}
+}
+
 func TestBuildDeterministic(t *testing.T) {
-	a, _ := Build(0, testProfile(), 7)
-	b, _ := Build(0, testProfile(), 7)
+	a, _ := Build(0, testProfile(), 7, nil)
+	b, _ := Build(0, testProfile(), 7, nil)
 	if len(a.Body) != len(b.Body) {
 		t.Fatal("same (profile, seed) produced different body lengths")
 	}
@@ -51,7 +76,7 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatalf("same (profile, seed) diverged at instr %d", i)
 		}
 	}
-	c, _ := Build(0, testProfile(), 8)
+	c, _ := Build(0, testProfile(), 8, nil)
 	same := true
 	for i := range a.Body {
 		if i < len(c.Body) && a.Body[i] != c.Body[i] {
@@ -88,7 +113,7 @@ func TestValidateRejections(t *testing.T) {
 	for _, m := range muts {
 		p := testProfile()
 		m.mut(&p)
-		if _, err := Build(0, p, 1); err == nil {
+		if _, err := Build(0, p, 1, nil); err == nil {
 			t.Errorf("%s: Build accepted invalid profile", m.name)
 		}
 	}
@@ -126,7 +151,7 @@ func TestBodyMixConvergence(t *testing.T) {
 	p := testProfile()
 	p.BodyInstrs = 4000
 	p.BarrierEvery = 0
-	k, err := Build(0, p, 3)
+	k, err := Build(0, p, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +175,7 @@ func TestBodyMixConvergence(t *testing.T) {
 }
 
 func TestBarrierCadence(t *testing.T) {
-	k, _ := Build(0, testProfile(), 1)
+	k, _ := Build(0, testProfile(), 1, nil)
 	bars := 0
 	for _, in := range k.Body {
 		if in.Op == isa.OpBarrier {
@@ -166,7 +191,7 @@ func TestBarrierCadence(t *testing.T) {
 func TestNoBarriersWhenDisabled(t *testing.T) {
 	p := testProfile()
 	p.BarrierEvery = 0
-	k, _ := Build(0, p, 1)
+	k, _ := Build(0, p, 1, nil)
 	for _, in := range k.Body {
 		if in.Op == isa.OpBarrier {
 			t.Fatal("barrier emitted with BarrierEvery=0")
@@ -177,14 +202,14 @@ func TestNoBarriersWhenDisabled(t *testing.T) {
 func TestWarpsPerTB(t *testing.T) {
 	p := testProfile()
 	p.ThreadsPerTB = 96
-	k, _ := Build(0, p, 1)
+	k, _ := Build(0, p, 1, nil)
 	if got := k.WarpsPerTB(); got != 3 {
 		t.Fatalf("WarpsPerTB = %d, want 3", got)
 	}
 }
 
 func TestTBResources(t *testing.T) {
-	k, _ := Build(0, testProfile(), 1)
+	k, _ := Build(0, testProfile(), 1, nil)
 	r := k.TBResources()
 	if r.Threads != 64 {
 		t.Errorf("Threads = %d", r.Threads)
@@ -201,15 +226,15 @@ func TestTBResources(t *testing.T) {
 }
 
 func TestAddrSpaceSeparation(t *testing.T) {
-	k0, _ := Build(0, testProfile(), 1)
-	k1, _ := Build(1, testProfile(), 1)
+	k0, _ := Build(0, testProfile(), 1, nil)
+	k1, _ := Build(1, testProfile(), 1, nil)
 	if k0.AddrBase() == k1.AddrBase() {
 		t.Fatal("distinct kernel IDs share an address base")
 	}
 }
 
 func TestGlobalAddrDeterministicAndInRange(t *testing.T) {
-	k, _ := Build(0, testProfile(), 5)
+	k, _ := Build(0, testProfile(), 5, nil)
 	a1 := k.GlobalAddr(3, 2, 7, 0, false)
 	a2 := k.GlobalAddr(3, 2, 7, 0, false)
 	if a1 != a2 {
@@ -241,7 +266,7 @@ func TestPhaseBodies(t *testing.T) {
 	p.PhaseMemBoost = 0.3
 	p.BarrierEvery = 0
 	p.BodyInstrs = 2000
-	k, err := Build(0, p, 9)
+	k, err := Build(0, p, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +311,7 @@ func TestSampleTransactionsMean(t *testing.T) {
 	p.FracSFU = 0
 	p.BarrierEvery = 0
 	p.CoalesceDegree = 4.0
-	k, _ := Build(0, p, 11)
+	k, _ := Build(0, p, 11, nil)
 	var sum, n float64
 	for _, in := range k.Body {
 		if in.Op.IsGlobalMem() {

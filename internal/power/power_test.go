@@ -25,7 +25,7 @@ func run(t *testing.T, cycles int64, memHeavy bool) *gpu.GPU {
 		p.FracGlobalMem = 0.4
 		p.FracStore = 0.3
 	}
-	k, err := kern.Build(0, p, 5)
+	k, err := kern.Build(0, p, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestIdleChipBurnsOnlyLeakage(t *testing.T) {
 		CoalesceDegree: 1, HotBytes: 1 << 10, FootprintBytes: 1 << 20,
 		ThreadsPerTB: 32, RegsPerThread: 8, GridTBs: 1,
 	}
-	k, _ := kern.Build(0, p, 1)
+	k, _ := kern.Build(0, p, 1, nil)
 	g, _ := gpu.New(cfg, []*kern.Kernel{k})
 	// Do not run: zero cycles, zero work.
 	r := Measure(g, DefaultCosts())

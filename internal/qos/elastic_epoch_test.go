@@ -28,7 +28,7 @@ func TestElasticEpochRecordsMatchElasticNew(t *testing.T) {
 	g.SetTracer(tr)
 	goals := []float64{0.3 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.3, 0})
-	m, err := New(g, Elastic, goals, Options{})
+	m, err := New(g, Elastic, goals, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package qos
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 )
@@ -90,8 +91,7 @@ type Manager struct {
 	scheme Scheme
 	opts   Options
 
-	goals []float64 // absolute GPU-wide IPC goals; 0 marks non-QoS
-	isQoS []bool
+	slots []slotState // by kernel slot
 
 	// Per-SM, per-slot quota counters (thread instructions remaining).
 	counters [][]float64
@@ -99,103 +99,112 @@ type Manager struct {
 	// epoch (-1: not yet). Drives the TLP give-back test.
 	exhaustAt       [][]int64
 	epochStartCycle int64
-	// Per-slot GPU-wide quota for the current epoch.
-	quota []float64
-	alpha []float64
-	// Artificial IPC goals for non-QoS kernels (Section 3.5).
-	nonQoSGoal []float64
 
-	epochLen      int64
-	started       bool
-	qosSlots      []int
-	nonQoS        []int
-	peakIPC       float64
-	lastEpoch     []float64 // IPCepoch of the previous epoch per slot
-	allowance     []float64 // quota+carry granted for the current epoch
-	prevAlpha     []float64 // α in force during the previous epoch
-	deficitStreak []int     // consecutive epochs a QoS kernel missed rate
-	unexhausted   []int     // SMs that ended the last epoch with quota left
-	epochCount    int       // epochs seen by the static adjuster
-	lastSwap      []int     // epoch of the last TB move per slot (cooldown)
-	carryScratch  []float64 // per-refresh pooled carry (reused each epoch)
-	lastReclaim   int       // epoch of the last give-back move
-	Replenish     int64     // mid-epoch non-QoS replenishments (stats)
-	ElasticNew    int64     // elastic early-epoch starts (stats)
+	epochLen    int64
+	started     bool
+	qosSlots    []int
+	nonQoS      []int
+	peakIPC     float64
+	epochCount  int   // epochs seen by the static adjuster
+	lastReclaim int   // epoch of the last give-back move
+	Replenish   int64 // mid-epoch non-QoS replenishments (stats)
+	ElasticNew  int64 // elastic early-epoch starts (stats)
+}
+
+// slotState is one kernel's QoS state.
+type slotState struct {
+	goal  float64 // absolute GPU-wide IPC goal; 0 marks non-QoS
+	isQoS bool
+
+	quota      float64 // GPU-wide quota for the current epoch
+	alpha      float64 // history adjustment (Section 3.4.2)
+	prevAlpha  float64 // α in force during the previous epoch
+	nonQoSGoal float64 // artificial IPC goal of a non-QoS kernel (Section 3.5)
+	lastEpoch  float64 // IPCepoch of the previous epoch
+	allowance  float64 // quota+carry granted for the current epoch
+	carry      float64 // pooled carry of the last refresh
+
+	deficitStreak int // consecutive epochs a QoS kernel missed rate
+	unexhausted   int // SMs that ended the last epoch with quota left
+	lastSwap      int // epoch of the last TB move (cooldown)
 }
 
 // New builds a manager for g. goals[slot] is the absolute thread-IPC goal
 // for the kernel in that slot, or 0 for a non-QoS kernel. At least one
-// QoS kernel is required.
-func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options) (*Manager, error) {
+// QoS kernel is required. A non-nil prev, a manager no run uses any
+// more, is rebuilt in place, its storage reused; nil builds afresh. On
+// error prev is left as it was.
+func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options, prev *Manager) (*Manager, error) {
 	if len(goals) != len(g.Kernels) {
 		return nil, errors.New("qos: goals length must match kernels")
 	}
-	m := &Manager{
-		g:             g,
-		scheme:        scheme,
-		opts:          opts,
-		goals:         append([]float64(nil), goals...),
-		isQoS:         make([]bool, len(goals)),
-		quota:         make([]float64, len(goals)),
-		alpha:         make([]float64, len(goals)),
-		nonQoSGoal:    make([]float64, len(goals)),
-		lastEpoch:     make([]float64, len(goals)),
-		allowance:     make([]float64, len(goals)),
-		prevAlpha:     make([]float64, len(goals)),
-		deficitStreak: make([]int, len(goals)),
-		unexhausted:   make([]int, len(goals)),
-		lastSwap:      make([]int, len(goals)),
-		carryScratch:  make([]float64, len(goals)),
-		lastReclaim:   -10,
-		epochLen:      g.Cfg.EpochLength,
-		peakIPC:       float64(g.Cfg.PeakIssuePerCycle() * g.Cfg.WarpSize),
-	}
-	if m.opts.NonQoSInitIPC <= 0 {
-		m.opts.NonQoSInitIPC = 1
-	}
-	if m.opts.AlphaCap <= 0 {
-		m.opts.AlphaCap = 16
-	}
-	switch {
-	case m.opts.QuotaMargin == 0:
-		m.opts.QuotaMargin = 0.015
-	case m.opts.QuotaMargin < 0:
-		m.opts.QuotaMargin = 0
-	}
+	hasQoS := false
 	for slot, goal := range goals {
 		if goal < 0 {
 			return nil, fmt.Errorf("qos: negative goal for slot %d", slot)
 		}
-		m.alpha[slot] = 1
-		m.prevAlpha[slot] = 1
+		hasQoS = hasQoS || goal > 0
+	}
+	if !hasQoS {
+		return nil, errors.New("qos: no QoS kernel among goals")
+	}
+	if opts.NonQoSInitIPC <= 0 {
+		opts.NonQoSInitIPC = 1
+	}
+	if opts.AlphaCap <= 0 {
+		opts.AlphaCap = 16
+	}
+	switch {
+	case opts.QuotaMargin == 0:
+		opts.QuotaMargin = 0.015
+	case opts.QuotaMargin < 0:
+		opts.QuotaMargin = 0
+	}
+	m := prev
+	if m == nil {
+		m = new(Manager)
+	}
+	n, numSMs := len(goals), g.Cfg.NumSMs
+	*m = Manager{
+		g:           g,
+		scheme:      scheme,
+		opts:        opts,
+		slots:       slices.Grow(m.slots[:0], n)[:n],
+		counters:    grid(m.counters, numSMs, n, 0),
+		exhaustAt:   grid(m.exhaustAt, numSMs, n, -1),
+		qosSlots:    m.qosSlots[:0],
+		nonQoS:      m.nonQoS[:0],
+		lastReclaim: -10,
+		epochLen:    g.Cfg.EpochLength,
+		peakIPC:     float64(g.Cfg.PeakIssuePerCycle() * g.Cfg.WarpSize),
+	}
+	for slot, goal := range goals {
+		m.slots[slot] = slotState{goal: goal, isQoS: goal > 0, alpha: 1, prevAlpha: 1, lastSwap: -10}
 		if goal > 0 {
-			m.isQoS[slot] = true
 			m.qosSlots = append(m.qosSlots, slot)
 		} else {
 			m.nonQoS = append(m.nonQoS, slot)
-			m.nonQoSGoal[slot] = m.opts.NonQoSInitIPC
-		}
-	}
-	if len(m.qosSlots) == 0 {
-		return nil, errors.New("qos: no QoS kernel among goals")
-	}
-	for i := range m.lastSwap {
-		m.lastSwap[i] = -10
-	}
-	m.counters = make([][]float64, g.Cfg.NumSMs)
-	m.exhaustAt = make([][]int64, g.Cfg.NumSMs)
-	for i := range m.counters {
-		m.counters[i] = make([]float64, len(goals))
-		m.exhaustAt[i] = make([]int64, len(goals))
-		for j := range m.exhaustAt[i] {
-			m.exhaustAt[i][j] = -1
+			m.slots[slot].nonQoSGoal = opts.NonQoSInitIPC
 		}
 	}
 	return m, nil
 }
 
+// grid returns m resized to rows x cols with every element v, reusing
+// its storage where large enough.
+func grid[E any](m [][]E, rows, cols int, v E) [][]E {
+	m = slices.Grow(m[:0], rows)[:rows]
+	for i := range m {
+		m[i] = slices.Grow(m[i][:0], cols)[:cols]
+		for j := range m[i] {
+			m[i][j] = v
+		}
+	}
+	return m
+}
+
 // Alpha returns the current history adjustment of slot.
-func (m *Manager) Alpha(slot int) float64 { return m.alpha[slot] }
+func (m *Manager) Alpha(slot int) float64 { return m.slots[slot].alpha }
 
 // Install wires the manager into the GPU as controller and quota gate and
 // performs the first epoch's quota allocation. Call once before RunCtx.
@@ -214,7 +223,7 @@ func (m *Manager) Install() {
 // in the SM has consumed its quota.
 func (m *Manager) CanIssue(smID, slot int) bool {
 	c := m.counters[smID]
-	if m.scheme == RolloverTime && !m.isQoS[slot] {
+	if m.scheme == RolloverTime && !m.slots[slot].isQoS {
 		for _, q := range m.qosSlots {
 			if c[q] > 0 {
 				return false
@@ -390,7 +399,7 @@ func (m *Manager) OnEpoch(now int64) {
 		dur = m.epochLen
 	}
 	for slot, st := range m.g.Stats {
-		m.lastEpoch[slot] = float64(st.LastEpochInstrs) / float64(dur)
+		m.slots[slot].lastEpoch = float64(st.LastEpochInstrs) / float64(dur)
 	}
 	// Non-QoS artificial goal update (Section 3.5) uses how completely
 	// each QoS kernel consumed its allowance (quota plus rolled-over
@@ -405,35 +414,36 @@ func (m *Manager) OnEpoch(now int64) {
 	for _, slot := range m.nonQoS {
 		factor := 1.0
 		for _, q := range m.qosSlots {
-			if m.allowance[q] <= 0 {
+			if m.slots[q].allowance <= 0 {
 				continue
 			}
 			// Consumed fraction of the allowance, from the raw epoch
 			// instruction count (duration-independent, so shortened
 			// elastic epochs compare correctly).
-			f := float64(m.g.Stats[q].LastEpochInstrs) / m.allowance[q]
+			f := float64(m.g.Stats[q].LastEpochInstrs) / m.slots[q].allowance
 			if f > 0.995 {
 				f = 1
 			}
 			factor *= f
 		}
-		next := m.lastEpoch[slot] * factor
+		next := m.slots[slot].lastEpoch * factor
 		if next < m.opts.NonQoSInitIPC {
 			next = m.opts.NonQoSInitIPC
 		}
 		if next > m.peakIPC {
 			next = m.peakIPC
 		}
-		prev := m.nonQoSGoal[slot]
-		m.nonQoSGoal[slot] = float64(0.5*prev) + float64(0.5*next) // rounded, never fused: make arch-check
-		m.g.Tracer().ArtificialGoal(now, slot, m.nonQoSGoal[slot], prev)
+		prev := m.slots[slot].nonQoSGoal
+		m.slots[slot].nonQoSGoal = float64(0.5*prev) + float64(0.5*next) // rounded, never fused: make arch-check
+		m.g.Tracer().ArtificialGoal(now, slot, m.slots[slot].nonQoSGoal, prev)
 	}
 	// History-based α for QoS kernels (Section 3.4.2). The α that was
 	// in force during the finished epoch is kept for the static
 	// adjuster's quota-consumption test.
 	for _, q := range m.qosSlots {
-		m.prevAlpha[q] = m.alpha[q]
-		m.alpha[q] = 1
+		sl := &m.slots[q]
+		sl.prevAlpha = sl.alpha
+		sl.alpha = 1
 		// History uses the kernel's active-window IPC: a kernel held off
 		// the SMs by a relaunch gate or a pending context restore was
 		// previously judged on cycles it could not issue in, inflating α
@@ -442,20 +452,20 @@ func (m *Manager) OnEpoch(now int64) {
 		hist := m.g.IPC(q)
 		if m.scheme.historyAdjusted() && !m.opts.DisableHistory {
 			if hist > 0 {
-				if a := m.goals[q] / hist; a > 1 {
-					m.alpha[q] = a
+				if a := sl.goal / hist; a > 1 {
+					sl.alpha = a
 				}
 			} else {
-				m.alpha[q] = m.opts.AlphaCap
+				sl.alpha = m.opts.AlphaCap
 			}
-			if m.alpha[q] > m.opts.AlphaCap {
-				m.alpha[q] = m.opts.AlphaCap
+			if sl.alpha > m.opts.AlphaCap {
+				sl.alpha = m.opts.AlphaCap
 			}
-			if m.alpha[q] != m.prevAlpha[q] {
-				m.g.Tracer().Alpha(now, q, m.alpha[q], m.prevAlpha[q])
+			if sl.alpha != sl.prevAlpha {
+				m.g.Tracer().Alpha(now, q, sl.alpha, sl.prevAlpha)
 			}
 		}
-		m.g.Tracer().GoalCheck(now, q, hist, m.goals[q])
+		m.g.Tracer().GoalCheck(now, q, hist, sl.goal)
 	}
 	// The static adjuster reads the finished epoch's exhaustion data, so
 	// it runs before the quota refresh resets it; the refresh then sees
@@ -470,15 +480,15 @@ func (m *Manager) OnEpoch(now int64) {
 // snapshotExhaustion counts, per slot, the SMs that ended the epoch with
 // unconsumed quota (TLP shortfall signal for the static adjuster).
 func (m *Manager) snapshotExhaustion() {
-	for slot := range m.unexhausted {
-		m.unexhausted[slot] = 0
+	for slot := range m.slots {
+		m.slots[slot].unexhausted = 0
 	}
 	for smID := range m.counters {
 		c := m.counters[smID]
 		s := m.g.SMs[smID]
 		for slot := range c {
 			if c[slot] > 0 && s.ResidentTBs(slot) > 0 {
-				m.unexhausted[slot]++
+				m.slots[slot].unexhausted++
 			}
 		}
 	}
@@ -492,19 +502,20 @@ func (m *Manager) refreshQuotas(now int64) {
 	// before they are reset. Leftover can be negative (overshoot past
 	// zero within one warp instruction, or elastic debt).
 	if m.started && tr.Enabled() {
-		for slot := range m.quota {
+		for slot := range m.slots {
 			var leftover float64
 			for smID := range m.counters {
 				leftover += m.counters[smID][slot]
 			}
-			tr.QuotaConsumed(now, slot, m.allowance[slot]-leftover, leftover)
+			tr.QuotaConsumed(now, slot, m.slots[slot].allowance-leftover, leftover)
 		}
 	}
-	for slot := range m.quota {
-		if m.isQoS[slot] {
-			m.quota[slot] = m.alpha[slot] * m.goals[slot] * float64(m.epochLen) * (1 + m.opts.QuotaMargin)
+	for slot := range m.slots {
+		sl := &m.slots[slot]
+		if sl.isQoS {
+			sl.quota = sl.alpha * sl.goal * float64(m.epochLen) * (1 + m.opts.QuotaMargin)
 		} else {
-			m.quota[slot] = m.nonQoSGoal[slot] * float64(m.epochLen)
+			sl.quota = sl.nonQoSGoal * float64(m.epochLen)
 		}
 	}
 	m.epochStartCycle = now
@@ -514,43 +525,42 @@ func (m *Manager) refreshQuotas(now int64) {
 	// kernel's total unused quota (Figure 4c), Elastic carries total
 	// debt (Figure 4b). Pooling also prevents a slow SM from hoarding
 	// quota that faster SMs could have consumed.
-	carry := m.carryScratch
-	for i := range carry {
-		carry[i] = 0
+	for slot := range m.slots {
+		m.slots[slot].carry = 0
 	}
 	for smID := range m.counters {
 		for slot, v := range m.counters[smID] {
+			sl := &m.slots[slot]
 			switch {
 			case m.scheme == Elastic:
 				if v < 0 {
-					carry[slot] += v
+					sl.carry += v
 				}
-			case (m.scheme == Rollover || m.scheme == RolloverTime) && m.isQoS[slot]:
+			case (m.scheme == Rollover || m.scheme == RolloverTime) && sl.isQoS:
 				if v > 0 {
-					carry[slot] += v
+					sl.carry += v
 				}
 			}
 		}
 	}
-	// Bound the carry to one extra epoch per slot so an unreachable goal
-	// cannot bank unlimited allowance.
-	for slot := range carry {
-		if carry[slot] > m.quota[slot] {
-			carry[slot] = m.quota[slot]
+	for slot := range m.slots {
+		sl := &m.slots[slot]
+		// Bound the carry to one extra epoch per slot so an unreachable
+		// goal cannot bank unlimited allowance.
+		if sl.carry > sl.quota {
+			sl.carry = sl.quota
 		}
-	}
-	for slot := range m.allowance {
-		m.allowance[slot] = m.quota[slot] + carry[slot]
-		tr.QuotaGrant(now, slot, m.quota[slot], m.alpha[slot])
-		if carry[slot] != 0 {
-			tr.QuotaCarry(now, slot, carry[slot], m.allowance[slot])
+		sl.allowance = sl.quota + sl.carry
+		tr.QuotaGrant(now, slot, sl.quota, sl.alpha)
+		if sl.carry != 0 {
+			tr.QuotaCarry(now, slot, sl.carry, sl.allowance)
 		}
 	}
 	for smID := range m.counters {
 		c := m.counters[smID]
 		s := m.g.SMs[smID]
 		for slot := range c {
-			c[slot] = m.share(smID, slot) + m.shareOf(carry[slot], smID, slot)
+			c[slot] = m.share(smID, slot) + m.shareOf(m.slots[slot].carry, smID, slot)
 			m.exhaustAt[smID][slot] = -1
 		}
 		s.Wake(now)
@@ -577,13 +587,13 @@ func (m *Manager) shareOf(amount float64, smID, slot int) float64 {
 func (m *Manager) share(smID, slot int) float64 {
 	total := m.g.TotalResidentTBs(slot)
 	if total == 0 {
-		return m.quota[slot] / float64(len(m.counters))
+		return m.slots[slot].quota / float64(len(m.counters))
 	}
-	return m.quota[slot] * float64(m.g.SMs[smID].ResidentTBs(slot)) / float64(total)
+	return m.slots[slot].quota * float64(m.g.SMs[smID].ResidentTBs(slot)) / float64(total)
 }
 
 // CounterFor exposes a local counter for tests.
 func (m *Manager) CounterFor(smID, slot int) float64 { return m.counters[smID][slot] }
 
 // Quota exposes the slot's current GPU-wide per-epoch quota (tests).
-func (m *Manager) Quota(slot int) float64 { return m.quota[slot] }
+func (m *Manager) Quota(slot int) float64 { return m.slots[slot].quota }

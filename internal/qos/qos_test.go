@@ -32,7 +32,7 @@ func newGPUFromProfiles(t *testing.T, profiles ...kern.Profile) *gpu.GPU {
 	t.Helper()
 	kernels := make([]*kern.Kernel, len(profiles))
 	for i, p := range profiles {
-		k, err := kern.Build(i, p, 17)
+		k, err := kern.Build(i, p, 17, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func newGPU(t *testing.T, names ...string) *gpu.GPU {
 	t.Helper()
 	kernels := make([]*kern.Kernel, len(names))
 	for i, n := range names {
-		k, err := kern.Build(i, smallProfile(n), 17)
+		k, err := kern.Build(i, smallProfile(n), 17, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,23 +71,23 @@ func isolatedIPC(t *testing.T, cycles int64) float64 {
 
 func TestNewValidation(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	if _, err := New(g, Rollover, []float64{100}, Options{}); err == nil {
+	if _, err := New(g, Rollover, []float64{100}, Options{}, nil); err == nil {
 		t.Fatal("accepted wrong goals length")
 	}
-	if _, err := New(g, Rollover, []float64{0, 0}, Options{}); err == nil {
+	if _, err := New(g, Rollover, []float64{0, 0}, Options{}, nil); err == nil {
 		t.Fatal("accepted a run with no QoS kernel")
 	}
-	if _, err := New(g, Rollover, []float64{-1, 0}, Options{}); err == nil {
+	if _, err := New(g, Rollover, []float64{-1, 0}, Options{}, nil); err == nil {
 		t.Fatal("accepted a negative goal")
 	}
-	m, err := New(g, Rollover, []float64{50, 0}, Options{})
+	m, err := New(g, Rollover, []float64{50, 0}, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.isQoS[0] || m.isQoS[1] {
+	if !m.slots[0].isQoS || m.slots[1].isQoS {
 		t.Fatal("QoS classification wrong")
 	}
-	if m.goals[0] != 50 || m.goals[1] != 0 {
+	if m.slots[0].goal != 50 || m.slots[1].goal != 0 {
 		t.Fatal("goals not retained")
 	}
 }
@@ -108,7 +108,7 @@ func TestSchemeStrings(t *testing.T) {
 
 func TestQuotaCountersDecrement(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{100, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{100, 0}, Options{}, nil)
 	m.Install()
 	before := m.CounterFor(0, 0)
 	if before <= 0 {
@@ -122,7 +122,7 @@ func TestQuotaCountersDecrement(t *testing.T) {
 
 func TestCanIssueFollowsCounter(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{100, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{100, 0}, Options{}, nil)
 	m.Install()
 	if !m.CanIssue(0, 0) {
 		t.Fatal("QoS kernel blocked with positive counter")
@@ -137,7 +137,7 @@ func TestCanIssueFollowsCounter(t *testing.T) {
 
 func TestRolloverTimePrioritizesQoS(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, RolloverTime, []float64{100, 0}, Options{})
+	m, _ := New(g, RolloverTime, []float64{100, 0}, Options{}, nil)
 	m.Install()
 	if m.CanIssue(0, 1) {
 		t.Fatal("non-QoS kernel issuable while QoS quota remains under RolloverTime")
@@ -156,7 +156,7 @@ func TestQoSGoalReached(t *testing.T) {
 		g := newGPU(t, "a", "b")
 		goals := []float64{0.5 * iso, 0}
 		SetupFineGrained(g, goals, []float64{0.5, 0})
-		m, _ := New(g, scheme, goals, Options{})
+		m, _ := New(g, scheme, goals, Options{}, nil)
 		m.Install()
 		g.RunCtx(context.Background(), 60_000)
 		if got := g.IPC(0); got < goals[0]*0.97 {
@@ -173,7 +173,7 @@ func TestRolloverThrottlesAtGoal(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	goals := []float64{0.4 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.4, 0})
-	m, _ := New(g, Rollover, goals, Options{})
+	m, _ := New(g, Rollover, goals, Options{}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 60_000)
 	// The QoS kernel must not grossly exceed its goal: excess cycles
@@ -191,7 +191,7 @@ func TestNonQoSRunsInSlack(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	goals := []float64{0.3 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.3, 0})
-	m, _ := New(g, Rollover, goals, Options{})
+	m, _ := New(g, Rollover, goals, Options{}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 60_000)
 	if g.IPC(1) <= 0 {
@@ -207,7 +207,7 @@ func TestElasticStartsEpochsEarly(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	goals := []float64{0.3 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.3, 0})
-	m, _ := New(g, Elastic, goals, Options{})
+	m, _ := New(g, Elastic, goals, Options{}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 40_000)
 	if m.ElasticNew == 0 {
@@ -222,7 +222,7 @@ func TestAlphaRisesWhenBehind(t *testing.T) {
 	// kernel behind, so α must rise above 1.
 	goals := []float64{iso, 0}
 	SetupFineGrained(g, goals, []float64{0.99, 0})
-	m, _ := New(g, Rollover, goals, Options{})
+	m, _ := New(g, Rollover, goals, Options{}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 40_000)
 	if m.Alpha(0) <= 1 {
@@ -238,7 +238,7 @@ func TestDisableHistoryKeepsAlphaOne(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	goals := []float64{iso, 0}
 	SetupFineGrained(g, goals, []float64{0.99, 0})
-	m, _ := New(g, Rollover, goals, Options{DisableHistory: true})
+	m, _ := New(g, Rollover, goals, Options{DisableHistory: true}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 40_000)
 	if m.Alpha(0) != 1 {
@@ -248,7 +248,7 @@ func TestDisableHistoryKeepsAlphaOne(t *testing.T) {
 
 func TestNaiveDiscardsLeftovers(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Naive, []float64{1000, 0}, Options{})
+	m, _ := New(g, Naive, []float64{1000, 0}, Options{}, nil)
 	m.Install()
 	// Manufacture a leftover and roll the epoch: Naive must reset, not
 	// accumulate.
@@ -261,7 +261,7 @@ func TestNaiveDiscardsLeftovers(t *testing.T) {
 
 func TestRolloverCarriesLeftovers(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{1000, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{1000, 0}, Options{}, nil)
 	m.Install()
 	base := m.CounterFor(0, 0)
 	m.refreshQuotas(10_000)
@@ -272,7 +272,7 @@ func TestRolloverCarriesLeftovers(t *testing.T) {
 
 func TestElasticCarriesDebt(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Elastic, []float64{1000, 0}, Options{})
+	m, _ := New(g, Elastic, []float64{1000, 0}, Options{}, nil)
 	m.Install()
 	base := m.CounterFor(0, 0)
 	// Overconsume on SM0 only; the debt must reduce the next allocation.
@@ -285,13 +285,13 @@ func TestElasticCarriesDebt(t *testing.T) {
 
 func TestQuotaMarginApplied(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{1000, 0}, Options{QuotaMargin: 0.10})
+	m, _ := New(g, Rollover, []float64{1000, 0}, Options{QuotaMargin: 0.10}, nil)
 	m.Install()
 	want := 1000.0 * float64(g.Cfg.EpochLength) * 1.10
 	if got := m.Quota(0); got != want {
 		t.Fatalf("quota = %v, want %v", got, want)
 	}
-	m2, _ := New(g, Rollover, []float64{1000, 0}, Options{QuotaMargin: -1})
+	m2, _ := New(g, Rollover, []float64{1000, 0}, Options{QuotaMargin: -1}, nil)
 	m2.Install()
 	if got := m2.Quota(0); got != 1000*float64(g.Cfg.EpochLength) {
 		t.Fatalf("negative margin should disable: quota %v", got)
@@ -308,7 +308,7 @@ func TestStaticAdjusterGrowsStarvedQoSKernel(t *testing.T) {
 	for _, s := range g.SMs {
 		s.SetTBCap(0, 2)
 	}
-	m, _ := New(g, Rollover, goals, Options{})
+	m, _ := New(g, Rollover, goals, Options{}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 100_000)
 	grew := false
@@ -331,7 +331,7 @@ func TestDisableStaticAdjustFreezesCaps(t *testing.T) {
 	for i, s := range g.SMs {
 		caps[i] = s.TBCap(0)
 	}
-	m, _ := New(g, Rollover, goals, Options{DisableStaticAdjust: true})
+	m, _ := New(g, Rollover, goals, Options{DisableStaticAdjust: true}, nil)
 	m.Install()
 	g.RunCtx(context.Background(), 60_000)
 	for i, s := range g.SMs {
@@ -373,7 +373,7 @@ func TestTbsToEvict(t *testing.T) {
 func TestQosExhaustedEverywhere(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	g.RunCtx(context.Background(), 100) // dispatch some TBs
-	m, _ := New(g, Rollover, []float64{1000, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{1000, 0}, Options{}, nil)
 	m.Install()
 	if m.qosExhaustedEverywhere() {
 		t.Fatal("fresh quotas reported exhausted")
@@ -390,7 +390,7 @@ func TestQosExhaustedEverywhere(t *testing.T) {
 
 func TestQuickQuotaAccounting(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{5000, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{5000, 0}, Options{}, nil)
 	m.Install()
 	// Property: between refreshes, a counter always equals its initial
 	// value minus exactly the thread instructions reported to OnIssue.
@@ -413,7 +413,7 @@ func TestQuickQuotaAccounting(t *testing.T) {
 
 func TestQuickCanIssueMatchesCounterSign(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{5000, 0}, Options{})
+	m, _ := New(g, Rollover, []float64{5000, 0}, Options{}, nil)
 	m.Install()
 	f := func(drain uint32) bool {
 		m.refreshQuotas(0)

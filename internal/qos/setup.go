@@ -20,80 +20,65 @@ import "repro/internal/gpu"
 // Pass nil fracs for the equal split. The caps are a starting point; the
 // run-time adjuster moves them.
 func SetupFineGrained(g *gpu.GPU, goals, fracs []float64) {
-	n := len(g.Kernels)
-	isQoS := make([]bool, n)
-	var nonQoS []int
-	for slot, goal := range goals {
-		isQoS[slot] = goal > 0
-		if goal <= 0 {
-			nonQoS = append(nonQoS, slot)
+	isQoS := func(slot int) bool { return goals[slot] > 0 }
+	nonQoS := 0
+	for slot := range goals {
+		if !isQoS(slot) {
+			nonQoS++
 		}
 	}
-
 	numSMs := g.Cfg.NumSMs
-	// Owner of each SM among non-QoS kernels (-1: none).
-	nqOwner := make([]int, numSMs)
-	for i := range nqOwner {
-		nqOwner[i] = -1
-	}
-	if len(nonQoS) > 0 {
-		per := numSMs / len(nonQoS)
-		if per == 0 {
-			per = 1
-		}
-		for i := 0; i < numSMs; i++ {
-			idx := i / per
-			if idx >= len(nonQoS) {
-				idx = len(nonQoS) - 1
+	// owns reports whether slot, a non-QoS kernel, owns SM i: the non-QoS
+	// kernels split the SMs into equal partitions, in slot order.
+	owns := func(slot, i int) bool {
+		per := max(numSMs/nonQoS, 1)
+		idx := min(i/per, nonQoS-1)
+		for s := range slot {
+			if !isQoS(s) {
+				idx--
 			}
-			nqOwner[i] = nonQoS[idx]
 		}
+		return idx == 0
 	}
+	// resident reports whether slot may hold TBs on SM i.
+	resident := func(slot, i int) bool { return isQoS(slot) || owns(slot, i) }
 
+	mask := make([]bool, numSMs)
 	for slot := range g.Kernels {
-		mask := make([]bool, numSMs)
-		for i := 0; i < numSMs; i++ {
-			mask[i] = isQoS[slot] || nqOwner[i] == slot
+		for i := range mask {
+			mask[i] = resident(slot, i)
 		}
 		g.SetMask(slot, mask)
 	}
 
+	// weight is slot's thread-budget weight on SM i (0: not resident).
+	weight := func(slot, i int) float64 {
+		switch {
+		case !resident(slot, i):
+			return 0
+		case fracs == nil:
+			return 1
+		case isQoS(slot):
+			return max(fracs[slot], 0.15)
+		}
+		return 0.25 // non-QoS starts small; the search grows it
+	}
 	for i, s := range g.SMs {
-		// Thread-budget weights of the kernels resident on this SM.
-		weights := make([]float64, n)
 		sum := 0.0
 		for slot := range g.Kernels {
-			if !(isQoS[slot] || nqOwner[i] == slot) {
-				continue
-			}
-			w := 1.0
-			if fracs != nil {
-				if isQoS[slot] {
-					w = fracs[slot]
-					if w < 0.15 {
-						w = 0.15
-					}
-				} else {
-					w = 0.25 // non-QoS starts small; the search grows it
-				}
-			}
-			weights[slot] = w
-			sum += w
+			sum += weight(slot, i)
 		}
 		if sum == 0 {
 			continue
 		}
 		for slot, k := range g.Kernels {
-			if weights[slot] == 0 {
+			w := weight(slot, i)
+			if w == 0 {
 				s.SetTBCap(slot, 0)
 				continue
 			}
-			budget := int(float64(g.Cfg.MaxThreadsPerSM) * weights[slot] / sum)
-			cap := budget / k.Profile.ThreadsPerTB
-			if cap < 1 {
-				cap = 1
-			}
-			s.SetTBCap(slot, cap)
+			budget := int(float64(g.Cfg.MaxThreadsPerSM) * w / sum)
+			s.SetTBCap(slot, max(budget/k.Profile.ThreadsPerTB, 1))
 		}
 	}
 	g.RequestDispatch()

@@ -13,25 +13,24 @@ import (
 // Swaps are skipped while preemption requests are pending.
 func (m *Manager) adjustTBs(now int64) {
 	m.epochCount++
+	idle := m.g.IdleWarpAverages() // read every epoch: it resets the sampling window
 	if m.g.Engine.Pending(now) {
-		m.g.IdleWarpAverages() // still reset the sampling window
 		return
 	}
-	idle := m.g.IdleWarpAverages()
 	// Giving TBs back to non-QoS kernels requires every QoS kernel to
 	// hold its goal with a little margin — releasing exactly at the
 	// boundary keeps the QoS kernel orbiting the goal from below.
 	release := true
 	for _, q := range m.qosSlots {
-		if m.g.IPC(q) < m.goals[q]*1.01 {
+		if m.g.IPC(q) < m.slots[q].goal*1.01 {
 			release = false
 			break
 		}
 	}
 	for _, q := range m.qosSlots {
 		hist := m.g.IPC(q)
-		if hist >= m.goals[q] {
-			m.deficitStreak[q] = 0
+		if hist >= m.slots[q].goal {
+			m.slots[q].deficitStreak = 0
 			continue
 		}
 		// Growing TLP helps only when the kernel could not consume the
@@ -39,17 +38,17 @@ func (m *Manager) adjustTBs(now int64) {
 		// every SM is throttled by the scheme, not short of warps. A
 		// single bad epoch is often the disturbance of a preceding
 		// swap, so the deficit must persist before TBs move again.
-		if m.unexhausted[q] == 0 {
-			m.deficitStreak[q] = 0
+		if m.slots[q].unexhausted == 0 {
+			m.slots[q].deficitStreak = 0
 			continue
 		}
-		m.deficitStreak[q]++
-		if m.deficitStreak[q] < 2 || m.epochCount < m.lastSwap[q]+2 {
+		m.slots[q].deficitStreak++
+		if m.slots[q].deficitStreak < 2 || m.epochCount < m.slots[q].lastSwap+2 {
 			continue
 		}
-		m.deficitStreak[q] = 0 // cooldown: let the next epoch settle
+		m.slots[q].deficitStreak = 0 // cooldown: let the next epoch settle
 		if m.addOneTB(now, q, idle) {
-			m.lastSwap[q] = m.epochCount
+			m.slots[q].lastSwap = m.epochCount
 		}
 	}
 	if release {
@@ -69,7 +68,7 @@ func (m *Manager) releaseToNonQoS(idle [][]float64) {
 	defer func() {
 		if moved {
 			for _, q := range m.qosSlots {
-				m.lastSwap[q] = m.epochCount
+				m.slots[q].lastSwap = m.epochCount
 			}
 		}
 	}()
@@ -107,7 +106,7 @@ func (m *Manager) reclaimFromQoS(now int64, smID, nq int, idle [][]float64) bool
 	need := m.g.Kernels[nq].TBResources()
 	for _, j := range m.qosSlots {
 		resident := s.ResidentTBs(j)
-		if resident == 0 || m.g.IPC(j) < m.goals[j]*1.02 {
+		if resident == 0 || m.g.IPC(j) < m.slots[j].goal*1.02 {
 			continue // never nibble a kernel sitting at its goal edge
 		}
 		n := tbsToEvict(s, need, m.g.Kernels[j].TBResources())
@@ -228,11 +227,11 @@ func (m *Manager) spareAfterLoss(smID, j, n, resident int) bool {
 // (issue-queued warps look "idle" while the kernel is starved of
 // something else entirely).
 func (m *Manager) victimOK(now int64, smID, j, n int, idle [][]float64) bool {
-	if !m.isQoS[j] {
+	if !m.slots[j].isQoS {
 		return true
 	}
 	hist := m.g.IPC(j)
-	if hist < m.goals[j] {
+	if hist < m.slots[j].goal {
 		return false
 	}
 	idleTBs := idle[smID][j] / float64(m.g.Kernels[j].WarpsPerTB())
@@ -243,7 +242,7 @@ func (m *Manager) victimOK(now int64, smID, j, n int, idle [][]float64) bool {
 	if total == 0 {
 		return false
 	}
-	return hist*(1-float64(n)/float64(total)) > m.goals[j]
+	return hist*(1-float64(n)/float64(total)) > m.slots[j].goal
 }
 
 // tbsToEvict computes how many TBs of a victim (with per-TB resources v)

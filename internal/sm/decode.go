@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/isa"
@@ -23,11 +24,12 @@ type decoded struct {
 	ld, st uint64 // all ones iff the instruction is a global load / store
 }
 
-// Program is a kernel decoded for one configuration. It is immutable:
-// every SM of a GPU shares the same one.
+// Program is a kernel decoded for one configuration. It is immutable
+// while a run uses it: every SM of a GPU shares the same one, and only
+// Decode, between runs, rewrites it.
 type Program struct {
 	kernel    *kern.Kernel
-	body, alt []decoded // kernel.Body, kernel.BodyAlt
+	body, alt []decoded // kernel.Body, kernel.BodyAlt: one buffer, alt after body
 }
 
 // MaxKernels is how many kernels can co-run: a completion tag is slot+1 in
@@ -35,28 +37,41 @@ type Program struct {
 const MaxKernels = tagMask
 
 // Decode prepares the co-running kernels for SMs of the given
-// configuration (New). It fails past MaxKernels.
-func Decode(cfg config.GPU, kernels []*kern.Kernel) ([]*Program, error) {
+// configuration (New), program i from kernel i. It rebuilds prev's
+// programs in place, reusing their storage where large enough (nil
+// decodes afresh), so no run may still be using them. It fails past
+// MaxKernels.
+func Decode(cfg config.GPU, kernels []*kern.Kernel, prev []*Program) ([]*Program, error) {
 	if len(kernels) > MaxKernels {
 		return nil, fmt.Errorf("sm: %d co-running kernels, at most %d supported", len(kernels), MaxKernels)
 	}
-	progs := make([]*Program, len(kernels))
+	progs := slices.Grow(prev[:0], len(kernels))[:len(kernels)]
 	for i, k := range kernels {
-		p := &Program{kernel: k, body: decode(&cfg, k.Body)}
-		p.alt = p.body
-		if k.Profile.PhasePeriod > 0 {
-			p.alt = decode(&cfg, k.BodyAlt)
+		p := progs[i]
+		if p == nil {
+			p = new(Program)
+			progs[i] = p
 		}
-		progs[i] = p
+		body := decode(&cfg, k.Body, p.body[:0])
+		all := body
+		if k.Profile.PhasePeriod > 0 {
+			all = decode(&cfg, k.BodyAlt, body)
+		}
+		*p = Program{kernel: k, body: all[:len(body)], alt: all[len(body):]}
+		if k.Profile.PhasePeriod == 0 {
+			p.alt = p.body
+		}
 	}
 	return progs, nil
 }
 
-func decode(cfg *config.GPU, text []isa.Instr) []decoded {
-	body := make([]decoded, len(text))
+// decode appends text, decoded, to body.
+func decode(cfg *config.GPU, text []isa.Instr, body []decoded) []decoded {
+	n := len(body)
+	body = slices.Grow(body, len(text))[:n+len(text)]
 	for pc, in := range text {
-		d := &body[pc]
-		d.Instr = in
+		d := &body[n+pc]
+		*d = decoded{Instr: in}
 		switch {
 		case in.Op == isa.OpLdGlobal:
 			d.ld = ^uint64(0)

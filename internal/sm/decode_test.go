@@ -2,6 +2,7 @@ package sm
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -51,7 +52,7 @@ func TestDecodeIsTheText(t *testing.T) {
 		}
 		for i, p := range suiteProfiles(t) {
 			k := kern.MustBuild(i, p, workloads.Seed)
-			progs, err := Decode(cfg, []*kern.Kernel{k})
+			progs, err := Decode(cfg, []*kern.Kernel{k}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestDelayPathMatchesGeneralPath(t *testing.T) {
 			var sms [2]*SM
 			var stats [2]*metrics.KernelStats
 			for side := range sms {
-				progs, err := Decode(cfg, []*kern.Kernel{k})
+				progs, err := Decode(cfg, []*kern.Kernel{k}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,6 +190,35 @@ func TestDelayPathMatchesGeneralPath(t *testing.T) {
 			}
 			if stats[0].WarpInstrs == 0 {
 				t.Fatalf("%s/%s: nothing issued", cfgName, p.Name)
+			}
+		}
+	}
+}
+
+// TestDecodeInPlaceMatchesFresh: programs decoded over another co-run's
+// programs (more or fewer kernels, longer or shorter bodies, with phases or
+// without) equal programs decoded afresh, and a boosted body is its own
+// storage exactly when the kernel has phases.
+func TestDecodeInPlaceMatchesFresh(t *testing.T) {
+	profiles := suiteProfiles(t)
+	var progs []*Program
+	for round := range 8 {
+		cfg := decodeConfigs()[[]string{"base", "scale56", "shm40"}[round%3]]
+		var kernels []*kern.Kernel
+		for i := range 1 + round%3 {
+			kernels = append(kernels, kern.MustBuild(i, profiles[(5*round+i)%len(profiles)], workloads.Seed))
+		}
+		var err error
+		if progs, err = Decode(cfg, kernels, progs); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Decode(cfg, kernels, nil)
+		if !reflect.DeepEqual(progs, want) {
+			t.Fatalf("round %d: programs decoded in place differ from fresh ones", round)
+		}
+		for i, p := range progs {
+			if (kernels[i].Profile.PhasePeriod > 0) != (&p.alt[0] != &p.body[0]) {
+				t.Fatalf("round %d, %s: PhasePeriod %d, but alt is body: %v", round, kernels[i], kernels[i].Profile.PhasePeriod, &p.alt[0] == &p.body[0])
 			}
 		}
 	}

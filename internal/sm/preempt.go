@@ -3,9 +3,10 @@ package sm
 import "math/bits"
 
 // PreemptTB performs a partial context switch: it selects one resident TB
-// of the given kernel slot, saves its architectural state and removes it
-// from the SM. It returns the saved context and the number of context
-// bytes moved (the preemption engine charges the time cost). The newest TB
+// of the given kernel slot, saves its architectural state (into a context
+// from the Contexts store when it has one) and removes it from the SM. It
+// returns the saved context and the number of context bytes moved (the
+// preemption engine charges the time cost). The newest TB
 // of the kernel is chosen so older TBs run to completion, minimizing
 // wasted work — the paper swaps "idle TBs" when possible; a TB whose warps
 // are all blocked is preferred over one actively issuing.
@@ -32,12 +33,13 @@ func (s *SM) PreemptTB(now int64, slot int) (ctx *TBContext, ctxBytes int, ok bo
 	}
 	s.SettleIdle()
 	s.idleUntil = 0
-	ctx = &TBContext{
-		Kernel:  victim.Kernel,
-		Slot:    victim.Slot,
-		GridIdx: victim.GridIdx,
-		Warps:   make([]WarpState, len(victim.Warps)),
+	if s.Contexts != nil && len(*s.Contexts) > 0 {
+		store := *s.Contexts
+		ctx, *s.Contexts = store[len(store)-1], store[:len(store)-1]
+	} else {
+		ctx = new(TBContext)
 	}
+	*ctx = TBContext{Kernel: victim.Kernel, Slot: victim.Slot, GridIdx: victim.GridIdx, Warps: resize(ctx.Warps, len(victim.Warps))}
 	for i := range victim.Warps {
 		w := &victim.Warps[i]
 		ctx.Warps[i] = WarpState{

@@ -86,7 +86,9 @@ type TB struct {
 }
 
 // TBContext is the saved state of a preempted thread block, sufficient to
-// resume it on any SM later (partial context switch, Section 3.6).
+// resume it on any SM later (partial context switch, Section 3.6). It is
+// valid until Dispatch resumes it: an SM with a Contexts store then
+// hands the context back for a later PreemptTB to overwrite.
 type TBContext struct {
 	Kernel  *kern.Kernel
 	Slot    int
@@ -241,6 +243,10 @@ type SM struct {
 	// OnTBComplete, if set, is invoked when a TB retires; the GPU-level
 	// TB scheduler uses it to dispatch follow-on work.
 	OnTBComplete func(smID int, slot int)
+	// Contexts, if set, is a store of context storage the SMs of a GPU
+	// share: PreemptTB takes the context it saves into from it, and
+	// Dispatch returns the one it resumed. Unset, each save allocates.
+	Contexts *[]*TBContext
 
 	// IssuedWarpInstrs counts issued warp instructions for utilization
 	// and power accounting.
@@ -397,7 +403,7 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 	}
 	tb := s.free[len(s.free)-1]
 	s.free = s.free[:len(s.free)-1]
-	*tb = TB{Kernel: k, Slot: slot, GridIdx: gridIdx, Warps: slices.Grow(tb.Warps[:0], k.WarpsPerTB())[:k.WarpsPerTB()], refs: 1}
+	*tb = TB{Kernel: k, Slot: slot, GridIdx: gridIdx, Warps: resize(tb.Warps, k.WarpsPerTB()), refs: 1}
 	for i := range tb.Warps {
 		w := &tb.Warps[i]
 		*w = Warp{tb: tb, readyAt: now, lane: uint8(i), activeLanes: uint8(s.cfg.WarpSize), slot: uint8(slot), schedIdx: uint8(s.nextSch)}
@@ -441,6 +447,9 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 			sch.file(w)
 		}
 	}
+	if resume != nil && s.Contexts != nil {
+		*s.Contexts = append(*s.Contexts, resume)
+	}
 	s.tbs = append(s.tbs, tb)
 	// A resumed TB that was saved exactly at a barrier boundary may be
 	// immediately releasable.
@@ -452,6 +461,15 @@ func (s *SM) Dispatch(now int64, slot, gridIdx int, resume *TBContext) *TB {
 		s.retireTB(now, tb)
 	}
 	return tb
+}
+
+// resize returns s with length n, in place when it has the capacity, else
+// fresh and without copying s: the caller overwrites every element.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // DeferTB postpones the first issue of every warp in tb until the given

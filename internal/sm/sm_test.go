@@ -51,14 +51,14 @@ func newSM(t *testing.T, cfg config.GPU, profiles ...kern.Profile) (*SM, []*kern
 	kernels := make([]*kern.Kernel, len(profiles))
 	stats := make([]*metrics.KernelStats, len(profiles))
 	for i, p := range profiles {
-		k, err := kern.Build(i, p, 42)
+		k, err := kern.Build(i, p, 42, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kernels[i] = k
 		stats[i] = &metrics.KernelStats{}
 	}
-	progs, err := Decode(cfg, kernels)
+	progs, err := Decode(cfg, kernels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

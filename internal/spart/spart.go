@@ -11,6 +11,7 @@ package spart
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gpu"
 )
@@ -22,8 +23,9 @@ type Controller struct {
 	isolated []float64 // isolated IPCs for the initial partition (may be nil)
 	isQoS    []bool
 
-	owner       []int // smID -> slot
-	every       int   // decision period in epochs
+	owner       []int  // smID -> slot
+	mask        []bool // applyMasks' scratch
+	every       int    // decision period in epochs
 	epochCount  int
 	Moves       int64 // SMs reassigned (stats)
 	GiveBacks   int64 // SMs returned to non-QoS kernels (stats)
@@ -35,32 +37,21 @@ type Controller struct {
 // kernel's isolated IPC: the controller seeds the initial partition
 // proportionally to goal/isolated, the information the profiling-based
 // baseline has (Aguilera et al. use offline profiles). Pass nil for an
-// equal initial split.
-func New(g *gpu.GPU, goals, isolated []float64) (*Controller, error) {
+// equal initial split. A non-nil prev, a controller no run uses any more,
+// is rebuilt in place, its storage reused; nil builds afresh. On error
+// prev is left as it was.
+func New(g *gpu.GPU, goals, isolated []float64, prev *Controller) (*Controller, error) {
 	if len(goals) != len(g.Kernels) {
 		return nil, errors.New("spart: goals length must match kernels")
 	}
 	if isolated != nil && len(isolated) != len(goals) {
 		return nil, errors.New("spart: isolated length must match goals")
 	}
-	c := &Controller{
-		g:           g,
-		goals:       append([]float64(nil), goals...),
-		isolated:    append([]float64(nil), isolated...),
-		isQoS:       make([]bool, len(goals)),
-		owner:       make([]int, g.Cfg.NumSMs),
-		every:       g.Cfg.SpartDecisionEpochs,
-		marginScale: 1.02,
-	}
-	if c.every < 1 {
-		c.every = 1
-	}
 	hasQoS := false
 	for slot, goal := range goals {
 		if goal < 0 {
 			return nil, fmt.Errorf("spart: negative goal for slot %d", slot)
 		}
-		c.isQoS[slot] = goal > 0
 		hasQoS = hasQoS || goal > 0
 	}
 	if !hasQoS {
@@ -68,6 +59,23 @@ func New(g *gpu.GPU, goals, isolated []float64) (*Controller, error) {
 	}
 	if len(goals) > g.Cfg.NumSMs {
 		return nil, errors.New("spart: more kernels than SMs")
+	}
+	c := prev
+	if c == nil {
+		c = new(Controller)
+	}
+	*c = Controller{
+		g:           g,
+		goals:       append(c.goals[:0], goals...),
+		isolated:    append(c.isolated[:0], isolated...),
+		isQoS:       c.isQoS[:0],
+		owner:       slices.Grow(c.owner[:0], g.Cfg.NumSMs)[:g.Cfg.NumSMs],
+		mask:        slices.Grow(c.mask[:0], g.Cfg.NumSMs)[:g.Cfg.NumSMs],
+		every:       max(g.Cfg.SpartDecisionEpochs, 1),
+		marginScale: 1.02,
+	}
+	for _, goal := range goals {
+		c.isQoS = append(c.isQoS, goal > 0)
 	}
 	return c, nil
 }
@@ -143,11 +151,10 @@ func (c *Controller) Install() {
 // applyMasks projects the ownership vector onto per-kernel SM masks.
 func (c *Controller) applyMasks() {
 	for slot := range c.goals {
-		mask := make([]bool, len(c.owner))
 		for i, o := range c.owner {
-			mask[i] = o == slot
+			c.mask[i] = o == slot
 		}
-		c.g.SetMask(slot, mask)
+		c.g.SetMask(slot, c.mask)
 	}
 }
 

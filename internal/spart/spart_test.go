@@ -31,7 +31,7 @@ func newGPU(t *testing.T, names ...string) *gpu.GPU {
 	t.Helper()
 	kernels := make([]*kern.Kernel, len(names))
 	for i, n := range names {
-		k, err := kern.Build(i, smallProfile(n), 23)
+		k, err := kern.Build(i, smallProfile(n), 23, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,20 +46,20 @@ func newGPU(t *testing.T, names ...string) *gpu.GPU {
 
 func TestNewValidation(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	if _, err := New(g, []float64{100}, nil); err == nil {
+	if _, err := New(g, []float64{100}, nil, nil); err == nil {
 		t.Fatal("accepted wrong goals length")
 	}
-	if _, err := New(g, []float64{0, 0}, nil); err == nil {
+	if _, err := New(g, []float64{0, 0}, nil, nil); err == nil {
 		t.Fatal("accepted no QoS kernel")
 	}
-	if _, err := New(g, []float64{100, 0}, []float64{1}); err == nil {
+	if _, err := New(g, []float64{100, 0}, []float64{1}, nil); err == nil {
 		t.Fatal("accepted mismatched isolated slice")
 	}
 }
 
 func TestInstallPartitionsEverySM(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	c, err := New(g, []float64{100, 0}, nil)
+	c, err := New(g, []float64{100, 0}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSeededPartitionProportionalToGoal(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	// Goal is 75% of isolated: the QoS kernel should start with about
 	// three quarters of the SMs.
-	c, _ := New(g, []float64{75, 0}, []float64{100, 100})
+	c, _ := New(g, []float64{75, 0}, []float64{100, 100}, nil)
 	c.Install()
 	if got := c.SMsOf(0); got != 6 {
 		t.Fatalf("QoS kernel seeded with %d of 8 SMs, want 6", got)
@@ -101,7 +101,7 @@ func TestSeededPartitionProportionalToGoal(t *testing.T) {
 
 func TestEveryKernelKeepsOneSM(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	c, _ := New(g, []float64{1e9, 0}, []float64{1, 1}) // absurd goal
+	c, _ := New(g, []float64{1e9, 0}, []float64{1, 1}, nil) // absurd goal
 	c.Install()
 	if c.SMsOf(1) < 1 {
 		t.Fatal("non-QoS kernel left without any SM")
@@ -117,7 +117,7 @@ func TestHillClimbMovesTowardNeedyKernel(t *testing.T) {
 	iso := isolated(t)
 	// Equal split but a high goal: the controller must take SMs from
 	// the non-QoS kernel.
-	c, _ := New(g, []float64{0.9 * iso, 0}, nil)
+	c, _ := New(g, []float64{0.9 * iso, 0}, nil, nil)
 	c.Install()
 	start := c.SMsOf(0)
 	g.RunCtx(context.Background(), 120_000)
@@ -141,7 +141,7 @@ func TestGiveBackWhenOverProvisioned(t *testing.T) {
 	iso := isolated(t)
 	// Tiny goal with a fat seeded partition: SMs must flow back to the
 	// non-QoS kernel.
-	c, _ := New(g, []float64{0.1 * iso, 0}, []float64{iso, iso})
+	c, _ := New(g, []float64{0.1 * iso, 0}, []float64{iso, iso}, nil)
 	// Manually seed the QoS kernel too large to force give-backs.
 	for i := range c.owner {
 		if i < 6 {
@@ -164,7 +164,7 @@ func TestGiveBackWhenOverProvisioned(t *testing.T) {
 func TestOwnershipConsistentAfterRun(t *testing.T) {
 	g := newGPU(t, "a", "b")
 	iso := isolated(t)
-	c, _ := New(g, []float64{0.6 * iso, 0}, []float64{iso, iso})
+	c, _ := New(g, []float64{0.6 * iso, 0}, []float64{iso, iso}, nil)
 	c.Install()
 	g.RunCtx(context.Background(), 100_000)
 	for i := 0; i < g.Cfg.NumSMs; i++ {
@@ -189,13 +189,13 @@ func TestOwnershipConsistentAfterRun(t *testing.T) {
 func TestTooManyKernelsRejected(t *testing.T) {
 	cfg := config.Base()
 	cfg.NumSMs = 1
-	k0, _ := kern.Build(0, smallProfile("a"), 1)
-	k1, _ := kern.Build(1, smallProfile("b"), 1)
+	k0, _ := kern.Build(0, smallProfile("a"), 1, nil)
+	k1, _ := kern.Build(1, smallProfile("b"), 1, nil)
 	g, err := gpu.New(cfg, []*kern.Kernel{k0, k1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(g, []float64{10, 0}, nil); err == nil {
+	if _, err := New(g, []float64{10, 0}, nil, nil); err == nil {
 		t.Fatal("accepted more kernels than SMs")
 	}
 }

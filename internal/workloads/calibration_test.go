@@ -29,7 +29,7 @@ type calibration struct {
 // cycles, with at most tbCap thread blocks per SM when tbCap > 0.
 func calibrationIPC(t *testing.T, p kern.Profile, tbCap int) float64 {
 	t.Helper()
-	k, err := kern.Build(0, p, Seed)
+	k, err := kern.Build(0, p, Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

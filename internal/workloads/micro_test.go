@@ -11,7 +11,7 @@ import (
 
 func microIPC(t *testing.T, p kern.Profile) (float64, *gpu.GPU) {
 	t.Helper()
-	k, err := kern.Build(0, p, Seed)
+	k, err := kern.Build(0, p, Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMicroALUApproachesIssueBound(t *testing.T) {
 func TestMicroStreamSaturatesBandwidth(t *testing.T) {
 	// Use the full 16-SM part: with few SMs the per-SM injection
 	// credits bind before DRAM bandwidth does.
-	k, err := kern.Build(0, MicroStream(), Seed)
+	k, err := kern.Build(0, MicroStream(), Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func TestSuiteSize(t *testing.T) {
 
 func TestAllProfilesBuild(t *testing.T) {
 	for i, p := range Profiles() {
-		if _, err := kern.Build(i, p, Seed); err != nil {
+		if _, err := kern.Build(i, p, Seed, nil); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
 	}
@@ -63,11 +63,11 @@ func TestKernelBuildsWithSlotID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0, err := kern.Build(0, p, Seed)
+	k0, err := kern.Build(0, p, Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, err := kern.Build(1, p, Seed)
+	k1, err := kern.Build(1, p, Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
