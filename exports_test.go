@@ -26,7 +26,6 @@ var testOnlyExports = map[string]string{
 	"cache.(*Cache).CheckInvariants": "the CheckInvariants family: the tag store's structural oracle under random streams",
 	"gpu.(*GPU).CheckInvariants":     "the CheckInvariants family: the device's structural oracle in the gpu, qos and spart tests",
 	"core.WithEventWheel":            "selects the per-cycle reference loop the wheel-equivalence tests compare the event wheel against",
-	"core.(*IsolatedCache).Len":      "the core tests count the baselines a fill leaves: a failed, canceled or panicked measurement must leave none",
 	"gpu.(*GPU).EpochIndex":          "the qos elastic-epoch tests hold traced epoch rolls and the epoch counters to the device's own roll count",
 	"gpu.(*GPU).NextEpochAt":         "the qos tests check that a forced roll pushes the next scheduled roll a full epoch out",
 	"gpu.New":                        "gpu.Rebuild's nil case: a fresh device for the gpu, qos, spart, power and workloads tests",

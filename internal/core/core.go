@@ -200,7 +200,7 @@ func (ks KernelSpec) profile() (kern.Profile, error) {
 	return kern.Profile{}, errors.New("core: spec needs Workload or Profile")
 }
 
-// baselineKey is the spec's IsolatedCache key. A suite workload is keyed
+// baselineKey is the spec's baseline cache key. A suite workload is keyed
 // by its name; a custom profile by its name plus a hash of the whole
 // profile value, so two profiles that share a name but differ in any
 // field (a smaller grid, say) never share a baseline.
@@ -242,28 +242,34 @@ type Config struct {
 	DisableEventWheel bool `json:"-"`
 }
 
-// Session runs simulations under one fixed configuration and caches
-// isolated-IPC measurements. A Session is safe for concurrent use; the
-// parallel sweep runner nevertheless gives each worker its own Session
-// (sharing only the synchronized isolated-IPC cache) so no simulation
-// state is ever shared between goroutines.
-//
-// A session keeps the device of its last completed run and rebuilds it in
-// place for the next one — its kernels, decoded programs, saved contexts
-// and controller included (rebuild) — so a run allocates only its Result
-// and what it needs beyond the previous runs. The idle device is held
-// weakly: the garbage collector may reclaim it, and the next run then
-// builds afresh.
+// Session runs simulations under one fixed configuration, caches
+// isolated-IPC measurements and owns everything its runs reuse. It is
+// safe for concurrent use: concurrent runs measure each baseline once
+// (singleflight) and each take their own device from the session's idle
+// pool, or build one. A run rebuilds its device in place — kernels,
+// decoded programs, saved contexts and the scheme's controller included —
+// so it allocates only its Result and what it needs beyond earlier runs.
+// A completed run puts its device back; one that fails, is canceled or
+// panics drops it. Idle devices are held weakly: the garbage collector
+// may reclaim them, and a run then builds afresh.
 type Session struct {
 	cfg      Config
 	seed     uint64
-	isolated *IsolatedCache
-	// newGPU builds or rebuilds every device the session runs, its
+	isolated *isolatedCache
+	// build builds or rebuilds every device the session runs, its
 	// kernels included (rebuild); tests wrap it to count builds.
-	newGPU func(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error)
+	build func(d *device, cfg config.GPU, specs []KernelSpec, seed uint64) error
 
 	mu   sync.Mutex
-	idle weak.Pointer[gpu.GPU] // the last completed run's device; no run holds it
+	idle []weak.Pointer[device] // devices no run holds, the last released last
+}
+
+// device is one entry of a session's idle pool: a simulated device and the
+// controllers last built on it, each rebuilt by the next run of its type.
+type device struct {
+	g     *gpu.GPU
+	qos   *qos.Manager
+	spart *spart.Controller
 }
 
 // NewSession applies the options, validates the resulting configuration
@@ -287,11 +293,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cfg.WindowCycles < 2*cfg.GPU.EpochLength {
 		return nil, errors.New("core: window must cover at least two epochs")
 	}
-	cache := st.cache
-	if cache == nil {
-		cache = NewIsolatedCache()
-	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: cache, newGPU: rebuild}, nil
+	return &Session{cfg: cfg, seed: st.seed, isolated: &isolatedCache{entries: make(map[string]*isoEntry)}, build: rebuild}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -309,12 +311,12 @@ func (s *Session) Window() int64 { return s.cfg.WindowCycles }
 func (s *Session) Seed() uint64 { return s.seed }
 
 // rebuild builds the specs' kernels, slot i from specs[i], and a device
-// over them, both in prev's storage (kern.Build, gpu.Rebuild); a nil prev
-// builds afresh.
-func rebuild(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
+// over them into d, both in the storage of d's device (kern.Build,
+// gpu.Rebuild); an empty d builds afresh.
+func rebuild(d *device, cfg config.GPU, specs []KernelSpec, seed uint64) error {
 	var kernels []*kern.Kernel
-	if prev != nil {
-		kernels = prev.Kernels
+	if d.g != nil {
+		kernels = d.g.Kernels
 	}
 	kernels = slices.Grow(kernels[:0], len(specs))[:len(specs)]
 	for i, spec := range specs {
@@ -323,17 +325,20 @@ func rebuild(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*g
 			kernels[i], err = kern.Build(i, p, seed, kernels[i])
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return gpu.Rebuild(prev, cfg, kernels)
+	g, err := gpu.Rebuild(d.g, cfg, kernels)
+	if err == nil {
+		d.g = g
+	}
+	return err
 }
 
 // IsolatedIPC measures (and caches) the kernel's thread-IPC when running
 // alone on the whole GPU for the session window. Concurrent requests for
-// the same kernel measure it once (singleflight); the cache may be shared
-// across sessions via WithIsolatedCache. The context cancels the
-// underlying simulation at epoch granularity.
+// the same kernel measure it once (singleflight). The context cancels
+// the underlying simulation at epoch granularity.
 //
 // The measurement is exactly a lone unmanaged co-run (see RunTraced), so
 // a baseline either one files is the baseline the other would measure,
@@ -341,12 +346,12 @@ func rebuild(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*g
 // name and profile value.
 func (s *Session) IsolatedIPC(ctx context.Context, spec KernelSpec) (float64, error) {
 	return s.isolated.ipc(ctx, spec.baselineKey(), func() (float64, error) {
-		g, err := s.simulate(ctx, []KernelSpec{spec}, SchemeNone, nil, nil, nil)
+		d, err := s.simulate(ctx, []KernelSpec{spec}, SchemeNone, nil, nil, nil)
 		if err != nil {
 			return 0, err
 		}
-		ipc := g.IPC(0)
-		s.release(g)
+		ipc := d.g.IPC(0)
+		s.release(d)
 		return ipc, nil
 	})
 }
@@ -439,10 +444,11 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		}
 	}
 
-	g, err := s.simulate(ctx, specs, scheme, goals, isolated, tr)
+	d, err := s.simulate(ctx, specs, scheme, goals, isolated, tr)
 	if err != nil {
 		return nil, err
 	}
+	g := d.g
 	if lone {
 		ipc := g.IPC(0)
 		if isolated[0], err = s.isolated.ipc(ctx, specs[0].baselineKey(), func() (float64, error) { return ipc, nil }); err != nil {
@@ -479,59 +485,72 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 		res.TotalIPC += kr.IPC
 		res.Kernels = append(res.Kernels, kr)
 	}
-	s.release(g)
+	s.release(d)
 	return res, nil
 }
 
 // simulate builds a device over the specs' kernels, installs scheme and
 // runs it for the session window: every simulation the session makes,
-// the isolated measurement included. It rebuilds the session's idle
-// device when there is one; the caller hands the device back with release
-// once it has read the run's results, and a run that fails or panics
-// never does. It selects the event wheel, or the per-cycle reference loop
-// when a test asked for it, and attaches tr (nil for none) before the
-// scheme installs, so the first quota allocation (epoch 0, cycle 0) is
-// captured too.
-func (s *Session) simulate(ctx context.Context, specs []KernelSpec, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*gpu.GPU, error) {
-	s.mu.Lock()
-	prev := s.idle.Value()
-	s.idle = weak.Pointer[gpu.GPU]{}
-	s.mu.Unlock()
-	g, err := s.newGPU(prev, s.cfg.GPU, specs, s.seed)
-	if err != nil {
+// the isolated measurement included. It rebuilds a device taken from the
+// idle pool (take); the caller hands it back with release once it has read
+// the run's results, and a run that fails or panics never does. It
+// selects the event wheel, or the per-cycle reference loop when a test
+// asked for it, and attaches tr (nil for none) before the scheme
+// installs, so the first quota allocation (epoch 0, cycle 0) is captured
+// too.
+func (s *Session) simulate(ctx context.Context, specs []KernelSpec, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*device, error) {
+	d := s.take()
+	if err := s.build(d, s.cfg.GPU, specs, s.seed); err != nil {
 		return nil, err
 	}
+	g := d.g
 	g.SetEventWheel(!s.cfg.DisableEventWheel)
 	if tr != nil {
 		g.SetTracer(tr)
 	}
-	if err := installScheme(g, scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
+	if err := d.installScheme(scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
 		return nil, err
 	}
 	if err := g.RunCtx(ctx, s.cfg.WindowCycles); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return d, nil
 }
 
-// release makes g, whose run has been read, the session's idle device.
-func (s *Session) release(g *gpu.GPU) {
+// take removes the last released device still alive from the idle pool,
+// or returns an empty one when there is none.
+func (s *Session) take() *device {
 	s.mu.Lock()
-	s.idle = weak.Make(g)
+	defer s.mu.Unlock()
+	for n := len(s.idle); n > 0; n-- {
+		d := s.idle[n-1].Value()
+		s.idle = s.idle[:n-1]
+		if d != nil {
+			return d
+		}
+	}
+	return new(device)
+}
+
+// release puts d, whose run has been read, back into the idle pool.
+func (s *Session) release(d *device) {
+	s.mu.Lock()
+	s.idle = append(s.idle, weak.Make(d))
 	s.mu.Unlock()
 }
 
-// installScheme wires the chosen management policy into the GPU.
-func installScheme(g *gpu.GPU, scheme Scheme, goals, isolated []float64, opts qos.Options) error {
+// installScheme wires the chosen management policy into the device,
+// rebuilding the device's own controller of that type in place.
+func (d *device) installScheme(scheme Scheme, goals, isolated []float64, opts qos.Options) error {
 	switch scheme {
 	case SchemeNone:
 		return nil
 	case SchemeSpart:
-		prev, _ := g.Retired().(*spart.Controller)
-		c, err := spart.New(g, goals, isolated, prev)
+		c, err := spart.New(d.g, goals, isolated, d.spart)
 		if err != nil {
 			return err
 		}
+		d.spart = c
 		c.Install()
 		return nil
 	default:
@@ -545,12 +564,12 @@ func installScheme(g *gpu.GPU, scheme Scheme, goals, isolated []float64, opts qo
 				fracs[i] = goal / isolated[i]
 			}
 		}
-		qos.SetupFineGrained(g, goals, fracs)
-		prev, _ := g.Retired().(*qos.Manager)
-		m, err := qos.New(g, qs, goals, opts, prev)
+		qos.SetupFineGrained(d.g, goals, fracs)
+		m, err := qos.New(d.g, qs, goals, opts, d.qos)
 		if err != nil {
 			return err
 		}
+		d.qos = m
 		m.Install()
 		return nil
 	}

@@ -139,12 +139,13 @@ func TestIsolatedIPCCached(t *testing.T) {
 	}
 }
 
-// TestSharedIsolatedCacheSingleflight checks that sessions sharing one
-// IsolatedCache compute each baseline exactly once, even when many
-// goroutines ask concurrently — the property the sweep runner relies on.
+// TestSharedIsolatedCacheSingleflight checks that the concurrent runs
+// sharing one session's isolated cache compute each baseline exactly
+// once, however many goroutines ask — the property the sweep runner's
+// workers and a fleet's same-device nodes rely on.
 func TestSharedIsolatedCacheSingleflight(t *testing.T) {
 	var computes atomic.Int64
-	cache := NewIsolatedCache()
+	cache := newIsolatedCache()
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -164,53 +165,25 @@ func TestSharedIsolatedCacheSingleflight(t *testing.T) {
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("baseline computed %d times, want 1", n)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", cache.Len())
+	if cache.len() != 1 {
+		t.Fatalf("cache holds %d entries, want 1", cache.len())
 	}
 }
 
 // TestIsolatedCacheEvictsErrors checks a failed (e.g. canceled)
 // computation does not poison the cache: the next caller retries.
 func TestIsolatedCacheEvictsErrors(t *testing.T) {
-	cache := NewIsolatedCache()
+	cache := newIsolatedCache()
 	boom := errors.New("boom")
 	if _, err := cache.ipc(context.Background(), "k", func() (float64, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if cache.Len() != 0 {
+	if cache.len() != 0 {
 		t.Fatal("failed entry not evicted")
 	}
 	v, err := cache.ipc(context.Background(), "k", func() (float64, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry after failure: %v, %v", v, err)
-	}
-}
-
-func TestSessionsShareIsolatedCache(t *testing.T) {
-	cache := NewIsolatedCache()
-	a, err := NewSession(append(fastOpts(), WithIsolatedCache(cache))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSession(append(fastOpts(), WithIsolatedCache(cache))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	spec := KernelSpec{Workload: "sgemm"}
-	x, err := a.IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := b.IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x != y {
-		t.Fatal("sessions sharing a cache disagree on the isolated baseline")
-	}
-	if cache.Len() != 1 {
-		t.Fatalf("shared cache holds %d entries, want 1", cache.Len())
 	}
 }
 

@@ -6,18 +6,15 @@ import (
 	"sync"
 )
 
-// IsolatedCache memoizes isolated-IPC measurements with singleflight
-// semantics: when several goroutines ask for the same kernel's baseline
-// concurrently, exactly one measures it and the rest wait for the result.
-// A suite workload is keyed by its name, a custom profile by its name
-// plus a hash of the profile value. Session.IsolatedIPC measures
-// baselines and Session.RunTraced files the IPC of a lone unmanaged run;
-// the two are the same simulation, so either fills the same entry with
-// the same value. A cache is private to one Session by default;
-// WithIsolatedCache shares it across sessions with identical
-// configuration and seed so a worker pool or a fleet computes each
-// baseline once.
-type IsolatedCache struct {
+// isolatedCache memoizes a session's isolated-IPC measurements with
+// singleflight semantics: when several of its runs ask for the same
+// kernel's baseline concurrently, exactly one measures it and the rest
+// wait for the result. A suite workload is keyed by its name, a custom
+// profile by its name plus a hash of the profile value.
+// Session.IsolatedIPC measures baselines and Session.RunTraced files the
+// IPC of a lone unmanaged run; the two are the same simulation, so either
+// fills the same entry with the same value.
+type isolatedCache struct {
 	mu      sync.Mutex
 	entries map[string]*isoEntry
 }
@@ -26,19 +23,6 @@ type isoEntry struct {
 	once sync.Once
 	val  float64
 	err  error
-}
-
-// NewIsolatedCache returns an empty cache ready for sharing.
-func NewIsolatedCache() *IsolatedCache {
-	return &IsolatedCache{entries: make(map[string]*isoEntry)}
-}
-
-// Len reports how many baselines have been requested so far (including
-// in-flight measurements).
-func (c *IsolatedCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // errMeasurePanicked is what the waiters of a flight whose compute
@@ -53,7 +37,7 @@ var errMeasurePanicked = errors.New("core: isolated measurement panicked")
 // context error and the waiter's own ctx is still live: that is the
 // owner giving up, not the measurement failing, so the waiter measures
 // again with its own compute.
-func (c *IsolatedCache) ipc(ctx context.Context, key string, compute func() (float64, error)) (float64, error) {
+func (c *isolatedCache) ipc(ctx context.Context, key string, compute func() (float64, error)) (float64, error) {
 	for {
 		val, owner, err := c.flight(key, compute)
 		if err == nil {
@@ -69,7 +53,7 @@ func (c *IsolatedCache) ipc(ctx context.Context, key string, compute func() (flo
 // flight joins (or starts) the flight for key and reports its outcome and
 // whether this caller ran compute. A failed flight is evicted before
 // flight returns, panics included.
-func (c *IsolatedCache) flight(key string, compute func() (float64, error)) (val float64, owner bool, err error) {
+func (c *isolatedCache) flight(key string, compute func() (float64, error)) (val float64, owner bool, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {

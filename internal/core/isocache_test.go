@@ -14,7 +14,7 @@ import (
 // (no deadlock), and the failed entry must be evicted — not poisoned — so
 // the next request recomputes and succeeds.
 func TestIsolatedCacheCancelDuringFill(t *testing.T) {
-	c := NewIsolatedCache()
+	c := newIsolatedCache()
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var startedOnce sync.Once
@@ -62,15 +62,15 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 	}
 
 	// The failed flight must have been evicted, not cached as an error.
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after a failed fill, want 0", c.Len())
+	if c.len() != 0 {
+		t.Fatalf("cache holds %d entries after a failed fill, want 0", c.len())
 	}
 	v, err := c.ipc(context.Background(), "sgemm", func() (float64, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("recompute after eviction = (%v, %v), want (42, nil)", v, err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache Len = %d after successful recompute", c.Len())
+	if c.len() != 1 {
+		t.Fatalf("cache Len = %d after successful recompute", c.len())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestIsolatedCacheCancelDuringFill(t *testing.T) {
 // The panic reaches the guard as a *PanicError, and the next request
 // measures afresh.
 func TestIsolatedCachePanicDuringFill(t *testing.T) {
-	c := NewIsolatedCache()
+	c := newIsolatedCache()
 	err := Guard(context.Background(), 0, func(ctx context.Context) error {
 		_, err := c.ipc(ctx, "sgemm", func() (float64, error) { panic("measurement fault") })
 		return err
@@ -88,8 +88,8 @@ func TestIsolatedCachePanicDuringFill(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Value != "measurement fault" || len(pe.Stack) == 0 {
 		t.Fatalf("guarded panicking fill = %v, want *PanicError with its stack", err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after a panicked fill, want 0", c.Len())
+	if c.len() != 0 {
+		t.Fatalf("cache holds %d entries after a panicked fill, want 0", c.len())
 	}
 	if v, err := c.ipc(context.Background(), "sgemm", func() (float64, error) { return 42, nil }); err != nil || v != 42 {
 		t.Fatalf("recompute after a panicked fill = (%v, %v), want (42, nil)", v, err)
@@ -109,24 +109,19 @@ func TestGuardDeadline(t *testing.T) {
 
 // TestSessionIsolatedIPCCancelThenRetry is the same scenario through the
 // Session facade with a real simulation: a canceled IsolatedIPC must not
-// poison the shared cache for a later successful call.
+// poison the session's cache for a later successful call.
 func TestSessionIsolatedIPCCancelThenRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cache := NewIsolatedCache()
-	opts := append(fastOpts(), WithIsolatedCache(cache))
-	s, err := NewSession(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := fastSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.IsolatedIPC(ctx, KernelSpec{Workload: "sgemm"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("failed baseline left %d cache entries", cache.Len())
+	if n := s.isolated.len(); n != 0 {
+		t.Fatalf("failed baseline left %d cache entries", n)
 	}
 	ipc, err := s.IsolatedIPC(context.Background(), KernelSpec{Workload: "sgemm"})
 	if err != nil || ipc <= 0 {

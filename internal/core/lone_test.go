@@ -29,8 +29,8 @@ func TestLoneRunBuildsOneDevice(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("cold lone run built %d devices, want 1", n)
 	}
-	if s.isolated.Len() != 1 {
-		t.Fatalf("cache holds %d baselines after a lone run, want 1", s.isolated.Len())
+	if s.isolated.len() != 1 {
+		t.Fatalf("cache holds %d baselines after a lone run, want 1", s.isolated.len())
 	}
 	iso, err := s.IsolatedIPC(ctx, KernelSpec{Workload: "sgemm"})
 	if err != nil || iso != res.Kernels[0].IPC {
@@ -94,8 +94,8 @@ func TestLoneRunCanceledCachesNothing(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("canceled lone run built %d devices, want 1", n)
 	}
-	if s.isolated.Len() != 0 {
-		t.Fatalf("canceled lone run left %d cached baselines, want 0", s.isolated.Len())
+	if s.isolated.len() != 0 {
+		t.Fatalf("canceled lone run left %d cached baselines, want 0", s.isolated.len())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestWaiterOutlivesOwnerCancel(t *testing.T) {
 		{"failed measurement", func(context.Context) error { return errBoom }, errBoom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewIsolatedCache()
+			c := newIsolatedCache()
 			ownerCtx, cancel := context.WithCancel(context.Background())
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -188,8 +188,8 @@ func TestWaiterOutlivesOwnerCancel(t *testing.T) {
 			if err != nil || got != 42 {
 				t.Fatalf("waiter = (%v, %v), want its own measurement 42", got, err)
 			}
-			if c.Len() != 1 {
-				t.Fatalf("cache holds %d entries, want the waiter's baseline", c.Len())
+			if c.len() != 1 {
+				t.Fatalf("cache holds %d entries, want the waiter's baseline", c.len())
 			}
 		})
 	}

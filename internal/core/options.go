@@ -8,9 +8,8 @@ import (
 
 // settings collects everything an Option can configure before validation.
 type settings struct {
-	cfg   Config
-	seed  uint64
-	cache *IsolatedCache
+	cfg  Config
+	seed uint64
 }
 
 // Option configures a Session (see NewSession). Options apply in order,
@@ -53,15 +52,6 @@ func WithEventWheel(on bool) Option {
 // and seed produce bit-identical results.
 func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.seed = seed }
-}
-
-// WithIsolatedCache shares an isolated-IPC cache between sessions. All
-// sessions sharing a cache MUST be built with identical configuration and
-// seed (isolated IPC depends on both); the parallel sweep runner uses
-// this so the per-workload isolated baselines are measured exactly once
-// across its worker pool.
-func WithIsolatedCache(c *IsolatedCache) Option {
-	return func(s *settings) { s.cache = c }
 }
 
 // defaultSettings returns the option state before user options apply.

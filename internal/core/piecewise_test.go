@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/gpu"
 	"repro/internal/trace"
 )
 
@@ -16,7 +15,8 @@ import (
 // its window in three pieces (ending mid-epoch, on an epoch boundary and
 // at the window) and its KernelStats and exported JSONL trace must equal,
 // byte for byte, one whole run's: on a freshly built device, and on one
-// gpu.Rebuild reset after another case's run.
+// gpu.Rebuild reset after another case's run, its controllers rebuilt in
+// place.
 func TestPiecewiseRunMatchesWhole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -36,9 +36,9 @@ func TestPiecewiseRunMatchesWhole(t *testing.T) {
 		{specs: []KernelSpec{{Workload: "sgemm", GoalFrac: 0.6}, {Workload: "spmv"}}, scheme: SchemeSpart},
 		{specs: []KernelSpec{{Workload: "mri-q", GoalFrac: 0.7}, {Workload: "stencil"}}, scheme: SchemeElastic},
 	}
-	// run simulates c on prev rebuilt (nil: a fresh device) in the given
+	// run simulates c on d rebuilt (nil: a fresh device) in the given
 	// pieces and returns its stats, its trace and the device.
-	run := func(c reuseStep, prev *gpu.GPU, pieces []int64) (stats, events []byte, g *gpu.GPU) {
+	run := func(c reuseStep, d *device, pieces []int64) (stats, events []byte, _ *device) {
 		t.Helper()
 		goals := make([]float64, len(c.specs))
 		isolated := make([]float64, len(c.specs))
@@ -48,12 +48,16 @@ func TestPiecewiseRunMatchesWhole(t *testing.T) {
 			}
 			goals[i] = sp.GoalFrac * isolated[i]
 		}
-		if g, err = rebuild(prev, s.cfg.GPU, c.specs, s.seed); err != nil {
+		if d == nil {
+			d = new(device)
+		}
+		if err := rebuild(d, s.cfg.GPU, c.specs, s.seed); err != nil {
 			t.Fatal(err)
 		}
+		g := d.g
 		tr := trace.New(trace.DefaultRingSize)
 		g.SetTracer(tr)
-		if err := installScheme(g, c.scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
+		if err := d.installScheme(c.scheme, goals, isolated, s.cfg.QoSOptions); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pieces {
@@ -71,18 +75,18 @@ func TestPiecewiseRunMatchesWhole(t *testing.T) {
 		if stats, err = json.Marshal(g.Stats); err != nil {
 			t.Fatal(err)
 		}
-		return stats, buf.Bytes(), g
+		return stats, buf.Bytes(), d
 	}
 	_, _, used := run(cases[len(cases)-1], nil, []int64{window})
 	for _, c := range cases {
 		wantStats, wantEvents, _ := run(c, nil, []int64{window})
 		for _, dev := range []struct {
 			name string
-			prev *gpu.GPU
+			prev *device
 		}{{"fresh", nil}, {"rebuilt", used}} {
-			stats, events, g := run(c, dev.prev, pieces)
-			if g.Now != window {
-				t.Fatalf("%v %v on a %s device: ran %d cycles, want %d", c.scheme, c.specs, dev.name, g.Now, window)
+			stats, events, d := run(c, dev.prev, pieces)
+			if d.g.Now != window {
+				t.Fatalf("%v %v on a %s device: ran %d cycles, want %d", c.scheme, c.specs, dev.name, d.g.Now, window)
 			}
 			if !bytes.Equal(stats, wantStats) {
 				t.Errorf("%v %v on a %s device: stats in pieces differ from the whole run's:\npieces: %s\n whole: %s",
@@ -91,7 +95,7 @@ func TestPiecewiseRunMatchesWhole(t *testing.T) {
 			if !bytes.Equal(events, wantEvents) {
 				t.Errorf("%v %v on a %s device: the trace in pieces differs from the whole run's", c.scheme, c.specs, dev.name)
 			}
-			used = g
+			used = d
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/gpu"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -21,8 +20,9 @@ import (
 // freshDevices makes every device s runs, kernels included, a newly built
 // one: the reference a session that rebuilds its last device must match.
 func freshDevices(s *Session) {
-	s.newGPU = func(_ *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
-		return rebuild(nil, cfg, specs, seed)
+	s.build = func(d *device, cfg config.GPU, specs []KernelSpec, seed uint64) error {
+		*d = device{} // no previous device, and no controller built on one
+		return rebuild(d, cfg, specs, seed)
 	}
 }
 
@@ -139,9 +139,9 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refCache := NewIsolatedCache()
+			refCache := newIsolatedCache() // the fresh sessions' baselines, measured once
 			drains, resumes := 0, 0
-			var held *gpu.GPU // the idle device, held so no collection clears it
+			var held *device // the idle device, held so no collection clears it
 			for i, st := range tc.steps {
 				if i == tc.cancel {
 					// Baselines first, so the cancel lands in the co-run.
@@ -155,21 +155,22 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 					if _, err := s.Run(ctx, st.specs, st.scheme); !errors.Is(err, context.Canceled) {
 						t.Fatalf("step %d: err = %v, want context.Canceled", i, err)
 					}
-					if s.idle.Value() != nil {
+					if idleDevice(s) != nil {
 						t.Fatalf("step %d: a canceled run handed its device back", i)
 					}
 					held = nil
 					continue
 				}
 				r, res, events := runStep(t, s, st)
-				if dev := s.idle.Value(); held != nil && dev != held {
+				if dev := idleDevice(s); held != nil && dev != held {
 					t.Fatalf("step %d: ran on a new device, not the previous one rebuilt", i)
 				}
-				held = s.idle.Value()
-				ref, err := NewSession(append(opts, WithIsolatedCache(refCache))...)
+				held = idleDevice(s)
+				ref, err := NewSession(opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
+				ref.isolated = refCache
 				freshDevices(ref)
 				_, refRes, refEvents := runStep(t, ref, st)
 				if !bytes.Equal(res, refRes) {
@@ -194,10 +195,11 @@ func TestReusedDeviceMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSessionSharedByTwoGoroutines: a Session is safe for concurrent use,
-// and its idle device passes between runs on different goroutines. Two
-// goroutines alternate co-runs on one session (run it under -race), and
-// every result equals the same co-run on freshly built devices.
+// TestSessionSharedByTwoGoroutines: a Session is safe for concurrent use:
+// concurrent runs each take their own device from its idle pool, and a
+// device passes between runs on different goroutines. Two goroutines
+// alternate co-runs on one session (run it under -race), and every result
+// equals the same co-run on freshly built devices.
 func TestSessionSharedByTwoGoroutines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -279,7 +281,7 @@ func TestSecondRunAllocatesLittle(t *testing.T) {
 		t.Fatalf("the second co-run allocated %d B, over a tenth of the first's %d B", second, first)
 	}
 	runtime.GC()
-	if s.idle.Value() != nil {
+	if idleDevice(s) != nil {
 		t.Fatal("the session still holds its idle device after a collection: it would pin a device per session")
 	}
 	runtime.KeepAlive(s)
@@ -327,6 +329,8 @@ const (
 // idle device's storage. Each case, an untraced co-run repeated on a
 // warm session with the collector off (which would clear the session's
 // weak hold on its device), stays under warmMaxBytes and warmMaxAllocs.
+// So does each of alternating Spart and Rollover co-runs with no settling
+// run between them: the device keeps a controller of each type.
 func TestWarmCoRunAllocates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -362,6 +366,22 @@ func TestWarmCoRunAllocates(t *testing.T) {
 		if bytes > warmMaxBytes || allocs > warmMaxAllocs {
 			t.Errorf("%v %v: a warm co-run allocated %d B in %.0f allocations, over %d B or %d",
 				c.scheme, c.specs, bytes, allocs, warmMaxBytes, warmMaxAllocs)
+		}
+	}
+	pair := warmCases()[0].specs
+	for k := range 6 {
+		scheme := [2]Scheme{SchemeSpart, SchemeRollover}[k%2]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(ctx, pair, scheme); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+		t.Logf("alternating %v: %d allocations, %d B", scheme, allocs, bytes)
+		if bytes > warmMaxBytes || allocs > warmMaxAllocs {
+			t.Errorf("alternating run %d, %v: a warm co-run allocated %d B in %d allocations, over %d B or %d",
+				k, scheme, bytes, allocs, warmMaxBytes, warmMaxAllocs)
 		}
 	}
 }

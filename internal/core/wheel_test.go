@@ -24,16 +24,18 @@ func TestGoalOnlyPairLetsTheWheelSkip(t *testing.T) {
 	}
 	const window = 60_000
 	specs := []KernelSpec{{Workload: "sgemm", GoalFrac: 0.2}, {Workload: "histo", GoalFrac: 0.2}}
-	cache := NewIsolatedCache()
+	cache := newIsolatedCache() // both sessions' baselines: one measurement each
 	run := func(wheel bool) (res, events []byte, g *gpu.GPU) {
-		s, err := NewSession(WithWindow(window), WithEventWheel(wheel), WithIsolatedCache(cache))
+		s, err := NewSession(WithWindow(window), WithEventWheel(wheel))
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := s.newGPU
-		s.newGPU = func(prev *gpu.GPU, cfg config.GPU, specs []KernelSpec, seed uint64) (*gpu.GPU, error) {
-			g, err = build(prev, cfg, specs, seed) // the last device built is the co-run's
-			return g, err
+		s.isolated = cache
+		build := s.build
+		s.build = func(d *device, cfg config.GPU, specs []KernelSpec, seed uint64) error {
+			err := build(d, cfg, specs, seed)
+			g = d.g // the last device built is the co-run's
+			return err
 		}
 		tr := trace.New(trace.DefaultRingSize)
 		r, err := s.RunTraced(context.Background(), specs, SchemeNaive, tr)

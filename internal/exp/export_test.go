@@ -13,10 +13,10 @@ import (
 // boundary. Call it before the first sweep.
 func (r *Runner) interceptCases(hook func(ctx context.Context, i int) error) {
 	run := r.caseRun
-	r.caseRun = func(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error) {
+	r.caseRun = func(ctx context.Context, g Grid, i int, scheme core.Scheme) (*core.Result, error) {
 		if err := hook(ctx, i); err != nil {
 			return nil, err
 		}
-		return run(ctx, s, g, i, scheme)
+		return run(ctx, g, i, scheme)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,14 +24,17 @@ var faultPairs = []workloads.Pair{
 // TestSweepPanicIsolation panics two chosen cases and runs the sweep with
 // the default (collecting) policy: every other case must complete, the
 // report must name exactly the panicking cases, and the recovered stacks
-// must be attached.
+// must be attached. A failed case is final: every case, failed or not,
+// runs once.
 func TestSweepPanicIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
 	goals := []float64{0.4, 0.7}
 	r := testRunner(t, 3)
+	var runs [6]atomic.Int32
 	r.interceptCases(func(_ context.Context, i int) error {
+		runs[i].Add(1)
 		if i == 1 || i == 4 {
 			panic(fmt.Sprintf("injected panic at case %d", i))
 		}
@@ -68,6 +72,11 @@ func TestSweepPanicIsolation(t *testing.T) {
 		}
 		if !failed && c.Res == nil {
 			t.Fatalf("case %d: healthy case missing its result", i)
+		}
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("case %d ran %d times, want once", i, n)
 		}
 	}
 	// Sweep also returns the report, beside the error that carries it.

@@ -42,15 +42,14 @@ type Progress struct {
 // implementations need no locking.
 type ProgressFunc func(Progress)
 
-// Runner is the parallel sweep engine: a fixed pool of workers, each
-// owning an independent core.Session, over which pair/trio case grids are
-// fanned out. All sessions share one singleflight isolated-IPC cache, so
-// the per-workload isolated baselines are measured exactly once no matter
-// how many workers ask for them. Results are always merged in
-// deterministic case order (pairs/trios outer, goals inner) regardless of
-// completion order, and each case is bit-identical to what the serial
-// PairSweep/TrioSweep of the package tests produce: per-case determinism
-// comes from the seeded RNG streams in internal/rng, not from scheduling.
+// Runner is the parallel sweep engine: a fixed number of workers that
+// fan pair/trio case grids out over one core.Session, which gives each
+// concurrent case its own device and measures each workload's isolated
+// baseline once. Results are always merged in deterministic case order
+// (pairs/trios outer, goals inner) regardless of completion order, and
+// each case is bit-identical to what the serial PairSweep/TrioSweep of
+// the package tests produce: per-case determinism comes from the seeded
+// RNG streams in internal/rng, not from scheduling.
 //
 // The runner is also the fault boundary of a study: each case executes
 // under core.Guard, which converts a panic into a *core.PanicError and
@@ -59,15 +58,13 @@ type ProgressFunc func(Progress)
 // A failed case is not retried: it is a pure function of its inputs and
 // would fail again.
 type Runner struct {
-	workers  int
-	opts     []core.Option
-	sessions []*core.Session
-	// slots is the session pool every case borrows its session from.
-	slots       chan *core.Session
+	workers     int
+	opts        []core.Option
+	session     *core.Session
 	caseTimeout time.Duration
 	// caseRun executes one case (runCase); tests wrap it to fail chosen
 	// case indices.
-	caseRun func(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error)
+	caseRun func(ctx context.Context, g Grid, i int, scheme core.Scheme) (*core.Result, error)
 
 	// Per-case trace output (WithTraceDir). Every traced case gets its
 	// own trace.Tracer — tracers are unsynchronized by design, so
@@ -90,10 +87,8 @@ type runnerSettings struct {
 // option.
 type Option func(*runnerSettings)
 
-// WithSessionOptions appends core session options applied identically to
-// every worker session (device, window, QoS tuning, seed). Passing
-// core.WithIsolatedCache is redundant — the runner always installs a
-// shared singleflight cache after these options, so it wins.
+// WithSessionOptions appends the core session options the runner's
+// session is built with (device, window, QoS tuning, seed).
 func WithSessionOptions(opts ...core.Option) Option {
 	return func(s *runnerSettings) { s.session = append(s.session, opts...) }
 }
@@ -116,8 +111,8 @@ func WithTraceDir(dir string, f trace.Format) Option {
 
 // NewRunner builds a Runner with the given worker count (0 or negative
 // means runtime.GOMAXPROCS(0)), configured by runner options
-// (WithSessionOptions, WithCaseTimeout, WithTraceDir). All worker
-// sessions share one singleflight isolated-IPC cache.
+// (WithSessionOptions, WithCaseTimeout, WithTraceDir). Every worker runs
+// its cases on the runner's one session.
 func NewRunner(workers int, opts ...Option) (*Runner, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -131,32 +126,26 @@ func NewRunner(workers int, opts ...Option) (*Runner, error) {
 			return nil, err
 		}
 	}
+	s, err := core.NewSession(st.session...)
+	if err != nil {
+		return nil, err
+	}
 	r := &Runner{
 		workers:     workers,
 		opts:        append([]core.Option(nil), st.session...),
-		slots:       make(chan *core.Session, workers),
+		session:     s,
 		caseTimeout: st.caseTimeout,
 		traceDir:    st.traceDir,
 		traceFormat: st.traceFormat,
 	}
 	r.caseRun = r.runCase
-	cache := core.NewIsolatedCache()
-	withCache := append(append([]core.Option(nil), r.opts...), core.WithIsolatedCache(cache))
-	for i := 0; i < workers; i++ {
-		s, err := core.NewSession(withCache...)
-		if err != nil {
-			return nil, err
-		}
-		r.sessions = append(r.sessions, s)
-		r.slots <- s
-	}
 	return r, nil
 }
 
 // With derives a Runner with the same worker count, case timeout and base
 // session options plus extra ones (later options override earlier, so
 // e.g. core.WithQoSOptions replaces the base tuning). The derived runner
-// gets a fresh isolated cache: changed options may change baselines.
+// gets a session of its own: changed options may change baselines.
 func (r *Runner) With(extra ...core.Option) (*Runner, error) {
 	session := append(append([]core.Option(nil), r.opts...), extra...)
 	return NewRunner(r.workers,
@@ -168,13 +157,13 @@ func (r *Runner) With(extra ...core.Option) (*Runner, error) {
 // runCase executes case i of g, with a per-case tracer and trace file
 // (named by the case's grid coordinates) when WithTraceDir configured
 // one.
-func (r *Runner) runCase(ctx context.Context, s *core.Session, g Grid, i int, scheme core.Scheme) (*core.Result, error) {
+func (r *Runner) runCase(ctx context.Context, g Grid, i int, scheme core.Scheme) (*core.Result, error) {
 	specs := g.specs(i)
 	if r.traceDir == "" {
-		return s.Run(ctx, specs, scheme)
+		return r.session.Run(ctx, specs, scheme)
 	}
 	tr := trace.New(trace.DefaultRingSize)
-	res, err := s.RunTraced(ctx, specs, scheme, tr)
+	res, err := r.session.RunTraced(ctx, specs, scheme, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -190,37 +179,24 @@ func (r *Runner) runCase(ctx context.Context, s *core.Session, g Grid, i int, sc
 	return res, nil
 }
 
-// do borrows one worker session from the pool and runs fn on it under
-// core.Guard with the per-case deadline. It blocks while every session
-// is busy and returns ctx's error if ctx is canceled before one frees up.
-func (r *Runner) do(ctx context.Context, fn func(ctx context.Context, s *core.Session) error) error {
-	var s *core.Session
-	select {
-	case s = <-r.slots:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { r.slots <- s }()
-	return core.Guard(ctx, r.caseTimeout, func(ctx context.Context) error { return fn(ctx, s) })
-}
+// Session exposes the runner's session for work outside a sweep:
+// isolated measurements, one-off runs, and the /v1 admission loop's
+// what-ifs.
+func (r *Runner) Session() *core.Session { return r.session }
 
-// Session exposes one of the pool's sessions for serial work outside a
-// sweep: isolated measurements, one-off runs, and the /v1 admission
-// loop's what-ifs.
-func (r *Runner) Session() *core.Session { return r.sessions[0] }
+// GPUConfig returns the device configuration of the runner's session.
+func (r *Runner) GPUConfig() config.GPU { return r.session.GPUConfig() }
 
-// GPUConfig returns the device configuration shared by all workers.
-func (r *Runner) GPUConfig() config.GPU { return r.sessions[0].GPUConfig() }
-
-// Window returns the measurement window shared by all workers.
-func (r *Runner) Window() int64 { return r.sessions[0].Window() }
+// Window returns the measurement window of the runner's session.
+func (r *Runner) Window() int64 { return r.session.Window() }
 
 // Run is the sweep engine: it executes the cases of g listed in todo
-// under scheme, fanned out over the session pool, and hands each case to
-// done as it reaches a final state — res for a case that completed, ce
-// for one that failed. Every case runs through do's fault boundary.
+// under scheme, fanned out over the workers, and hands each case to done
+// as it reaches a final state — res for a case that completed, ce for
+// one that failed. Every case runs under core.Guard with the per-case
+// deadline.
 //
-// done is called from the pool's goroutines, concurrently for different
+// done is called from the workers' goroutines, concurrently for different
 // cases; an error from it aborts the run. Progress events are serialized
 // and count the cases of todo, as does the report. External cancellation
 // aborts the run and surfaces ctx's error.
@@ -274,8 +250,8 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 			defer wg.Done()
 			for i := range jobs {
 				var res *core.Result
-				err := r.do(ctx, func(ctx context.Context, s *core.Session) (err error) {
-					res, err = r.caseRun(ctx, s, g, i, scheme)
+				err := core.Guard(ctx, r.caseTimeout, func(ctx context.Context) (err error) {
+					res, err = r.caseRun(ctx, g, i, scheme)
 					return err
 				})
 				var ce *CaseError
@@ -325,7 +301,7 @@ feed:
 	return rep, nil
 }
 
-// Sweep runs every case of g under scheme across the worker pool and
+// Sweep runs every case of g under scheme across the workers and
 // returns them in case order — identical, case for case, to the serial
 // PairSweep/TrioSweep — with the report of how the sweep went.
 //

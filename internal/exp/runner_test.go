@@ -226,85 +226,6 @@ func TestRunnerWith(t *testing.T) {
 	}
 }
 
-// TestRunnerDo checks the fault boundary every sweep case runs through:
-// do borrows pool sessions (blocking when all are busy), isolates panics
-// as *core.PanicError, and runs a failing call exactly once.
-func TestRunnerDo(t *testing.T) {
-	r := testRunner(t, 2)
-	ctx := context.Background()
-
-	// Plain success sees a usable session.
-	if err := r.do(ctx, func(_ context.Context, s *core.Session) error {
-		if s.GPUConfig().NumSMs != 4 {
-			t.Error("Do handed out a session with the wrong config")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A panic surfaces as a *core.PanicError value, not a crash.
-	err := r.do(ctx, func(context.Context, *core.Session) error {
-		panic("boom")
-	})
-	var pe *core.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *core.PanicError", err)
-	}
-
-	// A failure is final: the call runs once.
-	calls := 0
-	fault := errors.New("deterministic fault")
-	if err := r.do(ctx, func(context.Context, *core.Session) error {
-		calls++
-		return fault
-	}); !errors.Is(err, fault) || calls != 1 {
-		t.Fatalf("failing call: err=%v calls=%d, want the fault after one call", err, calls)
-	}
-
-	// With every slot held, Do must block until ctx cancels.
-	hold := make(chan struct{})
-	release := make(chan struct{})
-	for i := 0; i < r.workers; i++ {
-		go r.do(ctx, func(context.Context, *core.Session) error {
-			hold <- struct{}{}
-			<-release
-			return nil
-		})
-	}
-	for i := 0; i < r.workers; i++ {
-		<-hold
-	}
-	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-	defer cancel()
-	if err := r.do(shortCtx, func(context.Context, *core.Session) error { return nil }); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("saturated pool: err = %v, want DeadlineExceeded", err)
-	}
-	close(release)
-}
-
-// TestRunnerSharesIsolatedCache checks all worker sessions see each
-// other's isolated baselines (singleflight across the pool).
-func TestRunnerSharesIsolatedCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	r := testRunner(t, 3)
-	ctx := context.Background()
-	spec := core.KernelSpec{Workload: "sgemm"}
-	a, err := r.sessions[0].IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.sessions[2].IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("worker sessions disagree on the isolated baseline")
-	}
-}
-
 // TestStageKeysArePinned holds the stage keys row files have always been
 // named by: a pair and a trio grid on the 4-SM, 30k-cycle test device. A
 // key that moves orphans every row file of its grid, which then quietly
@@ -353,10 +274,10 @@ func (m *meetTwo) hold(ctx context.Context, _ int) error {
 	}
 }
 
-// TestSweepUsesWholePool sweeps four cases on a runner with two sessions.
+// TestSweepUsesWholePool sweeps four cases on a runner with two workers.
 // A case leaves the simulator's door only once two cases stand there
-// together, so the sweep completes only if the engine runs cases across
-// its whole pool, not one at a time.
+// together, so the sweep completes only if the engine runs cases on all
+// its workers, not one at a time.
 func TestSweepUsesWholePool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")

@@ -296,9 +296,9 @@ type fleetBinding struct {
 	QueueDepth    int           `json:"queue_depth"`
 }
 
-// New builds the fleet: one session + tiered decider per node, recovers
-// any existing journals in cfg.JournalDir, then starts the placement
-// loop.
+// New builds the fleet: one session per device, a tiered decider per
+// node, recovers any existing journals in cfg.JournalDir, then starts the
+// placement loop.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("fleet: at least one node required")
@@ -355,18 +355,16 @@ func New(cfg Config) (*Fleet, error) {
 // fleet, and returns the bindings their journals open under. It stops at
 // the first node that cannot be built, before any journal is opened.
 //
-// Nodes with the same device share one isolated-baseline cache: a
-// baseline depends only on the device, the window and the seed, and the
-// last two are fleet-wide, so three identical nodes measure each
-// workload's baseline once between them. Verdict caches stay per node.
+// Nodes with the same device share one core.Session: a session depends
+// only on the device, the window and the seed, and the last two are
+// fleet-wide, so three identical nodes measure each workload's baseline
+// once between them and reuse each other's idle devices. Verdict caches,
+// deciders, journals and bindings stay per node.
 func (f *Fleet) buildNodes(ctx context.Context, cfg Config) ([]nodeBinding, error) {
 	bindings := make([]nodeBinding, len(cfg.Nodes))
-	baselines := make(map[config.GPU]*core.IsolatedCache)
+	sessions := make(map[config.GPU]*core.Session)
 	for i, ns := range cfg.Nodes {
-		if baselines[ns.GPU] == nil {
-			baselines[ns.GPU] = core.NewIsolatedCache()
-		}
-		n, bind, err := f.buildNode(ctx, i, ns, cfg, baselines[ns.GPU])
+		n, bind, err := f.buildNode(ctx, i, ns, cfg, sessions)
 		if err != nil {
 			return nil, err
 		}
@@ -417,19 +415,24 @@ func (f *Fleet) recoverJournals(cfg Config, bindings []nodeBinding) ([]loggedPla
 	return recs, perr
 }
 
-// buildNode assembles one node (session over the baselines cache,
-// decider) and the binding its journal opens under.
-func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config, baselines *core.IsolatedCache) (*node, nodeBinding, error) {
-	opts := []core.Option{core.WithGPU(ns.GPU), core.WithIsolatedCache(baselines)}
-	if cfg.Window > 0 {
-		opts = append(opts, core.WithWindow(cfg.Window))
-	}
-	if cfg.Seed != 0 {
-		opts = append(opts, core.WithSeed(cfg.Seed))
-	}
-	sess, err := core.NewSession(opts...)
-	if err != nil {
-		return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
+// buildNode assembles one node (a decider over its device's session in
+// sessions, which it adds when it is the device's first node) and the
+// binding its journal opens under.
+func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config, sessions map[config.GPU]*core.Session) (*node, nodeBinding, error) {
+	sess := sessions[ns.GPU]
+	if sess == nil {
+		opts := []core.Option{core.WithGPU(ns.GPU)}
+		if cfg.Window > 0 {
+			opts = append(opts, core.WithWindow(cfg.Window))
+		}
+		if cfg.Seed != 0 {
+			opts = append(opts, core.WithSeed(cfg.Seed))
+		}
+		var err error
+		if sess, err = core.NewSession(opts...); err != nil {
+			return nil, nodeBinding{}, fmt.Errorf("fleet: node %d: %w", idx, err)
+		}
+		sessions[ns.GPU] = sess
 	}
 	dec, err := verdict.NewDecider(sess, verdict.DeciderConfig{
 		FastPath:    cfg.FastPath,

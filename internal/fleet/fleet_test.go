@@ -516,8 +516,8 @@ func TestParallelRecoveryNamesLowestNode(t *testing.T) {
 }
 
 // TestSameConfigNodesShareBaselines: the three base nodes of a
-// 3×base + scale56 fleet share one isolated-baseline cache, and the
-// scale56 node keeps its own. Best fit sends every arrival to node-0, the
+// 3×base + scale56 fleet share one session, so one isolated-baseline
+// cache, and the scale56 node keeps its own. Best fit sends every arrival to node-0, the
 // tightest fit, until its mix is full, then to node-1, the lowest index
 // of the equal rest; node-2 and node-3 simulate nothing.
 // After the drive, every base node holds each workload's baseline — a
@@ -539,6 +539,9 @@ func TestSameConfigNodesShareBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, f)
+	if f.nodes[1].sess != f.nodes[0].sess || f.nodes[2].sess != f.nodes[0].sess || f.nodes[3].sess == f.nodes[0].sess {
+		t.Fatal("nodes share sessions other than by device")
+	}
 	names := []string{"sgemm", "lbm", "histo", "spmv"}
 	var reqs []Request
 	for _, w := range names {

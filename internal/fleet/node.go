@@ -57,8 +57,9 @@ type placedEntry struct {
 	shares Shares
 }
 
-// node is one simulated GPU in the fleet: its own simulator session,
-// tiered verdict decider and crash-safe decision journal. It needs no
+// node is one simulated GPU in the fleet: a simulator session (shared
+// with the fleet's other nodes on the same device), its own tiered
+// verdict decider and its own crash-safe decision journal. It needs no
 // goroutine of its own: the placement goroutine is the only caller of
 // evaluate and asks one question at a time (place in best-fit order,
 // repartition in scan order), so a node's evaluations are serial and

@@ -161,7 +161,7 @@ func replayedRecords(t testing.TB, cfg Config, i int) (recs []NodeDecision, keyO
 	}
 	fresh := cfg
 	fresh.JournalDir = ""
-	n, _, err := (&Fleet{}).buildNode(context.Background(), i, cfg.Nodes[i], fresh, core.NewIsolatedCache())
+	n, _, err := (&Fleet{}).buildNode(context.Background(), i, cfg.Nodes[i], fresh, map[config.GPU]*core.Session{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@
 package gpu
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -61,7 +60,6 @@ type GPU struct {
 	progs      []*sm.Program // Kernels, decoded
 	controller Controller
 	gate       sm.QuotaGate
-	retired    Controller // the last controller before a Rebuild (Retired)
 
 	// Observability (nil-safe; nil when tracing is off).
 	tracer        *trace.Tracer
@@ -132,10 +130,9 @@ func New(cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) { return Rebuild(
 // Rebuild is New over prev's storage: a nil prev builds a fresh device,
 // any other is rebuilt in place for the new co-run, exactly as New would
 // build it, reusing its buffers, decoded programs, caches, TB store and
-// saved contexts wherever they are large enough, and retiring its
-// controller (Retired). Whatever the caller still reads of prev's
-// last run (Now, Stats, IPC) must be read first. On error prev is left as
-// it was.
+// saved contexts wherever they are large enough, and without a
+// controller. Whatever the caller still reads of prev's last run (Now,
+// Stats, IPC) must be read first. On error prev is left as it was.
 func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -194,7 +191,6 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 		Kernels:        kernels,
 		Stats:          stats,
 		progs:          progs,
-		retired:        cmp.Or(g.controller, g.retired),
 		masks:          masks,
 		nextGridIdx:    append(g.nextGridIdx[:0], make([]int, n)...),
 		outstanding:    append(g.outstanding[:0], make([]int, n)...),
@@ -213,11 +209,6 @@ func Rebuild(prev *GPU, cfg config.GPU, kernels []*kern.Kernel) (*GPU, error) {
 // keep returns s resized to n, with every element within its capacity
 // kept and any beyond it zero.
 func keep[S ~[]E, E any](s S, n int) S { return slices.Grow(s[:0], n)[:n] }
-
-// Retired returns the controller the device last ran under before a
-// Rebuild (nil if none): storage a new controller of its type may be
-// rebuilt in.
-func (g *GPU) Retired() Controller { return g.retired }
 
 // SetController installs the run controller (may be nil).
 func (g *GPU) SetController(c Controller) { g.controller = c }

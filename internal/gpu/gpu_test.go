@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -202,6 +204,29 @@ func TestIdleWarpAveragesReset(t *testing.T) {
 				t.Fatal("accumulators not reset after read")
 			}
 		}
+	}
+}
+
+// TestRebuildClearsIdleWarpSamples: a rebuilt device samples idle warps
+// from zero. The first run leaves its accumulators full (without the
+// static adjuster nothing reads them), and the rebuilt device's averages
+// after a run must equal a fresh device's after the same run.
+func TestRebuildClearsIdleWarpSamples(t *testing.T) {
+	ctx := context.Background()
+	g, _ := New(smallCfg(), buildKernels(t, "a", "b"))
+	g.RunCtx(ctx, 12_000)
+	if !slices.ContainsFunc(g.idleAcc, func(acc []int64) bool { return slices.ContainsFunc(acc, func(v int64) bool { return v > 0 }) }) {
+		t.Fatal("the first run sampled no idle warp: nothing is left over for a rebuild to clear")
+	}
+	rebuilt, err := Rebuild(g, smallCfg(), buildKernels(t, "a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := New(smallCfg(), buildKernels(t, "a", "b"))
+	rebuilt.RunCtx(ctx, 5_000)
+	fresh.RunCtx(ctx, 5_000)
+	if got, want := rebuilt.IdleWarpAverages(), fresh.IdleWarpAverages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuilt device's idle-warp averages %v, a fresh device's %v", got, want)
 	}
 }
 

@@ -39,12 +39,12 @@ type KernelStats struct {
 
 	// Quota interaction (dynamic-resource management visibility).
 	ThrottledCycles int64 // scheduler slots denied by the quota gate
-	IdleWarpSamples int64 // accumulated idle-warp counts (static mgmt)
+	IdleWarpSamples int64 // always 0, never written; kept until the stats digests are regenerated
 
 	// Epoch bookkeeping maintained by the GPU loop.
 	EpochStartInstrs int64 // ThreadInstrs at the top of the epoch
 	LastEpochInstrs  int64 // instructions executed in the previous epoch
-	StartCycle       int64 // first cycle the kernel was resident
+	StartCycle       int64 // always 0, never written; kept until the stats digests are regenerated
 
 	// Active-window bookkeeping maintained by the SM issue path. A
 	// kernel that launches late (relaunch delay, deferred context

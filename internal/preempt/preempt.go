@@ -21,10 +21,6 @@ type Engine struct {
 	cfg       config.GPU
 	busyUntil []int64
 
-	// Enabled=false makes context movement free; the Section 4.8
-	// preemption-overhead ablation flips this.
-	Enabled bool
-
 	Stats Stats
 }
 
@@ -34,13 +30,15 @@ func New(cfg config.GPU, prev *Engine) *Engine {
 	if prev == nil {
 		prev = new(Engine)
 	}
-	*prev = Engine{cfg: cfg, busyUntil: append(prev.busyUntil[:0], make([]int64, cfg.NumSMs)...), Enabled: true}
+	*prev = Engine{cfg: cfg, busyUntil: append(prev.busyUntil[:0], make([]int64, cfg.NumSMs)...)}
 	return prev
 }
 
-// MoveCost returns the cycles needed to move bytes of context.
+// MoveCost returns the cycles needed to move bytes of context. The
+// Section 4.8 ablation makes movement free through the configuration
+// (a huge CtxSaveBWBytes, no SMDrainPenalty).
 func (e *Engine) MoveCost(bytes int) int64 {
-	if !e.Enabled || bytes <= 0 {
+	if bytes <= 0 {
 		return 0
 	}
 	bw := int64(e.cfg.CtxSaveBWBytes)
@@ -71,10 +69,7 @@ func (e *Engine) BeginDrain(now int64, smID, bytes int) int64 {
 	if e.busyUntil[smID] > start {
 		start = e.busyUntil[smID]
 	}
-	done := start + e.MoveCost(bytes)
-	if e.Enabled {
-		done += e.cfg.SMDrainPenalty
-	}
+	done := start + e.MoveCost(bytes) + e.cfg.SMDrainPenalty
 	e.busyUntil[smID] = done
 	e.Stats.BusyCycles += done - start
 	return done

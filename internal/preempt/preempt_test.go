@@ -20,18 +20,6 @@ func TestMoveCost(t *testing.T) {
 	}
 }
 
-func TestDisabledEngineIsFree(t *testing.T) {
-	e := New(config.Base(), nil)
-	e.Enabled = false
-	if e.MoveCost(1<<20) != 0 {
-		t.Fatal("disabled engine charges for moves")
-	}
-	done := e.BeginDrain(100, 0, 1<<20)
-	if done != 100 {
-		t.Fatalf("disabled drain finished at %d, want 100", done)
-	}
-}
-
 func TestSwapSerializesPerSM(t *testing.T) {
 	e := New(config.Base(), nil)
 	d1 := e.BeginSwap(0, 0, 1024)

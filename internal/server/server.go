@@ -30,7 +30,7 @@ import (
 
 // Config assembles a Server. Runner is the only required field: the
 // serial decision loop runs every what-if on its Session(), and nothing
-// else of the runner is used (a one-session runner is enough).
+// else of the runner is used.
 type Config struct {
 	// Runner supplies the simulator session (exp.NewRunner).
 	Runner *exp.Runner

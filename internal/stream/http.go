@@ -24,12 +24,13 @@ type HTTPBackend struct {
 	// Client defaults to http.DefaultClient.
 	Client *http.Client
 	// V2 targets the fleet API; arrivals then submit their
-	// gpu_fraction (DefaultGPUFraction when an arrival carries none).
+	// gpu_fraction (defaultGPUFraction when an arrival carries none).
 	V2 bool
-	// DefaultGPUFraction backs arrivals without a gpu_fraction on /v2
-	// (a /v2 submission must request some share); 0 means 0.25.
-	DefaultGPUFraction float64
 }
+
+// defaultGPUFraction backs arrivals without a gpu_fraction on /v2: a /v2
+// submission must request some share.
+const defaultGPUFraction = 0.25
 
 // maxDrain bounds how much of an unread response body do discards to
 // keep its connection; a longer body closes the connection instead.
@@ -134,10 +135,7 @@ func (b HTTPBackend) Submit(ctx context.Context, a Arrival) (Outcome, error) {
 func (b HTTPBackend) submitV2(ctx context.Context, a Arrival) (Outcome, error) {
 	frac := a.GPUFraction
 	if frac == 0 {
-		frac = b.DefaultGPUFraction
-	}
-	if frac == 0 {
-		frac = 0.25
+		frac = defaultGPUFraction
 	}
 	body := fleet.Request{
 		Name:        a.Tenant,

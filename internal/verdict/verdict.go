@@ -5,8 +5,8 @@
 // cache, or by calling the simulation, scoring its result against the
 // paper's QoS contract (admit only if every goal holds) and caching it.
 // The owner supplies the simulation — the /v1 decision loop a traced run
-// on a pooled session, a fleet node and the Replayer a plain Session.Run
-// — and nothing else of the protocol;
+// on its runner's session, a fleet node and the Replayer a plain
+// Session.Run — and nothing else of the protocol;
 // Decider.Restore replays a journaled decision into the cache so a
 // restarted owner continues where the stopped one left off.
 //

@@ -26,6 +26,16 @@ func TestWheelEquivalenceSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
+	// One session per stepper for every mix: each measures its own
+	// baselines, once.
+	sessions := map[bool]*core.Session{}
+	for _, wheel := range []bool{false, true} {
+		s, err := core.NewSession(core.WithWindow(30_000), core.WithEventWheel(wheel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[wheel] = s
+	}
 	for _, tc := range []struct {
 		name   string
 		scheme core.Scheme
@@ -41,24 +51,13 @@ func TestWheelEquivalenceSchemes(t *testing.T) {
 			{Workload: "sgemm", GoalFrac: 0.6}, {Workload: "spmv"}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Stepping is bit-identical by contract, so the isolated
-			// baselines are interchangeable and measured once.
-			cache := core.NewIsolatedCache()
 			type outcome struct {
 				res   *core.Result
 				trace []byte
 			}
 			run := func(wheel bool) outcome {
-				s, err := core.NewSession(
-					core.WithWindow(30_000),
-					core.WithEventWheel(wheel),
-					core.WithIsolatedCache(cache),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
 				tr := trace.New(trace.DefaultRingSize)
-				res, err := s.RunTraced(context.Background(), tc.specs, tc.scheme, tr)
+				res, err := sessions[wheel].RunTraced(context.Background(), tc.specs, tc.scheme, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
