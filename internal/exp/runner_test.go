@@ -226,6 +226,81 @@ func TestRunnerWith(t *testing.T) {
 	}
 }
 
+// TestRunnerDo checks the per-case fault boundary every worker runs its
+// cases through: a completing case hands its result on, a panic becomes
+// a *core.PanicError with its stack, a failure is final (the case runs
+// once), and a run whose workers are all busy returns its context's error
+// once it expires, without starting the queued case.
+func TestRunnerDo(t *testing.T) {
+	r := testRunner(t, 2)
+	ctx := context.Background()
+	if r.Session().GPUConfig().NumSMs != 4 {
+		t.Fatal("runner's session has the wrong config")
+	}
+	g := Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}, {QoS: "mri-q", NonQoS: "stencil"}, {QoS: "lbm", NonQoS: "sgemm"}}, Goals: []float64{0.4}}
+	todo := []int{0, 1, 2}
+
+	var calls [3]int
+	var mu sync.Mutex
+	fault := errors.New("deterministic fault")
+	want := &core.Result{}
+	r.caseRun = func(_ context.Context, _ Grid, i int, _ core.Scheme) (*core.Result, error) {
+		mu.Lock()
+		calls[i]++
+		mu.Unlock()
+		switch i {
+		case 0:
+			return want, nil
+		case 1:
+			panic("boom")
+		}
+		return nil, fault
+	}
+	var res [3]*core.Result
+	var ces [3]*CaseError
+	rep, err := r.Run(ctx, g, core.SchemeRollover, todo, func(i int, got *core.Result, ce *CaseError) error {
+		res[i], ces[i] = got, ce
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 1 || len(rep.Failed) != 2 {
+		t.Fatalf("Completed=%d Failed=%d, want 1 and 2", rep.Completed, len(rep.Failed))
+	}
+	if res[0] != want || ces[0] != nil {
+		t.Fatalf("completing case: res=%v ce=%v", res[0], ces[0])
+	}
+	var pe *core.PanicError
+	if ces[1] == nil || !errors.As(ces[1].Err, &pe) || len(ces[1].Stack) == 0 {
+		t.Fatalf("panicking case: ce = %+v, want a *core.PanicError with a stack", ces[1])
+	}
+	if ces[2] == nil || !errors.Is(ces[2].Err, fault) {
+		t.Fatalf("failing case: ce = %+v, want the fault", ces[2])
+	}
+	if calls != [3]int{1, 1, 1} {
+		t.Fatalf("calls = %v, want each case once", calls)
+	}
+
+	// With every worker held, the queued case waits until ctx expires.
+	calls = [3]int{}
+	r.caseRun = func(ctx context.Context, _ Grid, i int, _ core.Scheme) (*core.Result, error) {
+		mu.Lock()
+		calls[i]++
+		mu.Unlock()
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	shortCtx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := r.Run(shortCtx, g, core.SchemeRollover, todo, func(int, *core.Result, *CaseError) error { return nil }, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("saturated workers: err = %v, want DeadlineExceeded", err)
+	}
+	if calls != [3]int{1, 1, 0} {
+		t.Fatalf("calls = %v, want the two held cases once and the queued one never", calls)
+	}
+}
+
 // TestStageKeysArePinned holds the stage keys row files have always been
 // named by: a pair and a trio grid on the 4-SM, 30k-cycle test device. A
 // key that moves orphans every row file of its grid, which then quietly
