@@ -67,7 +67,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fleet"
 	"repro/internal/server"
-	"repro/internal/workloads"
 )
 
 // options carries the parsed command line.
@@ -139,7 +138,6 @@ func buildFleet(o options, scheme core.Scheme) (*fleet.Fleet, error) {
 		Nodes:            nodes,
 		Scheme:           scheme,
 		Window:           o.window,
-		Seed:             workloads.Seed,
 		MaxMixPerNode:    o.fleetMix,
 		QueueDepth:       o.queue,
 		FastPath:         o.fastPath,

@@ -238,7 +238,7 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 			return err
 		}
 		for _, row := range got {
-			if err := w.WriteAll(g.CSVRows(exp.Cases{Pairs: row.Pairs, Trios: row.Trios})); err != nil {
+			if err := w.WriteAll(g.CSVRows(row.Cases)); err != nil {
 				return err
 			}
 		}

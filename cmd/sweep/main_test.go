@@ -38,22 +38,36 @@ func canceled() context.Context {
 	return ctx
 }
 
-// TestCommittedRowsPrintWithoutSimulating reads the committed Rollover
-// pair stage of results/full under a canceled context and must print the
-// bytes of its row file: a single-scheme sweep's CSV is the row file.
+// TestCommittedRowsPrintWithoutSimulating reads committed stages of
+// results/full under a canceled context, each of which must print the
+// bytes of its row file: a single-scheme sweep's CSV is the row file. The
+// stages cover a full pair grid, a two-QoS trio grid and the stride-6
+// pair grid on the 56-SM device.
 func TestCommittedRowsPrintWithoutSimulating(t *testing.T) {
-	o := options{mode: "pairs", nQoS: 1, schemes: "rollover", window: 300_000, subsample: 1,
-		gpu: config.Base(), workers: 1, rows: "../../results/full", traceFmt: "jsonl", suite: "paper"}
-	want, err := os.ReadFile(filepath.Join(o.rows, "pairs_rollover_41fd78ba8736_d42656481e63.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(canceled(), o, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("sweep printed %d bytes, want the committed row file's %d", got.Len(), len(want))
+	for _, tc := range []struct {
+		name, file string
+		edit       func(*options)
+	}{
+		{"rollover pairs", "pairs_rollover_41fd78ba8736_d42656481e63.csv", func(*options) {}},
+		{"two-QoS trios", "trios_rollover_41fd78ba8736_ccb1bca76ab0.csv", func(o *options) { o.mode, o.nQoS = "trios", 2 }},
+		{"scale56 pairs", "pairs_rollover_94914664c71c_6c85223d8788.csv", func(o *options) { o.gpu, o.subsample = config.Scale56(), 6 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := options{mode: "pairs", nQoS: 1, schemes: "rollover", window: 300_000, subsample: 1,
+				gpu: config.Base(), workers: 1, rows: "../../results/full", traceFmt: "jsonl", suite: "paper"}
+			tc.edit(&o)
+			want, err := os.ReadFile(filepath.Join(o.rows, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(canceled(), o, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("sweep printed %d bytes, want the committed row file's %d", got.Len(), len(want))
+			}
+		})
 	}
 }
 

@@ -239,7 +239,48 @@ func TestDocsDescribeTheTree(t *testing.T) {
 			}
 		}
 	}
+	checkPackageRows(t, "DESIGN.md", texts["DESIGN.md"], m.pkgs)
 	checkSelectors(t, texts["Makefile"])
+}
+
+var (
+	// packageRow matches a table row whose first cell opens with a
+	// backticked internal/ package path, and the path.
+	packageRow = regexp.MustCompile("^\\|\\s*`(internal/[\\w/]+)`")
+	// typeMember matches a code span that is T.M or T.M(…) with an
+	// upper-case T.
+	typeMember = regexp.MustCompile(`^([A-Z]\w*)\.(\w+)(?:\(.*\))?$`)
+)
+
+// checkPackageRows holds the unqualified names of doc's package rows to
+// their package: in a table row whose first cell is a backticked
+// internal/ path, every backticked T.M or T.M() resolves in that package.
+func checkPackageRows(t *testing.T, doc, text string, pkgs map[string]*types.Package) {
+	t.Helper()
+	rows := 0
+	for i, line := range strings.Split(text, "\n") {
+		m := packageRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		where := doc + ":" + strconv.Itoa(i+1)
+		pkg := pkgs["repro/"+m[1]]
+		if pkg == nil {
+			t.Errorf("%s: `%s`: no such package", where, m[1])
+			continue
+		}
+		rows++
+		for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
+			if tm := typeMember.FindStringSubmatch(span[1]); tm != nil {
+				if why := resolve(pkg, "", "", tm[1], tm[2]); why != "" {
+					t.Errorf("%s: `%s` in the %s row: %s", where, span[1], m[1], why)
+				}
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("%s: no package row found: the pattern no longer matches how the doc lists packages", doc)
+	}
 }
 
 // resolve says why a qualified name does not resolve in pkg, or "".

@@ -254,7 +254,6 @@ type Config struct {
 // may reclaim them, and a run then builds afresh.
 type Session struct {
 	cfg      Config
-	seed     uint64
 	isolated *isolatedCache
 	// build builds or rebuilds every device the session runs, its
 	// kernels included (rebuild); tests wrap it to count builds.
@@ -276,7 +275,7 @@ type device struct {
 // and returns a Session. With no options it models the paper's Table 1
 // GPU over a 200000-cycle window.
 func NewSession(opts ...Option) (*Session, error) {
-	st := defaultSettings()
+	var st settings
 	for _, o := range opts {
 		o(&st)
 	}
@@ -293,7 +292,7 @@ func NewSession(opts ...Option) (*Session, error) {
 	if cfg.WindowCycles < 2*cfg.GPU.EpochLength {
 		return nil, errors.New("core: window must cover at least two epochs")
 	}
-	return &Session{cfg: cfg, seed: st.seed, isolated: &isolatedCache{entries: make(map[string]*isoEntry)}, build: rebuild}, nil
+	return &Session{cfg: cfg, isolated: &isolatedCache{entries: make(map[string]*isoEntry)}, build: rebuild}, nil
 }
 
 // GPUConfig returns the session's device configuration.
@@ -307,8 +306,10 @@ func (s *Session) Config() Config { return s.cfg }
 // Window returns the measurement window in cycles.
 func (s *Session) Window() int64 { return s.cfg.WindowCycles }
 
-// Seed returns the profile-expansion seed.
-func (s *Session) Seed() uint64 { return s.seed }
+// Seed returns the profile-expansion seed, workloads.Seed. Every
+// stochastic decision in a run is a pure function of it, so two sessions
+// with equal configurations produce bit-identical results.
+func (s *Session) Seed() uint64 { return workloads.Seed }
 
 // rebuild builds the specs' kernels, slot i from specs[i], and a device
 // over them into d, both in the storage of d's device (kern.Build,
@@ -500,7 +501,7 @@ func (s *Session) RunTraced(ctx context.Context, specs []KernelSpec, scheme Sche
 // too.
 func (s *Session) simulate(ctx context.Context, specs []KernelSpec, scheme Scheme, goals, isolated []float64, tr *trace.Tracer) (*device, error) {
 	d := s.take()
-	if err := s.build(d, s.cfg.GPU, specs, s.seed); err != nil {
+	if err := s.build(d, s.cfg.GPU, specs, workloads.Seed); err != nil {
 		return nil, err
 	}
 	g := d.g

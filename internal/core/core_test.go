@@ -98,30 +98,6 @@ func TestOptionOrder(t *testing.T) {
 	}
 }
 
-func TestWithSeed(t *testing.T) {
-	a, err := NewSession(append(fastOpts(), WithSeed(1))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Seed() != 1 {
-		t.Fatalf("Seed() = %d", a.Seed())
-	}
-	b := fastSession(t)
-	ctx := context.Background()
-	spec := KernelSpec{Workload: "lbm"}
-	x, err := a.IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := b.IsolatedIPC(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x == y {
-		t.Fatal("different seeds produced identical isolated IPC")
-	}
-}
-
 func TestIsolatedIPCCached(t *testing.T) {
 	s := fastSession(t)
 	ctx := context.Background()

@@ -3,13 +3,11 @@ package core
 import (
 	"repro/internal/config"
 	"repro/internal/qos"
-	"repro/internal/workloads"
 )
 
 // settings collects everything an Option can configure before validation.
 type settings struct {
-	cfg  Config
-	seed uint64
+	cfg Config
 }
 
 // Option configures a Session (see NewSession). Options apply in order,
@@ -44,17 +42,4 @@ func WithQoSOptions(opts qos.Options) Option {
 // wheel-equivalence tests compare against; nothing in production sets it.
 func WithEventWheel(on bool) Option {
 	return func(s *settings) { s.cfg.DisableEventWheel = !on }
-}
-
-// WithSeed sets the deterministic seed used to expand kernel profiles.
-// The default is workloads.Seed; every stochastic decision in a run is a
-// pure function of this seed, so two sessions with equal configuration
-// and seed produce bit-identical results.
-func WithSeed(seed uint64) Option {
-	return func(s *settings) { s.seed = seed }
-}
-
-// defaultSettings returns the option state before user options apply.
-func defaultSettings() settings {
-	return settings{seed: workloads.Seed}
 }

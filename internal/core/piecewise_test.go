@@ -51,7 +51,7 @@ func TestPiecewiseRunMatchesWhole(t *testing.T) {
 		if d == nil {
 			d = new(device)
 		}
-		if err := rebuild(d, s.cfg.GPU, c.specs, s.seed); err != nil {
+		if err := rebuild(d, s.cfg.GPU, c.specs, s.Seed()); err != nil {
 			t.Fatal(err)
 		}
 		g := d.g

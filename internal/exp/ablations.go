@@ -28,10 +28,11 @@ func mmPairs(pairs []workloads.Pair) (mm []workloads.Pair) {
 	return mm
 }
 
-// ofClass returns the cases whose pair is of class cls (C+C, C+M or M+M).
-func ofClass(cases []PairCase, cls string) (out []PairCase) {
+// ofClass returns the pair cases whose pair is of class cls (C+C, C+M or
+// M+M).
+func ofClass(cases []Case, cls string) (out []Case) {
 	for _, c := range cases {
-		if k, err := workloads.PairClass(c.Pair.QoS, c.Pair.NonQoS); err == nil && k == cls {
+		if k, err := workloads.PairClass(c.Res.Kernels[0].Name, c.Res.Kernels[1].Name); err == nil && k == cls {
 			out = append(out, c)
 		}
 	}
@@ -73,7 +74,7 @@ func AblateStatic(st Study, cs []SweepRow) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("the study has no M+M pair; compared on %s+%s from the full pair set",
 			mm[0].QoS, mm[0].NonQoS))
 	}
-	tputTable(t, st.Goals, []SweepRow{{Pairs: ofClass(cs[0].Pairs, "M+M")}, cs[1]}, false)
+	tputTable(t, st.Goals, []SweepRow{{Cases: ofClass(cs[0].Cases, "M+M")}, cs[1]}, false)
 	return t, nil
 }
 
@@ -81,7 +82,7 @@ func AblateStatic(st Study, cs []SweepRow) (*Table, error) {
 // free preemption (effectively instantaneous context moves, no drain
 // penalty).
 func preemptSweeps(st Study) []Sweep {
-	cfg := st.Runner.GPUConfig()
+	cfg := st.Runner.Session().GPUConfig()
 	cfg.CtxSaveBWBytes = 1 << 30
 	cfg.SMDrainPenalty = 0
 	return []Sweep{pairsOf(core.SchemeRollover),
@@ -99,8 +100,8 @@ func AblatePreemption(st Study, cs []SweepRow) (*Table, error) {
 
 // sensitivityRow is one row of a Rollover sensitivity sweep: overall
 // QoSreach and the mean non-QoS throughput over goals with any.
-func sensitivityRow(label string, st Study, cases []PairCase) []string {
-	avg, _ := meanPositive(PairNonQoSThroughputByGoal(cases, st.Goals), st.Goals)
+func sensitivityRow(label string, st Study, cases []Case) []string {
+	avg, _ := meanPositive(NonQoSThroughputByGoal(cases, st.Goals), st.Goals)
 	return []string{label, pct(AvgReach(cases)), num(avg)}
 }
 
@@ -111,7 +112,7 @@ var epochLengths = []int64{5_000, 10_000, 20_000, 40_000}
 // least twice (a session's minimum) and those it does not.
 func epochFit(st Study) (fit, skipped []int64) {
 	for _, l := range epochLengths {
-		if st.Runner.Window() >= 2*l {
+		if st.Runner.Session().Window() >= 2*l {
 			fit = append(fit, l)
 		} else {
 			skipped = append(skipped, l)
@@ -130,7 +131,7 @@ func epochSweeps(st Study) []Sweep {
 	}
 	var sweeps []Sweep
 	for _, l := range fit {
-		cfg := st.Runner.GPUConfig()
+		cfg := st.Runner.Session().GPUConfig()
 		cfg.EpochLength = l
 		sweeps = append(sweeps, Sweep{Name: fmt.Sprintf("epoch-%d", l), Scheme: core.SchemeRollover,
 			Session: []core.Option{core.WithGPU(cfg)}})
@@ -145,11 +146,11 @@ func AblateEpochLength(st Study, cs []SweepRow) (*Table, error) {
 		Header: []string{"Epoch", "QoSreach", "Non-QoS tput"}}
 	fit, skipped := epochFit(st)
 	for i, l := range fit {
-		t.Rows = append(t.Rows, sensitivityRow(fmt.Sprint(l), st, cs[i].Pairs))
+		t.Rows = append(t.Rows, sensitivityRow(fmt.Sprint(l), st, cs[i].Cases))
 	}
 	if len(skipped) > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf("skipped epoch lengths %v: the %d-cycle window covers fewer than two",
-			skipped, st.Runner.Window()))
+			skipped, st.Runner.Session().Window()))
 	}
 	return t, nil
 }
@@ -163,7 +164,7 @@ func AblateNonQoSInit(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Ablation nq-init", Title: "Non-QoS initial IPC sensitivity (Rollover)",
 		Header: []string{"Init IPC", "QoSreach", "Non-QoS tput"}}
 	for i, init := range nonQoSInits {
-		t.Rows = append(t.Rows, sensitivityRow(fmt.Sprintf("%.0f", init), st, cs[i].Pairs))
+		t.Rows = append(t.Rows, sensitivityRow(fmt.Sprintf("%.0f", init), st, cs[i].Cases))
 	}
 	return t, nil
 }

@@ -15,7 +15,7 @@ import (
 // epochSweep declares the study's Rollover pair grid at one quota epoch
 // length, on a derived runner.
 func epochSweep(st Study, l int64) Sweep {
-	cfg := st.Runner.GPUConfig()
+	cfg := st.Runner.Session().GPUConfig()
 	cfg.EpochLength = l
 	return Sweep{Name: fmt.Sprintf("epoch-%d", l), Scheme: core.SchemeRollover,
 		Session: []core.Option{core.WithGPU(cfg)}}
@@ -71,7 +71,7 @@ func TestCollectDeduplicatesAgainstRows(t *testing.T) {
 	const unique = 4 + 4 + 1 // Rollover pairs, history-off pairs, 2-QoS trio
 
 	st := study()
-	second = append(second, epochSweep(st, st.Runner.GPUConfig().EpochLength)) // the base config again
+	second = append(second, epochSweep(st, st.Runner.Session().GPUConfig().EpochLength)) // the base config again
 	rows, err := st.Collect(context.Background(), append(first, second...))
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestCollectDeduplicatesAgainstRows(t *testing.T) {
 		t.Fatalf("row store holds %d files, want one per unique stage, %d", len(files), len(first))
 	}
 	first1 := byStage(rows)
-	if got, want := first1["rollover-again"].Pairs, first1["Rollover"].Pairs; len(got) != 4 || !reflect.DeepEqual(got, want) {
+	if got, want := first1["rollover-again"].Cases, first1["Rollover"].Cases; len(got) != 4 || !reflect.DeepEqual(got, want) {
 		t.Fatal("a reused sweep's cases differ from the sweep it reused")
 	}
 
@@ -108,7 +108,7 @@ func TestCollectDeduplicatesAgainstRows(t *testing.T) {
 	}
 	for name, row := range byStage(rows) {
 		want := trimmed(first1[name])
-		if !reflect.DeepEqual(row.Pairs, want.Pairs) || !reflect.DeepEqual(row.Trios, want.Trios) {
+		if !reflect.DeepEqual(row.Cases, want.Cases) {
 			t.Fatalf("%s: cases read back differ from the first run's", name)
 		}
 	}
@@ -120,7 +120,7 @@ func TestCollectDeduplicatesAgainstRows(t *testing.T) {
 // an unknown number of QoS kernels.
 func TestCollectRefusesBeforeSimulating(t *testing.T) {
 	st := Study{Runner: testRunner(t, 1), Pairs: faultPairs, Goals: []float64{0.5}}
-	tooLong := epochSweep(st, st.Runner.Window()) // the window covers one epoch only
+	tooLong := epochSweep(st, st.Runner.Session().Window()) // the window covers one epoch only
 	for name, tc := range map[string]struct {
 		bad  Sweep
 		want string

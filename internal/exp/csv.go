@@ -64,23 +64,14 @@ func (g Grid) coords(i int, scheme core.Scheme) []string {
 
 // CSVRows renders the completed cases of g in case order; a failed case
 // (nil Res) has no row.
-func (g Grid) CSVRows(c Cases) [][]string {
+func (g Grid) CSVRows(cases []Case) [][]string {
 	var rows [][]string
-	for i := 0; i < len(c.Pairs)+len(c.Trios); i++ {
-		scheme, res := c.at(i)
-		if res != nil {
-			rows = append(rows, append(g.coords(i, scheme), outcome(res)...))
+	for i, c := range cases {
+		if c.Res != nil {
+			rows = append(rows, append(g.coords(i, c.Res.Scheme), outcome(c.Res)...))
 		}
 	}
 	return rows
-}
-
-// at returns case i's scheme and result.
-func (c Cases) at(i int) (core.Scheme, *core.Result) {
-	if c.Pairs != nil {
-		return c.Pairs[i].Scheme, c.Pairs[i].Res
-	}
-	return c.Trios[i].Scheme, c.Trios[i].Res
 }
 
 // outcome renders a result's outcome and per-kernel columns.
@@ -98,11 +89,11 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 
 // encodeRows renders the complete cases of g as a row file: the header
 // and one line per case.
-func (g Grid) encodeRows(c Cases) []byte {
+func (g Grid) encodeRows(cases []Case) []byte {
 	var b strings.Builder
 	b.WriteString(strings.Join(g.CSVHeader(), ","))
 	b.WriteByte('\n')
-	for _, row := range g.CSVRows(c) {
+	for _, row := range g.CSVRows(cases) {
 		b.WriteString(strings.Join(row, ","))
 		b.WriteByte('\n')
 	}
@@ -114,26 +105,26 @@ func (g Grid) encodeRows(c Cases) []byte {
 // per case, in case order, each naming its case's coordinates, with every
 // value in the form encodeRows writes it. An error names the file and
 // line. Anything decodeRows accepts re-encodes to the same bytes.
-func (g Grid) decodeRows(name string, data []byte, scheme core.Scheme) (Cases, error) {
+func (g Grid) decodeRows(name string, data []byte, scheme core.Scheme) ([]Case, error) {
 	text := string(data)
 	if !strings.HasSuffix(text, "\n") {
-		return Cases{}, fmt.Errorf("%s:%d: truncated: no final newline", name, strings.Count(text, "\n")+1)
+		return nil, fmt.Errorf("%s:%d: truncated: no final newline", name, strings.Count(text, "\n")+1)
 	}
 	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 	if want := strings.Join(g.CSVHeader(), ","); lines[0] != want {
-		return Cases{}, fmt.Errorf("%s:1: header %q, want %q", name, lines[0], want)
+		return nil, fmt.Errorf("%s:1: header %q, want %q", name, lines[0], want)
 	}
 	rows := lines[1:]
-	out := g.Cases()
+	out := make([]Case, g.Len())
 	for i := 0; i < min(len(rows), g.Len()); i++ {
 		res, err := g.parseRow(i, scheme, strings.Split(rows[i], ","))
 		if err != nil {
-			return Cases{}, fmt.Errorf("%s:%d: %w", name, i+2, err)
+			return nil, fmt.Errorf("%s:%d: %w", name, i+2, err)
 		}
-		out.set(i, g.Case(i, scheme, res))
+		out[i] = g.Case(i, res)
 	}
 	if len(rows) != g.Len() {
-		return Cases{}, fmt.Errorf("%s:%d: %d rows, the grid has %d cases", name, min(len(rows), g.Len())+2, len(rows), g.Len())
+		return nil, fmt.Errorf("%s:%d: %d rows, the grid has %d cases", name, min(len(rows), g.Len())+2, len(rows), g.Len())
 	}
 	return out, nil
 }

@@ -36,16 +36,14 @@ func TwoQoSGoals() []float64 {
 	return out
 }
 
-// PairCase is one (pair, goal, scheme) run outcome.
-type PairCase struct {
-	Pair   workloads.Pair
-	Goal   float64
-	Scheme core.Scheme
-	Res    *core.Result
+// Case is one co-run outcome of a sweep: the goal its QoS kernels
+// carry and its result, nil for a case that failed or has not run. A
+// pair and a trio are both a co-run; the scheme and the kernels, in spec
+// order, are the result's.
+type Case struct {
+	Goal float64
+	Res  *core.Result
 }
-
-// QoSKernel returns the QoS kernel's result.
-func (c PairCase) QoSKernel() core.KernelResult { return c.Res.Kernels[0] }
 
 // PairSpecs builds the two-kernel spec list for one pair case. It is
 // the single definition of how a (pair, goal) grid coordinate becomes
@@ -59,57 +57,34 @@ func PairSpecs(p workloads.Pair, goal float64) []core.KernelSpec {
 	}
 }
 
-// TrioSpecs builds the three-kernel spec list for one trio case along
-// with its per-QoS-kernel goal list. Like PairSpecs it is shared by
-// every execution path (serial and pooled).
-func TrioSpecs(t workloads.Trio, goal float64, nQoS int) ([]core.KernelSpec, []float64) {
+// TrioSpecs builds the three-kernel spec list for one trio case: the
+// goal applies to the first member, and with nQoS 2 to the second too.
+// Like PairSpecs it is shared by every execution path (serial and
+// pooled).
+func TrioSpecs(t workloads.Trio, goal float64, nQoS int) []core.KernelSpec {
 	specs := []core.KernelSpec{
 		{Workload: t.A, GoalFrac: goal},
 		{Workload: t.B},
 		{Workload: t.C},
 	}
-	qg := []float64{goal}
 	if nQoS == 2 {
 		specs[1].GoalFrac = goal
-		qg = []float64{goal, goal}
 	}
-	return specs, qg
-}
-
-// TrioCase is one trio run outcome. QoSGoals lists the goal fraction per
-// QoS kernel (the first len(QoSGoals) members carry goals).
-type TrioCase struct {
-	Trio     workloads.Trio
-	QoSGoals []float64
-	Scheme   core.Scheme
-	Res      *core.Result
+	return specs
 }
 
 // ---- reducers ----
 
-// gridCase is a pair or trio case as the per-goal reducers see it; a
-// trio case's goal is its first QoS kernel's.
-type gridCase interface {
-	PairCase | TrioCase
-	goal() float64
-	result() *core.Result
-}
-
-func (c PairCase) goal() float64        { return c.Goal }
-func (c PairCase) result() *core.Result { return c.Res }
-func (c TrioCase) goal() float64        { return c.QoSGoals[0] }
-func (c TrioCase) result() *core.Result { return c.Res }
-
 // ReachByGoal returns, per goal, the QoSreach of its cases: the fraction
 // whose QoS goals were all met. A goal with no case is absent (reads 0).
-func ReachByGoal[C gridCase](cases []C, goals []float64) map[float64]float64 {
+func ReachByGoal(cases []Case, goals []float64) map[float64]float64 {
 	out := make(map[float64]float64, len(goals))
 	for _, g := range goals {
 		hits, n := 0, 0
 		for _, c := range cases {
-			if c.goal() == g {
+			if c.Goal == g {
 				n++
-				if c.result().AllReached {
+				if c.Res.AllReached {
 					hits++
 				}
 			}
@@ -125,15 +100,15 @@ func ReachByGoal[C gridCase](cases []C, goals []float64) map[float64]float64 {
 // contributes — the paper's Figure 8 methodology ("we only include the
 // results from the cases that meet the QoS goals"). A goal with no value
 // is absent.
-func successMeanByGoal[C gridCase](cases []C, goals []float64, values func(*core.Result) []float64) map[float64]float64 {
+func successMeanByGoal(cases []Case, goals []float64, values func(*core.Result) []float64) map[float64]float64 {
 	out := make(map[float64]float64, len(goals))
 	for _, g := range goals {
 		sum, n := 0.0, 0
 		for _, c := range cases {
-			if c.goal() != g || !c.result().AllReached {
+			if c.Goal != g || !c.Res.AllReached {
 				continue
 			}
-			for _, v := range values(c.result()) {
+			for _, v := range values(c.Res) {
 				sum += v
 				n++
 			}
@@ -145,15 +120,15 @@ func successMeanByGoal[C gridCase](cases []C, goals []float64, values func(*core
 	return out
 }
 
-// PairNonQoSThroughputByGoal averages the non-QoS kernel's normalized
-// throughput per goal over the cases that met the QoS goal.
-func PairNonQoSThroughputByGoal(cases []PairCase, goals []float64) map[float64]float64 {
-	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Kernels[1].NormThroughput} })
+// NonQoSThroughputByGoal averages the normalized throughput of the
+// non-QoS kernels per goal over the cases that met their QoS goals.
+func NonQoSThroughputByGoal(cases []Case, goals []float64) map[float64]float64 {
+	return successMeanByGoal(cases, goals, nonQoSThroughputs)
 }
 
 // PairOvershootByGoal averages QoS-kernel throughput normalized to the
 // goal (Figure 9), over successful cases.
-func PairOvershootByGoal(cases []PairCase, goals []float64) map[float64]float64 {
+func PairOvershootByGoal(cases []Case, goals []float64) map[float64]float64 {
 	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Kernels[0].GoalRatio} })
 }
 
@@ -173,12 +148,12 @@ func BucketLabels() [5]string {
 }
 
 // Misses computes the Figure 5 histogram over pair cases.
-func Misses(cases []PairCase) MissBuckets {
+func Misses(cases []Case) MissBuckets {
 	var b MissBuckets
 	var overshootSum float64
 	for _, c := range cases {
 		b.Total++
-		q := c.QoSKernel()
+		q := c.Res.Kernels[0]
 		if q.Reached {
 			b.Successes++
 			overshootSum += q.GoalRatio - 1
@@ -205,12 +180,6 @@ func Misses(cases []PairCase) MissBuckets {
 	return b
 }
 
-// TrioNonQoSThroughputByGoal averages normalized throughput of the trio's
-// non-QoS kernels over successful cases.
-func TrioNonQoSThroughputByGoal(cases []TrioCase, goals []float64) map[float64]float64 {
-	return successMeanByGoal(cases, goals, nonQoSThroughputs)
-}
-
 // nonQoSThroughputs lists the normalized throughput of r's non-QoS kernels.
 func nonQoSThroughputs(r *core.Result) (vs []float64) {
 	for _, k := range r.Kernels {
@@ -222,29 +191,27 @@ func nonQoSThroughputs(r *core.Result) (vs []float64) {
 }
 
 // ReachByQoSKernel computes per-benchmark QoSreach (Figure 7).
-func ReachByQoSKernel(cases []PairCase) map[string]float64 {
-	hits, tot := map[string]int{}, map[string]int{}
+func ReachByQoSKernel(cases []Case) map[string]float64 {
+	by := map[string][]Case{}
 	for _, c := range cases {
-		tot[c.Pair.QoS]++
-		if c.Res.AllReached {
-			hits[c.Pair.QoS]++
-		}
+		name := c.Res.Kernels[0].Name
+		by[name] = append(by[name], c)
 	}
-	perKernel := make(map[string]float64, len(tot))
-	for k, n := range tot {
-		perKernel[k] = float64(hits[k]) / float64(n)
+	perKernel := make(map[string]float64, len(by))
+	for name, cs := range by {
+		perKernel[name] = AvgReach(cs)
 	}
 	return perKernel
 }
 
 // AvgReach averages QoSreach over all cases.
-func AvgReach[C gridCase](cases []C) float64 {
+func AvgReach(cases []Case) float64 {
 	if len(cases) == 0 {
 		return 0
 	}
 	hits := 0
 	for _, c := range cases {
-		if c.result().AllReached {
+		if c.Res.AllReached {
 			hits++
 		}
 	}
@@ -253,6 +220,6 @@ func AvgReach[C gridCase](cases []C) float64 {
 
 // InstrPerWattByGoal averages instructions/watt per goal over successful
 // cases (Figure 14 compares schemes on this).
-func InstrPerWattByGoal(cases []PairCase, goals []float64) map[float64]float64 {
+func InstrPerWattByGoal(cases []Case, goals []float64) map[float64]float64 {
 	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Power.InstrPerWatt} })
 }

@@ -25,10 +25,9 @@ func TestGoalsSweep(t *testing.T) {
 	}
 }
 
-func fakeCase(goal float64, ratio, nq float64) PairCase {
+func fakeCase(goal float64, ratio, nq float64) Case {
 	reached := ratio >= 1
-	return PairCase{
-		Pair: workloads.Pair{QoS: "sgemm", NonQoS: "lbm"},
+	return Case{
 		Goal: goal,
 		Res: &core.Result{
 			AllReached: reached,
@@ -42,7 +41,7 @@ func fakeCase(goal float64, ratio, nq float64) PairCase {
 }
 
 func TestPairReducers(t *testing.T) {
-	cases := []PairCase{
+	cases := []Case{
 		fakeCase(0.5, 1.02, 0.6),
 		fakeCase(0.5, 0.97, 0.4),
 		fakeCase(0.9, 1.01, 0.2),
@@ -53,7 +52,7 @@ func TestPairReducers(t *testing.T) {
 	if reach[0.5] != 0.5 || reach[0.9] != 1.0 {
 		t.Fatalf("reach = %v", reach)
 	}
-	tput := PairNonQoSThroughputByGoal(cases, goals)
+	tput := NonQoSThroughputByGoal(cases, goals)
 	if tput[0.5] != 0.6 { // only the successful case counts
 		t.Fatalf("tput[0.5] = %v", tput[0.5])
 	}
@@ -78,15 +77,15 @@ func TestScoreboardDirectionFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewStudy(r, 1)
-	reach, miss := []PairCase{fakeCase(0.5, 1.01, 0.3)}, []PairCase{fakeCase(0.5, 0.9, 0)}
+	reach, miss := []Case{fakeCase(0.5, 1.01, 0.3)}, []Case{fakeCase(0.5, 0.9, 0)}
 	for _, tc := range []struct {
 		want            string
-		spart, rollover []PairCase
+		spart, rollover []Case
 	}{{"yes", miss, reach}, {"no", reach, miss}} {
-		by := map[string][]PairCase{"Spart": tc.spart, "Rollover": tc.rollover}
+		by := map[string][]Case{"Spart": tc.spart, "Rollover": tc.rollover}
 		var rows []SweepRow
 		for _, sw := range scoreboardSweeps(st) {
-			rows = append(rows, SweepRow{Pairs: by[sw.Name]})
+			rows = append(rows, SweepRow{Cases: by[sw.Name]})
 		}
 		if c := Claims(st, rows)[5]; c.Text != "Rollover QoSreach, above Spart's" || c.Holds != tc.want {
 			t.Errorf("Spart reach %v, Rollover %v: %q holds %q, want %q",
@@ -96,7 +95,7 @@ func TestScoreboardDirectionFlips(t *testing.T) {
 }
 
 func TestMissBuckets(t *testing.T) {
-	cases := []PairCase{
+	cases := []Case{
 		fakeCase(0.5, 1.013, 0),  // success, overshoot 1.3%
 		fakeCase(0.5, 0.995, 0),  // 0-1%
 		fakeCase(0.5, 0.96, 0),   // 1-5%
@@ -119,7 +118,7 @@ func TestMissBuckets(t *testing.T) {
 }
 
 func TestReachByQoSKernel(t *testing.T) {
-	cases := []PairCase{
+	cases := []Case{
 		fakeCase(0.5, 1.02, 0),
 		fakeCase(0.7, 0.9, 0),
 	}
@@ -188,7 +187,7 @@ func TestPairSweepSmoke(t *testing.T) {
 	if len(cases) != 1 {
 		t.Fatalf("%d cases", len(cases))
 	}
-	if cases[0].QoSKernel().Name != "sgemm" || cases[0].Res.Kernels[1].Name != "lbm" {
+	if cases[0].Res.Kernels[0].Name != "sgemm" || cases[0].Res.Kernels[1].Name != "lbm" {
 		t.Fatal("case kernels mislabeled")
 	}
 }
@@ -206,8 +205,8 @@ func TestTrioSweepSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cases[0].QoSGoals) != 2 {
-		t.Fatal("2-QoS trio carries wrong goal count")
+	if k := cases[0].Res.Kernels; !k[0].IsQoS || !k[1].IsQoS || k[2].IsQoS {
+		t.Fatal("2-QoS trio carries its goal on the wrong kernels")
 	}
 	if _, err := TrioSweep(context.Background(), s, trios, []float64{0.25}, 3, core.SchemeRollover); err == nil {
 		t.Fatal("accepted nQoS=3")

@@ -40,7 +40,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 		}
 		return nil
 	})
-	out, ret, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
+	out, ret, err := sweep(context.Background(), r, Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 
 	var se *SweepError
 	if !errors.As(err, &se) {
@@ -65,7 +65,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 			t.Fatalf("case %d: missing coordinates: %+v", ce.Index, ce)
 		}
 	}
-	for i, c := range out.Pairs {
+	for i, c := range out {
 		failed := i == 1 || i == 4
 		if failed && c.Res != nil {
 			t.Fatalf("case %d: failed case has a result", i)
@@ -79,9 +79,9 @@ func TestSweepPanicIsolation(t *testing.T) {
 			t.Fatalf("case %d ran %d times, want once", i, n)
 		}
 	}
-	// Sweep also returns the report, beside the error that carries it.
+	// The sweep's row carries the report, beside the error that carries it.
 	if ret != rep {
-		t.Fatalf("Sweep returned report %+v, want the SweepError's %+v", ret, rep)
+		t.Fatalf("the row's report is %+v, want the SweepError's %+v", ret, rep)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestSweepCaseTimeout(t *testing.T) {
 		}
 	})
 	start := time.Now()
-	_, _, err := r.Sweep(context.Background(), Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
+	_, _, err := sweep(context.Background(), r, Grid{Pairs: faultPairs, Goals: goals}, core.SchemeRollover, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded in the chain", err)
 	}
@@ -138,7 +138,7 @@ func TestRowStoreResume(t *testing.T) {
 	}
 	g := Grid{Pairs: faultPairs, Goals: []float64{0.4, 0.7}}
 	scheme := core.SchemeElastic
-	want, _, err := testRunner(t, 3).Sweep(context.Background(), g, scheme, nil)
+	want, _, err := sweep(context.Background(), testRunner(t, 3), g, scheme, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRowStoreResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].File == "" || !reflect.DeepEqual(rows[0].Pairs, want.Pairs) {
+	if rows[0].File == "" || !reflect.DeepEqual(rows[0].Cases, want) {
 		t.Fatal("re-run differs from the uninterrupted reference run or wrote no file")
 	}
 

@@ -80,13 +80,13 @@ func reachTable(t *Table, goals []float64, cols []SweepRow) *Table {
 	for _, g := range goals {
 		row := []string{goalLabel(g)}
 		for _, col := range cols {
-			row = append(row, pct(ReachByGoal(col.Pairs, []float64{g})[g]))
+			row = append(row, pct(ReachByGoal(col.Cases, []float64{g})[g]))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	avg := []string{"AVG"}
 	for _, col := range cols {
-		avg = append(avg, pct(AvgReach(col.Pairs)))
+		avg = append(avg, pct(AvgReach(col.Cases)))
 	}
 	t.Rows = append(t.Rows, avg)
 	return t
@@ -98,14 +98,14 @@ func tputTable(t *Table, goals []float64, cols []SweepRow, avg bool) {
 	for _, g := range goals {
 		row := []string{goalLabel(g)}
 		for _, col := range cols {
-			row = append(row, num(tput(col.Pairs, []float64{g})))
+			row = append(row, num(tput(col.Cases, []float64{g})))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	if avg {
 		row := []string{"AVG"}
 		for _, col := range cols {
-			row = append(row, num(tput(col.Pairs, goals)/float64(len(goals))))
+			row = append(row, num(tput(col.Cases, goals)/float64(len(goals))))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -153,7 +153,7 @@ func meanPositive(m map[float64]float64, goals []float64) (mean float64, n int) 
 
 // Fig5 reproduces Figure 5: the Naive+History miss-distance histogram.
 func Fig5(_ Study, cs []SweepRow) (*Table, error) {
-	b := Misses(cs[0].Pairs)
+	b := Misses(cs[0].Cases)
 	labels := BucketLabels()
 	t := &Table{ID: "Figure 5", Title: "Cases where Naive+History misses the IPC goal, by miss distance",
 		Header: []string{"Bucket", "Cases"}}
@@ -183,12 +183,12 @@ func trioFig(nQoS int, throughput bool, id, title string) Reducer {
 		if nQoS == 2 {
 			goals, prefix = st.Goals2, "2x"
 		}
-		reduce, format := ReachByGoal[TrioCase], pct
+		reduce, format := ReachByGoal, pct
 		if throughput {
-			reduce, format = TrioNonQoSThroughputByGoal, num
+			reduce, format = NonQoSThroughputByGoal, num
 		}
 		t := &Table{ID: id, Title: title, Header: spartRolloverHd}
-		sp, ro := reduce(cs[0].Trios, goals), reduce(cs[1].Trios, goals)
+		sp, ro := reduce(cs[0].Cases, goals), reduce(cs[1].Cases, goals)
 		for _, g := range goals {
 			t.Rows = append(t.Rows, []string{prefix + goalLabel(g), format(sp[g]), format(ro[g])})
 		}
@@ -207,15 +207,15 @@ var Fig6c = trioFig(2, false, "Figure 6c", "QoSreach vs goal, trios with two QoS
 
 // Fig7 reproduces Figure 7: QoSreach per QoS benchmark and class.
 func Fig7(_ Study, cs []SweepRow) (*Table, error) {
-	sp, ro := ReachByQoSKernel(cs[0].Pairs), ReachByQoSKernel(cs[1].Pairs)
+	sp, ro := ReachByQoSKernel(cs[0].Cases), ReachByQoSKernel(cs[1].Cases)
 	t := &Table{ID: "Figure 7", Title: "QoSreach per QoS kernel, two-kernel sharing",
 		Header: []string{"QoS kernel", "Spart", "Rollover"}}
 	for _, name := range slices.Sorted(maps.Keys(ro)) {
 		t.Rows = append(t.Rows, []string{name, pct(sp[name]), pct(ro[name])})
 	}
 	for _, cls := range []string{"C+M", "C+C", "M+M"} {
-		if roC := ofClass(cs[1].Pairs, cls); len(roC) > 0 {
-			t.Rows = append(t.Rows, []string{cls, pct(AvgReach(ofClass(cs[0].Pairs, cls))), pct(AvgReach(roC))})
+		if roC := ofClass(cs[1].Cases, cls); len(roC) > 0 {
+			t.Rows = append(t.Rows, []string{cls, pct(AvgReach(ofClass(cs[0].Cases, cls))), pct(AvgReach(roC))})
 		}
 	}
 	return t, nil
@@ -234,7 +234,7 @@ var Fig8c = trioFig(2, true, "Figure 8c", "Non-QoS throughput normalized to isol
 func Fig9(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Figure 9", Title: "QoS kernel throughput normalized to its goal (overshoot)",
 		Header: spartRolloverHd}
-	sp, ro := PairOvershootByGoal(cs[0].Pairs, st.Goals), PairOvershootByGoal(cs[1].Pairs, st.Goals)
+	sp, ro := PairOvershootByGoal(cs[0].Cases, st.Goals), PairOvershootByGoal(cs[1].Cases, st.Goals)
 	for _, g := range st.Goals {
 		t.Rows = append(t.Rows, []string{goalLabel(g), num(sp[g]), num(ro[g])})
 	}
@@ -265,7 +265,7 @@ var Fig13 = tputFig("Figure 13", "Non-QoS throughput, 56 SMs", spartRolloverHd)
 func Fig14(st Study, cs []SweepRow) (*Table, error) {
 	t := &Table{ID: "Figure 14", Title: "Instructions-per-watt improvement of Rollover over Spart",
 		Header: []string{"Goal", "Improvement"}}
-	gain, mean := ipwGain(st.Goals, cs[0].Pairs, cs[1].Pairs)
+	gain, mean := ipwGain(st.Goals, cs[0].Cases, cs[1].Cases)
 	for _, g := range st.Goals {
 		cell := "-"
 		if v, ok := gain[g]; ok {
@@ -281,7 +281,7 @@ func Fig14(st Study, cs []SweepRow) (*Table, error) {
 
 // ipwGain returns Rollover's instructions-per-watt gain over Spart at
 // each goal where both have successes, and its mean over those goals.
-func ipwGain(goals []float64, sp, ro []PairCase) (gain map[float64]float64, mean float64) {
+func ipwGain(goals []float64, sp, ro []Case) (gain map[float64]float64, mean float64) {
 	spW, roW := InstrPerWattByGoal(sp, goals), InstrPerWattByGoal(ro, goals)
 	gain = map[float64]float64{}
 	var sum float64

@@ -11,8 +11,8 @@ import (
 // Grid is one sweep's case grid: the study's pairs, or its trios with NQoS
 // QoS kernels each, at every goal. Case i is pair (or trio) i/len(Goals)
 // at goal i%len(Goals): pair/trio-major, goal-minor, the order of the
-// serial PairSweep/TrioSweep the package tests hold it to. It is the one
-// mapping from a case index to the case.
+// serial sweep the package tests hold it to. It is the one mapping from a
+// case index to the case; a sweep's outcomes are a []Case in that order.
 type Grid struct {
 	Pairs []workloads.Pair
 	Trios []workloads.Trio
@@ -79,19 +79,11 @@ func (g Grid) specs(i int) []core.KernelSpec {
 	if g.NQoS == 0 {
 		return PairSpecs(g.Pairs[i/len(g.Goals)], g.goal(i))
 	}
-	specs, _ := TrioSpecs(g.Trios[i/len(g.Goals)], g.goal(i), g.NQoS)
-	return specs
+	return TrioSpecs(g.Trios[i/len(g.Goals)], g.goal(i), g.NQoS)
 }
 
-// Case returns case i's outcome under scheme — a PairCase or a TrioCase.
-func (g Grid) Case(i int, scheme core.Scheme, res *core.Result) any {
-	if g.NQoS == 0 {
-		return PairCase{Pair: g.Pairs[i/len(g.Goals)], Goal: g.goal(i), Scheme: scheme, Res: res}
-	}
-	t := g.Trios[i/len(g.Goals)]
-	_, qg := TrioSpecs(t, g.goal(i), g.NQoS)
-	return TrioCase{Trio: t, QoSGoals: qg, Scheme: scheme, Res: res}
-}
+// Case returns case i's outcome given its result.
+func (g Grid) Case(i int, res *core.Result) Case { return Case{Goal: g.goal(i), Res: res} }
 
 // pairGrid and trioGrid are the hashed identities of a grid; their JSON
 // shape fixes every stage key, and so every row file name, ever written:
@@ -114,10 +106,7 @@ type (
 // Two sweeps share a key only when both hashes agree, so derived runners
 // and differently subsampled studies never read each other's rows.
 func (g Grid) StageKey(cfg core.Config, seed uint64, scheme core.Scheme) (string, error) {
-	sess, err := journal.Hash(struct {
-		Config core.Config
-		Seed   uint64
-	}{cfg, seed})
+	sess, err := sessionHash(cfg, seed)
 	if err != nil {
 		return "", err
 	}
@@ -132,27 +121,11 @@ func (g Grid) StageKey(cfg core.Config, seed uint64, scheme core.Scheme) (string
 	return fmt.Sprintf("%s/%s/%s/%s", g.kind(), scheme.Name(), sess[:12], gh[:12]), nil
 }
 
-// Cases are a grid's outcomes by case index: Pairs for a pair grid, Trios
-// for a trio grid. A case that failed or has not run has a nil Res.
-type Cases struct {
-	Pairs []PairCase
-	Trios []TrioCase
-}
-
-// Cases returns g's outcome slots, all empty.
-func (g Grid) Cases() Cases {
-	if g.NQoS == 0 {
-		return Cases{Pairs: make([]PairCase, g.Len())}
-	}
-	return Cases{Trios: make([]TrioCase, g.Len())}
-}
-
-// set stores a case value returned by Grid.Case at index i.
-func (c Cases) set(i int, v any) {
-	switch v := v.(type) {
-	case PairCase:
-		c.Pairs[i] = v
-	case TrioCase:
-		c.Trios[i] = v
-	}
+// sessionHash is the session half of a stage key: two sessions with the
+// same hash run every case alike.
+func sessionHash(cfg core.Config, seed uint64) (string, error) {
+	return journal.Hash(struct {
+		Config core.Config
+		Seed   uint64
+	}{cfg, seed})
 }

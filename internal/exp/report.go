@@ -75,7 +75,7 @@ func PrintRows(w io.Writer, rows []SweepRow) {
 			fmt.Fprintf(w, "sweep %-30s reused %s\n", row.Stage, row.Reused)
 		case rep == nil:
 			fmt.Fprintf(w, "sweep %-30s    0 cases simulated; %d read from %s\n",
-				row.Stage, len(row.Pairs)+len(row.Trios), row.File)
+				row.Stage, len(row.Cases), row.File)
 		default:
 			fmt.Fprintf(w, "sweep %-30s %4d cases simulated in %8s (%.1f case/s)",
 				row.Stage, rep.Total, rep.Wall.Round(time.Millisecond), float64(rep.Total)/rep.Wall.Seconds())

@@ -29,13 +29,13 @@ func rowFile(dir, key string) string {
 
 // readRows decodes the row file at path into g's cases under scheme. It
 // reports found false, and no error, when there is no such file.
-func readRows(path string, g Grid, scheme core.Scheme) (c Cases, found bool, err error) {
+func readRows(path string, g Grid, scheme core.Scheme) (c []Case, found bool, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return Cases{}, false, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return Cases{}, false, err
+		return nil, false, err
 	}
 	c, err = g.decodeRows(path, data, scheme)
 	return c, true, err
@@ -44,7 +44,7 @@ func readRows(path string, g Grid, scheme core.Scheme) (c Cases, found bool, err
 // writeRows writes the complete cases of g as the row file at path,
 // atomically (journal.WriteFile), so a killed run leaves either the whole
 // stage or nothing.
-func writeRows(path string, g Grid, c Cases) error {
+func writeRows(path string, g Grid, c []Case) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

@@ -22,8 +22,8 @@ var rowGrid = Grid{Pairs: faultPairs[:2], Goals: Goals()[:3]}
 // syntheticCases fills every case of g with a made-up result (nothing
 // simulates) whose floats need all their digits: QoS kernels reach their
 // goal on even cases.
-func syntheticCases(g Grid, scheme core.Scheme) Cases {
-	c := g.Cases()
+func syntheticCases(g Grid, scheme core.Scheme) []Case {
+	c := make([]Case, g.Len())
 	for i := 0; i < g.Len(); i++ {
 		res := &core.Result{Scheme: scheme, AllReached: true}
 		res.Power.InstrPerWatt = 1e10 / 3 * float64(i+1)
@@ -37,7 +37,7 @@ func syntheticCases(g Grid, scheme core.Scheme) Cases {
 			}
 			res.Kernels = append(res.Kernels, kr)
 		}
-		c.set(i, g.Case(i, scheme, res))
+		c[i] = g.Case(i, res)
 	}
 	return c
 }
@@ -118,7 +118,7 @@ func TestCollectReadsAndWritesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0].Report != nil || again[0].File != first[0].File || !reflect.DeepEqual(again[0].Pairs, trimmed(first[0]).Pairs) {
+	if again[0].Report != nil || again[0].File != first[0].File || !reflect.DeepEqual(again[0].Cases, trimmed(first[0]).Cases) {
 		t.Fatal("second collect did not read back the first one's cases from its file")
 	}
 	data, err := os.ReadFile(first[0].File)
@@ -146,12 +146,9 @@ func trimmed(row SweepRow) SweepRow {
 		}
 		return res
 	}
-	row.Pairs, row.Trios = slices.Clone(row.Pairs), slices.Clone(row.Trios)
-	for i := range row.Pairs {
-		row.Pairs[i].Res = trim(row.Pairs[i].Res)
-	}
-	for i := range row.Trios {
-		row.Trios[i].Res = trim(row.Trios[i].Res)
+	row.Cases = slices.Clone(row.Cases)
+	for i := range row.Cases {
+		row.Cases[i].Res = trim(row.Cases[i].Res)
 	}
 	return row
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/trace"
@@ -43,13 +42,14 @@ type Progress struct {
 type ProgressFunc func(Progress)
 
 // Runner is the parallel sweep engine: a fixed number of workers that
-// fan pair/trio case grids out over one core.Session, which gives each
+// fan the cases of a Grid out over one core.Session, which gives each
 // concurrent case its own device and measures each workload's isolated
-// baseline once. Results are always merged in deterministic case order
+// baseline once. Each case hands its result on as it finishes, under its
+// grid index, so a sweep's outcomes land in deterministic case order
 // (pairs/trios outer, goals inner) regardless of completion order, and
-// each case is bit-identical to what the serial PairSweep/TrioSweep of
-// the package tests produce: per-case determinism comes from the seeded
-// RNG streams in internal/rng, not from scheduling.
+// each case is bit-identical to what the serial sweep of the package
+// tests produces: per-case determinism comes from the seeded RNG streams
+// in internal/rng, not from scheduling.
 //
 // The runner is also the fault boundary of a study: each case executes
 // under core.Guard, which converts a panic into a *core.PanicError and
@@ -71,6 +71,10 @@ type Runner struct {
 	// sharing one across workers would race.
 	traceDir    string
 	traceFormat trace.Format
+
+	// family holds every runner derived from one NewRunner, that one
+	// included, by the hash of its session's configuration and seed.
+	family *sync.Map
 }
 
 // runnerSettings collects everything a runner Option can configure
@@ -88,7 +92,7 @@ type runnerSettings struct {
 type Option func(*runnerSettings)
 
 // WithSessionOptions appends the core session options the runner's
-// session is built with (device, window, QoS tuning, seed).
+// session is built with (device, window, QoS tuning).
 func WithSessionOptions(opts ...core.Option) Option {
 	return func(s *runnerSettings) { s.session = append(s.session, opts...) }
 }
@@ -126,32 +130,38 @@ func NewRunner(workers int, opts ...Option) (*Runner, error) {
 			return nil, err
 		}
 	}
-	s, err := core.NewSession(st.session...)
-	if err != nil {
-		return nil, err
-	}
-	r := &Runner{
-		workers:     workers,
-		opts:        append([]core.Option(nil), st.session...),
-		session:     s,
-		caseTimeout: st.caseTimeout,
-		traceDir:    st.traceDir,
-		traceFormat: st.traceFormat,
-	}
-	r.caseRun = r.runCase
-	return r, nil
+	tmpl := &Runner{workers: workers, caseTimeout: st.caseTimeout, traceDir: st.traceDir,
+		traceFormat: st.traceFormat, family: new(sync.Map)}
+	return tmpl.derive(st.session)
 }
 
 // With derives a Runner with the same worker count, case timeout and base
 // session options plus extra ones (later options override earlier, so
-// e.g. core.WithQoSOptions replaces the base tuning). The derived runner
-// gets a session of its own: changed options may change baselines.
+// e.g. core.WithQoSOptions replaces the base tuning). It returns one
+// runner per session configuration and seed: the runner itself when the
+// options change nothing, and the runner an earlier With derived for the
+// same configuration, so sweeps on one configuration share its session
+// and the baselines it has measured.
 func (r *Runner) With(extra ...core.Option) (*Runner, error) {
-	session := append(append([]core.Option(nil), r.opts...), extra...)
-	return NewRunner(r.workers,
-		WithSessionOptions(session...),
-		WithCaseTimeout(r.caseTimeout),
-		WithTraceDir(r.traceDir, r.traceFormat))
+	return r.derive(append(append([]core.Option(nil), r.opts...), extra...))
+}
+
+// derive returns r's family's runner for the session opts build, adding
+// one with r's workers, case timeout and tracing when it has none.
+func (r *Runner) derive(opts []core.Option) (*Runner, error) {
+	s, err := core.NewSession(opts...)
+	if err != nil {
+		return nil, err
+	}
+	key, err := sessionHash(s.Config(), s.Seed())
+	if err != nil {
+		return nil, err
+	}
+	d := &Runner{workers: r.workers, opts: opts, session: s, caseTimeout: r.caseTimeout,
+		traceDir: r.traceDir, traceFormat: r.traceFormat, family: r.family}
+	d.caseRun = d.runCase
+	got, _ := r.family.LoadOrStore(key, d)
+	return got.(*Runner), nil
 }
 
 // runCase executes case i of g, with a per-case tracer and trace file
@@ -183,12 +193,6 @@ func (r *Runner) runCase(ctx context.Context, g Grid, i int, scheme core.Scheme)
 // isolated measurements, one-off runs, and the /v1 admission loop's
 // what-ifs.
 func (r *Runner) Session() *core.Session { return r.session }
-
-// GPUConfig returns the device configuration of the runner's session.
-func (r *Runner) GPUConfig() config.GPU { return r.session.GPUConfig() }
-
-// Window returns the measurement window of the runner's session.
-func (r *Runner) Window() int64 { return r.session.Window() }
 
 // Run is the sweep engine: it executes the cases of g listed in todo
 // under scheme, fanned out over the workers, and hands each case to done
@@ -299,38 +303,4 @@ feed:
 	sort.Slice(rep.Failed, func(a, b int) bool { return rep.Failed[a].Index < rep.Failed[b].Index })
 	rep.Wall = time.Since(start)
 	return rep, nil
-}
-
-// Sweep runs every case of g under scheme across the workers and
-// returns them in case order — identical, case for case, to the serial
-// PairSweep/TrioSweep — with the report of how the sweep went.
-//
-// Failed cases are left empty in the returned Cases (nil Res) and
-// reported via a *SweepError; callers that can use partial grids inspect
-// its Report, others treat it as fatal. The report is nil when the sweep
-// did not run to the end.
-func (r *Runner) Sweep(ctx context.Context, g Grid, scheme core.Scheme, progress ProgressFunc) (Cases, *SweepReport, error) {
-	if err := g.Check(); err != nil {
-		return Cases{}, nil, err
-	}
-	out := g.Cases()
-	todo := make([]int, g.Len())
-	for i := range todo {
-		todo[i] = i
-	}
-	rep, err := r.Run(ctx, g, scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
-		if ce == nil {
-			out.set(i, g.Case(i, scheme, res))
-		}
-		return nil
-	}, progress)
-	if err != nil {
-		return Cases{}, nil, err
-	}
-	return out, rep, rep.Err()
-}
-
-// stageKey derives the row-file key of one of this runner's sweep stages.
-func (r *Runner) stageKey(g Grid, scheme core.Scheme) (string, error) {
-	return g.StageKey(r.Session().Config(), r.Session().Seed(), scheme)
 }

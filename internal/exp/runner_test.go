@@ -27,12 +27,24 @@ func testRunner(t *testing.T, workers int, ropts ...Option) *Runner {
 	return r
 }
 
+// sweep collects every case of g under scheme through Study.Collect, as
+// cmd/sweep does, without a row store: the cases in case order, the
+// sweep's report, nil when it did not run to the end, and its error.
+func sweep(ctx context.Context, r *Runner, g Grid, scheme core.Scheme, progress ProgressFunc) ([]Case, *SweepReport, error) {
+	st := Study{Runner: r, Pairs: g.Pairs, Trios: g.Trios, Goals: g.Goals, Goals2: g.Goals, Progress: progress}
+	rows, err := st.Collect(ctx, []Sweep{{Name: scheme.String(), Scheme: scheme, NQoS: g.NQoS}})
+	if len(rows) == 0 {
+		return nil, nil, err
+	}
+	return rows[0].Cases, rows[0].Report, err
+}
+
 func TestNewRunnerDefaults(t *testing.T) {
 	r := testRunner(t, 0)
 	if r.workers < 1 {
 		t.Fatalf("workers = %d", r.workers)
 	}
-	if r.GPUConfig().NumSMs != 4 || r.Window() != 30_000 {
+	if r.Session().GPUConfig().NumSMs != 4 || r.Session().Window() != 30_000 {
 		t.Fatal("runner did not propagate options to sessions")
 	}
 	if r.Session() == nil {
@@ -70,20 +82,20 @@ func TestPairSweepSerialParallelEquivalence(t *testing.T) {
 
 	r := testRunner(t, 4)
 	g := Grid{Pairs: pairs, Goals: goals}
-	got, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+	got, _, err := sweep(ctx, r, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Pairs, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel pair sweep diverged from the serial reference")
 	}
 	// A second run over the same runner must also be identical (the
 	// isolated cache must not change results, only speed).
-	again, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+	again, _, err := sweep(ctx, r, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again.Pairs, want) {
+	if !reflect.DeepEqual(again, want) {
 		t.Fatal("repeat parallel sweep diverged")
 	}
 }
@@ -100,7 +112,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	ctx := context.Background()
 
 	r := testRunner(t, 4)
-	got, _, err := r.Sweep(ctx, Grid{Trios: trios, Goals: goals, NQoS: 2}, core.SchemeRollover, nil)
+	got, _, err := sweep(ctx, r, Grid{Trios: trios, Goals: goals, NQoS: 2}, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestTrioSweepSerialParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Trios, want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("parallel trio sweep diverged from the serial reference")
 	}
 }
@@ -123,7 +135,7 @@ func TestPairSweepProgress(t *testing.T) {
 	goals := []float64{0.4, 0.6, 0.8}
 	var events []Progress
 	r := testRunner(t, 2)
-	_, rep, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
+	_, rep, err := sweep(context.Background(), r, Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) { events = append(events, p) })
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +173,7 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := 0
-	_, _, err := testRunner(t, 2).Sweep(ctx, Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
+	_, _, err := sweep(ctx, testRunner(t, 2), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover,
 		func(p Progress) {
 			done = p.Done
 			cancel()
@@ -177,7 +189,7 @@ func TestPairSweepCancelMidSweep(t *testing.T) {
 func TestPairSweepPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := testRunner(t, 2).Sweep(ctx,
+	_, _, err := sweep(ctx, testRunner(t, 2),
 		Grid{Pairs: []workloads.Pair{{QoS: "sgemm", NonQoS: "lbm"}}, Goals: []float64{0.5}},
 		core.SchemeRollover, nil)
 	if !errors.Is(err, context.Canceled) {
@@ -186,7 +198,7 @@ func TestPairSweepPreCanceled(t *testing.T) {
 }
 
 // TestGridCheckRejectsBadNQoS: a grid is pairs (NQoS 0) or trios with one
-// or two QoS kernels, and has at least one case; Sweep refuses any other.
+// or two QoS kernels, and has at least one case; Collect refuses any other.
 func TestGridCheckRejectsBadNQoS(t *testing.T) {
 	trios := []workloads.Trio{{A: "sgemm", B: "mri-q", C: "lbm"}}
 	for _, n := range []int{-1, 3} {
@@ -200,14 +212,17 @@ func TestGridCheckRejectsBadNQoS(t *testing.T) {
 	if err := (Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 2}).Check(); err != nil {
 		t.Errorf("refused a two-QoS trio grid: %v", err)
 	}
-	if _, _, err := testRunner(t, 1).Sweep(context.Background(),
+	if _, _, err := sweep(context.Background(), testRunner(t, 1),
 		Grid{Trios: trios, Goals: []float64{0.3}, NQoS: 3}, core.SchemeRollover, nil); err == nil {
-		t.Error("Sweep ran a grid Check refuses")
+		t.Error("Collect ran a grid Check refuses")
 	}
 }
 
 // TestRunnerWith checks derived runners apply extra options on top of the
-// base ones — the mechanism the ablation drivers use.
+// base ones — the mechanism the ablation drivers use — and that a family
+// of runners holds one runner per session configuration: the same options
+// twice give the same runner, and options that change nothing give the
+// base runner, from the base and from a derived runner alike.
 func TestRunnerWith(t *testing.T) {
 	r := testRunner(t, 2)
 	big := config.Base() // 16 SMs, overrides the base 4-SM option
@@ -215,14 +230,33 @@ func TestRunnerWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.GPUConfig().NumSMs != 16 {
-		t.Fatalf("derived runner has %d SMs, want 16", d.GPUConfig().NumSMs)
+	if d.Session().GPUConfig().NumSMs != 16 {
+		t.Fatalf("derived runner has %d SMs, want 16", d.Session().GPUConfig().NumSMs)
 	}
 	if d.workers != r.workers {
 		t.Fatal("derived runner changed worker count")
 	}
-	if r.GPUConfig().NumSMs != 4 {
+	if r.Session().GPUConfig().NumSMs != 4 {
 		t.Fatal("derivation mutated the base runner")
+	}
+	small := r.Session().GPUConfig()
+	for name, tc := range map[string]struct {
+		from *Runner
+		opts []core.Option
+		want *Runner
+	}{
+		"same options again": {r, []core.Option{core.WithGPU(big)}, d},
+		"no options":         {r, nil, r},
+		"the base window":    {r, []core.Option{core.WithWindow(r.Session().Window())}, r},
+		"back to the base":   {d, []core.Option{core.WithGPU(small)}, r},
+	} {
+		got, err := tc.from.With(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: With derived a new runner, want the one the family has", name)
+		}
 	}
 }
 
@@ -365,12 +399,12 @@ func TestSweepUsesWholePool(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	type result struct {
-		cases Cases
+		cases []Case
 		err   error
 	}
 	swept := make(chan result, 1)
 	go func() {
-		c, _, err := r.Sweep(ctx, g, core.SchemeRollover, nil)
+		c, _, err := sweep(ctx, r, g, core.SchemeRollover, nil)
 		swept <- result{c, err}
 	}()
 	select {
@@ -382,7 +416,7 @@ func TestSweepUsesWholePool(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	for i, c := range res.cases.Pairs {
+	for i, c := range res.cases {
 		if c.Res == nil {
 			t.Fatalf("case %d has no result", i)
 		}

@@ -25,13 +25,13 @@ func over(fig, text string, paper, a, b float64) Claim {
 }
 
 // tput sums the mean non-QoS throughput of cases' successes over goals.
-func tput[C gridCase](cases []C, goals []float64) float64 {
+func tput(cases []Case, goals []float64) float64 {
 	return sum(successMeanByGoal(cases, goals, nonQoSThroughputs), goals)
 }
 
 // falls reports whether cases reach fewer goals over the upper half of
 // goals than over the lower half.
-func falls[C gridCase](cases []C, goals []float64) bool {
+func falls(cases []Case, goals []float64) bool {
 	lo, hi := goals[:len(goals)/2], goals[len(goals)/2:]
 	return sum(ReachByGoal(cases, hi), hi) < sum(ReachByGoal(cases, lo), lo)
 }
@@ -68,9 +68,9 @@ func Claims(st Study, cs []SweepRow) []Claim {
 	}
 	g, g2 := st.Goals, st.Goals2
 	top, top2, top3 := g[len(g)-1:], g2[len(g2)-1:], g2[len(g2)-3:]
-	nh, sp, na, el, ro := r["fig5"][0].Pairs, r["fig6a"][0].Pairs, r["fig6a"][1].Pairs, r["fig6a"][2].Pairs, r["fig6a"][3].Pairs
-	sp1, ro1, sp2, ro2 := r["fig6b"][0].Trios, r["fig6b"][1].Trios, r["fig6c"][0].Trios, r["fig6c"][1].Trios
-	rt, off, sp56, ro56 := r["fig10"][1].Pairs, r["ablate-history"][1].Pairs, r["fig12"][0].Pairs, r["fig12"][1].Pairs
+	nh, sp, na, el, ro := r["fig5"][0].Cases, r["fig6a"][0].Cases, r["fig6a"][1].Cases, r["fig6a"][2].Cases, r["fig6a"][3].Cases
+	sp1, ro1, sp2, ro2 := r["fig6b"][0].Cases, r["fig6b"][1].Cases, r["fig6c"][0].Cases, r["fig6c"][1].Cases
+	rt, off, sp56, ro56 := r["fig10"][1].Cases, r["ablate-history"][1].Cases, r["fig12"][0].Cases, r["fig12"][1].Cases
 
 	b := Misses(nh)
 	miss, near := float64(b.Failures)/float64(b.Total), float64(b.Counts[0]+b.Counts[1])/float64(b.Failures)
@@ -81,7 +81,7 @@ func Claims(st Study, cs []SweepRow) []Claim {
 	osRo, _ := meanPositive(PairOvershootByGoal(ro, g), g)
 	t3Sp, t3Ro := tput(sp2, top3), tput(ro2, top3)
 	tRo, tRt := tput(ro, g), tput(rt, g)
-	cost, free := tput(r["ablate-preempt"][0].Pairs, g), tput(r["ablate-preempt"][1].Pairs, g)
+	cost, free := tput(r["ablate-preempt"][0].Cases, g), tput(r["ablate-preempt"][1].Cases, g)
 	_, ipw := ipwGain(g, sp, ro)
 	alpha := over("4.8b", "QoSreach, history on over off, at no goal below", 86.4, reRo, AvgReach(off))
 	on, offByGoal := ReachByGoal(ro, g), ReachByGoal(off, g)
@@ -116,7 +116,7 @@ func Claims(st Study, cs []SweepRow) []Claim {
 		{"14", "instructions per watt, Rollover over Spart", 9.3, 100 * ipw, holds[ipw > 0], "%"},
 		{"4.8a", "non-QoS tput lost to preemption", 1.93, 100 * (1 - cost/free), holds[cost < free], "%"},
 		alpha,
-		over("4.8c", "M+M non-QoS tput, static adjust on over off", 13.3, tput(ofClass(r["ablate-static"][0].Pairs, "M+M"), g), tput(r["ablate-static"][1].Pairs, g)),
+		over("4.8c", "M+M non-QoS tput, static adjust on over off", 13.3, tput(ofClass(r["ablate-static"][0].Cases, "M+M"), g), tput(r["ablate-static"][1].Cases, g)),
 		{"all", "QoSreach falls with the goal on all 11 full-grid sweeps", math.NaN(), math.NaN(), holds[!slices.Contains(falling, false)], "%"},
 	}
 }

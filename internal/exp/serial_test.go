@@ -9,17 +9,17 @@ import (
 )
 
 // PairSweep runs every pair at every goal under the scheme, serially on
-// one session: the reference Runner.Sweep over a pair Grid must equal,
-// case for case.
-func PairSweep(ctx context.Context, s *core.Session, pairs []workloads.Pair, goals []float64, scheme core.Scheme) ([]PairCase, error) {
-	out := make([]PairCase, 0, len(pairs)*len(goals))
+// one session: the reference a collected pair sweep must equal, case for
+// case.
+func PairSweep(ctx context.Context, s *core.Session, pairs []workloads.Pair, goals []float64, scheme core.Scheme) ([]Case, error) {
+	out := make([]Case, 0, len(pairs)*len(goals))
 	for _, p := range pairs {
 		for _, g := range goals {
 			res, err := s.Run(ctx, PairSpecs(p, g), scheme)
 			if err != nil {
 				return nil, fmt.Errorf("pair %s+%s @%.2f: %w", p.QoS, p.NonQoS, g, err)
 			}
-			out = append(out, PairCase{Pair: p, Goal: g, Scheme: scheme, Res: res})
+			out = append(out, Case{Goal: g, Res: res})
 		}
 	}
 	return out, nil
@@ -28,21 +28,20 @@ func PairSweep(ctx context.Context, s *core.Session, pairs []workloads.Pair, goa
 // TrioSweep runs every trio at every goal with nQoS QoS kernels (1 or 2),
 // serially on one session. For nQoS==1 the goal applies to the trio's
 // first member; for nQoS==2 the same goal applies to the first two (the
-// paper's 2x25%..2x70%). It is the serial reference for Runner.Sweep
-// over a trio Grid.
-func TrioSweep(ctx context.Context, s *core.Session, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme) ([]TrioCase, error) {
+// paper's 2x25%..2x70%). It is the serial reference for a collected trio
+// sweep.
+func TrioSweep(ctx context.Context, s *core.Session, trios []workloads.Trio, goals []float64, nQoS int, scheme core.Scheme) ([]Case, error) {
 	if nQoS < 1 || nQoS > 2 {
 		return nil, fmt.Errorf("exp: nQoS must be 1 or 2, got %d", nQoS)
 	}
-	out := make([]TrioCase, 0, len(trios)*len(goals))
+	out := make([]Case, 0, len(trios)*len(goals))
 	for _, t := range trios {
 		for _, g := range goals {
-			specs, qg := TrioSpecs(t, g, nQoS)
-			res, err := s.Run(ctx, specs, scheme)
+			res, err := s.Run(ctx, TrioSpecs(t, g, nQoS), scheme)
 			if err != nil {
 				return nil, fmt.Errorf("trio %s+%s+%s @%.2f: %w", t.A, t.B, t.C, g, err)
 			}
-			out = append(out, TrioCase{Trio: t, QoSGoals: qg, Scheme: scheme, Res: res})
+			out = append(out, Case{Goal: g, Res: res})
 		}
 	}
 	return out, nil

@@ -102,12 +102,12 @@ func checkRows(t *testing.T, p plannedSweep, todo []int) {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
 	committed := strings.Split(string(data), "\n") // the header, then case i at i+1
-	got := p.grid.Cases()
+	got := make([]Case, p.grid.Len())
 	_, err = p.runner.Run(context.Background(), p.grid, p.Scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
 		if ce != nil {
 			return ce
 		}
-		got.set(i, p.grid.Case(i, p.Scheme, res))
+		got[i] = p.grid.Case(i, res)
 		return nil
 	}, nil)
 	if err != nil {

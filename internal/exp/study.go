@@ -13,7 +13,9 @@ import (
 // Study configures how much of the full evaluation the experiments
 // reduce. The paper's full study is 90 pairs x 10 goals (900 cases per
 // scheme) and 60 trios x 10 goals; NewStudy subsamples the pairs and
-// trios. All sweeps execute on the Runner's worker pool.
+// trios. A sweep of either yields one []Case in grid order. Every sweep
+// runs on the worker pool of the Runner, or of the runner Runner.With
+// derives for its session options; Collect runs each distinct sweep once.
 type Study struct {
 	Runner *Runner
 	Pairs  []workloads.Pair
@@ -73,8 +75,9 @@ type Sweep struct {
 	NQoS int
 	// Pairs replaces the study's pair list when non-nil.
 	Pairs []workloads.Pair
-	// Session lists extra session options: non-empty means the sweep runs
-	// on a runner derived with Runner.With.
+	// Session lists extra session options; the sweep runs on the runner
+	// Runner.With derives for them, the study's own when they change
+	// nothing.
 	Session []core.Option
 	// study, when set, is the study the sweep is planned on (Tables).
 	study *Study
@@ -110,8 +113,9 @@ type SweepRow struct {
 	// Report is the fault report of the sweep that simulated; nil when
 	// reused or read.
 	Report *SweepReport
-	Pairs  []PairCase // a pair sweep's cases
-	Trios  []TrioCase // a trio sweep's cases
+	// Cases are the sweep's outcomes in case order (Grid); a failed
+	// case has a nil Res.
+	Cases []Case
 }
 
 // plannedSweep is a declared sweep resolved to its runner, case grid,
@@ -124,13 +128,13 @@ type plannedSweep struct {
 	stage  string // SweepRow.Stage
 }
 
-// plan resolves one declared sweep: it checks the grid, builds the
-// derived runner and derives the sweep's stage key.
+// plan resolves one declared sweep: it checks the grid, derives the
+// sweep's runner and its stage key.
 func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
 	if sw.study != nil {
 		st = *sw.study
 	}
-	p = plannedSweep{Sweep: sw, runner: st.Runner, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}, stage: sw.Name}
+	p = plannedSweep{Sweep: sw, grid: Grid{Pairs: sw.Pairs, Goals: st.Goals}, stage: sw.Name}
 	if st.stride > 1 {
 		p.stage = fmt.Sprintf("%s (stride %d)", sw.Name, st.stride)
 	}
@@ -146,12 +150,10 @@ func (st Study) plan(sw Sweep) (p plannedSweep, err error) {
 	if err := p.grid.Check(); err != nil {
 		return p, err
 	}
-	if len(sw.Session) > 0 {
-		if p.runner, err = st.Runner.With(sw.Session...); err != nil {
-			return p, err
-		}
+	if p.runner, err = st.Runner.With(sw.Session...); err != nil {
+		return p, err
 	}
-	p.key, err = p.runner.stageKey(p.grid, sw.Scheme)
+	p.key, err = p.grid.StageKey(p.runner.session.Config(), p.runner.session.Seed(), sw.Scheme)
 	return p, err
 }
 
@@ -177,7 +179,7 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 	done := map[string]SweepRow{} // stage key -> the row that obtained it
 	for _, p := range plans {
 		if first, ok := done[p.key]; ok {
-			rows = append(rows, SweepRow{Stage: p.stage, Reused: first.Stage, Pairs: first.Pairs, Trios: first.Trios})
+			rows = append(rows, SweepRow{Stage: p.stage, Reused: first.Stage, Cases: first.Cases})
 			continue
 		}
 		row, err := st.obtain(ctx, p)
@@ -192,8 +194,8 @@ func (st Study) Collect(ctx context.Context, sweeps []Sweep) ([]SweepRow, error)
 	return rows, nil
 }
 
-// obtain reads one planned sweep from the row store, or simulates it and
-// writes its file once every case has completed.
+// obtain reads one planned sweep from the row store, or simulates every
+// case of its grid and writes its file once every case has completed.
 func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
 	row := SweepRow{Stage: p.stage}
 	var path string
@@ -201,7 +203,7 @@ func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
 		path = rowFile(st.Rows, p.key)
 		cases, found, err := readRows(path, p.grid, p.Scheme)
 		if found && err == nil {
-			row.File, row.Pairs, row.Trios = path, cases.Pairs, cases.Trios
+			row.File, row.Cases = path, cases
 		}
 		if found || err != nil {
 			return row, err
@@ -211,9 +213,21 @@ func (st Study) obtain(ctx context.Context, p plannedSweep) (SweepRow, error) {
 	if progress != nil { // relabel the sweep's events with its stage label
 		progress = func(e Progress) { e.Stage = p.stage; st.Progress(e) }
 	}
-	cases, rep, err := p.runner.Sweep(ctx, p.grid, p.Scheme, progress)
-	row.Report, row.Pairs, row.Trios = rep, cases.Pairs, cases.Trios
-	if err == nil && path != "" {
+	cases, todo := make([]Case, p.grid.Len()), make([]int, p.grid.Len())
+	for i := range todo {
+		todo[i] = i
+	}
+	rep, err := p.runner.Run(ctx, p.grid, p.Scheme, todo, func(i int, res *core.Result, ce *CaseError) error {
+		if ce == nil {
+			cases[i] = p.grid.Case(i, res)
+		}
+		return nil
+	}, progress)
+	if err != nil {
+		return row, err
+	}
+	row.Report, row.Cases = rep, cases
+	if err = rep.Err(); err == nil && path != "" {
 		if err = writeRows(path, p.grid, cases); err == nil {
 			row.File = path
 		}

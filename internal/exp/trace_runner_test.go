@@ -32,13 +32,14 @@ func TestPairSweepWritesPerCaseTraces(t *testing.T) {
 		{QoS: "mri-q", NonQoS: "stencil"},
 	}
 	goals := []float64{0.3, 0.5}
-	cases, _, err := r.Sweep(context.Background(), Grid{Pairs: pairs, Goals: goals}, core.SchemeRollover, nil)
+	g := Grid{Pairs: pairs, Goals: goals}
+	cases, _, err := sweep(context.Background(), r, g, core.SchemeRollover, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases.Pairs {
+	for i, c := range cases {
 		if c.Res == nil {
-			t.Fatalf("case %s/%s g=%.2f failed", c.Pair.QoS, c.Pair.NonQoS, c.Goal)
+			t.Fatalf("case %s failed", g.Describe(i))
 		}
 	}
 

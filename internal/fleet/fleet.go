@@ -119,8 +119,6 @@ type Config struct {
 	Scheme core.Scheme
 	// Window is the measurement window in cycles (0 = session default).
 	Window int64
-	// Seed seeds every node's simulator (0 = session default).
-	Seed uint64
 	// MaxMixPerNode bounds concurrent kernels per device (0 = 3).
 	MaxMixPerNode int
 	// QueueDepth bounds the pending placement queue (0 = 16).
@@ -424,9 +422,6 @@ func (f *Fleet) buildNode(ctx context.Context, idx int, ns NodeSpec, cfg Config,
 		opts := []core.Option{core.WithGPU(ns.GPU)}
 		if cfg.Window > 0 {
 			opts = append(opts, core.WithWindow(cfg.Window))
-		}
-		if cfg.Seed != 0 {
-			opts = append(opts, core.WithSeed(cfg.Seed))
 		}
 		var err error
 		if sess, err = core.NewSession(opts...); err != nil {

@@ -55,7 +55,7 @@ func TestCommittedRowsKeepEveryStride(t *testing.T) {
 		by[row.Stage] = row
 	}
 	for stage, want := range map[string]int{"Rollover": 900, "Rollover (stride 6)": 150} {
-		if got := len(by[stage].Pairs); got != want {
+		if got := len(by[stage].Cases); got != want {
 			t.Errorf("stage %q has %d cases, want %d", stage, got, want)
 		}
 	}
