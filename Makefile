@@ -11,9 +11,11 @@
 # survives a crash that keeps only the journal bytes flushed before it),
 # the full test suite — which includes the daemon's
 # httptest smoke, the 50-client concurrent-admission soak, the
-# wheel-vs-per-cycle equivalence suite, the exports rule
+# wheel-vs-per-cycle equivalence suite, the exports rules
 # (TestNoExportOnlyTestsCall: every exported name under internal/ is
-# referenced by production code or carries an allow-list reason) and the
+# referenced by production code or carries an allow-list reason;
+# TestNoFieldOnlyTestsRead: every struct field there is read by
+# production code, JSON-encoded or allow-listed) and the
 # doc rule (TestDocsDescribeTheTree: every Go name, binary flag, make
 # target and path the docs cite exists, and every -run, -bench and
 # -fuzz alternative below selects a function) — the
@@ -180,9 +182,9 @@ bench-trace:
 # json.Unmarshal), the qosd submission path (body decoder + lowering to
 # a kernel spec, /v1 and /v2), the arrival-trace decoder `stream -mode
 # replay` reads and the row decoder qossim reads results/full through.
-# The trace fuzzer is seeded with a 6 KB golden trace; minimizing each
-# new input that large byte by byte would take the whole time box, so
-# its minimization is capped by count.
+# The trace fuzzer is seeded with a 6 KB golden trace and the row fuzzer
+# with whole row files; minimizing each new input that large byte by
+# byte would take the whole time box, so both cap minimization by count.
 fuzz:
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalDecode -fuzztime=10s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzEncodeCase -fuzztime=10s
@@ -194,7 +196,7 @@ fuzz:
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzV1Decision -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=10s
 	$(GO) test ./internal/stream -run='^$$' -fuzz=FuzzTraceDecode -fuzztime=10s -fuzzminimizetime=1000x
-	$(GO) test ./internal/exp -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=10s
+	$(GO) test ./internal/exp -run='^$$' -fuzz=FuzzDecodeRows -fuzztime=10s -fuzzminimizetime=1000x
 
 # Staleness gate over the committed rows: 52 class-stratified cases of
 # results/full's 23 stages (40 of the 11 full-grid ones, one of each of

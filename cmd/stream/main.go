@@ -206,7 +206,6 @@ func run(o options, stdout io.Writer) error {
 		}
 		d := &stream.Driver{
 			Backend:  stream.ServerBackend{Server: srv},
-			Registry: srv.Registry(),
 			Pace:     o.pace,
 			MixSlots: o.mix,
 		}

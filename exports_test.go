@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,8 +107,152 @@ func TestNoExportOnlyTestsCall(t *testing.T) {
 	}
 }
 
+// untaggedEncoded are the struct types under internal/ that production
+// code JSON-encodes or hashes whole without json tags: the encoder reads
+// every field of theirs.
+var untaggedEncoded = map[string]bool{
+	"config.GPU":          true,
+	"core.Config":         true,
+	"core.KernelResult":   true,
+	"core.Result":         true,
+	"exp.pairGrid":        true,
+	"exp.trioGrid":        true,
+	"metrics.KernelStats": true,
+	"power.Report":        true,
+	"qos.Options":         true,
+}
+
+// writeOnlyFields are the struct fields of internal/ that no production
+// file reads and that stay anyway, each with the reason it stays.
+var writeOnlyFields = map[string]string{
+	"gpu.GPU.WheelJumps":   "the wheel tests' witness that a run skipped cycles",
+	"gpu.GPU.WheelSkipped": "the wheel tests' witness that a run skipped cycles",
+}
+
+// TestNoFieldOnlyTestsRead: production code keeps only state a binary
+// reads. Every field of a struct type declared in a non-test file under
+// internal/, exported or not, must be read by some non-test file of the
+// module, be JSON-encoded (a json tag other than "-", or a field of an
+// untaggedEncoded type), or carry a reason in writeOnlyFields. An
+// assignment target, an ++/+= target and a composite-literal key are
+// writes, not reads; a selector promoted through an embedded field reads
+// that field.
+func TestNoFieldOnlyTestsRead(t *testing.T) {
+	m := checkModule(t)
+	read := m.fieldReads()
+
+	// reached maps each field of internal/ to whether production code
+	// reads or encodes it; pos says where it is declared.
+	reached := make(map[string]bool)
+	pos := make(map[string]token.Position)
+	structs := make(map[string]bool)
+	for _, pkg := range m.internal {
+		scope := pkg.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			typ := strings.TrimPrefix(pkg.Path(), "repro/internal/") + "." + tn.Name()
+			structs[typ] = true
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				name := typ + "." + f.Name()
+				tag := reflect.StructTag(st.Tag(i)).Get("json")
+				reached[name] = read[f] || untaggedEncoded[typ] || tag != "" && tag != "-"
+				pos[name] = m.fset.Position(f.Pos())
+			}
+		}
+	}
+
+	for typ := range untaggedEncoded {
+		if !structs[typ] {
+			t.Errorf("untaggedEncoded names %s, which is not a struct type of internal/: drop the entry", typ)
+		}
+	}
+	for name := range writeOnlyFields {
+		r, ok := reached[name]
+		switch {
+		case !ok:
+			t.Errorf("writeOnlyFields names %s, which is not a struct field of internal/: drop the entry", name)
+		case r:
+			t.Errorf("writeOnlyFields names %s, which production code reads: drop the entry", name)
+		}
+	}
+	var unread []string
+	for name, r := range reached {
+		if _, ok := writeOnlyFields[name]; !r && !ok {
+			unread = append(unread, name)
+		}
+	}
+	sort.Strings(unread)
+	for _, name := range unread {
+		t.Errorf("%s: %s is written but no production file reads it: delete it, or give writeOnlyFields a reason", pos[name], name)
+	}
+}
+
+// fieldReads returns the struct fields production code reads, by their
+// declaring object.
+func (m *module) fieldReads() map[*types.Var]bool {
+	writes := make(map[*ast.Ident]bool)
+	target := func(e ast.Expr) {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[s.Sel] = true
+		}
+	}
+	for _, files := range m.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								writes[key] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	read := make(map[*types.Var]bool)
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range m.info.Selections {
+		typ, path := sel.Recv(), sel.Index()
+		for _, i := range path[:len(path)-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			st, ok := typ.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			read[st.Field(i).Origin()] = true
+			typ = st.Field(i).Type()
+		}
+	}
+	return read
+}
+
 // module is the type-checked production code of this module: every
-// non-test file, with one Uses and one Types map across all packages.
+// non-test file, with one Uses, Types and Selections map across all
+// packages.
 type module struct {
 	fset     *token.FileSet
 	info     *types.Info
@@ -138,8 +283,9 @@ func loadModule() (*module, error) {
 	m := &module{
 		fset: token.NewFileSet(),
 		info: &types.Info{
-			Uses:  make(map[*ast.Ident]types.Object),
-			Types: make(map[ast.Expr]types.TypeAndValue),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 		files: make(map[string][]*ast.File),
 		pkgs:  make(map[string]*types.Package),

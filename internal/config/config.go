@@ -91,7 +91,11 @@ type GPU struct {
 	IdleWarpSamples int   // idle-warp samples per epoch (100 in the paper)
 
 	// Preemption engine (partial context switch, Section 3.6/4.8).
-	CtxBytesPerThread int   // architectural context per thread (regs + meta)
+	// CtxBytesPerThread is read by nothing: a TB's context is derived
+	// per kernel from ThreadsPerTB × (RegsPerThread×4 + 16) in
+	// kern.Kernel.TBResources. It stays only because it is hashed into
+	// every stage key (ROADMAP "Deletion candidates").
+	CtxBytesPerThread int
 	CtxSaveBWBytes    int   // bytes/cycle the preemption engine can move
 	KernelLaunchDelay int64 // cycles to relaunch a drained kernel
 

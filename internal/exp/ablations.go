@@ -32,7 +32,7 @@ func mmPairs(pairs []workloads.Pair) (mm []workloads.Pair) {
 // M+M).
 func ofClass(cases []Case, cls string) (out []Case) {
 	for _, c := range cases {
-		if k, err := workloads.PairClass(c.Res.Kernels[0].Name, c.Res.Kernels[1].Name); err == nil && k == cls {
+		if k, err := workloads.PairClass(kernelOf(c.Res, true).Name, kernelOf(c.Res, false).Name); err == nil && k == cls {
 			out = append(out, c)
 		}
 	}

@@ -129,7 +129,7 @@ func NonQoSThroughputByGoal(cases []Case, goals []float64) map[float64]float64 {
 // PairOvershootByGoal averages QoS-kernel throughput normalized to the
 // goal (Figure 9), over successful cases.
 func PairOvershootByGoal(cases []Case, goals []float64) map[float64]float64 {
-	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{r.Kernels[0].GoalRatio} })
+	return successMeanByGoal(cases, goals, func(r *core.Result) []float64 { return []float64{kernelOf(r, true).GoalRatio} })
 }
 
 // MissBuckets is the Figure 5 histogram: how far failed cases missed the
@@ -153,7 +153,7 @@ func Misses(cases []Case) MissBuckets {
 	var overshootSum float64
 	for _, c := range cases {
 		b.Total++
-		q := c.Res.Kernels[0]
+		q := kernelOf(c.Res, true)
 		if q.Reached {
 			b.Successes++
 			overshootSum += q.GoalRatio - 1
@@ -180,6 +180,17 @@ func Misses(cases []Case) MissBuckets {
 	return b
 }
 
+// kernelOf returns r's first kernel whose role is qos (QoS or not): in a
+// pair case, its QoS kernel or the co-runner, in either launch order.
+func kernelOf(r *core.Result, qos bool) *core.KernelResult {
+	for i := range r.Kernels {
+		if r.Kernels[i].IsQoS == qos {
+			return &r.Kernels[i]
+		}
+	}
+	return nil
+}
+
 // nonQoSThroughputs lists the normalized throughput of r's non-QoS kernels.
 func nonQoSThroughputs(r *core.Result) (vs []float64) {
 	for _, k := range r.Kernels {
@@ -194,7 +205,7 @@ func nonQoSThroughputs(r *core.Result) (vs []float64) {
 func ReachByQoSKernel(cases []Case) map[string]float64 {
 	by := map[string][]Case{}
 	for _, c := range cases {
-		name := c.Res.Kernels[0].Name
+		name := kernelOf(c.Res, true).Name
 		by[name] = append(by[name], c)
 	}
 	perKernel := make(map[string]float64, len(by))

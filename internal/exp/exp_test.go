@@ -130,6 +130,37 @@ func TestReachByQoSKernel(t *testing.T) {
 	}
 }
 
+// TestReducersPickKernelsByRole feeds the pair reducers each case in
+// both launch orders: the QoS kernel is the one IsQoS marks, not the
+// first, so the buckets, overshoot, per-kernel reach and class agree.
+func TestReducersPickKernelsByRole(t *testing.T) {
+	var cases, swapped []Case
+	for _, c := range []Case{fakeCase(0.5, 1.02, 0.6), fakeCase(0.5, 0.97, 0.4), fakeCase(0.9, 0.7, 0.2)} {
+		c.Res.Kernels[0].Name = "infer" // an open-world class: PairClass is then ordered
+		cases = append(cases, c)
+		s := *c.Res
+		s.Kernels = []core.KernelResult{c.Res.Kernels[1], c.Res.Kernels[0]}
+		swapped = append(swapped, Case{Goal: c.Goal, Res: &s})
+	}
+	goals := []float64{0.5, 0.9}
+	cls, err := workloads.PairClass("infer", "lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Misses(cases); got.Counts != [5]int{0, 1, 0, 0, 1} || got != Misses(swapped) {
+		t.Errorf("buckets %+v in launch order, %+v swapped", got, Misses(swapped))
+	}
+	if got := PairOvershootByGoal(cases, goals); got[0.5] != 1.02 || !reflect.DeepEqual(got, PairOvershootByGoal(swapped, goals)) {
+		t.Errorf("overshoot %v in launch order, %v swapped", got, PairOvershootByGoal(swapped, goals))
+	}
+	if got := ReachByQoSKernel(cases); got["infer"] != 1.0/3 || !reflect.DeepEqual(got, ReachByQoSKernel(swapped)) {
+		t.Errorf("per-kernel reach %v in launch order, %v swapped", got, ReachByQoSKernel(swapped))
+	}
+	if got := ofClass(cases, cls); len(got) != 3 || len(ofClass(swapped, cls)) != 3 {
+		t.Errorf("class %s holds %d cases in launch order, %d swapped", cls, len(got), len(ofClass(swapped, cls)))
+	}
+}
+
 func TestStudyReduction(t *testing.T) {
 	r, err := NewRunner(1, WithSessionOptions(core.WithWindow(40_000)))
 	if err != nil {

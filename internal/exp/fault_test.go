@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,8 +26,8 @@ var faultPairs = []workloads.Pair{
 // TestSweepPanicIsolation panics two chosen cases and runs the sweep with
 // the default (collecting) policy: every other case must complete, the
 // report must name exactly the panicking cases, and the recovered stacks
-// must be attached. A failed case is final: every case, failed or not,
-// runs once.
+// must be attached and printed by PrintRows. A failed case is final:
+// every case, failed or not, runs once.
 func TestSweepPanicIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -58,7 +60,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 		if !errors.As(ce.Err, &pe) {
 			t.Fatalf("case %d: err = %v, want *core.PanicError", ce.Index, ce.Err)
 		}
-		if len(ce.Stack) == 0 {
+		if len(pe.Stack) == 0 {
 			t.Fatalf("case %d: no stack captured", ce.Index)
 		}
 		if ce.Case == "" || ce.Stage == "" {
@@ -82,6 +84,21 @@ func TestSweepPanicIsolation(t *testing.T) {
 	// The sweep's row carries the report, beside the error that carries it.
 	if ret != rep {
 		t.Fatalf("the row's report is %+v, want the SweepError's %+v", ret, rep)
+	}
+	// The account both binaries print names each panicking case, then
+	// its stack, which runs through the closure that panicked.
+	var buf bytes.Buffer
+	PrintRows(&buf, []SweepRow{{Stage: rep.Stage, Report: rep}})
+	printed := buf.String()
+	for _, ce := range rep.Failed {
+		line := "FAILED " + ce.Error() + "\n"
+		at := strings.Index(printed, line)
+		if at < 0 {
+			t.Fatalf("PrintRows does not list case %d as %q:\n%s", ce.Index, line, printed)
+		}
+		if frame := "exp.TestSweepPanicIsolation.func1("; !strings.Contains(printed[at+len(line):], frame) {
+			t.Fatalf("PrintRows prints no stack frame %q after case %d:\n%s", frame, ce.Index, printed)
+		}
 	}
 }
 

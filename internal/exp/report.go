@@ -1,10 +1,14 @@
 package exp
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"time"
+
+	"repro/internal/core"
 )
 
 // CaseError is one failed sweep case with its full coordinates, so a
@@ -18,11 +22,9 @@ type CaseError struct {
 	// Case describes the case in grid coordinates, e.g.
 	// "pair[3] sgemm+lbm @0.50".
 	Case string
-	// Err is the case's error.
+	// Err is the case's error; a panic is a *core.PanicError, which
+	// keeps the recovered stack.
 	Err error
-	// Stack is the recovered goroutine stack when the failure was a
-	// panic (*core.PanicError), nil otherwise.
-	Stack []byte
 }
 
 func (e *CaseError) Error() string {
@@ -67,7 +69,8 @@ func (r *SweepReport) Summary() string {
 
 // PrintRows writes the end-of-run account of every declared sweep to w,
 // one line each: cases simulated and their rate, failures, the row file
-// read or written, or which earlier sweep it reused.
+// read or written, or which earlier sweep it reused. Each failed case
+// follows its sweep's line, a panicking one with its stack.
 func PrintRows(w io.Writer, rows []SweepRow) {
 	for _, row := range rows {
 		switch rep := row.Report; {
@@ -86,6 +89,13 @@ func PrintRows(w io.Writer, rows []SweepRow) {
 				fmt.Fprintf(w, "; wrote %s", row.File)
 			}
 			fmt.Fprintln(w)
+			for _, ce := range rep.Failed {
+				fmt.Fprintf(w, "  FAILED %v\n", ce)
+				var pe *core.PanicError
+				if errors.As(ce.Err, &pe) {
+					fmt.Fprintf(w, "%s\n", bytes.TrimRight(pe.Stack, "\n"))
+				}
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -267,10 +266,6 @@ func (r *Runner) Run(parent context.Context, g Grid, scheme core.Scheme, todo []
 						return
 					}
 					ce = &CaseError{Stage: stage, Index: i, Case: g.Describe(i), Err: err}
-					var pe *core.PanicError
-					if errors.As(err, &pe) {
-						ce.Stack = pe.Stack
-					}
 				}
 				if err := done(i, res, ce); err != nil {
 					fail(err)

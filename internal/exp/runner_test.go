@@ -306,7 +306,7 @@ func TestRunnerDo(t *testing.T) {
 		t.Fatalf("completing case: res=%v ce=%v", res[0], ces[0])
 	}
 	var pe *core.PanicError
-	if ces[1] == nil || !errors.As(ces[1].Err, &pe) || len(ces[1].Stack) == 0 {
+	if ces[1] == nil || !errors.As(ces[1].Err, &pe) || len(pe.Stack) == 0 {
 		t.Fatalf("panicking case: ce = %+v, want a *core.PanicError with a stack", ces[1])
 	}
 	if ces[2] == nil || !errors.Is(ces[2].Err, fault) {

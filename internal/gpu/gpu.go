@@ -59,7 +59,6 @@ type GPU struct {
 
 	progs      []*sm.Program // Kernels, decoded
 	controller Controller
-	gate       sm.QuotaGate
 
 	// Observability (nil-safe; nil when tracing is off).
 	tracer        *trace.Tracer
@@ -99,9 +98,8 @@ type GPU struct {
 	wheelOff       bool
 	lastDispatchAt int64
 	// WheelJumps / WheelSkipped count the wheel's forward jumps and the
-	// total cycles they fast-forwarded over; purely observational (the
-	// equivalence tests use them to prove a run actually exercised
-	// skipping, and experiment reports quote them).
+	// total cycles they fast-forwarded over; purely observational: the
+	// wheel tests read them as their witness that a run skipped cycles.
 	WheelJumps   int64
 	WheelSkipped int64
 
@@ -235,7 +233,6 @@ func (g *GPU) Tracer() *trace.Tracer { return g.tracer }
 // SetGate installs the warp schedulers' quota gate on every SM without
 // disturbing TB caps or residency.
 func (g *GPU) SetGate(gate sm.QuotaGate) {
-	g.gate = gate
 	for _, s := range g.SMs {
 		s.SetGate(gate)
 	}

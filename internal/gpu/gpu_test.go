@@ -152,8 +152,12 @@ func TestBalancedDispatch(t *testing.T) {
 	}
 }
 
+// TestPreemptOneTBAndResume preempts one TB and runs on: the trace must
+// record the save with the kernel's context bytes, and its restore.
 func TestPreemptOneTBAndResume(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a", "b"))
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	g.RunCtx(context.Background(), 500)
 	before := g.SMs[0].ResidentTBs(0)
 	if before == 0 {
@@ -173,17 +177,37 @@ func TestPreemptOneTBAndResume(t *testing.T) {
 	if g.Stats[0].Launches < 2 {
 		t.Fatal("kernel with preempted TB never completed a launch")
 	}
+	saves, ctxBytes := events(t, tr, trace.KindTBPreempt), g.Kernels[0].TBResources().CtxBytes
+	if len(saves) != 1 || saves[0].SM != 0 || saves[0].Slot != 0 || int(saves[0].B) != ctxBytes {
+		t.Fatalf("tb_preempt events %+v, want one of slot 0 on SM 0 moving %d bytes", saves, ctxBytes)
+	}
+	if restores := events(t, tr, trace.KindTBRestore); len(restores) != 1 || restores[0].A != saves[0].A {
+		t.Fatalf("tb_restore events %+v, want one of grid index %v", restores, saves[0].A)
+	}
 }
 
+// TestDrainSM drains an SM: it empties and stays blocked for the move of
+// every context the sm_drain event reports plus the drain penalty.
 func TestDrainSM(t *testing.T) {
 	g, _ := New(smallCfg(), buildKernels(t, "a"))
-	g.RunCtx(context.Background(), 500)
-	g.DrainSM(500, 1)
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
+	g.RunCtx(context.Background(), 100)
+	held := g.SMs[1].ResidentTBs(0)
+	if held == 0 {
+		t.Fatal("no TB of kernel 0 on SM 1 to drain")
+	}
+	g.DrainSM(100, 1)
 	if g.SMs[1].ResidentTBs(0) != 0 {
 		t.Fatal("SM not empty after drain")
 	}
-	if g.SMs[1].BlockedUntil <= 500 {
-		t.Fatal("drained SM not blocked")
+	drains := events(t, tr, trace.KindSMDrain)
+	bytes := held * g.Kernels[0].TBResources().CtxBytes
+	if len(drains) != 1 || drains[0].SM != 1 || int(drains[0].A) != held || int(drains[0].B) != bytes {
+		t.Fatalf("sm_drain events %+v, want one on SM 1 of %d TBs and %d bytes", drains, held, bytes)
+	}
+	if want := 100 + g.Engine.MoveCost(bytes) + g.Cfg.SMDrainPenalty; g.SMs[1].BlockedUntil != want {
+		t.Fatalf("drained SM blocked until %d, want %d", g.SMs[1].BlockedUntil, want)
 	}
 	if msg := g.CheckInvariants(); msg != "" {
 		t.Fatal(msg)
@@ -296,4 +320,21 @@ func TestTotalThreadInstrs(t *testing.T) {
 	if g.TotalThreadInstrs() != g.Stats[0].ThreadInstrs+g.Stats[1].ThreadInstrs {
 		t.Fatal("TotalThreadInstrs does not sum per-kernel counters")
 	}
+}
+
+// events returns tr's events of one kind; the ring must have kept them
+// all.
+func events(t *testing.T, tr *trace.Tracer, kind trace.Kind) []trace.Event {
+	t.Helper()
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped())
+	}
+	var out []trace.Event
+	tr.Each(func(e trace.Event) bool {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+		return true
+	})
+	return out
 }

@@ -57,15 +57,18 @@ func coRun(t *testing.T) *GPU {
 // occupancy is compared per chunk because IdleWarpAverages resets its
 // accumulators on read — any drift in idleAcc or idleSamples shows up in
 // the first differing interval rather than washing out over the run.
+// Per SM, an open quota gate counts the issued warp instructions and the
+// cycles with at least one issue, which must also agree.
 func TestWheelIdleAccountingEquivalence(t *testing.T) {
-	build := func() *GPU {
+	build := func() (*GPU, *issueCounter) {
 		g, err := New(smallCfg(), buildKernels(t, "a"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g
+		return g, newIssueCounter(g)
 	}
-	on, off := build(), build()
+	on, onIssues := build()
+	off, offIssues := build()
 	off.SetEventWheel(false)
 	for chunk := 0; chunk < 3; chunk++ {
 		on.RunCtx(context.Background(), 20_000)
@@ -84,12 +87,40 @@ func TestWheelIdleAccountingEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(*on.Stats[0], *off.Stats[0]) {
 		t.Fatalf("kernel stats diverged\nwheel:  %+v\nlegacy: %+v", *on.Stats[0], *off.Stats[0])
 	}
-	for i, s := range on.SMs {
-		r := off.SMs[i]
-		if s.IssuedWarpInstrs != r.IssuedWarpInstrs || s.ActiveCycles != r.ActiveCycles {
-			t.Fatalf("SM%d counters diverged (issued %d/%d active %d/%d)",
-				i, s.IssuedWarpInstrs, r.IssuedWarpInstrs, s.ActiveCycles, r.ActiveCycles)
-		}
+	if !reflect.DeepEqual(onIssues.issued, offIssues.issued) || !reflect.DeepEqual(onIssues.active, offIssues.active) {
+		t.Fatalf("per-SM issues diverged\nwheel:  issued %v active %v\nlegacy: issued %v active %v",
+			onIssues.issued, onIssues.active, offIssues.issued, offIssues.active)
+	}
+	if onIssues.issued[0] == 0 {
+		t.Fatal("the gate saw no issue on SM 0")
+	}
+}
+
+// issueCounter is an open quota gate: it allows every issue and counts,
+// per SM, the warp instructions issued and the cycles that issued any.
+type issueCounter struct {
+	g              *GPU
+	issued, active []int64
+	last           []int64 // the cycle each SM last issued in
+}
+
+// newIssueCounter installs an issueCounter on every SM of g.
+func newIssueCounter(g *GPU) *issueCounter {
+	n := len(g.SMs)
+	c := &issueCounter{g: g, issued: make([]int64, n), active: make([]int64, n), last: make([]int64, n)}
+	for i := range c.last {
+		c.last[i] = -1
+	}
+	g.SetGate(c)
+	return c
+}
+
+func (c *issueCounter) CanIssue(smID, slot int) bool { return true }
+func (c *issueCounter) OnIssue(smID, slot, threadInstrs int) {
+	c.issued[smID]++
+	if c.last[smID] != c.g.Now {
+		c.last[smID] = c.g.Now
+		c.active[smID]++
 	}
 }
 

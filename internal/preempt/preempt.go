@@ -8,24 +8,15 @@ package preempt
 
 import "repro/internal/config"
 
-// Stats accumulates preemption-engine activity.
-type Stats struct {
-	Swaps      int64 // TB-granularity context moves
-	SMDrains   int64 // whole-SM drains (spatial repartitioning)
-	BytesMoved int64
-	BusyCycles int64 // cycles the engine spent moving context
-}
-
-// Engine tracks per-SM context-movement occupancy.
+// Engine tracks per-SM context-movement occupancy. What it moved is in
+// the trace: the tb_preempt, tb_restore and sm_drain events.
 type Engine struct {
 	cfg       config.GPU
 	busyUntil []int64
-
-	Stats Stats
 }
 
 // New builds an engine for the configuration, or rebuilds prev in place
-// when it is not nil: every SM's lane idle, no activity counted.
+// when it is not nil: every SM's lane idle.
 func New(cfg config.GPU, prev *Engine) *Engine {
 	if prev == nil {
 		prev = new(Engine)
@@ -48,30 +39,16 @@ func (e *Engine) MoveCost(bytes int) int64 {
 // BeginSwap schedules a TB context move on smID starting at now and
 // returns the cycle the moved context is usable again.
 func (e *Engine) BeginSwap(now int64, smID, bytes int) int64 {
-	e.Stats.Swaps++
-	e.Stats.BytesMoved += int64(bytes)
-	start := now
-	if e.busyUntil[smID] > start {
-		start = e.busyUntil[smID]
-	}
-	done := start + e.MoveCost(bytes)
+	done := max(now, e.busyUntil[smID]) + e.MoveCost(bytes)
 	e.busyUntil[smID] = done
-	e.Stats.BusyCycles += done - start
 	return done
 }
 
 // BeginDrain schedules a whole-SM drain (spatial repartition): the SM is
 // unusable until the returned cycle.
 func (e *Engine) BeginDrain(now int64, smID, bytes int) int64 {
-	e.Stats.SMDrains++
-	e.Stats.BytesMoved += int64(bytes)
-	start := now
-	if e.busyUntil[smID] > start {
-		start = e.busyUntil[smID]
-	}
-	done := start + e.MoveCost(bytes) + e.cfg.SMDrainPenalty
+	done := max(now, e.busyUntil[smID]) + e.MoveCost(bytes) + e.cfg.SMDrainPenalty
 	e.busyUntil[smID] = done
-	e.Stats.BusyCycles += done - start
 	return done
 }
 

@@ -41,6 +41,11 @@ func TestDrainIncludesPenalty(t *testing.T) {
 	if done != cfg.SMDrainPenalty {
 		t.Fatalf("drain with no context finished at %d, want %d", done, cfg.SMDrainPenalty)
 	}
+	// A drain queues behind a swap on its lane and adds its own move.
+	swapped := e.BeginSwap(0, 1, 1000)
+	if got, want := e.BeginDrain(0, 1, 2000), swapped+e.MoveCost(2000)+cfg.SMDrainPenalty; got != want {
+		t.Fatalf("drain behind a swap finished at %d, want %d", got, want)
+	}
 }
 
 func TestPending(t *testing.T) {
@@ -57,20 +62,5 @@ func TestPending(t *testing.T) {
 	}
 	if e.BusyUntil(3) != done {
 		t.Fatal("BusyUntil mismatch")
-	}
-}
-
-func TestStats(t *testing.T) {
-	e := New(config.Base(), nil)
-	e.BeginSwap(0, 0, 1000)
-	e.BeginDrain(0, 1, 2000)
-	if e.Stats.Swaps != 1 || e.Stats.SMDrains != 1 {
-		t.Fatalf("stats = %+v", e.Stats)
-	}
-	if e.Stats.BytesMoved != 3000 {
-		t.Fatalf("bytes moved = %d", e.Stats.BytesMoved)
-	}
-	if e.Stats.BusyCycles <= 0 {
-		t.Fatal("busy cycles not accumulated")
 	}
 }

@@ -105,10 +105,8 @@ type Manager struct {
 	qosSlots    []int
 	nonQoS      []int
 	peakIPC     float64
-	epochCount  int   // epochs seen by the static adjuster
-	lastReclaim int   // epoch of the last give-back move
-	Replenish   int64 // mid-epoch non-QoS replenishments (stats)
-	ElasticNew  int64 // elastic early-epoch starts (stats)
+	epochCount  int // epochs seen by the static adjuster
+	lastReclaim int // epoch of the last give-back move
 }
 
 // slotState is one kernel's QoS state.
@@ -118,7 +116,7 @@ type slotState struct {
 
 	quota      float64 // GPU-wide quota for the current epoch
 	alpha      float64 // history adjustment (Section 3.4.2)
-	prevAlpha  float64 // α in force during the previous epoch
+	prevAlpha  float64 // α in force during the previous epoch (the alpha trace event's B)
 	nonQoSGoal float64 // artificial IPC goal of a non-QoS kernel (Section 3.5)
 	lastEpoch  float64 // IPCepoch of the previous epoch
 	allowance  float64 // quota+carry granted for the current epoch
@@ -298,7 +296,6 @@ func (m *Manager) OnCycle(now int64) {
 		if !anyResident {
 			return
 		}
-		m.ElasticNew++
 		m.g.Tracer().ElasticEpoch(now, now-m.epochStartCycle)
 		m.g.ForceEpochRoll(now)
 		return
@@ -320,7 +317,6 @@ func (m *Manager) OnCycle(now int64) {
 			}
 		}
 		if any {
-			m.Replenish++
 			m.g.SMs[smID].Wake(now)
 		}
 	}
@@ -438,8 +434,8 @@ func (m *Manager) OnEpoch(now int64) {
 		m.g.Tracer().ArtificialGoal(now, slot, m.slots[slot].nonQoSGoal, prev)
 	}
 	// History-based α for QoS kernels (Section 3.4.2). The α that was
-	// in force during the finished epoch is kept for the static
-	// adjuster's quota-consumption test.
+	// in force during the finished epoch is kept only for the alpha
+	// trace event, which records each change.
 	for _, q := range m.qosSlots {
 		sl := &m.slots[q]
 		sl.prevAlpha = sl.alpha

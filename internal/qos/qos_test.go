@@ -8,6 +8,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/kern"
+	"repro/internal/trace"
 )
 
 func smallCfg() config.GPU {
@@ -192,12 +193,14 @@ func TestNonQoSRunsInSlack(t *testing.T) {
 	goals := []float64{0.3 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.3, 0})
 	m, _ := New(g, Rollover, goals, Options{}, nil)
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	m.Install()
 	g.RunCtx(context.Background(), 60_000)
 	if g.IPC(1) <= 0 {
 		t.Fatal("non-QoS kernel made no progress despite slack")
 	}
-	if m.Replenish == 0 {
+	if countKind(t, tr, trace.KindReplenish) == 0 {
 		t.Fatal("slack never replenished the non-QoS kernel")
 	}
 }
@@ -208,11 +211,30 @@ func TestElasticStartsEpochsEarly(t *testing.T) {
 	goals := []float64{0.3 * iso, 0}
 	SetupFineGrained(g, goals, []float64{0.3, 0})
 	m, _ := New(g, Elastic, goals, Options{}, nil)
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	m.Install()
 	g.RunCtx(context.Background(), 40_000)
-	if m.ElasticNew == 0 {
+	if countKind(t, tr, trace.KindElasticEpoch) == 0 {
 		t.Fatal("elastic epoch never restarted early despite an easy goal")
 	}
+}
+
+// countKind counts tr's events of one kind; the ring must have kept them
+// all.
+func countKind(t *testing.T, tr *trace.Tracer, kind trace.Kind) int {
+	t.Helper()
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events; the count would be short", tr.Dropped())
+	}
+	n := 0
+	tr.Each(func(e trace.Event) bool {
+		if e.Kind == kind {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 func TestAlphaRisesWhenBehind(t *testing.T) {

@@ -220,11 +220,6 @@ func (s *Server) openJournal(path string) error {
 	return nil
 }
 
-// Registry exposes the daemon's run-level counters and gauges (the
-// /metrics source) so embedding callers — the stream driver — can
-// record their own series alongside the decision loop's.
-func (s *Server) Registry() *trace.Registry { return s.reg }
-
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

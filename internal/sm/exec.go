@@ -109,7 +109,6 @@ func (s *SM) cycle(now int64) {
 		st.ThreadInstrs += int64(lanes)
 		st.NoteIssue(now)
 		*ks.byOp[in.Op]++
-		s.IssuedWarpInstrs++
 		if s.gate != nil {
 			s.gate.OnIssue(s.ID, int(w.slot), lanes)
 		}
@@ -130,7 +129,6 @@ func (s *SM) cycle(now int64) {
 		sch.occupied |= 1 << b
 	}
 	if issued {
-		s.ActiveCycles++
 		return
 	}
 	// Nothing issued and every scheduler set a wake time in the future: the

@@ -247,11 +247,6 @@ type SM struct {
 	// share: PreemptTB takes the context it saves into from it, and
 	// Dispatch returns the one it resumed. Unset, each save allocates.
 	Contexts *[]*TBContext
-
-	// IssuedWarpInstrs counts issued warp instructions for utilization
-	// and power accounting.
-	IssuedWarpInstrs int64
-	ActiveCycles     int64 // cycles with at least one issue
 }
 
 // New builds an SM running the co-run's kernels, decoded for this SM's

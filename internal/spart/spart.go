@@ -27,8 +27,6 @@ type Controller struct {
 	mask        []bool // applyMasks' scratch
 	every       int    // decision period in epochs
 	epochCount  int
-	Moves       int64 // SMs reassigned (stats)
-	GiveBacks   int64 // SMs returned to non-QoS kernels (stats)
 	marginScale float64
 }
 
@@ -203,7 +201,6 @@ func (c *Controller) OnEpoch(now int64) {
 	if needy >= 0 {
 		if donor := c.pickDonor(now, needy); donor >= 0 {
 			c.moveSM(now, donor, needy)
-			c.Moves++
 		}
 		return
 	}
@@ -225,7 +222,6 @@ func (c *Controller) OnEpoch(now int64) {
 		hist := c.g.IPC(slot)
 		if hist*float64(n-1)/float64(n) > goal*c.marginScale {
 			c.moveSM(now, slot, recv)
-			c.GiveBacks++
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/gpu"
 	"repro/internal/kern"
+	"repro/internal/trace"
 )
 
 func smallCfg() config.GPU {
@@ -118,16 +119,36 @@ func TestHillClimbMovesTowardNeedyKernel(t *testing.T) {
 	// Equal split but a high goal: the controller must take SMs from
 	// the non-QoS kernel.
 	c, _ := New(g, []float64{0.9 * iso, 0}, nil, nil)
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	c.Install()
 	start := c.SMsOf(0)
 	g.RunCtx(context.Background(), 120_000)
+	moves := movesTo(t, tr, 0)
 	if c.SMsOf(0) <= start {
 		t.Fatalf("needy QoS kernel still at %d SMs (started with %d), moves=%d",
-			c.SMsOf(0), start, c.Moves)
+			c.SMsOf(0), start, moves)
 	}
-	if c.Moves == 0 {
-		t.Fatal("no hill-climbing moves recorded")
+	if moves == 0 {
+		t.Fatal("no hill-climbing moves traced")
 	}
+}
+
+// movesTo counts tr's sm_move events that hand an SM to slot; the ring
+// must have kept them all.
+func movesTo(t *testing.T, tr *trace.Tracer, slot int) int {
+	t.Helper()
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events; the count would be short", tr.Dropped())
+	}
+	n := 0
+	tr.Each(func(e trace.Event) bool {
+		if e.Kind == trace.KindSMMove && int(e.Slot) == slot {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 func isolated(t *testing.T) float64 {
@@ -152,8 +173,10 @@ func TestGiveBackWhenOverProvisioned(t *testing.T) {
 	}
 	c.applyMasks()
 	g.SetController(c)
+	tr := trace.New(trace.DefaultRingSize)
+	g.SetTracer(tr)
 	g.RunCtx(context.Background(), 120_000)
-	if c.GiveBacks == 0 {
+	if movesTo(t, tr, 1) == 0 {
 		t.Fatal("controller never returned surplus SMs")
 	}
 	if c.SMsOf(1) <= 2 {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/schema"
-	"repro/internal/trace"
 )
 
 // Outcome states a Backend reports for one arrival. Rejections and
@@ -54,9 +53,6 @@ type Backend interface {
 // of the trace.
 type Driver struct {
 	Backend Backend
-	// Registry optionally receives stream_* counters and per-tenant
-	// admit-rate gauges (the same registry qosd exports on /metrics).
-	Registry *trace.Registry
 	// Pace > 0 replays arrivals in wall-clock time scaled by 1/Pace
 	// (1.0 = real time, 2.0 = twice as fast). 0 submits back-to-back.
 	Pace float64
@@ -181,7 +177,6 @@ func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
 		}
 		active--
 		acc(r.tenant).stats.Released++
-		d.count("stream_released", 1)
 		return nil
 	}
 	drainUntil := func(cutUs int64) error {
@@ -240,12 +235,10 @@ func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
 		}
 		a := acc(ev.Tenant)
 		a.stats.Arrivals++
-		d.count("stream_arrivals", 1)
 		switch out.State {
 		case StateAdmitted:
 			a.stats.Admitted++
 			a.lats = append(a.lats, lat)
-			d.count("stream_admitted", 1)
 			active++
 			if ev.HoldUs > 0 {
 				heap.Push(&rel, pendingRelease{dueUs: ev.TUs + ev.HoldUs, seq: ev.Seq, jobID: out.JobID, tenant: ev.Tenant})
@@ -253,20 +246,15 @@ func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
 		case StateRejected:
 			a.stats.Rejected++
 			a.lats = append(a.lats, lat)
-			d.count("stream_rejected", 1)
 			if v := out.Verdict; v != nil && v.Candidate.IsQoS && !v.Candidate.Reached {
 				a.stats.OwnGoalMisses++
-				d.count("stream_own_goal_misses", 1)
 			} else {
 				a.stats.CollateralRejects++
-				d.count("stream_collateral_rejects", 1)
 			}
 		case StateThrottled:
 			a.stats.Throttled++
-			d.count("stream_throttled", 1)
 		default:
 			a.stats.Failed++
-			d.count("stream_failed", 1)
 		}
 	}
 	// Release everything still held so the backend ends the drive with
@@ -301,10 +289,6 @@ func (d *Driver) Run(ctx context.Context, tr *Trace) (*Report, error) {
 		rep.Totals.OwnGoalMisses += a.stats.OwnGoalMisses
 		rep.Totals.CollateralRejects += a.stats.CollateralRejects
 		totalLats = append(totalLats, a.lats...)
-		if d.Registry != nil {
-			d.Registry.Gauge("stream_admit_rate_" + name).Set(a.stats.AdmitRate)
-			d.Registry.Gauge("stream_violation_rate_" + name).Set(a.stats.ViolationRate)
-		}
 	}
 	finalize(&rep.Totals, totalLats)
 	return rep, nil
@@ -339,10 +323,4 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-func (d *Driver) count(name string, n int64) {
-	if d.Registry != nil {
-		d.Registry.Counter(name).Add(n)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/schema"
-	"repro/internal/trace"
 )
 
 // fakeBackend scripts outcomes by arrival seq and records the exact
@@ -79,8 +78,7 @@ func TestStreamDriverStats(t *testing.T) {
 		{Seq: 4, TUs: 40, Tenant: "a", Workload: "sgemm"},
 		{Seq: 5, TUs: 50, Tenant: "b", Workload: "lbm"},
 	})
-	reg := &trace.Registry{}
-	d := &Driver{Backend: fb, Registry: reg}
+	d := &Driver{Backend: fb}
 	rep, err := d.Run(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
@@ -119,19 +117,8 @@ func TestStreamDriverStats(t *testing.T) {
 	if a.VerdictP50Ns <= 0 || a.VerdictP99Ns < a.VerdictP50Ns {
 		t.Errorf("tenant a verdict percentiles %d/%d", a.VerdictP50Ns, a.VerdictP99Ns)
 	}
-
-	// Registry counters mirror the totals; gauges carry the rates.
-	for name, want := range map[string]int64{
-		"stream_arrivals": 6, "stream_admitted": 2, "stream_rejected": 2,
-		"stream_throttled": 1, "stream_failed": 1, "stream_released": 2,
-		"stream_own_goal_misses": 1, "stream_collateral_rejects": 1,
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
-	}
-	if got := reg.Gauge("stream_admit_rate_a").Value(); got != 0.5 {
-		t.Errorf("admit rate gauge a = %v, want 0.5", got)
+	if a.AdmitRate != 0.5 || a.ViolationRate != 0.5 {
+		t.Errorf("tenant a rates %v/%v, want 0.5/0.5", a.AdmitRate, a.ViolationRate)
 	}
 }
 

@@ -84,7 +84,7 @@ const (
 	// (Section 3.6): A = new cap, B = previous cap.
 	KindTBAdjust
 	// KindSMMove reassigns an SM between kernels (spatial baseline):
-	// A = receiving slot.
+	// Slot = receiving slot.
 	KindSMMove
 
 	// --- run-level events ---
