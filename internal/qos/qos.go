@@ -92,6 +92,8 @@ type Manager struct {
 	opts   Options
 
 	slots []slotState // by kernel slot
+	in    []slotIn    // the finished epoch, by slot (gather)
+	prev  []slotState // slots before the last step, for the events
 
 	// Per-SM, per-slot quota counters (thread instructions remaining).
 	counters [][]float64
@@ -101,7 +103,6 @@ type Manager struct {
 	epochStartCycle int64
 
 	epochLen    int64
-	started     bool
 	qosSlots    []int
 	nonQoS      []int
 	peakIPC     float64
@@ -116,11 +117,9 @@ type slotState struct {
 
 	quota      float64 // GPU-wide quota for the current epoch
 	alpha      float64 // history adjustment (Section 3.4.2)
-	prevAlpha  float64 // α in force during the previous epoch (the alpha trace event's B)
 	nonQoSGoal float64 // artificial IPC goal of a non-QoS kernel (Section 3.5)
-	lastEpoch  float64 // IPCepoch of the previous epoch
 	allowance  float64 // quota+carry granted for the current epoch
-	carry      float64 // pooled carry of the last refresh
+	carry      float64 // pooled carry granted for the current epoch
 
 	deficitStreak int // consecutive epochs a QoS kernel missed rate
 	unexhausted   int // SMs that ended the last epoch with quota left
@@ -146,18 +145,7 @@ func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options, prev *Manager
 	if !hasQoS {
 		return nil, errors.New("qos: no QoS kernel among goals")
 	}
-	if opts.NonQoSInitIPC <= 0 {
-		opts.NonQoSInitIPC = 1
-	}
-	if opts.AlphaCap <= 0 {
-		opts.AlphaCap = 16
-	}
-	switch {
-	case opts.QuotaMargin == 0:
-		opts.QuotaMargin = 0.015
-	case opts.QuotaMargin < 0:
-		opts.QuotaMargin = 0
-	}
+	opts = opts.resolved()
 	m := prev
 	if m == nil {
 		m = new(Manager)
@@ -168,6 +156,8 @@ func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options, prev *Manager
 		scheme:      scheme,
 		opts:        opts,
 		slots:       slices.Grow(m.slots[:0], n)[:n],
+		in:          slices.Grow(m.in[:0], n)[:n],
+		prev:        m.prev[:0],
 		counters:    grid(m.counters, numSMs, n, 0),
 		exhaustAt:   grid(m.exhaustAt, numSMs, n, -1),
 		qosSlots:    m.qosSlots[:0],
@@ -177,7 +167,7 @@ func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options, prev *Manager
 		peakIPC:     float64(g.Cfg.PeakIssuePerCycle() * g.Cfg.WarpSize),
 	}
 	for slot, goal := range goals {
-		m.slots[slot] = slotState{goal: goal, isQoS: goal > 0, alpha: 1, prevAlpha: 1, lastSwap: -10}
+		m.slots[slot] = slotState{goal: goal, isQoS: goal > 0, alpha: 1, lastSwap: -10}
 		if goal > 0 {
 			m.qosSlots = append(m.qosSlots, slot)
 		} else {
@@ -186,6 +176,24 @@ func New(g *gpu.GPU, scheme Scheme, goals []float64, opts Options, prev *Manager
 		}
 	}
 	return m, nil
+}
+
+// resolved returns o with its zero values replaced by this
+// reproduction's defaults (see Options).
+func (o Options) resolved() Options {
+	if o.NonQoSInitIPC <= 0 {
+		o.NonQoSInitIPC = 1
+	}
+	if o.AlphaCap <= 0 {
+		o.AlphaCap = 16
+	}
+	switch {
+	case o.QuotaMargin == 0:
+		o.QuotaMargin = 0.015
+	case o.QuotaMargin < 0:
+		o.QuotaMargin = 0
+	}
+	return o
 }
 
 // grid returns m resized to rows x cols with every element v, reusing
@@ -205,12 +213,13 @@ func grid[E any](m [][]E, rows, cols int, v E) [][]E {
 func (m *Manager) Alpha(slot int) float64 { return m.slots[slot].alpha }
 
 // Install wires the manager into the GPU as controller and quota gate and
-// performs the first epoch's quota allocation. Call once before RunCtx.
+// grants the first epoch's quotas. Call once before RunCtx.
 func (m *Manager) Install() {
 	m.g.SetController(m)
 	m.g.SetGate(m)
-	m.refreshQuotas(0)
-	m.started = true
+	m.gather(0) // every counter is 0: nothing carries into the first epoch
+	grant(m.scheme, m.opts, m.epochLen, m.in, m.slots)
+	m.refresh(0)
 }
 
 // ---- sm.QuotaGate ----
@@ -266,15 +275,10 @@ func (m *Manager) OnCycle(now int64) {
 	}
 	if m.scheme == Elastic {
 		// Elastic starts the next epoch the moment every kernel's quota
-		// is spent (Figure 4b) — as a real epoch roll, not a local
-		// counter top-up. Routing the early start through the GPU's
-		// ForceEpochRoll keeps the traced epoch rolls, the epoch
-		// clock and this manager's OnEpoch observing the same interval;
-		// the previous local top-up left the fixed epoch timer running,
-		// so the boundary roll double-counted the shortened epoch and
-		// attributed its instructions to a window the controller never
-		// saw. Counters keep their negative remainders; refreshQuotas
-		// pools them as debt.
+		// is spent (Figure 4b), as a real epoch roll through the GPU's
+		// ForceEpochRoll, so the traced epoch rolls, the epoch clock and
+		// OnEpoch observe the same interval. Counters keep their negative
+		// remainders; gather pools them as debt.
 		if now <= m.epochStartCycle {
 			return
 		}
@@ -309,7 +313,7 @@ func (m *Manager) OnCycle(now int64) {
 		c := m.counters[smID]
 		any := false
 		for _, slot := range m.nonQoS {
-			share := m.share(smID, slot)
+			share := m.share(m.slots[slot].quota, smID, slot)
 			if share > 0 {
 				c[slot] += share
 				m.g.Tracer().Replenish(now, smID, slot, share)
@@ -344,7 +348,7 @@ func (m *Manager) replenishDue() bool {
 			continue
 		}
 		for _, slot := range m.nonQoS {
-			if m.share(smID, slot) > 0 {
+			if m.share(m.slots[slot].quota, smID, slot) > 0 {
 				return true
 			}
 		}
@@ -383,189 +387,96 @@ func (m *Manager) qosExhaustedEverywhere() bool {
 	return true
 }
 
-// OnEpoch recomputes α, non-QoS artificial goals and quotas, then runs
-// the static TB adjuster.
+// OnEpoch closes an epoch: it gathers what the finished epoch measured,
+// steps every slot's quota state, emits the decisions, runs the static
+// TB adjuster and splits the new quotas across SMs.
 func (m *Manager) OnEpoch(now int64) {
-	// IPC of the epoch that just ended (the GPU rolled counters first).
-	// The denominator is the epoch's actual duration: under Elastic an
-	// epoch ends early via ForceEpochRoll, and dividing by the nominal
-	// length would understate every shortened epoch's IPC.
+	m.gather(now)
+	m.prev = append(m.prev[:0], m.slots...)
+	step(m.scheme, m.opts, m.epochLen, m.peakIPC, m.in, m.slots)
+	tr := m.g.Tracer()
+	for _, slot := range m.nonQoS {
+		tr.ArtificialGoal(now, slot, m.slots[slot].nonQoSGoal, m.prev[slot].nonQoSGoal)
+	}
+	for _, q := range m.qosSlots {
+		if a := m.slots[q].alpha; a != m.prev[q].alpha {
+			tr.Alpha(now, q, a, m.prev[q].alpha)
+		}
+		tr.GoalCheck(now, q, m.in[q].hist, m.slots[q].goal)
+	}
+	// The static adjuster reads the finished epoch's exhaustion data, so
+	// it runs before refresh resets it; the split then sees the
+	// post-adjustment TB residency.
+	if !m.opts.DisableStaticAdjust {
+		m.adjustTBs(now)
+	}
+	for slot, in := range m.in {
+		tr.QuotaConsumed(now, slot, m.prev[slot].allowance-in.leftover, in.leftover)
+	}
+	m.refresh(now)
+}
+
+// gather reads step's inputs off the device for the epoch ending at now:
+// each slot's instructions and active-window IPC, and its quota counters
+// pooled over SMs, SM 0 first. The same pass counts, per slot, the SMs
+// that ended the epoch with quota left and a TB resident (the static
+// adjuster's TLP shortfall signal).
+func (m *Manager) gather(now int64) {
+	// The denominator of IPCepoch is the epoch's actual duration: under
+	// Elastic an epoch ends early via ForceEpochRoll, and dividing by the
+	// nominal length would understate every shortened epoch's IPC.
 	dur := now - m.epochStartCycle
 	if dur <= 0 {
 		dur = m.epochLen
 	}
-	for slot, st := range m.g.Stats {
-		m.slots[slot].lastEpoch = float64(st.LastEpochInstrs) / float64(dur)
-	}
-	// Non-QoS artificial goal update (Section 3.5) uses how completely
-	// each QoS kernel consumed its allowance (quota plus rolled-over
-	// carry) in the finished epoch: a kernel that could not drain its
-	// allowance is being squeezed by interference and the non-QoS goal
-	// scales down proportionally; a kernel that drained it is
-	// scheme-throttled and the non-QoS kernels may keep their level.
-	// This is the paper's IPCepoch/(α·IPCgoal) factor with the carry
-	// included in the denominator, which preserves the repayment margin
-	// Rollover relies on. The raw update is smoothed (EWMA) so one
-	// bursty epoch does not whipsaw the search.
-	for _, slot := range m.nonQoS {
-		factor := 1.0
-		for _, q := range m.qosSlots {
-			if m.slots[q].allowance <= 0 {
-				continue
-			}
-			// Consumed fraction of the allowance, from the raw epoch
-			// instruction count (duration-independent, so shortened
-			// elastic epochs compare correctly).
-			f := float64(m.g.Stats[q].LastEpochInstrs) / m.slots[q].allowance
-			if f > 0.995 {
-				f = 1
-			}
-			factor *= f
-		}
-		next := m.slots[slot].lastEpoch * factor
-		if next < m.opts.NonQoSInitIPC {
-			next = m.opts.NonQoSInitIPC
-		}
-		if next > m.peakIPC {
-			next = m.peakIPC
-		}
-		prev := m.slots[slot].nonQoSGoal
-		m.slots[slot].nonQoSGoal = float64(0.5*prev) + float64(0.5*next) // rounded, never fused: make arch-check
-		m.g.Tracer().ArtificialGoal(now, slot, m.slots[slot].nonQoSGoal, prev)
-	}
-	// History-based α for QoS kernels (Section 3.4.2). The α that was
-	// in force during the finished epoch is kept only for the alpha
-	// trace event, which records each change.
-	for _, q := range m.qosSlots {
-		sl := &m.slots[q]
-		sl.prevAlpha = sl.alpha
-		sl.alpha = 1
-		// History uses the kernel's active-window IPC: a kernel held off
-		// the SMs by a relaunch gate or a pending context restore was
-		// previously judged on cycles it could not issue in, inflating α
-		// (and therefore its quota) for scheduling artifacts rather than
-		// genuine interference.
-		hist := m.g.IPC(q)
-		if m.scheme.historyAdjusted() && !m.opts.DisableHistory {
-			if hist > 0 {
-				if a := sl.goal / hist; a > 1 {
-					sl.alpha = a
-				}
-			} else {
-				sl.alpha = m.opts.AlphaCap
-			}
-			if sl.alpha > m.opts.AlphaCap {
-				sl.alpha = m.opts.AlphaCap
-			}
-			if sl.alpha != sl.prevAlpha {
-				m.g.Tracer().Alpha(now, q, sl.alpha, sl.prevAlpha)
-			}
-		}
-		m.g.Tracer().GoalCheck(now, q, hist, sl.goal)
-	}
-	// The static adjuster reads the finished epoch's exhaustion data, so
-	// it runs before the quota refresh resets it; the refresh then sees
-	// the post-adjustment TB residency when computing shares.
-	m.snapshotExhaustion()
-	if !m.opts.DisableStaticAdjust {
-		m.adjustTBs(now)
-	}
-	m.refreshQuotas(now)
-}
-
-// snapshotExhaustion counts, per slot, the SMs that ended the epoch with
-// unconsumed quota (TLP shortfall signal for the static adjuster).
-func (m *Manager) snapshotExhaustion() {
-	for slot := range m.slots {
+	for slot := range m.in {
+		m.in[slot] = slotIn{instrs: m.g.Stats[slot].LastEpochInstrs, dur: dur, hist: m.g.IPC(slot)}
 		m.slots[slot].unexhausted = 0
 	}
-	for smID := range m.counters {
-		c := m.counters[smID]
+	for smID, c := range m.counters {
 		s := m.g.SMs[smID]
-		for slot := range c {
-			if c[slot] > 0 && s.ResidentTBs(slot) > 0 {
-				m.slots[slot].unexhausted++
+		for slot, v := range c {
+			in := &m.in[slot]
+			in.leftover += v
+			switch {
+			case v > 0:
+				in.surplus += v
+				if s.ResidentTBs(slot) > 0 {
+					m.slots[slot].unexhausted++
+				}
+			case v < 0:
+				in.debt += v
 			}
 		}
 	}
 }
 
-// refreshQuotas computes per-slot epoch quotas and resets the per-SM
-// counters according to the scheme's carry rule.
-func (m *Manager) refreshQuotas(now int64) {
+// refresh emits the granted quotas and carries, starts the next epoch at
+// now and splits each slot's quota and carry across SMs.
+func (m *Manager) refresh(now int64) {
 	tr := m.g.Tracer()
-	// Consumption of the epoch that just ended, read off the counters
-	// before they are reset. Leftover can be negative (overshoot past
-	// zero within one warp instruction, or elastic debt).
-	if m.started && tr.Enabled() {
-		for slot := range m.slots {
-			var leftover float64
-			for smID := range m.counters {
-				leftover += m.counters[smID][slot]
-			}
-			tr.QuotaConsumed(now, slot, m.slots[slot].allowance-leftover, leftover)
-		}
-	}
-	for slot := range m.slots {
-		sl := &m.slots[slot]
-		if sl.isQoS {
-			sl.quota = sl.alpha * sl.goal * float64(m.epochLen) * (1 + m.opts.QuotaMargin)
-		} else {
-			sl.quota = sl.nonQoSGoal * float64(m.epochLen)
-		}
-	}
-	m.epochStartCycle = now
-	// The paper's quotas are kernel-level (Quota_k), with the per-SM
-	// split a distribution mechanism (Section 3.4.1). Carry is therefore
-	// pooled GPU-wide before redistribution: Rollover keeps a QoS
-	// kernel's total unused quota (Figure 4c), Elastic carries total
-	// debt (Figure 4b). Pooling also prevents a slow SM from hoarding
-	// quota that faster SMs could have consumed.
-	for slot := range m.slots {
-		m.slots[slot].carry = 0
-	}
-	for smID := range m.counters {
-		for slot, v := range m.counters[smID] {
-			sl := &m.slots[slot]
-			switch {
-			case m.scheme == Elastic:
-				if v < 0 {
-					sl.carry += v
-				}
-			case (m.scheme == Rollover || m.scheme == RolloverTime) && sl.isQoS:
-				if v > 0 {
-					sl.carry += v
-				}
-			}
-		}
-	}
-	for slot := range m.slots {
-		sl := &m.slots[slot]
-		// Bound the carry to one extra epoch per slot so an unreachable
-		// goal cannot bank unlimited allowance.
-		if sl.carry > sl.quota {
-			sl.carry = sl.quota
-		}
-		sl.allowance = sl.quota + sl.carry
+	for slot, sl := range m.slots {
 		tr.QuotaGrant(now, slot, sl.quota, sl.alpha)
 		if sl.carry != 0 {
 			tr.QuotaCarry(now, slot, sl.carry, sl.allowance)
 		}
 	}
-	for smID := range m.counters {
-		c := m.counters[smID]
-		s := m.g.SMs[smID]
+	m.epochStartCycle = now
+	for smID, c := range m.counters {
 		for slot := range c {
-			c[slot] = m.share(smID, slot) + m.shareOf(m.slots[slot].carry, smID, slot)
+			sl := &m.slots[slot]
+			c[slot] = m.share(sl.quota, smID, slot) + m.share(sl.carry, smID, slot)
 			m.exhaustAt[smID][slot] = -1
 		}
-		s.Wake(now)
+		m.g.SMs[smID].Wake(now)
 	}
 }
 
-// shareOf splits an amount across SMs with the same TB-proportional rule
-// as share.
-func (m *Manager) shareOf(amount float64, smID, slot int) float64 {
+// share returns smID's part of a GPU-wide amount of slot's quota: the
+// amount split proportionally to the TBs each SM hosts (Section 3.4.1).
+// Before any TB is resident (initial allocation) it is split evenly so
+// execution can start.
+func (m *Manager) share(amount float64, smID, slot int) float64 {
 	if amount == 0 {
 		return 0
 	}
@@ -574,18 +485,6 @@ func (m *Manager) shareOf(amount float64, smID, slot int) float64 {
 		return amount / float64(len(m.counters))
 	}
 	return amount * float64(m.g.SMs[smID].ResidentTBs(slot)) / float64(total)
-}
-
-// share returns slot's local quota on smID: the GPU-wide quota split
-// proportionally to the TBs each SM hosts (Section 3.4.1). Before any TB
-// is resident (initial allocation) the quota is split evenly so execution
-// can start.
-func (m *Manager) share(smID, slot int) float64 {
-	total := m.g.TotalResidentTBs(slot)
-	if total == 0 {
-		return m.slots[slot].quota / float64(len(m.counters))
-	}
-	return m.slots[slot].quota * float64(m.g.SMs[smID].ResidentTBs(slot)) / float64(total)
 }
 
 // CounterFor exposes a local counter for tests.

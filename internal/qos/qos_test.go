@@ -268,14 +268,21 @@ func TestDisableHistoryKeepsAlphaOne(t *testing.T) {
 	}
 }
 
+// The three carry tests below check the Manager's side of a carry (TestStep
+// states the rules): leftovers are read off every SM's counter, pooled,
+// and the carry is split back across the SMs. No TB is resident, so both
+// the quota and the carry split evenly. α is pinned to 1 (nothing ran,
+// so history would raise it to its cap) and the static adjuster is off.
+var carryOpts = Options{DisableHistory: true, DisableStaticAdjust: true}
+
 func TestNaiveDiscardsLeftovers(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Naive, []float64{1000, 0}, Options{}, nil)
+	m, _ := New(g, Naive, []float64{1000, 0}, carryOpts, nil)
 	m.Install()
-	// Manufacture a leftover and roll the epoch: Naive must reset, not
-	// accumulate.
+	// Leave the whole quota unused and roll the epoch: Naive must reset,
+	// not accumulate.
 	base := m.CounterFor(0, 0)
-	m.refreshQuotas(10_000)
+	m.OnEpoch(10_000)
 	if got := m.CounterFor(0, 0); got != base {
 		t.Fatalf("Naive carried leftover: %v -> %v", base, got)
 	}
@@ -283,25 +290,31 @@ func TestNaiveDiscardsLeftovers(t *testing.T) {
 
 func TestRolloverCarriesLeftovers(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Rollover, []float64{1000, 0}, Options{}, nil)
+	m, _ := New(g, Rollover, []float64{1000, 0}, carryOpts, nil)
 	m.Install()
+	// The whole quota is left, and at most one quota carries.
 	base := m.CounterFor(0, 0)
-	m.refreshQuotas(10_000)
-	if got := m.CounterFor(0, 0); got <= base {
-		t.Fatalf("Rollover did not carry unused quota: %v -> %v", base, got)
+	m.OnEpoch(10_000)
+	if got := m.CounterFor(0, 0); got != 2*base {
+		t.Fatalf("Rollover carried %v of an unused quota, want one quota: %v -> %v", got-base, base, got)
 	}
 }
 
 func TestElasticCarriesDebt(t *testing.T) {
 	g := newGPU(t, "a", "b")
-	m, _ := New(g, Elastic, []float64{1000, 0}, Options{}, nil)
+	m, _ := New(g, Elastic, []float64{1000, 0}, carryOpts, nil)
 	m.Install()
 	base := m.CounterFor(0, 0)
-	// Overconsume on SM0 only; the debt must reduce the next allocation.
+	// Overconsume on SM0 only: the debt is pooled and every SM repays
+	// its share of it.
 	m.OnIssue(0, 0, int(base)+500)
-	m.refreshQuotas(10_000)
-	if got := m.CounterFor(0, 0); got >= base {
-		t.Fatalf("Elastic dropped the debt: %v -> %v", base, got)
+	debt := m.CounterFor(0, 0)
+	m.OnEpoch(10_000)
+	want := base + debt/float64(g.Cfg.NumSMs)
+	for sm := range g.Cfg.NumSMs {
+		if got := m.CounterFor(sm, 0); got != want {
+			t.Fatalf("SM %d: Elastic counter %v after a debt of %v, want %v", sm, got, debt, want)
+		}
 	}
 }
 
@@ -417,7 +430,7 @@ func TestQuickQuotaAccounting(t *testing.T) {
 	// Property: between refreshes, a counter always equals its initial
 	// value minus exactly the thread instructions reported to OnIssue.
 	f := func(seed uint64, issues []uint8) bool {
-		m.refreshQuotas(0)
+		m.OnEpoch(0)
 		sm := int(seed % uint64(g.Cfg.NumSMs))
 		start := m.CounterFor(sm, 0)
 		var total float64
@@ -438,7 +451,7 @@ func TestQuickCanIssueMatchesCounterSign(t *testing.T) {
 	m, _ := New(g, Rollover, []float64{5000, 0}, Options{}, nil)
 	m.Install()
 	f := func(drain uint32) bool {
-		m.refreshQuotas(0)
+		m.OnEpoch(0)
 		m.OnIssue(0, 0, int(drain%200_000))
 		return m.CanIssue(0, 0) == (m.CounterFor(0, 0) > 0)
 	}

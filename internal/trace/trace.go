@@ -178,9 +178,6 @@ func New(ringSize int) *Tracer {
 	return &Tracer{size: ringSize}
 }
 
-// Enabled reports whether emits are collected: whether t is not nil.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetEpoch stamps subsequent events with the given epoch index. The GPU
 // loop calls this at every epoch roll. Nil-safe.
 func (t *Tracer) SetEpoch(epoch int) {
