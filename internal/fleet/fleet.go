@@ -597,14 +597,18 @@ func (f *Fleet) Submit(req Request) (*Job, error) {
 	if f.draining {
 		return nil, ErrDraining
 	}
-	j := f.store.create(req, shares)
-	select {
-	case f.queue <- op{job: j}:
-		return j, nil
-	default:
-		j.finish(StateFailed, ErrQueueFull.Error())
+	j := f.store.create(req, shares, func(j *Job) bool {
+		select {
+		case f.queue <- op{job: j}:
+			return true
+		default:
+			return false
+		}
+	})
+	if j == nil {
 		return nil, ErrQueueFull
 	}
+	return j, nil
 }
 
 // Wait blocks until the job reaches a terminal placement outcome and

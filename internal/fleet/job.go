@@ -127,20 +127,25 @@ func newJobStore() *jobStore {
 
 func fleetJobID(seq int) string { return fmt.Sprintf("vjob-%06d", seq) }
 
-// create issues the next id and registers a queued job.
-func (s *jobStore) create(req Request, shares Shares) *Job {
+// create builds a queued job under the next id and, if enqueue accepts
+// it, issues that id and registers the job. A job enqueue refuses (a
+// full queue) is never listed and takes no id, so a restarted fleet,
+// which never saw it, cannot issue its id twice.
+func (s *jobStore) create(req Request, shares Shares, enqueue func(*Job) bool) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.next
-	s.next++
 	j := &Job{
-		id:     fleetJobID(seq),
-		seq:    seq,
+		id:     fleetJobID(s.next),
+		seq:    s.next,
 		req:    req,
 		shares: shares,
 		state:  StateQueued,
 		done:   make(chan struct{}),
 	}
+	if !enqueue(j) {
+		return nil
+	}
+	s.next++
 	s.jobs[j.id] = j
 	s.ids = append(s.ids, j.id)
 	return j

@@ -331,7 +331,7 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refPlace(t, ref, ref.store.create(op.req, shares))
+			refPlace(t, ref, ref.store.create(op.req, shares, func(*Job) bool { return true }))
 		}
 		if g, w := withoutDecisions(got.Placements()), withoutDecisions(ref.Placements()); !reflect.DeepEqual(g, w) {
 			i := 0

@@ -204,11 +204,17 @@ func newJobStore() *jobStore {
 	return &jobStore{byID: make(map[string]*job), next: 1}
 }
 
-// create allocates the next sequence number and registers the job.
-func (st *jobStore) create(name string, spec core.KernelSpec, req KernelRequest) *job {
+// create builds a job under the next sequence number and, if enqueue
+// accepts it, spends that number and registers the job. A job enqueue
+// refuses (a full queue) is never listed and takes no id, so a restarted
+// daemon, which never saw it, cannot issue its id twice.
+func (st *jobStore) create(name string, spec core.KernelSpec, req KernelRequest, enqueue func(*job) bool) *job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j := newJob(st.next, name, spec, req)
+	if !enqueue(j) {
+		return nil
+	}
 	st.next++
 	st.byID[j.id] = j
 	return j

@@ -264,11 +264,15 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 	if s.draining {
 		return nil, fmt.Errorf("%w: not accepting new jobs", ErrDraining)
 	}
-	j := s.store.create(req.Name, spec, req.Kernel)
-	select {
-	case s.queue <- j:
-	default:
-		j.finish(JobFailed, nil, ErrQueueFull)
+	j := s.store.create(req.Name, spec, req.Kernel, func(j *job) bool {
+		select {
+		case s.queue <- j:
+			return true
+		default:
+			return false
+		}
+	})
+	if j == nil {
 		s.count("queue_rejected", 1)
 		return nil, fmt.Errorf("%w: %d decisions pending", ErrQueueFull, cap(s.queue))
 	}

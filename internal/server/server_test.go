@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -285,6 +286,7 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	s := testServer(t, Config{QueueDepth: 1})
 	s.gate = make(chan struct{})
+	t.Cleanup(func() { close(s.gate) }) // a failed check leaves no decision parked for Shutdown
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -322,6 +324,11 @@ func TestQueueBackpressure(t *testing.T) {
 	if er.Schema != schema.Version || er.Code != 429 {
 		t.Fatalf("429 body = %+v", er)
 	}
+	// The refused job took no id and is not listed: it journals nothing,
+	// so a restarted daemon could otherwise issue its id again.
+	if ids := listIDs(t, ts); !slices.Equal(ids, []string{jr1.Job.ID, jr2.Job.ID}) {
+		t.Fatalf("jobs after the 429 = %v, want only %s and %s", ids, jr1.Job.ID, jr2.Job.ID)
+	}
 
 	// Release the gate twice: both queued jobs still get real verdicts
 	// (the second may be rejected — two copies of the same QoS kernel
@@ -334,6 +341,31 @@ func TestQueueBackpressure(t *testing.T) {
 			t.Fatalf("job %s = %+v", id, v)
 		}
 	}
+	code3, jr3 := post(t, ts, `{"kernel":{"workload":"lbm"}}`)
+	if code3 != http.StatusAccepted || jr3.Job.ID != "job-000003" {
+		t.Fatalf("next POST = %d %s, want 202 job-000003", code3, jr3.Job.ID)
+	}
+	s.gate <- struct{}{}
+	wait(t, ts, jr3.Job.ID)
+}
+
+// listIDs returns the ids GET /v1/jobs lists, in its order.
+func listIDs(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list jobListResponse
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, j := range list.Jobs {
+		ids = append(ids, j.ID)
+	}
+	return ids
 }
 
 // TestDrain checks the SIGTERM path cmd/qosd wires: draining refuses new
