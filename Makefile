@@ -218,10 +218,13 @@ rows-check:
 # the address and int is 32 bits there: the tag store against its model
 # and the partition slices against full ones; and internal/core, whose
 # sessions rebuild their last device in place: reused devices against
-# fresh ones, and the second run's allocation bound.
+# fresh ones, and the second run's allocation bound; and internal/qos:
+# the epoch step's table of the paper's quota rules (TestStep) and the
+# manager's carry and gate tests. internal/stream's ports of math.Log and
+# math.Sin are held to the standard library bit for bit here too.
 arch386:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm ./internal/cache ./internal/mem ./internal/core
+	GOARCH=386 $(GO) test -count=1 . ./internal/stream ./internal/journal ./internal/sm ./internal/cache ./internal/mem ./internal/core ./internal/qos
 
 # Fused multiply-add guard: Go may fuse x*y + z into one rounding on
 # arm64, riscv64, ppc64le and loong64, never on amd64, so no amd64 run

@@ -63,8 +63,9 @@ func Generate(spec GenSpec) (*Trace, error) {
 func expo(src *rng.Source, rate float64) float64 {
 	// 1-u is in (0,1]: Float64 returns [0,1), so the log argument is
 	// never zero. u is rounded before the subtraction, so no target fuses
-	// Float64's scaling into it (make arch-check).
-	return -math.Log(1-float64(src.Float64())) / rate
+	// Float64's scaling into it (make arch-check), and unfusedLog is
+	// math.Log with no fusable site on any target.
+	return -unfusedLog(1-float64(src.Float64())) / rate
 }
 
 // pickTenant draws a tenant by cumulative weight.
@@ -102,7 +103,7 @@ func diurnalTimes(times, mod *rng.Source, spec GenSpec) []int64 {
 	peak := rate * (1 + amp)
 	var out []int64
 	for t := expo(times, peak); t < horizon; t += expo(times, peak) {
-		lambda := rate * (1 + float64(amp*math.Sin(2*math.Pi*t/period))) // rounded, never fused: make arch-check
+		lambda := rate * (1 + float64(amp*unfusedSin(2*math.Pi*t/period))) // rounded, never fused: make arch-check
 		if mod.Float64()*peak < lambda {
 			out = append(out, int64(t*1e6))
 		}
