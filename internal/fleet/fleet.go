@@ -597,14 +597,7 @@ func (f *Fleet) Submit(req Request) (*Job, error) {
 	if f.draining {
 		return nil, ErrDraining
 	}
-	j := f.store.create(req, shares, func(j *Job) bool {
-		select {
-		case f.queue <- op{job: j}:
-			return true
-		default:
-			return false
-		}
-	})
+	j := f.store.create(req, shares, f.queue)
 	if j == nil {
 		return nil, ErrQueueFull
 	}

@@ -127,11 +127,11 @@ func newJobStore() *jobStore {
 
 func fleetJobID(seq int) string { return fmt.Sprintf("vjob-%06d", seq) }
 
-// create builds a queued job under the next id and, if enqueue accepts
-// it, issues that id and registers the job. A job enqueue refuses (a
-// full queue) is never listed and takes no id, so a restarted fleet,
-// which never saw it, cannot issue its id twice.
-func (s *jobStore) create(req Request, shares Shares, enqueue func(*Job) bool) *Job {
+// create builds a queued job under the next id and, if queue has room
+// for it, queues the job, issues that id and registers it. It returns
+// nil when queue is full: that job is never listed and takes no id, so a
+// restarted fleet, which never saw it, cannot issue its id twice.
+func (s *jobStore) create(req Request, shares Shares, queue chan<- op) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := &Job{
@@ -142,7 +142,9 @@ func (s *jobStore) create(req Request, shares Shares, enqueue func(*Job) bool) *
 		state:  StateQueued,
 		done:   make(chan struct{}),
 	}
-	if !enqueue(j) {
+	select {
+	case queue <- op{job: j}:
+	default:
 		return nil
 	}
 	s.next++

@@ -298,6 +298,7 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		var placed []string
+		refQueue := make(chan op, 1) // the reference places by hand, not through its loop
 		for _, op := range placeStream(seed, 24) {
 			if op.req.Workload == "" {
 				if len(placed) == 0 {
@@ -331,7 +332,9 @@ func TestPlacementMatchesAskEveryNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refPlace(t, ref, ref.store.create(op.req, shares, func(*Job) bool { return true }))
+			rj := ref.store.create(op.req, shares, refQueue)
+			<-refQueue
+			refPlace(t, ref, rj)
 		}
 		if g, w := withoutDecisions(got.Placements()), withoutDecisions(ref.Placements()); !reflect.DeepEqual(g, w) {
 			i := 0

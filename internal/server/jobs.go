@@ -204,15 +204,18 @@ func newJobStore() *jobStore {
 	return &jobStore{byID: make(map[string]*job), next: 1}
 }
 
-// create builds a job under the next sequence number and, if enqueue
-// accepts it, spends that number and registers the job. A job enqueue
-// refuses (a full queue) is never listed and takes no id, so a restarted
-// daemon, which never saw it, cannot issue its id twice.
-func (st *jobStore) create(name string, spec core.KernelSpec, req KernelRequest, enqueue func(*job) bool) *job {
+// create builds a job under the next sequence number and, if queue has
+// room for it, queues the job, spends that number and registers it. It
+// returns nil when queue is full: that job is never listed and takes no
+// id, so a restarted daemon, which never saw it, cannot issue its id
+// twice.
+func (st *jobStore) create(name string, spec core.KernelSpec, req KernelRequest, queue chan<- *job) *job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j := newJob(st.next, name, spec, req)
-	if !enqueue(j) {
+	select {
+	case queue <- j:
+	default:
 		return nil
 	}
 	st.next++

@@ -264,14 +264,7 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 	if s.draining {
 		return nil, fmt.Errorf("%w: not accepting new jobs", ErrDraining)
 	}
-	j := s.store.create(req.Name, spec, req.Kernel, func(j *job) bool {
-		select {
-		case s.queue <- j:
-			return true
-		default:
-			return false
-		}
-	})
+	j := s.store.create(req.Name, spec, req.Kernel, s.queue)
 	if j == nil {
 		s.count("queue_rejected", 1)
 		return nil, fmt.Errorf("%w: %d decisions pending", ErrQueueFull, cap(s.queue))
